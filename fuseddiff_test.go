@@ -102,4 +102,80 @@ func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep [
 	if ambiguous == 0 {
 		t.Fatal("no ambiguous topic queries — the sweep exercised nothing fused")
 	}
+
+	// The serving entry point against the uncached pipeline, on a cold
+	// cache and a warm one: first over the quiesced index (where warm
+	// ambiguous requests run fused), then mid-mutation — buffered and
+	// flushed documents with terms outside the base dictionary, updates,
+	// tombstones — where fused falls back and surrogates come from three
+	// sources' forward indexes through their translation tables.
+	serveMatchesDiversify(t, pipe, algs, "quiesced")
+	mutateEngine(t, pipe)
+	serveMatchesDiversify(t, pipe, algs, "mid-mutation")
+}
+
+// serveMatchesDiversify byte-compares DiversifyServe — cold cache, then
+// warm — with Pipeline.Diversify over every topic query and a noise query.
+func serveMatchesDiversify(t *testing.T, pipe *Pipeline, algs []core.Algorithm, state string) {
+	t.Helper()
+	ctx := context.Background()
+	queries := []string{"noise query 0002"}
+	for _, topic := range pipe.Testbed.Topics {
+		queries = append(queries, topic.Query)
+	}
+	for _, alg := range algs {
+		h := pipe.NewServeHandle(64, 2)
+		for _, q := range queries {
+			want, wantSpecs := pipe.Diversify(q, alg)
+			for round, wantHit := range []bool{false, true} {
+				got, gotSpecs, hit, _, err := h.DiversifyServe(ctx, q, alg, 0)
+				if err != nil {
+					t.Fatalf("%s %s q=%q alg=%s round %d: %v", t.Name(), state, q, alg, round, err)
+				}
+				if hit != wantHit {
+					t.Fatalf("%s %s q=%q alg=%s round %d: cache hit = %v", t.Name(), state, q, alg, round, hit)
+				}
+				if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantSpecs, gotSpecs) {
+					t.Fatalf("%s %s: DiversifyServe diverges from Diversify: q=%q alg=%s round %d\nwant %+v\ngot  %+v",
+						t.Name(), state, q, alg, round, want, got)
+				}
+			}
+		}
+	}
+}
+
+// mutateEngine leaves the pipeline's engine in the middle of its
+// lifecycle: a flushed segment, a non-empty memtable, superseded sealed
+// copies and tombstones, all touching documents the topic queries
+// retrieve.
+func mutateEngine(t *testing.T, pipe *Pipeline) {
+	t.Helper()
+	docs, eng := pipe.Testbed.Docs, pipe.Engine
+	ingest := func(d engine.Document) {
+		t.Helper()
+		if _, err := eng.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		src := docs[(i*13)%len(docs)]
+		switch i % 4 {
+		case 0: // a new document with a term no dictionary has seen
+			ingest(engine.Document{ID: fmt.Sprintf("live-%02d", i), Title: src.Title, Body: fmt.Sprintf("zz%dfresh %s aa%dfresh", i, src.Body, i)})
+		case 1: // an update of a sealed document
+			ingest(engine.Document{ID: src.ID, Title: src.Title, Body: src.Body + fmt.Sprintf(" rewritten mm%dfresh", i)})
+		case 2:
+			eng.Delete(src.ID)
+		case 3: // a new document that is a plain copy
+			ingest(engine.Document{ID: fmt.Sprintf("live-%02d", i), Title: src.Title, Body: src.Body})
+		}
+		if i == 7 {
+			if _, err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := eng.Live(); st.Segments < 2 || st.MemDocs == 0 || st.Shadowed == 0 {
+		t.Fatalf("engine not mid-mutation: %+v", st)
+	}
 }

@@ -144,7 +144,10 @@ func (p *Problem) clampK() int {
 }
 
 // Baseline returns the top-k candidates of R_q in their original retrieval
-// order — the "no diversification" row of Table 3.
+// order — the "no diversification" row of Table 3. It reads only ID, Rank
+// and Rel and returns only those: surrogate vectors play no part in it,
+// so a caller that knows it wants the baseline need not build them, and
+// gets the same SERP as one that did.
 func Baseline(p *Problem) []Selected {
 	k := p.clampK()
 	docs := make([]Doc, len(p.Candidates))
@@ -152,7 +155,8 @@ func Baseline(p *Problem) []Selected {
 	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Rank < docs[j].Rank })
 	out := make([]Selected, 0, k)
 	for i := 0; i < k; i++ {
-		out = append(out, Selected{Doc: docs[i], Score: docs[i].Rel})
+		d := docs[i]
+		out = append(out, Selected{Doc: Doc{ID: d.ID, Rank: d.Rank, Rel: d.Rel}, Score: d.Rel})
 	}
 	return out
 }

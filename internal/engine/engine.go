@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -153,10 +152,15 @@ type Engine struct {
 
 	flushes     atomic.Uint64
 	compactions atomic.Uint64
+
+	// memSrc caches the memtable view's searchable wrapper (forward.go).
+	memSrc atomic.Pointer[memSource]
 }
 
-// segment is one immutable sealed segment: its index plus the raw bodies
-// of its documents (for snippet extraction and compaction replay).
+// segment is one searchable source of a snapshot — an immutable sealed
+// segment, or the memtable's sealed view: its index (forward index
+// included) plus the raw text of its documents, for snippet text and
+// compaction replay.
 type segment struct {
 	// seg owns the segment's index as a set of contiguous document
 	// shards; retrieval fans out over them (one shard degenerates to the
@@ -164,9 +168,12 @@ type segment struct {
 	// statistics — and therefore scores — stay collection-global within
 	// the segment.
 	seg *index.Segmented
-	// docs serves raw bodies by docID — an owned map for built/loaded
-	// segments, a payload view for mapped ones (see docStore).
+	// docs serves raw text by document number — an owned table for
+	// built/loaded segments, a payload view for mapped ones (see docStore).
 	docs docStore
+	// xlat maps the index's term numbers to the snapshot lexicon's IDs.
+	// nil for the base segment, whose dictionary IS the lexicon's base.
+	xlat []int32
 }
 
 // state is one consistent snapshot of the engine: the sealed segments
@@ -286,7 +293,7 @@ func (st *state) clone() *state {
 // sealedHas returns the newest segment holding a copy of id.
 func (st *state) sealedHas(id string) (int, bool) {
 	for j := len(st.segs) - 1; j >= 0; j-- {
-		if st.segs[j].docs.Has(id) {
+		if _, ok := st.segs[j].docs.Ordinal(id); ok {
 			return j, true
 		}
 	}
@@ -300,35 +307,11 @@ func (st *state) sealedLive(si int, id string, mv *index.MemView) bool {
 		return false
 	}
 	for j := si + 1; j < len(st.segs); j++ {
-		if st.segs[j].docs.Has(id) {
+		if _, ok := st.segs[j].docs.Ordinal(id); ok {
 			return false
 		}
 	}
 	return true
-}
-
-// isLive reports whether any live version of id exists in the snapshot.
-func (st *state) isLive(id string, mv *index.MemView) bool {
-	if mv.Has(id) {
-		return true
-	}
-	_, ok := st.sealedHas(id)
-	return ok && !st.dead[id]
-}
-
-// body returns the raw body of id's newest copy, plus whether that body
-// aliases a mapped region (and so must be cloned before escaping the
-// caller's state pin).
-func (st *state) body(id string, mv *index.MemView) (body string, mapped, ok bool) {
-	if p, ok := mv.Payload(id); ok {
-		return p, false, true
-	}
-	for j := len(st.segs) - 1; j >= 0; j-- {
-		if p, ok := st.segs[j].docs.Body(id); ok {
-			return p, st.segs[j].docs.Mapped(), true
-		}
-	}
-	return "", false, false
 }
 
 // quiet reports whether the snapshot degenerates to a single immutable
@@ -344,20 +327,23 @@ func Build(docs []Document, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	b := index.NewBuilder()
 	b.SetBlockSize(cfg.blockLayout())
-	raw := make(map[string]string, len(docs))
+	raw := newHeapDocs(len(docs))
+	var tokens []string
+	var lens []int32
 	for _, d := range docs {
-		full := d.Title + " " + d.Body
-		if err := b.Add(d.ID, cfg.Analyzer.Tokens(full)); err != nil {
+		t := docText{title: d.Title, body: d.Body}
+		tokens, lens = analyze(cfg.Analyzer, t, tokens[:0], lens[:0])
+		if err := b.AddFields(d.ID, tokens, lens); err != nil {
 			return nil, err
 		}
-		raw[d.ID] = strings.TrimSpace(full)
+		raw.add(d.ID, t)
 	}
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
 	}
 	seg := b.BuildSegmented(shards)
-	e := newEngine(cfg, seg, heapDocs(raw))
+	e := newEngine(cfg, seg, raw)
 	if err := e.openWAL(); err != nil {
 		return nil, err
 	}
@@ -380,11 +366,13 @@ func newEngine(cfg Config, seg *index.Segmented, docs docStore) *Engine {
 
 // freshState builds the single-segment state every engine starts (and
 // every compaction ends) in: max-score tables installed while the index
-// is still privately owned, lexicon wrapped around the dictionary, IDF
-// table derived from it, empty tombstones, empty memtable.
+// is still privately owned (and a forward index rebuilt from the bodies
+// when the index came without one), lexicon wrapped around the
+// dictionary, IDF table derived from it, empty tombstones, empty memtable.
 func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *state {
 	idx := seg.Index()
 	installTables(cfg, idx)
+	ensureForward(cfg, idx, docs)
 	lex := textsim.WrapSortedTerms(idx.Terms())
 	st := &state{
 		stateData: stateData{
@@ -549,24 +537,20 @@ func (e *Engine) SearchShardBatch(ctx context.Context, si int, queries []string,
 	if si < 0 || si >= seg.NumShards() {
 		return nil, st.epoch, fmt.Errorf("engine: shard %d out of range [0,%d)", si, seg.NumShards())
 	}
-	qTokens := make([][]string, len(queries))
-	for i, q := range queries {
-		qTokens[i] = e.cfg.Analyzer.Tokens(q)
-	}
-	hitLists, err := ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, qTokens, ks, e.batchOpts())
+	r := e.newRetrieval(st, st.segs[:1], queries)
+	var err error
+	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, e.batchOpts())
 	if err != nil {
 		return nil, st.epoch, err
 	}
 	out := make([][]ShardResult, len(queries))
-	for i, hits := range hitLists {
+	for i, hits := range r.hits {
 		rs := make([]ShardResult, len(hits))
-		for j, h := range hits {
-			rs[j] = ShardResult{
-				Doc:     h.Doc,
-				DocID:   h.DocID,
-				Score:   h.Score,
-				Snippet: e.snippetFor(st, mv, h.DocID, qTokens[i]),
-			}
+		err := r.windows(ctx, i, func(j int, w hitWindow) {
+			rs[j] = ShardResult{Doc: w.Doc, DocID: w.DocID, Score: w.Score, Snippet: w.snippet()}
+		})
+		if err != nil {
+			return nil, st.epoch, err
 		}
 		out[i] = rs
 	}
@@ -585,38 +569,53 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []string, ks []int) ([
 	return e.searchBatchState(ctx, st, queries, ks)
 }
 
-// searchBatchState answers a query batch against one loaded snapshot.
-// The quiet fast path is the exact pre-lifecycle code; the general path
+// searchBatchState answers a query batch against one loaded snapshot:
+// retrieve, then cut every hit's snippet out of its text at the window
+// the forward index picked.
+func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []string, ks []int) ([][]Result, error) {
+	r, err := e.retrieve(ctx, st, queries, ks)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Result, len(queries))
+	for i, hits := range r.hits {
+		rs := make([]Result, len(hits))
+		err := r.windows(ctx, i, func(j int, w hitWindow) {
+			rs[j] = Result{DocID: w.DocID, Rank: w.Rank, Score: w.Score, Snippet: w.snippet()}
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rs
+	}
+	return out, nil
+}
+
+// newRetrieval analyzes the batch's queries for a retrieval over srcs.
+func (e *Engine) newRetrieval(st *state, srcs []*segment, queries []string) *retrieval {
+	r := &retrieval{st: st, srcs: srcs, w: e.cfg.SnippetWindow, qToks: make([][]string, len(queries))}
+	for i, q := range queries {
+		r.qToks[i] = e.cfg.Analyzer.Tokens(q)
+	}
+	return r
+}
+
+// retrieve runs the batch's retrieval against one loaded snapshot. The
+// quiet fast path is the exact pre-lifecycle code; the general path
 // retrieves k+shadowed per source (sealed segments plus the memtable
 // view), filters superseded and deleted sealed copies, globalizes doc
 // numbers by source offset and k-way merges — exact top-k, because at
 // most `shadowed` hits per source can be filtered away.
-func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []string, ks []int) ([][]Result, error) {
-	qTokens := make([][]string, len(queries))
-	for i, q := range queries {
-		qTokens[i] = e.cfg.Analyzer.Tokens(q)
-	}
+func (e *Engine) retrieve(ctx context.Context, st *state, queries []string, ks []int) (*retrieval, error) {
 	mv := st.mem.View()
+	r := e.newRetrieval(st, e.sources(st, mv), queries)
 	if st.quiet(mv) {
-		hitLists, err := ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, qTokens, ks, e.batchOpts())
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]Result, len(queries))
-		for i, hits := range hitLists {
-			out[i] = e.resultsFor(st, mv, hits, qTokens[i])
-		}
-		return out, nil
+		var err error
+		r.hits, err = ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, r.qToks, ks, e.batchOpts())
+		return r, err
 	}
 
-	sources := make([]*index.Segmented, 0, len(st.segs)+1)
 	segN := len(st.segs)
-	for _, sg := range st.segs {
-		sources = append(sources, sg.seg)
-	}
-	if mv != nil {
-		sources = append(sources, mv.Seg)
-	}
 	kp := make([]int, len(ks))
 	for i, k := range ks {
 		kp[i] = k
@@ -626,11 +625,11 @@ func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []stri
 	}
 	lists := make([][][]ranking.Hit, len(queries))
 	for i := range lists {
-		lists[i] = make([][]ranking.Hit, 0, len(sources))
+		lists[i] = make([][]ranking.Hit, 0, len(r.srcs))
 	}
 	off := int32(0)
-	for si, src := range sources {
-		res, err := ranking.RetrieveBatchOpts(ctx, src, e.cfg.Model, qTokens, kp, e.batchOpts())
+	for si, src := range r.srcs {
+		res, err := ranking.RetrieveBatchOpts(ctx, src.seg, e.cfg.Model, r.qToks, kp, e.batchOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -649,27 +648,13 @@ func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []stri
 			}
 			lists[q] = append(lists[q], hl)
 		}
-		off += int32(src.Index().NumDocs())
+		off += int32(src.seg.Index().NumDocs())
 	}
-	out := make([][]Result, len(queries))
+	r.hits = make([][]ranking.Hit, len(queries))
 	for q := range queries {
-		out[q] = e.resultsFor(st, mv, ranking.MergeSegments(lists[q], ks[q]), qTokens[q])
+		r.hits[q] = ranking.MergeSegments(lists[q], ks[q])
 	}
-	return out, nil
-}
-
-// resultsFor attaches query-biased snippets to retrieval hits.
-func (e *Engine) resultsFor(st *state, mv *index.MemView, hits []ranking.Hit, qTokens []string) []Result {
-	out := make([]Result, len(hits))
-	for i, h := range hits {
-		out[i] = Result{
-			DocID:   h.DocID,
-			Rank:    h.Rank,
-			Score:   h.Score,
-			Snippet: e.snippetFor(st, mv, h.DocID, qTokens),
-		}
-	}
-	return out
+	return r, nil
 }
 
 // Snippet returns the query-biased snippet of a document: the
@@ -680,68 +665,23 @@ func (e *Engine) resultsFor(st *state, mv *index.MemView, hits []ranking.Hit, qT
 func (e *Engine) Snippet(docID, query string) string {
 	st := e.snapshot()
 	defer st.unpin()
-	mv := st.mem.View()
-	if !st.isLive(docID, mv) {
+	if st.dead[docID] { // by invariant not buffered either
 		return ""
 	}
-	return e.snippetFor(st, mv, docID, e.cfg.Analyzer.Tokens(query))
-}
-
-func (e *Engine) snippetFor(st *state, mv *index.MemView, docID string, qTokens []string) string {
-	body, mapped, ok := st.body(docID, mv)
-	if !ok {
-		return ""
-	}
-	raw := strings.Fields(body)
-	if len(raw) == 0 {
-		return ""
-	}
-	w := e.cfg.SnippetWindow
-	if len(raw) <= w {
-		return cloneIfMapped(mapped, strings.Join(raw, " "))
-	}
-	qset := make(map[string]bool, len(qTokens))
-	for _, t := range qTokens {
-		qset[t] = true
-	}
-	// match[i] = 1 when raw token i analyzes to a query term.
-	match := make([]int, len(raw))
-	for i, tok := range raw {
-		ts := e.cfg.Analyzer.Tokens(tok)
-		for _, t := range ts {
-			if qset[t] {
-				match[i] = 1
-				break
-			}
+	// The live version is the newest copy: the memtable view's (the last
+	// source) if buffered there, else the newest segment's.
+	srcs := e.sources(st, st.mem.View())
+	for s := len(srcs) - 1; s >= 0; s-- {
+		sg := srcs[s]
+		if d, ok := sg.docs.Ordinal(docID); ok {
+			sc := fwdScratchPool.Get().(*fwdScratch)
+			defer fwdScratchPool.Put(sc)
+			q := termSet(sg.seg.Index(), e.cfg.Analyzer.Tokens(query))
+			lo, hi, _ := sg.window(d, q, e.cfg.SnippetWindow, sc)
+			return sg.docs.Text(d).cut(lo, hi)
 		}
 	}
-	// Sliding window of width w maximizing matches.
-	cur := 0
-	for i := 0; i < w; i++ {
-		cur += match[i]
-	}
-	best, bestAt := cur, 0
-	for i := w; i < len(raw); i++ {
-		cur += match[i] - match[i-w]
-		if cur > best {
-			best = cur
-			bestAt = i - w + 1
-		}
-	}
-	return cloneIfMapped(mapped, strings.Join(raw[bestAt:bestAt+w], " "))
-}
-
-// cloneIfMapped copies a snippet off a mapped region. strings.Fields
-// substrings alias their input (and strings.Join degenerates to an alias
-// for single-element input), and snippets outlive the search's state pin
-// — the serving layer caches them in artifacts that survive a compaction
-// unmapping the source segment — so mapped-backed snippets are always
-// copied onto the heap.
-func cloneIfMapped(mapped bool, s string) string {
-	if mapped {
-		return strings.Clone(s)
-	}
-	return s
+	return ""
 }
 
 // SurrogateVector returns the IDF-weighted term vector of the document's

@@ -1,0 +1,281 @@
+package engine
+
+import (
+	"context"
+	"slices"
+	"sync"
+
+	"repro/internal/index"
+	"repro/internal/ranking"
+	"repro/internal/text"
+	"repro/internal/textsim"
+)
+
+// The forward path: how a retrieved document becomes a snippet or a
+// surrogate vector without its body being analyzed again. Every source of
+// a snapshot — sealed segments and the memtable view — carries a forward
+// index (index.Forward) in its OWN dictionary's term numbers, filled by
+// the same analysis pass that fed its postings. Surrogate vectors live in
+// the snapshot's lexicon, whose sorted base is the base segment's
+// dictionary: for the base segment the two numberings coincide, every
+// other source carries a translation table (segment.xlat).
+
+// analyze is the one analysis pass a document gets: its tokens for the
+// inverted index and, per whitespace field of title + " " + body, how
+// many of them the field contributed, for the forward index. tokens and
+// lens are appended to (pass them back in, cut to length 0, to reuse the
+// space); the returned lens is never nil.
+func analyze(a *text.Analyzer, t docText, tokens []string, lens []int32) ([]string, []int32) {
+	if lens == nil {
+		lens = make([]int32, 0, (len(t.title)+len(t.body))/6+1)
+	}
+	tokens, lens = a.FieldTokens(tokens, lens, t.title)
+	return a.FieldTokens(tokens, lens, t.body)
+}
+
+// ensureForward gives an index read from a stream without forward
+// sections (RENG streams, RIDX1–6, RIDX7 images written before the
+// sections existed) its forward index, from the stored bodies.
+func ensureForward(cfg Config, idx *index.Index, docs docStore) {
+	if idx.Forward() != nil {
+		return
+	}
+	var tokens []string
+	var lens []int32
+	idx.RebuildForward(func(d int32) ([]string, []int32) {
+		tokens, lens = analyze(cfg.Analyzer, docs.Text(d), tokens[:0], lens[:0])
+		return tokens, lens
+	})
+}
+
+// translate maps idx's term numbers to lex's IDs, interning terms the
+// lexicon has not seen (they land in its overflow region).
+func translate(lex *textsim.Lexicon, idx *index.Index) []int32 {
+	xlat := make([]int32, idx.NumTerms())
+	for i, t := range idx.Terms() {
+		xlat[i] = lex.Intern(t)
+	}
+	return xlat
+}
+
+// memSource is the memtable view wrapped as a searchable source, cached
+// per view: views are rebuilt once per mutation and shared by every
+// search until the next, and so is the translation table.
+type memSource struct {
+	mv  *index.MemView
+	lex *textsim.Lexicon
+	sg  *segment
+}
+
+// sources lists what a search over the snapshot retrieves from: the
+// sealed segments, then the memtable view when it holds documents.
+func (e *Engine) sources(st *state, mv *index.MemView) []*segment {
+	if mv == nil {
+		return st.segs
+	}
+	ms := e.memSrc.Load()
+	if ms == nil || ms.mv != mv || ms.lex != st.lex {
+		ms = &memSource{mv: mv, lex: st.lex, sg: &segment{
+			seg: mv.Seg, docs: memDocs{mv}, xlat: translate(st.lex, mv.Seg.Index()),
+		}}
+		e.memSrc.Store(ms) // racing searches build equal tables; either may win
+	}
+	return append(st.segs[:len(st.segs):len(st.segs)], ms.sg)
+}
+
+// termSet resolves a query's analyzed tokens to idx's term numbers,
+// dropping those the dictionary does not hold (no field can match them).
+func termSet(idx *index.Index, qTokens []string) []int32 {
+	set := make([]int32, 0, len(qTokens))
+	for _, t := range qTokens {
+		if ts, ok := idx.Lookup(t); ok {
+			set = append(set, ts.ID)
+		}
+	}
+	return set
+}
+
+// fwdScratch is the per-search decode space of window.
+type fwdScratch struct {
+	terms, ends []int32
+	match       []uint8
+}
+
+var fwdScratchPool = sync.Pool{New: func() any { return new(fwdScratch) }}
+
+// window picks document d's query-biased snippet window: the w-field
+// window of its text holding the most fields with a term of q (the
+// earliest on ties; a text of at most w fields is its own window). It
+// returns the window as whitespace fields [lo, hi) and the term numbers
+// the window's fields analyze to, sorted — the bag the surrogate vector
+// counts. Both come from the forward index alone: no body is read, no
+// string compared. A document whose forward bytes are malformed has an
+// empty window.
+func (sg *segment) window(d int32, q []int32, w int, sc *fwdScratch) (lo, hi int, terms []int32) {
+	var ok bool
+	sc.terms, sc.ends, ok = sg.seg.Index().Forward().Doc(d, sc.terms[:0], sc.ends[:0])
+	ends := sc.ends
+	if !ok || len(ends) == 0 {
+		return 0, 0, nil
+	}
+	lo, hi = 0, len(ends)
+	if len(ends) > w {
+		// match[i] = 1 when field i analyzes to a query term.
+		match := append(sc.match[:0], make([]uint8, len(ends))...)
+		sc.match = match
+		from := int32(0)
+		for i, end := range ends {
+			for _, t := range sc.terms[from:end] {
+				if slices.Contains(q, t) {
+					match[i] = 1
+					break
+				}
+			}
+			from = end
+		}
+		// Sliding window of width w maximizing matches.
+		cur := 0
+		for i := 0; i < w; i++ {
+			cur += int(match[i])
+		}
+		best := cur
+		for i := w; i < len(ends); i++ {
+			cur += int(match[i]) - int(match[i-w])
+			if cur > best {
+				best, lo = cur, i-w+1
+			}
+		}
+		hi = lo + w
+	}
+	from := int32(0)
+	if lo > 0 {
+		from = ends[lo-1]
+	}
+	terms = sc.terms[from:ends[hi-1]]
+	slices.Sort(terms)
+	return lo, hi, terms
+}
+
+// retrieval is a query batch's merged hit lists over one pinned
+// snapshot, before any snippet or surrogate exists: what SearchBatch,
+// SearchShardBatch, Candidates and the fused scan all start from.
+type retrieval struct {
+	st    *state
+	srcs  []*segment
+	w     int // Config.SnippetWindow
+	qToks [][]string
+	hits  [][]ranking.Hit // Doc numbers are global: source offset + local
+}
+
+// hitWindow is one hit with the snippet window picked for it: its source,
+// local document number, the window as whitespace fields [lo, hi) and
+// the window's sorted term numbers (valid only during the callback).
+type hitWindow struct {
+	*ranking.Hit
+	sg     *segment
+	d      int32
+	lo, hi int
+	terms  []int32
+}
+
+// snippet cuts the window's text out of the document.
+func (w hitWindow) snippet() string { return w.sg.docs.Text(w.d).cut(w.lo, w.hi) }
+
+// vector counts the window's terms into the surrogate vector.
+func (w hitWindow) vector(idf textsim.SliceIDF) textsim.IVector {
+	return idf.InternSorted(w.terms, w.sg.xlat)
+}
+
+// windows walks hit list qi in rank order, picks every hit's snippet
+// window and hands it to f. ctx is polled every 64 hits.
+func (r *retrieval) windows(ctx context.Context, qi int, f func(j int, w hitWindow)) error {
+	sets := make([][]int32, len(r.srcs))
+	for s, sg := range r.srcs {
+		sets[s] = termSet(sg.seg.Index(), r.qToks[qi])
+	}
+	sc := fwdScratchPool.Get().(*fwdScratch)
+	defer fwdScratchPool.Put(sc)
+	hits := r.hits[qi]
+	for j := range hits {
+		if j&63 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		s, d := 0, hits[j].Doc
+		for ; d >= int32(r.srcs[s].seg.Index().NumDocs()); s++ {
+			d -= int32(r.srcs[s].seg.Index().NumDocs())
+		}
+		w := hitWindow{Hit: &hits[j], sg: r.srcs[s], d: d}
+		w.lo, w.hi, w.terms = w.sg.window(d, sets[s], r.w, sc)
+		f(j, w)
+	}
+	return nil
+}
+
+// Candidate is one retrieved document as the diversification stage takes
+// it: no snippet string, and a surrogate vector only once Surrogates ran.
+type Candidate struct {
+	DocID string
+	Rank  int // 1-based
+	Score float64
+	IVec  textsim.IVector
+}
+
+// Candidates is a query batch retrieved against one pinned snapshot,
+// with the second half of the document scoring phase — surrogate vectors
+// — left to the caller's decision: a caller that ends up not diversifying
+// (Algorithm 1 found the query unambiguous) never pays for them. Close
+// must be called; it releases the snapshot.
+type Candidates struct {
+	// Lists[i] answers queries[i], in rank order.
+	Lists [][]Candidate
+	// Epoch is the snapshot's epoch; Lex the lexicon the vectors are
+	// interned under (Problem.Lex for problems built from them).
+	Epoch uint64
+	Lex   *textsim.Lexicon
+
+	r *retrieval // nil once closed
+}
+
+// Candidates is SearchBatch for callers that want surrogate vectors
+// instead of snippets: the same retrieval, bit for bit, but results carry
+// no display string, and their vectors — equal to IVectorOfText of the
+// snippet SearchBatch would have returned — are built from the forward
+// index when Surrogates is called.
+func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*Candidates, error) {
+	st := e.snapshot()
+	r, err := e.retrieve(ctx, st, queries, ks)
+	if err != nil {
+		st.unpin()
+		return nil, err
+	}
+	c := &Candidates{Lists: make([][]Candidate, len(queries)), Epoch: st.epoch, Lex: st.lex, r: r}
+	for i, hits := range r.hits {
+		c.Lists[i] = make([]Candidate, len(hits))
+		for j, h := range hits {
+			c.Lists[i][j] = Candidate{DocID: h.DocID, Rank: h.Rank, Score: h.Score}
+		}
+	}
+	return c, nil
+}
+
+// Surrogates attaches every candidate's surrogate vector. The only
+// possible error is ctx.Err().
+func (c *Candidates) Surrogates(ctx context.Context) error {
+	idf := c.r.st.idf
+	for i, list := range c.Lists {
+		err := c.r.windows(ctx, i, func(j int, w hitWindow) { list[j].IVec = w.vector(idf) })
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close releases the snapshot the candidates were retrieved against.
+// Idempotent; the lists and their vectors stay valid.
+func (c *Candidates) Close() {
+	if c.r != nil {
+		c.r.st.unpin()
+		c.r = nil
+	}
+}

@@ -2,20 +2,16 @@ package engine
 
 import (
 	"context"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/index"
-	"repro/internal/ranking"
-	"repro/internal/textsim"
 )
 
 // SearchFusedStamped runs the fused execution plan: ONE Block-Max
 // MaxScore pass over the base segment produces the diversified SERP for
 // an ambiguous query. As the scan's merged hit stream is materialized,
-// each document's snippet surrogate is built directly in interned form
-// (no snippet string, no second tokenization), streamed through the
+// each document's snippet surrogate is counted out of the forward index
+// (no snippet string, no tokenization at all), streamed through the
 // utility scorer against the plan's cached aspect vectors, and offered to
 // the per-specialization bounded heaps of Algorithm 2 — retrieval,
 // materialization, scoring and selection over one shared cursor/heap
@@ -34,18 +30,14 @@ import (
 func (e *Engine) SearchFusedStamped(ctx context.Context, plan *exec.Plan) ([]core.Selected, uint64, error) {
 	st := e.snapshot()
 	defer st.unpin()
-	mv := st.mem.View()
-	if !st.quiet(mv) {
+	if !st.quiet(st.mem.View()) {
 		return nil, st.epoch, exec.ErrNotFusable
 	}
-
-	qTokens := e.cfg.Analyzer.Tokens(plan.Query)
-	hitLists, err := ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model,
-		[][]string{qTokens}, []int{plan.NumCandidates}, e.batchOpts())
+	r, err := e.retrieve(ctx, st, []string{plan.Query}, []int{plan.NumCandidates})
 	if err != nil {
 		return nil, st.epoch, err
 	}
-	hits := hitLists[0]
+	hits := r.hits[0]
 
 	// P(d|q) normalization needs the min/max of the FULL score column, so
 	// it runs over the completed hit list — the structural reason
@@ -62,106 +54,12 @@ func (e *Engine) SearchFusedStamped(ctx context.Context, plan *exec.Plan) ([]cor
 	pl := *plan
 	pl.Lex = st.lex
 	fs := exec.NewFusedState(&pl, len(hits))
-	for i := range hits {
-		if i&63 == 0 && ctx.Err() != nil {
-			fs.Close()
-			return nil, st.epoch, ctx.Err()
-		}
-		h := &hits[i]
-		fs.Push(core.Doc{
-			ID:   h.DocID,
-			Rank: h.Rank,
-			Rel:  rn.Rel(h.Score),
-			IVec: e.surrogateIVec(st, mv, h.DocID, qTokens),
-		})
+	err = r.windows(ctx, 0, func(_ int, w hitWindow) {
+		fs.Push(core.Doc{ID: w.DocID, Rank: w.Rank, Rel: rn.Rel(w.Score), IVec: w.vector(st.idf)})
+	})
+	if err != nil {
+		fs.Close()
+		return nil, st.epoch, err
 	}
 	return fs.Finish(), st.epoch, nil
-}
-
-// surrogateIVec builds the interned surrogate vector of a document's
-// query-biased snippet without materializing the snippet string. The
-// window selection mirrors snippetFor exactly; the analyzed tokens of the
-// winning window then feed the same FromTokens → IDF → Intern chain
-// IVectorOfText runs. The result is bit-identical to
-// IVectorOfText(snippetFor(...)): tokenization distributes over the
-// single-space joins snippetFor emits (any non-alphanumeric rune
-// separates tokens), token counting is order-insensitive, and
-// FromCounts/SliceIDF.Apply accumulate weights and norms in sorted term
-// order — so skipping the join and the re-tokenization changes no bits.
-func (e *Engine) surrogateIVec(st *state, mv *index.MemView, docID string, qTokens []string) textsim.IVector {
-	body, mapped, ok := st.body(docID, mv)
-	if !ok {
-		return internTokens(st, nil)
-	}
-	raw := strings.Fields(body)
-	if len(raw) == 0 {
-		return internTokens(st, nil)
-	}
-	w := e.cfg.SnippetWindow
-
-	// Analyze each raw token once; the slices serve both the match pass
-	// and the winning window's token stream (snippetFor analyzes twice —
-	// once for matching, once implicitly via IVectorOfText).
-	fieldToks := make([][]string, len(raw))
-	for i, tok := range raw {
-		fieldToks[i] = e.cfg.Analyzer.Tokens(tok)
-	}
-
-	lo, hi := 0, len(raw)
-	if len(raw) > w {
-		qset := make(map[string]bool, len(qTokens))
-		for _, t := range qTokens {
-			qset[t] = true
-		}
-		// match[i] = 1 when raw token i analyzes to a query term.
-		match := make([]int, len(raw))
-		for i, ts := range fieldToks {
-			for _, t := range ts {
-				if qset[t] {
-					match[i] = 1
-					break
-				}
-			}
-		}
-		// Sliding window of width w maximizing matches (earliest on ties).
-		cur := 0
-		for i := 0; i < w; i++ {
-			cur += match[i]
-		}
-		best, bestAt := cur, 0
-		for i := w; i < len(raw); i++ {
-			cur += match[i] - match[i-w]
-			if cur > best {
-				best = cur
-				bestAt = i - w + 1
-			}
-		}
-		lo, hi = bestAt, bestAt+w
-	}
-
-	n := 0
-	for _, ts := range fieldToks[lo:hi] {
-		n += len(ts)
-	}
-	toks := make([]string, 0, n)
-	for _, ts := range fieldToks[lo:hi] {
-		toks = append(toks, ts...)
-	}
-	if mapped {
-		// Analyzer output can alias the body (lower-casing and stemming
-		// return their input unchanged when no rewrite is needed), and
-		// interning an out-of-dictionary term would retain the string in
-		// the lexicon's overflow region past the mapping's lifetime — the
-		// token-level twin of snippetFor's cloneIfMapped.
-		for i, t := range toks {
-			toks[i] = strings.Clone(t)
-		}
-	}
-	return internTokens(st, toks)
-}
-
-// internTokens is IVectorOfText from pre-analyzed tokens, against one
-// pinned state.
-func internTokens(st *state, toks []string) textsim.IVector {
-	return textsim.Intern(st.lex, st.idf.Apply(textsim.FromTokens(toks)))
 }

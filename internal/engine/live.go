@@ -78,9 +78,9 @@ func (e *Engine) memCap() int {
 // flush (persistence) failure leaves the document searchable in the
 // memtable and returns the error.
 func (e *Engine) Ingest(doc Document) (uint64, error) {
-	full := doc.Title + " " + doc.Body
-	toks := e.cfg.Analyzer.Tokens(full)
-	payload := strings.TrimSpace(full)
+	t := docText{title: doc.Title, body: doc.Body}
+	toks, lens := analyze(e.cfg.Analyzer, t, nil, nil)
+	payload := t.payload() // buffered documents are persisted and replayed
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -96,7 +96,7 @@ func (e *Engine) Ingest(doc Document) (uint64, error) {
 		ns.shadowed++
 	}
 	delete(ns.dead, doc.ID)
-	ns.mem.Add(index.MemDoc{ID: doc.ID, Tokens: toks, Payload: payload})
+	ns.mem.Add(index.MemDoc{ID: doc.ID, Tokens: toks, FieldLens: lens, Payload: payload})
 	if !wasLive {
 		ns.live++
 	}
@@ -168,17 +168,18 @@ func (e *Engine) flushLocked() error {
 	}
 	b := index.NewBuilder()
 	b.SetBlockSize(e.cfg.blockLayout())
-	raw := make(map[string]string, len(docs))
+	raw := newHeapDocs(len(docs))
 	for _, d := range docs {
-		if err := b.Add(d.ID, d.Tokens); err != nil {
+		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
 			return err // unreachable: memtable live IDs are unique
 		}
-		raw[d.ID] = d.Payload
+		raw.add(d.ID, docText{body: d.Payload})
 	}
 	seg := b.BuildSegmented(1)
 	installTables(e.cfg, seg.Index())
 	ns := st.clone()
-	ns.segs = append(append(make([]*segment, 0, len(st.segs)+1), st.segs...), &segment{seg: seg, docs: heapDocs(raw)})
+	ns.segs = append(append(make([]*segment, 0, len(st.segs)+1), st.segs...),
+		&segment{seg: seg, docs: raw, xlat: translate(st.lex, seg.Index())})
 	ns.mem = index.NewMemtable(e.cfg.blockLayout())
 	ns.epoch = st.epoch + 1
 	// Counters carry over: every buffered doc became a sealed doc in the
@@ -196,7 +197,7 @@ func (e *Engine) flushLocked() error {
 
 // Compact folds the sealed segments, tombstones and memtable into one
 // freshly built base segment — the batch-built shape: re-analyzed raw
-// bodies, re-blocked postings, recomputed max-score tables, a fresh
+// bodies (one pass feeding postings and forward index), re-blocked postings, recomputed max-score tables, a fresh
 // lexicon and IDF table, no tombstones, empty memtable. Replay order is
 // segments oldest-first (skipping dead and superseded copies) then the
 // memtable, i.e. every surviving document ordered by its last write —
@@ -213,7 +214,9 @@ func (e *Engine) Compact() (uint64, error) {
 	}
 	b := index.NewBuilder()
 	b.SetBlockSize(e.cfg.blockLayout())
-	raw := make(map[string]string, st.live)
+	raw := newHeapDocs(st.live)
+	var tokens []string
+	var lens []int32
 	for si, sg := range st.segs {
 		idx := sg.seg.Index()
 		// Body replay is one sequential pass over the segment in docID
@@ -226,32 +229,33 @@ func (e *Engine) Compact() (uint64, error) {
 			if !st.sealedLive(si, id, mv) {
 				continue
 			}
-			body, _ := sg.docs.Body(id)
+			t := sg.docs.Text(d)
 			if sg.docs.Mapped() {
 				// The compacted state outlives the mapped segment it
 				// replaces (the swap below unmaps it once readers drain),
 				// so bodies must move onto the heap.
-				body = strings.Clone(body)
+				t = docText{body: strings.Clone(t.payload())}
 			}
-			if err := b.Add(id, e.cfg.Analyzer.Tokens(body)); err != nil {
+			tokens, lens = analyze(e.cfg.Analyzer, t, tokens[:0], lens[:0])
+			if err := b.AddFields(id, tokens, lens); err != nil {
 				e.advise(idx, index.AdviseRandom)
 				return st.epoch, err
 			}
-			raw[id] = body
+			raw.add(id, t)
 		}
 		e.advise(idx, index.AdviseRandom)
 	}
 	for _, d := range st.mem.LiveDocs() {
-		if err := b.Add(d.ID, d.Tokens); err != nil {
+		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
 			return st.epoch, err
 		}
-		raw[d.ID] = d.Payload
+		raw.add(d.ID, docText{body: d.Payload})
 	}
 	shards := e.cfg.Shards
 	if shards < 1 {
 		shards = 1
 	}
-	ns := freshState(e.cfg, b.BuildSegmented(shards), heapDocs(raw), st.epoch+1)
+	ns := freshState(e.cfg, b.BuildSegmented(shards), raw, st.epoch+1)
 	if err := e.persistLocked(ns); err != nil {
 		return st.epoch, err
 	}

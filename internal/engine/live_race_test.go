@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/textsim"
 )
 
 // TestLiveConcurrentSearchMutate runs searches concurrently with ingests,
@@ -129,4 +131,110 @@ func TestLiveConcurrentSearchMutate(t *testing.T) {
 	if stats.LiveDocs != e.NumDocs() {
 		t.Fatalf("LiveStats.LiveDocs %d != NumDocs %d", stats.LiveDocs, e.NumDocs())
 	}
+}
+
+// TestForwardConcurrentSearchMutate searches the forward path from
+// several goroutines while another ingests documents with terms outside
+// the base dictionary, flushes and compacts — so memtable views, their
+// cached translation tables, flushed segments' tables and the lexicon's
+// overflow region are all built, read and retired concurrently. Run with
+// -race -count=10. Each reader also checks, inside one pinned snapshot,
+// that every retrieved document's surrogate vector is the vector of the
+// snippet the same snapshot cuts for it.
+func TestForwardConcurrentSearchMutate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var initial []Document
+	for i := 0; i < 40; i++ {
+		initial = append(initial, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
+	}
+	e, err := Build(initial, Config{Shards: 2, BlockSize: 8, SnippetWindow: 6, MemtableCap: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // mutator
+		defer wg.Done()
+		defer close(stop)
+		mrng := rand.New(rand.NewSource(5))
+		for op := 0; op < 240; op++ {
+			id := fmt.Sprintf("d%04d", mrng.Intn(80))
+			switch roll := mrng.Intn(100); {
+			case roll < 60:
+				d := liveDoc(mrng, id, op)
+				d.Body += fmt.Sprintf(" fresh%dterm zz%d", op, op%7) // lexicon overflow
+				if _, err := e.Ingest(d); err != nil {
+					t.Errorf("ingest %s: %v", id, err)
+					return
+				}
+			case roll < 75:
+				e.Delete(id)
+			case roll < 92:
+				if _, err := e.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
+					return
+				}
+			default:
+				if _, err := e.Compact(); err != nil {
+					t.Errorf("compact: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	queries := []string{liveVocab[0], liveVocab[5] + " zz3", liveVocab[2] + " " + liveVocab[9], "zz1 zz5 doc"}
+	ks := []int{20, 20, 0, 20}
+	ctx := context.Background()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) { // reader
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The public entry points.
+				cands, err := e.Candidates(ctx, queries, ks)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				err = cands.Surrogates(ctx)
+				cands.Close()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				e.Snippet(fmt.Sprintf("d%04d", (r*17+i)%80), queries[i%len(queries)])
+
+				// One snapshot, both halves: vector = vector of the snippet.
+				st := e.snapshot()
+				rt, err := e.retrieve(ctx, st, queries, ks)
+				if err != nil {
+					st.unpin()
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				for qi := range queries {
+					rt.windows(ctx, qi, func(_ int, w hitWindow) {
+						want := textsim.Intern(st.lex, st.idf.Apply(textsim.FromTokens(e.cfg.Analyzer.Tokens(w.snippet()))))
+						if !ivecEqual(w.vector(st.idf), want) {
+							t.Errorf("reader %d: doc %s: surrogate differs from its snippet's vector", r, w.DocID)
+						}
+					})
+				}
+				st.unpin()
+				if t.Failed() {
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

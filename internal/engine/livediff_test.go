@@ -129,6 +129,12 @@ func applyLiveOps(t *testing.T, e *Engine, sh *shadowCorpus, rng *rand.Rand, nex
 		}
 		if op%10 == 9 {
 			probeMembership(t, e, sh, rng, *nextID)
+			// Mid-mutation, not only quiesced: every source's forward
+			// index — base, flushed segments, memtable view — against
+			// body analysis, and Candidates against Search.
+			CheckForward(t, fmt.Sprintf("op %d", op), e, []string{
+				liveVocab[0], liveVocab[7] + " " + liveVocab[12], "uniqd0003 uniqd0031", "rev1 doc",
+			})
 		}
 	}
 }

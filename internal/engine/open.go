@@ -103,7 +103,8 @@ func engineAroundIndex(cfg Config, seg *index.Segmented) (*Engine, error) {
 }
 
 // WriteMappedTo serializes the engine's base segment — postings, shard
-// partition, max-score tables, raw bodies — as one RIDX7 mapped-layout
+// partition, max-score tables, raw bodies, forward index — as one RIDX7
+// mapped-layout
 // file that OpenIndexFile (with Config.Mmap) serves in place. The state
 // must be quiescent: a single sealed segment with no buffered documents
 // and no tombstones (Flush + Compact first). Returns the bytes written.
@@ -121,10 +122,7 @@ func (e *Engine) WriteMappedTo(w io.Writer) (int64, error) {
 	// segment keeps answering searches throughout).
 	e.advise(idx, index.AdviseSequential)
 	defer e.advise(idx, index.AdviseRandom)
-	return sg.seg.WriteMapped(w, func(d int32) string {
-		body, _ := sg.docs.Body(idx.DocID(d))
-		return body
-	})
+	return sg.seg.WriteMapped(w, func(d int32) string { return sg.docs.Text(d).payload() })
 }
 
 // Close retires the engine: the current state's reference is dropped, so

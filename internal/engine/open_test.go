@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -250,5 +253,97 @@ func TestMappedUnmapRace(t *testing.T) {
 	e.Close()
 	if index.ActiveMappings() != base {
 		t.Fatalf("ActiveMappings = %d after drain, want %d", index.ActiveMappings(), base)
+	}
+}
+
+// TestMappedHostileForward: forward-index bytes are not validated at
+// open, so damage to one document's bytes must cost exactly that
+// document its snippet and surrogate (both empty) and nothing else; and a
+// payload that disagrees with its forward index about how many fields a
+// document has must yield whatever text is there — never a panic.
+func TestMappedHostileForward(t *testing.T) {
+	src, err := Build(smallCorpus(), Config{SnippetWindow: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := src.Search("leopard", 0)
+	if len(want) < 3 {
+		t.Fatalf("fixture retrieves %d documents", len(want))
+	}
+	good, err := os.ReadFile(writeMappedEngine(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u64 := func(b []byte, at int) int { return int(binary.LittleEndian.Uint64(b[at:])) }
+	const secFwdOffs, secFwdBlob = 14, 15 // index/codec_v7.go's section table
+	offsAt, blobAt := u64(good, 104+16*secFwdOffs), u64(good, 104+16*secFwdBlob)
+	base := src.cur.Load().segs[0]
+	ord, _ := base.docs.Ordinal(want[1].DocID)
+	victim := int(ord)
+	open := func(b []byte) *Engine {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "hostile.ridx7")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenIndexFile(path, Config{SnippetWindow: 6, Mmap: true})
+		if err != nil {
+			t.Fatalf("arena damage must pass the structural open: %v", err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+
+	bad := append([]byte(nil), good...)
+	for i := blobAt + u64(bad, offsAt+8*victim) + 1; i < blobAt+u64(bad, offsAt+8*(victim+1)); i++ {
+		bad[i] = 0xff // non-terminating varints after the field count
+	}
+	e := open(bad)
+	got := e.Search("leopard", 0)
+	cands, err := e.Candidates(context.Background(), []string{"leopard"}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cands.Close()
+	if err := cands.Surrogates(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		c := cands.Lists[0][i]
+		if r.DocID != want[i].DocID || r.Score != want[i].Score || c.DocID != r.DocID {
+			t.Fatalf("rank %d: retrieval changed: %+v vs %+v", i+1, r, want[i])
+		}
+		if i == 1 {
+			if r.Snippet != "" || c.IVec.Len() != 0 || c.IVec.Norm() != 0 {
+				t.Fatalf("damaged document served snippet %q, vector %v", r.Snippet, c.IVec)
+			}
+			continue
+		}
+		if r.Snippet != want[i].Snippet || !ivecEqual(c.IVec, e.IVectorOfText(r.Snippet)) {
+			t.Fatalf("undamaged document %s: snippet %q (want %q) or vector differs", r.DocID, r.Snippet, want[i].Snippet)
+		}
+	}
+
+	// A payload shorter than its forward index says: the window's fields
+	// that exist are served, the surrogate still comes from the forward
+	// index, nothing reads past the text.
+	var img bytes.Buffer
+	if _, err := base.seg.WriteMapped(&img, func(d int32) string {
+		if int(d) == victim {
+			return "leopard  truncated"
+		}
+		return base.docs.Text(d).payload()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e = open(img.Bytes())
+	for i, r := range e.Search("leopard", 0) {
+		if i == 1 {
+			if r.DocID != want[1].DocID || !strings.HasPrefix("leopard truncated", r.Snippet) {
+				t.Fatalf("short payload served %q for %s", r.Snippet, r.DocID)
+			}
+		} else if r.Snippet != want[i].Snippet {
+			t.Fatalf("document %s: snippet %q, want %q", r.DocID, r.Snippet, want[i].Snippet)
+		}
 	}
 }

@@ -83,8 +83,7 @@ func saveState(st *state, w io.Writer) error {
 	for _, sg := range st.segs {
 		idx := sg.seg.Index()
 		for d := int32(0); d < int32(idx.NumDocs()); d++ {
-			body, _ := sg.docs.Body(idx.DocID(d))
-			if err := writeString(body); err != nil {
+			if err := writeString(sg.docs.Text(d).payload()); err != nil {
 				return err
 			}
 		}
@@ -174,7 +173,7 @@ func loadStateV1(br *bufio.Reader, cfg Config) (*state, error) {
 		return nil, fmt.Errorf("%w: doc store has %d docs, index %d",
 			ErrBadEngineFormat, numDocs, idx.NumDocs())
 	}
-	raw := make(map[string]string, numDocs)
+	bodies := make(map[string]string, numDocs)
 	for i := uint64(0); i < numDocs; i++ {
 		id, err := readLenString(br)
 		if err != nil {
@@ -184,9 +183,15 @@ func loadStateV1(br *bufio.Reader, cfg Config) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: doc body %d: %v", ErrBadEngineFormat, i, err)
 		}
-		raw[id] = body
+		bodies[id] = body
 	}
-	return freshState(cfg, seg, heapDocs(raw), 0), nil
+	// The v1 store is keyed by ID in no particular order; the owned store
+	// is addressed by the index's document numbers.
+	raw := newHeapDocs(idx.NumDocs())
+	for d := int32(0); d < int32(idx.NumDocs()); d++ {
+		raw.add(idx.DocID(d), docText{body: bodies[idx.DocID(d)]})
+	}
+	return freshState(cfg, seg, raw, 0), nil
 }
 
 func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
@@ -207,15 +212,19 @@ func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
 		}
 		installTables(cfg, sg.Index())
 		idx := sg.Index()
-		raw := make(map[string]string, idx.NumDocs())
+		raw := newHeapDocs(idx.NumDocs())
 		for d := int32(0); d < int32(idx.NumDocs()); d++ {
 			body, err := readLenString(br)
 			if err != nil {
 				return nil, fmt.Errorf("%w: segment %d body %d: %v", ErrBadEngineFormat, si, d, err)
 			}
-			raw[idx.DocID(d)] = body
+			raw.add(idx.DocID(d), docText{body: body})
 		}
-		segs[si] = &segment{seg: sg, docs: heapDocs(raw)}
+		// Engine streams carry no forward index: one analysis pass over
+		// the bodies rebuilds it, where Build would have spent the same
+		// pass producing the postings.
+		ensureForward(cfg, idx, raw)
+		segs[si] = &segment{seg: sg, docs: raw}
 	}
 	memN, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -234,7 +243,8 @@ func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: memtable body %d: %v", ErrBadEngineFormat, i, err)
 		}
-		mem.Add(index.MemDoc{ID: id, Tokens: cfg.Analyzer.Tokens(body), Payload: body})
+		toks, lens := analyze(cfg.Analyzer, docText{body: body}, nil, nil)
+		mem.Add(index.MemDoc{ID: id, Tokens: toks, FieldLens: lens, Payload: body})
 	}
 	dead := make(map[string]bool, len(man.Tombstones))
 	for _, id := range man.Tombstones {
@@ -269,6 +279,9 @@ func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
 	base := segs[0].seg.Index()
 	st.lex = textsim.WrapSortedTerms(base.Terms())
 	st.idf = textsim.ComputeIDFFromIndex(base, st.lex)
+	for _, sg := range segs[1:] {
+		sg.xlat = translate(st.lex, sg.seg.Index())
+	}
 	return st, nil
 }
 

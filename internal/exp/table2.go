@@ -15,6 +15,8 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -32,7 +34,7 @@ type Table2Spec struct {
 	Ks       []int // k values
 	NumSpecs int   // |S_q| (paper: constant, small; default 8)
 	PerSpec  int   // |R_q′| (paper: 20)
-	Reps     int   // timing repetitions per cell (mean reported)
+	Reps     int   // timing repetitions per cell (minimum reported)
 }
 
 // DefaultTable2Spec returns the paper's full grid.
@@ -126,11 +128,17 @@ func timeAlgorithm(alg core.Algorithm, p *core.Problem, u *core.Utilities, reps 
 	}
 	// One warm-up round keeps allocator effects out of the first cell.
 	run()
-	start := time.Now()
+	// The minimum of the reps, not their mean: a rep that shared its core
+	// with another package's tests only ever reads high.
+	best := time.Duration(math.MaxInt64)
 	for r := 0; r < reps; r++ {
+		start := time.Now()
 		run()
+		if d := time.Since(start); d < best {
+			best = d
+		}
 	}
-	return float64(time.Since(start).Microseconds()) / 1000.0 / float64(reps)
+	return float64(best.Microseconds()) / 1000.0
 }
 
 // Cell returns the timing for (alg, n, k).
@@ -212,7 +220,17 @@ type ComplexityFit struct {
 // FitComplexity recovers the empirical complexity exponents from a timed
 // grid (needs at least two Ns and two Ks).
 func FitComplexity(r *Table2Result) ([]ComplexityFit, error) {
-	kFix := r.Spec.Ks[len(r.Spec.Ks)-1]
+	// The n-exponent is fitted along one k: the largest that no n clamps.
+	// An algorithm asked for k > n selects n, so a k above the smallest n
+	// times that cell at a smaller effective k than the others, which
+	// steepens the fitted slope (k = 1280 over n = 1000…16000 reads ≈ 0.1
+	// high — enough to put an O(nk) method at the edge of the linear band).
+	kFix := r.Spec.Ks[0]
+	for _, k := range r.Spec.Ks {
+		if k > kFix && k <= slices.Min(r.Spec.Ns) {
+			kFix = k
+		}
+	}
 	nFix := r.Spec.Ns[len(r.Spec.Ns)-1]
 	var out []ComplexityFit
 	for _, alg := range table2Algorithms {

@@ -659,6 +659,7 @@ func Reblock(x *Index, blockSize int) *Index {
 		nBlocks:  nBlocks,
 		cf:       x.cf,
 		total:    x.total,
+		fwd:      x.fwd,
 	}
 	if x.mapping != nil {
 		// The reblocked index is owned and outlives the mapping: clone
@@ -666,6 +667,13 @@ func Reblock(x *Index, blockSize int) *Index {
 		// (docIDs/termList strings were heap-copied at open already.)
 		out.docLens = append([]int32(nil), x.docLens...)
 		out.cf = append([]int64(nil), x.cf...)
+		if x.fwd != nil {
+			out.fwd = &Forward{
+				offs:     append([]uint64(nil), x.fwd.offs...),
+				blob:     append([]byte(nil), x.fwd.blob...),
+				numTerms: x.fwd.numTerms,
+			}
+		}
 	}
 	if x.maxScores != nil {
 		out.maxScores = make(map[string][]float64, len(x.maxScores))

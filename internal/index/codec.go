@@ -414,7 +414,7 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 	} else {
 		// Pre-bump streams carry insertion-ordered dictionaries; restore
 		// the sorted-ID invariant the rest of the system relies on.
-		x.termList, flatPostings, x.cf = sortDictionary(x.termList, flatPostings, x.cf, x.terms)
+		x.termList, flatPostings, x.cf, _ = sortDictionary(x.termList, flatPostings, x.cf, x.terms)
 	}
 	if version < 5 {
 		// Re-block legacy streams at the default layout.

@@ -25,13 +25,15 @@ import (
 //
 //	0    magic "RIDX7\n" + 2 zero bytes
 //	8    eleven u64 header fields:
-//	         headerVersion (1), flags (bit 0: payload sections present),
+//	         headerVersion (1), flags (bit 0: payload sections present,
+//	         bit 1: forward-index sections present),
 //	         blockCap, numDocs, numTerms, nBlocks, totalTokens,
 //	         numShards, numMaxTables, numBlockTables, fileSize
-//	96   u64 section count (14), then 14 × {offset u64, length u64}
-//	328  the sections, each at an 8-byte-aligned offset (the posting
-//	     block region at a 4096-byte page-aligned offset), padded with
-//	     zeros in between:
+//	96   u64 section count: 14, or 16 when flag bit 1 is set; then that
+//	     many × {offset u64, length u64}
+//	328  (360 with 16 sections) the sections, each at an 8-byte-aligned
+//	     offset (the posting block region at a 4096-byte page-aligned
+//	     offset), padded with zeros in between:
 //
 //	  docLens    numDocs × i32            document token counts
 //	  docOffs    (numDocs+1) × u64        docID blob offsets
@@ -51,6 +53,12 @@ import (
 //	  blkTables  packed                   same shape, nBlocks × f64
 //	  payOffs    (numDocs+1) × u64        document payload offsets (flagged)
 //	  payBlob    bytes                    concatenated document payloads
+//	  fwdOffs    (numDocs+1) × u64        forward-index offsets (flag bit 1)
+//	  fwdBlob    bytes                    forward-index arena (forward.go)
+//
+// An index without a forward index is written with 14 sections and flag
+// bit 1 clear — byte for byte what was written before the forward
+// sections existed, and such images still open.
 //
 // The dictionary has no hash map in this layout: terms is left nil and
 // lookups binary-search the sorted termList (the Build invariant v2+
@@ -59,7 +67,8 @@ import (
 // Open-time validation is structural only — section bounds, alignment,
 // monotone offset arrays, per-term block accounting (contiguous blk0,
 // counts summing to df, strictly increasing in-range maxDocs, plausible
-// byte spans) and table keys — never the posting bytes themselves.
+// byte spans) and table keys — never the posting bytes themselves, nor
+// the payload or forward-index arenas (Forward.Doc decodes defensively).
 // Posting blocks are therefore decoded DEFENSIVELY at query time
 // (decodeBlockSafe): a hostile or corrupt block ends its iterator early
 // instead of panicking. A truncated file fails the fileSize/section
@@ -74,11 +83,17 @@ const (
 	magicV7         = "RIDX7\n"
 	v7HeaderVersion = 1
 	v7FlagPayload   = 1 << 0
+	v7FlagForward   = 1 << 1
 	v7PageAlign     = 4096
 	v7TermRecBytes  = 32
-	v7NumSections   = 14
-	// v7HeaderSize: 8 magic+pad, 11 u64 fields, section count, table.
-	v7HeaderSize = 8 + 11*8 + 8 + v7NumSections*16
+	// v7BaseSections is the section count of an image without a forward
+	// index (and of every image written before forward sections existed);
+	// v7NumSections the count with them.
+	v7BaseSections = 14
+	v7NumSections  = 16
+	// v7HeaderSize: 8 magic+pad, 11 u64 fields, section count, and the
+	// table of a v7BaseSections image; each further section adds 16.
+	v7HeaderSize = 8 + 11*8 + 8 + v7BaseSections*16
 )
 
 // Section indices into the v7 section table.
@@ -97,6 +112,8 @@ const (
 	secBlockTables
 	secPayOffs
 	secPayBlob
+	secFwdOffs
+	secFwdBlob
 )
 
 func roundUp(n, align int64) int64 { return (n + align - 1) / align * align }
@@ -139,6 +156,11 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 			payBlobLen += int64(len(payloads[d]))
 		}
 	}
+	numSections := v7BaseSections
+	if x.fwd != nil {
+		flags |= v7FlagForward
+		numSections = v7NumSections
+	}
 	maxKeys := x.MaxScoreKeys()
 	blkKeys := x.BlockMaxKeys()
 	tableRegion := func(keys []string, entries int64) int64 {
@@ -152,7 +174,7 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 	// Place the sections.
 	type section struct{ off, len int64 }
 	var secs [v7NumSections]section
-	off := int64(v7HeaderSize)
+	off := int64(v7HeaderSize + 16*(numSections-v7BaseSections))
 	place := func(i int, n, align int64) {
 		off = roundUp(off, align)
 		secs[i] = section{off: off, len: n}
@@ -176,6 +198,10 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 	} else {
 		place(secPayOffs, 0, 8)
 		place(secPayBlob, 0, 8)
+	}
+	if x.fwd != nil {
+		place(secFwdOffs, 8*(numDocs+1), 8)
+		place(secFwdBlob, int64(len(x.fwd.blob)), 8)
 	}
 	fileSize := off
 
@@ -223,10 +249,10 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 			return written, err
 		}
 	}
-	if err := wu64(v7NumSections); err != nil {
+	if err := wu64(uint64(numSections)); err != nil {
 		return written, err
 	}
-	for i := range secs {
+	for i := range secs[:numSections] {
 		if err := wu64(uint64(secs[i].off)); err != nil {
 			return written, err
 		}
@@ -416,6 +442,22 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 			}
 		}
 	}
+	if x.fwd != nil {
+		if err := begin(secFwdOffs); err != nil {
+			return written, err
+		}
+		for _, o := range x.fwd.offs {
+			if err := wu64(o); err != nil {
+				return written, err
+			}
+		}
+		if err := begin(secFwdBlob); err != nil {
+			return written, err
+		}
+		if err := wr(x.fwd.blob); err != nil {
+			return written, err
+		}
+	}
 	if err := padTo(fileSize); err != nil {
 		return written, err
 	}
@@ -501,9 +543,14 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if version != v7HeaderVersion {
 		return fail("unknown header version %d", version)
 	}
-	if flags&^uint64(v7FlagPayload) != 0 {
+	if flags&^uint64(v7FlagPayload|v7FlagForward) != 0 {
 		return fail("unknown flags %#x", flags)
 	}
+	numSections := v7BaseSections
+	if flags&v7FlagForward != 0 {
+		numSections = v7NumSections
+	}
+	headerSize := uint64(v7HeaderSize + 16*(numSections-v7BaseSections))
 	if blockCap == 0 || blockCap > MaxBlockSize {
 		return fail("blockCap %d out of range", blockCap)
 	}
@@ -519,18 +566,18 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if numMaxTables > 1<<12 || numBlockTables > 1<<12 {
 		return fail("implausible table counts (%d, %d)", numMaxTables, numBlockTables)
 	}
-	if fileSize < v7HeaderSize || fileSize > uint64(len(data)) {
+	if fileSize < headerSize || fileSize > uint64(len(data)) {
 		return fail("recorded fileSize %d vs %d real bytes", fileSize, len(data))
 	}
-	if n := u64at(96); n != v7NumSections {
-		return fail("section count %d, want %d", n, v7NumSections)
+	if n := u64at(96); n != uint64(numSections) {
+		return fail("section count %d, want %d", n, numSections)
 	}
 	type section struct{ off, len uint64 }
-	var secs [v7NumSections]section
-	for i := range secs {
+	var secs [v7NumSections]section // absent forward sections stay zero
+	for i := range secs[:numSections] {
 		secs[i] = section{off: u64at(104 + 16*i), len: u64at(104 + 16*i + 8)}
 		s := secs[i]
-		if s.len > fileSize || s.off < v7HeaderSize || s.off > fileSize-s.len {
+		if s.len > fileSize || s.off < headerSize || s.off > fileSize-s.len {
 			return fail("section %d [%d,+%d) outside file of %d bytes", i, s.off, s.len, fileSize)
 		}
 		if s.off%8 != 0 {
@@ -550,6 +597,10 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if flags&v7FlagPayload != 0 {
 		payOffsLen = 8 * (numDocs + 1)
 	}
+	fwdOffsLen := uint64(0)
+	if flags&v7FlagForward != 0 {
+		fwdOffsLen = 8 * (numDocs + 1)
+	}
 	for _, c := range []struct {
 		i    int
 		len  uint64
@@ -563,6 +614,7 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 		{secBlockHdrs, blockHeaderBytes * nBlocks, "blockHdrs"},
 		{secShards, 8 * numShards, "shards"},
 		{secPayOffs, payOffsLen, "payOffs"},
+		{secFwdOffs, fwdOffsLen, "fwdOffs"},
 	} {
 		if err := want(c.i, c.len, c.what); err != nil {
 			return nil, nil, err
@@ -758,6 +810,16 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 		}
 		x.payOffs = offs
 		x.payBlob = blob
+	}
+
+	// Forward-index sections (optional, served in place): the offsets are
+	// validated, the arena is left untouched for Forward.Doc to decode.
+	if flags&v7FlagForward != 0 {
+		fwd, err := newForward(viewU64(bytesOf(secFwdOffs)), bytesOf(secFwdBlob), int(numDocs), int(numTerms))
+		if err != nil {
+			return fail("%v", err)
+		}
+		x.fwd = fwd
 	}
 
 	sizes := make([]int64, numShards)

@@ -122,6 +122,16 @@ func FuzzReadIndex(f *testing.F) {
 	v7 := fuzzSeedMapped(f, nil)
 	f.Add(v7)
 	f.Add(fuzzSeedMapped(f, func(d int32) string { return strings.Repeat("x", int(d)+1) }))
+	// With forward-index sections (16-entry table, flag bit 1), whole and
+	// cut inside the forward offsets and arena.
+	var fwd bytes.Buffer
+	if _, err := SegmentIndex(buildForwardFixture(f, 2), 2).WriteMapped(&fwd, func(d int32) string { return forwardTexts[d] }); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fwd.Bytes())
+	for _, cut := range []int{v7HeaderSize + 16, fwd.Len() - 90, fwd.Len() - 30, fwd.Len() - 1} {
+		f.Add(fwd.Bytes()[:cut])
+	}
 	for _, cut := range []int{7, 95, v7HeaderSize - 1, v7HeaderSize, v7HeaderSize + 64, len(v7) / 2, len(v7) - 1} {
 		if cut > 0 && cut < len(v7) {
 			f.Add(v7[:cut])
@@ -156,6 +166,21 @@ func FuzzReadIndex(f *testing.F) {
 				it.Release()
 				if n != x.DF(id) {
 					t.Fatalf("term %d: iterator yielded %d postings, DF %d", id, n, x.DF(id))
+				}
+			}
+			if fw := x.Forward(); fw != nil {
+				// The arena is never validated at open: decoding must end
+				// cleanly on any bytes, and only ever yield dictionary terms.
+				for d := int32(0); d < int32(x.NumDocs()); d++ {
+					terms, ends, ok := fw.Doc(d, nil, nil)
+					for _, id := range terms {
+						if !ok || id < 0 || int(id) >= x.NumTerms() {
+							t.Fatalf("doc %d: forward index yielded term %d (ok=%v) of %d", d, id, ok, x.NumTerms())
+						}
+					}
+					if n := len(ends); n > 0 && int(ends[n-1]) != len(terms) {
+						t.Fatalf("doc %d: fields end at %d of %d terms", d, ends[n-1], len(terms))
+					}
 				}
 			}
 			for _, key := range x.MaxScoreKeys() {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -56,6 +57,15 @@ type Builder struct {
 	cf        []int64
 	total     int64
 	blockSize int
+
+	// Forward-index input, in provisional term numbers until Build knows
+	// the sorted dictionary: every document's token IDs in text order and
+	// its per-field token counts. noForward latches once a document arrives
+	// without field boundaries (Add); such an index gets no forward index.
+	fwdIDs    []int32
+	fwdLens   []int32
+	fwdFields []int32 // per document: how many entries of fwdLens are its
+	noForward bool
 }
 
 // NewBuilder returns an empty Builder producing the default
@@ -79,9 +89,34 @@ var ErrDuplicateDoc = errors.New("index: duplicate document ID")
 
 // Add indexes one document given its external ID and analyzed tokens.
 // Documents are assigned consecutive internal numbers in insertion order.
+// An index with a document added this way carries no forward index; use
+// AddFields to get one.
 func (b *Builder) Add(docID string, tokens []string) error {
+	return b.AddFields(docID, tokens, nil)
+}
+
+// AddFields is Add for a document whose whitespace-field boundaries are
+// known: fieldLens[i] is the number of tokens field i of the text
+// contributed (text.Analyzer.FieldTokens), summing to len(tokens). The
+// same token stream feeds the postings and the index's forward index, so
+// a document is analyzed once for both. A nil fieldLens says the
+// boundaries are unknown (a text without fields has an empty, non-nil
+// one): the document is indexed and the index gets no forward index.
+func (b *Builder) AddFields(docID string, tokens []string, fieldLens []int32) error {
 	if b.seen[docID] {
 		return fmt.Errorf("%w: %q", ErrDuplicateDoc, docID)
+	}
+	if fieldLens == nil {
+		b.noForward = true
+	}
+	if !b.noForward {
+		sum := 0
+		for _, n := range fieldLens {
+			sum += int(n)
+		}
+		if sum != len(tokens) {
+			return fmt.Errorf("index: document %q: field lengths cover %d of %d tokens", docID, sum, len(tokens))
+		}
 	}
 	b.seen[docID] = true
 	doc := int32(len(b.docIDs))
@@ -89,28 +124,31 @@ func (b *Builder) Add(docID string, tokens []string) error {
 	b.docLens = append(b.docLens, int32(len(tokens)))
 	b.total += int64(len(tokens))
 
-	// Per-document term counts.
-	counts := make(map[string]int32, len(tokens))
+	// Term numbers here are provisional (first-seen order); Build sorts
+	// the dictionary and renumbers. A term's posting for this document is
+	// the last of its list while the document is being added, so a repeat
+	// occurrence bumps that posting's tf instead of counting in a map.
 	for _, t := range tokens {
-		counts[t]++
-	}
-	// Deterministic term-id assignment: sort new terms of this doc.
-	newTerms := make([]string, 0)
-	for t := range counts {
-		if _, ok := b.terms[t]; !ok {
-			newTerms = append(newTerms, t)
+		id, ok := b.terms[t]
+		if !ok {
+			id = int32(len(b.postings))
+			b.terms[t] = id
+			b.postings = append(b.postings, nil)
+			b.cf = append(b.cf, 0)
+		}
+		if pl := b.postings[id]; len(pl) > 0 && pl[len(pl)-1].Doc == doc {
+			pl[len(pl)-1].TF++
+		} else {
+			b.postings[id] = append(pl, Posting{Doc: doc, TF: 1})
+		}
+		b.cf[id]++
+		if !b.noForward {
+			b.fwdIDs = append(b.fwdIDs, id)
 		}
 	}
-	sort.Strings(newTerms)
-	for _, t := range newTerms {
-		b.terms[t] = int32(len(b.postings))
-		b.postings = append(b.postings, nil)
-		b.cf = append(b.cf, 0)
-	}
-	for t, tf := range counts {
-		id := b.terms[t]
-		b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: tf})
-		b.cf[id] += int64(tf)
+	if !b.noForward {
+		b.fwdLens = append(b.fwdLens, fieldLens...)
+		b.fwdFields = append(b.fwdFields, int32(len(fieldLens)))
 	}
 	return nil
 }
@@ -134,7 +172,8 @@ func (b *Builder) Build() *Index {
 	for t, id := range b.terms {
 		termList[id] = t
 	}
-	termList, b.postings, b.cf = sortDictionary(termList, b.postings, b.cf, b.terms)
+	var perm []int32
+	termList, b.postings, b.cf, perm = sortDictionary(termList, b.postings, b.cf, b.terms)
 	blockCap := normBlockSize(b.blockSize)
 	plists, nBlocks := assemblePostings(b.postings, blockCap)
 	idx := &Index{
@@ -148,28 +187,54 @@ func (b *Builder) Build() *Index {
 		cf:       b.cf,
 		total:    b.total,
 	}
+	if !b.noForward {
+		idx.fwd = b.buildForward(perm, len(termList))
+	}
 	return idx
+}
+
+// buildForward encodes the accumulated per-document token IDs under the
+// final term numbering (perm maps provisional to final; nil is identity).
+func (b *Builder) buildForward(perm []int32, numTerms int) *Forward {
+	if perm != nil {
+		for i, id := range b.fwdIDs {
+			b.fwdIDs[i] = perm[id]
+		}
+	}
+	w := newForwardWriter(len(b.docIDs))
+	w.blob = make([]byte, 0, 2*len(b.fwdIDs)+len(b.fwdLens))
+	ids, lens := b.fwdIDs, b.fwdLens
+	for d, nf := range b.fwdFields {
+		n := b.docLens[d]
+		w.add(ids[:n], lens[:nf])
+		ids, lens = ids[n:], lens[nf:]
+	}
+	w.blob = slices.Clone(w.blob) // the arena lives as long as the index: drop the spare capacity
+	return w.forward(numTerms)
 }
 
 // sortDictionary renumbers term IDs so termList is lexicographically
 // sorted, permuting postings and cf to match and rewriting the ids map
-// values in place. Already-sorted dictionaries pass through untouched.
-func sortDictionary(termList []string, postings [][]Posting, cf []int64, ids map[string]int32) ([]string, [][]Posting, []int64) {
+// values in place; perm maps each old ID to its new one. Already-sorted
+// dictionaries pass through untouched with a nil perm.
+func sortDictionary(termList []string, postings [][]Posting, cf []int64, ids map[string]int32) ([]string, [][]Posting, []int64, []int32) {
 	if sort.StringsAreSorted(termList) {
-		return termList, postings, cf
+		return termList, postings, cf, nil
 	}
 	sorted := make([]string, len(termList))
 	copy(sorted, termList)
 	sort.Strings(sorted)
 	newPostings := make([][]Posting, len(sorted))
 	newCF := make([]int64, len(sorted))
+	perm := make([]int32, len(sorted))
 	for newID, t := range sorted {
 		old := ids[t]
 		newPostings[newID] = postings[old]
 		newCF[newID] = cf[old]
+		perm[old] = int32(newID)
 		ids[t] = int32(newID)
 	}
-	return sorted, newPostings, newCF
+	return sorted, newPostings, newCF, perm
 }
 
 // Index is an immutable inverted index. The one exception to the
@@ -210,6 +275,11 @@ type Index struct {
 	unverified bool
 	payOffs    []uint64
 	payBlob    []byte
+
+	// fwd is the forward index (forward.go): heap-built by the Builder or
+	// RebuildForward, or a view of a mapped image's forward sections. nil
+	// when the index has none.
+	fwd *Forward
 }
 
 // iterRange builds a posting iterator over [lo, hi) of the term's list,

@@ -27,11 +27,14 @@ type Memtable struct {
 
 // MemDoc is one buffered document: its external ID, analyzed tokens, and
 // an opaque payload the caller wants carried alongside (the engine stores
-// the raw body for snippet extraction).
+// the raw body for snippet extraction). FieldLens, when non-nil (an empty
+// text has an empty, not a nil, one), is the per-whitespace-field token
+// count Builder.AddFields takes; sealed views then carry a forward index.
 type MemDoc struct {
-	ID      string
-	Tokens  []string
-	Payload string
+	ID        string
+	Tokens    []string
+	FieldLens []int32
+	Payload   string
 }
 
 type memEntry struct {
@@ -113,31 +116,42 @@ func (m *Memtable) LiveDocs() []MemDoc {
 }
 
 // MemView is a sealed, immutable snapshot of a memtable's live documents:
-// a single-shard index over them plus the ID → payload map searches use
-// for membership filtering and snippet extraction. Views are cached per
-// generation and shared across searches; they must not be modified.
+// a single-shard index over them plus the ID → ordinal map and the
+// payloads by ordinal that searches use for membership filtering and
+// snippet extraction. Views are cached per generation and shared across
+// searches; they must not be modified.
 type MemView struct {
 	Seg      *Segmented
-	payloads map[string]string
+	byID     map[string]int32
+	payloads []string
 }
 
 // Has reports whether the view contains a document with the external id.
 func (v *MemView) Has(id string) bool {
-	if v == nil {
-		return false
-	}
-	_, ok := v.payloads[id]
+	_, ok := v.Ordinal(id)
 	return ok
+}
+
+// Ordinal returns the document number id has in the view's index.
+func (v *MemView) Ordinal(id string) (int32, bool) {
+	if v == nil {
+		return 0, false
+	}
+	d, ok := v.byID[id]
+	return d, ok
 }
 
 // Payload returns the payload stored with id, if present.
 func (v *MemView) Payload(id string) (string, bool) {
-	if v == nil {
+	d, ok := v.Ordinal(id)
+	if !ok {
 		return "", false
 	}
-	p, ok := v.payloads[id]
-	return p, ok
+	return v.payloads[d], true
 }
+
+// PayloadAt returns the payload of the view's document number d.
+func (v *MemView) PayloadAt(d int32) string { return v.payloads[d] }
 
 // NumDocs returns the number of documents in the view.
 func (v *MemView) NumDocs() int {
@@ -163,18 +177,21 @@ func (m *Memtable) View() *MemView {
 	}
 	b := NewBuilder()
 	b.SetBlockSize(m.blockSize)
-	payloads := make(map[string]string, len(m.byID))
+	byID := make(map[string]int32, len(m.byID))
+	payloads := make([]string, 0, len(m.byID))
 	for _, e := range m.entries {
 		if e.dead {
 			continue
 		}
-		if err := b.Add(e.doc.ID, e.doc.Tokens); err != nil {
-			// Unreachable: byID guarantees live IDs are unique.
+		if err := b.AddFields(e.doc.ID, e.doc.Tokens, e.doc.FieldLens); err != nil {
+			// Unreachable: byID guarantees live IDs are unique, and the
+			// engine hands over FieldTokens output.
 			panic(err)
 		}
-		payloads[e.doc.ID] = e.doc.Payload
+		byID[e.doc.ID] = int32(len(payloads))
+		payloads = append(payloads, e.doc.Payload)
 	}
-	m.view = &MemView{Seg: b.BuildSegmented(1), payloads: payloads}
+	m.view = &MemView{Seg: b.BuildSegmented(1), byID: byID, payloads: payloads}
 	m.viewGen = m.gen
 	return m.view
 }

@@ -63,19 +63,67 @@ func (a *Analyzer) Tokens(text string) []string {
 	raw := Tokenize(text)
 	out := raw[:0]
 	for _, tok := range raw {
-		if a.MinLen > 0 && len(tok) < a.MinLen {
-			continue
+		if tok, ok := a.keep(tok); ok {
+			out = append(out, tok)
 		}
-		if a.StopWords != nil && a.StopWords[tok] {
-			continue
-		}
-		if a.Stem {
-			tok = Stem(tok)
-		}
-		if tok == "" {
-			continue
-		}
-		out = append(out, tok)
 	}
 	return out
+}
+
+// keep runs the per-token half of the chain — length filter, stopwords,
+// stemming — and reports whether the token survives.
+func (a *Analyzer) keep(tok string) (string, bool) {
+	if a.MinLen > 0 && len(tok) < a.MinLen {
+		return "", false
+	}
+	if a.StopWords != nil && a.StopWords[tok] {
+		return "", false
+	}
+	if a.Stem {
+		tok = Stem(tok)
+	}
+	return tok, tok != ""
+}
+
+// FieldTokens is Tokens with whitespace-field boundaries kept: it appends
+// the analyzed tokens of text to tokens and, for every whitespace field
+// of text (the strings.Fields split), the number of tokens that field
+// contributed to lens — 0 for a punctuation-only or stopword field, 2 or
+// more for one like "state-of-the-art". White space always separates
+// tokens, so the token stream equals Tokens(text): one pass yields both
+// what the inverted index consumes and what a forward index records.
+func (a *Analyzer) FieldTokens(tokens []string, lens []int32, text string) ([]string, []int32) {
+	var b strings.Builder
+	inField := false
+	fieldStart := len(tokens)
+	flush := func() {
+		if b.Len() > 0 {
+			if tok, ok := a.keep(b.String()); ok {
+				tokens = append(tokens, tok)
+			}
+			b.Reset()
+		}
+	}
+	endField := func() {
+		flush()
+		if inField {
+			lens = append(lens, int32(len(tokens)-fieldStart))
+			fieldStart = len(tokens)
+			inField = false
+		}
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsSpace(r):
+			endField()
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			inField = true
+			b.WriteRune(unicode.ToLower(r))
+		default:
+			inField = true
+			flush()
+		}
+	}
+	endField()
+	return tokens, lens
 }

@@ -1,6 +1,9 @@
 package textsim
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // IDF maps terms to inverse-document-frequency weights. It turns raw
 // term-frequency vectors into TF-IDF vectors, the weighting we use for the
@@ -99,6 +102,57 @@ func (s SliceIDF) Apply(v Vector) Vector {
 		ss += nw * nw
 	}
 	return Vector{Terms: terms, Weights: weights, norm: math.Sqrt(ss)}
+}
+
+// InternSorted builds the IDF-weighted interned vector of a bag of terms
+// given by number: terms holds one entry per occurrence, ascending, in a
+// numbering whose order is the terms' string order (an index dictionary's
+// term numbers), and xlat maps that numbering to this table's lexicon IDs
+// (nil when the two are the same numbering). The result is bit-identical
+// to Intern(lex, s.Apply(FromTokens(tokens))) over the same occurrences:
+// counts become weights and the norm accumulates in string order exactly
+// as Apply does, and the pairs are re-sorted by ID afterwards only when
+// xlat broke the order (lexicon overflow IDs are in arrival order).
+func (s SliceIDF) InternSorted(terms, xlat []int32) IVector {
+	uniq := 0
+	for i, t := range terms {
+		if i == 0 || t != terms[i-1] {
+			uniq++
+		}
+	}
+	iv := IVector{IDs: make([]int32, 0, uniq), Weights: make([]float64, 0, uniq)}
+	ss := 0.0
+	sorted := true
+	for i := 0; i < len(terms); {
+		j := i + 1
+		for j < len(terms) && terms[j] == terms[i] {
+			j++
+		}
+		id := terms[i]
+		if xlat != nil {
+			id = xlat[id]
+		}
+		w := 1.0
+		if int(id) < len(s.weights) && s.weights[id] != 0 {
+			w = s.weights[id]
+		}
+		nw := float64(j-i) * w
+		i = j
+		if nw == 0 {
+			continue
+		}
+		if n := len(iv.IDs); n > 0 && id < iv.IDs[n-1] {
+			sorted = false
+		}
+		iv.IDs = append(iv.IDs, id)
+		iv.Weights = append(iv.Weights, nw)
+		ss += nw * nw
+	}
+	iv.norm = math.Sqrt(ss)
+	if !sorted {
+		sort.Sort(byID(iv))
+	}
+	return iv
 }
 
 // Apply reweights v by IDF (unknown terms get weight idf=1) and returns a

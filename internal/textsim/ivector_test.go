@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -177,5 +178,58 @@ func TestUninterned(t *testing.T) {
 	}
 	if back.Norm() != v.Norm() {
 		t.Errorf("norm: %v != %v", back.Norm(), v.Norm())
+	}
+}
+
+// dfTable is a DocFreqSource over a fixed dictionary.
+type dfTable struct {
+	docs int
+	df   []int
+}
+
+func (d dfTable) NumTerms() int   { return len(d.df) }
+func (d dfTable) NumDocs() int    { return d.docs }
+func (d dfTable) DF(id int32) int { return d.df[id] }
+
+// TestInternSortedMatchesIntern: counting term numbers straight into an
+// interned vector gives the bits of the string route — FromTokens, Apply,
+// Intern — both in the lexicon's own numbering and through a translation
+// table whose overflow IDs arrive out of string order.
+func TestInternSortedMatchesIntern(t *testing.T) {
+	base := []string{"apple", "fox", "mango", "zebra"}
+	lex := WrapSortedTerms(base)
+	idf := ComputeIDFFromIndex(dfTable{docs: 50, df: []int{3, 0, 17, 50}}, lex)
+
+	// A second dictionary (a flushed segment's): sorted, partly outside
+	// the base. Its late terms reach the lexicon first.
+	other := []string{"aardvark", "apple", "banana", "yak", "zebra"}
+	lex.Intern("yak")
+	lex.Intern("banana")
+	lex.Intern("aardvark")
+	xlat := make([]int32, len(other))
+	for i, term := range other {
+		xlat[i] = lex.Intern(term)
+	}
+
+	for _, tc := range []struct {
+		dict  []string
+		xlat  []int32
+		terms []int32 // sorted occurrences
+	}{
+		{base, nil, []int32{0, 0, 0, 2, 3, 3}},
+		{base, nil, []int32{1}}, // df 0: weighs 1
+		{base, nil, nil},
+		{other, xlat, []int32{0, 1, 1, 2, 3, 3, 3, 4}},
+		{other, xlat, []int32{2, 3}},
+	} {
+		var tokens []string
+		for _, id := range tc.terms {
+			tokens = append(tokens, tc.dict[id])
+		}
+		want := Intern(lex, idf.Apply(FromTokens(tokens)))
+		got := idf.InternSorted(tc.terms, tc.xlat)
+		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) || got.Norm() != want.Norm() {
+			t.Errorf("terms %v: InternSorted %v %v |%v|, want %v %v |%v|", tokens, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
+		}
 	}
 }

@@ -222,36 +222,108 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 		// Not fusable (pending mutations): fall through to the staged plan.
 	}
 
-	var candidates []core.Doc
-	var candInfo SearchInfo
-	var candErr error
+	// The document scoring phase in two halves: R_q is retrieved now — on a
+	// miss beside the artifact build — and given surrogate vectors only
+	// once the verdict says they will be read. Baseline reads ID, Rank and
+	// Rel alone, so an unambiguous request builds none.
+	var rq *scored
+	var rqErr error
 	if hit {
-		candidates, candInfo, candErr = p.candidateDocsCtx(ctx, norm)
+		rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates})
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			candidates, candInfo, candErr = p.candidateDocsCtx(ctx, norm)
+			rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates})
 		}()
 		var artDegraded bool
 		art, artDegraded = h.buildOrJoin(key, norm)
-		wg.Wait() // candInfo is the retrieval goroutine's until joined
-		candInfo.Merge(SearchInfo{Degraded: artDegraded})
+		wg.Wait() // rq is the retrieval goroutine's until joined
+		rq.info.Merge(SearchInfo{Degraded: artDegraded})
 	}
-	if candErr != nil {
-		return nil, nil, hit, candInfo, candErr
+	defer rq.close()
+	if rqErr != nil {
+		return nil, nil, hit, rq.info, rqErr
 	}
 	exec.CountQuery(exec.ModeStaged)
 
-	problem := p.newProblem(norm, candidates, art.SpecLists)
+	if len(art.Specs) > 0 {
+		if err := rq.attach(ctx); err != nil {
+			return nil, nil, hit, rq.info, err
+		}
+	}
+	problem := p.newProblem(norm, candidatesOf(rq.lists[0]), art.SpecLists)
 	if k > 0 {
 		problem.K = k
 	}
 	if len(art.Specs) == 0 {
-		return core.Baseline(problem), nil, hit, candInfo, nil
+		return core.Baseline(problem), nil, hit, rq.info, nil
 	}
-	return core.Diversify(alg, problem), art.Specs, hit, candInfo, nil
+	return core.Diversify(alg, problem), art.Specs, hit, rq.info, nil
+}
+
+// scored is one scoring fan-out between the two halves of the document
+// scoring phase: the lists are retrieved, their surrogate vectors not yet
+// built. The local engine counts them out of its forward index against
+// the snapshot the retrieval pinned; a remote Searcher's results bring
+// snippet text over the wire, which attach tokenizes.
+type scored struct {
+	lists [][]engine.Candidate
+	info  SearchInfo
+	// attach fills every candidate's IVec; close releases what the
+	// retrieval holds. Both are safe to call on a failed fan-out.
+	attach func(context.Context) error
+	close  func()
+}
+
+// score runs one scoring fan-out through the active backend, degrading
+// instead of failing where the backend can (see searchBatchInfo).
+func (p *Pipeline) score(ctx context.Context, queries []string, ks []int) (*scored, error) {
+	sc := &scored{attach: func(context.Context) error { return nil }, close: func() {}}
+	if p.Searcher == nil {
+		c, err := p.Engine.Candidates(ctx, queries, ks)
+		if err != nil {
+			return sc, err
+		}
+		sc.lists, sc.attach, sc.close = c.Lists, c.Surrogates, c.Close
+		return sc, nil
+	}
+	results, info, err := p.searchBatchInfo(ctx, queries, ks)
+	sc.info = info
+	if err != nil {
+		return sc, err
+	}
+	sc.lists = make([][]engine.Candidate, len(results))
+	for i, rs := range results {
+		sc.lists[i] = make([]engine.Candidate, len(rs))
+		for j, r := range rs {
+			sc.lists[i][j] = engine.Candidate{DocID: r.DocID, Rank: r.Rank, Score: r.Score}
+		}
+	}
+	sc.attach = func(context.Context) error {
+		for i, rs := range results {
+			for j, r := range rs {
+				sc.lists[i][j].IVec = p.Engine.IVectorOfText(r.Snippet)
+			}
+		}
+		return nil
+	}
+	return sc, nil
+}
+
+// candidatesOf converts a retrieved R_q into diversification candidates,
+// normalizing relevance as candidatesFromResults does.
+func candidatesOf(list []engine.Candidate) []core.Doc {
+	var rn exec.RelNormalizer
+	for i := range list {
+		rn.Observe(list[i].Score)
+	}
+	docs := make([]core.Doc, len(list))
+	for i, c := range list {
+		docs[i] = core.Doc{ID: c.DocID, Rank: c.Rank, Rel: rn.Rel(c.Score), IVec: c.IVec}
+	}
+	return docs
 }
 
 // artifactKey scopes a normalized query to an engine epoch. The NUL
@@ -329,20 +401,27 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 	for i, s := range specs {
 		queries[i], ks[i] = s.Query, p.Config.PerSpec
 	}
-	var lists [][]engine.Result
-	var info SearchInfo
+	var sc *scored
 	err := countAspectSkips(func() error {
 		var err error
-		lists, info, err = p.searchBatchInfo(context.Background(), queries, ks)
+		sc, err = p.score(context.Background(), queries, ks)
+		if err == nil {
+			err = sc.attach(context.Background())
+		}
 		return err
 	})
+	defer sc.close()
 	if err != nil {
 		// Degrade to an empty (baseline-serving) artifact; buildOrJoin
 		// will not cache it.
 		return &queryArtifacts{}, false, err
 	}
-	for i := range specs {
-		art.SpecLists[i] = p.specFromResults(specs[i], lists[i])
+	for i, s := range specs {
+		rs := make([]core.SpecResult, len(sc.lists[i]))
+		for j, c := range sc.lists[i] {
+			rs[j] = core.SpecResult{ID: c.DocID, Rank: c.Rank, IVec: c.IVec}
+		}
+		art.SpecLists[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 	}
-	return art, info.Degraded, nil
+	return art, sc.info.Degraded, nil
 }
