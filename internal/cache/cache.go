@@ -81,6 +81,14 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return c.shard(key).get(key)
 }
 
+// Peek returns the value cached under key and whether it was present
+// without counting a lookup or touching the LRU order — for a caller
+// that has already counted its miss through Get and is only making sure
+// the entry did not arrive since.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	return c.shard(key).peek(key)
+}
+
 // Put stores value under key (inserting or overwriting), promoting it to
 // most-recently-used and evicting the shard's least-recently-used entry
 // if the shard is over capacity.
@@ -172,6 +180,16 @@ func (s *shard[V]) get(key string) (V, bool) {
 	s.hits++
 	s.moveToFront(n)
 	return n.value, true
+}
+
+func (s *shard[V]) peek(key string) (V, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, ok := s.items[key]; ok {
+		return n.value, true
+	}
+	var zero V
+	return zero, false
 }
 
 func (s *shard[V]) put(key string, value V) {

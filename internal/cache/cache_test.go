@@ -47,6 +47,30 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// TestPeekIsInvisible: Peek reads without counting a lookup or saving an
+// entry from eviction — hit rate and LRU order mean what they meant.
+func TestPeekIsInvisible(t *testing.T) {
+	c := New[int](2, 1)
+	c.Put("a", 1)
+	c.Put("b", 2) // a is LRU
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := c.Peek("zzz"); ok {
+		t.Fatal("Peek hit on an absent key")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Peek moved the counters: %+v", st)
+	}
+	c.Put("c", 3) // must still evict a: the Peek did not promote it
+	if _, ok := c.Peek("a"); ok {
+		t.Error("a survived eviction: Peek promoted it")
+	}
+	if _, ok := c.Peek("b"); !ok {
+		t.Error("b was evicted in a's place")
+	}
+}
+
 func TestCapacityBoundHolds(t *testing.T) {
 	const capacity, shards = 64, 8
 	c := New[int](capacity, shards)

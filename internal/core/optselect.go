@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"repro/internal/topk"
 )
@@ -49,26 +51,44 @@ func OptSelect(p *Problem, u *Utilities) []Selected {
 // (size k). Heap keys are the overall score Ũ(d|q) of Equation (9); ties
 // break toward the better original rank. Offer order must be candidate
 // order (ascending index), which both paths produce.
+//
+// The heaps and the selection phase's working arrays are pooled, as
+// ComputeUtilities pools its scratch: at serving sizes (k = 10, a few
+// hundred candidates) allocating |S_q|+2 heaps and five arrays per call
+// cost more than the heap work itself. OptSelectFrom hands the state
+// back, so a value is good for one Offer pass and one selection.
 type OptSelectHeaps struct {
 	k     int
 	quota []int
-	specs []*topk.Bounded[int]
-	m     *topk.Bounded[int]
+	specs []topk.Bounded[int]
+	m     topk.Bounded[int]
+
+	// OptSelectFrom's working state.
+	order    []int
+	selected []bool
+	cover    []int
+	drained  [][]topk.Item[int]
+	fill     topk.Max[int]
 }
+
+var optSelectPool = sync.Pool{New: func() any { return new(OptSelectHeaps) }}
 
 // NewOptSelectHeaps sizes the heaps of Algorithm 2 for result size k
 // (already clamped to the candidate count).
 func NewOptSelectHeaps(p *Problem, k int) *OptSelectHeaps {
-	h := &OptSelectHeaps{
-		k:     k,
-		quota: make([]int, len(p.Specs)),
-		specs: make([]*topk.Bounded[int], len(p.Specs)),
+	h := optSelectPool.Get().(*OptSelectHeaps)
+	s := len(p.Specs)
+	h.k = k
+	h.quota = resize(h.quota, s)
+	if cap(h.specs) < s { // grown in place: the heaps already there keep their storage
+		h.specs = append(h.specs[:cap(h.specs)], make([]topk.Bounded[int], s-cap(h.specs))...)
 	}
+	h.specs = h.specs[:s]
 	for j := range p.Specs {
 		h.quota[j] = int(float64(k) * p.Specs[j].Prob)
-		h.specs[j] = topk.NewBounded[int](h.quota[j] + 1)
+		h.specs[j].Reset(h.quota[j] + 1)
 	}
-	h.m = topk.NewBounded[int](k)
+	h.m.Reset(k)
 	return h
 }
 
@@ -94,8 +114,8 @@ func (h *OptSelectHeaps) Offer(i int, row []float64, overall float64, rank int) 
 // contended the aspect heaps were.
 func (h *OptSelectHeaps) SpecEvictions() uint64 {
 	var n uint64
-	for _, sh := range h.specs {
-		n += sh.Evictions()
+	for j := range h.specs {
+		n += h.specs[j].Evictions()
 	}
 	return n
 }
@@ -103,28 +123,34 @@ func (h *OptSelectHeaps) SpecEvictions() uint64 {
 // OptSelectFrom runs the selection phases of Algorithm 2 over prebuilt
 // heaps: proportional coverage first, then fill from the leftovers and M.
 // Every candidate must have been Offered exactly once, in candidate order;
-// h must have been sized with k = p.clampK().
+// h must have been sized with k = p.clampK(). h is spent: it goes back to
+// the pool and must not be used again.
 func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 	k := h.k
 	if k == 0 {
 		return nil
 	}
+	defer optSelectPool.Put(h)
 	n := len(p.Candidates)
-	quota, specHeaps, global := h.quota, h.specs, h.m
+	quota, specHeaps := h.quota, h.specs
 
 	// Specialization processing order: descending probability, matching
 	// "the more popular a specialization, the greater the number of
 	// results relevant for it". Ties break on declaration order.
-	order := make([]int, len(p.Specs))
+	order := resize(h.order, len(p.Specs))
+	h.order = order
 	for j := range order {
 		order[j] = j
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.Specs[order[a]].Prob > p.Specs[order[b]].Prob
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(p.Specs[b].Prob, p.Specs[a].Prob) // descending
 	})
 
-	selected := make([]bool, n)
-	cover := make([]int, len(p.Specs)) // |S ⋈ q′_j| so far
+	selected := resize(h.selected, n)
+	cover := resize(h.cover, len(p.Specs)) // |S ⋈ q′_j| so far
+	h.selected, h.cover = selected, cover
+	clear(selected)
+	clear(cover)
 	out := make([]Selected, 0, k)
 
 	add := func(i int) {
@@ -140,9 +166,10 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 	// Phase 1 — proportional coverage. Drain gives each heap's contents
 	// best-first. Documents already selected for an earlier specialization
 	// count toward this quota when useful for it too (cover[] tracks that).
-	drained := make([][]topk.Item[int], len(p.Specs))
+	drained := resize(h.drained, len(p.Specs))
+	h.drained = drained
 	for j := range p.Specs {
-		drained[j] = specHeaps[j].Drain()
+		drained[j] = specHeaps[j].DrainSorted()
 	}
 	for _, j := range order {
 		pos := 0
@@ -158,7 +185,8 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 
 	// Phase 2 — fill: best remaining candidates by overall score, drawn
 	// from the leftovers of every specialization heap and from M.
-	fill := topk.NewMax[int](k)
+	fill := &h.fill
+	fill.Reset()
 	for j := range drained {
 		for _, it := range drained[j] {
 			if !selected[it.Value] {
@@ -166,7 +194,7 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 			}
 		}
 	}
-	for _, it := range global.Drain() {
+	for _, it := range h.m.DrainSorted() {
 		fill.PushItem(it)
 	}
 	for len(out) < k {
@@ -197,11 +225,11 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 	}
 
 	// Final SERP order: descending overall score (stable, rank tie-break).
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	slices.SortStableFunc(out, func(a, b Selected) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[a].Rank < out[b].Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
 	return out
 }

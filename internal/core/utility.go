@@ -266,9 +266,9 @@ func computeUtilitiesInto(p *Problem, u *Utilities) {
 	n := len(p.Candidates)
 	s := len(p.Specs)
 
-	u.flat = resizeFloats(u.flat, n*s)
-	u.U = resizeRows(u.U, n)
-	u.Overall = resizeFloats(u.Overall, n)
+	u.flat = resize(u.flat, n*s)
+	u.U = resize(u.U, n)
+	u.Overall = resize(u.Overall, n)
 
 	us := NewUtilityScorer(p)
 	defer us.Close()
@@ -280,16 +280,11 @@ func computeUtilitiesInto(p *Problem, u *Utilities) {
 	}
 }
 
-func resizeFloats(s []float64, n int) []float64 {
+// resize returns a slice of length n over s's storage when that is large
+// enough, else a fresh one. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeRows(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		return make([][]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

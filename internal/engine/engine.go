@@ -220,6 +220,9 @@ type stateData struct {
 	// of out-of-collection text (including memtable-only terms) land in
 	// the dynamic overflow region.
 	lex *textsim.Lexicon
+	// dict is the lazily computed fingerprint of the base dictionary lex
+	// wraps; it lives and is replaced with lex (see Dictionary).
+	dict *dictPrint
 }
 
 // pin takes a read reference on the state. It fails once refs hit zero —
@@ -383,6 +386,7 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 			live:  idx.NumDocs(),
 			idf:   textsim.ComputeIDFFromIndex(idx, lex),
 			lex:   lex,
+			dict:  new(dictPrint),
 		},
 		refs: 1,
 	}
@@ -488,23 +492,45 @@ func (e *Engine) SearchStamped(ctx context.Context, query string, k int, plan *e
 	return out[0], st.epoch, nil
 }
 
-// ShardResult is one per-shard retrieval hit with its surrogate
-// snippet: the unit the distributed serving tier ships from a shard
-// worker to the router. Doc is the global internal document number
-// (shard doc ranges are disjoint), which the router's k-way merge uses
-// as its deterministic tie-break; Rank is a property of the merged list
-// and is assigned router-side.
-type ShardResult struct {
-	Doc     int32
-	DocID   string
-	Score   float64
-	Snippet string
+// ShardHit is one per-shard retrieval hit as ShardHits.Each hands it to
+// the distributed tier's frame encoder. Doc is the global internal
+// document number (shard doc ranges are disjoint), which the router's
+// k-way merge uses as its deterministic tie-break; Rank is a property of
+// the merged list and is assigned router-side.
+type ShardHit struct {
+	Doc   int32
+	DocID string
+	Score float64
+	// Terms is the snippet window's sorted term numbers, one entry per
+	// occurrence — base lexicon IDs, because workers serve the base
+	// segment only. Valid during the callback; nil without windows.
+	Terms []int32
+
+	w hitWindow
 }
 
-// SearchShardBatch answers a query batch against ONE shard of the base
-// segment — the worker half of the distributed serving tier. The
-// returned lists are sorted by (score desc, doc asc) and truncated to
-// ks[i] (<= 0 keeps all matches); merging the lists of every shard with
+// Snippet cuts the hit's query-biased snippet out of its document. Only
+// hits walked with windows have one.
+func (h *ShardHit) Snippet() string { return h.w.snippet() }
+
+// ShardHits is a query batch retrieved against ONE shard of the base
+// segment, over a pinned snapshot, with the per-hit work — picking the
+// snippet window, cutting its text — left to the walk the caller asks
+// for. Close must be called; it releases the snapshot.
+type ShardHits struct {
+	// Epoch is the snapshot's epoch, so a router can detect replicas that
+	// have diverged from the common world; Dict fingerprints the
+	// dictionary Terms are numbered in.
+	Epoch uint64
+	Dict  DictFingerprint
+
+	r *retrieval // nil once closed
+}
+
+// SearchShard answers a query batch against ONE shard of the base
+// segment — the worker half of the distributed serving tier. The lists
+// are sorted by (score desc, doc asc) and truncated to ks[i] (<= 0 keeps
+// all matches); merging the lists of every shard with
 // ranking.MergeSegments reproduces SearchBatch bit for bit (scores
 // depend only on collection-global statistics, so a worker holding the
 // full deterministic index computes the very same float64s the
@@ -514,47 +540,63 @@ type ShardResult struct {
 // fresh Build/Load with no pending mutations), because the live
 // lifecycle's shadowed-copy filtering is a cross-segment property the
 // per-shard path cannot apply exactly. A non-quiescent engine returns
-// an error rather than silently approximate results. The second return
-// is the snapshot epoch, so a router can detect replicas that have
-// diverged from the common world.
-//
-// plan must be nil or staged: diversification fusion is a post-merge
-// global operator (the per-aspect heaps consume the deterministically
-// merged hit stream of ALL shards), so a single shard cannot run it —
-// distributed deployments diversify router-side over staged shard
-// results, and a fused plan here is a caller bug, reported as an error.
-func (e *Engine) SearchShardBatch(ctx context.Context, si int, queries []string, ks []int, plan *exec.Plan) ([][]ShardResult, uint64, error) {
+// an error rather than silently approximate results.
+func (e *Engine) SearchShard(ctx context.Context, si int, queries []string, ks []int) (*ShardHits, error) {
 	st := e.snapshot()
-	defer st.unpin()
-	if plan.Fused() {
-		return nil, st.epoch, errors.New("engine: fused plans are post-merge operators; shard workers serve staged plans only")
+	sh, err := e.searchShard(ctx, st, si, queries, ks)
+	if err != nil {
+		st.unpin()
+		return nil, err
 	}
-	mv := st.mem.View()
-	if !st.quiet(mv) {
-		return nil, st.epoch, errors.New("engine: shard search requires a quiescent index (no pending mutations)")
+	return sh, nil
+}
+
+func (e *Engine) searchShard(ctx context.Context, st *state, si int, queries []string, ks []int) (*ShardHits, error) {
+	if !st.quiet(st.mem.View()) {
+		return nil, errors.New("engine: shard search requires a quiescent index (no pending mutations)")
 	}
 	seg := st.segs[0].seg
 	if si < 0 || si >= seg.NumShards() {
-		return nil, st.epoch, fmt.Errorf("engine: shard %d out of range [0,%d)", si, seg.NumShards())
+		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", si, seg.NumShards())
 	}
 	r := e.newRetrieval(st, st.segs[:1], queries)
 	var err error
 	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, e.batchOpts())
 	if err != nil {
-		return nil, st.epoch, err
+		return nil, err
 	}
-	out := make([][]ShardResult, len(queries))
-	for i, hits := range r.hits {
-		rs := make([]ShardResult, len(hits))
-		err := r.windows(ctx, i, func(j int, w hitWindow) {
-			rs[j] = ShardResult{Doc: w.Doc, DocID: w.DocID, Score: w.Score, Snippet: w.snippet()}
-		})
-		if err != nil {
-			return nil, st.epoch, err
+	return &ShardHits{Epoch: st.epoch, Dict: st.dict.of(seg.Index().Terms()), r: r}, nil
+}
+
+// Len returns the number of hits of query q.
+func (s *ShardHits) Len(q int) int { return len(s.r.hits[q]) }
+
+// Each walks the hits of query q in rank order. With windows every hit
+// carries its snippet window (Terms, Snippet) out of the forward index;
+// without, the walk touches nothing but the hit list. h is reused
+// between calls. The only possible error is ctx.Err().
+func (s *ShardHits) Each(ctx context.Context, q int, windows bool, f func(h *ShardHit)) error {
+	var h ShardHit
+	if !windows {
+		for _, hit := range s.r.hits[q] {
+			h = ShardHit{Doc: hit.Doc, DocID: hit.DocID, Score: hit.Score}
+			f(&h)
 		}
-		out[i] = rs
+		return nil
 	}
-	return out, st.epoch, nil
+	return s.r.windows(ctx, q, func(_ int, w hitWindow) {
+		h = ShardHit{Doc: w.Doc, DocID: w.DocID, Score: w.Score, Terms: w.terms, w: w}
+		f(&h)
+	})
+}
+
+// Close releases the snapshot the hits were retrieved against.
+// Idempotent.
+func (s *ShardHits) Close() {
+	if s.r != nil {
+		s.r.st.unpin()
+		s.r = nil
+	}
 }
 
 // SearchBatch answers a batch of queries in ONE scatter-gather round over

@@ -158,7 +158,7 @@ func (sg *segment) window(d int32, q []int32, w int, sc *fwdScratch) (lo, hi int
 
 // retrieval is a query batch's merged hit lists over one pinned
 // snapshot, before any snippet or surrogate exists: what SearchBatch,
-// SearchShardBatch, Candidates and the fused scan all start from.
+// SearchShard, Candidates and the fused scan all start from.
 type retrieval struct {
 	st    *state
 	srcs  []*segment

@@ -70,18 +70,10 @@ func TestOpenIndexFileMapped(t *testing.T) {
 		sameResults(t, src.Search(q, 10), e.Search(q, 10), q)
 	}
 	// Shard-level parity too (the worker serving path).
-	ctx := context.Background()
 	for si := 0; si < 2; si++ {
-		want, _, err := src.SearchShardBatch(ctx, si, []string{"leopard"}, []int{5}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := e.SearchShardBatch(ctx, si, []string{"leopard"}, []int{5}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shard %d diverges", si)
+		want, got := shardWalk(t, src, si, "leopard", 5), shardWalk(t, e, si, "leopard", 5)
+		if len(want) == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("shard %d diverges:\nbuilt:  %+v\nmapped: %+v", si, want, got)
 		}
 	}
 	if err := e.Close(); err != nil {
@@ -90,6 +82,33 @@ func TestOpenIndexFileMapped(t *testing.T) {
 	if index.ActiveMappings() != base {
 		t.Fatalf("ActiveMappings = %d after Close, want %d", index.ActiveMappings(), base)
 	}
+}
+
+type shardRow struct {
+	Doc     int32
+	DocID   string
+	Score   float64
+	Terms   []int32
+	Snippet string
+}
+
+// shardWalk collects what one shard hands the frame encoder for a query:
+// every hit's header, window terms and snippet.
+func shardWalk(t *testing.T, e *Engine, si int, query string, k int) []shardRow {
+	t.Helper()
+	sh, err := e.SearchShard(context.Background(), si, []string{query}, []int{k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	var out []shardRow
+	err = sh.Each(context.Background(), 0, true, func(h *ShardHit) {
+		out = append(out, shardRow{h.Doc, h.DocID, h.Score, append([]int32(nil), h.Terms...), h.Snippet()})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestOpenIndexFileHeap: the same RIDX7 file without Config.Mmap decodes

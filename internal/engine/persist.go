@@ -279,6 +279,7 @@ func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
 	base := segs[0].seg.Index()
 	st.lex = textsim.WrapSortedTerms(base.Terms())
 	st.idf = textsim.ComputeIDFFromIndex(base, st.lex)
+	st.dict = new(dictPrint)
 	for _, sg := range segs[1:] {
 		sg.xlat = translate(st.lex, sg.seg.Index())
 	}

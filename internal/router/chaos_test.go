@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/ranking"
 	"repro/internal/server"
 )
@@ -482,14 +484,15 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	if err != nil || !info.Degraded {
 		t.Fatalf("SearchBatchPartial: err=%v degraded=%v, want nil/true", err, info.Degraded)
 	}
-	shardLists, _, err := p.Engine.SearchShardBatch(context.Background(), 0, []string{q}, []int{8}, nil)
+	sh, err := p.Engine.SearchShard(context.Background(), 0, []string{q}, []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := make([]ranking.Hit, len(shardLists[0]))
-	for i, sr := range shardLists[0] {
-		hits[i] = ranking.Hit{Doc: sr.Doc, DocID: sr.DocID, Score: sr.Score}
-	}
+	defer sh.Close()
+	var hits []ranking.Hit
+	sh.Each(context.Background(), 0, false, func(h *engine.ShardHit) {
+		hits = append(hits, ranking.Hit{Doc: h.Doc, DocID: h.DocID, Score: h.Score})
+	})
 	want := ranking.MergeSegments([][]ranking.Hit{hits, nil}, 8)
 	if len(lists[0]) != len(want) {
 		t.Fatalf("degraded merge has %d hits, want %d (shard 0 only)", len(lists[0]), len(want))
@@ -499,8 +502,34 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 			t.Fatalf("degraded merge[%d] = %s/%g, want %s/%g", i, lists[0][i].DocID, lists[0][i].Score, want[i].DocID, want[i].Score)
 		}
 	}
+	// The serving route degrades to the same survivors, vectors included.
+	sc, err := w.searcher.Score(context.Background(), p.Engine.Dictionary(), []string{q}, []int{8}, true)
+	if err != nil || !sc.Info.Degraded {
+		t.Fatalf("Score: err=%v info=%+v, want nil/degraded", err, sc)
+	}
+	if err := sc.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Lists[0]) != len(want) {
+		t.Fatalf("degraded Score has %d candidates, want %d", len(sc.Lists[0]), len(want))
+	}
+	for i, c := range sc.Lists[0] {
+		if c.DocID != want[i].DocID || c.Score != want[i].Score || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(lists[0][i].Snippet)) {
+			t.Fatalf("degraded Score[%d] = %+v, want %s/%g with its snippet's vector", i, c, want[i].DocID, want[i].Score)
+		}
+	}
+	sc.Close()
 	if ts := w.searcher.TailStats(); ts.Degraded == 0 || ts.ShardsDropped == 0 {
 		t.Errorf("tail stats %+v, want degraded and shards_dropped > 0", ts)
+	}
+
+	// Artifacts built during the outage are served, never cached: a query
+	// first seen now misses every time it is asked.
+	for i := 0; i < 3; i++ {
+		code, body := fetch(t, searchURL(w.router.URL, p.Testbed.TopicQuery(4), url.Values{"k": {"5"}}))
+		if code != http.StatusOK || !strings.Contains(body, `"degraded":true`) || !strings.Contains(body, `"cache_hit":false`) {
+			t.Fatalf("request %d for a query first seen degraded: %d %s, want a degraded cache miss", i, code, body)
+		}
 	}
 
 	// Heal: full-fidelity bit-identical service resumes (degraded
@@ -510,6 +539,76 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	time.Sleep(70 * time.Millisecond)
 	w.searcher.ProbeOnce(context.Background())
 	w.expectSame(t, q, url.Values{"k": {"5"}})
+}
+
+// TestChaosHedgeLoserFrames: a hedge loser that answers late, after the
+// winner's frame is already merged, deposits a whole frame nobody reads.
+// That frame must fall to the garbage collector; handing it (or the
+// frame of an attempt still reading) back to the pool would let another
+// request decode into bytes a goroutine is writing. Concurrent requests
+// over slow-but-alive replicas make that interleaving constant; every
+// answer must still be the local one, and under -race nothing may be
+// reported.
+func TestChaosHedgeLoserFrames(t *testing.T) {
+	w := newChaosWorld(t, Config{
+		AttemptTimeout: 5 * time.Second,
+		HedgeAfter:     2 * time.Millisecond,
+		HedgeQuantile:  0,
+		ExtraRatio:     1,
+		ExtraBurst:     1 << 20,
+		FailThreshold:  100,
+		ProbeInterval:  time.Hour,
+	})
+	w.net.delay = 12 * time.Millisecond
+	w.net.setFault("s0a", faultSlow)
+	w.net.setFault("s1b", faultSlow)
+	p := testPipeline(t)
+	queries := testQueries(p)
+	ks := make([]int, len(queries))
+	for i := range ks {
+		ks[i] = 30
+	}
+	want, err := p.Engine.SearchBatch(context.Background(), queries, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				sc, err := w.searcher.Score(context.Background(), p.Engine.Dictionary(), queries, ks, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = sc.Attach(context.Background())
+				sc.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for q, list := range sc.Lists {
+					if len(list) != len(want[q]) {
+						t.Errorf("q=%q: %d candidates, want %d", queries[q], len(list), len(want[q]))
+						return
+					}
+					for j, c := range list {
+						if c.DocID != want[q][j].DocID || c.Score != want[q][j].Score ||
+							!reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(want[q][j].Snippet)) {
+							t.Errorf("q=%q #%d: %+v, want %s", queries[q], j, c, want[q][j].DocID)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ts := w.searcher.TailStats(); ts.Hedges == 0 || ts.HedgeWins == 0 {
+		t.Errorf("tail stats %+v: the test needs hedges that win", ts)
+	}
 }
 
 // TestChaosClientCancelMidHedge: a client hanging up while a hedge race

@@ -5,59 +5,76 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/synth"
+	"repro/internal/textsim"
 )
 
 var (
-	testPipe     *repro.Pipeline
-	testPipeOnce sync.Once
+	testPipes  = map[int]*repro.Pipeline{}
+	testPipeMu sync.Mutex
 )
 
 // testPipeline builds one small deterministic world with a 2-shard
 // index partition — the same spec the server tests use, so behavior
 // differences between tiers cannot hide behind corpus differences.
 // Tests only read it.
-func testPipeline(t testing.TB) *repro.Pipeline {
+func testPipeline(t testing.TB) *repro.Pipeline { return testPipelineShards(t, 2) }
+
+// testPipelineShards is the same world partitioned into the given
+// number of shards (built once per count).
+func testPipelineShards(t testing.TB, shards int) *repro.Pipeline {
 	t.Helper()
-	testPipeOnce.Do(func() {
-		p, err := repro.Build(repro.Config{
-			Corpus: synth.CorpusSpec{
-				Seed:                11,
-				NumTopics:           6,
-				MinSubtopics:        2,
-				MaxSubtopics:        4,
-				DocsPerSubtopic:     10,
-				GenericDocsPerTopic: 5,
-				NoiseDocs:           100,
-				DocLength:           40,
-				BackgroundVocab:     400,
-				TopicVocab:          10,
-				SubtopicVocab:       8,
-			},
-			Log:           synth.AOLLike(12, 2500),
-			Engine:        engine.Config{Shards: 2},
-			NumCandidates: 100,
-			PerSpec:       10,
-			K:             10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testPipe = p
-	})
-	return testPipe
+	testPipeMu.Lock()
+	defer testPipeMu.Unlock()
+	if p := testPipes[shards]; p != nil {
+		return p
+	}
+	p, err := repro.Build(testConfig(shards, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testPipes[shards] = p
+	return p
+}
+
+// testConfig is the test world's spec; backgroundVocab is a knob only so
+// a test can build a world whose dictionary differs.
+func testConfig(shards, backgroundVocab int) repro.Config {
+	return repro.Config{
+		Corpus: synth.CorpusSpec{
+			Seed:                11,
+			NumTopics:           6,
+			MinSubtopics:        2,
+			MaxSubtopics:        4,
+			DocsPerSubtopic:     10,
+			GenericDocsPerTopic: 5,
+			NoiseDocs:           100,
+			DocLength:           40,
+			BackgroundVocab:     backgroundVocab,
+			TopicVocab:          10,
+			SubtopicVocab:       8,
+		},
+		Log:           synth.AOLLike(12, 2500),
+		Engine:        engine.Config{Shards: shards},
+		NumCandidates: 100,
+		PerSpec:       10,
+		K:             10,
+	}
 }
 
 // routedPipeline shallow-copies the shared pipeline with the
@@ -176,6 +193,222 @@ func TestRouterDifferential(t *testing.T) {
 	}
 }
 
+// localWorkers serves p's engine through one worker and returns a probed
+// searcher whose every shard pool is that worker.
+func localWorkers(t *testing.T, p *repro.Pipeline, cfg Config) *Searcher {
+	t.Helper()
+	ts := httptest.NewServer(NewWorker(p.Engine).Handler())
+	t.Cleanup(ts.Close)
+	for si := 0; si < p.Engine.Segments().NumShards(); si++ {
+		cfg.Shards = append(cfg.Shards, []ReplicaSpec{{URL: ts.URL}})
+	}
+	s, err := NewSearcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.ProbeOnce(context.Background())
+	if !s.Ready() {
+		t.Fatalf("searcher not ready after probe: %+v", s.Stats())
+	}
+	return s
+}
+
+// testQueries is every testbed topic query plus a few of the log's noise
+// queries (unambiguous, some matching nothing).
+func testQueries(p *repro.Pipeline) []string {
+	var qs []string
+	for _, topic := range p.Testbed.Topics {
+		qs = append(qs, topic.Query)
+	}
+	for i := 0; i < 6; i++ {
+		qs = append(qs, synth.NoiseQuery(i))
+	}
+	return qs
+}
+
+// TestRouterServeDifferential is the frame's gate at the facade: through
+// the router's searcher — term payloads, lazy vectors, payload none for
+// cached unambiguous verdicts — DiversifyServe must return exactly what
+// the local handle returns, cold and warm, for every query × algorithm ×
+// k × shard count; every vector Attach builds must equal IVectorOfText
+// of the snippet the text payload carries for the same hit; and
+// SearchBatch over the frame must equal engine.SearchBatch.
+func TestRouterServeDifferential(t *testing.T) {
+	ctx := context.Background()
+	for _, shards := range []int{1, 2, 3} {
+		p := testPipelineShards(t, shards)
+		s := localWorkers(t, p, Config{})
+		rp := routedPipeline(p, s)
+		queries := testQueries(p)
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for _, alg := range []core.Algorithm{core.AlgOptSelect, core.AlgXQuAD, core.AlgIASelect} {
+				for _, k := range []int{10, 100} {
+					local, routed := p.NewServeHandle(64, 2), rp.NewServeHandle(64, 2)
+					for _, temp := range []string{"cold", "warm"} {
+						for _, q := range queries {
+							wantSel, wantSpecs, wantHit, _, err := local.DiversifyServe(ctx, q, alg, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							gotSel, gotSpecs, gotHit, info, err := routed.DiversifyServe(ctx, q, alg, k)
+							if err != nil {
+								t.Fatalf("%s %s k=%d q=%q through the router: %v", temp, alg, k, q, err)
+							}
+							if info != (repro.SearchInfo{}) || gotHit != wantHit || gotHit != (temp == "warm") {
+								t.Fatalf("%s %s k=%d q=%q: hit %v/%v info %+v", temp, alg, k, q, gotHit, wantHit, info)
+							}
+							if !reflect.DeepEqual(gotSel, wantSel) || !reflect.DeepEqual(gotSpecs, wantSpecs) {
+								t.Fatalf("%s %s k=%d q=%q diverges:\nlocal:  %+v\nrouter: %+v", temp, alg, k, q, wantSel, gotSel)
+							}
+						}
+					}
+				}
+			}
+
+			ks := make([]int, len(queries))
+			for i := range ks {
+				ks[i] = []int{p.Config.NumCandidates, 7, 0}[i%3]
+			}
+			want, err := p.Engine.SearchBatch(ctx, queries, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.SearchBatch(ctx, queries, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range queries {
+				// An empty list is nil from one side and empty from the other.
+				if len(got[i]) != len(want[i]) || (len(want[i]) > 0 && !reflect.DeepEqual(got[i], want[i])) {
+					t.Fatalf("SearchBatch q=%q k=%d diverges from the engine's", queries[i], ks[i])
+				}
+			}
+			for _, vectors := range []bool{true, false} {
+				sc, err := s.Score(ctx, p.Engine.Dictionary(), queries, ks, vectors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sc.Attach(ctx); err != nil {
+					t.Fatal(err)
+				}
+				for i, list := range sc.Lists {
+					if len(list) != len(want[i]) {
+						t.Fatalf("Score q=%q: %d candidates, SearchBatch has %d", queries[i], len(list), len(want[i]))
+					}
+					for j, c := range list {
+						r := want[i][j]
+						if c.DocID != r.DocID || c.Rank != r.Rank || c.Score != r.Score {
+							t.Fatalf("Score q=%q #%d = %+v, SearchBatch has %+v", queries[i], j, c, r)
+						}
+						wantVec := p.Engine.IVectorOfText(r.Snippet)
+						if !vectors {
+							wantVec = textsim.IVector{}
+						}
+						if !reflect.DeepEqual(c.IVec, wantVec) {
+							t.Fatalf("vectors=%v q=%q #%d (%s): IVec %+v, IVectorOfText(snippet) %+v", vectors, queries[i], j, c.DocID, c.IVec, wantVec)
+						}
+					}
+				}
+				sc.Close()
+				sc.Close() // idempotent
+				if err := sc.Attach(ctx); vectors && err == nil {
+					t.Fatal("Attach after Close read frames that were handed back")
+				}
+			}
+		})
+	}
+}
+
+// TestDictionaryMismatch: a worker whose dictionary numbers terms
+// differently must never have a frame merged — its term payloads would
+// count into the wrong vectors without any other symptom. It fails the
+// attempt (like a diverged epoch: the router fails over) and, once the
+// router knows its own dictionary, the probe (like a wrong shard count).
+func TestDictionaryMismatch(t *testing.T) {
+	ctx := context.Background()
+	p := testPipeline(t)
+	other, err := repro.Build(testConfig(2, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := p.Engine.Dictionary()
+	if dict.Fingerprint == other.Engine.Dictionary().Fingerprint {
+		t.Fatal("the two worlds share a dictionary; the test needs them to differ")
+	}
+	good := httptest.NewServer(NewWorker(p.Engine).Handler())
+	defer good.Close()
+	bad := httptest.NewServer(NewWorker(other.Engine).Handler())
+	defer bad.Close()
+	q, k := []string{p.Testbed.TopicQuery(1)}, []int{20}
+
+	// Alone, the stranger fails every attempt, then every probe.
+	s, err := NewSearcher(Config{Shards: [][]ReplicaSpec{{{URL: bad.URL}}, {{URL: bad.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.ProbeOnce(ctx)
+	if !s.Ready() {
+		t.Fatal("before the router knows its dictionary a probe has nothing to compare: want ready")
+	}
+	if _, err := s.Score(ctx, dict, q, k, true); err == nil || !strings.Contains(err.Error(), "dictionary") {
+		t.Fatalf("Score against a foreign dictionary: err = %v, want a dictionary mismatch", err)
+	}
+	if _, err := s.SearchBatch(ctx, q, k); err == nil || !strings.Contains(err.Error(), "dictionary") {
+		t.Fatalf("SearchBatch against a foreign dictionary: err = %v, want a dictionary mismatch", err)
+	}
+	s.ProbeOnce(ctx)
+	if s.Ready() {
+		t.Fatalf("searcher ready over workers with a foreign dictionary: %+v", s.Stats())
+	}
+
+	// Beside a true replica it is failed over, and the answer is the
+	// local one.
+	s2, err := NewSearcher(Config{FailThreshold: 100, Shards: [][]ReplicaSpec{
+		{{URL: bad.URL}, {URL: good.URL}},
+		{{URL: bad.URL}, {URL: good.URL}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	s2.ProbeOnce(ctx)
+	want, err := p.Engine.SearchBatch(ctx, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // round-robin lands primaries on both replicas
+		sc, err := s2.Score(ctx, dict, q, k, true)
+		if err != nil {
+			t.Fatalf("request %d: %v (want failover to the true replica)", i, err)
+		}
+		if err := sc.Attach(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range sc.Lists[0] {
+			if c.DocID != want[0][j].DocID || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(want[0][j].Snippet)) {
+				t.Fatalf("request %d #%d: %+v, want %s", i, j, c, want[0][j].DocID)
+			}
+		}
+		sc.Close()
+	}
+	failures := int64(0)
+	for _, ps := range s2.Stats() {
+		for _, rs := range ps.Replicas {
+			if rs.URL == good.URL && rs.Failures != 0 {
+				t.Errorf("the true replica failed %d attempts", rs.Failures)
+			}
+			if rs.URL == bad.URL {
+				failures += rs.Failures
+			}
+		}
+	}
+	if failures == 0 {
+		t.Error("the foreign replica took traffic and failed no attempt")
+	}
+}
+
 // TestRouterReadyz pins the router's composite readiness: not ready
 // until the local pipeline is published AND every pool has a healthy
 // probed replica; /healthz stays 200 (liveness) throughout.
@@ -257,6 +490,77 @@ func TestProbeRejectsShardMismatch(t *testing.T) {
 	}
 }
 
+// TestSearcherOwnTransport: without a configured transport the searcher
+// brings one whose idle pool holds a connection per search a worker
+// admits — http.DefaultTransport keeps two per host and redials the rest
+// under load — and Close leaves no idle connection behind.
+func TestSearcherOwnTransport(t *testing.T) {
+	p := testPipeline(t)
+	var mu sync.Mutex
+	states := map[http.ConnState]int{}
+	ts := httptest.NewUnstartedServer(NewWorker(p.Engine).Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		mu.Lock()
+		states[st]++
+		mu.Unlock()
+	}
+	ts.Start()
+	defer ts.Close()
+	s, err := NewSearcher(Config{Shards: [][]ReplicaSpec{{{URL: ts.URL}}, {{URL: ts.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.own == nil || s.own.MaxIdleConnsPerHost != workerSearches || s.own == http.DefaultTransport {
+		t.Fatalf("own transport = %+v, want a private one keeping %d idle connections per host", s.own, workerSearches)
+	}
+	// Waves of eight concurrent two-shard searches — sixteen connections
+	// at most in use at once. An idle pool of two would redial most of
+	// every wave; this one never needs a seventeenth connection.
+	for wave := 0; wave < 4; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.SearchBatch(context.Background(), []string{p.Testbed.TopicQuery(1)}, []int{5}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	mu.Lock()
+	dialed := states[http.StateNew]
+	mu.Unlock()
+	if dialed > workerSearches {
+		t.Errorf("four waves dialed %d connections, want at most %d", dialed, workerSearches)
+	}
+	s.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		mu.Lock()
+		open := states[http.StateNew] - states[http.StateClosed]
+		mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after Close", open)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A configured transport is used as is and left alone.
+	s2, err := NewSearcher(Config{Transport: newFakeNet(), Shards: [][]ReplicaSpec{{{URL: "http://x"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.own != nil {
+		t.Error("searcher built its own transport beside the configured one")
+	}
+	s2.Close()
+}
+
 // TestSearcherValidation covers topology construction errors.
 func TestSearcherValidation(t *testing.T) {
 	if _, err := NewSearcher(Config{}); err == nil {
@@ -298,7 +602,24 @@ func TestWorkerShardSearchErrors(t *testing.T) {
 	if code := post(fmt.Sprintf(`{"shard":%d,"queries":["x"],"ks":[5]}`, 99)); code != http.StatusInternalServerError {
 		t.Errorf("out-of-range shard: %d, want 500", code)
 	}
+	if code := post(`{"shard":0,"queries":["x"],"ks":[5],"payload":"snippets"}`); code != http.StatusBadRequest {
+		t.Errorf("unknown payload kind: %d, want 400", code)
+	}
+	many := ShardSearchRequest{Queries: make([]string, maxShardQueries+1), Ks: make([]int, maxShardQueries+1)}
+	body, _ := json.Marshal(many)
+	if code := post(string(body)); code != http.StatusBadRequest {
+		t.Errorf("%d queries in one batch: %d, want 400", len(many.Queries), code)
+	}
+	huge := `{"shard":0,"queries":["` + strings.Repeat("x", maxShardRequestBytes) + `"],"ks":[5]}`
+	if code := post(huge); code != http.StatusBadRequest {
+		t.Errorf("body over %d bytes: %d, want 400", maxShardRequestBytes, code)
+	}
 	if code := post(`{"shard":0,"queries":["x"],"ks":[5]}`); code != http.StatusOK {
 		t.Errorf("valid search: %d, want 200", code)
+	}
+	for _, kind := range payloadNames {
+		if code := post(`{"shard":1,"queries":["x","y"],"ks":[5,0],"payload":"` + kind + `"}`); code != http.StatusOK {
+			t.Errorf("payload %q: %d, want 200", kind, code)
+		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -33,8 +35,11 @@ type Config struct {
 	// partition (-shards), which probes verify via /readyz.
 	Shards [][]ReplicaSpec
 
-	// Transport carries all worker traffic (nil: http.DefaultTransport).
-	// Tests inject an in-memory fault-injecting RoundTripper here.
+	// Transport carries all worker traffic. Nil: a transport of the
+	// searcher's own, whose idle pool keeps a connection per search a
+	// worker admits (http.DefaultTransport keeps two per host and redials
+	// the rest under load); Close closes its idle connections. Tests
+	// inject an in-memory fault-injecting RoundTripper here.
 	Transport http.RoundTripper
 
 	// AttemptTimeout bounds one scatter attempt against one replica
@@ -108,10 +113,13 @@ type Config struct {
 	Now func() time.Time
 }
 
+// workerSearches is how many shard searches one worker runs at a time
+// for one router: internal/server admits 8 diversifications at once
+// (cmd/router -workers), each with at most one scatter and one artifact
+// build in flight against any shard.
+const workerSearches = 16
+
 func (c Config) withDefaults() Config {
-	if c.Transport == nil {
-		c.Transport = http.DefaultTransport
-	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 2 * time.Second
 	}
@@ -147,15 +155,18 @@ func (c Config) withDefaults() Config {
 
 // Searcher is the distributed document scoring phase: a repro.Searcher
 // that scatters each query batch over one replica per shard, gathers
-// the per-shard hit lists, and k-way merges them with the same
+// the per-shard frames, and k-way merges their hit lists with the same
 // deterministic merge the in-process fan-out uses — so its output is
-// bit-identical to engine.SearchBatch over the same world. It is also a
+// bit-identical to the local engine's over the same world. It is also a
 // repro.PartialSearcher: with AllowPartial set, a dead shard degrades
 // the response instead of failing it.
 type Searcher struct {
 	cfg    Config
 	pools  []*pool
 	client *http.Client
+	// own is the transport the searcher built for itself (nil when the
+	// config brought one), whose idle connections Close closes.
+	own *http.Transport
 
 	// extra is the global budget for hedges + failover retries; tail
 	// holds the tail-tolerance counters surfaced at /stats.
@@ -168,6 +179,12 @@ type Searcher struct {
 	mu         sync.Mutex
 	epochSet   bool
 	epochValue uint64
+
+	// dict is the fingerprint of the router's own dictionary, as of the
+	// pipeline's latest Score call (nil before the first: the searcher is
+	// built before the pipeline's engine). Probes and frames that
+	// disagree with it fail.
+	dict atomic.Pointer[engine.DictFingerprint]
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -182,11 +199,17 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		return nil, errors.New("router: no shards configured")
 	}
 	s := &Searcher{
-		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport},
-		extra:  newTokenBucket(cfg.ExtraRatio, cfg.ExtraBurst),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		extra: newTokenBucket(cfg.ExtraRatio, cfg.ExtraBurst),
+		stop:  make(chan struct{}),
 	}
+	if cfg.Transport == nil {
+		s.own = http.DefaultTransport.(*http.Transport).Clone()
+		s.own.MaxIdleConnsPerHost = workerSearches
+		s.own.MaxIdleConns = 0 // per-host limits only: a fleet is many hosts
+		cfg.Transport = s.own
+	}
+	s.client = &http.Client{Transport: cfg.Transport}
 	seed := cfg.JitterSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -236,18 +259,24 @@ func (s *Searcher) Start() {
 	}()
 }
 
-// Close stops the probe loop. Idempotent.
+// Close stops the probe loop and closes the idle connections of the
+// searcher's own transport. Idempotent.
 func (s *Searcher) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.probes.Wait()
+	if s.own != nil {
+		s.own.CloseIdleConnections()
+	}
 }
 
 // ProbeOnce health-checks every replica of every pool concurrently and
 // feeds the outcomes into membership and the breakers. A probe passes
-// when /readyz answers 200 ready:true AND the worker's shard count
-// matches the router's topology — a worker partitioned differently
-// would return per-shard lists that merge into silently wrong results,
-// so it is treated as down, not as degraded.
+// when /readyz answers 200 ready:true, the worker's shard count matches
+// the router's topology AND its dictionary is the router's — a worker
+// partitioned differently would return per-shard lists that merge into
+// silently wrong results, one numbering terms differently term payloads
+// that count into the wrong vectors, so either is treated as down, not
+// as degraded.
 func (s *Searcher) ProbeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range s.pools {
@@ -286,7 +315,7 @@ func (s *Searcher) probe(ctx context.Context, r *replica) bool {
 		return false
 	}
 	r.epoch.Store(wr.Epoch)
-	return resp.StatusCode == http.StatusOK && wr.Ready && wr.Shards == len(s.pools)
+	return resp.StatusCode == http.StatusOK && wr.Ready && wr.Shards == len(s.pools) && s.checkDict(wr.Dict) == nil
 }
 
 // Ready reports whether every shard's pool has at least one
@@ -313,11 +342,11 @@ func (s *Searcher) Stats() []PoolStats {
 }
 
 // SearchBatch implements repro.Searcher: scatter the batch to one
-// replica per shard (hedging and failing over as configured), gather,
-// and deterministically merge. Strict: the error is either ctx.Err() or
-// "shard i: ..." — partial answers are never returned through this
-// method, because a missing shard silently changes results and the
-// bit-identity gates run through here.
+// replica per shard (hedging and failing over as configured) asking for
+// snippet text, gather, and deterministically merge. Strict: the error
+// is either ctx.Err() or "shard i: ..." — partial answers are never
+// returned through this method, because a missing shard silently changes
+// results and the bit-identity gates run through here.
 func (s *Searcher) SearchBatch(ctx context.Context, queries []string, ks []int) ([][]engine.Result, error) {
 	lists, _, err := s.searchBatch(ctx, queries, ks, false)
 	return lists, err
@@ -333,12 +362,170 @@ func (s *Searcher) SearchBatchPartial(ctx context.Context, queries []string, ks 
 	return s.searchBatch(ctx, queries, ks, s.cfg.AllowPartial)
 }
 
-// searchBatch is the shared scatter-gather-merge. When the caller's
-// context carries a deadline, the scatter runs under a sub-budget of
+func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, partial bool) ([][]engine.Result, repro.SearchInfo, error) {
+	g, err := s.gather(ctx, queries, ks, PayloadText, partial)
+	if err != nil {
+		return nil, g.info, err
+	}
+	defer g.release()
+	out := make([][]engine.Result, len(queries))
+	for q := range queries {
+		cands, wins, err := g.merge(q, ks[q])
+		if err != nil {
+			return nil, g.info, err
+		}
+		out[q] = make([]engine.Result, len(cands))
+		for j, c := range cands {
+			out[q][j] = engine.Result{DocID: c.DocID, Rank: c.Rank, Score: c.Score, Snippet: wins[j].f.snippetOf(wins[j].ref)}
+		}
+	}
+	return out, g.info, nil
+}
+
+// Score implements repro.Searcher: the serving path's scatter. The
+// shards are asked for term numbers when the caller may read surrogate
+// vectors and for bare hit headers when it will not; either way the
+// lists come back merged at once, and Attach counts the winners' term
+// numbers into vectors under dict — IVectorOfText of the snippet
+// SearchBatch returns for the same hit, bit for bit — only if it is
+// called. Degrades like SearchBatchPartial under AllowPartial. Close
+// hands the frames back for reuse.
+func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {
+	if cur := s.dict.Load(); cur == nil || *cur != dict.Fingerprint {
+		s.dict.Store(&dict.Fingerprint)
+	}
+	kind := PayloadNone
+	if vectors {
+		kind = PayloadTerms
+	}
+	g, err := s.gather(ctx, queries, ks, kind, s.cfg.AllowPartial)
+	if err != nil {
+		return nil, err
+	}
+	sc := &repro.Scored{Lists: make([][]engine.Candidate, len(queries)), Info: g.info}
+	wins := make([][]winner, len(queries))
+	for q := range queries {
+		if sc.Lists[q], wins[q], err = g.merge(q, ks[q]); err != nil {
+			g.release()
+			return nil, err
+		}
+	}
+	sc.Close = g.release
+	if !vectors {
+		g.release() // nothing of the frames is read again
+		sc.Attach = func(context.Context) error { return nil }
+		return sc, nil
+	}
+	sc.Attach = func(ctx context.Context) error {
+		if g.released {
+			return errors.New("router: Attach after Close")
+		}
+		var terms []int32
+		for q, list := range sc.Lists {
+			for j, w := range wins[q] {
+				if j&63 == 0 && ctx.Err() != nil {
+					return ctx.Err()
+				}
+				var err error
+				if terms, err = w.f.termsOf(w.ref, terms); err != nil {
+					return err
+				}
+				list[j].IVec = dict.Vector(terms)
+			}
+		}
+		return nil
+	}
+	return sc, nil
+}
+
+// gathered is one scatter's frames, one per shard; nil where a degraded
+// merge dropped the shard.
+type gathered struct {
+	frames   []*frame
+	info     repro.SearchInfo
+	released bool
+
+	// merge's per-shard working space, shared by the batch's queries.
+	lists [][]ranking.Hit
+	refs  [][]hitRef
+	next  []int
+}
+
+// release hands every frame back to the pool. Idempotent.
+func (g *gathered) release() {
+	g.released = true
+	for i, f := range g.frames {
+		if f != nil {
+			f.release()
+			g.frames[i] = nil
+		}
+	}
+}
+
+// winner locates one merged hit's ID and payload: its shard's frame and
+// the hit's place in it.
+type winner struct {
+	f   *frame
+	ref hitRef
+}
+
+// merge k-way merges query q's per-shard lists and returns the winners
+// as candidates — DocIDs cut from one string, so a list costs one
+// allocation for its IDs — beside where each winner's payload sits.
+func (g *gathered) merge(q, k int) ([]engine.Candidate, []winner, error) {
+	if g.lists == nil {
+		n := len(g.frames)
+		g.lists, g.refs, g.next = make([][]ranking.Hit, n), make([][]hitRef, n), make([]int, n)
+	}
+	lists, refs, next := g.lists, g.refs, g.next
+	clear(next)
+	for si, f := range g.frames {
+		if f != nil { // nil: shard dropped from a degraded merge
+			lists[si], refs[si] = f.list(q)
+		}
+	}
+	merged := ranking.MergeSegments(lists, k)
+	// The merge keeps every list's order, so a merged hit is the next
+	// unconsumed hit of the one shard whose doc range holds it.
+	wins := make([]winner, len(merged))
+	idBytes := 0
+	for j, h := range merged {
+		for si, l := range lists {
+			if n := next[si]; n < len(l) && l[n].Doc == h.Doc {
+				wins[j] = winner{g.frames[si], refs[si][n]}
+				next[si]++
+				break
+			}
+		}
+		if wins[j].f == nil {
+			// Only lists that break the contract — two shards answering
+			// one document, or a list out of order — merge into a hit
+			// that is no list's next.
+			return nil, nil, errors.New("shard lists overlap or are out of order")
+		}
+		idBytes += int(wins[j].ref.pay - wins[j].ref.id)
+	}
+	var ids strings.Builder
+	ids.Grow(idBytes)
+	for _, w := range wins {
+		ids.Write(w.f.id(w.ref))
+	}
+	all, from := ids.String(), 0
+	cands := make([]engine.Candidate, len(merged))
+	for j, h := range merged {
+		to := from + int(wins[j].ref.pay-wins[j].ref.id)
+		cands[j] = engine.Candidate{DocID: all[from:to], Rank: h.Rank, Score: h.Score}
+		from = to
+	}
+	return cands, wins, nil
+}
+
+// gather is the shared scatter-gather. When the caller's context carries
+// a deadline, the scatter runs under a sub-budget of
 // ScatterFraction*remaining so the merge and the diversification stages
 // downstream keep their share of the request budget.
-func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, partial bool) ([][]engine.Result, repro.SearchInfo, error) {
-	var info repro.SearchInfo
+func (s *Searcher) gather(ctx context.Context, queries []string, ks []int, kind Payload, partial bool) (*gathered, error) {
+	g := &gathered{frames: make([]*frame, len(s.pools))}
 	scatterCtx := ctx
 	if dl, ok := ctx.Deadline(); ok && s.cfg.ScatterFraction < 1 {
 		sub := time.Duration(s.cfg.ScatterFraction * float64(time.Until(dl)))
@@ -347,7 +534,6 @@ func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, 
 		defer cancel()
 	}
 
-	perShard := make([][][]WireHit, len(s.pools))
 	hedgedBy := make([]bool, len(s.pools))
 	errs := make([]error, len(s.pools))
 	var wg sync.WaitGroup
@@ -355,13 +541,13 @@ func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, 
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			perShard[si], hedgedBy[si], errs[si] = s.searchShard(scatterCtx, si, queries, ks)
+			g.frames[si], hedgedBy[si], errs[si] = s.searchShard(scatterCtx, si, queries, ks, kind)
 		}(si)
 	}
 	wg.Wait()
 	for _, h := range hedgedBy {
 		if h {
-			info.Hedged = true
+			g.info.Hedged = true
 		}
 	}
 	survivors := 0
@@ -375,54 +561,31 @@ func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, 
 			continue
 		}
 		if ctx.Err() != nil {
-			return nil, info, ctx.Err()
+			g.release()
+			return g, ctx.Err()
 		}
 		if partial && survivors > 0 {
 			// Degrade: drop the shard, merge the survivors. The caller
 			// sees Degraded and must not treat the lists as complete
 			// (they are never cached, and bit-identity gates don't
 			// apply).
-			perShard[si] = nil
-			info.Degraded = true
+			g.info.Degraded = true
 			s.tail.shardsDropped.Add(1)
 			continue
 		}
-		return nil, info, fmt.Errorf("shard %d: %w", si, err)
+		g.release()
+		return g, fmt.Errorf("shard %d: %w", si, err)
 	}
-	if info.Degraded {
+	if g.info.Degraded {
 		s.tail.degraded.Add(1)
 	}
-
-	out := make([][]engine.Result, len(queries))
-	lists := make([][]ranking.Hit, len(s.pools))
-	for q := range queries {
-		snippets := make(map[string]string)
-		for si := range s.pools {
-			var wire []WireHit
-			if perShard[si] != nil { // nil: shard dropped from a degraded merge
-				wire = perShard[si][q]
-			}
-			hl := make([]ranking.Hit, len(wire))
-			for j, wh := range wire {
-				hl[j] = ranking.Hit{Doc: wh.Doc, DocID: wh.ID, Score: wh.Score}
-				snippets[wh.ID] = wh.Snippet
-			}
-			lists[si] = hl
-		}
-		merged := ranking.MergeSegments(lists, ks[q])
-		res := make([]engine.Result, len(merged))
-		for j, h := range merged {
-			res[j] = engine.Result{DocID: h.DocID, Rank: h.Rank, Score: h.Score, Snippet: snippets[h.DocID]}
-		}
-		out[q] = res
-	}
-	return out, info, nil
+	return g, nil
 }
 
 // attemptDone is one finished attempt in searchShard's event loop.
 type attemptDone struct {
 	r     *replica
-	lists [][]WireHit
+	frame *frame
 	err   error
 	hedge bool
 	began time.Time
@@ -438,12 +601,19 @@ type attemptDone struct {
 // retry) spends the global token budget; when the bucket is empty the
 // shard degrades to single-attempt behavior.
 //
+// Every attempt reads into a frame of its own and is that frame's only
+// holder until it deposits its result: a failed attempt releases it
+// itself, the winner's passes to the caller, and a loser's — deposited
+// unread, perhaps long after this function returned — is left to the
+// garbage collector, never released from here while its goroutine may
+// still be filling it.
+//
 // Parent-context cancellation aborts without penalizing the replica in
 // flight — a client hanging up is not evidence the worker is sick — and
 // a worker-side 504 (propagated budget ran out) is likewise charged to
 // the deadline, not the replica.
-func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks []int) ([][]WireHit, bool, error) {
-	body, err := json.Marshal(ShardSearchRequest{Shard: si, Queries: queries, Ks: ks})
+func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks []int, kind Payload) (*frame, bool, error) {
+	body, err := json.Marshal(ShardSearchRequest{Shard: si, Queries: queries, Ks: ks, Payload: kind.String()})
 	if err != nil {
 		return nil, false, err
 	}
@@ -479,8 +649,8 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 		inflight++
 		began := s.cfg.Now()
 		go func() {
-			lists, err := s.attempt(actx, r, body, len(queries))
-			results <- attemptDone{r: r, lists: lists, err: err, hedge: hedge, began: began}
+			f, err := s.attempt(actx, r, body, len(queries))
+			results <- attemptDone{r: r, frame: f, err: err, hedge: hedge, began: began}
 		}()
 		return true
 	}
@@ -520,7 +690,7 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 				if d.hedge {
 					s.tail.hedgeWins.Add(1)
 				}
-				return d.lists, hedged, nil
+				return d.frame, hedged, nil
 			}
 			if ctx.Err() != nil {
 				return nil, hedged, ctx.Err()
@@ -553,8 +723,10 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 }
 
 // attempt runs one scatter call against one replica, propagating the
-// remaining attempt budget to the worker via X-Budget-Ms.
-func (s *Searcher) attempt(ctx context.Context, r *replica, body []byte, nq int) ([][]WireHit, error) {
+// remaining attempt budget to the worker via X-Budget-Ms, and returns
+// the decoded frame. A frame from another epoch or another dictionary
+// than the fleet's fails the attempt: its lists are never merged.
+func (s *Searcher) attempt(ctx context.Context, r *replica, body []byte, nq int) (*frame, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url+"/shard/search", bytes.NewReader(body))
@@ -584,18 +756,20 @@ func (s *Searcher) attempt(ctx context.Context, r *replica, body []byte, nq int)
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var sr ShardSearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
+	f := framePool.Get().(*frame)
+	if err = f.readFrom(resp.Body); err != nil {
+		err = fmt.Errorf("reading response: %w", err)
+	} else if err = f.decode(nq); err == nil {
+		r.epoch.Store(f.epoch)
+		if err = s.checkEpoch(f.epoch); err == nil {
+			err = s.checkDict(f.dict)
+		}
 	}
-	if len(sr.Lists) != nq {
-		return nil, fmt.Errorf("got %d lists for %d queries", len(sr.Lists), nq)
-	}
-	r.epoch.Store(sr.Epoch)
-	if err := s.checkEpoch(sr.Epoch); err != nil {
+	if err != nil {
+		f.release() // the read is over: nothing writes this frame any more
 		return nil, err
 	}
-	return sr.Lists, nil
+	return f, nil
 }
 
 // checkEpoch pins the fleet to the first snapshot epoch observed;
@@ -611,6 +785,16 @@ func (s *Searcher) checkEpoch(epoch uint64) error {
 	}
 	if epoch != s.epochValue {
 		return fmt.Errorf("replica epoch %d diverges from fleet epoch %d", epoch, s.epochValue)
+	}
+	return nil
+}
+
+// checkDict compares a worker's dictionary fingerprint with the
+// router's own, once the pipeline has told the searcher what that is.
+func (s *Searcher) checkDict(got engine.DictFingerprint) error {
+	if want := s.dict.Load(); want != nil && *want != got {
+		return fmt.Errorf("replica dictionary (%d terms, hash %x) is not the router's (%d terms, hash %x)",
+			got.Terms, got.Hash, want.Terms, want.Hash)
 	}
 	return nil
 }

@@ -8,11 +8,16 @@
 // answers per-shard retrieval over POST /shard/search; the router runs
 // the rest of the pipeline — Algorithm 1, the query-flow graph
 // recommender, utilities, selection — locally, swapping only the
-// document scoring phase for a remote fan-out (repro.Searcher). Because
-// per-shard scores are bit-identical to the in-process fan-out and
-// ranking.MergeSegments is the same deterministic merge, a router
-// /search response is byte-identical to a single-process /search
-// response; the differential tests in this package enforce that.
+// document scoring phase for a remote fan-out (repro.Searcher). Workers
+// answer in a binary frame (frame.go) whose hits carry, at the
+// requester's choice, nothing, the snippet window's term numbers or the
+// snippet's text; the router builds surrogate vectors from the term
+// numbers of the merged winners only. Because per-shard scores are
+// bit-identical to the in-process fan-out, ranking.MergeSegments is the
+// same deterministic merge, and a window's term numbers count into the
+// vector its text would tokenize to, a router /search response is
+// byte-identical to a single-process /search response; the differential
+// tests in this package enforce that.
 //
 // Fault tolerance lives in the replica pools: each shard is served by
 // one or more replicas with health-check-driven membership (periodic
@@ -32,6 +37,8 @@
 // explicit degraded marker instead of 503ing when a whole pool is down.
 package router
 
+import "repro/internal/engine"
+
 // HeaderBudgetMs propagates the attempt's remaining deadline budget
 // from the router to a worker: an integer count of milliseconds. The
 // worker stops scoring when it runs out and answers 504, which the
@@ -42,46 +49,38 @@ const HeaderBudgetMs = "X-Budget-Ms"
 // query of the batch against one shard of the deterministic index.
 // Queries are raw (pre-analysis) strings — the worker runs the same
 // analyzer the router would, so the token streams match by construction.
+// Payload names what each hit carries back beyond doc, score and ID:
+// "none", "terms" or "text" (see Payload; absent means none). The answer
+// is a shard frame (frame.go), not JSON; errors keep the JSON envelope.
 type ShardSearchRequest struct {
 	Shard   int      `json:"shard"`
 	Queries []string `json:"queries"`
 	Ks      []int    `json:"ks"`
+	Payload string   `json:"payload,omitempty"`
 }
 
-// WireHit is one per-shard retrieval hit in transit. Doc is the global
-// internal document number (the deterministic merge tie-break), ID the
-// external document ID, Score the raw model score — JSON encodes
-// float64 with Go's shortest-round-trip representation, so the exact
-// bits survive the wire — and Snippet the query-biased snippet computed
-// worker-side (the router needs it for surrogate vectors and the
-// response body, and only workers hold document text).
-type WireHit struct {
-	Doc     int32   `json:"doc"`
-	ID      string  `json:"id"`
-	Score   float64 `json:"score"`
-	Snippet string  `json:"snippet,omitempty"`
-}
-
-// ShardSearchResponse carries the per-query hit lists plus the epoch of
-// the snapshot they were scored against; the router rejects replicas
-// whose epoch diverges from the rest of the fleet rather than merge
-// lists from different worlds.
-type ShardSearchResponse struct {
-	Epoch uint64      `json:"epoch"`
-	Lists [][]WireHit `json:"lists"`
-}
+const (
+	// maxShardRequestBytes bounds the body a worker reads of one shard
+	// search; maxShardQueries the batch it will score. A router sends
+	// 1 + |S_q| queries of a few words each.
+	maxShardRequestBytes = 1 << 20
+	maxShardQueries      = 256
+)
 
 // WorkerReady is the worker's /readyz body. Shards lets the router's
 // probe reject a worker partitioned differently than the router expects
 // (merging a 4-shard worker's shard 1 into a 2-shard plan would be
-// silently wrong); Epoch lets operators spot diverged replicas at a
+// silently wrong) and Dict one whose dictionary numbers terms
+// differently than the router's (its term payloads would count into the
+// wrong vectors); Epoch lets operators spot diverged replicas at a
 // glance.
 type WorkerReady struct {
-	Ready  bool   `json:"ready"`
-	Reason string `json:"reason,omitempty"`
-	Docs   int    `json:"docs,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	Epoch  uint64 `json:"epoch"`
+	Ready  bool                   `json:"ready"`
+	Reason string                 `json:"reason,omitempty"`
+	Docs   int                    `json:"docs,omitempty"`
+	Shards int                    `json:"shards,omitempty"`
+	Epoch  uint64                 `json:"epoch"`
+	Dict   engine.DictFingerprint `json:"dict"`
 }
 
 // errorBody is the JSON error envelope shared by worker and router

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 )
 
 // Worker is the shard-serving half of the distributed tier: a thin HTTP
-// facade over engine.SearchShardBatch. It holds no pipeline — no query
+// facade over engine.SearchShard. It holds no pipeline — no query
 // log, no recommender — because workers only run the document scoring
 // phase; everything query-understanding-shaped stays on the router.
 //
@@ -74,6 +75,7 @@ func (w *Worker) handleReadyz(wr http.ResponseWriter, r *http.Request) {
 		Docs:   e.NumDocs(),
 		Shards: e.Segments().NumShards(),
 		Epoch:  e.Epoch(),
+		Dict:   e.Dictionary().Fingerprint,
 	})
 }
 
@@ -85,12 +87,21 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShardSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(wr, r.Body, maxShardRequestBytes)).Decode(&req); err != nil {
 		writeJSON(wr, http.StatusBadRequest, errorBody{Error: "invalid request body: " + err.Error()})
 		return
 	}
 	if len(req.Queries) != len(req.Ks) {
 		writeJSON(wr, http.StatusBadRequest, errorBody{Error: "queries and ks length mismatch"})
+		return
+	}
+	if len(req.Queries) > maxShardQueries {
+		writeJSON(wr, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("%d queries in one batch, at most %d", len(req.Queries), maxShardQueries)})
+		return
+	}
+	kind, ok := parsePayload(req.Payload)
+	if !ok {
+		writeJSON(wr, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown payload %q", req.Payload)})
 		return
 	}
 	// Deadline propagation: the router advertises the attempt's
@@ -107,8 +118,9 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 			defer cancel()
 		}
 	}
-	lists, epoch, err := e.SearchShardBatch(ctx, req.Shard, req.Queries, req.Ks, nil)
-	if err != nil {
+	enc := encoderPool.Get().(*frameEncoder)
+	defer encoderPool.Put(enc) // after the response is written: Write does not keep the buffer
+	if err := encodeShard(ctx, enc, e, req, kind); err != nil {
 		code := http.StatusInternalServerError
 		switch {
 		case r.Context().Err() != nil:
@@ -121,15 +133,39 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.searches.Add(1)
-	resp := ShardSearchResponse{Epoch: epoch, Lists: make([][]WireHit, len(lists))}
-	for i, hits := range lists {
-		wire := make([]WireHit, len(hits))
-		for j, h := range hits {
-			wire[j] = WireHit{Doc: h.Doc, ID: h.DocID, Score: h.Score, Snippet: h.Snippet}
-		}
-		resp.Lists[i] = wire
+	body := enc.finish()
+	wr.Header().Set("Content-Type", "application/octet-stream")
+	wr.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	wr.Write(body) // a failed write is the router's attempt failing; it retries
+}
+
+// encodeShard runs one shard search and encodes its answer: every hit
+// goes from the retrieval walk into the frame, and only what the payload
+// kind ships is computed — no window for none, no snippet text unless
+// text is asked for.
+func encodeShard(ctx context.Context, enc *frameEncoder, e *engine.Engine, req ShardSearchRequest, kind Payload) error {
+	sh, err := e.SearchShard(ctx, req.Shard, req.Queries, req.Ks)
+	if err != nil {
+		return err
 	}
-	writeJSON(wr, http.StatusOK, resp)
+	defer sh.Close()
+	enc.begin(kind, sh.Epoch, sh.Dict, len(req.Queries))
+	for q := range req.Queries {
+		enc.list(sh.Len(q))
+		err := sh.Each(ctx, q, kind != PayloadNone, func(h *engine.ShardHit) {
+			enc.hit(h.Doc, h.Score, h.DocID)
+			switch kind {
+			case PayloadTerms:
+				enc.terms(h.Terms)
+			case PayloadText:
+				enc.text(h.Snippet())
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

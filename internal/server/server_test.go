@@ -387,6 +387,14 @@ func (s *stubPartial) SearchBatchPartial(ctx context.Context, queries []string, 
 	return lists, repro.SearchInfo{Degraded: s.degraded.Load(), Hedged: s.hedged.Load()}, err
 }
 
+func (s *stubPartial) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {
+	sc, err := repro.LocalSearcher(s.p.Engine).Score(ctx, dict, queries, ks, vectors)
+	if err == nil {
+		sc.Info = repro.SearchInfo{Degraded: s.degraded.Load(), Hedged: s.hedged.Load()}
+	}
+	return sc, err
+}
+
 // TestSearchDegradedResponse pins the degradation surface: a degraded
 // retrieval yields 200 with degraded:true in the body, X-Degraded (and
 // X-Hedged) headers, bumped stats counters, NO hedged field in the body

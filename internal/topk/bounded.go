@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,6 +29,16 @@ func NewBounded[T any](b int) *Bounded[T] {
 		cap = 1024 // avoid huge upfront allocations for large bounds
 	}
 	return &Bounded[T]{bound: b, items: make([]Item[T], 0, cap)}
+}
+
+// Reset empties the collector and gives it a new bound, keeping its
+// storage: how pooled callers reuse one collector across problems. The
+// zero Bounded is a collector of bound 0, ready for Reset.
+func (h *Bounded[T]) Reset(b int) {
+	if b < 0 {
+		b = 0
+	}
+	h.bound, h.items, h.evictions = b, h.items[:0], 0
 }
 
 // Bound returns the maximum number of items retained.
@@ -122,6 +133,24 @@ func (h *Bounded[T]) Descending() []Item[T] {
 // Drain empties the heap and returns the items ordered best-first.
 func (h *Bounded[T]) Drain() []Item[T] {
 	out := h.Descending()
+	h.items = h.items[:0]
+	return out
+}
+
+// DrainSorted is Drain without the copy: the items come back best-first
+// in the collector's own storage, valid until the collector is pushed to
+// or Reset again.
+func (h *Bounded[T]) DrainSorted() []Item[T] {
+	out := h.items
+	slices.SortFunc(out, func(a, b Item[T]) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
+	})
 	h.items = h.items[:0]
 	return out
 }

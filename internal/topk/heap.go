@@ -44,6 +44,9 @@ func NewMax[T any](n int) *Max[T] {
 // Len reports the number of items currently in the heap.
 func (h *Max[T]) Len() int { return len(h.items) }
 
+// Reset empties the heap, keeping its storage.
+func (h *Max[T]) Reset() { h.items = h.items[:0] }
+
 // Push inserts value with the given score and tie key.
 func (h *Max[T]) Push(value T, score float64, tie int64) {
 	h.items = append(h.items, Item[T]{Value: value, Score: score, Tie: tie})

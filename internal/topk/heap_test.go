@@ -272,3 +272,40 @@ func BenchmarkBoundedPush(b *testing.B) {
 		}
 	}
 }
+
+// A reused collector behaves like a fresh one: Reset forgets the items,
+// the bound and the eviction count, and DrainSorted yields Drain's order
+// out of the collector's own storage.
+func TestBoundedResetAndDrainSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var reused Bounded[int]
+	var fill Max[int]
+	for trial := 0; trial < 50; trial++ {
+		b := rng.Intn(12)
+		fresh := NewBounded[int](b)
+		reused.Reset(b)
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			score := float64(rng.Intn(8)) // plenty of ties
+			fresh.Push(i, score, int64(i))
+			reused.Push(i, score, int64(i))
+		}
+		if reused.Evictions() != fresh.Evictions() || reused.Len() != fresh.Len() {
+			t.Fatalf("trial %d: reused %d items/%d evictions, fresh %d/%d",
+				trial, reused.Len(), reused.Evictions(), fresh.Len(), fresh.Evictions())
+		}
+		want, got := fresh.Drain(), reused.DrainSorted()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d items, want %d", trial, len(got), len(want))
+		}
+		fill.Reset()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: item %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+			fill.PushItem(got[i])
+		}
+		if reused.Len() != 0 || fill.Len() != len(want) {
+			t.Fatalf("trial %d: drained collector holds %d, refilled heap %d of %d", trial, reused.Len(), fill.Len(), len(want))
+		}
+	}
+}

@@ -225,91 +225,51 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// The document scoring phase in two halves: R_q is retrieved now — on a
 	// miss beside the artifact build — and given surrogate vectors only
 	// once the verdict says they will be read. Baseline reads ID, Rank and
-	// Rel alone, so an unambiguous request builds none.
-	var rq *scored
+	// Rel alone, so an unambiguous request builds none — and on a hit,
+	// where the verdict is already in hand, says so up front, which spares
+	// a remote fan-out everything but the hit headers.
+	var rq *Scored
 	var rqErr error
+	var info SearchInfo
 	if hit {
-		rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates})
+		rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates}, len(art.Specs) > 0)
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates})
+			rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates}, true)
 		}()
-		var artDegraded bool
-		art, artDegraded = h.buildOrJoin(key, norm)
+		art, info.Degraded = h.buildOrJoin(key, norm)
 		wg.Wait() // rq is the retrieval goroutine's until joined
-		rq.info.Merge(SearchInfo{Degraded: artDegraded})
 	}
-	defer rq.close()
 	if rqErr != nil {
-		return nil, nil, hit, rq.info, rqErr
+		return nil, nil, hit, info, rqErr
 	}
+	defer rq.Close()
+	info.Merge(rq.Info)
 	exec.CountQuery(exec.ModeStaged)
 
 	if len(art.Specs) > 0 {
-		if err := rq.attach(ctx); err != nil {
-			return nil, nil, hit, rq.info, err
+		if err := rq.Attach(ctx); err != nil {
+			return nil, nil, hit, info, err
 		}
 	}
-	problem := p.newProblem(norm, candidatesOf(rq.lists[0]), art.SpecLists)
+	problem := p.newProblem(norm, candidatesOf(rq.Lists[0]), art.SpecLists)
 	if k > 0 {
 		problem.K = k
 	}
 	if len(art.Specs) == 0 {
-		return core.Baseline(problem), nil, hit, rq.info, nil
+		return core.Baseline(problem), nil, hit, info, nil
 	}
-	return core.Diversify(alg, problem), art.Specs, hit, rq.info, nil
+	return core.Diversify(alg, problem), art.Specs, hit, info, nil
 }
 
-// scored is one scoring fan-out between the two halves of the document
-// scoring phase: the lists are retrieved, their surrogate vectors not yet
-// built. The local engine counts them out of its forward index against
-// the snapshot the retrieval pinned; a remote Searcher's results bring
-// snippet text over the wire, which attach tokenizes.
-type scored struct {
-	lists [][]engine.Candidate
-	info  SearchInfo
-	// attach fills every candidate's IVec; close releases what the
-	// retrieval holds. Both are safe to call on a failed fan-out.
-	attach func(context.Context) error
-	close  func()
-}
-
-// score runs one scoring fan-out through the active backend, degrading
-// instead of failing where the backend can (see searchBatchInfo).
-func (p *Pipeline) score(ctx context.Context, queries []string, ks []int) (*scored, error) {
-	sc := &scored{attach: func(context.Context) error { return nil }, close: func() {}}
-	if p.Searcher == nil {
-		c, err := p.Engine.Candidates(ctx, queries, ks)
-		if err != nil {
-			return sc, err
-		}
-		sc.lists, sc.attach, sc.close = c.Lists, c.Surrogates, c.Close
-		return sc, nil
-	}
-	results, info, err := p.searchBatchInfo(ctx, queries, ks)
-	sc.info = info
-	if err != nil {
-		return sc, err
-	}
-	sc.lists = make([][]engine.Candidate, len(results))
-	for i, rs := range results {
-		sc.lists[i] = make([]engine.Candidate, len(rs))
-		for j, r := range rs {
-			sc.lists[i][j] = engine.Candidate{DocID: r.DocID, Rank: r.Rank, Score: r.Score}
-		}
-	}
-	sc.attach = func(context.Context) error {
-		for i, rs := range results {
-			for j, r := range rs {
-				sc.lists[i][j].IVec = p.Engine.IVectorOfText(r.Snippet)
-			}
-		}
-		return nil
-	}
-	return sc, nil
+// score runs one scoring fan-out through the active backend — the local
+// engine or a remote Searcher, one shape — degrading instead of failing
+// where the backend can. vectors says whether Attach may follow.
+func (p *Pipeline) score(ctx context.Context, queries []string, ks []int, vectors bool) (*Scored, error) {
+	return p.searcher().Score(ctx, p.Engine.Dictionary(), queries, ks, vectors)
 }
 
 // candidatesOf converts a retrieved R_q into diversification candidates,
@@ -351,6 +311,14 @@ func (h *ServeHandle) buildOrJoin(key, norm string) (*queryArtifacts, bool) {
 		// The leader panicked before producing artifacts; retry as (or
 		// joining) a new leader rather than returning nil.
 		return h.buildOrJoin(key, norm)
+	}
+	// Nobody is building: either nobody has, or a leader cached its
+	// artifacts and left after this request's Get missed. A leader Puts
+	// before it unregisters, both seen from under h.mu, so looking again
+	// here tells the two apart. Peek, not Get: the miss is counted once.
+	if art, ok := h.cache.Peek(key); ok {
+		h.mu.Unlock()
+		return art, false
 	}
 	c := &artifactCall{done: make(chan struct{})}
 	h.inflight[key] = c
@@ -401,27 +369,28 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 	for i, s := range specs {
 		queries[i], ks[i] = s.Query, p.Config.PerSpec
 	}
-	var sc *scored
+	var sc *Scored
 	err := countAspectSkips(func() error {
 		var err error
-		sc, err = p.score(context.Background(), queries, ks)
-		if err == nil {
-			err = sc.attach(context.Background())
+		if sc, err = p.score(context.Background(), queries, ks, true); err != nil {
+			return err
 		}
-		return err
+		return sc.Attach(context.Background())
 	})
-	defer sc.close()
+	if sc != nil {
+		defer sc.Close()
+	}
 	if err != nil {
 		// Degrade to an empty (baseline-serving) artifact; buildOrJoin
 		// will not cache it.
 		return &queryArtifacts{}, false, err
 	}
 	for i, s := range specs {
-		rs := make([]core.SpecResult, len(sc.lists[i]))
-		for j, c := range sc.lists[i] {
+		rs := make([]core.SpecResult, len(sc.Lists[i]))
+		for j, c := range sc.Lists[i] {
 			rs[j] = core.SpecResult{ID: c.DocID, Rank: c.Rank, IVec: c.IVec}
 		}
 		art.SpecLists[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 	}
-	return art, sc.info.Degraded, nil
+	return art, sc.Info.Degraded, nil
 }

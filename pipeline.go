@@ -118,11 +118,52 @@ func (c Config) withDefaults() Config {
 // router's differential tests enforce it.
 //
 // SearchBatch answers queries[i] with its top-ks[i] results (ks[i] <= 0
-// means all matches); the only error a conforming implementation may
-// return for local serving is ctx.Err(), but distributed searchers also
-// surface scatter failures (every replica of some shard unreachable).
+// means all matches), snippets attached: the route Pipeline.Diversify
+// and the BuildProblem family take. Score is the serving path's route:
+// the same retrieval, bit for bit, in the two halves DiversifyServe
+// needs them — the lists now, surrogate vectors only if asked for
+// afterwards (see Scored). dict is the pipeline engine's dictionary,
+// which a remote implementation checks its workers' against and counts
+// their term numbers under; vectors false promises Attach will not be
+// called, which lets an implementation skip gathering what vectors are
+// made of.
+//
+// The only error a conforming implementation may return for local
+// serving is ctx.Err(), but distributed searchers also surface scatter
+// failures (every replica of some shard unreachable).
 type Searcher interface {
 	SearchBatch(ctx context.Context, queries []string, ks []int) ([][]engine.Result, error)
+	Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*Scored, error)
+}
+
+// Scored is one scoring fan-out between the two halves of the document
+// scoring phase: the lists are retrieved, their surrogate vectors not yet
+// built. The local engine counts them out of its forward index against
+// the snapshot the retrieval pinned; the router's searcher out of the
+// term numbers its shard frames brought.
+type Scored struct {
+	// Lists[i] answers queries[i], in rank order.
+	Lists [][]engine.Candidate
+	// Info reports a degraded or hedged fan-out (always zero locally).
+	Info SearchInfo
+	// Attach fills every candidate's IVec; Close releases what the
+	// retrieval holds and must be called. Lists stay valid after Close.
+	Attach func(context.Context) error
+	Close  func()
+}
+
+// LocalSearcher is the Searcher a pipeline without an override scores
+// through: the engine itself.
+func LocalSearcher(e *engine.Engine) Searcher { return localSearcher{e} }
+
+type localSearcher struct{ *engine.Engine }
+
+func (l localSearcher) Score(ctx context.Context, _ engine.Dictionary, queries []string, ks []int, _ bool) (*Scored, error) {
+	c, err := l.Candidates(ctx, queries, ks)
+	if err != nil {
+		return nil, err
+	}
+	return &Scored{Lists: c.Lists, Attach: c.Surrogates, Close: c.Close}, nil
 }
 
 // SearchInfo is per-request serving metadata reported by a tail-tolerant
@@ -186,7 +227,7 @@ func (p *Pipeline) searcher() Searcher {
 	if p.Searcher != nil {
 		return p.Searcher
 	}
-	return p.Engine
+	return localSearcher{p.Engine}
 }
 
 // searchBatchInfo runs one scoring fan-out through the active backend,

@@ -32,6 +32,11 @@
 set -euo pipefail
 
 WORLD="-seed 1 -topics 8 -sessions 3000 -candidates 200"
+# Requests per load phase. A phase injects its fault one or two seconds
+# in, so the load has to outlast that: the router answers about 1500 of
+# these per second on two cores (600, the size this gate started with,
+# finished before the fault since the shard frame went binary).
+LOAD=8000
 SINGLE=127.0.0.1:19100
 W1=127.0.0.1:19101 # shard pool 0, replica a (the one we kill)
 W2=127.0.0.1:19102 # shard pool 0, replica b
@@ -118,7 +123,7 @@ done
 echo "   $checked request pairs byte-identical"
 
 echo "== chaos: kill -9 a shard-0 replica under load, require zero failed requests"
-"$workdir/loadgen" -addr "http://$ROUTER" -n 600 -c 8 -fail-on-error >"$workdir/loadgen.out" 2>&1 &
+"$workdir/loadgen" -addr "http://$ROUTER" -n "$LOAD" -c 8 -fail-on-error >"$workdir/loadgen.out" 2>&1 &
 lg_pid=$!
 sleep 2
 kill -9 "$w1_pid"
@@ -177,7 +182,7 @@ wait_readmitted() { # $1=host:port $2=name
 
 echo "== tail: SIGSTOP a shard-0 replica under load; hedging must hold p99 with zero failures"
 hedges_before=$(tail_stat hedges)
-"$workdir/loadgen" -addr "http://$ROUTER" -n 600 -c 8 -fail-on-error \
+"$workdir/loadgen" -addr "http://$ROUTER" -n "$LOAD" -c 8 -fail-on-error \
   -json "$workdir/hedge.json" -name Failover/hedged >"$workdir/loadgen.hedge.out" 2>&1 &
 lg_pid=$!
 sleep 1
