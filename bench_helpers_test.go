@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -40,6 +41,14 @@ func buildBenchPipeline(b *testing.B) *repro.Pipeline {
 		b.Fatal(benchPipeErr)
 	}
 	return benchPipe
+}
+
+// retrieveOne answers one analyzed query through the retrieval entry point
+// the engine uses, ranking.RetrieveBatchOpts, as a batch of one.
+func retrieveOne(b *testing.B, seg *index.Segmented, model ranking.Model, tokens []string, k int, opts ranking.BatchOptions) {
+	if _, err := ranking.RetrieveBatchOpts(context.Background(), seg, model, [][]string{tokens}, []int{k}, opts); err != nil {
+		b.Fatal(err)
+	}
 }
 
 var (

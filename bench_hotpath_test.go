@@ -84,9 +84,12 @@ func BenchmarkRetrieve(b *testing.B) {
 // measures only cursor overhead. Query shapes cover the head-heavy and
 // mixed-selectivity cases a Zipf query stream produces; the max-score
 // table is installed at build time, so "maxscore" measures steady-state
-// serving, not table construction.
+// serving, not table construction. The pruned arm goes through the entry
+// point the engine uses (RetrieveBatchOpts, one query, one shard), so it
+// includes the scatter plan a served query pays.
 func BenchmarkRetrievePruned(b *testing.B) {
 	idx := buildPruningBenchIndex(b)
+	seg := index.SegmentIndex(idx, 1)
 	model := ranking.DPH{}
 	if !ranking.Pruneable(idx, model) {
 		b.Fatal("pruning bench index has no max-score table")
@@ -108,7 +111,7 @@ func BenchmarkRetrievePruned(b *testing.B) {
 		b.Run("maxscore/"+q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranking.RetrievePruned(idx, model, q.tokens, 100)
+				retrieveOne(b, seg, model, q.tokens, 100, ranking.BatchOptions{Prune: true})
 			}
 		})
 	}
@@ -142,6 +145,7 @@ func BenchmarkRetrieveLayout(b *testing.B) {
 		if !ranking.Pruneable(lay.idx, model) {
 			b.Fatalf("%s index has no max-score table", lay.name)
 		}
+		seg := index.SegmentIndex(lay.idx, 1)
 		st := lay.idx.Storage()
 		b.Run("storage/"+lay.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -159,7 +163,7 @@ func BenchmarkRetrieveLayout(b *testing.B) {
 			b.Run("maxscore/"+lay.name+"/"+q.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ranking.RetrievePruned(lay.idx, model, q.tokens, 100)
+					retrieveOne(b, seg, model, q.tokens, 100, ranking.BatchOptions{Prune: true})
 				}
 			})
 		}

@@ -112,9 +112,8 @@ func BenchmarkOpenIndex(b *testing.B) {
 					b.Fatal(err)
 				}
 				if bm.warm {
-					idx := seg.Index()
 					for _, q := range queries {
-						ranking.RetrievePruned(idx, ranking.DPH{}, q, 100)
+						retrieveOne(b, seg, ranking.DPH{}, q, 100, ranking.BatchOptions{Prune: true})
 					}
 				}
 				seg.Close()

@@ -6,7 +6,7 @@
 // scores the main query and every specialization in one pass per shard.
 // Run them with
 //
-//	go test -run '^$' -bench 'RetrieveSharded|SpecRetrieval' -benchmem -cpu 1,2
+//	go test -run '^$' -bench 'Sharded|SpecRetrieval' -benchmem -cpu 1,2
 package repro_test
 
 import (
@@ -56,15 +56,12 @@ func BenchmarkRetrieveSharded(b *testing.B) {
 	pipe := buildBenchPipeline(b)
 	model := pipe.Engine.Model()
 	tokens := densestTerms(b, 4)
-	ctx := context.Background()
 	for _, shards := range []int{1, 2, 4, 8} {
 		seg := pipe.Engine.Segments().Resegment(shards)
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ranking.RetrieveSharded(ctx, seg, model, tokens, 100); err != nil {
-					b.Fatal(err)
-				}
+				retrieveOne(b, seg, model, tokens, 100, ranking.BatchOptions{})
 			}
 		})
 	}
@@ -87,9 +84,10 @@ func benchAmbiguousQuery(b *testing.B) (string, []suggest.Specialization) {
 // BenchmarkSpecRetrieval measures the document-scoring phase of one
 // ambiguous request — R_q plus every R_q′ — under the two architectures:
 //
-//	sequential: 1+|S_q| separate index traversals (BuildProblem)
+//	sequential: 1+|S_q| separate index traversals
 //	batched:    one scatter-gather round; each shard worker scores all
-//	            pending query vectors in a single pass (BuildProblemBatched)
+//	            pending query vectors in a single pass (what
+//	            Pipeline.BuildProblem and the serving route do)
 //
 // The batched path wins even at GOMAXPROCS=1 because specializations
 // share terms with the main query, so postings are traversed and model
@@ -100,21 +98,12 @@ func BenchmarkSpecRetrieval(b *testing.B) {
 	query, specs := benchAmbiguousQuery(b)
 	ctx := context.Background()
 
-	// Pipeline level: everything a request's scoring phase pays,
-	// including snippet extraction and vectorization (identical work in
-	// both arms — it dilutes but never flips the retrieval difference).
-	b.Run(fmt.Sprintf("pipeline/sequential/specs=%d", len(specs)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pipe.BuildProblem(query, specs)
-		}
-	})
+	// Pipeline level: everything the reference route's scoring phase
+	// pays, snippet extraction and vectorization included.
 	b.Run(fmt.Sprintf("pipeline/batched/specs=%d", len(specs)), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pipe.BuildProblemBatched(ctx, query, specs); err != nil {
-				b.Fatal(err)
-			}
+			pipe.BuildProblem(query, specs)
 		}
 	})
 
@@ -139,16 +128,14 @@ func BenchmarkSpecRetrieval(b *testing.B) {
 						ranking.Retrieve(idx, model, queries[qi], ks[qi])
 						continue
 					}
-					if _, err := ranking.RetrieveSharded(ctx, seg, model, queries[qi], ks[qi]); err != nil {
-						b.Fatal(err)
-					}
+					retrieveOne(b, seg, model, queries[qi], ks[qi], ranking.BatchOptions{})
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("retrieval/batched/shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ranking.RetrieveBatch(ctx, seg, model, queries, ks); err != nil {
+				if _, err := ranking.RetrieveBatchOpts(ctx, seg, model, queries, ks, ranking.BatchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

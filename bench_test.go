@@ -180,23 +180,6 @@ func BenchmarkPipelineDetectOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelPipeline compares the sequential per-query flow with
-// the §6 future-work architecture that overlaps diversification
-// preparation (the R_q' retrievals) with the document-scoring phase.
-func BenchmarkParallelPipeline(b *testing.B) {
-	pipe := buildBenchPipeline(b)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipe.Diversify("topic01", core.AlgOptSelect)
-		}
-	})
-	b.Run("overlapped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipe.DiversifyParallel("topic01", core.AlgOptSelect)
-		}
-	})
-}
-
 // BenchmarkAblationBaseRanker swaps the weighting model feeding the
 // diversifier (DESIGN.md ablation 4) and reports OptSelect's α-NDCG@20
 // under each, demonstrating the framework is ranker-agnostic.

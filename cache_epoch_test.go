@@ -18,14 +18,14 @@ func TestCachedArtifactsInvalidatedByEpoch(t *testing.T) {
 	h := p.NewServeHandle(64, 2)
 	q := p.Testbed.TopicQuery(1)
 
-	sel, specs, hit := h.DiversifyCached(q, core.AlgOptSelect)
+	sel, specs, hit := serve(t, h, q, core.AlgOptSelect)
 	if hit {
 		t.Fatal("cold lookup reported a hit")
 	}
 	if len(specs) == 0 || len(sel) == 0 {
 		t.Fatalf("topic query %q not ambiguous (specs=%d, sel=%d); test is vacuous", q, len(specs), len(sel))
 	}
-	if _, _, hit = h.DiversifyCached(q, core.AlgOptSelect); !hit {
+	if _, _, hit = serve(t, h, q, core.AlgOptSelect); !hit {
 		t.Fatal("warm lookup missed")
 	}
 
@@ -40,7 +40,7 @@ func TestCachedArtifactsInvalidatedByEpoch(t *testing.T) {
 		t.Fatal("delete did not advance the epoch")
 	}
 
-	sel2, _, hit := h.DiversifyCached(q, core.AlgOptSelect)
+	sel2, _, hit := serve(t, h, q, core.AlgOptSelect)
 	if hit {
 		t.Fatal("lookup after delete served stale epoch-N artifacts")
 	}
@@ -51,7 +51,7 @@ func TestCachedArtifactsInvalidatedByEpoch(t *testing.T) {
 	}
 
 	// The new epoch's entry is itself cacheable: next repeat hits again.
-	if _, _, hit = h.DiversifyCached(q, core.AlgOptSelect); !hit {
+	if _, _, hit = serve(t, h, q, core.AlgOptSelect); !hit {
 		t.Fatal("post-delete repeat missed; new epoch entry was not cached")
 	}
 
@@ -59,7 +59,7 @@ func TestCachedArtifactsInvalidatedByEpoch(t *testing.T) {
 	if _, err := p.Engine.Ingest(engine.Document{ID: "fresh-doc", Title: "fresh", Body: "freshly streamed content"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit = h.DiversifyCached(q, core.AlgOptSelect); hit {
+	if _, _, hit = serve(t, h, q, core.AlgOptSelect); hit {
 		t.Fatal("lookup after ingest served stale artifacts")
 	}
 

@@ -1,15 +1,29 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/suggest"
 	"repro/internal/synth"
 	"repro/internal/text"
 )
+
+// serve answers q through the serving route at the configured K under a
+// context that never cancels, where the local engine cannot fail. It
+// reports an error with t.Error, so request goroutines may call it.
+func serve(t testing.TB, h *ServeHandle, q string, alg core.Algorithm) ([]core.Selected, []suggest.Specialization, bool) {
+	t.Helper()
+	sel, specs, hit, _, err := h.DiversifyServe(context.Background(), q, alg, 0)
+	if err != nil {
+		t.Errorf("DiversifyServe(%q): %v", q, err)
+	}
+	return sel, specs, hit
+}
 
 // serveQueryMix returns a seeded mix of ambiguous topic queries, their
 // specializations, noise queries and unseen queries — the traffic shape
@@ -30,7 +44,7 @@ func serveQueryMix(p *Pipeline) []string {
 }
 
 // TestDiversifyCachedMatchesDiversify is the cache-correctness contract:
-// for every query in the mix and every algorithm, the cached path must
+// for every query in the mix and every algorithm, the serving route must
 // return a SERP identical to the uncached Pipeline.Diversify — on a cold
 // cache (miss path, overlapped build) and again on a warm cache (hit
 // path, artifacts shared).
@@ -44,7 +58,7 @@ func TestDiversifyCachedMatchesDiversify(t *testing.T) {
 			norm := text.NormalizeQuery(q)
 			wantSel, wantSpecs := p.Diversify(norm, alg)
 			for round := 0; round < 2; round++ {
-				gotSel, gotSpecs, _ := h.DiversifyCached(q, alg)
+				gotSel, gotSpecs, _ := serve(t, h, q, alg)
 				if !reflect.DeepEqual(gotSel, wantSel) {
 					t.Fatalf("alg %s query %q round %d: cached SERP differs from Diversify", alg, q, round)
 				}
@@ -72,14 +86,14 @@ func TestDiversifyCachedHitReporting(t *testing.T) {
 	h := p.NewServeHandle(64, 2)
 	q := p.Testbed.TopicQuery(1)
 
-	if _, _, hit := h.DiversifyCached(q, core.AlgOptSelect); hit {
+	if _, _, hit := serve(t, h, q, core.AlgOptSelect); hit {
 		t.Error("first lookup should miss")
 	}
-	if _, _, hit := h.DiversifyCached(q, core.AlgOptSelect); !hit {
+	if _, _, hit := serve(t, h, q, core.AlgOptSelect); !hit {
 		t.Error("second lookup should hit")
 	}
 	// Normalization folds case/whitespace variants onto the same entry.
-	if _, _, hit := h.DiversifyCached("  "+q+"  ", core.AlgXQuAD); !hit {
+	if _, _, hit := serve(t, h, "  "+q+"  ", core.AlgXQuAD); !hit {
 		t.Error("normalized variant should hit the same entry")
 	}
 	st := h.CacheStats()
@@ -103,7 +117,7 @@ func TestDiversifyCachedCoalescesMisses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, _ := h.DiversifyCached(q, core.AlgOptSelect)
+			got, _, _ := serve(t, h, q, core.AlgOptSelect)
 			if !reflect.DeepEqual(got, want) {
 				t.Error("coalesced SERP differs from Diversify")
 			}
@@ -148,7 +162,7 @@ func TestDiversifyCachedConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < opsPerWorker; i++ {
 				q := mix[rng.Intn(len(mix))]
-				got, _, _ := h.DiversifyCached(q, core.AlgOptSelect)
+				got, _, _ := serve(t, h, q, core.AlgOptSelect)
 				if !reflect.DeepEqual(got, want[text.NormalizeQuery(q)]) {
 					t.Errorf("concurrent cached SERP differs for %q", q)
 					return

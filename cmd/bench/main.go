@@ -59,7 +59,7 @@ type Snapshot struct {
 	Points    []Point `json:"benchmarks"`
 }
 
-const defaultPattern = "ComputeUtilities|Retrieve|DiversifyFull|FusedDiversify|SpecRetrieval|Table2$|OpenIndex"
+const defaultPattern = "ComputeUtilities|Retrieve|DiversifyFull|SpecRetrieval|Table2$|OpenIndex"
 
 // sizeUnit is the custom metric the storage sub-benchmarks report
 // (BenchmarkRetrieveLayout's b.ReportMetric) — the posting-storage

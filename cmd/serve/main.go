@@ -14,7 +14,6 @@
 //	serve -topics 20 -sessions 8000 -alg xquad -k 20
 //	serve -wal-dir /var/lib/repro           # durable epochs; restart recovers them
 //	serve -memtable 512 -merge-every 30s    # live-index tuning
-//	serve -fused                            # fuse retrieval+diversification into one scan (cached ambiguous queries)
 //	serve -madvise=false                    # suppress madvise hints on mapped index regions
 //	serve -pprof                            # expose /debug/pprof/ too
 //	serve -worker -shards 2 -addr :9101     # shard worker for the distributed tier
@@ -94,7 +93,6 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as a shard worker of the distributed tier: build only the index and serve POST /shard/search (see cmd/router)")
 	indexPath := flag.String("index", "", "persisted index/engine file to serve (buildindex output) instead of rebuilding from the synthetic corpus")
 	mmapOn := flag.Bool("mmap", false, "with -index: serve an RIDX7 file in place via mmap (instant startup, page-cache-shared memory)")
-	fusedOn := flag.Bool("fused", false, "answer cached ambiguous queries with the fused execution plan: one Block-Max MaxScore scan carries the per-specialization heaps, so retrieval+diversification fuse into a single pass (results are bit-identical to the staged plan)")
 	madviseOn := flag.Bool("madvise", true, "issue madvise access-pattern hints for mapped index regions: MADV_RANDOM while serving, MADV_SEQUENTIAL for compaction/export scans (no-op on heap indexes and platforms without madvise)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout: max time to read a full request (0 = unlimited)")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout: max time to write a full response (0 = unlimited)")
@@ -124,7 +122,6 @@ func main() {
 		PerSpec:       *perSpec,
 		K:             *k,
 		Threshold:     *threshold,
-		Fused:         *fusedOn,
 	}
 
 	httpSrv := &http.Server{

@@ -36,9 +36,8 @@ func writeMappedPipeline(t testing.TB, p *Pipeline) string {
 // Done() stays nil (the embedded Background), so cancellation can only
 // be observed through the polling the scan loops do — which is exactly
 // the mechanism under test. Sweeping the budget lands the cancellation
-// at every poll site along the fused path: the aspect retrieval batch,
-// the main Block-Max MaxScore scan, and the candidate materialization
-// loop.
+// at every poll site along the fused scan: the main Block-Max MaxScore
+// retrieval and the candidate materialization loop.
 type countdownContext struct {
 	context.Context
 	remaining atomic.Int64
@@ -51,16 +50,16 @@ func (c *countdownContext) Err() error {
 	return nil
 }
 
-// TestFusedScanCancellation aborts the fused single-scan plan at every
+// TestFusedScanCancellation aborts Engine.SearchFusedStamped at every
 // reachable poll point over a mapped engine and asserts the two safety
-// properties ISSUE.md pins down: the abort never leaks a mapping
-// reference (ActiveMappings stays flat), and a canceled fused request
-// never poisons the epoch-keyed artifact cache (the next healthy
-// request serves the staged-identical SERP from the same entry).
+// properties of an aborted scan: it never leaks a mapping reference
+// (ActiveMappings stays flat), and — through the serving route, whose hit
+// path walks the same retrieval and forward-index windows — a canceled
+// request never poisons the epoch-keyed artifact cache (the next healthy
+// request serves the identical SERP from the same entry).
 func TestFusedScanCancellation(t *testing.T) {
 	cfg := tinyConfig(9)
 	cfg.Engine = engine.Config{Shards: 2}
-	cfg.Fused = true
 	heapPipe, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +88,8 @@ func TestFusedScanCancellation(t *testing.T) {
 	if q == "" {
 		t.Fatal("no ambiguous topic query — nothing fused to cancel")
 	}
-	want, _, err := pipe.DiversifyFusedK(context.Background(), q, core.AlgOptSelect, 10)
+	plan := fusedPlan(pipe, pipe.BuildProblem(q, pipe.DetectSpecializations(q)), core.AlgOptSelect, 10)
+	want, _, err := pipe.Engine.SearchFusedStamped(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFusedScanCancellation(t *testing.T) {
 	for m := int64(0); m <= 64; m++ {
 		ctx := &countdownContext{Context: context.Background()}
 		ctx.remaining.Store(m)
-		got, _, err := pipe.DiversifyFusedK(ctx, q, core.AlgOptSelect, 10)
+		got, _, err := pipe.Engine.SearchFusedStamped(ctx, plan)
 		switch {
 		case err != nil:
 			if !errors.Is(err, context.Canceled) {
@@ -122,26 +122,26 @@ func TestFusedScanCancellation(t *testing.T) {
 	}
 
 	// Cache poisoning: warm the entry with a healthy request, cancel a
-	// fused request against the hot entry, then verify the next healthy
-	// request still hits and serves the identical SERP.
+	// request against the hot entry, then verify the next healthy request
+	// still hits and serves the identical SERP.
 	h := pipe.NewServeHandle(64, 4)
-	warm, _, _, err := h.DiversifyCachedKCtx(context.Background(), q, core.AlgOptSelect, 10)
+	warm, _, _, _, err := h.DiversifyServe(context.Background(), q, core.AlgOptSelect, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := &countdownContext{Context: context.Background()}
-	if _, _, _, err := h.DiversifyCachedKCtx(dead, q, core.AlgOptSelect, 10); err == nil {
-		t.Fatal("canceled fused hit: want error")
+	if _, _, _, _, err := h.DiversifyServe(dead, q, core.AlgOptSelect, 10); err == nil {
+		t.Fatal("canceled hit: want error")
 	}
-	got, _, hit, err := h.DiversifyCachedKCtx(context.Background(), q, core.AlgOptSelect, 10)
+	got, _, hit, _, err := h.DiversifyServe(context.Background(), q, core.AlgOptSelect, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Fatal("cache entry evicted by a canceled fused request")
+		t.Fatal("cache entry evicted by a canceled request")
 	}
 	if !reflect.DeepEqual(got, warm) {
-		t.Fatal("canceled fused request poisoned the cached artifacts")
+		t.Fatal("canceled request poisoned the cached artifacts")
 	}
 	if n := index.ActiveMappings(); n != base {
 		t.Fatalf("ActiveMappings = %d after serve-path cancellation, want %d", index.ActiveMappings(), base)

@@ -2,32 +2,49 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/ranking"
 )
 
 // stagedReference computes the staged-plan SERP with a per-query k
 // override — the ground truth every fused cell is byte-compared against.
-func stagedReference(p *Pipeline, problem *core.Problem, alg core.Algorithm, k int, ambiguous bool) []core.Selected {
+func stagedReference(problem *core.Problem, alg core.Algorithm, k int) []core.Selected {
 	problem.K = k
-	if !ambiguous {
+	if len(problem.Specs) == 0 {
 		return core.Baseline(problem)
 	}
 	return core.Diversify(alg, problem)
 }
 
-// TestFusedDifferentialSweep is the fused-plan acceptance gate: across
-// weighting models × algorithms × k × shard counts × storage layouts, the
-// fused execution plan (one Block-Max MaxScore scan carrying the
-// per-specialization heaps) must produce output bit-identical to the
-// staged plan — same IDs, ranks, normalized relevances, interned
-// surrogate vectors, and selection scores, via reflect.DeepEqual. CI runs
-// it as its own named step, like the mutation and mapped sweeps.
+// fusedPlan is the execution plan Engine.SearchFusedStamped runs for the
+// reference problem's query: the pipeline's parameters and the problem's
+// R_q′ lists as the aspects, the way benchmark/trace.go assembles it.
+func fusedPlan(pipe *Pipeline, problem *core.Problem, alg core.Algorithm, k int) *exec.Plan {
+	return &exec.Plan{
+		Mode: exec.ModeFused, Query: problem.Query, Alg: alg, K: k,
+		NumCandidates: pipe.Config.NumCandidates, Lambda: pipe.Config.Lambda, Threshold: pipe.Config.Threshold,
+		Aspects: problem.Specs, Lex: pipe.Engine.Lexicon(),
+	}
+}
+
+// TestFusedDifferentialSweep is the fused-operator acceptance gate: across
+// weighting models × algorithms × k × shard counts × storage layouts,
+// Engine.SearchFusedStamped (one Block-Max MaxScore scan carrying the
+// per-specialization heaps, surrogates counted out of the forward index)
+// must produce output bit-identical to the staged reference built from
+// Pipeline.BuildProblem's snippet strings — same IDs, ranks, normalized
+// relevances, interned surrogate vectors, and selection scores, via
+// reflect.DeepEqual. The second half holds the serving route to
+// Pipeline.Diversify over the same lattice, cold and warm, quiesced and
+// mid-mutation. CI runs it as its own named step, like the mutation and
+// mapped sweeps.
 func TestFusedDifferentialSweep(t *testing.T) {
 	models := []ranking.Model{ranking.DPH{}, ranking.BM25{}, ranking.TFIDF{}, ranking.LMDirichlet{}}
 	algs := []core.Algorithm{core.AlgOptSelect, core.AlgXQuAD, core.AlgIASelect, core.AlgMMR}
@@ -37,7 +54,6 @@ func TestFusedDifferentialSweep(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			heapCfg := tinyConfig(42)
 			heapCfg.Engine = engine.Config{Model: m, Shards: shards}
-			heapCfg.Fused = true
 			heapPipe, err := Build(heapCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -74,7 +90,7 @@ func TestFusedDifferentialSweep(t *testing.T) {
 
 // sweepPipeline byte-compares fused vs staged over every testbed topic
 // query (ambiguous ones exercise the fused operator; unambiguous ones
-// check the baseline degenerates identically).
+// check it degenerates to the identical baseline).
 func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep []int) {
 	ctx := context.Background()
 	ambiguous := 0
@@ -87,8 +103,8 @@ func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep [
 		problem := pipe.BuildProblem(q, specs)
 		for _, alg := range algs {
 			for _, k := range ksweep {
-				want := stagedReference(pipe, problem, alg, k, len(specs) > 0)
-				got, _, err := pipe.DiversifyFusedK(ctx, q, alg, k)
+				want := stagedReference(problem, alg, k)
+				got, _, err := pipe.Engine.SearchFusedStamped(ctx, fusedPlan(pipe, problem, alg, k))
 				if err != nil {
 					t.Fatalf("%s q=%q alg=%s k=%d: %v", t.Name(), q, alg, k, err)
 				}
@@ -104,14 +120,17 @@ func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep [
 	}
 
 	// The serving entry point against the uncached pipeline, on a cold
-	// cache and a warm one: first over the quiesced index (where warm
-	// ambiguous requests run fused), then mid-mutation — buffered and
-	// flushed documents with terms outside the base dictionary, updates,
-	// tombstones — where fused falls back and surrogates come from three
-	// sources' forward indexes through their translation tables.
+	// cache and a warm one: first over the quiesced index, then
+	// mid-mutation — buffered and flushed documents with terms outside
+	// the base dictionary, updates, tombstones — where surrogates come
+	// from three sources' forward indexes through their translation
+	// tables (and the fused operator declines: exec.ErrNotFusable).
 	serveMatchesDiversify(t, pipe, algs, "quiesced")
 	mutateEngine(t, pipe)
 	serveMatchesDiversify(t, pipe, algs, "mid-mutation")
+	if _, _, err := pipe.Engine.SearchFusedStamped(ctx, fusedPlan(pipe, pipe.BuildProblem(pipe.Testbed.Topics[0].Query, nil), core.AlgOptSelect, 10)); !errors.Is(err, exec.ErrNotFusable) {
+		t.Fatalf("fused scan over a mid-mutation snapshot: err = %v, want exec.ErrNotFusable", err)
+	}
 }
 
 // serveMatchesDiversify byte-compares DiversifyServe — cold cache, then

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/ranking"
 	"repro/internal/text"
@@ -53,12 +52,12 @@ type Config struct {
 	// DisablePruning forces the exhaustive scoring path. By default the
 	// engine retrieves with MaxScore dynamic pruning whenever the model
 	// is ranking.Boundable: per-term score upper bounds are computed at
-	// build time (or read back from a v4+ index stream, or rebuilt when
-	// loading an older one) and top-k evaluation skips postings that
-	// provably cannot enter the result. Over the block-compressed layout
-	// the bounds extend to block granularity (Block-Max MaxScore) and
-	// whole blocks go undecoded. Results are bit-identical either way —
-	// the toggle exists for benchmarking and as an escape hatch.
+	// build time (or read back from the index stream) and top-k
+	// evaluation skips postings that provably cannot enter the result.
+	// Over the block-compressed layout the bounds extend to block
+	// granularity (Block-Max MaxScore) and whole blocks go undecoded.
+	// Results are bit-identical either way — the toggle exists for
+	// benchmarking and as an escape hatch.
 	// Disabling it also skips computing/persisting the max-score tables
 	// for fresh builds.
 	DisablePruning bool
@@ -395,9 +394,9 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 }
 
 // installTables installs max-score tables for the registered boundable
-// models plus the configured one: fresh builds compute them, v4+ streams
-// arrive with them, and older streams get them rebuilt — so pruning works
-// identically whichever way the segment came to be.
+// models plus the configured one: fresh builds compute them, streams
+// arrive with the ones their writer had and get the rest computed — so
+// pruning works identically whichever way the segment came to be.
 func installTables(cfg Config, idx *index.Index) {
 	if cfg.DisablePruning {
 		return
@@ -441,48 +440,17 @@ func (e *Engine) NumDocs() int { return e.cur.Load().live }
 // Search retrieves the top-k documents for the raw query and attaches
 // query-biased snippets. k <= 0 retrieves all matches.
 func (e *Engine) Search(query string, k int) []Result {
-	out, _ := e.SearchCtx(context.Background(), query, k) // cannot fail: Background never cancels
+	out, _, _ := e.SearchStamped(context.Background(), query, k) // cannot fail: Background never cancels
 	return out
 }
 
-// SearchCtx is Search with request-scoped cancellation: the retrieval
-// fan-out checks ctx between posting-list traversals, so a shed or
-// disconnected request stops consuming shard workers instead of running
-// to completion. The only possible error is ctx.Err().
-func (e *Engine) SearchCtx(ctx context.Context, query string, k int) ([]Result, error) {
-	res, _, err := e.SearchStamped(ctx, query, k, nil)
-	return res, err
-}
-
-// SearchStamped is SearchCtx plus the epoch of the snapshot the search
+// SearchStamped is Search with request-scoped cancellation — the retrieval
+// fan-out checks ctx between posting-list traversals, and the only
+// possible error is ctx.Err() — plus the epoch of the snapshot the search
 // ran against: the whole search — retrieval, filtering, merging, snippet
 // extraction — uses one atomically loaded state, so the stamp certifies
 // which mutations the results reflect.
-//
-// plan selects the execution plan; nil (or a staged plan) runs the
-// default staged path. A fused plan routes through SearchFusedStamped —
-// the query and k arguments override the plan's — and renders the
-// diversified selection as Results: DocID/Rank/Score carry the SERP
-// order and the selection score, while Snippet stays empty (the fused
-// operator consumes surrogates internally and does not build display
-// strings; callers wanting both run the staged plan).
-func (e *Engine) SearchStamped(ctx context.Context, query string, k int, plan *exec.Plan) ([]Result, uint64, error) {
-	if plan.Fused() {
-		pl := *plan
-		pl.Query = query
-		if k > 0 {
-			pl.K = k
-		}
-		sel, epoch, err := e.SearchFusedStamped(ctx, &pl)
-		if err != nil {
-			return nil, epoch, err
-		}
-		out := make([]Result, len(sel))
-		for i, s := range sel {
-			out[i] = Result{DocID: s.ID, Rank: i + 1, Score: s.Score}
-		}
-		return out, epoch, nil
-	}
+func (e *Engine) SearchStamped(ctx context.Context, query string, k int) ([]Result, uint64, error) {
 	st := e.snapshot()
 	defer st.unpin()
 	out, err := e.searchBatchState(ctx, st, []string{query}, []int{k})
@@ -601,9 +569,9 @@ func (s *ShardHits) Close() {
 
 // SearchBatch answers a batch of queries in ONE scatter-gather round over
 // the index segments: each shard is traversed by a single worker that
-// scores every pending query per pass (see ranking.RetrieveBatch). ks[i]
-// bounds query i's result size. Per-query output is bit-identical to
-// Search(queries[i], ks[i]) — the serving pipeline batches the main query
+// scores every pending query per pass (see ranking.RetrieveBatchOpts).
+// ks[i] bounds query i's result size. Per-query output is bit-identical to
+// Search(queries[i], ks[i]) — Pipeline.BuildProblem batches the main query
 // with all its specialization retrievals through here.
 func (e *Engine) SearchBatch(ctx context.Context, queries []string, ks []int) ([][]Result, error) {
 	st := e.snapshot()
@@ -724,14 +692,6 @@ func (e *Engine) Snippet(docID, query string) string {
 		}
 	}
 	return ""
-}
-
-// SurrogateVector returns the IDF-weighted term vector of the document's
-// query-biased snippet: the representation the paper's utility function
-// operates on.
-func (e *Engine) SurrogateVector(docID, query string) textsim.Vector {
-	snip := e.Snippet(docID, query)
-	return e.VectorOfText(snip)
 }
 
 // VectorOfText analyzes arbitrary text and returns its IDF-weighted vector

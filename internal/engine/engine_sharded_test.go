@@ -85,7 +85,7 @@ func TestSearchCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.SearchCtx(ctx, "apple pie", 10); err == nil {
+	if _, _, err := e.SearchStamped(ctx, "apple pie", 10); err == nil {
 		t.Fatal("canceled context: want error")
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,9 +113,14 @@ func TestSnippetEdgeCases(t *testing.T) {
 
 func TestSurrogateVectorDiscriminates(t *testing.T) {
 	e := buildEngine(t)
-	osV := e.SurrogateVector("osx", "leopard mac os x")
-	tankV := e.SurrogateVector("tank", "leopard tank")
-	pieV := e.SurrogateVector("pie", "apple pie recipe")
+	// The representation the paper's utility function operates on: the
+	// IDF-weighted vector of the document's query-biased snippet.
+	surrogate := func(docID, query string) textsim.Vector {
+		return e.VectorOfText(e.Snippet(docID, query))
+	}
+	osV := surrogate("osx", "leopard mac os x")
+	tankV := surrogate("tank", "leopard tank")
+	pieV := surrogate("pie", "apple pie recipe")
 	if osV.IsZero() || tankV.IsZero() || pieV.IsZero() {
 		t.Fatal("zero surrogate vector")
 	}
@@ -264,18 +270,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Surrogate vectors identical (IDF recomputed from the index).
-	v1 := e.SurrogateVector("osx", "leopard mac")
-	v2 := loaded.SurrogateVector("osx", "leopard mac")
+	v1 := e.VectorOfText(e.Snippet("osx", "leopard mac"))
+	v2 := loaded.VectorOfText(loaded.Snippet("osx", "leopard mac"))
 	if textsim.Cosine(v1, v2) < 0.999999 {
 		t.Error("surrogate vectors differ after reload")
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "XENG1\n", "RENG1\nnot an index"} {
+	for _, in := range []string{"", "XENG1\n", "RENG2\nnot a manifest"} {
 		if _, err := Load(strings.NewReader(in), Config{}); err == nil {
 			t.Errorf("Load(%q) succeeded", in)
 		}
+	}
+}
+
+// TestLoadRejectsLegacyMagic: RENG1, which nothing has written since the
+// segment lifecycle landed, is a foreign format now — a clean
+// ErrBadEngineFormat, not an attempt to parse what follows.
+func TestLoadRejectsLegacyMagic(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildEngine(t).SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte("RENG1\n"), buf.Bytes()[len(engineMagic):]...)
+	if _, err := Load(bytes.NewReader(legacy), Config{}); !errors.Is(err, ErrBadEngineFormat) {
+		t.Fatalf("Load(RENG1 stream) = %v, want ErrBadEngineFormat", err)
 	}
 }
 

@@ -24,9 +24,16 @@ import (
 // globally ordered stream regardless of how the index is partitioned.
 //
 // Requires a quiescent snapshot (the batch-built shape); a snapshot with
-// pending mutations returns exec.ErrNotFusable and the caller falls back
-// to the staged plan. The second return is the snapshot epoch, as in
-// SearchStamped.
+// pending mutations returns exec.ErrNotFusable. The second return is the
+// snapshot epoch, as in SearchStamped.
+//
+// No serving route selects this plan: measured against the staged hit
+// path it is at parity (docs/PERFORMANCE.md, "Fused vs staged after the
+// forward index"), both being the same retrieve → windows walk. It stays,
+// signature and all, for the two callers that name it — the traced pass
+// of benchmark/trace.go (exec.fused_scan_us) and the fused differential
+// sweep — and because exec.FusedState is what a push-down of the operator
+// to shard workers (ROADMAP item 3) builds on.
 func (e *Engine) SearchFusedStamped(ctx context.Context, plan *exec.Plan) ([]core.Selected, uint64, error) {
 	st := e.snapshot()
 	defer st.unpin()

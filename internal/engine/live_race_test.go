@@ -95,7 +95,7 @@ func TestLiveConcurrentSearchMutate(t *testing.T) {
 					return
 				default:
 				}
-				res, epoch, err := e.SearchStamped(context.Background(), queries[(r+i)%len(queries)], 20, nil)
+				res, epoch, err := e.SearchStamped(context.Background(), queries[(r+i)%len(queries)], 20)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return

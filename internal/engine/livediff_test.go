@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/ranking"
 	"repro/internal/textsim"
 )
@@ -269,21 +270,19 @@ func TestLiveMutationDifferentialSweep(t *testing.T) {
 							t.Fatalf("query %q: Retrieve differs\nlive:  %+v\nbatch: %+v", q, gotR, wantR)
 						}
 
-						gotP := ranking.RetrievePruned(live.Index(), m.model, qTokens, k)
-						wantP := ranking.RetrievePruned(batch.Index(), m.model, qTokens, k)
-						if !reflect.DeepEqual(gotP, wantP) {
-							t.Fatalf("query %q: RetrievePruned differs", q)
+						// The pruned batch entry point, over the base index as
+						// one shard and over the engine's own partition.
+						pruned := func(seg *index.Segmented) []ranking.Hit {
+							res, err := ranking.RetrieveBatchOpts(context.Background(), seg, m.model, [][]string{qTokens}, []int{k}, ranking.BatchOptions{Prune: true})
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res[0]
 						}
-
-						gotS, err := ranking.RetrieveShardedOpts(context.Background(), live.Segments(), m.model, qTokens, k, ranking.BatchOptions{Prune: true})
-						if err != nil {
-							t.Fatal(err)
+						if !reflect.DeepEqual(pruned(index.SegmentIndex(live.Index(), 1)), pruned(index.SegmentIndex(batch.Index(), 1))) {
+							t.Fatalf("query %q: pruned one-shard retrieval differs", q)
 						}
-						wantS, err := ranking.RetrieveShardedOpts(context.Background(), batch.Segments(), m.model, qTokens, k, ranking.BatchOptions{Prune: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotS, wantS) {
+						if !reflect.DeepEqual(pruned(live.Segments()), pruned(batch.Segments())) {
 							t.Fatalf("query %q: sharded retrieval differs", q)
 						}
 

@@ -12,14 +12,14 @@ import (
 // OpenIndexFile constructs a serving engine from any persisted file the
 // system writes, dispatching on the magic:
 //
-//	RENG1/RENG2  engine streams — decoded through Load (full lifecycle
+//	RENG2        engine streams — decoded through Load (full lifecycle
 //	             state, heap-owned).
 //	RIDX7        the mapped layout. With cfg.Mmap the file is mmap'ed and
 //	             served in place: no posting decode, no heap copy of the
 //	             block region, O(dictionary) open cost — the instant-
 //	             startup path workers use. Without cfg.Mmap it is decoded
 //	             onto the heap like any other index stream.
-//	RIDX1–RIDX6  legacy index streams, decoded onto the heap.
+//	RIDX5/RIDX6  index streams, decoded onto the heap.
 //
 // Index files carry no analyzed corpus, so the engine serves bodies from
 // the file's payload section when present (RIDX7) and empty snippets
@@ -43,8 +43,7 @@ func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 		f.Close()
 		return nil, err
 	}
-	switch string(magic[:]) {
-	case engineMagic, engineMagicV2:
+	if string(magic[:]) == engineMagic {
 		defer f.Close()
 		return Load(f, cfg)
 	}

@@ -13,30 +13,24 @@ import (
 )
 
 // Engine persistence: an engine state can be written to a single stream
-// and reloaded without re-analyzing the corpus. Two formats:
+// and reloaded without re-analyzing the corpus. The format, RENG2, is the
+// full segment lifecycle state —
 //
-//	RENG1 (legacy, read-only): one segmented index, then the raw document
-//	store — numDocs, then per doc: idLen, idBytes, bodyLen, bodyBytes.
+//	magic "RENG2\n"
+//	index manifest (index codec RIDX6: epoch, segments, tombstones)
+//	per segment, per doc in internal order: bodyLen, bodyBytes
+//	  (doc IDs come from the segment's index, so only bodies repeat)
+//	memtable: numDocs, then per doc: idLen, idBytes, bodyLen, bodyBytes
+//	  (tokens are re-derived by analysis at load time)
 //
-//	RENG2: the full segment lifecycle state —
-//	  magic "RENG2\n"
-//	  index manifest (index codec RIDX6: epoch, segments, tombstones)
-//	  per segment, per doc in internal order: bodyLen, bodyBytes
-//	    (doc IDs come from the segment's index, so only bodies repeat)
-//	  memtable: numDocs, then per doc: idLen, idBytes, bodyLen, bodyBytes
-//	    (tokens are re-derived by analysis at load time)
-//
-// SaveTo always writes RENG2; Load dispatches on the magic, lifting an
-// RENG1 stream to a quiet single-segment state at epoch 0. The weighting
-// model and analyzer are code, not data: the loader supplies them through
-// Config exactly as Build does. The IDF table and term lexicon are
-// reconstructed from the base index at load time (the codec's sorted-
-// dictionary invariant makes the lexicon a zero-copy wrap).
+// Any other magic — the RENG1 of early builds included, which nothing has
+// written since the lifecycle landed — is ErrBadEngineFormat. The
+// weighting model and analyzer are code, not data: the loader supplies
+// them through Config exactly as Build does. The IDF table and term
+// lexicon are reconstructed from the base index at load time (the codec's
+// sorted-dictionary invariant makes the lexicon a zero-copy wrap).
 
-const (
-	engineMagic   = "RENG1\n"
-	engineMagicV2 = "RENG2\n"
-)
+const engineMagic = "RENG2\n"
 
 // ErrBadEngineFormat reports a corrupt or foreign engine stream.
 var ErrBadEngineFormat = errors.New("engine: bad engine format")
@@ -51,7 +45,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 
 func saveState(st *state, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(engineMagicV2); err != nil {
+	if _, err := bw.WriteString(engineMagic); err != nil {
 		return err
 	}
 	man := &index.Manifest{Epoch: st.epoch}
@@ -103,9 +97,9 @@ func saveState(st *state, w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reconstructs an engine written by SaveTo (either format). cfg
-// supplies the model and analyzer (they must match the ones used at build
-// time for query analysis to agree with the stored index).
+// Load reconstructs an engine written by SaveTo. cfg supplies the model
+// and analyzer (they must match the ones used at build time for query
+// analysis to agree with the stored index).
 func Load(r io.Reader, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	st, err := loadState(r, cfg)
@@ -126,76 +120,10 @@ func loadState(r io.Reader, cfg Config) (*state, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEngineFormat, err)
 	}
-	switch string(head) {
-	case engineMagic:
-		return loadStateV1(br, cfg)
-	case engineMagicV2:
-		return loadStateV2(br, cfg)
+	if string(head) != engineMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadEngineFormat, head)
 	}
-	return nil, fmt.Errorf("%w: bad magic %q", ErrBadEngineFormat, head)
-}
-
-// reshape applies the deployment knobs — shard count, posting layout —
-// to a loaded segment. Config zero values keep the stream's choices.
-func reshape(seg *index.Segmented, cfg Config) *index.Segmented {
-	if cfg.Shards > 0 {
-		// Shard count is a deployment knob, not corpus data: an explicit
-		// Config.Shards overrides whatever partition the stream recorded.
-		seg = seg.Resegment(cfg.Shards)
-	}
-	// Posting layout is a deployment knob too: an explicit block size
-	// (negative = flat, Build's convention) or DisableCompression
-	// re-lays the loaded postings (preserving the shard partition).
-	switch {
-	case (cfg.DisableCompression || cfg.BlockSize < 0) && seg.Index().Blocked():
-		seg = index.ReblockSegmented(seg, -1)
-	case !cfg.DisableCompression && cfg.BlockSize > 0 && seg.Index().BlockSize() != cfg.BlockSize:
-		seg = index.ReblockSegmented(seg, cfg.BlockSize)
-	}
-	return seg
-}
-
-func loadStateV1(br *bufio.Reader, cfg Config) (*state, error) {
 	if _, err := br.Discard(len(engineMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEngineFormat, err)
-	}
-	seg, err := index.ReadSegmented(br)
-	if err != nil {
-		return nil, fmt.Errorf("engine: loading index: %w", err)
-	}
-	seg = reshape(seg, cfg)
-	idx := seg.Index()
-	numDocs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: doc count: %v", ErrBadEngineFormat, err)
-	}
-	if numDocs != uint64(idx.NumDocs()) {
-		return nil, fmt.Errorf("%w: doc store has %d docs, index %d",
-			ErrBadEngineFormat, numDocs, idx.NumDocs())
-	}
-	bodies := make(map[string]string, numDocs)
-	for i := uint64(0); i < numDocs; i++ {
-		id, err := readLenString(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: doc id %d: %v", ErrBadEngineFormat, i, err)
-		}
-		body, err := readLenString(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: doc body %d: %v", ErrBadEngineFormat, i, err)
-		}
-		bodies[id] = body
-	}
-	// The v1 store is keyed by ID in no particular order; the owned store
-	// is addressed by the index's document numbers.
-	raw := newHeapDocs(idx.NumDocs())
-	for d := int32(0); d < int32(idx.NumDocs()); d++ {
-		raw.add(idx.DocID(d), docText{body: bodies[idx.DocID(d)]})
-	}
-	return freshState(cfg, seg, raw, 0), nil
-}
-
-func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
-	if _, err := br.Discard(len(engineMagicV2)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEngineFormat, err)
 	}
 	man, err := index.ReadManifest(br)
@@ -284,6 +212,26 @@ func loadStateV2(br *bufio.Reader, cfg Config) (*state, error) {
 		sg.xlat = translate(st.lex, sg.seg.Index())
 	}
 	return st, nil
+}
+
+// reshape applies the deployment knobs — shard count, posting layout —
+// to a loaded segment. Config zero values keep the stream's choices.
+func reshape(seg *index.Segmented, cfg Config) *index.Segmented {
+	if cfg.Shards > 0 {
+		// Shard count is a deployment knob, not corpus data: an explicit
+		// Config.Shards overrides whatever partition the stream recorded.
+		seg = seg.Resegment(cfg.Shards)
+	}
+	// Posting layout is a deployment knob too: an explicit block size
+	// (negative = flat, Build's convention) or DisableCompression
+	// re-lays the loaded postings (preserving the shard partition).
+	switch {
+	case (cfg.DisableCompression || cfg.BlockSize < 0) && seg.Index().Blocked():
+		seg = index.ReblockSegmented(seg, -1)
+	case !cfg.DisableCompression && cfg.BlockSize > 0 && seg.Index().BlockSize() != cfg.BlockSize:
+		seg = index.ReblockSegmented(seg, cfg.BlockSize)
+	}
+	return seg
 }
 
 func readLenString(br *bufio.Reader) (string, error) {

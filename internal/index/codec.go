@@ -23,51 +23,26 @@ import (
 //	    the block's postings as (docDelta, tf) varints with
 //	    docDelta = doc - prevDoc (first delta of the whole term = doc + 1,
 //	    the chain running continuously across blocks)
-//	numShards, then per shard: shard document count (v3+)
+//	numShards, then per shard: shard document count
 //	numTables, then per table (in sorted key order):
-//	    keyLen, keyBytes, numTerms float64s (8-byte little-endian) (v4+)
+//	    keyLen, keyBytes, numTerms float64s (8-byte little-endian)
 //	numBlockTables, then per table (in sorted key order):
-//	    keyLen, keyBytes, totalBlocks float64s (v5 only)
+//	    keyLen, keyBytes, totalBlocks float64s
 //
-// The format is self-contained and versioned by the magic string.
-//
-// Version 2 keeps the v1 byte layout but guarantees the dictionary is
-// written in lexicographic term order (the Build invariant): loaders can
-// seed a sorted term lexicon straight from the stream without re-sorting.
-// v1 streams — written before the invariant existed — are still read;
-// their dictionaries are renumbered into sorted order on load, so a
-// loaded index behaves identically regardless of the stream version.
-//
-// Version 3 appends the shard manifest: the document counts of the
-// contiguous segments a Segmented index was partitioned into, so a
-// sharded deployment reloads with the same partitioning it was built
-// with. v1/v2 streams predate segmentation and load as a single-shard
-// manifest; the loaded index itself is identical across all three
-// versions, and Resegment can re-partition a loaded index at any shard
-// count without touching the stream.
-//
-// Version 4 appends the max-score block: the per-term score upper-bound
-// tables MaxScore dynamic pruning consumes (one table per registered
-// scoring function, see SetMaxScores), so a served index prunes from its
-// first query without a rebuild pass. v1–v3 streams simply carry no
-// tables; the engine recomputes the ones its model needs at load time,
-// so a loaded index *serves* identically across all four versions.
-//
-// Version 5 turns the posting section into explicit blocks — the on-disk
-// twin of the in-memory block-compressed layout, written verbatim so
-// loading re-encodes nothing — and appends the block-max tables (per-
-// block score maxima, SetBlockMaxScores) after the max-score block.
-// v1–v4 streams carry one implicit run per term in the very same delta
-// encoding; they load fine and are re-blocked at DefaultBlockSize, so a
-// loaded index serves identically across all five versions.
+// The format is self-contained and versioned by the magic string. RIDX5 is
+// the only single-index stream read or written: the dictionary is in
+// lexicographic term order (the Build invariant — a violation means
+// corruption), the shard manifest records the contiguous segments a
+// Segmented index was partitioned into, the posting section is explicit
+// blocks — the on-disk twin of the in-memory block-compressed layout,
+// written verbatim so loading re-encodes nothing — and the max-score and
+// block-max tables let a served index prune from its first query. The
+// flat-posting RIDX1–RIDX4 streams of early builds, which nothing has
+// written since RIDX5, are ErrBadFormat like any other foreign magic.
 
 const (
 	magicV6 = "RIDX6\n"
 	magicV5 = "RIDX5\n"
-	magicV4 = "RIDX4\n"
-	magicV3 = "RIDX3\n"
-	magicV2 = "RIDX2\n"
-	magicV1 = "RIDX1\n"
 )
 
 // ErrBadFormat reports a corrupt or foreign index stream.
@@ -213,19 +188,17 @@ func (x *Index) writeStream(w io.Writer, bounds []int32) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read deserializes an index written by WriteTo — current (v5) streams
-// and pre-bump v1–v4 streams alike; see the format comment above. The
-// shard manifest, if any, is consumed and dropped: callers that care
-// about the partition use ReadSegmented.
+// Read deserializes an index written by WriteTo (or, through the same
+// entry point, a RIDX7 image); see the format comment above. The shard
+// manifest is consumed and dropped: callers that care about the partition
+// use ReadSegmented.
 func Read(r io.Reader) (*Index, error) {
 	x, _, err := readStream(r)
 	return x, err
 }
 
 // ReadSegmented deserializes an index together with its shard manifest.
-// v1/v2 streams predate the manifest and come back as a single shard.
-// The max-score (v4+) and block-max (v5) tables load with either entry
-// point.
+// The max-score and block-max tables load with either entry point.
 func ReadSegmented(r io.Reader) (*Segmented, error) {
 	x, sizes, err := readStream(r)
 	if err != nil {
@@ -239,15 +212,14 @@ func ReadSegmented(r io.Reader) (*Segmented, error) {
 	return seg, nil
 }
 
-// readStream parses any stream version, returning the index and the
-// manifest's per-shard document counts ({numDocs} for v1/v2 streams).
+// readStream parses a RIDX5 stream or RIDX7 image, returning the index and
+// the manifest's per-shard document counts.
 func readStream(r io.Reader) (*Index, []int64, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magicV5))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	version := 0
 	switch string(head) {
 	case magicV7:
 		// The mapped layout arriving through the streaming entry point:
@@ -265,15 +237,6 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 		buf = append(buf, rest...)
 		return parseV7(buf, nil)
 	case magicV5:
-		version = 5
-	case magicV4:
-		version = 4
-	case magicV3:
-		version = 3
-	case magicV2:
-		version = 2
-	case magicV1:
-		version = 1
 	default:
 		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, head)
 	}
@@ -293,16 +256,12 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 		return string(b), nil
 	}
 
-	blockCap := uint64(0)
-	if version >= 5 {
-		var err error
-		blockCap, err = readUvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: blockCap: %v", ErrBadFormat, err)
-		}
-		if blockCap > MaxBlockSize {
-			return nil, nil, fmt.Errorf("%w: blockCap %d out of range", ErrBadFormat, blockCap)
-		}
+	blockCap, err := readUvarint()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: blockCap: %v", ErrBadFormat, err)
+	}
+	if blockCap > MaxBlockSize {
+		return nil, nil, fmt.Errorf("%w: blockCap %d out of range", ErrBadFormat, blockCap)
 	}
 	numDocs, err := readUvarint()
 	if err != nil {
@@ -347,14 +306,7 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 	}
 	x.termList = make([]string, 0, capHint(numTerms))
 	x.cf = make([]int64, 0, capHint(numTerms))
-	// v1–v4 postings accumulate flat and are re-blocked after the (v1)
-	// dictionary renumbering; v5 reads blocks directly.
-	var flatPostings [][]Posting
-	if version < 5 {
-		flatPostings = make([][]Posting, 0, capHint(numTerms))
-	} else {
-		x.plists = make([]postingList, 0, capHint(numTerms))
-	}
+	x.plists = make([]postingList, 0, capHint(numTerms))
 	for id := uint64(0); id < numTerms; id++ {
 		term, err := readString()
 		if err != nil {
@@ -374,53 +326,17 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 		if df > numDocs {
 			return nil, nil, fmt.Errorf("%w: df %d > numDocs %d", ErrBadFormat, df, numDocs)
 		}
-		if version >= 5 {
-			pl, err := readBlockedPostings(br, df, numDocs)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: term %q: %v", ErrBadFormat, term, err)
-			}
-			x.plists = append(x.plists, pl)
-			continue
+		pl, err := readBlockedPostings(br, df, numDocs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: term %q: %v", ErrBadFormat, term, err)
 		}
-		plist := make([]Posting, 0, capHint(df))
-		prev := int32(-1)
-		for j := uint64(0); j < df; j++ {
-			delta, err := readUvarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: posting delta: %v", ErrBadFormat, err)
-			}
-			if delta == 0 {
-				return nil, nil, fmt.Errorf("%w: zero doc delta", ErrBadFormat)
-			}
-			tf, err := readUvarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: posting tf: %v", ErrBadFormat, err)
-			}
-			doc := prev + int32(delta)
-			if doc < 0 || uint64(doc) >= numDocs {
-				return nil, nil, fmt.Errorf("%w: doc %d out of range", ErrBadFormat, doc)
-			}
-			plist = append(plist, Posting{Doc: doc, TF: int32(tf)})
-			prev = doc
-		}
-		flatPostings = append(flatPostings, plist)
+		x.plists = append(x.plists, pl)
 	}
-	sizes := []int64{int64(numDocs)}
-	if version >= 2 {
-		// v2+ promise a sorted dictionary; a violation means corruption.
-		if !sort.StringsAreSorted(x.termList) {
-			return nil, nil, fmt.Errorf("%w: v%d dictionary not in sorted order", ErrBadFormat, version)
-		}
-	} else {
-		// Pre-bump streams carry insertion-ordered dictionaries; restore
-		// the sorted-ID invariant the rest of the system relies on.
-		x.termList, flatPostings, x.cf, _ = sortDictionary(x.termList, flatPostings, x.cf, x.terms)
+	// The stream promises a sorted dictionary; a violation means corruption.
+	if !sort.StringsAreSorted(x.termList) {
+		return nil, nil, fmt.Errorf("%w: dictionary not in sorted order", ErrBadFormat)
 	}
-	if version < 5 {
-		// Re-block legacy streams at the default layout.
-		x.blockCap = DefaultBlockSize
-		x.plists, x.nBlocks = assemblePostings(flatPostings, x.blockCap)
-	} else if blockCap == 0 {
+	if blockCap == 0 {
 		// The stream says the index was flat: restore that layout from the
 		// transport blocks.
 		x.blockCap = 0
@@ -446,35 +362,29 @@ func readStream(r io.Reader) (*Index, []int64, error) {
 		}
 		x.nBlocks = nBlocks
 	}
-	if version >= 3 {
-		numShards, err := readUvarint()
+	numShards, err := readUvarint()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: shard manifest: %v", ErrBadFormat, err)
+	}
+	if numShards == 0 || numShards > numDocs+1 {
+		return nil, nil, fmt.Errorf("%w: shard count %d out of range", ErrBadFormat, numShards)
+	}
+	sizes := make([]int64, 0, capHint(numShards))
+	for i := uint64(0); i < numShards; i++ {
+		sz, err := readUvarint()
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: shard manifest: %v", ErrBadFormat, err)
+			return nil, nil, fmt.Errorf("%w: shard size %d: %v", ErrBadFormat, i, err)
 		}
-		if numShards == 0 || numShards > numDocs+1 {
-			return nil, nil, fmt.Errorf("%w: shard count %d out of range", ErrBadFormat, numShards)
-		}
-		sizes = make([]int64, 0, capHint(numShards))
-		for i := uint64(0); i < numShards; i++ {
-			sz, err := readUvarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: shard size %d: %v", ErrBadFormat, i, err)
-			}
-			sizes = append(sizes, int64(sz))
-		}
+		sizes = append(sizes, int64(sz))
 	}
-	if version >= 4 {
-		if err := readScoreTables(br, x, "max-score", x.NumTerms(), x.SetMaxScores); err != nil {
-			return nil, nil, err
-		}
+	if err := readScoreTables(br, x, "max-score", x.NumTerms(), x.SetMaxScores); err != nil {
+		return nil, nil, err
 	}
-	if version >= 5 {
-		// SetBlockMaxScores enforces the layout contract: tables on a
-		// flat index are rejected, zero-entry tables on a blocked-but-
-		// empty index (nBlocks 0) round-trip — the writer emits them.
-		if err := readScoreTables(br, x, "block-max", x.nBlocks, x.SetBlockMaxScores); err != nil {
-			return nil, nil, err
-		}
+	// SetBlockMaxScores enforces the layout contract: tables on a flat
+	// index are rejected, zero-entry tables on a blocked-but-empty index
+	// (nBlocks 0) round-trip — the writer emits them.
+	if err := readScoreTables(br, x, "block-max", x.nBlocks, x.SetBlockMaxScores); err != nil {
+		return nil, nil, err
 	}
 	return x, sizes, nil
 }
@@ -565,9 +475,9 @@ func readBlockedPostings(br *bufio.Reader, df, numDocs uint64) (postingList, err
 // counter of the snapshot, and the tombstoned document IDs whose segment
 // copies are dead. Each segment is embedded as a self-delimiting v5
 // stream, so the v6 format is the v5 format lifted from one index to a
-// segment list. Version 1–5 streams read back as a single-segment
-// manifest at epoch 0 with no tombstones, so every pre-v6 index is a
-// valid (frozen) epoch.
+// segment list. A bare v5 stream (or v7 image) reads back as a
+// single-segment manifest at epoch 0 with no tombstones, so every
+// single-index file is a valid (frozen) epoch.
 type Manifest struct {
 	Epoch      uint64
 	Segments   []*Segmented
@@ -632,7 +542,7 @@ func (m *Manifest) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadManifest deserializes a manifest written by Manifest.WriteTo, or
-// lifts a v1–v5 single-index stream into a single-segment manifest at
+// lifts a single-index stream (v5, v7) into a single-segment manifest at
 // epoch 0. Hostile segment or tombstone counts error — never panic or
 // OOM: counts are untrusted until that many entries have parsed, and every
 // embedded segment goes through the fully validating v5 reader.
@@ -643,7 +553,7 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if string(head) != magicV6 {
-		// Pre-v6 stream: one frozen segment, epoch 0. readStream consumes
+		// Single-index stream: one frozen segment, epoch 0. readStream consumes
 		// from br directly (bufio.NewReader returns br itself), so the
 		// magic dispatch costs nothing.
 		seg, err := ReadSegmented(br)
@@ -716,8 +626,8 @@ func capHint(n uint64) int {
 	return int(n)
 }
 
-// readScoreTables parses a score-table section (the v4 max-score block
-// and the v5 block-max block share the format): numTables, then per table
+// readScoreTables parses a score-table section (the max-score and
+// block-max blocks share the format): numTables, then per table
 // a key and entries float64 values, attached through set. Corrupt or
 // truncated sections error (never panic): counts, key uniqueness and the
 // finite-nonnegative value contract are all validated before the table is

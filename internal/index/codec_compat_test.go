@@ -2,129 +2,32 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// writeLegacy emits a pre-bump RIDX1/RIDX2 stream for a hand-described
-// index: the same byte layout as WriteTo but with the given legacy magic
-// and no shard manifest, and the dictionary in whatever order the caller
-// gives (v1 writers never sorted it; v2 writers did, so v2 callers must
-// pass sorted terms). This is the frozen fixture generator for the
-// backward-compatibility contract.
-func writeLegacy(w *bytes.Buffer, magic string, docIDs []string, docLens []int32, total int64,
-	terms []string, cf []int64, postings [][]Posting) {
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		w.Write(buf[:n])
+// TestLegacyMagicsRejected: the flat-posting RIDX1–RIDX4 streams of early
+// builds, which nothing has written since RIDX5, are foreign formats now.
+// Every reading entry point answers ErrBadFormat from the magic alone,
+// whatever follows it.
+func TestLegacyMagicsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := buildSmall(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	writeString := func(s string) {
-		writeUvarint(uint64(len(s)))
-		w.WriteString(s)
-	}
-	w.WriteString(magic)
-	writeUvarint(uint64(len(docIDs)))
-	for i, id := range docIDs {
-		writeString(id)
-		writeUvarint(uint64(docLens[i]))
-	}
-	writeUvarint(uint64(total))
-	writeUvarint(uint64(len(terms)))
-	for id, term := range terms {
-		writeString(term)
-		writeUvarint(uint64(cf[id]))
-		writeUvarint(uint64(len(postings[id])))
-		prev := int32(-1)
-		for _, p := range postings[id] {
-			writeUvarint(uint64(p.Doc - prev))
-			writeUvarint(uint64(p.TF))
-			prev = p.Doc
+	for _, magic := range []string{"RIDX1\n", "RIDX2\n", "RIDX3\n", "RIDX4\n"} {
+		stream := append([]byte(magic), buf.Bytes()[len(magicV5):]...)
+		if _, err := Read(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: Read = %v, want ErrBadFormat", magic, err)
 		}
-	}
-}
-
-// TestReadLegacyV1Fixture reads a pre-bump stream whose dictionary is
-// deliberately NOT sorted (v1 writers used insertion order) and checks
-// that the loaded index carries the sorted-dictionary invariant and the
-// same logical content.
-func TestReadLegacyV1Fixture(t *testing.T) {
-	// Two docs, insertion-ordered dictionary: pie < apple is false, so the
-	// stream order {pie, apple, mac} exercises the renumbering path.
-	var buf bytes.Buffer
-	writeLegacy(&buf, magicV1,
-		[]string{"d1", "d2"}, []int32{3, 2}, 5,
-		[]string{"pie", "apple", "mac"},
-		[]int64{1, 3, 1},
-		[][]Posting{
-			{{Doc: 0, TF: 1}},                  // pie
-			{{Doc: 0, TF: 2}, {Doc: 1, TF: 1}}, // apple
-			{{Doc: 1, TF: 1}},                  // mac
-		})
-
-	x, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := x.Terms(); !sort.StringsAreSorted(got) {
-		t.Fatalf("loaded v1 dictionary not renumbered to sorted order: %v", got)
-	}
-	if x.NumDocs() != 2 || x.NumTerms() != 3 {
-		t.Fatalf("shape: %d docs, %d terms", x.NumDocs(), x.NumTerms())
-	}
-	ts, ok := x.Lookup("apple")
-	if !ok || ts.DF != 2 || ts.CF != 3 {
-		t.Errorf("Lookup(apple) = %+v, %v", ts, ok)
-	}
-	if ts.ID != 0 {
-		t.Errorf("apple should be term 0 after renumbering, got %d", ts.ID)
-	}
-	pl := x.Postings("apple")
-	if len(pl) != 2 || pl[0] != (Posting{Doc: 0, TF: 2}) || pl[1] != (Posting{Doc: 1, TF: 1}) {
-		t.Errorf("Postings(apple) = %v", pl)
-	}
-	if x.Term(2) != "pie" {
-		t.Errorf("Term(2) = %q, want pie", x.Term(2))
-	}
-	if x.Stats().TotalTokens != 5 {
-		t.Errorf("TotalTokens = %d", x.Stats().TotalTokens)
-	}
-}
-
-// TestLegacyV1MatchesRebuild round-trips: an index built today, its terms
-// re-serialized in a scrambled v1 layout, must load back logically equal
-// to the original.
-func TestLegacyV1MatchesRebuild(t *testing.T) {
-	x := buildSmall(t)
-	// Scramble the dictionary order (reverse-sorted) for the v1 stream.
-	n := x.NumTerms()
-	terms := make([]string, n)
-	cf := make([]int64, n)
-	postings := make([][]Posting, n)
-	for i := 0; i < n; i++ {
-		src := int32(n - 1 - i)
-		terms[i] = x.Term(src)
-		postings[i] = x.PostingsByID(src)
-		st, _ := x.Lookup(terms[i])
-		cf[i] = st.CF
-	}
-	docIDs := make([]string, x.NumDocs())
-	docLens := make([]int32, x.NumDocs())
-	for d := int32(0); d < int32(x.NumDocs()); d++ {
-		docIDs[d] = x.DocID(d)
-		docLens[d] = x.DocLen(d)
-	}
-	var buf bytes.Buffer
-	writeLegacy(&buf, magicV1, docIDs, docLens, x.Stats().TotalTokens, terms, cf, postings)
-
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !indexesEqual(x, got) {
-		t.Error("v1 stream did not load back equal to the freshly built index")
+		if _, err := ReadSegmented(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: ReadSegmented = %v, want ErrBadFormat", magic, err)
+		}
+		if _, err := ReadManifest(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: ReadManifest = %v, want ErrBadFormat", magic, err)
+		}
 	}
 }
 
@@ -136,116 +39,6 @@ func TestWriteToEmitsV5(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), magicV5) {
 		t.Errorf("stream starts with %q, want %q", buf.String()[:6], magicV5)
-	}
-}
-
-// legacyStream serializes x in the given pre-bump layout: v2/v3 keep the
-// built (sorted) dictionary order, v1 scrambles it (reverse-sorted) to
-// also exercise the renumbering path. v3 additionally carries a
-// single-shard manifest (the shape every v3 WriteTo without explicit
-// segmentation produced); none of the three has a max-score block.
-func legacyStream(t *testing.T, x *Index, magic string) *bytes.Buffer {
-	t.Helper()
-	n := x.NumTerms()
-	terms := make([]string, n)
-	cf := make([]int64, n)
-	postings := make([][]Posting, n)
-	for i := 0; i < n; i++ {
-		src := int32(i)
-		if magic == magicV1 {
-			src = int32(n - 1 - i)
-		}
-		terms[i] = x.Term(src)
-		postings[i] = x.PostingsByID(src)
-		st, _ := x.Lookup(terms[i])
-		cf[i] = st.CF
-	}
-	docIDs := make([]string, x.NumDocs())
-	docLens := make([]int32, x.NumDocs())
-	for d := int32(0); d < int32(x.NumDocs()); d++ {
-		docIDs[d] = x.DocID(d)
-		docLens[d] = x.DocLen(d)
-	}
-	var buf bytes.Buffer
-	writeLegacy(&buf, magic, docIDs, docLens, x.Stats().TotalTokens, terms, cf, postings)
-	if magic == magicV3 || magic == magicV4 {
-		buf.WriteByte(1) // numShards = 1
-		var vbuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(vbuf[:], uint64(len(docIDs)))
-		buf.Write(vbuf[:n])
-	}
-	if magic == magicV4 {
-		buf.WriteByte(0) // no max-score tables
-	}
-	return &buf
-}
-
-// TestLegacyStreamsLoadAsSingleShard is the read-compat half of the v3
-// contract: RIDX1 and RIDX2 streams carry no shard manifest, so
-// ReadSegmented must present them as one shard spanning the whole
-// collection, logically equal to the source index.
-func TestLegacyStreamsLoadAsSingleShard(t *testing.T) {
-	x := buildSmall(t)
-	for _, magic := range []string{magicV1, magicV2} {
-		seg, err := ReadSegmented(legacyStream(t, x, magic))
-		if err != nil {
-			t.Fatalf("%q: %v", magic, err)
-		}
-		if seg.NumShards() != 1 {
-			t.Fatalf("%q: NumShards = %d, want 1", magic, seg.NumShards())
-		}
-		lo, hi := seg.Shard(0).DocRange()
-		if lo != 0 || int(hi) != x.NumDocs() {
-			t.Errorf("%q: shard 0 covers [%d,%d), want [0,%d)", magic, lo, hi, x.NumDocs())
-		}
-		if !indexesEqual(x, seg.Index()) {
-			t.Errorf("%q: loaded index differs from source", magic)
-		}
-	}
-}
-
-// TestLegacyStreamsCarryNoMaxScores is the read-compat half of the v4
-// contract: RIDX1–RIDX3 streams predate the max-score block, so they load
-// with an empty table set (the engine rebuilds the tables its model
-// needs), logically equal to the source index otherwise.
-func TestLegacyStreamsCarryNoMaxScores(t *testing.T) {
-	x := buildSmall(t)
-	for _, magic := range []string{magicV1, magicV2, magicV3} {
-		got, err := Read(legacyStream(t, x, magic))
-		if err != nil {
-			t.Fatalf("%q: %v", magic, err)
-		}
-		if keys := got.MaxScoreKeys(); len(keys) != 0 {
-			t.Errorf("%q: loaded with max-score tables %v, want none", magic, keys)
-		}
-		if !indexesEqual(x, got) {
-			t.Errorf("%q: loaded index differs from source", magic)
-		}
-	}
-}
-
-// TestV4StreamLoadsReblocked is the read-compat half of the v5 contract:
-// RIDX1–RIDX4 streams carry one implicit delta run per term, so loading
-// must re-block them at DefaultBlockSize — logically equal to the source
-// index, ready for block-level traversal, with no block-max tables (the
-// engine rebuilds the ones its model needs).
-func TestV4StreamLoadsReblocked(t *testing.T) {
-	x := buildSmall(t)
-	for _, magic := range []string{magicV1, magicV2, magicV3, magicV4} {
-		got, err := Read(legacyStream(t, x, magic))
-		if err != nil {
-			t.Fatalf("%q: %v", magic, err)
-		}
-		if !got.Blocked() || got.BlockSize() != DefaultBlockSize {
-			t.Errorf("%q: loaded layout blocked=%v size=%d, want re-blocked at %d",
-				magic, got.Blocked(), got.BlockSize(), DefaultBlockSize)
-		}
-		if keys := got.BlockMaxKeys(); len(keys) != 0 {
-			t.Errorf("%q: loaded with block-max tables %v, want none", magic, keys)
-		}
-		if !indexesEqual(x, got) {
-			t.Errorf("%q: loaded index differs from source", magic)
-		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"unsafe"
 )
 
-// RIDX7: the mapped layout. Unlike RIDX1–RIDX6 (varint streams decoded
+// RIDX7: the mapped layout. Unlike RIDX5/RIDX6 (varint streams decoded
 // into heap structures at load), a v7 file stores every section in its
 // exact in-memory wire shape at 8-byte-aligned offsets so OpenMapped can
 // mmap the file and serve it in place: block headers, numeric tables and
@@ -61,8 +61,8 @@ import (
 // sections existed, and such images still open.
 //
 // The dictionary has no hash map in this layout: terms is left nil and
-// lookups binary-search the sorted termList (the Build invariant v2+
-// streams already guarantee, validated at open).
+// lookups binary-search the sorted termList (the Build invariant every
+// stream guarantees, validated at open).
 //
 // Open-time validation is structural only — section bounds, alignment,
 // monotone offset arrays, per-term block accounting (contiguous blk0,

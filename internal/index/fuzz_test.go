@@ -102,7 +102,7 @@ func FuzzReadIndex(f *testing.F) {
 			f.Add(valid[:cut])
 		}
 	}
-	// Legacy magics with junk bodies, and bare v4/v5 headers.
+	// Legacy (now foreign) magics with junk bodies, and bare v5 headers.
 	f.Add([]byte("RIDX1\n\xff\xff\xff\xff"))
 	f.Add([]byte("RIDX4\n"))
 	f.Add([]byte("RIDX4\n\x00\x00\x00\x00\x00"))

@@ -180,7 +180,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "XXXX1\n", "RIDX1\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"} {
+	for _, in := range []string{"", "XXXX1\n", "RIDX5\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("Read(%q) succeeded", in)
 		}

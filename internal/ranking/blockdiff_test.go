@@ -42,7 +42,7 @@ func flatCorpusIndex(t testing.TB, seed int64, numDocs int) *index.Index {
 // TestBlockedRetrievalBitIdenticalToFlat sweeps block sizes {1, 8, 128,
 // 1024} × models {DPH, BM25, TFIDF, LMDirichlet} × shards {1, 4} ×
 // k {10, 100, all} against the flat-layout reference, through Retrieve,
-// RetrievePruned and the sharded batch (pruning on).
+// the pruned one-shard batch and the sharded batch (pruning on).
 func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 	flat := flatCorpusIndex(t, 61, 300)
 	if flat.Blocked() {
@@ -81,8 +81,8 @@ func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 						t.Fatalf("bs=%d %s k=%d q=%v: Retrieve diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
 					}
-					if got := RetrievePruned(blocked, m, q, k); !hitsBitIdentical(got, want) {
-						t.Fatalf("bs=%d %s k=%d q=%v: RetrievePruned diverged\n got %+v\nwant %+v",
+					if got := retrievePruned(t, blocked, m, q, k); !hitsBitIdentical(got, want) {
+						t.Fatalf("bs=%d %s k=%d q=%v: pruned one-shard retrieval diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
 					}
 					_ = qi

@@ -78,8 +78,8 @@ func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
 						t.Fatalf("bs=%d %s k=%d q=%v: mapped Retrieve diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
 					}
-					if got := RetrievePruned(mapped, m, q, k); !hitsBitIdentical(got, want) {
-						t.Fatalf("bs=%d %s k=%d q=%v: mapped RetrievePruned diverged\n got %+v\nwant %+v",
+					if got := retrievePruned(t, mapped, m, q, k); !hitsBitIdentical(got, want) {
+						t.Fatalf("bs=%d %s k=%d q=%v: mapped pruned one-shard retrieval diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
 					}
 				}

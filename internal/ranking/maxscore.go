@@ -348,44 +348,3 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 	}
 	return heap.Drain(), nil
 }
-
-// RetrievePruned is Retrieve with MaxScore dynamic pruning: identical
-// results (bit-identical scores, same order), fewer postings scored — and
-// over the block-compressed layout, fewer blocks even decoded. When
-// pruning cannot apply — k <= 0 requests every match, the model is not
-// Boundable, or the index carries no max-score table for it — it falls
-// back to the exhaustive Retrieve.
-func RetrievePruned(idx *index.Index, model Model, queryTokens []string, k int) []Hit {
-	table := maxScoreTable(idx, model)
-	if table == nil || k <= 0 || len(queryTokens) == 0 {
-		return Retrieve(idx, model, queryTokens, k)
-	}
-	bkey := boundKey(model)
-	terms, mults := termMultiplicities(queryTokens)
-	cursors := make([]msCursor, 0, len(terms))
-	for ti, term := range terms {
-		tstats, it, ok := idx.LookupIter(term)
-		if !ok {
-			continue
-		}
-		it.SetBlockMax(idx.TermBlockMax(bkey, tstats.ID))
-		cursors = append(cursors, msCursor{
-			it:    it,
-			stats: tstats,
-			mult:  mults[ti],
-			ub:    mults[ti] * table[tstats.ID],
-			order: len(cursors),
-		})
-	}
-	// Background context: the monolithic entry point has no request
-	// scope to honor (the sharded path threads the real one through).
-	items, _ := maxscoreTopK(context.Background(), idx, model, len(queryTokens), cursors, k)
-	if len(items) == 0 {
-		return nil
-	}
-	hits := make([]Hit, len(items))
-	for i, it := range items {
-		hits[i] = Hit{Doc: it.Value, DocID: idx.DocID(it.Value), Score: it.Score, Rank: i + 1}
-	}
-	return hits
-}

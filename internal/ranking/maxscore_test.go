@@ -53,7 +53,7 @@ func TestLMDirichletNotPruneable(t *testing.T) {
 	}
 	// And the fallback is literally Retrieve.
 	q := []string{"v01", "v02", "v03"}
-	if !hitsBitIdentical(RetrievePruned(idx, LMDirichlet{}, q, 10), Retrieve(idx, LMDirichlet{}, q, 10)) {
+	if !hitsBitIdentical(retrievePruned(t, idx, LMDirichlet{}, q, 10), Retrieve(idx, LMDirichlet{}, q, 10)) {
 		t.Fatal("LMDirichlet fallback diverged from Retrieve")
 	}
 }
@@ -81,7 +81,7 @@ func TestRetrievePrunedBitIdentical(t *testing.T) {
 					q = append(q, q[0]) // duplicate-term multiplicity
 				}
 				want := Retrieve(idx, m, q, k)
-				got := RetrievePruned(idx, m, q, k)
+				got := retrievePruned(t, idx, m, q, k)
 				if !hitsBitIdentical(got, want) {
 					t.Fatalf("%s k=%d q=%v:\n got %+v\nwant %+v", m.Name(), k, q, got, want)
 				}
@@ -148,15 +148,15 @@ func TestRetrievePrunedTiesAndEdgeCases(t *testing.T) {
 	installTables(t, idx)
 	for _, k := range []int{1, 2, 3} {
 		want := Retrieve(idx, BM25{}, []string{"same", "words"}, k)
-		got := RetrievePruned(idx, BM25{}, []string{"same", "words"}, k)
+		got := retrievePruned(t, idx, BM25{}, []string{"same", "words"}, k)
 		if !hitsBitIdentical(got, want) {
 			t.Fatalf("k=%d ties: got %+v want %+v", k, got, want)
 		}
 	}
-	if got := RetrievePruned(idx, BM25{}, nil, 5); got != nil {
+	if got := retrievePruned(t, idx, BM25{}, nil, 5); got != nil {
 		t.Error("empty query returned hits")
 	}
-	if got := RetrievePruned(idx, BM25{}, []string{"zzz-unindexed"}, 5); got != nil {
+	if got := retrievePruned(t, idx, BM25{}, []string{"zzz-unindexed"}, 5); got != nil {
 		t.Error("unknown-term query returned hits")
 	}
 }

@@ -319,7 +319,7 @@ func mergeHits(lists []shardHits, k int) []Hit {
 	return out
 }
 
-// BatchOptions tunes a RetrieveBatch round.
+// BatchOptions tunes a RetrieveBatchOpts round.
 type BatchOptions struct {
 	// Prune enables MaxScore dynamic pruning for the queries it can
 	// serve exactly: the model must be Boundable with its max-score
@@ -328,21 +328,6 @@ type BatchOptions struct {
 	// keeps the exhaustive shared-scatter path. Results are bit-identical
 	// either way; only the work differs.
 	Prune bool
-}
-
-// RetrieveBatch evaluates a batch of analyzed queries against the
-// segmented index in one scatter-gather round: every shard is visited by
-// exactly one worker no matter how many queries are pending, and each
-// worker computes each (term, posting) model score once, sharing it
-// across all queries containing the term. ks[i] bounds query i's result
-// size (<= 0 means all matches). The per-query results are bit-identical
-// to Retrieve(seg.Index(), model, queries[i], ks[i]).
-//
-// ctx cancellation aborts the remaining shard work and returns the
-// context's error — the serving layer threads request contexts here so
-// shed or disconnected requests stop consuming shard workers.
-func RetrieveBatch(ctx context.Context, seg *index.Segmented, model Model, queries [][]string, ks []int) ([][]Hit, error) {
-	return RetrieveBatchOpts(ctx, seg, model, queries, ks, BatchOptions{})
 }
 
 // batchPlan resolves everything about a query batch that is shard-
@@ -387,11 +372,21 @@ func batchPlan(idx *index.Index, queries [][]string, ks []int, opts BatchOptions
 	return qterms, plan, table, pruned, true
 }
 
-// RetrieveBatchOpts is RetrieveBatch with explicit options — the engine
-// comes through here to switch MaxScore pruning on.
+// RetrieveBatchOpts evaluates a batch of analyzed queries against the
+// segmented index in one scatter-gather round: every shard is visited by
+// exactly one worker no matter how many queries are pending, and each
+// worker computes each (term, posting) model score once, sharing it
+// across all queries containing the term. ks[i] bounds query i's result
+// size (<= 0 means all matches). The per-query results are bit-identical
+// to Retrieve(seg.Index(), model, queries[i], ks[i]), with opts.Prune or
+// without.
+//
+// ctx cancellation aborts the remaining shard work and returns the
+// context's error — the serving layer threads request contexts here so
+// shed or disconnected requests stop consuming shard workers.
 func RetrieveBatchOpts(ctx context.Context, seg *index.Segmented, model Model, queries [][]string, ks []int, opts BatchOptions) ([][]Hit, error) {
 	if len(queries) != len(ks) {
-		panic("ranking: RetrieveBatch queries/ks length mismatch")
+		panic("ranking: RetrieveBatchOpts queries/ks length mismatch")
 	}
 	out := make([][]Hit, len(queries))
 	if len(queries) == 0 {
@@ -466,20 +461,4 @@ func MergeSegments(lists [][]Hit, k int) []Hit {
 		hits[i].Rank = i + 1
 	}
 	return hits
-}
-
-// RetrieveSharded is the single-query form of RetrieveBatch: Retrieve
-// with per-shard parallel scoring and a deterministic merge, bit-identical
-// to the monolithic path.
-func RetrieveSharded(ctx context.Context, seg *index.Segmented, model Model, queryTokens []string, k int) ([]Hit, error) {
-	return RetrieveShardedOpts(ctx, seg, model, queryTokens, k, BatchOptions{})
-}
-
-// RetrieveShardedOpts is RetrieveSharded with explicit options.
-func RetrieveShardedOpts(ctx context.Context, seg *index.Segmented, model Model, queryTokens []string, k int, opts BatchOptions) ([]Hit, error) {
-	res, err := RetrieveBatchOpts(ctx, seg, model, [][]string{queryTokens}, []int{k}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }

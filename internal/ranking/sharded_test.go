@@ -31,6 +31,26 @@ func randomCorpusIndex(t testing.TB, seed int64, numDocs int) *index.Index {
 	return buildIndex(t, docs)
 }
 
+// retrieveOne answers a single query through the batch entry point.
+func retrieveOne(ctx context.Context, seg *index.Segmented, m Model, q []string, k int, opts BatchOptions) ([]Hit, error) {
+	res, err := RetrieveBatchOpts(ctx, seg, m, [][]string{q}, []int{k}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// retrievePruned answers a single query with MaxScore pruning on over the
+// unpartitioned index.
+func retrievePruned(t testing.TB, idx *index.Index, m Model, q []string, k int) []Hit {
+	t.Helper()
+	hits, err := retrieveOne(context.Background(), index.SegmentIndex(idx, 1), m, q, k, BatchOptions{Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
 func hitsBitIdentical(a, b []Hit) bool {
 	if len(a) != len(b) {
 		return false
@@ -68,7 +88,7 @@ func TestRetrieveShardedBitIdentical(t *testing.T) {
 				}
 				k := rng.Intn(30) // 0 = all matches
 				want := Retrieve(idx, m, q, k)
-				got, err := RetrieveSharded(ctx, seg, m, q, k)
+				got, err := retrieveOne(ctx, seg, m, q, k, BatchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +117,7 @@ func TestRetrieveBatchMatchesIndividual(t *testing.T) {
 	ks := []int{25, 5, 5, 5, 5, 0}
 	for _, shards := range []int{1, 2, 4, 7} {
 		seg := index.SegmentIndex(idx, shards)
-		got, err := RetrieveBatch(context.Background(), seg, DPH{}, queries, ks)
+		got, err := RetrieveBatchOpts(context.Background(), seg, DPH{}, queries, ks, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,14 +135,14 @@ func TestRetrieveShardedCanceled(t *testing.T) {
 	seg := index.SegmentIndex(idx, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RetrieveSharded(ctx, seg, DPH{}, []string{"v01", "v02"}, 10); err == nil {
+	if _, err := retrieveOne(ctx, seg, DPH{}, []string{"v01", "v02"}, 10, BatchOptions{}); err == nil {
 		t.Fatal("canceled context: want error, got nil")
 	}
 }
 
 func TestRetrieveShardedEmptyIndex(t *testing.T) {
 	seg := index.SegmentIndex(index.NewBuilder().Build(), 3)
-	hits, err := RetrieveSharded(context.Background(), seg, DPH{}, []string{"x"}, 10)
+	hits, err := retrieveOne(context.Background(), seg, DPH{}, []string{"x"}, 10, BatchOptions{})
 	if err != nil || hits != nil {
 		t.Fatalf("empty index: hits=%v err=%v", hits, err)
 	}
@@ -135,7 +155,7 @@ func TestRetrieveBatchConcurrent(t *testing.T) {
 	seg := index.SegmentIndex(idx, 4)
 	queries := [][]string{{"v00", "v01"}, {"v02"}, {"v03", "v04", "v05"}}
 	ks := []int{10, 10, 10}
-	want, err := RetrieveBatch(context.Background(), seg, DPH{}, queries, ks)
+	want, err := RetrieveBatchOpts(context.Background(), seg, DPH{}, queries, ks, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +163,7 @@ func TestRetrieveBatchConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for iter := 0; iter < 30; iter++ {
-				got, err := RetrieveBatch(context.Background(), seg, DPH{}, queries, ks)
+				got, err := RetrieveBatchOpts(context.Background(), seg, DPH{}, queries, ks, BatchOptions{})
 				if err != nil {
 					done <- err
 					return

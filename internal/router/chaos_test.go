@@ -478,31 +478,23 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 		}
 	}
 
-	// The degraded merge must be exactly the surviving shard's lists —
-	// shard 0 merged against nothing — not garbage or a partial blend.
-	lists, info, err := w.searcher.SearchBatchPartial(context.Background(), []string{q}, []int{8})
-	if err != nil || !info.Degraded {
-		t.Fatalf("SearchBatchPartial: err=%v degraded=%v, want nil/true", err, info.Degraded)
-	}
+	// The degraded merge the serving route's Score answers must be exactly
+	// the surviving shard's lists — shard 0 merged against nothing, each
+	// candidate with its snippet's vector — not garbage or a partial blend.
 	sh, err := p.Engine.SearchShard(context.Background(), 0, []string{q}, []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
 	var hits []ranking.Hit
-	sh.Each(context.Background(), 0, false, func(h *engine.ShardHit) {
+	snippets := map[string]string{}
+	if err := sh.Each(context.Background(), 0, true, func(h *engine.ShardHit) {
 		hits = append(hits, ranking.Hit{Doc: h.Doc, DocID: h.DocID, Score: h.Score})
-	})
+		snippets[h.DocID] = h.Snippet()
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := ranking.MergeSegments([][]ranking.Hit{hits, nil}, 8)
-	if len(lists[0]) != len(want) {
-		t.Fatalf("degraded merge has %d hits, want %d (shard 0 only)", len(lists[0]), len(want))
-	}
-	for i := range want {
-		if lists[0][i].DocID != want[i].DocID || lists[0][i].Score != want[i].Score {
-			t.Fatalf("degraded merge[%d] = %s/%g, want %s/%g", i, lists[0][i].DocID, lists[0][i].Score, want[i].DocID, want[i].Score)
-		}
-	}
-	// The serving route degrades to the same survivors, vectors included.
 	sc, err := w.searcher.Score(context.Background(), p.Engine.Dictionary(), []string{q}, []int{8}, true)
 	if err != nil || !sc.Info.Degraded {
 		t.Fatalf("Score: err=%v info=%+v, want nil/degraded", err, sc)
@@ -511,10 +503,10 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sc.Lists[0]) != len(want) {
-		t.Fatalf("degraded Score has %d candidates, want %d", len(sc.Lists[0]), len(want))
+		t.Fatalf("degraded Score has %d candidates, want %d (shard 0 only)", len(sc.Lists[0]), len(want))
 	}
 	for i, c := range sc.Lists[0] {
-		if c.DocID != want[i].DocID || c.Score != want[i].Score || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(lists[0][i].Snippet)) {
+		if c.DocID != want[i].DocID || c.Score != want[i].Score || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(snippets[c.DocID])) {
 			t.Fatalf("degraded Score[%d] = %+v, want %s/%g with its snippet's vector", i, c, want[i].DocID, want[i].Score)
 		}
 	}
@@ -539,6 +531,55 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	time.Sleep(70 * time.Millisecond)
 	w.searcher.ProbeOnce(context.Background())
 	w.expectSame(t, q, url.Values{"k": {"5"}})
+}
+
+// TestChaosPartialReferenceStaysStrict: partial results are the serving
+// route's concession, never the reference's. With AllowPartial on and a
+// whole pool dead, DiversifyServe on the routed pipeline answers from the
+// survivors and says so, while Pipeline.BuildProblem and Diversify — what
+// the differential gates and the benchmark oracle compare against — refuse
+// to: no candidate list merged from the surviving shards only, ever.
+func TestChaosPartialReferenceStaysStrict(t *testing.T) {
+	w := newChaosWorld(t, Config{
+		AttemptTimeout: 100 * time.Millisecond,
+		AllowPartial:   true,
+		FailThreshold:  1,
+		CooldownBase:   20 * time.Millisecond,
+		CooldownMax:    50 * time.Millisecond,
+		ProbeInterval:  time.Hour,
+	})
+	p := testPipeline(t)
+	routed := routedPipeline(p, w.searcher)
+	q := p.Testbed.TopicQuery(1)
+	specs := routed.DetectSpecializations(q)
+	if len(specs) == 0 {
+		t.Fatalf("%q not ambiguous; the test is vacuous", q)
+	}
+	// Healthy fleet: the routed reference is the local one, bit for bit.
+	if got, want := routed.BuildProblem(q, specs), p.BuildProblem(q, specs); !reflect.DeepEqual(got, want) {
+		t.Fatal("routed BuildProblem differs from the local one on a healthy fleet")
+	}
+
+	w.net.setFault("s1a", faultRefused)
+	w.net.setFault("s1b", faultRefused)
+
+	sel, _, _, info, err := routed.NewServeHandle(8, 1).DiversifyServe(context.Background(), q, core.AlgOptSelect, 5)
+	if err != nil || !info.Degraded || len(sel) == 0 {
+		t.Fatalf("DiversifyServe with a whole shard down: %d results, info=%+v, err=%v; want a degraded answer", len(sel), info, err)
+	}
+
+	problem := routed.BuildProblem(q, specs)
+	if n := len(problem.Candidates); n != 0 {
+		t.Fatalf("BuildProblem with a whole shard down returned %d candidates merged from the surviving shard", n)
+	}
+	for _, s := range problem.Specs {
+		if len(s.Results) != 0 {
+			t.Fatalf("BuildProblem with a whole shard down returned a partial R_q′ list for %q", s.Query)
+		}
+	}
+	if sel, _ := routed.Diversify(q, core.AlgOptSelect); len(sel) != 0 {
+		t.Fatalf("Diversify with a whole shard down answered %d results from the surviving shard", len(sel))
+	}
 }
 
 // TestChaosHedgeLoserFrames: a hedge loser that answers late, after the

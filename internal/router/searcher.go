@@ -73,11 +73,12 @@ type Config struct {
 	ExtraRatio float64
 	ExtraBurst float64
 
-	// AllowPartial opts SearchBatchPartial into graceful degradation:
-	// when a whole pool is down (or a shard's sub-budget expires) but at
-	// least one shard answered, the survivors are merged and the
-	// response marked degraded instead of failing. SearchBatch is always
-	// strict — bit-identity gates run through it.
+	// AllowPartial opts Score — the serving path's scatter — into
+	// graceful degradation: when a whole pool is down (or a shard's
+	// sub-budget expires) but at least one shard answered, the survivors
+	// are merged and the response marked degraded instead of failing.
+	// SearchBatch is always strict — the reference route and the
+	// bit-identity gates run through it.
 	AllowPartial bool
 
 	// ScatterFraction carves the scatter sub-budget from the remaining
@@ -157,9 +158,9 @@ func (c Config) withDefaults() Config {
 // that scatters each query batch over one replica per shard, gathers
 // the per-shard frames, and k-way merges their hit lists with the same
 // deterministic merge the in-process fan-out uses — so its output is
-// bit-identical to the local engine's over the same world. It is also a
-// repro.PartialSearcher: with AllowPartial set, a dead shard degrades
-// the response instead of failing it.
+// bit-identical to the local engine's over the same world. With
+// AllowPartial set, a dead shard degrades what Score answers instead of
+// failing it.
 type Searcher struct {
 	cfg    Config
 	pools  []*pool
@@ -343,43 +344,29 @@ func (s *Searcher) Stats() []PoolStats {
 
 // SearchBatch implements repro.Searcher: scatter the batch to one
 // replica per shard (hedging and failing over as configured) asking for
-// snippet text, gather, and deterministically merge. Strict: the error
-// is either ctx.Err() or "shard i: ..." — partial answers are never
-// returned through this method, because a missing shard silently changes
-// results and the bit-identity gates run through here.
+// snippet text, gather, and deterministically merge. Strict, whatever
+// AllowPartial says: the error is either ctx.Err() or "shard i: ..." —
+// partial answers are never returned through this method, because a
+// missing shard silently changes results and the reference route and the
+// bit-identity gates run through here.
 func (s *Searcher) SearchBatch(ctx context.Context, queries []string, ks []int) ([][]engine.Result, error) {
-	lists, _, err := s.searchBatch(ctx, queries, ks, false)
-	return lists, err
-}
-
-// SearchBatchPartial implements repro.PartialSearcher: like SearchBatch,
-// but when AllowPartial is set a shard whose whole pool is down (or
-// whose sub-budget expired) is dropped from the merge instead of
-// failing the request, and the response is marked Degraded. At least
-// one shard must answer — an empty SERP helps nobody — and a canceled
-// client context still fails strictly.
-func (s *Searcher) SearchBatchPartial(ctx context.Context, queries []string, ks []int) ([][]engine.Result, repro.SearchInfo, error) {
-	return s.searchBatch(ctx, queries, ks, s.cfg.AllowPartial)
-}
-
-func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, partial bool) ([][]engine.Result, repro.SearchInfo, error) {
-	g, err := s.gather(ctx, queries, ks, PayloadText, partial)
+	g, err := s.gather(ctx, queries, ks, PayloadText, false)
 	if err != nil {
-		return nil, g.info, err
+		return nil, err
 	}
 	defer g.release()
 	out := make([][]engine.Result, len(queries))
 	for q := range queries {
 		cands, wins, err := g.merge(q, ks[q])
 		if err != nil {
-			return nil, g.info, err
+			return nil, err
 		}
 		out[q] = make([]engine.Result, len(cands))
 		for j, c := range cands {
 			out[q][j] = engine.Result{DocID: c.DocID, Rank: c.Rank, Score: c.Score, Snippet: wins[j].f.snippetOf(wins[j].ref)}
 		}
 	}
-	return out, g.info, nil
+	return out, nil
 }
 
 // Score implements repro.Searcher: the serving path's scatter. The
@@ -388,8 +375,11 @@ func (s *Searcher) searchBatch(ctx context.Context, queries []string, ks []int, 
 // lists come back merged at once, and Attach counts the winners' term
 // numbers into vectors under dict — IVectorOfText of the snippet
 // SearchBatch returns for the same hit, bit for bit — only if it is
-// called. Degrades like SearchBatchPartial under AllowPartial. Close
-// hands the frames back for reuse.
+// called. Under AllowPartial a shard whose whole pool is down (or whose
+// sub-budget expired) is dropped from the merge instead of failing the
+// request, and the lists come back marked Degraded; at least one shard
+// must answer — an empty SERP helps nobody — and a canceled client context
+// still fails strictly. Close hands the frames back for reuse.
 func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {
 	if cur := s.dict.Load(); cur == nil || *cur != dict.Fingerprint {
 		s.dict.Store(&dict.Fingerprint)

@@ -110,7 +110,10 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 
 	// The served SERP must match the facade's cached answer exactly.
-	want, _, _ := p.NewServeHandle(16, 1).DiversifyCachedK(q, core.AlgOptSelect, 5)
+	want, _, _, _, err := p.NewServeHandle(16, 1).DiversifyServe(context.Background(), q, core.AlgOptSelect, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, sel := range want {
 		if got.Results[i].ID != sel.ID || got.Results[i].Score != sel.Score {
 			t.Fatalf("result %d: got %+v, want %+v", i, got.Results[i], sel)
@@ -368,7 +371,7 @@ func TestSearchBudgetHeader(t *testing.T) {
 	}
 }
 
-// stubPartial is a PartialSearcher that scores against the local engine
+// stubPartial is a Searcher that scores against the local engine
 // but reports whatever degradation metadata the test dials in — the
 // server-side contract (wire field, header, counters, cache bypass) in
 // isolation from a real router.
@@ -380,11 +383,6 @@ type stubPartial struct {
 
 func (s *stubPartial) SearchBatch(ctx context.Context, queries []string, ks []int) ([][]engine.Result, error) {
 	return s.p.Engine.SearchBatch(ctx, queries, ks)
-}
-
-func (s *stubPartial) SearchBatchPartial(ctx context.Context, queries []string, ks []int) ([][]engine.Result, repro.SearchInfo, error) {
-	lists, err := s.p.Engine.SearchBatch(ctx, queries, ks)
-	return lists, repro.SearchInfo{Degraded: s.degraded.Load(), Hedged: s.hedged.Load()}, err
 }
 
 func (s *stubPartial) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {

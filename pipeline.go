@@ -69,18 +69,6 @@ type Config struct {
 	// MaxSpecs caps |S_q| (the paper selects the k most probable when
 	// |S_q| > k; a small cap keeps SERPs sane). Default 10.
 	MaxSpecs int
-
-	// Fused enables the fused execution plan on the serving path: cache
-	// hits for ambiguous queries run retrieval, candidate
-	// materialization, utility scoring and diversification as ONE
-	// Block-Max MaxScore scan (engine.SearchFusedStamped) instead of
-	// staged passes. Results are bit-identical to the staged plan (the
-	// fused differential sweep enforces it); only latency changes. The
-	// staged plan remains in use for cache misses (where the artifact
-	// build overlaps the scan), for unambiguous queries, for distributed
-	// Searchers, and whenever the engine reports the snapshot not
-	// fusable (pending mutations).
-	Fused bool
 }
 
 func (c Config) withDefaults() Config {
@@ -118,11 +106,12 @@ func (c Config) withDefaults() Config {
 // router's differential tests enforce it.
 //
 // SearchBatch answers queries[i] with its top-ks[i] results (ks[i] <= 0
-// means all matches), snippets attached: the route Pipeline.Diversify
-// and the BuildProblem family take. Score is the serving path's route:
-// the same retrieval, bit for bit, in the two halves DiversifyServe
-// needs them — the lists now, surrogate vectors only if asked for
-// afterwards (see Scored). dict is the pipeline engine's dictionary,
+// means all matches), snippets attached: the reference route
+// Pipeline.BuildProblem and Diversify take, strict even where Score may
+// degrade. Score is the serving path's route: the same retrieval, bit for
+// bit, in the two halves DiversifyServe needs them — the lists now,
+// surrogate vectors only if asked for afterwards (see Scored). dict is
+// the pipeline engine's dictionary,
 // which a remote implementation checks its workers' against and counts
 // their term numbers under; vectors false promises Attach will not be
 // called, which lets an implementation skip gathering what vectors are
@@ -191,20 +180,6 @@ func (i *SearchInfo) Merge(o SearchInfo) {
 	i.Hedged = i.Hedged || o.Hedged
 }
 
-// PartialSearcher is a Searcher that can degrade instead of failing:
-// when some shard has no reachable replica (or its scatter sub-budget
-// expires) and the searcher is configured for partial results, it
-// returns the merged lists of the surviving shards with
-// SearchInfo.Degraded set, rather than an error. SearchBatch on the same
-// implementation stays strict — callers that feed caches or bit-identity
-// gates use it so a degraded fan-out can never masquerade as a complete
-// one. The distributed router's Searcher implements this; the local
-// engine does not (it cannot partially fail).
-type PartialSearcher interface {
-	Searcher
-	SearchBatchPartial(ctx context.Context, queries []string, ks []int) ([][]engine.Result, SearchInfo, error)
-}
-
 // Pipeline is a fully assembled diversification system.
 type Pipeline struct {
 	Config      Config
@@ -228,31 +203,6 @@ func (p *Pipeline) searcher() Searcher {
 		return p.Searcher
 	}
 	return localSearcher{p.Engine}
-}
-
-// searchBatchInfo runs one scoring fan-out through the active backend,
-// preferring the partial-capable entry point when the backend offers one
-// (the distributed router under -partial): a shard outage then degrades
-// the batch instead of failing it, and the metadata reports it. Strict
-// backends behave exactly as SearchBatch.
-func (p *Pipeline) searchBatchInfo(ctx context.Context, queries []string, ks []int) ([][]engine.Result, SearchInfo, error) {
-	s := p.searcher()
-	if ps, ok := s.(PartialSearcher); ok {
-		return ps.SearchBatchPartial(ctx, queries, ks)
-	}
-	lists, err := s.SearchBatch(ctx, queries, ks)
-	return lists, SearchInfo{}, err
-}
-
-// searchOne retrieves one query's top-k through the active scoring
-// backend (a one-element batch; for the local engine this is exactly
-// Engine.SearchCtx).
-func (p *Pipeline) searchOne(ctx context.Context, query string, k int) ([]engine.Result, error) {
-	lists, err := p.searcher().SearchBatch(ctx, []string{query}, []int{k})
-	if err != nil {
-		return nil, err
-	}
-	return lists[0], nil
 }
 
 // Build generates the testbed, indexes the corpus, generates and mines the
@@ -291,30 +241,6 @@ func (p *Pipeline) DetectSpecializations(query string) []suggest.Specialization 
 	return suggest.TopSpecializations(specs, p.Config.MaxSpecs)
 }
 
-// candidateDocs runs the document scoring phase for q: it retrieves R_q
-// and converts it into diversification candidates. Surrogate vectors are
-// built directly in interned form under the engine's lexicon — the string
-// Vector field stays empty, so a candidate costs int32 term IDs instead
-// of term strings.
-func (p *Pipeline) candidateDocs(query string) []core.Doc {
-	docs, _, _ := p.candidateDocsCtx(context.Background(), query) // Background never cancels
-	return docs
-}
-
-// candidateDocsCtx is candidateDocs with request-scoped cancellation
-// threaded into the retrieval fan-out; against the local engine the only
-// possible error is ctx.Err(), while a distributed Searcher can also
-// surface scatter failures — or, under a partial-results configuration,
-// degrade (SearchInfo.Degraded) to the candidates of the surviving
-// shards instead of failing.
-func (p *Pipeline) candidateDocsCtx(ctx context.Context, query string) ([]core.Doc, SearchInfo, error) {
-	lists, info, err := p.searchBatchInfo(ctx, []string{query}, []int{p.Config.NumCandidates})
-	if err != nil {
-		return nil, info, err
-	}
-	return p.candidatesFromResults(lists[0]), info, nil
-}
-
 // candidatesFromResults converts a retrieved R_q into diversification
 // candidates.
 //
@@ -348,16 +274,6 @@ func (p *Pipeline) candidatesFromResults(results []engine.Result) []core.Doc {
 	return candidates
 }
 
-// specList retrieves the R_q′ snippet-surrogate list of one
-// specialization — the expensive per-specialization work the serving
-// cache amortizes. Like candidateDocs it stores interned vectors only,
-// which is what makes the cached artifact lists compact: a cached R_q′
-// entry holds int32 IDs, not strings.
-func (p *Pipeline) specList(s suggest.Specialization) core.Specialization {
-	results, _ := p.searchOne(context.Background(), s.Query, p.Config.PerSpec) // Background never cancels locally
-	return p.specFromResults(s, results)
-}
-
 // specFromResults converts a retrieved R_q′ into the core representation.
 func (p *Pipeline) specFromResults(s suggest.Specialization, specResults []engine.Result) core.Specialization {
 	rs := make([]core.SpecResult, len(specResults))
@@ -372,9 +288,9 @@ func (p *Pipeline) specFromResults(s suggest.Specialization, specResults []engin
 }
 
 // newProblem assembles a Problem from already-built parts, applying the
-// configured k/λ/c parameters. Candidates and specialization results come
-// from candidateDocs/specList, so they are already interned under the
-// engine's lexicon, which the problem carries as Lex.
+// configured k/λ/c parameters. Candidates and specialization results are
+// already interned under the engine's lexicon, which the problem carries
+// as Lex.
 func (p *Pipeline) newProblem(query string, candidates []core.Doc, specs []core.Specialization) *core.Problem {
 	return &core.Problem{
 		Query:      query,
@@ -388,15 +304,34 @@ func (p *Pipeline) newProblem(query string, candidates []core.Doc, specs []core.
 }
 
 // BuildProblem assembles the core diversification problem for an
-// ambiguous query: R_q from the engine (relevance normalized to P(d|q)),
-// one R_q′ snippet-surrogate list per specialization, and the configured
-// k/λ/c parameters.
+// ambiguous query: R_q (relevance normalized to P(d|q)), one R_q′
+// snippet-surrogate list per specialization, and the configured k/λ/c
+// parameters. The R_q retrieval and all |S_q| specialization retrievals
+// go out as ONE SearchBatch — the §6 architecture "performing the
+// diversification task in parallel with the document scoring phase": each
+// shard scores every pending query in a single pass over its postings.
+//
+// This is the reference route the serving path is compared against, so it
+// is strict: against the local engine the batch cannot fail, and when a
+// distributed Searcher reports a scatter failure the problem comes back
+// with no candidates and empty lists — never with lists merged from the
+// shards that happened to answer.
 func (p *Pipeline) BuildProblem(query string, specs []suggest.Specialization) *core.Problem {
-	var specLists []core.Specialization
-	for _, s := range specs {
-		specLists = append(specLists, p.specList(s))
+	queries := make([]string, 1+len(specs))
+	ks := make([]int, 1+len(specs))
+	queries[0], ks[0] = query, p.Config.NumCandidates
+	for i, s := range specs {
+		queries[1+i], ks[1+i] = s.Query, p.Config.PerSpec
 	}
-	return p.newProblem(query, p.candidateDocs(query), specLists)
+	lists, err := p.searcher().SearchBatch(context.Background(), queries, ks)
+	if err != nil {
+		lists = make([][]engine.Result, len(queries))
+	}
+	var specLists []core.Specialization
+	for i, s := range specs {
+		specLists = append(specLists, p.specFromResults(s, lists[1+i]))
+	}
+	return p.newProblem(query, p.candidatesFromResults(lists[0]), specLists)
 }
 
 // Diversify answers a query end to end: detect ambiguity, build the
@@ -409,120 +344,4 @@ func (p *Pipeline) Diversify(query string, alg core.Algorithm) ([]core.Selected,
 		return core.Baseline(problem), nil
 	}
 	return core.Diversify(alg, problem), specs
-}
-
-// fusedPlan assembles the execution plan of one fused query from the
-// pipeline configuration and the (cached or freshly staged) aspect lists.
-// k <= 0 means the configured K.
-func (p *Pipeline) fusedPlan(query string, alg core.Algorithm, k int, specLists []core.Specialization) *exec.Plan {
-	if k <= 0 {
-		k = p.Config.K
-	}
-	return &exec.Plan{
-		Mode:          exec.ModeFused,
-		Query:         query,
-		Alg:           alg,
-		K:             k,
-		NumCandidates: p.Config.NumCandidates,
-		Lambda:        p.Config.Lambda,
-		Threshold:     p.Config.Threshold,
-		Aspects:       specLists,
-		Lex:           p.Engine.Lexicon(),
-	}
-}
-
-// fusedScan runs the fused plan on the local engine. The only errors are
-// ctx.Err() and exec.ErrNotFusable (pending mutations — callers fall back
-// to the staged plan).
-func (p *Pipeline) fusedScan(ctx context.Context, query string, alg core.Algorithm, k int, specLists []core.Specialization) ([]core.Selected, error) {
-	sel, _, err := p.Engine.SearchFusedStamped(ctx, p.fusedPlan(query, alg, k, specLists))
-	return sel, err
-}
-
-// DiversifyFused is Diversify running the fused execution plan: for an
-// ambiguous query the R_q′ aspect retrievals are staged first (one
-// batched fan-out, as in DiversifyParallel), then retrieval, candidate
-// materialization, utility scoring and selection run as ONE Block-Max
-// MaxScore scan over shared cursor/heap state. Output is bit-identical
-// to Diversify — the fused differential sweep enforces it; only latency
-// changes. Unambiguous queries, pipelines without a local engine
-// (distributed Searcher), and non-quiescent engines fall back to the
-// staged plan.
-func (p *Pipeline) DiversifyFused(query string, alg core.Algorithm) ([]core.Selected, []suggest.Specialization) {
-	sel, specs, _ := p.DiversifyFusedK(context.Background(), query, alg, 0) // Background never cancels locally
-	return sel, specs
-}
-
-// DiversifyFusedK is DiversifyFused with request-scoped cancellation and
-// a per-request result size k (k <= 0 means the configured K).
-func (p *Pipeline) DiversifyFusedK(ctx context.Context, query string, alg core.Algorithm, k int) ([]core.Selected, []suggest.Specialization, error) {
-	specs := p.DetectSpecializations(query)
-	if len(specs) == 0 || p.Engine == nil || p.Searcher != nil {
-		return p.diversifyStagedK(ctx, query, alg, k, specs)
-	}
-	// Stage the aspect retrievals: |S_q| small-k scans whose heap
-	// thresholds form fast enough for Block-Max skipping to bite (the
-	// per-aspect-threshold half of the fused design; see
-	// docs/ARCHITECTURE.md).
-	queries := make([]string, len(specs))
-	ks := make([]int, len(specs))
-	for i, s := range specs {
-		queries[i], ks[i] = s.Query, p.Config.PerSpec
-	}
-	var lists [][]engine.Result
-	err := countAspectSkips(func() error {
-		var err error
-		lists, err = p.searcher().SearchBatch(ctx, queries, ks)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	specLists := make([]core.Specialization, len(specs))
-	for i := range specs {
-		specLists[i] = p.specFromResults(specs[i], lists[i])
-	}
-	sel, err := p.fusedScan(ctx, query, alg, k, specLists)
-	if err == nil {
-		return sel, specs, nil
-	}
-	if err != exec.ErrNotFusable {
-		return nil, nil, err
-	}
-	// Pending mutations: finish on the staged plan with the aspect lists
-	// already in hand.
-	candidates, _, err := p.candidateDocsCtx(ctx, query)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.finishStaged(query, alg, k, specs, candidates, specLists)
-}
-
-// diversifyStagedK is the staged twin of DiversifyFusedK: one batched
-// fan-out for R_q plus the aspect lists, then the selection stage.
-func (p *Pipeline) diversifyStagedK(ctx context.Context, query string, alg core.Algorithm, k int, specs []suggest.Specialization) ([]core.Selected, []suggest.Specialization, error) {
-	problem, err := p.BuildProblemBatched(ctx, query, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if k > 0 {
-		problem.K = k
-	}
-	if len(specs) == 0 {
-		return core.Baseline(problem), nil, nil
-	}
-	return core.Diversify(alg, problem), specs, nil
-}
-
-// finishStaged runs the selection stage of the staged plan over
-// already-materialized parts.
-func (p *Pipeline) finishStaged(query string, alg core.Algorithm, k int, specs []suggest.Specialization, candidates []core.Doc, specLists []core.Specialization) ([]core.Selected, []suggest.Specialization, error) {
-	problem := p.newProblem(query, candidates, specLists)
-	if k > 0 {
-		problem.K = k
-	}
-	if len(specs) == 0 {
-		return core.Baseline(problem), nil, nil
-	}
-	return core.Diversify(alg, problem), specs, nil
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -273,6 +274,75 @@ func TestPipelineDeterminism(t *testing.T) {
 	for i := range ids1 {
 		if ids1[i] != ids2[i] {
 			t.Fatalf("non-deterministic at %d: %s vs %s", i, ids1[i], ids2[i])
+		}
+	}
+}
+
+// The §6 parallel architecture — BuildProblem's one batched fan-out over
+// the shard workers — must be race-free under concurrent queries and
+// answer each as it does alone (run with -race in CI to exercise this
+// fully).
+func TestDiversifyParallelConcurrentQueries(t *testing.T) {
+	p := buildTinySharded(t, 4)
+	queries := []string{"topic01", "topic02"}
+	want := make([][]core.Selected, len(queries))
+	for i, q := range queries {
+		if want[i], _ = p.Diversify(q, core.AlgOptSelect); len(want[i]) == 0 {
+			t.Fatalf("%q: empty SERP", q)
+		}
+	}
+	done := make(chan bool)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- true }()
+			for i := 0; i < 5; i++ {
+				sel, _ := p.Diversify(queries[g%2], core.AlgOptSelect)
+				if !reflect.DeepEqual(sel, want[g%2]) {
+					t.Errorf("goroutine %d: concurrent SERP differs from the sequential one", g)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}
+
+// TestFacadeSurface pins the package's query surface to a literal list:
+// one reference route (DetectSpecializations, BuildProblem, Diversify) and
+// one serving route (DiversifyServe), configured by Config's fields and
+// nothing else. An entry point or knob added beside them fails here, where
+// it has to be argued for, instead of accreting until the next audit.
+func TestFacadeSurface(t *testing.T) {
+	methods := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		names := make([]string, typ.NumMethod()) // exported only, sorted by name
+		for i := range names {
+			names[i] = typ.Method(i).Name
+		}
+		return names
+	}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	for _, tc := range []struct {
+		what      string
+		got, want []string
+	}{
+		{"*Pipeline methods", methods(&Pipeline{}),
+			[]string{"BuildProblem", "DetectSpecializations", "Diversify", "NewServeHandle"}},
+		{"*ServeHandle methods", methods(&ServeHandle{}),
+			[]string{"CacheStats", "DiversifyServe"}},
+		{"Config fields", fields,
+			[]string{"Corpus", "Log", "Engine", "PrebuiltEngine", "Session", "Detect",
+				"NumCandidates", "PerSpec", "K", "Lambda", "Threshold", "MaxSpecs"}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.what, tc.got, tc.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 
@@ -14,76 +13,6 @@ import (
 	"repro/internal/suggest"
 	"repro/internal/text"
 )
-
-// countAspectSkips runs one aspect (R_q′) retrieval batch and credits the
-// posting blocks it skipped via Block-Max thresholds to the fused-path
-// stats. The attribution is a BlockIOStats delta around the batch, so
-// under concurrent traffic it is approximate (other scans' skips in the
-// window are counted too); the index counters stay exact.
-func countAspectSkips(f func() error) error {
-	_, s0 := index.BlockIOStats()
-	err := f()
-	_, s1 := index.BlockIOStats()
-	if d := s1 - s0; d > 0 {
-		exec.AddAspectBlocksSkipped(uint64(d))
-	}
-	return err
-}
-
-// BuildProblemParallel is the §6 future-work architecture the paper
-// sketches — "a search architecture performing the diversification task
-// in parallel with the document scoring phase" — realized as scatter-
-// gather over the index segments: the R_q retrieval and all |S_q|
-// specialization retrievals are batched into ONE fan-out, so each shard
-// worker scores every pending query vector in a single pass over its
-// postings and a request costs one round of shard parallelism instead of
-// 1+|S_q| sequential index traversals. The output is identical to
-// BuildProblem; only wall-clock latency changes (see
-// BenchmarkParallelPipeline and BenchmarkSpecRetrieval).
-func (p *Pipeline) BuildProblemParallel(query string, specs []suggest.Specialization) *core.Problem {
-	problem, _ := p.BuildProblemBatched(context.Background(), query, specs) // Background never cancels
-	return problem
-}
-
-// BuildProblemBatched is BuildProblemParallel with request-scoped
-// cancellation: ctx aborts the shard fan-out mid-flight (the only
-// possible error is ctx.Err()).
-func (p *Pipeline) BuildProblemBatched(ctx context.Context, query string, specs []suggest.Specialization) (*core.Problem, error) {
-	queries := make([]string, 1+len(specs))
-	ks := make([]int, 1+len(specs))
-	queries[0], ks[0] = query, p.Config.NumCandidates
-	for i, s := range specs {
-		queries[1+i], ks[1+i] = s.Query, p.Config.PerSpec
-	}
-	lists, err := p.searcher().SearchBatch(ctx, queries, ks)
-	if err != nil {
-		return nil, err
-	}
-	specLists := make([]core.Specialization, len(specs))
-	for i := range specs {
-		specLists[i] = p.specFromResults(specs[i], lists[1+i])
-	}
-	return p.newProblem(query, p.candidatesFromResults(lists[0]), specLists), nil
-}
-
-// DiversifyParallel is Diversify with the overlapped architecture.
-func (p *Pipeline) DiversifyParallel(query string, alg core.Algorithm) ([]core.Selected, []suggest.Specialization) {
-	specs := p.DetectSpecializations(query)
-	problem := p.BuildProblemParallel(query, specs)
-	if len(specs) == 0 {
-		return core.Baseline(problem), nil
-	}
-	return core.Diversify(alg, problem), specs
-}
-
-// fusedEligible reports whether a request with these cached artifacts can
-// run the fused plan: the config enables it, the engine is local (fusion
-// is a post-merge operator a distributed Searcher cannot host), and the
-// query is ambiguous (an unambiguous query has no aspect heaps to fuse —
-// its baseline is a plain retrieval either way).
-func (p *Pipeline) fusedEligible(art *queryArtifacts) bool {
-	return p.Config.Fused && p.Engine != nil && p.Searcher == nil && len(art.Specs) > 0
-}
 
 // queryArtifacts is what the serving cache stores per normalized query:
 // the outcome of Algorithm 1 and the R_q′ surrogate lists of every
@@ -144,44 +73,28 @@ func (p *Pipeline) NewServeHandle(capacity, shards int) *ServeHandle {
 // CacheStats snapshots the artifact cache counters.
 func (h *ServeHandle) CacheStats() cache.Stats { return h.cache.Stats() }
 
-// DiversifyCached answers a query end to end like Pipeline.Diversify,
-// reusing cached artifacts when the (normalized) query has been seen
-// before. The returned SERP is identical to
-// Diversify(text.NormalizeQuery(query), alg); the boolean reports
-// whether the cache served the artifacts. Safe for concurrent use.
-func (h *ServeHandle) DiversifyCached(query string, alg core.Algorithm) ([]core.Selected, []suggest.Specialization, bool) {
-	return h.DiversifyCachedK(query, alg, 0)
-}
-
-// DiversifyCachedK is DiversifyCached with a per-request result size k
-// (k <= 0 means the pipeline's configured K). The artifacts cache is
-// k-independent: S_q and the R_q′ lists do not depend on how many
-// results the caller wants back.
-func (h *ServeHandle) DiversifyCachedK(query string, alg core.Algorithm, k int) ([]core.Selected, []suggest.Specialization, bool) {
-	sel, specs, hit, _ := h.DiversifyCachedKCtx(context.Background(), query, alg, k) // Background never cancels
-	return sel, specs, hit
-}
-
-// DiversifyCachedKCtx is DiversifyCachedK with request-scoped
-// cancellation: ctx is threaded into the per-request R_q retrieval
-// fan-out, so a shed or client-aborted request stops its shard work
-// mid-flight instead of running to completion (the only possible error
-// is ctx.Err()). The shared artifact build deliberately does NOT inherit
-// ctx — its product is cached and served to every follower of the
-// singleflight, so one impatient client must not poison it.
-func (h *ServeHandle) DiversifyCachedKCtx(ctx context.Context, query string, alg core.Algorithm, k int) ([]core.Selected, []suggest.Specialization, bool, error) {
-	sel, specs, hit, _, err := h.DiversifyServe(ctx, query, alg, k)
-	return sel, specs, hit, err
-}
-
-// DiversifyServe is the full serving entry point: DiversifyCachedKCtx
-// plus the per-request SearchInfo a tail-tolerant Searcher reports —
-// whether the SERP was built from a degraded (shard-missing) candidate
-// set and whether any scatter leg was answered by a hedge. Degradation
-// can enter through the per-request R_q retrieval or through the
-// artifact build it joined (a degraded build is served but never
-// cached); hedging is reported for this request's own retrievals only.
-// For local engines the info is always zero.
+// DiversifyServe is the serving entry point: it answers a query end to
+// end like Pipeline.Diversify, reusing cached artifacts when the
+// normalized query has been seen before at this engine epoch. The SERP is
+// identical to Diversify(text.NormalizeQuery(query), alg) cut to k (k <= 0
+// means the pipeline's configured K; the artifact cache is k-independent);
+// the boolean reports whether the cache served the artifacts. Safe for
+// concurrent use.
+//
+// ctx is threaded into the per-request R_q retrieval fan-out, so a shed or
+// client-aborted request stops its shard work mid-flight (locally the only
+// possible error is ctx.Err()). The shared artifact build deliberately
+// does NOT inherit ctx — its product is cached and served to every
+// follower of the singleflight, so one impatient client must not poison
+// it.
+//
+// The SearchInfo is what a tail-tolerant Searcher reports: whether the
+// SERP was built from a degraded (shard-missing) candidate set and whether
+// any scatter leg was answered by a hedge. Degradation can enter through
+// the per-request R_q retrieval or through the artifact build it joined (a
+// degraded build is served but never cached); hedging is reported for this
+// request's own retrievals only. For local engines the info is always
+// zero.
 func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core.Algorithm, k int) ([]core.Selected, []suggest.Specialization, bool, SearchInfo, error) {
 	p := h.Pipeline
 	// Serving normalizes at the edge: the log-mined knowledge (QFG nodes,
@@ -201,26 +114,6 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// with the artifact build (the §6 parallel architecture); on a hit it
 	// is the only retrieval left.
 	art, hit := h.cache.Get(key)
-
-	// Plan selection: a cache hit on an ambiguous query under a fused
-	// config runs the whole request as ONE scan — the cached aspect lists
-	// seed the per-specialization heaps inside the retrieval pass. Misses
-	// keep the staged plan (its artifact build overlaps the scan, which
-	// fusion cannot), as do unambiguous queries (nothing to fuse) and
-	// distributed Searchers (fusion is a local, post-merge operator).
-	if hit && p.fusedEligible(art) {
-		sel, err := p.fusedScan(ctx, norm, alg, k, art.SpecLists)
-		switch {
-		case err == nil:
-			exec.CountQuery(exec.ModeFused)
-			return sel, art.Specs, true, SearchInfo{}, nil
-		case !errors.Is(err, exec.ErrNotFusable):
-			// Request-scoped failure (cancellation); the cached artifacts
-			// are untouched — only this request fails.
-			return nil, nil, true, SearchInfo{}, err
-		}
-		// Not fusable (pending mutations): fall through to the staged plan.
-	}
 
 	// The document scoring phase in two halves: R_q is retrieved now — on a
 	// miss beside the artifact build — and given surrogate vectors only
@@ -350,10 +243,10 @@ func (h *ServeHandle) buildOrJoin(key, norm string) (*queryArtifacts, bool) {
 // buildArtifacts runs Algorithm 1 and fetches the R_q′ lists: all |S_q|
 // specialization retrievals are batched into a single scatter-gather
 // round over the index segments (one pass per shard scores every spec's
-// query vector), as in BuildProblemBatched. The build runs under
-// context.Background() on purpose — see DiversifyCachedKCtx. Under a
-// partial-capable Searcher a shard outage degrades the lists (reported
-// via the boolean) instead of failing the build.
+// query vector), as in BuildProblem. The build runs under
+// context.Background() on purpose — see DiversifyServe. Under a Searcher
+// configured for partial results a shard outage degrades the lists
+// (reported via the boolean) instead of failing the build.
 func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error) {
 	p := h.Pipeline
 	specs := p.DetectSpecializations(norm)
@@ -369,16 +262,20 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 	for i, s := range specs {
 		queries[i], ks[i] = s.Query, p.Config.PerSpec
 	}
-	var sc *Scored
-	err := countAspectSkips(func() error {
-		var err error
-		if sc, err = p.score(context.Background(), queries, ks, true); err != nil {
-			return err
-		}
-		return sc.Attach(context.Background())
-	})
-	if sc != nil {
+	// The posting blocks the aspect batch skipped via Block-Max thresholds
+	// are credited to the fused-path stats as a BlockIOStats delta around
+	// it, so under concurrent traffic the attribution is approximate (other
+	// scans' skips in the window are counted too); the index counters stay
+	// exact.
+	_, skipped0 := index.BlockIOStats()
+	sc, err := p.score(context.Background(), queries, ks, true)
+	if err == nil {
 		defer sc.Close()
+		err = sc.Attach(context.Background())
+	}
+	_, skipped1 := index.BlockIOStats()
+	if d := skipped1 - skipped0; d > 0 {
+		exec.AddAspectBlocksSkipped(uint64(d))
 	}
 	if err != nil {
 		// Degrade to an empty (baseline-serving) artifact; buildOrJoin

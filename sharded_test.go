@@ -45,11 +45,6 @@ func TestDiversifyShardSweepBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(gotSpecs, wantSpecs) {
 					t.Fatalf("shards=%d %s %q: specs differ", shards, alg, q)
 				}
-				// The batched scatter-gather path must agree too.
-				par, _ := p.DiversifyParallel(q, alg)
-				if !reflect.DeepEqual(par, want) {
-					t.Fatalf("shards=%d %s %q: batched SERP differs", shards, alg, q)
-				}
 			}
 		}
 	}
@@ -65,7 +60,7 @@ func TestDiversifyCachedShardedMatches(t *testing.T) {
 	for _, q := range []string{"topic01", "noise query 0002"} {
 		want, _ := base.Diversify(q, core.AlgOptSelect)
 		for pass := 0; pass < 2; pass++ { // miss then hit
-			got, _, hit := h.DiversifyCached(q, core.AlgOptSelect)
+			got, _, hit := serve(t, h, q, core.AlgOptSelect)
 			if hit != (pass == 1) {
 				t.Fatalf("%q pass %d: hit=%v", q, pass, hit)
 			}
@@ -86,14 +81,14 @@ func TestDiversifyCachedCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, _, _, err := h.DiversifyCachedKCtx(ctx, "topic01", core.AlgOptSelect, 0); err == nil {
+	if _, _, _, _, err := h.DiversifyServe(ctx, "topic01", core.AlgOptSelect, 0); err == nil {
 		t.Fatal("canceled miss: want error")
 	}
 	// The artifact build ran under Background despite the canceled
 	// request: the next (healthy) request hits the cache and serves the
 	// same SERP an uncanceled pipeline produces.
 	want, _ := p.Diversify("topic01", core.AlgOptSelect)
-	got, _, hit, err := h.DiversifyCachedKCtx(context.Background(), "topic01", core.AlgOptSelect, 0)
+	got, _, hit, _, err := h.DiversifyServe(context.Background(), "topic01", core.AlgOptSelect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +98,7 @@ func TestDiversifyCachedCtxCanceled(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("post-cancel SERP differs")
 	}
-	if _, _, _, err := h.DiversifyCachedKCtx(ctx, "topic01", core.AlgOptSelect, 0); err == nil {
+	if _, _, _, _, err := h.DiversifyServe(ctx, "topic01", core.AlgOptSelect, 0); err == nil {
 		t.Fatal("canceled hit: want error")
 	}
 }
