@@ -1,12 +1,13 @@
 // Command efficiency regenerates the paper's Table 2 (diversification
 // wall-clock times over the |R_q| × k grid) and, with -fit, the empirical
-// complexity exponents behind Table 1.
+// complexity exponents behind Table 1, fitted on operation counts (heap
+// pushes, marginal-utility evaluations) so they do not depend on the box.
 //
 // Usage:
 //
 //	efficiency            # reduced grid (fast)
 //	efficiency -full      # the paper's grid: |Rq| ∈ {1k,10k,100k} × k ∈ {10..1000}
-//	efficiency -fit       # add the Table 1 power-law fits
+//	efficiency -fit       # add the Table 1 power-law fits (operation counts)
 package main
 
 import (
@@ -19,7 +20,7 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run the paper's full grid (slower)")
-	fit := flag.Bool("fit", false, "fit complexity exponents (Table 1)")
+	fit := flag.Bool("fit", false, "fit complexity exponents on operation counts (Table 1)")
 	seed := flag.Int64("seed", 1, "problem generator seed")
 	reps := flag.Int("reps", 3, "timing repetitions per cell")
 	specs := flag.Int("specs", 8, "|Sq|: specializations per problem")

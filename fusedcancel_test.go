@@ -133,6 +133,33 @@ func TestFusedScanCancellation(t *testing.T) {
 	if _, _, _, _, err := h.DiversifyServe(dead, q, core.AlgOptSelect, 10); err == nil {
 		t.Fatal("canceled hit: want error")
 	}
+	// The same sweep over the hit path, whose polls are the retrieval's
+	// and then the bounded selection's candidate walk (it builds windows
+	// one candidate at a time, against the pinned mapping): every budget
+	// ends in ctx's error or the warm SERP, and none leaks the pin.
+	canceled, completed = 0, 0
+	for m := int64(0); m <= 64; m++ {
+		ctx := &countdownContext{Context: context.Background()}
+		ctx.remaining.Store(m)
+		got, _, _, _, err := h.DiversifyServe(ctx, q, core.AlgOptSelect, 10)
+		switch {
+		case err != nil:
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("serve budget %d: err = %v, SERP %v; want context.Canceled and nothing", m, err, got)
+			}
+			canceled++
+		case !reflect.DeepEqual(got, warm):
+			t.Fatalf("serve budget %d: uncanceled hit diverges\nwant %+v\ngot  %+v", m, warm, got)
+		default:
+			completed++
+		}
+		if n := index.ActiveMappings(); n != base {
+			t.Fatalf("serve budget %d: ActiveMappings = %d, want %d (aborted hit leaked a mapping reference)", m, n, base)
+		}
+	}
+	if canceled < 2 || completed == 0 {
+		t.Fatalf("serve sweep: %d budgets canceled, %d completed; want several poll sites reached and at least one clean run", canceled, completed)
+	}
 	got, _, hit, _, err := h.DiversifyServe(context.Background(), q, core.AlgOptSelect, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -134,7 +134,11 @@ func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep [
 }
 
 // serveMatchesDiversify byte-compares DiversifyServe — cold cache, then
-// warm — with Pipeline.Diversify over every topic query and a noise query.
+// warm — with Pipeline.Diversify over every topic query and a noise query:
+// documents, order, relevances, vectors and selection scores. OptSelect
+// is served by the bounded selection, so equality alone would also pass
+// with its bounds silently off: the handle's counters must show it
+// scored fewer candidates than it saw, and the other algorithms all.
 func serveMatchesDiversify(t *testing.T, pipe *Pipeline, algs []core.Algorithm, state string) {
 	t.Helper()
 	ctx := context.Background()
@@ -159,6 +163,15 @@ func serveMatchesDiversify(t *testing.T, pipe *Pipeline, algs []core.Algorithm, 
 						t.Name(), state, q, alg, round, want, got)
 				}
 			}
+		}
+		seen, evaluated, vectors := h.Work.CandidatesSeen.Load(), h.Work.CandidatesEvaluated.Load(), h.Work.VectorsBuilt.Load()
+		switch {
+		case seen == 0:
+			t.Fatalf("%s %s alg=%s: no diversified request was counted", t.Name(), state, alg)
+		case alg == core.AlgOptSelect && (evaluated >= seen || vectors != evaluated):
+			t.Fatalf("%s %s: OptSelect scored %d of %d candidates and built %d vectors — the bound never fired", t.Name(), state, evaluated, seen, vectors)
+		case alg != core.AlgOptSelect && vectors != seen:
+			t.Fatalf("%s %s alg=%s: %d vectors for %d candidates; only OptSelect may skip any", t.Name(), state, alg, vectors, seen)
 		}
 	}
 }

@@ -75,6 +75,20 @@ type Problem struct {
 	// When nil, EnsureInterned derives a problem-local sorted lexicon
 	// from the string Vectors on first use.
 	Lex *textsim.Lexicon
+	// Ops, when set, receives the selection algorithms' operation counts —
+	// what Table 1's complexities count, and what the scaling tests fit
+	// instead of wall-clock time.
+	Ops *OpCount
+}
+
+// OpCount tallies the unit operations of the selection algorithms.
+type OpCount struct {
+	// HeapPushes: OptSelect's pushes onto M, the M_q′ and the fill heap,
+	// each O(log k).
+	HeapPushes int64
+	// MarginalEvals: xQuAD's and IASelect's evaluations of one remaining
+	// candidate against the current S, each O(|S_q|).
+	MarginalEvals int64
 }
 
 // EnsureInterned makes the problem ready for interned-term scoring: a nil

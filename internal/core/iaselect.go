@@ -31,7 +31,9 @@ func IASelect(p *Problem, u *Utilities) []Selected {
 	selected := make([]bool, n)
 	out := make([]Selected, 0, k)
 
+	evals := 0
 	for len(out) < k {
+		evals += n - len(out)
 		best := -1
 		bestGain := -1.0
 		for i := 0; i < n; i++ {
@@ -58,6 +60,9 @@ func IASelect(p *Problem, u *Utilities) []Selected {
 			residual[j] *= 1 - row[j]
 		}
 		out = append(out, Selected{Doc: p.Candidates[best], Score: bestGain})
+	}
+	if p.Ops != nil {
+		p.Ops.MarginalEvals += int64(evals)
 	}
 	return out
 }

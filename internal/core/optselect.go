@@ -62,6 +62,8 @@ type OptSelectHeaps struct {
 	quota []int
 	specs []topk.Bounded[int]
 	m     topk.Bounded[int]
+	// pushes counts heap pushes for Problem.Ops.
+	pushes int64
 
 	// OptSelectFrom's working state.
 	order    []int
@@ -78,7 +80,7 @@ var optSelectPool = sync.Pool{New: func() any { return new(OptSelectHeaps) }}
 func NewOptSelectHeaps(p *Problem, k int) *OptSelectHeaps {
 	h := optSelectPool.Get().(*OptSelectHeaps)
 	s := len(p.Specs)
-	h.k = k
+	h.k, h.pushes = k, 0
 	h.quota = resize(h.quota, s)
 	if cap(h.specs) < s { // grown in place: the heaps already there keep their storage
 		h.specs = append(h.specs[:cap(h.specs)], make([]topk.Bounded[int], s-cap(h.specs))...)
@@ -104,9 +106,11 @@ func (h *OptSelectHeaps) Offer(i int, row []float64, overall float64, rank int) 
 	for j, uj := range row {
 		if uj > 0 {
 			h.specs[j].Push(i, overall, int64(rank))
+			h.pushes++
 		}
 	}
 	h.m.Push(i, overall, int64(rank))
+	h.pushes++
 }
 
 // SpecEvictions reports the total full-heap evictions across the
@@ -122,9 +126,11 @@ func (h *OptSelectHeaps) SpecEvictions() uint64 {
 
 // OptSelectFrom runs the selection phases of Algorithm 2 over prebuilt
 // heaps: proportional coverage first, then fill from the leftovers and M.
-// Every candidate must have been Offered exactly once, in candidate order;
-// h must have been sized with k = p.clampK(). h is spent: it goes back to
-// the pool and must not be used again.
+// Candidates must have been Offered at most once each, in candidate order,
+// and every candidate not Offered must be one a full M would have rejected
+// (OptSelectBounded's contract; the others Offer them all) — u needs rows
+// only for the Offered ones. h must have been sized with k = p.clampK().
+// h is spent: it goes back to the pool and must not be used again.
 func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 	k := h.k
 	if k == 0 {
@@ -191,11 +197,13 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 		for _, it := range drained[j] {
 			if !selected[it.Value] {
 				fill.PushItem(it)
+				h.pushes++
 			}
 		}
 	}
 	for _, it := range h.m.DrainSorted() {
 		fill.PushItem(it)
+		h.pushes++
 	}
 	for len(out) < k {
 		it, ok := fill.Pop()
@@ -211,12 +219,18 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 	// Fallback sweep: a document useful to every specialization but evicted
 	// from all bounded heaps is unreachable through them; when the fill
 	// pool underflows, complete S from the remaining candidates by overall
-	// score so the algorithm always returns min(k, n) documents.
+	// score so the algorithm always returns min(k, n) documents. M was
+	// never full if this runs (its k documents would have filled S), so no
+	// candidate was skipped on a bound and every row exists.
 	if len(out) < k {
 		rest := topk.NewBounded[int](k - len(out))
 		for i := 0; i < n; i++ {
 			if !selected[i] {
+				if u.U[i] == nil {
+					panic("core: OptSelect fallback sweep reached a candidate that was never scored")
+				}
 				rest.Push(i, u.Overall[i], int64(p.Candidates[i].Rank))
+				h.pushes++
 			}
 		}
 		for _, it := range rest.Drain() {
@@ -231,5 +245,8 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 		}
 		return cmp.Compare(a.Rank, b.Rank)
 	})
+	if p.Ops != nil {
+		p.Ops.HeapPushes += h.pushes
+	}
 	return out
 }

@@ -109,14 +109,15 @@ func (si *specIndex) build(results []SpecResult, posts []specPosting) []specPost
 
 // utilScratch is the pooled per-call working set of computeUtilitiesInto:
 // the specialization indexes, the triple buffer they are built through,
-// the per-result dot-product accumulator, and the per-spec normalizers.
-// Pooling it makes utility computation allocation-free in steady state on
-// the serving path.
+// the per-result dot-product accumulator, the per-spec normalizers, and
+// OptSelectBounded's suffix maxima of relevance. Pooling it makes utility
+// computation allocation-free in steady state on the serving path.
 type utilScratch struct {
-	specs []specIndex
-	posts []specPosting
-	acc   []float64
-	norm  []float64
+	specs  []specIndex
+	posts  []specPosting
+	acc    []float64
+	norm   []float64
+	relMax []float64
 }
 
 var utilScratchPool = sync.Pool{New: func() any { return new(utilScratch) }}
@@ -237,11 +238,7 @@ func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
 			if sim <= 0 {
 				continue
 			}
-			rank := dr.Rank
-			if rank <= 0 {
-				rank = r + 1
-			}
-			sum += sim / float64(rank)
+			sum += sim / float64(resultRank(dr, r))
 		}
 		util := sum / sc.norm[j]
 		if util < p.Threshold {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -160,9 +161,11 @@ func TestComputeUtilitiesMatchesReference(t *testing.T) {
 }
 
 // TestDiversifyBitIdenticalToReference runs every algorithm on the pooled
-// Diversify path and on the reference utilities, asserting the selections
-// agree document-for-document with bitwise-equal scores — the end-to-end
-// guarantee the serving cache's Diversify-equivalence contract needs.
+// Diversify path — and OptSelect on the bounded path the serving route
+// takes — and on the reference utilities, asserting the selections agree
+// document-for-document with equal ranks and bitwise-equal scores — the
+// end-to-end guarantee the serving cache's Diversify-equivalence contract
+// needs.
 func TestDiversifyBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -182,14 +185,23 @@ func TestDiversifyBitIdenticalToReference(t *testing.T) {
 			case AlgMMR:
 				want = MMR(p)
 			}
-			got := Diversify(alg, p)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d %s: %d selected, reference %d", trial, alg, len(got), len(want))
+			routes := map[string][]Selected{"Diversify": Diversify(alg, p)}
+			if alg == AlgOptSelect {
+				bounded, _, err := OptSelectBounded(context.Background(), p, NewSpecBounds(p.Specs), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				routes["OptSelectBounded"] = bounded
 			}
-			for i := range want {
-				if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-					t.Fatalf("trial %d %s sel %d: (%s, %v) != reference (%s, %v)",
-						trial, alg, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			for route, got := range routes {
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s via %s: %d selected, reference %d", trial, alg, route, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || got[i].Rank != want[i].Rank || got[i].Score != want[i].Score {
+						t.Fatalf("trial %d %s via %s sel %d: (%s, rank %d, %v) != reference (%s, rank %d, %v)",
+							trial, alg, route, i, got[i].ID, got[i].Rank, got[i].Score, want[i].ID, want[i].Rank, want[i].Score)
+					}
 				}
 			}
 		}

@@ -33,7 +33,9 @@ func XQuAD(p *Problem, u *Utilities) []Selected {
 	selected := make([]bool, n)
 	out := make([]Selected, 0, k)
 
+	evals := 0
 	for len(out) < k {
+		evals += n - len(out)
 		best := -1
 		bestScore := 0.0
 		for i := 0; i < n; i++ {
@@ -61,6 +63,9 @@ func XQuAD(p *Problem, u *Utilities) []Selected {
 			residual[j] *= 1 - row[j]
 		}
 		out = append(out, Selected{Doc: p.Candidates[best], Score: bestScore})
+	}
+	if p.Ops != nil {
+		p.Ops.MarginalEvals += int64(evals)
 	}
 	return out
 }

@@ -186,33 +186,55 @@ func (w hitWindow) vector(idf textsim.SliceIDF) textsim.IVector {
 	return idf.InternSorted(w.terms, w.sg.xlat)
 }
 
-// windows walks hit list qi in rank order, picks every hit's snippet
-// window and hands it to f. ctx is polled every 64 hits.
-func (r *retrieval) windows(ctx context.Context, qi int, f func(j int, w hitWindow)) error {
+// windower picks the snippet windows of one hit list: the query's term
+// set in every source's numbering, resolved once, and the decode space.
+// Not safe for concurrent use; close hands the space back.
+type windower struct {
+	r    *retrieval
+	hits []ranking.Hit
+	sets [][]int32
+	sc   *fwdScratch
+}
+
+func (r *retrieval) windower(qi int) *windower {
 	sets := make([][]int32, len(r.srcs))
 	for s, sg := range r.srcs {
 		sets[s] = termSet(sg.seg.Index(), r.qToks[qi])
 	}
-	sc := fwdScratchPool.Get().(*fwdScratch)
-	defer fwdScratchPool.Put(sc)
-	hits := r.hits[qi]
-	for j := range hits {
+	return &windower{r: r, hits: r.hits[qi], sets: sets, sc: fwdScratchPool.Get().(*fwdScratch)}
+}
+
+func (wd *windower) close() { fwdScratchPool.Put(wd.sc) }
+
+// at picks hit j's window. Its terms are valid until the next call.
+func (wd *windower) at(j int) hitWindow {
+	srcs := wd.r.srcs
+	s, d := 0, wd.hits[j].Doc
+	for ; d >= int32(srcs[s].seg.Index().NumDocs()); s++ {
+		d -= int32(srcs[s].seg.Index().NumDocs())
+	}
+	w := hitWindow{Hit: &wd.hits[j], sg: srcs[s], d: d}
+	w.lo, w.hi, w.terms = w.sg.window(d, wd.sets[s], wd.r.w, wd.sc)
+	return w
+}
+
+// windows walks hit list qi in rank order, picks every hit's snippet
+// window and hands it to f. ctx is polled every 64 hits.
+func (r *retrieval) windows(ctx context.Context, qi int, f func(j int, w hitWindow)) error {
+	wd := r.windower(qi)
+	defer wd.close()
+	for j := range wd.hits {
 		if j&63 == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		s, d := 0, hits[j].Doc
-		for ; d >= int32(r.srcs[s].seg.Index().NumDocs()); s++ {
-			d -= int32(r.srcs[s].seg.Index().NumDocs())
-		}
-		w := hitWindow{Hit: &hits[j], sg: r.srcs[s], d: d}
-		w.lo, w.hi, w.terms = w.sg.window(d, sets[s], r.w, sc)
-		f(j, w)
+		f(j, wd.at(j))
 	}
 	return nil
 }
 
 // Candidate is one retrieved document as the diversification stage takes
-// it: no snippet string, and a surrogate vector only once Surrogates ran.
+// it: no snippet string, and a surrogate vector only once somebody asked
+// for it (Candidates.Vector, or Surrogates for all of them).
 type Candidate struct {
 	DocID string
 	Rank  int // 1-based
@@ -222,9 +244,11 @@ type Candidate struct {
 
 // Candidates is a query batch retrieved against one pinned snapshot,
 // with the second half of the document scoring phase — surrogate vectors
-// — left to the caller's decision: a caller that ends up not diversifying
-// (Algorithm 1 found the query unambiguous) never pays for them. Close
-// must be called; it releases the snapshot.
+// — left to the caller's decision, candidate by candidate: a caller that
+// ends up not diversifying (Algorithm 1 found the query unambiguous) never
+// pays for them, and one whose selection proves a candidate cannot win
+// never pays for that one. Close must be called; it releases the
+// snapshot. Not safe for concurrent use.
 type Candidates struct {
 	// Lists[i] answers queries[i], in rank order.
 	Lists [][]Candidate
@@ -233,14 +257,15 @@ type Candidates struct {
 	Epoch uint64
 	Lex   *textsim.Lexicon
 
-	r *retrieval // nil once closed
+	r  *retrieval  // nil once closed
+	wd []*windower // per list, made on its first Vector
 }
 
 // Candidates is SearchBatch for callers that want surrogate vectors
 // instead of snippets: the same retrieval, bit for bit, but results carry
 // no display string, and their vectors — equal to IVectorOfText of the
 // snippet SearchBatch would have returned — are built from the forward
-// index when Surrogates is called.
+// index when Vector or Surrogates is called.
 func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*Candidates, error) {
 	st := e.snapshot()
 	r, err := e.retrieve(ctx, st, queries, ks)
@@ -258,14 +283,28 @@ func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*C
 	return c, nil
 }
 
+// Vector builds the surrogate vector of candidate j of list q — the one
+// Surrogates attaches to it — and of no other: one forward-index decode
+// and one window. It must not be called after Close.
+func (c *Candidates) Vector(q, j int) textsim.IVector {
+	if c.wd == nil {
+		c.wd = make([]*windower, len(c.Lists))
+	}
+	if c.wd[q] == nil {
+		c.wd[q] = c.r.windower(q)
+	}
+	return c.wd[q].at(j).vector(c.r.st.idf)
+}
+
 // Surrogates attaches every candidate's surrogate vector. The only
-// possible error is ctx.Err().
+// possible error is ctx.Err(), polled every 64 candidates.
 func (c *Candidates) Surrogates(ctx context.Context) error {
-	idf := c.r.st.idf
-	for i, list := range c.Lists {
-		err := c.r.windows(ctx, i, func(j int, w hitWindow) { list[j].IVec = w.vector(idf) })
-		if err != nil {
-			return err
+	for q, list := range c.Lists {
+		for j := range list {
+			if j&63 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			list[j].IVec = c.Vector(q, j)
 		}
 	}
 	return nil
@@ -275,7 +314,12 @@ func (c *Candidates) Surrogates(ctx context.Context) error {
 // Idempotent; the lists and their vectors stay valid.
 func (c *Candidates) Close() {
 	if c.r != nil {
+		for _, wd := range c.wd {
+			if wd != nil {
+				wd.close()
+			}
+		}
 		c.r.st.unpin()
-		c.r = nil
+		c.r, c.wd = nil, nil
 	}
 }

@@ -69,11 +69,16 @@ func (s Table2Spec) withDefaults() Table2Spec {
 	return s
 }
 
-// Table2Cell is one timed grid cell.
+// Table2Cell is one grid cell: the wall-clock time Table 2 prints, and
+// the operation count (core.OpCount: OptSelect's heap pushes, the greedy
+// algorithms' marginal-utility evaluations) the complexity fit of Table 1
+// reads — a property of the algorithm and the input, the same on a loaded
+// box as on an idle one.
 type Table2Cell struct {
 	N      int
 	K      int
 	Millis float64
+	Ops    int64
 }
 
 // Table2Result holds the timed grid per algorithm.
@@ -107,15 +112,17 @@ func RunTable2(spec Table2Spec) *Table2Result {
 		for _, k := range spec.Ks {
 			p.K = k
 			for _, alg := range table2Algorithms {
-				ms := timeAlgorithm(alg, p, u, spec.Reps)
-				res.Cells[alg] = append(res.Cells[alg], Table2Cell{N: n, K: k, Millis: ms})
+				ms, ops := timeAlgorithm(alg, p, u, spec.Reps)
+				res.Cells[alg] = append(res.Cells[alg], Table2Cell{N: n, K: k, Millis: ms, Ops: ops})
 			}
 		}
 	}
 	return res
 }
 
-func timeAlgorithm(alg core.Algorithm, p *core.Problem, u *core.Utilities, reps int) float64 {
+// timeAlgorithm returns the best wall-clock time of reps runs, in
+// milliseconds, and the operations one run performs.
+func timeAlgorithm(alg core.Algorithm, p *core.Problem, u *core.Utilities, reps int) (float64, int64) {
 	run := func() {
 		switch alg {
 		case core.AlgOptSelect:
@@ -126,8 +133,12 @@ func timeAlgorithm(alg core.Algorithm, p *core.Problem, u *core.Utilities, reps 
 			core.IASelect(p, u)
 		}
 	}
-	// One warm-up round keeps allocator effects out of the first cell.
+	// One warm-up round keeps allocator effects out of the first cell; it
+	// is also the run whose operations are counted.
+	var ops core.OpCount
+	p.Ops = &ops
 	run()
+	p.Ops = nil
 	// The minimum of the reps, not their mean: a rep that shared its core
 	// with another package's tests only ever reads high.
 	best := time.Duration(math.MaxInt64)
@@ -138,7 +149,7 @@ func timeAlgorithm(alg core.Algorithm, p *core.Problem, u *core.Utilities, reps 
 			best = d
 		}
 	}
-	return float64(best.Microseconds()) / 1000.0
+	return float64(best.Microseconds()) / 1000.0, ops.HeapPushes + ops.MarginalEvals
 }
 
 // Cell returns the timing for (alg, n, k).
@@ -205,9 +216,10 @@ func algLabel(a core.Algorithm) string {
 }
 
 // ComplexityFit is one row of the empirical Table 1: the fitted exponents
-// e of time ∝ n^e (at the largest k) and time ∝ k^e (at the largest n).
-// The theoretical values are e_n = 1 for all three algorithms, e_k = 1 for
-// IASelect/xQuAD and e_k ≈ 0 (logarithmic) for OptSelect.
+// e of operations ∝ n^e (at the largest k no n clamps) and operations ∝
+// k^e (at the largest n). The theoretical values are e_n = 1 for all three
+// algorithms, e_k = 1 for IASelect/xQuAD and e_k ≈ 0 for OptSelect (its
+// pushes do not grow with k; each costs O(log k)).
 type ComplexityFit struct {
 	Alg        core.Algorithm
 	ExponentN  float64
@@ -217,8 +229,8 @@ type ComplexityFit struct {
 	Complexity string // the paper's Table 1 entry
 }
 
-// FitComplexity recovers the empirical complexity exponents from a timed
-// grid (needs at least two Ns and two Ks).
+// FitComplexity recovers the empirical complexity exponents from a grid's
+// operation counts (needs at least two Ns and two Ks).
 func FitComplexity(r *Table2Result) ([]ComplexityFit, error) {
 	// The n-exponent is fitted along one k: the largest that no n clamps.
 	// An algorithm asked for k > n selects n, so a k above the smallest n
@@ -236,9 +248,9 @@ func FitComplexity(r *Table2Result) ([]ComplexityFit, error) {
 	for _, alg := range table2Algorithms {
 		var xs, ys []float64
 		for _, n := range r.Spec.Ns {
-			if c, ok := r.Cell(alg, n, kFix); ok && c.Millis > 0 {
+			if c, ok := r.Cell(alg, n, kFix); ok && c.Ops > 0 {
 				xs = append(xs, float64(n))
-				ys = append(ys, c.Millis)
+				ys = append(ys, float64(c.Ops))
 			}
 		}
 		eN, _, r2N, err := stats.FitPowerLaw(xs, ys)
@@ -247,9 +259,9 @@ func FitComplexity(r *Table2Result) ([]ComplexityFit, error) {
 		}
 		xs, ys = nil, nil
 		for _, k := range r.Spec.Ks {
-			if c, ok := r.Cell(alg, nFix, k); ok && c.Millis > 0 {
+			if c, ok := r.Cell(alg, nFix, k); ok && c.Ops > 0 {
 				xs = append(xs, float64(k))
-				ys = append(ys, c.Millis)
+				ys = append(ys, float64(c.Ops))
 			}
 		}
 		eK, _, r2K, err := stats.FitPowerLaw(xs, ys)
@@ -271,7 +283,7 @@ func FitComplexity(r *Table2Result) ([]ComplexityFit, error) {
 // FormatComplexity writes the empirical Table 1.
 func FormatComplexity(w io.Writer, fits []ComplexityFit) {
 	fmt.Fprintf(w, "%-10s %-12s %14s %8s %14s %8s\n",
-		"Algorithm", "Theory", "exp(time~n^e)", "R2", "exp(time~k^e)", "R2")
+		"Algorithm", "Theory", "exp(ops~n^e)", "R2", "exp(ops~k^e)", "R2")
 	for _, f := range fits {
 		fmt.Fprintf(w, "%-10s %-12s %14.2f %8.3f %14.2f %8.3f\n",
 			algLabel(f.Alg), f.Complexity, f.ExponentN, f.R2N, f.ExponentK, f.R2K)

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -377,4 +379,48 @@ func FuzzShardFrame(f *testing.F) {
 			t.Fatalf("re-encoding an accepted frame of the same length changed it")
 		}
 	})
+}
+
+// TestVectorSurfacesFrameError: the per-candidate vector reads a winner's
+// term payload out of the frame at the moment it is asked for, long after
+// decode checked it — so bytes that went bad in between (a pooled frame
+// handed back too early is how) must come out of Scored.Vector, and of
+// the bulk Attach over it, as an error for that candidate, never as a
+// wrong vector or a panic, and leave every other candidate's vector alone.
+func TestVectorSurfacesFrameError(t *testing.T) {
+	dict := testPipeline(t).Engine.Dictionary()
+	hits := []wantHit{
+		{doc: 3, score: 2, id: "doc-3", terms: []int32{1, 1, 4}},
+		{doc: 9, score: 1, id: "doc-9", terms: []int32{0, 2}},
+	}
+	f := &frame{buf: encodeFrame(PayloadTerms, 1, dict.Fingerprint, [][]wantHit{hits})}
+	if err := f.decode(1); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := (&gathered{frames: []*frame{f}}).scored(dict, []int{10}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, h := range hits {
+		got, err := sc.Vector(0, j)
+		if err != nil || !reflect.DeepEqual(got, dict.Vector(h.terms)) {
+			t.Fatalf("candidate %d: vector %+v, err %v; want Dictionary.Vector of its terms", j, got, err)
+		}
+	}
+
+	_, refs := f.list(0)
+	f.buf[refs[1].pay] = 0x7f // hit 1 now claims 127 terms in a 3-byte payload
+	if _, err := sc.Vector(0, 1); err == nil || !strings.Contains(err.Error(), "terms claimed") {
+		t.Fatalf("Vector over a corrupted payload: err = %v, want the frame reader's", err)
+	}
+	if got, err := sc.Vector(0, 0); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms)) {
+		t.Fatalf("the sound candidate beside it: vector %+v, err %v", got, err)
+	}
+	if err := sc.Attach(context.Background()); err == nil || !strings.Contains(err.Error(), "terms claimed") {
+		t.Fatalf("Attach over a corrupted payload: err = %v, want the frame reader's", err)
+	}
+	sc.Close()
+	if _, err := sc.Vector(0, 0); err == nil {
+		t.Fatal("Vector after Close read a frame that was handed back")
+	}
 }

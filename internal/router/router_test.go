@@ -21,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/synth"
+	"repro/internal/text"
 	"repro/internal/textsim"
 )
 
@@ -228,12 +229,17 @@ func testQueries(p *repro.Pipeline) []string {
 }
 
 // TestRouterServeDifferential is the frame's gate at the facade: through
-// the router's searcher — term payloads, lazy vectors, payload none for
-// cached unambiguous verdicts — DiversifyServe must return exactly what
-// the local handle returns, cold and warm, for every query × algorithm ×
-// k × shard count; every vector Attach builds must equal IVectorOfText
-// of the snippet the text payload carries for the same hit; and
-// SearchBatch over the frame must equal engine.SearchBatch.
+// the router's searcher — term payloads, per-candidate vectors, payload
+// none for cached unambiguous verdicts — DiversifyServe must return
+// exactly what the local handle returns, and both what the uncached
+// reference route (Pipeline.Diversify at that k) returns — documents,
+// order, ranks and selection scores — cold and warm, for every query ×
+// algorithm × k × shard count; the bounded OptSelect behind both handles
+// must be seen to skip candidates (a bound silently off would pass every
+// equality) and the other algorithms to skip none; every vector Attach
+// builds must equal IVectorOfText of the snippet the text payload carries
+// for the same hit; and SearchBatch over the frame must equal
+// engine.SearchBatch.
 func TestRouterServeDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 3} {
@@ -245,8 +251,11 @@ func TestRouterServeDifferential(t *testing.T) {
 			for _, alg := range []core.Algorithm{core.AlgOptSelect, core.AlgXQuAD, core.AlgIASelect} {
 				for _, k := range []int{10, 100} {
 					local, routed := p.NewServeHandle(64, 2), rp.NewServeHandle(64, 2)
+					oracle := *p
+					oracle.Config.K = k
 					for _, temp := range []string{"cold", "warm"} {
 						for _, q := range queries {
+							refSel, refSpecs := oracle.Diversify(text.NormalizeQuery(q), alg)
 							wantSel, wantSpecs, wantHit, _, err := local.DiversifyServe(ctx, q, alg, k)
 							if err != nil {
 								t.Fatal(err)
@@ -261,6 +270,21 @@ func TestRouterServeDifferential(t *testing.T) {
 							if !reflect.DeepEqual(gotSel, wantSel) || !reflect.DeepEqual(gotSpecs, wantSpecs) {
 								t.Fatalf("%s %s k=%d q=%q diverges:\nlocal:  %+v\nrouter: %+v", temp, alg, k, q, wantSel, gotSel)
 							}
+							if !reflect.DeepEqual(gotSel, refSel) || !reflect.DeepEqual(gotSpecs, refSpecs) {
+								for i := range refSel {
+									if i >= len(gotSel) || gotSel[i].ID != refSel[i].ID || gotSel[i].Rank != refSel[i].Rank || gotSel[i].Score != refSel[i].Score {
+										t.Fatalf("%s %s k=%d q=%q: served SERP leaves Pipeline.Diversify's at #%d\nreference: %+v\nserved:    %+v", temp, alg, k, q, i, refSel, gotSel)
+									}
+								}
+								t.Fatalf("%s %s k=%d q=%q: served SERP has Pipeline.Diversify's IDs, ranks and scores but differs elsewhere\nreference: %+v\nserved:    %+v", temp, alg, k, q, refSel, gotSel)
+							}
+						}
+					}
+					for side, h := range map[string]*repro.ServeHandle{"local": local, "routed": routed} {
+						seen, evaluated, vectors := h.Work.CandidatesSeen.Load(), h.Work.CandidatesEvaluated.Load(), h.Work.VectorsBuilt.Load()
+						// At k=100 no topic retrieves k candidates: M never fills.
+						if bounded := alg == core.AlgOptSelect && k == 10; seen == 0 || bounded != (evaluated < seen) || bounded != (vectors < seen) {
+							t.Fatalf("%s %s k=%d: %d candidates seen, %d scored, %d vectors built; OptSelect must skip some at k=10, everything else none", side, alg, k, seen, evaluated, vectors)
 						}
 					}
 				}

@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/engine"
 	"repro/internal/ranking"
+	"repro/internal/textsim"
 )
 
 // ReplicaSpec declares one worker endpoint of a shard's pool. Weight
@@ -372,14 +373,15 @@ func (s *Searcher) SearchBatch(ctx context.Context, queries []string, ks []int) 
 // Score implements repro.Searcher: the serving path's scatter. The
 // shards are asked for term numbers when the caller may read surrogate
 // vectors and for bare hit headers when it will not; either way the
-// lists come back merged at once, and Attach counts the winners' term
-// numbers into vectors under dict — IVectorOfText of the snippet
-// SearchBatch returns for the same hit, bit for bit — only if it is
-// called. Under AllowPartial a shard whose whole pool is down (or whose
-// sub-budget expired) is dropped from the merge instead of failing the
-// request, and the lists come back marked Degraded; at least one shard
-// must answer — an empty SERP helps nobody — and a canceled client context
-// still fails strictly. Close hands the frames back for reuse.
+// lists come back merged at once, and Vector counts a winner's term
+// numbers into its vector under dict — IVectorOfText of the snippet
+// SearchBatch returns for the same hit, bit for bit — only when it is
+// asked for that winner. Under AllowPartial a shard whose whole pool is
+// down (or whose sub-budget expired) is dropped from the merge instead of
+// failing the request, and the lists come back marked Degraded; at least
+// one shard must answer — an empty SERP helps nobody — and a canceled
+// client context still fails strictly. Close hands the frames back for
+// reuse.
 func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {
 	if cur := s.dict.Load(); cur == nil || *cur != dict.Fingerprint {
 		s.dict.Store(&dict.Fingerprint)
@@ -392,38 +394,36 @@ func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []
 	if err != nil {
 		return nil, err
 	}
-	sc := &repro.Scored{Lists: make([][]engine.Candidate, len(queries)), Info: g.info}
-	wins := make([][]winner, len(queries))
-	for q := range queries {
+	return g.scored(dict, ks, vectors)
+}
+
+// scored merges the gathered frames into the lists of a Scored whose
+// Vector (with vectors set) reads winners' term payloads out of them.
+func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repro.Scored, error) {
+	sc := &repro.Scored{Lists: make([][]engine.Candidate, len(ks)), Info: g.info, Close: g.release}
+	wins := make([][]winner, len(ks))
+	for q := range ks {
+		var err error
 		if sc.Lists[q], wins[q], err = g.merge(q, ks[q]); err != nil {
 			g.release()
 			return nil, err
 		}
 	}
-	sc.Close = g.release
 	if !vectors {
 		g.release() // nothing of the frames is read again
-		sc.Attach = func(context.Context) error { return nil }
 		return sc, nil
 	}
-	sc.Attach = func(ctx context.Context) error {
+	var terms []int32
+	sc.Vector = func(q, j int) (textsim.IVector, error) {
 		if g.released {
-			return errors.New("router: Attach after Close")
+			return textsim.IVector{}, errors.New("router: Vector after Close")
 		}
-		var terms []int32
-		for q, list := range sc.Lists {
-			for j, w := range wins[q] {
-				if j&63 == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				var err error
-				if terms, err = w.f.termsOf(w.ref, terms); err != nil {
-					return err
-				}
-				list[j].IVec = dict.Vector(terms)
-			}
+		w := wins[q][j]
+		var err error
+		if terms, err = w.f.termsOf(w.ref, terms); err != nil {
+			return textsim.IVector{}, err
 		}
-		return nil
+		return dict.Vector(terms), nil
 	}
 	return sc, nil
 }

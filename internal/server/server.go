@@ -305,6 +305,19 @@ type FusedStats struct {
 	AspectBlocksSkipped uint64 `json:"aspect_blocks_skipped"`
 }
 
+// SelectionStats is the selection section of a stats response: over this
+// server's diversified requests, how many R_q candidates the selection
+// stage saw, how many it scored under Definition 2 and how many surrogate
+// vectors it built. OptSelect is served by the bounded selection, which
+// scores a candidate only while it can still enter a heap; xQuAD,
+// IASelect and MMR read every candidate. Counted per serving handle, not
+// per process.
+type SelectionStats struct {
+	CandidatesSeen      int64 `json:"candidates_seen"`
+	CandidatesEvaluated int64 `json:"candidates_evaluated"`
+	VectorsBuilt        int64 `json:"vectors_built"`
+}
+
 // StatsResponse is the JSON body of GET /stats.
 type StatsResponse struct {
 	UptimeSeconds  int64                   `json:"uptime_s"`
@@ -323,6 +336,7 @@ type StatsResponse struct {
 	AvgLatencyMsec float64                 `json:"avg_latency_ms"`
 	Index          IndexStats              `json:"index"`
 	Fused          FusedStats              `json:"fused"`
+	Selection      SelectionStats          `json:"selection"`
 	Live           engine.LiveStats        `json:"live"`
 	Cache          CacheStats              `json:"cache"`
 	Latency        map[string]LatencyStats `json:"latency"`
@@ -601,6 +615,11 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 			StagedQueries:       fused.StagedQueries,
 			AspectHeapEvictions: fused.AspectHeapEvictions,
 			AspectBlocksSkipped: fused.AspectBlocksSkipped,
+		},
+		Selection: SelectionStats{
+			CandidatesSeen:      h.Work.CandidatesSeen.Load(),
+			CandidatesEvaluated: h.Work.CandidatesEvaluated.Load(),
+			VectorsBuilt:        h.Work.VectorsBuilt.Load(),
 		},
 		Live:    h.Pipeline.Engine.Live(),
 		Latency: latency,

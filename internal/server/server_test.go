@@ -201,6 +201,22 @@ func TestStatsCounters(t *testing.T) {
 	if st.InFlight != 0 {
 		t.Errorf("in_flight = %d at rest", st.InFlight)
 	}
+	// Three OptSelect answers over the same R_q: the bounded selection
+	// saw all of it each time, scored only part of it, and built a vector
+	// for exactly what it scored. An xQuAD answer reads everything.
+	sel := st.Selection
+	if sel.CandidatesSeen == 0 || sel.CandidatesSeen%3 != 0 || sel.CandidatesEvaluated >= sel.CandidatesSeen ||
+		sel.CandidatesEvaluated == 0 || sel.VectorsBuilt != sel.CandidatesEvaluated {
+		t.Errorf("selection after 3 optselect searches = %+v, want 0 < evaluated = vectors < seen = 3·|R_q|", sel)
+	}
+	var sr SearchResponse
+	getJSON(t, searchURL(ts.URL, q, url.Values{"alg": {"xquad"}}), &sr)
+	var after StatsResponse
+	getJSON(t, ts.URL+"/stats", &after)
+	rq := sel.CandidatesSeen / 3
+	if d := after.Selection; d.CandidatesSeen-sel.CandidatesSeen != rq || d.CandidatesEvaluated-sel.CandidatesEvaluated != rq || d.VectorsBuilt-sel.VectorsBuilt != rq {
+		t.Errorf("selection after one xquad search = %+v (before %+v), want all three up by |R_q| = %d", d, sel, rq)
+	}
 	// Per-endpoint latency histograms: /search observed the 3 searches.
 	search, ok := st.Latency["/search"]
 	if !ok {

@@ -29,6 +29,7 @@ import (
 	"repro/internal/querylog"
 	"repro/internal/suggest"
 	"repro/internal/synth"
+	"repro/internal/textsim"
 )
 
 // Config assembles the knobs of the full pipeline. The zero value plus
@@ -109,13 +110,12 @@ func (c Config) withDefaults() Config {
 // means all matches), snippets attached: the reference route
 // Pipeline.BuildProblem and Diversify take, strict even where Score may
 // degrade. Score is the serving path's route: the same retrieval, bit for
-// bit, in the two halves DiversifyServe needs them — the lists now,
-// surrogate vectors only if asked for afterwards (see Scored). dict is
-// the pipeline engine's dictionary,
-// which a remote implementation checks its workers' against and counts
-// their term numbers under; vectors false promises Attach will not be
-// called, which lets an implementation skip gathering what vectors are
-// made of.
+// bit, in the two halves DiversifyServe needs them — the lists now, a
+// candidate's surrogate vector only when asked for afterwards (see
+// Scored). dict is the pipeline engine's dictionary, which a remote
+// implementation checks its workers' against and counts their term
+// numbers under; vectors false promises no vector will be asked for,
+// which lets an implementation skip gathering what vectors are made of.
 //
 // The only error a conforming implementation may return for local
 // serving is ctx.Err(), but distributed searchers also surface scatter
@@ -135,10 +135,36 @@ type Scored struct {
 	Lists [][]engine.Candidate
 	// Info reports a degraded or hedged fan-out (always zero locally).
 	Info SearchInfo
-	// Attach fills every candidate's IVec; Close releases what the
-	// retrieval holds and must be called. Lists stay valid after Close.
-	Attach func(context.Context) error
-	Close  func()
+	// Vector builds the surrogate vector of candidate j of Lists[q], and
+	// of no other: the bounded selection asks only for the candidates it
+	// scores. Nil when the fan-out was told no vector would be read. Not
+	// safe for concurrent use.
+	Vector func(q, j int) (textsim.IVector, error)
+	// Close releases what the retrieval holds and must be called. Lists
+	// stay valid after Close; Vector does not.
+	Close func()
+}
+
+// Attach fills every candidate's IVec — the bulk form, for lists whose
+// every vector is read (the R_q′ lists; R_q under xQuAD, IASelect and
+// MMR). ctx is polled every 64 candidates.
+func (s *Scored) Attach(ctx context.Context) error {
+	if s.Vector == nil {
+		return nil
+	}
+	for q, list := range s.Lists {
+		for j := range list {
+			if j&63 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			iv, err := s.Vector(q, j)
+			if err != nil {
+				return err
+			}
+			list[j].IVec = iv
+		}
+	}
+	return nil
 }
 
 // LocalSearcher is the Searcher a pipeline without an override scores
@@ -152,7 +178,8 @@ func (l localSearcher) Score(ctx context.Context, _ engine.Dictionary, queries [
 	if err != nil {
 		return nil, err
 	}
-	return &Scored{Lists: c.Lists, Attach: c.Surrogates, Close: c.Close}, nil
+	vector := func(q, j int) (textsim.IVector, error) { return c.Vector(q, j), nil }
+	return &Scored{Lists: c.Lists, Vector: vector, Close: c.Close}, nil
 }
 
 // SearchInfo is per-request serving metadata reported by a tail-tolerant

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/suggest"
 	"repro/internal/text"
+	"repro/internal/textsim"
 )
 
 // queryArtifacts is what the serving cache stores per normalized query:
@@ -24,6 +26,11 @@ import (
 type queryArtifacts struct {
 	Specs     []suggest.Specialization
 	SpecLists []core.Specialization
+	// Bounds is what the bounded OptSelect knows about SpecLists before a
+	// candidate has a vector (nil with no specializations). A few hundred
+	// bytes: the benchmark holds live heap to 2 %, and a per-artifact map,
+	// or the spec index Definition 2 is scored through, would not fit.
+	Bounds *core.SpecBounds
 }
 
 // ServeHandle is the concurrency-safe serving facade over a warm
@@ -45,6 +52,30 @@ type ServeHandle struct {
 	mu       sync.Mutex
 	inflight map[string]*artifactCall
 	builds   int64 // completed artifact builds (leaders only), for tests/stats
+
+	// Work counts what diversified requests actually paid for.
+	Work SelectionWork
+}
+
+// SelectionWork is a handle's running totals over its diversified
+// (ambiguous-query) requests: how much of R_q the selection looked at.
+// OptSelect is served by core.OptSelectBounded, which scores — and builds
+// the surrogate vector of — only the candidates that can still enter a
+// heap; xQuAD and IASelect read whole columns of the utility matrix and
+// MMR every pairwise distance, so they build and score everything.
+type SelectionWork struct {
+	// CandidatesSeen sums |R_q|.
+	CandidatesSeen atomic.Int64
+	// CandidatesEvaluated sums the candidates the selection scored.
+	CandidatesEvaluated atomic.Int64
+	// VectorsBuilt sums the R_q surrogate vectors built.
+	VectorsBuilt atomic.Int64
+}
+
+func (w *SelectionWork) add(seen, evaluated, vectors int) {
+	w.CandidatesSeen.Add(int64(seen))
+	w.CandidatesEvaluated.Add(int64(evaluated))
+	w.VectorsBuilt.Add(int64(vectors))
 }
 
 // artifactCall is one in-flight artifact build; followers block on done.
@@ -116,8 +147,8 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	art, hit := h.cache.Get(key)
 
 	// The document scoring phase in two halves: R_q is retrieved now — on a
-	// miss beside the artifact build — and given surrogate vectors only
-	// once the verdict says they will be read. Baseline reads ID, Rank and
+	// miss beside the artifact build — and a candidate given its surrogate
+	// vector only once something will read it. Baseline reads ID, Rank and
 	// Rel alone, so an unambiguous request builds none — and on a hit,
 	// where the verdict is already in hand, says so up front, which spares
 	// a remote fan-out everything but the hit headers.
@@ -143,7 +174,10 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	info.Merge(rq.Info)
 	exec.CountQuery(exec.ModeStaged)
 
-	if len(art.Specs) > 0 {
+	// OptSelect asks for vectors one candidate at a time, and only for
+	// those its bounds cannot rule out; the other algorithms read them all.
+	bounded := alg == core.AlgOptSelect
+	if len(art.Specs) > 0 && !bounded {
 		if err := rq.Attach(ctx); err != nil {
 			return nil, nil, hit, info, err
 		}
@@ -155,7 +189,18 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	if len(art.Specs) == 0 {
 		return core.Baseline(problem), nil, hit, info, nil
 	}
-	return core.Diversify(alg, problem), art.Specs, hit, info, nil
+	n := len(problem.Candidates)
+	if !bounded {
+		h.Work.add(n, n, n)
+		return core.Diversify(alg, problem), art.Specs, hit, info, nil
+	}
+	sel, evaluated, err := core.OptSelectBounded(ctx, problem, art.Bounds,
+		func(i int) (textsim.IVector, error) { return rq.Vector(0, i) })
+	h.Work.add(n, evaluated, evaluated)
+	if err != nil {
+		return nil, nil, hit, info, err
+	}
+	return sel, art.Specs, hit, info, nil
 }
 
 // score runs one scoring fan-out through the active backend — the local
@@ -289,5 +334,6 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 		}
 		art.SpecLists[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 	}
+	art.Bounds = core.NewSpecBounds(art.SpecLists)
 	return art, sc.Info.Degraded, nil
 }
