@@ -1,0 +1,70 @@
+package repro_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro"
+	"repro/internal/synth"
+)
+
+// servedWorld is the world the serving benchmark's head-hot, cold-tail and
+// routed workloads build (benchmark/workloads.go, seed 1): 48 topics over
+// 12 000 noise documents, |R_q| = 500, k = 10.
+func servedWorld() repro.Config {
+	return repro.Config{
+		Corpus: synth.CorpusSpec{
+			Seed: 1, NumTopics: 48, MinSubtopics: 4, MaxSubtopics: 4,
+			DocsPerSubtopic: 40, GenericDocsPerTopic: 20, NoiseDocs: 12000,
+			DocLength: 50, BackgroundVocab: 2000, TopicVocab: 12, SubtopicVocab: 8,
+		},
+		Log:           synth.AOLLike(2, 12000),
+		NumCandidates: 500,
+		PerSpec:       20,
+		K:             10,
+		Threshold:     0.30,
+	}
+}
+
+// BenchmarkBuild times repro.Build over that world: most of what the
+// serving benchmark reports as setup_s.
+func BenchmarkBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := repro.Build(servedWorld()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRetrievalByClass times first-stage retrieval for the two kinds
+// of query the served stream is made of — a topic query (a few hundred
+// postings) and a noise query (one 12 000-posting list) — at the two depths
+// DiversifyServe asks for: NumCandidates when the request may diversify, k
+// when a cached verdict says it will not.
+func BenchmarkRetrievalByClass(b *testing.B) {
+	p, err := repro.Build(servedWorld())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, class := range []struct{ name, query string }{
+		{"topic", p.Testbed.Topics[0].Query},
+		{"noise", synth.NoiseQuery(3)},
+	} {
+		for _, depth := range []int{p.Config.NumCandidates, p.Config.K} {
+			b.Run(fmt.Sprintf("%s/depth=%d", class.name, depth), func(b *testing.B) {
+				b.ReportAllocs()
+				hits := 0
+				for i := 0; i < b.N; i++ {
+					c, err := p.Engine.Candidates(context.Background(), []string{class.query}, []int{depth})
+					if err != nil {
+						b.Fatal(err)
+					}
+					hits = len(c.Lists[0])
+					c.Close()
+				}
+				b.ReportMetric(float64(hits), "hits")
+			})
+		}
+	}
+}

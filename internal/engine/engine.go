@@ -330,11 +330,12 @@ func Build(docs []Document, cfg Config) (*Engine, error) {
 	b := index.NewBuilder()
 	b.SetBlockSize(cfg.blockLayout())
 	raw := newHeapDocs(len(docs))
+	analyzer := cfg.Analyzer.ForPass()
 	var tokens []string
 	var lens []int32
 	for _, d := range docs {
 		t := docText{title: d.Title, body: d.Body}
-		tokens, lens = analyze(cfg.Analyzer, t, tokens[:0], lens[:0])
+		tokens, lens = analyze(analyzer, t, tokens[:0], lens[:0])
 		if err := b.AddFields(d.ID, tokens, lens); err != nil {
 			return nil, err
 		}

@@ -40,10 +40,11 @@ func ensureForward(cfg Config, idx *index.Index, docs docStore) {
 	if idx.Forward() != nil {
 		return
 	}
+	analyzer := cfg.Analyzer.ForPass()
 	var tokens []string
 	var lens []int32
 	idx.RebuildForward(func(d int32) ([]string, []int32) {
-		tokens, lens = analyze(cfg.Analyzer, docs.Text(d), tokens[:0], lens[:0])
+		tokens, lens = analyze(analyzer, docs.Text(d), tokens[:0], lens[:0])
 		return tokens, lens
 	})
 }

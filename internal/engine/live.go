@@ -215,6 +215,7 @@ func (e *Engine) Compact() (uint64, error) {
 	b := index.NewBuilder()
 	b.SetBlockSize(e.cfg.blockLayout())
 	raw := newHeapDocs(st.live)
+	analyzer := e.cfg.Analyzer.ForPass()
 	var tokens []string
 	var lens []int32
 	for si, sg := range st.segs {
@@ -236,7 +237,7 @@ func (e *Engine) Compact() (uint64, error) {
 				// so bodies must move onto the heap.
 				t = docText{body: strings.Clone(t.payload())}
 			}
-			tokens, lens = analyze(e.cfg.Analyzer, t, tokens[:0], lens[:0])
+			tokens, lens = analyze(analyzer, t, tokens[:0], lens[:0])
 			if err := b.AddFields(id, tokens, lens); err != nil {
 				e.advise(idx, index.AdviseRandom)
 				return st.epoch, err

@@ -97,6 +97,14 @@ func (p *Plan) Fused() bool { return p != nil && p.Mode == ModeFused }
 // structural reason per-aspect thresholds cannot feed back into the main
 // scan's block skipping (see the execution-plan notes in
 // docs/ARCHITECTURE.md).
+//
+// It is also why a shorter column is not always the same column cut short.
+// On the min >= 0 branch Rel is score/max, and the maximum is the first
+// hit of a list of any depth, so the top k normalize alike whether 10 or
+// 500 were retrieved: the serving route retrieves a baseline SERP only k
+// deep under the models that promise non-negative scores
+// (ranking.Boundable). On the shifted branch the minimum is the LAST hit,
+// so depth changes every Rel, and such a model keeps the full depth.
 type RelNormalizer struct {
 	min, max float64
 	seen     bool

@@ -502,17 +502,19 @@ func (x *Index) SetBlockMaxScores(key string, scores []float64) error {
 // MaxScore pruning consumes. Negative scores are floored at 0 so the
 // result is always a valid SetMaxScores table; scoring functions meant
 // for pruning are nonnegative anyway (ranking.Boundable's contract).
-func (x *Index) ComputeMaxScores(score func(tf, docLen float64, t TermStats, c CollectionStats) float64) []float64 {
+func (x *Index) ComputeMaxScores(score ScoreFunc) []float64 {
 	c := x.Stats()
 	out := make([]float64, len(x.termList))
+	tab := new(ScoreTable)
 	for id := range x.plists {
 		pl := &x.plists[id]
 		t := TermStats{ID: int32(id), DF: int64(pl.n), CF: x.cf[id]}
+		tab.Reset()
 		max := 0.0
 		it := x.iterRange(int32(id), 0, math.MaxInt32)
 		for blk := it.NextBlock(); blk != nil; blk = it.NextBlock() {
 			for _, p := range blk {
-				if s := score(float64(p.TF), float64(x.docLens[p.Doc]), t, c); s > max {
+				if s := tab.Score(score, p.TF, x.docLens[p.Doc], t, c); s > max {
 					max = s
 				}
 			}
@@ -529,7 +531,7 @@ func (x *Index) ComputeMaxScores(score func(tf, docLen float64, t TermStats, c C
 // a valid SetBlockMaxScores table. The per-term maximum is the max over
 // the term's entries, so callers needing both tables can derive one from
 // the other exactly. Returns nil on a flat layout.
-func (x *Index) ComputeBlockMaxScores(score func(tf, docLen float64, t TermStats, c CollectionStats) float64) []float64 {
+func (x *Index) ComputeBlockMaxScores(score ScoreFunc) []float64 {
 	if !x.Blocked() {
 		return nil
 	}
@@ -537,9 +539,11 @@ func (x *Index) ComputeBlockMaxScores(score func(tf, docLen float64, t TermStats
 	out := make([]float64, x.nBlocks)
 	scratch := blockScratch.Get().(*[]Posting)
 	defer blockScratch.Put(scratch)
+	tab := new(ScoreTable)
 	for id := range x.plists {
 		pl := &x.plists[id]
 		t := TermStats{ID: int32(id), DF: int64(pl.n), CF: x.cf[id]}
+		tab.Reset()
 		base := int32(-1)
 		for bi, h := range pl.blocks {
 			if bi > 0 {
@@ -566,7 +570,7 @@ func (x *Index) ComputeBlockMaxScores(score func(tf, docLen float64, t TermStats
 			*scratch = blk[:0]
 			max := 0.0
 			for _, p := range blk {
-				if s := score(float64(p.TF), float64(x.docLens[p.Doc]), t, c); s > max {
+				if s := tab.Score(score, p.TF, x.docLens[p.Doc], t, c); s > max {
 					max = s
 				}
 			}

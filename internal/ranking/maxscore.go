@@ -1,9 +1,11 @@
 package ranking
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/index"
 	"repro/internal/topk"
@@ -218,11 +220,11 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 	}
 	// Ascending upper bound (ties by term order, for determinism);
 	// prefix[i] bounds the total contribution of lists 0..i.
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].ub != live[j].ub {
-			return live[i].ub < live[j].ub
+	slices.SortFunc(live, func(a, b msCursor) int {
+		if a.ub != b.ub {
+			return cmp.Compare(a.ub, b.ub)
 		}
-		return live[i].order < live[j].order
+		return cmp.Compare(a.order, b.order)
 	})
 	prefix := make([]float64, len(live))
 	sum := 0.0
@@ -231,6 +233,12 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		prefix[i] = sum
 	}
 	slack := msSlack(len(live))
+	// tabs[i] is live[i]'s score table: a posting's (tf, docLen) pair is
+	// scored once per term per query.
+	scratch := scoreTablePool.Get().(*scoreTables)
+	defer scoreTablePool.Put(scratch)
+	tabs := scratch.take(len(live))
+	termScore := model.TermScore
 
 	heap := topk.NewBounded[int32](k)
 	threshold := math.Inf(-1)
@@ -264,16 +272,16 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		if d == math.MaxInt32 {
 			break // essential lists exhausted
 		}
-		docLen := float64(idx.DocLen(d))
+		docLen := idx.DocLen(d)
 		partial := 0.0
 		matched := false
 		for i := firstEss; i < len(live); i++ {
 			c := &live[i]
 			if c.ok && c.cur.Doc == d {
-				tf := float64(c.cur.TF)
+				tf := c.cur.TF
 				c.it.Advance()
 				c.cur, c.ok = c.it.Cur()
-				if s := model.TermScore(tf, docLen, c.stats, cstats); s != 0 {
+				if s := tabs[i].Score(termScore, tf, docLen, c.stats, cstats); s != 0 {
 					v := c.mult * s
 					contrib[c.order] = v
 					touched = append(touched, c.order)
@@ -315,7 +323,7 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 				}
 			}
 			if p, ok := c.it.SeekGE(d); ok && p.Doc == d {
-				if s := model.TermScore(float64(p.TF), docLen, c.stats, cstats); s != 0 {
+				if s := tabs[i].Score(termScore, p.TF, docLen, c.stats, cstats); s != 0 {
 					v := c.mult * s
 					contrib[c.order] = v
 					touched = append(touched, c.order)
@@ -335,7 +343,7 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 					score += v
 				}
 			}
-			score += model.DocAdjust(docLen, qLen, cstats)
+			score += model.DocAdjust(float64(docLen), qLen, cstats)
 			heap.Push(d, score, int64(d))
 			if t, full := heap.Threshold(); full {
 				threshold = t
@@ -347,4 +355,24 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		touched = touched[:0]
 	}
 	return heap.Drain(), nil
+}
+
+// scoreTables is a posting loop's pooled index.ScoreTables: one per cursor
+// in maxscoreTopK, one reused term after term in the exhaustive loops.
+// Per-query scratch — nothing of it outlives the loop that took it.
+type scoreTables struct{ tabs []index.ScoreTable }
+
+var scoreTablePool = sync.Pool{New: func() any { return new(scoreTables) }}
+
+// take returns n empty tables, valid until s goes back to the pool.
+func (s *scoreTables) take(n int) []index.ScoreTable {
+	if cap(s.tabs) < n {
+		s.tabs = make([]index.ScoreTable, n)
+		return s.tabs
+	}
+	tabs := s.tabs[:n]
+	for i := range tabs {
+		tabs[i].Reset()
+	}
+	return tabs
 }

@@ -86,6 +86,10 @@ func Retrieve(idx *index.Index, model Model, queryTokens []string, k int) []Hit 
 	acc := accPool.Get().(*accumulator)
 	defer accPool.Put(acc)
 	acc.reset(idx.NumDocs())
+	scratch := scoreTablePool.Get().(*scoreTables)
+	defer scoreTablePool.Put(scratch)
+	tab := &scratch.take(1)[0]
+	termScore := model.TermScore
 	for ti, term := range terms {
 		mult := mults[ti]
 		// One dictionary probe per term: stats and an iterator together.
@@ -97,9 +101,10 @@ func Retrieve(idx *index.Index, model Model, queryTokens []string, k int) []Hit 
 		if !ok {
 			continue
 		}
+		tab.Reset()
 		for blk := it.NextBlock(); blk != nil; blk = it.NextBlock() {
 			for _, p := range blk {
-				s := model.TermScore(float64(p.TF), float64(idx.DocLen(p.Doc)), tstats, cstats)
+				s := tab.Score(termScore, p.TF, idx.DocLen(p.Doc), tstats, cstats)
 				if s != 0 {
 					acc.add(p.Doc, mult*s)
 				}

@@ -165,6 +165,10 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 	}()
 
 	if anyExhaustive {
+		scratch := scoreTablePool.Get().(*scoreTables)
+		defer scoreTablePool.Put(scratch)
+		tab := &scratch.take(1)[0]
+		termScore := model.TermScore
 		for ti := range plan {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -186,9 +190,10 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 				targets = live
 			}
 			it := shard.Iter(st.stats.ID)
+			tab.Reset()
 			for blk := it.NextBlock(); blk != nil; blk = it.NextBlock() {
 				for _, p := range blk {
-					s := model.TermScore(float64(p.TF), float64(idx.DocLen(p.Doc)), st.stats, cstats)
+					s := tab.Score(termScore, p.TF, idx.DocLen(p.Doc), st.stats, cstats)
 					if s == 0 {
 						continue
 					}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -456,6 +457,20 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	q := p.Testbed.TopicQuery(1)
 	// Partial mode enabled + healthy fleet: still bit-identical.
 	w.expectSame(t, q, url.Values{"k": {"5"}})
+	// A query the log never saw, asked twice while healthy: its "not
+	// ambiguous" verdict is cached, so from now on the router asks each
+	// shard for the k hit headers of the SERP and nothing more.
+	// (A background word of the first document that the last one has too,
+	// so both shards hold matches.)
+	plain, last := "", " "+p.Testbed.Docs[len(p.Testbed.Docs)-1].Body+" "
+	for _, word := range strings.Fields(p.Testbed.Docs[0].Body) {
+		if strings.Contains(last, " "+word+" ") {
+			plain = word
+			break
+		}
+	}
+	w.expectSame(t, plain, url.Values{"k": {"5"}})
+	w.expectSame(t, plain, url.Values{"k": {"5"}})
 
 	w.net.setFault("s1a", faultRefused)
 	w.net.setFault("s1b", faultRefused)
@@ -513,6 +528,40 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	sc.Close()
 	if ts := w.searcher.TailStats(); ts.Degraded == 0 || ts.ShardsDropped == 0 {
 		t.Errorf("tail stats %+v, want degraded and shards_dropped > 0", ts)
+	}
+
+	// The same property through the whole serving route for the shallow
+	// shard legs: the degraded SERP of the cached unambiguous query is the
+	// surviving shard's own top k, in its order — and that is part of, not
+	// all of, what the healthy fleet answers.
+	var healthy, degraded server.SearchResponse
+	for base, into := range map[string]*server.SearchResponse{w.single.URL: &healthy, w.router.URL: &degraded} {
+		code, body := fetch(t, searchURL(base, plain, url.Values{"k": {"5"}}))
+		if err := json.Unmarshal([]byte(body), into); code != http.StatusOK || err != nil {
+			t.Fatalf("%q: %d %s (%v)", plain, code, body, err)
+		}
+	}
+	survivors, err := p.Engine.SearchShard(context.Background(), 0, []string{plain}, []int{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer survivors.Close()
+	var wantIDs, gotIDs, healthyIDs []string
+	if err := survivors.Each(context.Background(), 0, false, func(h *engine.ShardHit) { wantIDs = append(wantIDs, h.DocID) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range degraded.Results {
+		gotIDs = append(gotIDs, r.ID)
+	}
+	for _, r := range healthy.Results {
+		healthyIDs = append(healthyIDs, r.ID)
+	}
+	if !degraded.Degraded || !degraded.CacheHit || degraded.Ambiguous || len(wantIDs) == 0 || !reflect.DeepEqual(gotIDs, wantIDs) {
+		t.Fatalf("degraded SERP of cached unambiguous %q = %v (degraded=%v hit=%v ambiguous=%v), want shard 0's top 5 %v",
+			plain, gotIDs, degraded.Degraded, degraded.CacheHit, degraded.Ambiguous, wantIDs)
+	}
+	if reflect.DeepEqual(healthyIDs, wantIDs) {
+		t.Fatalf("%q: the healthy SERP %v is shard 0's alone; the fixture query must draw on the shard that is down", plain, healthyIDs)
 	}
 
 	// Artifacts built during the outage are served, never cached: a query

@@ -253,9 +253,11 @@ func TestRouterServeDifferential(t *testing.T) {
 					local, routed := p.NewServeHandle(64, 2), rp.NewServeHandle(64, 2)
 					oracle := *p
 					oracle.Config.K = k
+					shallowLegs := 0
 					for _, temp := range []string{"cold", "warm"} {
 						for _, q := range queries {
 							refSel, refSpecs := oracle.Diversify(text.NormalizeQuery(q), alg)
+							retrieved := [2]int64{local.Work.CandidatesRetrieved.Load(), routed.Work.CandidatesRetrieved.Load()}
 							wantSel, wantSpecs, wantHit, _, err := local.DiversifyServe(ctx, q, alg, k)
 							if err != nil {
 								t.Fatal(err)
@@ -278,7 +280,21 @@ func TestRouterServeDifferential(t *testing.T) {
 								}
 								t.Fatalf("%s %s k=%d q=%q: served SERP has Pipeline.Diversify's IDs, ranks and scores but differs elsewhere\nreference: %+v\nserved:    %+v", temp, alg, k, q, refSel, gotSel)
 							}
+							// A cached "not ambiguous" verdict is answered from k
+							// hit headers a shard: what was retrieved is the SERP,
+							// on both sides of the process boundary.
+							retrieved[0] = local.Work.CandidatesRetrieved.Load() - retrieved[0]
+							retrieved[1] = routed.Work.CandidatesRetrieved.Load() - retrieved[1]
+							if retrieved[0] != retrieved[1] || (refSpecs == nil && temp == "warm" && retrieved[1] != int64(len(gotSel))) {
+								t.Fatalf("%s %s k=%d q=%q: retrieved %d candidates locally, %d through the router, for a SERP of %d", temp, alg, k, q, retrieved[0], retrieved[1], len(gotSel))
+							}
+							if refSpecs == nil && temp == "warm" && len(gotSel) == k {
+								shallowLegs++
+							}
 						}
+					}
+					if k == 10 && shallowLegs == 0 {
+						t.Fatalf("%s k=%d: no unambiguous query filled its SERP, so no shard leg was cut short", alg, k)
 					}
 					for side, h := range map[string]*repro.ServeHandle{"local": local, "routed": routed} {
 						seen, evaluated, vectors := h.Work.CandidatesSeen.Load(), h.Work.CandidatesEvaluated.Load(), h.Work.VectorsBuilt.Load()

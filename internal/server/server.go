@@ -305,14 +305,16 @@ type FusedStats struct {
 	AspectBlocksSkipped uint64 `json:"aspect_blocks_skipped"`
 }
 
-// SelectionStats is the selection section of a stats response: over this
-// server's diversified requests, how many R_q candidates the selection
-// stage saw, how many it scored under Definition 2 and how many surrogate
-// vectors it built. OptSelect is served by the bounded selection, which
-// scores a candidate only while it can still enter a heap; xQuAD,
-// IASelect and MMR read every candidate. Counted per serving handle, not
-// per process.
+// SelectionStats is the selection section of a stats response: how many
+// R_q candidates this server's requests retrieved — all of them, the
+// ones answered k deep because nothing would diversify them included —
+// and, over its diversified requests, how many the selection stage saw,
+// how many it scored under Definition 2 and how many surrogate vectors it
+// built. OptSelect is served by the bounded selection, which scores a
+// candidate only while it can still enter a heap; xQuAD, IASelect and MMR
+// read every candidate. Counted per serving handle, not per process.
 type SelectionStats struct {
+	CandidatesRetrieved int64 `json:"candidates_retrieved"`
 	CandidatesSeen      int64 `json:"candidates_seen"`
 	CandidatesEvaluated int64 `json:"candidates_evaluated"`
 	VectorsBuilt        int64 `json:"vectors_built"`
@@ -617,6 +619,7 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 			AspectBlocksSkipped: fused.AspectBlocksSkipped,
 		},
 		Selection: SelectionStats{
+			CandidatesRetrieved: h.Work.CandidatesRetrieved.Load(),
 			CandidatesSeen:      h.Work.CandidatesSeen.Load(),
 			CandidatesEvaluated: h.Work.CandidatesEvaluated.Load(),
 			VectorsBuilt:        h.Work.VectorsBuilt.Load(),

@@ -209,6 +209,9 @@ func TestStatsCounters(t *testing.T) {
 		sel.CandidatesEvaluated == 0 || sel.VectorsBuilt != sel.CandidatesEvaluated {
 		t.Errorf("selection after 3 optselect searches = %+v, want 0 < evaluated = vectors < seen = 3·|R_q|", sel)
 	}
+	if sel.CandidatesRetrieved != sel.CandidatesSeen {
+		t.Errorf("retrieved %d candidates over 3 ambiguous searches, want what the selection saw, %d", sel.CandidatesRetrieved, sel.CandidatesSeen)
+	}
 	var sr SearchResponse
 	getJSON(t, searchURL(ts.URL, q, url.Values{"alg": {"xquad"}}), &sr)
 	var after StatsResponse
@@ -216,6 +219,24 @@ func TestStatsCounters(t *testing.T) {
 	rq := sel.CandidatesSeen / 3
 	if d := after.Selection; d.CandidatesSeen-sel.CandidatesSeen != rq || d.CandidatesEvaluated-sel.CandidatesEvaluated != rq || d.VectorsBuilt-sel.VectorsBuilt != rq {
 		t.Errorf("selection after one xquad search = %+v (before %+v), want all three up by |R_q| = %d", d, sel, rq)
+	}
+	// An unambiguous query diversifies nothing, so only the retrieval count
+	// moves: by the full depth while the verdict is being found out, by the
+	// k the SERP shows once it is cached.
+	noise := synth.NoiseQuery(1)
+	for i, want := range []int64{int64(p.Config.NumCandidates), int64(p.Config.K)} {
+		before := after
+		sr = SearchResponse{}
+		getJSON(t, searchURL(ts.URL, noise, nil), &sr)
+		getJSON(t, ts.URL+"/stats", &after)
+		if sr.Ambiguous || len(sr.Results) != p.Config.K || sr.CacheHit != (i == 1) {
+			t.Fatalf("search %d for %q: ambiguous=%v, %d results, cache_hit=%v", i, noise, sr.Ambiguous, len(sr.Results), sr.CacheHit)
+		}
+		d, b := after.Selection, before.Selection
+		if d.CandidatesRetrieved-b.CandidatesRetrieved != want || d.CandidatesSeen != b.CandidatesSeen ||
+			d.CandidatesEvaluated != b.CandidatesEvaluated || d.VectorsBuilt != b.VectorsBuilt {
+			t.Errorf("selection after search %d for %q = %+v (before %+v), want only candidates_retrieved up, by %d", i, noise, d, b, want)
+		}
 	}
 	// Per-endpoint latency histograms: /search observed the 3 searches.
 	search, ok := st.Latency["/search"]

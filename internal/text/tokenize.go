@@ -50,6 +50,27 @@ type Analyzer struct {
 	StopWords map[string]bool // tokens to drop (after lowercasing, before stemming)
 	Stem      bool            // apply the Porter stemmer
 	MinLen    int             // drop tokens shorter than MinLen (0 = keep all)
+
+	stems map[string]string // ForPass only: stems already worked out
+}
+
+// stemMemoCap bounds a pass's stem memo. A collection's running text
+// repeats a few thousand word forms; the cap only matters for a corpus of
+// mostly unique tokens, whose later forms are stemmed unremembered.
+const stemMemoCap = 1 << 16
+
+// ForPass returns a copy of a for one goroutine's pass over many documents
+// (an index build, a compaction): the same chain, with every distinct word
+// form stemmed once and remembered for the rest of the pass — Porter's
+// suffix matching is most of what analysis costs. The memo belongs to the
+// copy and goes when it does; a itself stays safe for concurrent use, the
+// copy is not.
+func (a *Analyzer) ForPass() *Analyzer {
+	c := *a
+	if c.Stem {
+		c.stems = make(map[string]string)
+	}
+	return &c
 }
 
 // NewAnalyzer returns the analysis chain used in the paper's experiments:
@@ -80,7 +101,14 @@ func (a *Analyzer) keep(tok string) (string, bool) {
 		return "", false
 	}
 	if a.Stem {
-		tok = Stem(tok)
+		stem, known := a.stems[tok]
+		if !known {
+			stem = Stem(tok)
+			if a.stems != nil && len(a.stems) < stemMemoCap {
+				a.stems[tok] = stem
+			}
+		}
+		tok = stem
 	}
 	return tok, tok != ""
 }

@@ -3,7 +3,6 @@ package topk
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // Bounded keeps the best B items seen so far, by score (with the package's
@@ -126,7 +125,7 @@ func (h *Bounded[T]) PopWorst() (Item[T], bool) {
 func (h *Bounded[T]) Descending() []Item[T] {
 	out := make([]Item[T], len(h.items))
 	copy(out, h.items)
-	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
+	slices.SortFunc(out, bestFirst[T])
 	return out
 }
 
@@ -142,15 +141,7 @@ func (h *Bounded[T]) Drain() []Item[T] {
 // or Reset again.
 func (h *Bounded[T]) DrainSorted() []Item[T] {
 	out := h.items
-	slices.SortFunc(out, func(a, b Item[T]) int {
-		switch {
-		case better(a, b):
-			return -1
-		case better(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, bestFirst[T])
 	h.items = h.items[:0]
 	return out
 }

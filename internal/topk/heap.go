@@ -27,6 +27,18 @@ func better[T any](a, b Item[T]) bool {
 	return a.Tie < b.Tie
 }
 
+// bestFirst is better as a three-way comparison: the order Descending,
+// Drain and DrainSorted return items in.
+func bestFirst[T any](a, b Item[T]) int {
+	switch {
+	case better(a, b):
+		return -1
+	case better(b, a):
+		return 1
+	}
+	return 0
+}
+
 // Max is an unbounded max-heap: Pop returns the highest-scoring item.
 // The zero value is ready to use.
 type Max[T any] struct {

@@ -309,3 +309,44 @@ func TestBoundedResetAndDrainSorted(t *testing.T) {
 		}
 	}
 }
+
+// Descending, Drain and DrainSorted share one comparator, so over inputs
+// full of score ties (tie keys distinct, as every caller's are) they return
+// the same items in the same order — and that order is the sort package's
+// under better.
+func TestBoundedOrdersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		b := 1 + rng.Intn(40)
+		var hs [3]*Bounded[int]
+		for i := range hs {
+			hs[i] = NewBounded[int](b)
+		}
+		var all []Item[int]
+		for i, n := 0, rng.Intn(120); i < n; i++ {
+			it := Item[int]{Value: i, Score: float64(rng.Intn(5)), Tie: int64(n - i)}
+			all = append(all, it)
+			for _, h := range hs {
+				h.PushItem(it)
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool { return better(all[i], all[j]) })
+		if len(all) > b {
+			all = all[:b]
+		}
+		desc, drained, sorted := hs[0].Descending(), hs[1].Drain(), hs[2].DrainSorted()
+		if hs[0].Len() != len(all) || hs[1].Len() != 0 || hs[2].Len() != 0 {
+			t.Fatalf("trial %d: lengths after %d/%d/%d, want %d/0/0", trial, hs[0].Len(), hs[1].Len(), hs[2].Len(), len(all))
+		}
+		for name, got := range map[string][]Item[int]{"Descending": desc, "Drain": drained, "DrainSorted": sorted} {
+			if len(got) != len(all) {
+				t.Fatalf("trial %d: %s returned %d items, want %d", trial, name, len(got), len(all))
+			}
+			for i := range all {
+				if got[i] != all[i] {
+					t.Fatalf("trial %d: %s item %d = %+v, want %+v", trial, name, i, got[i], all[i])
+				}
+			}
+		}
+	}
+}

@@ -238,27 +238,28 @@ func (p *Pipeline) searcher() Searcher {
 func Build(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	tb := synth.GenerateTestbed(cfg.Corpus)
-	eng := cfg.PrebuiltEngine
-	if eng == nil {
-		var err error
-		eng, err = engine.Build(tb.Docs, cfg.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("repro: building engine: %w", err)
-		}
+	p := &Pipeline{Config: cfg, Testbed: tb, Engine: cfg.PrebuiltEngine}
+
+	// The two halves of the paper's offline phase share nothing but the
+	// testbed, which both only read: the log is generated and mined beside
+	// the index build.
+	mined := make(chan struct{})
+	go func() {
+		defer close(mined)
+		p.Log = synth.GenerateLog(tb, cfg.Log)
+		p.Sessions = qfg.ExtractSessions(p.Log, cfg.Session)
+		p.Graph = qfg.Build(p.Log, cfg.Session)
+		p.Recommender = suggest.Train(p.Sessions, p.Log.Frequencies(), suggest.TrainOptions{})
+	}()
+	var err error
+	if p.Engine == nil {
+		p.Engine, err = engine.Build(tb.Docs, cfg.Engine)
 	}
-	log := synth.GenerateLog(tb, cfg.Log)
-	sessions := qfg.ExtractSessions(log, cfg.Session)
-	graph := qfg.Build(log, cfg.Session)
-	rec := suggest.Train(sessions, log.Frequencies(), suggest.TrainOptions{})
-	return &Pipeline{
-		Config:      cfg,
-		Testbed:     tb,
-		Engine:      eng,
-		Log:         log,
-		Sessions:    sessions,
-		Graph:       graph,
-		Recommender: rec,
-	}, nil
+	<-mined
+	if err != nil {
+		return nil, fmt.Errorf("repro: building engine: %w", err)
+	}
+	return p, nil
 }
 
 // DetectSpecializations runs Algorithm 1 on the query: a nil result means

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/ranking"
 	"repro/internal/suggest"
 	"repro/internal/text"
 	"repro/internal/textsim"
@@ -53,18 +54,23 @@ type ServeHandle struct {
 	inflight map[string]*artifactCall
 	builds   int64 // completed artifact builds (leaders only), for tests/stats
 
-	// Work counts what diversified requests actually paid for.
+	// Work counts what requests actually paid for.
 	Work SelectionWork
 }
 
-// SelectionWork is a handle's running totals over its diversified
-// (ambiguous-query) requests: how much of R_q the selection looked at.
+// SelectionWork is a handle's running totals: how deep its requests'
+// retrievals went and, over the diversified ones (an ambiguous query under
+// a diversifying algorithm), how much of R_q the selection looked at.
 // OptSelect is served by core.OptSelectBounded, which scores — and builds
 // the surrogate vector of — only the candidates that can still enter a
 // heap; xQuAD and IASelect read whole columns of the utility matrix and
 // MMR every pairwise distance, so they build and score everything.
 type SelectionWork struct {
-	// CandidatesSeen sums |R_q|.
+	// CandidatesRetrieved sums the |R_q| retrieval returned, over every
+	// request: NumCandidates deep where the request may diversify, k deep
+	// where it is known beforehand that it will not (see servedDepth).
+	CandidatesRetrieved atomic.Int64
+	// CandidatesSeen sums |R_q| over the diversified requests.
 	CandidatesSeen atomic.Int64
 	// CandidatesEvaluated sums the candidates the selection scored.
 	CandidatesEvaluated atomic.Int64
@@ -112,6 +118,12 @@ func (h *ServeHandle) CacheStats() cache.Stats { return h.cache.Stats() }
 // the boolean reports whether the cache served the artifacts. Safe for
 // concurrent use.
 //
+// R_q is retrieved NumCandidates deep when the request may diversify, and
+// only k deep — the same SERP, bit for bit — when it is known before
+// retrieval starts that it will not: alg is the baseline, or the cache holds
+// the query's "not ambiguous" verdict (servedDepth has the argument and the
+// one exception).
+//
 // ctx is threaded into the per-request R_q retrieval fan-out, so a shed or
 // client-aborted request stops its shard work mid-flight (locally the only
 // possible error is ctx.Err()). The shared artifact build deliberately
@@ -148,21 +160,23 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 
 	// The document scoring phase in two halves: R_q is retrieved now — on a
 	// miss beside the artifact build — and a candidate given its surrogate
-	// vector only once something will read it. Baseline reads ID, Rank and
-	// Rel alone, so an unambiguous request builds none — and on a hit,
-	// where the verdict is already in hand, says so up front, which spares
-	// a remote fan-out everything but the hit headers.
+	// vector only once something will read it. servedDepth decides how deep
+	// the retrieval goes, and whether vectors can be asked for at all, from
+	// what is known of the verdict by now: all of it on a hit, nothing on a
+	// miss. "None" spares a remote fan-out everything but the hit headers.
 	var rq *Scored
 	var rqErr error
 	var info SearchInfo
 	if hit {
-		rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates}, len(art.Specs) > 0)
+		depth, vectors := p.servedDepth(alg, k, len(art.Specs) > 0)
+		rq, rqErr = p.score(ctx, []string{norm}, []int{depth}, vectors)
 	} else {
+		depth, vectors := p.servedDepth(alg, k, true)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rq, rqErr = p.score(ctx, []string{norm}, []int{p.Config.NumCandidates}, true)
+			rq, rqErr = p.score(ctx, []string{norm}, []int{depth}, vectors)
 		}()
 		art, info.Degraded = h.buildOrJoin(key, norm)
 		wg.Wait() // rq is the retrieval goroutine's until joined
@@ -175,9 +189,11 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	exec.CountQuery(exec.ModeStaged)
 
 	// OptSelect asks for vectors one candidate at a time, and only for
-	// those its bounds cannot rule out; the other algorithms read them all.
+	// those its bounds cannot rule out; the baseline reads none; the other
+	// algorithms read them all.
+	ambiguous := len(art.Specs) > 0
 	bounded := alg == core.AlgOptSelect
-	if len(art.Specs) > 0 && !bounded {
+	if ambiguous && !bounded && alg != core.AlgBaseline {
 		if err := rq.Attach(ctx); err != nil {
 			return nil, nil, hit, info, err
 		}
@@ -186,10 +202,14 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	if k > 0 {
 		problem.K = k
 	}
-	if len(art.Specs) == 0 {
+	n := len(problem.Candidates)
+	h.Work.CandidatesRetrieved.Add(int64(n))
+	if !ambiguous {
 		return core.Baseline(problem), nil, hit, info, nil
 	}
-	n := len(problem.Candidates)
+	if alg == core.AlgBaseline {
+		return core.Baseline(problem), art.Specs, hit, info, nil
+	}
 	if !bounded {
 		h.Work.add(n, n, n)
 		return core.Diversify(alg, problem), art.Specs, hit, info, nil
@@ -201,6 +221,37 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 		return nil, nil, hit, info, err
 	}
 	return sel, art.Specs, hit, info, nil
+}
+
+// servedDepth says how many candidates a request's R_q retrieval asks for,
+// and whether any of their surrogate vectors may be read. ambiguous is what
+// is known of Algorithm 1's verdict when retrieval starts — true on a miss,
+// where nothing is. A request that may diversify selects from all of R_q
+// and reads vectors; one that cannot — the baseline asked for by name, or
+// a cached "not ambiguous" verdict — is answered by core.Baseline out of
+// ID, Rank and Rel of the top k, and may retrieve just those where that is
+// exact.
+//
+// The top k of a retrieval are the first k of any deeper one (one total
+// order, score then document number), so stopping at k changes ID, Rank and
+// Score of nothing returned. Rel is the score normalized over the whole
+// retrieved column (exec.RelNormalizer): a ranking.Boundable model promises
+// non-negative scores, which puts the normalizer on its score/max branch,
+// and the maximum is rank 1 of the short list and the long one alike. A
+// model whose scores go negative (LMDirichlet) is shifted by the column's
+// minimum, which only the full depth knows, so it keeps NumCandidates.
+func (p *Pipeline) servedDepth(alg core.Algorithm, k int, ambiguous bool) (depth int, vectors bool) {
+	depth = p.Config.NumCandidates
+	if ambiguous && alg != core.AlgBaseline {
+		return depth, true
+	}
+	if _, ok := p.Engine.Model().(ranking.Boundable); ok {
+		if k <= 0 {
+			k = p.Config.K
+		}
+		depth = min(k, depth)
+	}
+	return depth, false
 }
 
 // score runs one scoring fan-out through the active backend — the local
