@@ -1,11 +1,13 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"repro"
+	"repro/internal/engine"
 	"repro/internal/synth"
 )
 
@@ -41,30 +43,45 @@ func BenchmarkBuild(b *testing.B) {
 // of query the served stream is made of — a topic query (a few hundred
 // postings) and a noise query (one 12 000-posting list) — at the two depths
 // DiversifyServe asks for: NumCandidates when the request may diversify, k
-// when a cached verdict says it will not.
+// when a cached verdict says it will not. The loaded/ variants run the
+// same queries over the engine read back from its epoch file (engine.Load:
+// every segment an RIDX7 image on a heap slab) instead of the built one.
 func BenchmarkRetrievalByClass(b *testing.B) {
 	p, err := repro.Build(servedWorld())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, class := range []struct{ name, query string }{
-		{"topic", p.Testbed.Topics[0].Query},
-		{"noise", synth.NoiseQuery(3)},
-	} {
-		for _, depth := range []int{p.Config.NumCandidates, p.Config.K} {
-			b.Run(fmt.Sprintf("%s/depth=%d", class.name, depth), func(b *testing.B) {
-				b.ReportAllocs()
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					c, err := p.Engine.Candidates(context.Background(), []string{class.query}, []int{depth})
-					if err != nil {
-						b.Fatal(err)
+	var buf bytes.Buffer
+	if err := p.Engine.SaveTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := engine.Load(&buf, p.Config.Engine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eng := range []struct {
+		prefix string
+		e      *engine.Engine
+	}{{"", p.Engine}, {"loaded/", loaded}} {
+		for _, class := range []struct{ name, query string }{
+			{"topic", p.Testbed.Topics[0].Query},
+			{"noise", synth.NoiseQuery(3)},
+		} {
+			for _, depth := range []int{p.Config.NumCandidates, p.Config.K} {
+				b.Run(fmt.Sprintf("%s%s/depth=%d", eng.prefix, class.name, depth), func(b *testing.B) {
+					b.ReportAllocs()
+					hits := 0
+					for i := 0; i < b.N; i++ {
+						c, err := eng.e.Candidates(context.Background(), []string{class.query}, []int{depth})
+						if err != nil {
+							b.Fatal(err)
+						}
+						hits = len(c.Lists[0])
+						c.Close()
 					}
-					hits = len(c.Lists[0])
-					c.Close()
-				}
-				b.ReportMetric(float64(hits), "hits")
-			})
+					b.ReportMetric(float64(hits), "hits")
+				})
+			}
 		}
 	}
 }

@@ -54,7 +54,6 @@ func retrieveOne(b *testing.B, seg *index.Segmented, model ranking.Model, tokens
 var (
 	pruneIdxOnce sync.Once
 	pruneIdx     *index.Index
-	pruneFlat    *index.Index
 )
 
 // buildPruningBenchIndex memoizes the collection-scale index behind
@@ -86,18 +85,6 @@ func buildPruningBenchIndex(b *testing.B) *index.Index {
 		if err := ranking.InstallMaxScores(pruneIdx, ranking.DPH{}); err != nil {
 			panic(err)
 		}
-		// The flat twin for the layout benchmarks: same logical index,
-		// uncompressed []Posting lists (per-term max-score tables ride
-		// along through Reblock; no block-max tables exist flat).
-		pruneFlat = index.Reblock(pruneIdx, -1)
 	})
 	return pruneIdx
-}
-
-// buildFlatBenchIndex returns the flat-layout twin of the pruning bench
-// index — the baseline of the compressed-vs-flat comparisons.
-func buildFlatBenchIndex(b *testing.B) *index.Index {
-	b.Helper()
-	buildPruningBenchIndex(b)
-	return pruneFlat
 }

@@ -117,14 +117,13 @@ func BenchmarkRetrievePruned(b *testing.B) {
 	}
 }
 
-// BenchmarkRetrieveLayout pits the block-compressed posting layout
-// against the flat []Posting layout on the same 20k-doc Zipf index, over
-// the exhaustive evaluator (decode cost shows) and the pruned one (block
-// skipping shows), at k=100. Each layout also reports its storage
-// footprint as a bytes/posting metric — the number the compression
-// exists to shrink (flat = 8.0 by construction) — so the committed
-// BENCH snapshots track index size next to latency, and cmd/bench's
-// delta table surfaces size regressions.
+// BenchmarkRetrieveLayout times the block-compressed posting layout on
+// the 20k-doc Zipf index, over the exhaustive evaluator (decode cost
+// shows) and the pruned one (block skipping shows), at k=100. It also
+// reports the storage footprint as a bytes/posting metric — the number
+// the compression exists to shrink (a []Posting struct is 8.0) — so the
+// committed BENCH snapshots track index size next to latency, and
+// cmd/bench's delta table surfaces size regressions.
 func BenchmarkRetrieveLayout(b *testing.B) {
 	model := ranking.DPH{}
 	layouts := []struct {
@@ -132,7 +131,6 @@ func BenchmarkRetrieveLayout(b *testing.B) {
 		idx  *index.Index
 	}{
 		{"block128", buildPruningBenchIndex(b)},
-		{"flat", buildFlatBenchIndex(b)},
 	}
 	queries := []struct {
 		name   string

@@ -18,12 +18,11 @@ var (
 	openBenchErr  error
 )
 
-// buildOpenBenchFiles persists the 20k-doc Zipf bench index twice: as a
-// heap-decoded RIDX5 stream and as the mmap-servable RIDX7 image (both
-// with the DPH max-score and block-max tables, so neither loader has to
-// touch posting bytes for tables). Memoized: the files outlive the
-// process in the OS temp dir for at most one bench run.
-func buildOpenBenchFiles(b *testing.B) (heapPath, mmapPath string) {
+// buildOpenBenchFile persists the 20k-doc Zipf bench index as its RIDX7
+// image (with the DPH max-score and block-max tables, so neither open
+// path has to touch posting bytes for tables). Memoized: the file
+// outlives the process in the OS temp dir for at most one bench run.
+func buildOpenBenchFile(b *testing.B) string {
 	b.Helper()
 	idx := buildPruningBenchIndex(b)
 	openBenchOnce.Do(func() {
@@ -31,30 +30,21 @@ func buildOpenBenchFiles(b *testing.B) (heapPath, mmapPath string) {
 		if openBenchErr != nil {
 			return
 		}
-		seg := index.SegmentIndex(idx, 1)
-		write := func(name string, fn func(f *os.File) error) {
-			if openBenchErr != nil {
-				return
-			}
-			f, err := os.Create(filepath.Join(openBenchDir, name))
-			if err != nil {
-				openBenchErr = err
-				return
-			}
-			if err := fn(f); err != nil {
-				openBenchErr = err
-				f.Close()
-				return
-			}
-			openBenchErr = f.Close()
+		f, err := os.Create(filepath.Join(openBenchDir, "bench.ridx7"))
+		if err != nil {
+			openBenchErr = err
+			return
 		}
-		write("bench.ridx5", func(f *os.File) error { _, err := seg.WriteTo(f); return err })
-		write("bench.ridx7", func(f *os.File) error { _, err := seg.WriteMapped(f, nil); return err })
+		if _, openBenchErr = index.SegmentIndex(idx, 1).WriteMapped(f, nil); openBenchErr != nil {
+			f.Close()
+			return
+		}
+		openBenchErr = f.Close()
 	})
 	if openBenchErr != nil {
 		b.Fatal(openBenchErr)
 	}
-	return filepath.Join(openBenchDir, "bench.ridx5"), filepath.Join(openBenchDir, "bench.ridx7")
+	return filepath.Join(openBenchDir, "bench.ridx7")
 }
 
 // zipfBenchQueries draws a fixed query stream from the bench vocabulary
@@ -73,8 +63,8 @@ func zipfBenchQueries(seed int64, n int) [][]string {
 	return out
 }
 
-// BenchmarkOpenIndex measures index startup: opening the persisted 20k-
-// doc Zipf index as a heap-decoded stream vs mapping the RIDX7 image in
+// BenchmarkOpenIndex measures index startup: reading the persisted 20k-
+// doc Zipf RIDX7 image onto a heap slab (ReadSegmented) vs mapping it in
 // place, each alone and with the first 100 queries of a Zipf stream run
 // warm (top-100 Block-Max MaxScore retrieval) — the failover-relevant
 // number, since a respawned worker pays open + first-queries before the
@@ -82,18 +72,18 @@ func zipfBenchQueries(seed int64, n int) [][]string {
 // per open, including the warm queries in the warm100 variants), which
 // cmd/bench tracks in its delta table.
 func BenchmarkOpenIndex(b *testing.B) {
-	heapPath, mmapPath := buildOpenBenchFiles(b)
+	path := buildOpenBenchFile(b)
 	queries := zipfBenchQueries(99, 100)
 
 	openHeap := func() (*index.Segmented, error) {
-		f, err := os.Open(heapPath)
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		return index.ReadSegmented(f)
 	}
-	openMmap := func() (*index.Segmented, error) { return index.OpenMapped(mmapPath) }
+	openMmap := func() (*index.Segmented, error) { return index.OpenMapped(path) }
 
 	for _, bm := range []struct {
 		name string

@@ -1,23 +1,18 @@
 // Command buildindex builds a search engine over a corpus and persists it
-// to disk (index + document store, single file), so serving tools can
-// load it without re-analyzing the collection. Without -corpus it indexes
-// a synthetic testbed; with -corpus it reads documents from a TSV file of
-// "id<TAB>title<TAB>body" lines.
+// as one RIDX7 index image — postings, shard partition, max-score tables,
+// raw bodies and forward index in wire shape at aligned offsets — so
+// serving tools open it without re-analyzing the collection. Without
+// -corpus it indexes a synthetic testbed; with -corpus it reads documents
+// from a TSV file of "id<TAB>title<TAB>body" lines.
 //
-//	buildindex -o engine.bin -topics 20
-//	buildindex -o engine.bin -corpus docs.tsv
-//	buildindex -o engine.bin -shards 4      # record a 4-segment manifest
-//	buildindex -o engine.bin -no-maxscore   # skip the max-score/block-max tables
-//	buildindex -o engine.bin -block-size 256  # tune the posting-block capacity
-//	buildindex -o engine.bin -no-compress   # flat []Posting layout (no block compression)
-//	buildindex -o index.ridx7 -format mmap  # page-aligned RIDX7 image, mmap-servable in place
+//	buildindex -o index.ridx7 -topics 20
+//	buildindex -o index.ridx7 -corpus docs.tsv
+//	buildindex -o index.ridx7 -shards 4      # record a 4-segment partition
+//	buildindex -o index.ridx7 -no-maxscore   # skip the max-score/block-max tables
 //
-// -format engine (the default) writes an RENG2 engine stream that Load
-// decodes onto the heap. -format mmap writes the RIDX7 mapped layout —
-// postings, shard partition, max-score tables and raw bodies in wire
-// shape with aligned offsets — which `serve -index ... -mmap` (and the
-// shard workers behind scripts/failover.sh) serve straight off the page
-// cache: no posting decode at startup.
+// `serve -index index.ridx7 -mmap` (and the shard workers behind
+// scripts/failover.sh) serve the image straight off the page cache;
+// without -mmap serve reads it onto a heap slab and serves it the same way.
 package main
 
 import (
@@ -32,24 +27,13 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "engine.bin", "output file")
+	out := flag.String("o", "index.ridx7", "output file")
 	corpus := flag.String("corpus", "", "TSV corpus file (id<TAB>title<TAB>body); empty = synthetic")
 	topics := flag.Int("topics", 20, "synthetic testbed topics (when -corpus is empty)")
 	seed := flag.Int64("seed", 1, "synthetic generator seed")
 	shards := flag.Int("shards", 1, "index segments recorded in the shard manifest (serving fans retrieval out over them)")
 	noMaxScore := flag.Bool("no-maxscore", false, "skip computing/persisting max-score and block-max tables (loaders rebuild them unless they too disable pruning)")
-	blockSize := flag.Int("block-size", 0, "postings per compressed block (0 = default 128)")
-	noCompress := flag.Bool("no-compress", false, "store postings flat instead of block-compressed")
-	format := flag.String("format", "engine", "output format: engine (RENG2 stream, heap-decoded at load) or mmap (RIDX7 page-aligned image, served in place)")
 	flag.Parse()
-	if *format != "engine" && *format != "mmap" {
-		fmt.Fprintf(os.Stderr, "buildindex: unknown -format %q (engine|mmap)\n", *format)
-		os.Exit(2)
-	}
-	if *format == "mmap" && *noCompress {
-		fmt.Fprintln(os.Stderr, "buildindex: -format mmap requires the block-compressed layout (drop -no-compress)")
-		os.Exit(2)
-	}
 
 	var docs []engine.Document
 	if *corpus == "" {
@@ -85,10 +69,8 @@ func main() {
 	}
 
 	eng, err := engine.Build(docs, engine.Config{
-		Shards:             *shards,
-		DisablePruning:     *noMaxScore,
-		BlockSize:          *blockSize,
-		DisableCompression: *noCompress,
+		Shards:         *shards,
+		DisablePruning: *noMaxScore,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "buildindex:", err)
@@ -100,26 +82,13 @@ func main() {
 		os.Exit(1)
 	}
 	defer f.Close()
-	if *format == "mmap" {
-		if _, err := eng.WriteMappedTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, "buildindex:", err)
-			os.Exit(1)
-		}
-	} else if err := eng.SaveTo(f); err != nil {
+	size, err := eng.WriteMappedTo(f)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "buildindex:", err)
 		os.Exit(1)
 	}
-	st, _ := f.Stat()
-	var size int64
-	if st != nil {
-		size = st.Size()
-	}
 	storage := eng.Index().Storage()
-	layout := fmt.Sprintf("%d-posting blocks, %.2f B/posting", storage.BlockSize, storage.BytesPerPosting)
-	if storage.BlockSize == 0 {
-		layout = fmt.Sprintf("flat postings, %.2f B/posting", storage.BytesPerPosting)
-	}
-	fmt.Fprintf(os.Stderr, "indexed %d documents (%d terms, %d shards, %d max-score tables, %s) -> %s (%.2f MiB)\n",
+	fmt.Fprintf(os.Stderr, "indexed %d documents (%d terms, %d shards, %d max-score tables, %d-posting blocks, %.2f B/posting) -> %s (%.2f MiB)\n",
 		eng.NumDocs(), eng.Index().NumTerms(), eng.Segments().NumShards(),
-		len(eng.Index().MaxScoreKeys()), layout, *out, float64(size)/(1<<20))
+		len(eng.Index().MaxScoreKeys()), storage.BlockSize, storage.BytesPerPosting, *out, float64(size)/(1<<20))
 }

@@ -54,13 +54,9 @@ func main() {
 
 	st := pipe.Engine.Index().Storage()
 	fmt.Println("== retrieval-tier footprint: posting storage ==")
-	layout := fmt.Sprintf("block-compressed (%d postings/block, %d blocks)", st.BlockSize, st.Blocks)
-	if st.BlockSize == 0 {
-		layout = "flat []Posting"
-	}
-	fmt.Printf("posting layout:                     %s\n", layout)
+	fmt.Printf("posting layout:                     block-compressed (%d postings/block, %d blocks)\n", st.BlockSize, st.Blocks)
 	fmt.Printf("postings:                           %d\n", st.Postings)
-	fmt.Printf("posting bytes:                      %d (%.2f MiB, %.2f B/posting; flat layout costs 8 B/posting)\n",
+	fmt.Printf("posting bytes:                      %d (%.2f MiB, %.2f B/posting; a []Posting struct costs 8)\n",
 		st.Bytes, float64(st.Bytes)/(1<<20), st.BytesPerPosting)
 	fmt.Println()
 

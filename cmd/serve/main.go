@@ -9,24 +9,21 @@
 //	serve -addr :9090 -workers 16 -cache 4096
 //	serve -shards 4                         # retrieval fans out over 4 index segments
 //	serve -no-prune                         # exhaustive retrieval (MaxScore pruning off)
-//	serve -block-size 256                   # tune the compressed posting-block capacity
-//	serve -no-compress                      # flat []Posting layout (no block compression)
 //	serve -topics 20 -sessions 8000 -alg xquad -k 20
 //	serve -wal-dir /var/lib/repro           # durable epochs; restart recovers them
 //	serve -memtable 512 -merge-every 30s    # live-index tuning
-//	serve -madvise=false                    # suppress madvise hints on mapped index regions
 //	serve -pprof                            # expose /debug/pprof/ too
 //	serve -worker -shards 2 -addr :9101     # shard worker for the distributed tier
 //	serve -worker -index index.ridx7 -mmap  # worker over a persisted index, mmap-served
 //	serve -index index.ridx7 -mmap          # full service over a persisted index
 //
-// With -index the engine comes from a persisted file (buildindex output:
-// an RENG2 engine stream or an RIDX7 mapped image) instead of being
-// rebuilt from the synthetic corpus; -mmap additionally serves an RIDX7
-// file in place off the page cache — no posting decode at startup, which
-// is what makes worker (re)starts effectively instant. The file must
-// have been built over the same deterministic world (-seed/-topics) the
-// rest of the pipeline generates.
+// With -index the engine comes from a persisted file (an RIDX7 index
+// image from buildindex, or an RENG3 epoch file from -wal-dir) instead of
+// being rebuilt from the synthetic corpus; -mmap additionally serves an
+// RIDX7 image in place off the page cache — no heap copy at startup,
+// which is what makes worker (re)starts effectively instant. The file
+// must have been built over the same deterministic world (-seed/-topics)
+// the rest of the pipeline generates.
 //
 // The listener binds before the pipeline builds: /healthz answers 200
 // (liveness) immediately, /readyz answers 503 until the index is
@@ -81,8 +78,6 @@ func main() {
 	cacheShards := flag.Int("cache-shards", 16, "cache shard count")
 	shards := flag.Int("shards", 1, "index segments; every retrieval fans out over this many shards in parallel (results are identical at any count)")
 	noPrune := flag.Bool("no-prune", false, "disable MaxScore dynamic pruning and retrieve exhaustively (results are identical either way; pruning is just faster)")
-	blockSize := flag.Int("block-size", 0, "postings per compressed block (0 = default 128; results are identical at any size)")
-	noCompress := flag.Bool("no-compress", false, "store postings as flat structs instead of compressed blocks (~3-4x the memory, no block skipping; results are identical)")
 	alg := flag.String("alg", string(core.AlgOptSelect), "default algorithm (baseline|optselect|xquad|iaselect|mmr)")
 	maxK := flag.Int("maxk", 100, "cap on per-request k")
 	budget := flag.Duration("budget", 0, "default end-to-end /search budget (0 = none; per-request X-Search-Budget overrides)")
@@ -91,9 +86,8 @@ func main() {
 	mergeEvery := flag.Duration("merge-every", time.Minute, "background compaction interval for the live index (0 = never; compaction folds segments and tombstones back into one base segment)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (do not enable on untrusted networks)")
 	workerMode := flag.Bool("worker", false, "run as a shard worker of the distributed tier: build only the index and serve POST /shard/search (see cmd/router)")
-	indexPath := flag.String("index", "", "persisted index/engine file to serve (buildindex output) instead of rebuilding from the synthetic corpus")
-	mmapOn := flag.Bool("mmap", false, "with -index: serve an RIDX7 file in place via mmap (instant startup, page-cache-shared memory)")
-	madviseOn := flag.Bool("madvise", true, "issue madvise access-pattern hints for mapped index regions: MADV_RANDOM while serving, MADV_SEQUENTIAL for compaction/export scans (no-op on heap indexes and platforms without madvise)")
+	indexPath := flag.String("index", "", "persisted file to serve instead of rebuilding from the synthetic corpus: an RIDX7 index image (buildindex output) or an RENG3 epoch file")
+	mmapOn := flag.Bool("mmap", false, "with -index: serve an RIDX7 image in place via mmap (instant startup, page-cache-shared memory)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout: max time to read a full request (0 = unlimited)")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout: max time to write a full response (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout: max keep-alive idle time per connection (0 = unlimited)")
@@ -109,14 +103,11 @@ func main() {
 		Corpus: synth.CorpusSpec{Seed: *seed, NumTopics: *topics},
 		Log:    synth.AOLLike(*seed+1, *sessions),
 		Engine: engine.Config{
-			Shards:             *shards,
-			DisablePruning:     *noPrune,
-			BlockSize:          *blockSize,
-			DisableCompression: *noCompress,
-			MemtableCap:        *memtableCap,
-			WALDir:             *walDir,
-			Mmap:               *mmapOn,
-			DisableMadvise:     !*madviseOn,
+			Shards:         *shards,
+			DisablePruning: *noPrune,
+			MemtableCap:    *memtableCap,
+			WALDir:         *walDir,
+			Mmap:           *mmapOn,
 		},
 		NumCandidates: *candidates,
 		PerSpec:       *perSpec,
@@ -193,9 +184,6 @@ func main() {
 	}
 	storage := pipe.Engine.Index().Storage()
 	layout := fmt.Sprintf("block-compressed postings, %d/block, %.2f B/posting", storage.BlockSize, storage.BytesPerPosting)
-	if storage.BlockSize == 0 {
-		layout = fmt.Sprintf("flat postings, %.2f B/posting", storage.BytesPerPosting)
-	}
 	fmt.Fprintf(os.Stderr, "pipeline ready in %v: %d docs indexed over %d shards (%s; %s), %d log records, %d sessions\n",
 		time.Since(began).Round(time.Millisecond), pipe.Engine.NumDocs(),
 		pipe.Engine.Segments().NumShards(), pruning, layout, pipe.Log.Len(), len(pipe.Sessions))

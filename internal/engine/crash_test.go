@@ -36,9 +36,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// midLifecycleEngine builds an engine that exercises every RENG2 section:
+// midLifecycleEngine builds an engine that exercises every RENG3 section:
 // multiple sealed segments, tombstones, and a non-empty memtable.
-func midLifecycleEngine(t *testing.T) *Engine {
+func midLifecycleEngine(t testing.TB) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	var docs []Document

@@ -18,7 +18,8 @@ import (
 type docText struct{ title, body string }
 
 // payload materializes the text in its persisted form — what SaveTo and
-// WriteMappedTo write and Compact replays.
+// WriteMappedTo write into an image's payload section and Compact
+// replays.
 func (t docText) payload() string {
 	if t.title == "" {
 		return strings.TrimSpace(t.body)
@@ -85,23 +86,25 @@ func (t docText) cut(lo, hi int) string {
 // docStore is the raw-text side of a searchable source: the store
 // snippets are cut from and compaction replays, addressed by the
 // source's internal document numbers. Three implementations exist — an
-// owned table (the batch/ingest path), a view over an index's payload
-// section (the mapped path, where bodies live in the mapped file and are
+// owned table (the build/flush/compact path), a view over an index
+// image's payload section (loaded and mapped segments, whose bodies are
 // read in place), and a view over the memtable's sealed snapshot.
 type docStore interface {
 	// Ordinal returns the internal number of the document with this ID.
 	Ordinal(id string) (int32, bool)
-	// Text returns the raw text of document d. For a mapped store the
-	// strings alias the mapped region: they are valid only while the
+	// Text returns the raw text of document d. For an image-backed store
+	// the strings alias the image: a mapped one is valid only while the
 	// backing mapping is retained (a pinned state), and anything that
-	// outlives the pin must copy them (see Mapped).
+	// outlives the segment must copy them (see Borrowed).
 	Text(d int32) docText
-	// Mapped reports whether Text strings alias a mapped region and must
-	// be cloned before escaping the current state pin.
-	Mapped() bool
+	// Borrowed reports whether Text strings alias an index image and
+	// must be cloned before they outlive the segment — to keep a mapping
+	// from being unmapped under them, or a retired heap image from being
+	// kept alive by them.
+	Borrowed() bool
 }
 
-// heapDocs is the owned store every build, load and flush produces:
+// heapDocs is the owned store every build, flush and compaction produces:
 // texts by document number plus the docID → number map liveness checks
 // probe. Strings are garbage-collected Go heap data; nothing to clone.
 type heapDocs struct {
@@ -121,10 +124,11 @@ func (h *heapDocs) add(id string, t docText) {
 
 func (h *heapDocs) Ordinal(id string) (int32, bool) { d, ok := h.byID[id]; return d, ok }
 func (h *heapDocs) Text(d int32) docText            { return h.texts[d] }
-func (h *heapDocs) Mapped() bool                    { return false }
+func (h *heapDocs) Borrowed() bool                  { return false }
 
-// mappedDocs serves bodies straight out of an index's payload section —
-// the zero-copy document store of an engine opened over an index file.
+// mappedDocs serves bodies straight out of an index image's payload
+// section — the zero-copy document store of an engine opened over an
+// index file and of every segment Load reads.
 // The docID → ordinal map is built lazily on the first by-ID access, so
 // opening stays O(1) in the corpus and a pure serving workload (which
 // reaches documents by ordinal) never pays for it.
@@ -153,11 +157,11 @@ func (m *mappedDocs) Text(d int32) docText {
 	return docText{body: p}
 }
 
-func (m *mappedDocs) Mapped() bool { return m.idx.Mapped() }
+func (m *mappedDocs) Borrowed() bool { return true }
 
 // memDocs is the memtable's sealed view as a docStore.
 type memDocs struct{ mv *index.MemView }
 
 func (m memDocs) Ordinal(id string) (int32, bool) { return m.mv.Ordinal(id) }
 func (m memDocs) Text(d int32) docText            { return docText{body: m.mv.PayloadAt(d)} }
-func (m memDocs) Mapped() bool                    { return false }
+func (m memDocs) Borrowed() bool                  { return false }

@@ -45,70 +45,38 @@ type Config struct {
 	// SnippetWindow is the surrogate length in raw tokens. 0 means 30.
 	SnippetWindow int
 	// Shards is the number of index segments retrieval fans out over.
-	// 0 means 1 at build time; at Load time 0 keeps the partition the
-	// stream's shard manifest records. Results are bit-identical at any
-	// shard count — only parallelism changes.
+	// 0 means 1 at build time; at Load/OpenIndexFile time 0 keeps the
+	// partition the image records. Results are bit-identical at any shard
+	// count — only parallelism changes.
 	Shards int
 	// DisablePruning forces the exhaustive scoring path. By default the
 	// engine retrieves with MaxScore dynamic pruning whenever the model
-	// is ranking.Boundable: per-term score upper bounds are computed at
-	// build time (or read back from the index stream) and top-k
-	// evaluation skips postings that provably cannot enter the result.
-	// Over the block-compressed layout the bounds extend to block
-	// granularity (Block-Max MaxScore) and whole blocks go undecoded.
-	// Results are bit-identical either way — the toggle exists for
-	// benchmarking and as an escape hatch.
-	// Disabling it also skips computing/persisting the max-score tables
-	// for fresh builds.
+	// is ranking.Boundable: per-block and per-term score upper bounds
+	// are computed at build time (or read back from the index image) and
+	// Block-Max MaxScore top-k evaluation skips postings — whole blocks
+	// of them undecoded — that provably cannot enter the result. Results
+	// are bit-identical either way — the toggle exists for benchmarking
+	// and as an escape hatch. Disabling it also skips computing/persisting
+	// the max-score tables for fresh builds.
 	DisablePruning bool
-	// BlockSize tunes the block-compressed posting layout: the number of
-	// postings per block. 0 keeps the default (index.DefaultBlockSize at
-	// build time; at Load time, whatever layout the stream records).
-	// Ignored when DisableCompression is set. Results are bit-identical
-	// at any block size — only memory footprint and skip granularity
-	// change.
-	BlockSize int
-	// DisableCompression stores postings as flat 8-byte structs instead
-	// of delta-varint blocks: ~3-4x the posting memory, no block-max
-	// skipping, identical results. The escape hatch for profiling the
-	// layouts against each other.
-	DisableCompression bool
 	// MemtableCap bounds the in-memory write buffer: once Ingest has
 	// buffered this many live documents the memtable is flushed into an
 	// immutable segment automatically. 0 means 1024; negative disables
 	// auto-flush (explicit Flush/Compact only).
 	MemtableCap int
 	// Mmap makes OpenIndexFile serve RIDX7 index files in place from a
-	// read-only file mapping instead of decoding them onto the heap:
-	// instant startup (no posting decode, no copy of the block region)
-	// and page-cache-shared memory across processes serving the same
-	// file. Ignored by Build/Load (they own their heap state).
+	// read-only file mapping instead of reading them onto a heap slab:
+	// instant startup (no copy of the block region) and page-cache-shared
+	// memory across processes serving the same file. Ignored by
+	// Build/Load (they own their heap state).
 	Mmap bool
-	// DisableMadvise turns off the access-pattern hints (madvise) the
-	// engine issues for mapped index regions: MADV_RANDOM while serving
-	// (posting blocks are reached by block-max skipping, so readahead is
-	// wasted I/O) and MADV_SEQUENTIAL bracketing the one-pass scans —
-	// compaction body replay and mapped export. Hints are advisory,
-	// errors are ignored, and on heap-backed indexes or platforms
-	// without madvise they are no-ops either way; the toggle exists for
-	// benchmarking and as an escape hatch (serve -madvise=false).
-	DisableMadvise bool
 	// WALDir, when non-empty, makes flushes and compactions durable: each
-	// sealed epoch is persisted to an engine stream in this directory
+	// sealed epoch is persisted to an epoch file (RENG3) in this directory
 	// (written to a temp file, fsynced, atomically renamed) BEFORE the
 	// in-memory swap, and Build/Load recover the newest parseable epoch on
 	// startup. Ingest/Delete epochs between seals are not persisted — a
 	// crash rolls the buffered tail back to the last sealed epoch.
 	WALDir string
-}
-
-// blockLayout maps the config onto the index package's block-size
-// convention (> 0 capacity, 0 default, < 0 flat).
-func (c Config) blockLayout() int {
-	if c.DisableCompression {
-		return -1
-	}
-	return c.BlockSize
 }
 
 func (c Config) withDefaults() Config {
@@ -328,7 +296,6 @@ func (st *state) quiet(mv *index.MemView) bool {
 func Build(docs []Document, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	b := index.NewBuilder()
-	b.SetBlockSize(cfg.blockLayout())
 	raw := newHeapDocs(len(docs))
 	analyzer := cfg.Analyzer.ForPass()
 	var tokens []string
@@ -359,8 +326,8 @@ func Build(docs []Document, cfg Config) (*Engine, error) {
 // ID-indexed walk of the same dictionary. Max-score tables for the
 // registered boundable models plus the configured one are installed
 // here, while the index is still privately owned: fresh builds compute
-// them, v4 streams arrive with them, and older streams get them rebuilt
-// — so pruning works identically whichever way the engine came to be.
+// them, images arrive with them (and get any missing ones computed) —
+// so pruning works identically whichever way the engine came to be.
 func newEngine(cfg Config, seg *index.Segmented, docs docStore) *Engine {
 	e := &Engine{cfg: cfg}
 	e.cur.Store(freshState(cfg, seg, docs, 0))
@@ -382,7 +349,7 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 			epoch: epoch,
 			segs:  []*segment{{seg: seg, docs: docs}},
 			dead:  make(map[string]bool),
-			mem:   index.NewMemtable(cfg.blockLayout()),
+			mem:   index.NewMemtable(),
 			live:  idx.NumDocs(),
 			idf:   textsim.ComputeIDFFromIndex(idx, lex),
 			lex:   lex,
@@ -395,7 +362,7 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 }
 
 // installTables installs max-score tables for the registered boundable
-// models plus the configured one: fresh builds compute them, streams
+// models plus the configured one: fresh builds compute them, images
 // arrive with the ones their writer had and get the rest computed — so
 // pruning works identically whichever way the segment came to be.
 func installTables(cfg Config, idx *index.Index) {

@@ -7,64 +7,56 @@ import (
 	"repro/internal/index"
 )
 
-// TestBlockLayoutConfig pins the Config knobs: the default build is
-// block-compressed at index.DefaultBlockSize, BlockSize tunes the
-// capacity, DisableCompression builds flat — and search output is
-// identical across all three.
+// buildAtBlockSize is Build with the base segment's postings in blocks of
+// bs (index.Builder.SetBlockSize) — the engine itself exposes no layout
+// knob, so this is how its tests put block boundaries elsewhere.
+func buildAtBlockSize(t *testing.T, docs []Document, cfg Config, bs int) *Engine {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	b := index.NewBuilder()
+	b.SetBlockSize(bs)
+	raw := newHeapDocs(len(docs))
+	for _, d := range docs {
+		txt := docText{title: d.Title, body: d.Body}
+		toks, lens := analyze(cfg.Analyzer, txt, nil, nil)
+		if err := b.AddFields(d.ID, toks, lens); err != nil {
+			t.Fatal(err)
+		}
+		raw.add(d.ID, txt)
+	}
+	return newEngine(cfg, b.BuildSegmented(max(cfg.Shards, 1)), raw)
+}
+
+// TestBlockLayoutConfig pins the one posting layout: a build is block-
+// compressed at index.DefaultBlockSize with block-max tables installed,
+// and search output does not depend on the block size.
 func TestBlockLayoutConfig(t *testing.T) {
 	def := buildEngine(t)
-	if !def.Index().Blocked() || def.Index().BlockSize() != index.DefaultBlockSize {
-		t.Fatalf("default layout: Blocked=%v BlockSize=%d", def.Index().Blocked(), def.Index().BlockSize())
+	if def.Index().BlockSize() != index.DefaultBlockSize {
+		t.Fatalf("default layout: BlockSize=%d", def.Index().BlockSize())
 	}
-	tuned, err := Build(smallCorpus(), Config{BlockSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Index().BlockSize() != 4 {
-		t.Fatalf("BlockSize=4 built %d", tuned.Index().BlockSize())
-	}
-	flat, err := Build(smallCorpus(), Config{DisableCompression: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Index().Blocked() {
-		t.Fatal("DisableCompression still built a blocked index")
-	}
-	want := def.Search("leopard apple", 10)
-	for name, e := range map[string]*Engine{"tuned": tuned, "flat": flat} {
-		got := e.Search("leopard apple", 10)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].DocID != want[i].DocID || got[i].Score != want[i].Score {
-				t.Fatalf("%s result %d: %+v != %+v", name, i, got[i], want[i])
-			}
-		}
-	}
-	// Blocked engines with pruning get block-max tables installed.
 	if keys := def.Index().BlockMaxKeys(); len(keys) == 0 {
 		t.Error("default build installed no block-max tables")
 	}
-	if keys := flat.Index().BlockMaxKeys(); len(keys) != 0 {
-		t.Errorf("flat build grew block-max tables %v", keys)
+	tuned := buildAtBlockSize(t, smallCorpus(), Config{}, 4)
+	if tuned.Index().BlockSize() != 4 {
+		t.Fatalf("block size 4 built %d", tuned.Index().BlockSize())
 	}
+	sameResults(t, def.Search("leopard apple", 10), tuned.Search("leopard apple", 10), "block size 4")
 }
 
-// TestSaveLoadPreservesLayout round-trips the layout through engine
-// persistence and exercises the load-time overrides.
+// TestSaveLoadPreservesLayout round-trips the block size and the shard
+// partition through engine persistence, and exercises the load-time
+// shard override.
 func TestSaveLoadPreservesLayout(t *testing.T) {
-	src, err := Build(smallCorpus(), Config{BlockSize: 4, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := buildAtBlockSize(t, smallCorpus(), Config{Shards: 2}, 4)
 	var buf bytes.Buffer
 	if err := src.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()
 
-	// Zero-value config keeps the stream's layout and partition.
+	// Zero-value config keeps the image's block size and partition.
 	kept, err := Load(bytes.NewReader(stream), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,55 +64,25 @@ func TestSaveLoadPreservesLayout(t *testing.T) {
 	if kept.Index().BlockSize() != 4 || kept.Segments().NumShards() != 2 {
 		t.Fatalf("kept layout: block size %d, %d shards", kept.Index().BlockSize(), kept.Segments().NumShards())
 	}
-
-	// Explicit overrides re-lay the postings at load time.
-	flat, err := Load(bytes.NewReader(stream), Config{DisableCompression: true})
+	if keys := kept.Index().BlockMaxKeys(); len(keys) == 0 {
+		t.Error("loaded image carries no block-max tables")
+	}
+	// An explicit shard count re-partitions the same postings.
+	resharded, err := Load(bytes.NewReader(stream), Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Index().Blocked() {
-		t.Fatal("DisableCompression load kept the blocked layout")
+	if resharded.Index().BlockSize() != 4 || resharded.Segments().NumShards() != 3 {
+		t.Fatalf("resharded: block size %d, %d shards", resharded.Index().BlockSize(), resharded.Segments().NumShards())
 	}
-	retuned, err := Load(bytes.NewReader(stream), Config{BlockSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retuned.Index().BlockSize() != 16 {
-		t.Fatalf("BlockSize=16 load produced %d", retuned.Index().BlockSize())
-	}
-	if keys := retuned.Index().BlockMaxKeys(); len(keys) == 0 {
-		t.Error("re-laid load installed no block-max tables")
-	}
-
 	want := src.Search("leopard apple", 10)
-	for name, e := range map[string]*Engine{"kept": kept, "flat": flat, "retuned": retuned} {
-		got := e.Search("leopard apple", 10)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].DocID != want[i].DocID || got[i].Score != want[i].Score {
-				t.Fatalf("%s result %d: %+v != %+v", name, i, got[i], want[i])
-			}
-		}
-	}
-
-	// A negative BlockSize means flat at Build time; Load must honor the
-	// same convention instead of silently keeping the stream's layout.
-	negFlat, err := Load(bytes.NewReader(stream), Config{BlockSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if negFlat.Index().Blocked() {
-		t.Fatal("Load with BlockSize=-1 kept the blocked layout")
-	}
+	sameResults(t, want, kept.Search("leopard apple", 10), "kept")
+	sameResults(t, want, resharded.Search("leopard apple", 10), "resharded")
 }
 
-// TestEmptyEngineRoundTrip pins the degenerate save/load cycle: a
-// blocked index with zero blocks writes zero-entry block-max tables and
-// the reader must accept them (regression: the v5 reader once rejected
-// any block-max table on a zero-block index, breaking empty round trips
-// that the v4 codec handled fine).
+// TestEmptyEngineRoundTrip pins the degenerate save/load cycle: an index
+// with zero blocks writes zero-entry block-max tables and the reader must
+// accept them.
 func TestEmptyEngineRoundTrip(t *testing.T) {
 	src, err := Build(nil, Config{})
 	if err != nil {
@@ -143,14 +105,10 @@ func TestEmptyEngineRoundTrip(t *testing.T) {
 }
 
 // TestOversizedBlockSizeRoundTrip pins the clamp: a block size beyond
-// the codec's readable range is clamped at build time (regression: it
-// used to build and save an index whose own stream could not be read
-// back).
+// the image reader's range is clamped at build time (regression: it used
+// to build and save an index whose own stream could not be read back).
 func TestOversizedBlockSizeRoundTrip(t *testing.T) {
-	src, err := Build(smallCorpus(), Config{BlockSize: index.MaxBlockSize + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := buildAtBlockSize(t, smallCorpus(), Config{}, index.MaxBlockSize+1)
 	if got := src.Index().BlockSize(); got != index.MaxBlockSize {
 		t.Fatalf("oversized block size built %d, want clamp to %d", got, index.MaxBlockSize)
 	}
@@ -158,7 +116,11 @@ func TestOversizedBlockSizeRoundTrip(t *testing.T) {
 	if err := src.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), Config{}); err != nil {
+	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
+	if err != nil {
 		t.Fatalf("clamped stream failed to load: %v", err)
+	}
+	if got := loaded.Index().BlockSize(); got != index.MaxBlockSize {
+		t.Fatalf("loaded block size %d, want %d", got, index.MaxBlockSize)
 	}
 }

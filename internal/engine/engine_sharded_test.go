@@ -90,9 +90,9 @@ func TestSearchCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestSaveLoadKeepsShardManifest: the RIDX3 manifest must survive the
-// engine round trip, Config.Shards must override it, and search results
-// must be bit-identical either way.
+// TestSaveLoadKeepsShardManifest: the base image's shard partition must
+// survive the engine round trip, Config.Shards must override it, and
+// search results must be bit-identical either way.
 func TestSaveLoadKeepsShardManifest(t *testing.T) {
 	e, err := Build(shardCorpus(50), Config{Shards: 4})
 	if err != nil {
@@ -222,8 +222,8 @@ func TestPruningBitIdenticalAndPersisted(t *testing.T) {
 		}
 	}
 
-	// A tableless stream (written by a DisablePruning build — the same
-	// shape as a pre-v4 stream) rebuilds its tables on load.
+	// A tableless epoch file (written by a DisablePruning build) rebuilds
+	// its tables on load.
 	var bare bytes.Buffer
 	if err := exhaustive.SaveTo(&bare); err != nil {
 		t.Fatal(err)

@@ -278,24 +278,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "XENG1\n", "RENG2\nnot a manifest"} {
+	for _, in := range []string{"", "XENG1\n", "RENG3\nnot a container", "RENG3\n\x01\x00\x00\x01" + "RIDX7\n"} {
 		if _, err := Load(strings.NewReader(in), Config{}); err == nil {
 			t.Errorf("Load(%q) succeeded", in)
 		}
 	}
 }
 
-// TestLoadRejectsLegacyMagic: RENG1, which nothing has written since the
-// segment lifecycle landed, is a foreign format now — a clean
-// ErrBadEngineFormat, not an attempt to parse what follows.
+// TestLoadRejectsLegacyMagic: RENG1 and RENG2 — the stream formats of
+// earlier builds, the latter a RIDX6 manifest plus bodies — are foreign
+// formats now: a clean ErrBadEngineFormat, not an attempt to parse what
+// follows.
 func TestLoadRejectsLegacyMagic(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildEngine(t).SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	legacy := append([]byte("RENG1\n"), buf.Bytes()[len(engineMagic):]...)
-	if _, err := Load(bytes.NewReader(legacy), Config{}); !errors.Is(err, ErrBadEngineFormat) {
-		t.Fatalf("Load(RENG1 stream) = %v, want ErrBadEngineFormat", err)
+	for _, magic := range []string{"RENG1\n", "RENG2\n"} {
+		legacy := append([]byte(magic), buf.Bytes()[len(engineMagic):]...)
+		if _, err := Load(bytes.NewReader(legacy), Config{}); !errors.Is(err, ErrBadEngineFormat) {
+			t.Fatalf("Load(%q stream) = %v, want ErrBadEngineFormat", magic, err)
+		}
 	}
 }
 

@@ -33,9 +33,9 @@ func analyze(a *text.Analyzer, t docText, tokens []string, lens []int32) ([]stri
 	return a.FieldTokens(tokens, lens, t.body)
 }
 
-// ensureForward gives an index read from a stream without forward
-// sections (RENG streams, RIDX5/6, RIDX7 images written before the
-// sections existed) its forward index, from the stored bodies.
+// ensureForward gives an index image without forward sections (one
+// written before the sections existed) its forward index, from the stored
+// bodies.
 func ensureForward(cfg Config, idx *index.Index, docs docStore) {
 	if idx.Forward() != nil {
 		return

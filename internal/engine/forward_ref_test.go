@@ -185,7 +185,7 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 }
 
 // ForwardVariants returns engines holding docs in every storage shape a
-// sealed document can have: heap-built, Loaded from an engine stream,
+// sealed document can have: heap-built, Loaded from an epoch file,
 // mapped from an image with forward sections, mapped and heap-decoded
 // from an image written without them (what every image written before
 // the sections existed looks like), and compacted out of a live index.
@@ -253,7 +253,6 @@ func writeOldImage(t testing.TB, docs []Document, cfg Config) string {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	b := index.NewBuilder()
-	b.SetBlockSize(cfg.blockLayout())
 	for _, d := range docs {
 		if err := b.Add(d.ID, cfg.Analyzer.Tokens(d.Title+" "+d.Body)); err != nil {
 			t.Fatal(err)
@@ -317,7 +316,7 @@ var awkwardQueries = []string{
 // dictionary, where lexicon IDs are in arrival order and the norm's
 // string-order accumulation no longer coincides with ID order.
 func TestForwardMatchesBodyAnalysis(t *testing.T) {
-	for _, cfg := range []Config{{SnippetWindow: 5}, {SnippetWindow: 5, Shards: 3, BlockSize: 2}, {}} {
+	for _, cfg := range []Config{{SnippetWindow: 5}, {SnippetWindow: 5, Shards: 3}, {}} {
 		for name, e := range ForwardVariants(t, awkwardDocs(), cfg) {
 			CheckForward(t, name, e, awkwardQueries)
 		}
@@ -351,7 +350,7 @@ func TestForwardMatchesBodyAnalysis(t *testing.T) {
 	e.Delete("punct")
 	CheckForward(t, "flushed+memtable", e, queries)
 
-	// The whole lifecycle state survives an engine stream.
+	// The whole lifecycle state survives an epoch file.
 	var buf bytes.Buffer
 	if err := e.SaveTo(&buf); err != nil {
 		t.Fatal(err)

@@ -142,8 +142,7 @@ func (e *Engine) Delete(id string) (uint64, bool) {
 }
 
 // Flush seals the memtable into an immutable single-shard segment with
-// the same posting layout and max-score tables a batch build would give
-// it, appends it to the segment list, and swaps in the new state (after
+// the same postings and max-score tables a batch build would give it, appends it to the segment list, and swaps in the new state (after
 // persisting it when a WAL is configured). With an empty memtable there is
 // nothing to seal, but a not-yet-durable epoch (a delete-only interval) is
 // still persisted. Returns the resulting epoch.
@@ -167,7 +166,6 @@ func (e *Engine) flushLocked() error {
 		return nil
 	}
 	b := index.NewBuilder()
-	b.SetBlockSize(e.cfg.blockLayout())
 	raw := newHeapDocs(len(docs))
 	for _, d := range docs {
 		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
@@ -180,7 +178,7 @@ func (e *Engine) flushLocked() error {
 	ns := st.clone()
 	ns.segs = append(append(make([]*segment, 0, len(st.segs)+1), st.segs...),
 		&segment{seg: seg, docs: raw, xlat: translate(st.lex, seg.Index())})
-	ns.mem = index.NewMemtable(e.cfg.blockLayout())
+	ns.mem = index.NewMemtable()
 	ns.epoch = st.epoch + 1
 	// Counters carry over: every buffered doc became a sealed doc in the
 	// newest segment, preserving exactly the supersession relationships
@@ -197,8 +195,9 @@ func (e *Engine) flushLocked() error {
 
 // Compact folds the sealed segments, tombstones and memtable into one
 // freshly built base segment — the batch-built shape: re-analyzed raw
-// bodies (one pass feeding postings and forward index), re-blocked postings, recomputed max-score tables, a fresh
-// lexicon and IDF table, no tombstones, empty memtable. Replay order is
+// bodies (one pass feeding postings and forward index), recomputed
+// max-score tables, a fresh lexicon and IDF table, no tombstones, empty
+// memtable. Replay order is
 // segments oldest-first (skipping dead and superseded copies) then the
 // memtable, i.e. every surviving document ordered by its last write —
 // exactly the order a batch Build over the surviving corpus uses, which
@@ -213,7 +212,6 @@ func (e *Engine) Compact() (uint64, error) {
 		return st.epoch, nil
 	}
 	b := index.NewBuilder()
-	b.SetBlockSize(e.cfg.blockLayout())
 	raw := newHeapDocs(st.live)
 	analyzer := e.cfg.Analyzer.ForPass()
 	var tokens []string
@@ -223,28 +221,29 @@ func (e *Engine) Compact() (uint64, error) {
 		// Body replay is one sequential pass over the segment in docID
 		// order: hint readahead for the scan and restore the serving
 		// pattern after (the segment keeps answering searches until the
-		// swap below lands).
-		e.advise(idx, index.AdviseSequential)
+		// swap below lands). Hints are advisory: errors are ignored, and
+		// on heap indexes the calls are no-ops.
+		_ = idx.Advise(index.AdviseSequential)
 		for d := int32(0); d < int32(idx.NumDocs()); d++ {
 			id := idx.DocID(d)
 			if !st.sealedLive(si, id, mv) {
 				continue
 			}
 			t := sg.docs.Text(d)
-			if sg.docs.Mapped() {
-				// The compacted state outlives the mapped segment it
-				// replaces (the swap below unmaps it once readers drain),
-				// so bodies must move onto the heap.
+			if sg.docs.Borrowed() {
+				// The compacted state outlives the image it replaces (the
+				// swap below unmaps a mapped one once readers drain), so
+				// bodies move into strings of their own.
 				t = docText{body: strings.Clone(t.payload())}
 			}
 			tokens, lens = analyze(analyzer, t, tokens[:0], lens[:0])
 			if err := b.AddFields(id, tokens, lens); err != nil {
-				e.advise(idx, index.AdviseRandom)
+				_ = idx.Advise(index.AdviseRandom)
 				return st.epoch, err
 			}
 			raw.add(id, t)
 		}
-		e.advise(idx, index.AdviseRandom)
+		_ = idx.Advise(index.AdviseRandom)
 	}
 	for _, d := range st.mem.LiveDocs() {
 		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {

@@ -26,7 +26,7 @@ func TestLiveConcurrentSearchMutate(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		initial = append(initial, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
 	}
-	e, err := Build(initial, Config{Shards: 2, BlockSize: 8})
+	e, err := Build(initial, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestForwardConcurrentSearchMutate(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		initial = append(initial, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
 	}
-	e, err := Build(initial, Config{Shards: 2, BlockSize: 8, SnippetWindow: 6, MemtableCap: -1})
+	e, err := Build(initial, Config{Shards: 2, SnippetWindow: 6, MemtableCap: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func TestLiveMutationDifferentialSweep(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, k := range []int{10, 100} {
 				t.Run(fmt.Sprintf("%s/shards=%d/k=%d", m.name, shards, k), func(t *testing.T) {
-					cfg := Config{Model: m.model, Shards: shards, BlockSize: 4}
+					cfg := Config{Model: m.model, Shards: shards}
 					seed := int64(shards*1000 + k)
 					rng := rand.New(rand.NewSource(seed))
 

@@ -9,25 +9,22 @@ import (
 	"repro/internal/index"
 )
 
-// OpenIndexFile constructs a serving engine from any persisted file the
-// system writes, dispatching on the magic:
+// OpenIndexFile constructs a serving engine from either persisted format
+// the system writes, dispatching on the magic:
 //
-//	RENG2        engine streams — decoded through Load (full lifecycle
-//	             state, heap-owned).
-//	RIDX7        the mapped layout. With cfg.Mmap the file is mmap'ed and
-//	             served in place: no posting decode, no heap copy of the
-//	             block region, O(dictionary) open cost — the instant-
-//	             startup path workers use. Without cfg.Mmap it is decoded
-//	             onto the heap like any other index stream.
-//	RIDX5/RIDX6  index streams, decoded onto the heap.
+//	RENG3  engine epoch files (SaveTo, the WAL) — read through Load:
+//	       the full lifecycle state, every segment an RIDX7 image on an
+//	       owned heap slab.
+//	RIDX7  an index image (buildindex, WriteMappedTo). With cfg.Mmap the
+//	       file is mmap'ed and served in place: no heap copy of the block
+//	       region, O(dictionary) open cost — the instant-startup path
+//	       workers use. Without cfg.Mmap it is read onto a heap slab and
+//	       served the same way.
 //
-// Index files carry no analyzed corpus, so the engine serves bodies from
-// the file's payload section when present (RIDX7) and empty snippets
-// otherwise. The analyzer and model come from cfg, exactly as for Load,
-// and must match the ones used at build time. cfg.Shards resegments the
-// loaded partition; posting-layout overrides (BlockSize,
-// DisableCompression) are ignored for index files — the file's layout is
-// authoritative (relayout with buildindex instead).
+// Anything else is an error. An index image serves bodies from its
+// payload section when present and empty snippets otherwise. The analyzer
+// and model come from cfg, exactly as for Load, and must match the ones
+// used at build time; cfg.Shards resegments the loaded partition.
 func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	f, err := os.Open(path)
@@ -63,32 +60,16 @@ func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 	return engineAroundIndex(cfg, seg)
 }
 
-// advise applies a madvise access-pattern hint to idx's backing mapping
-// unless the engine was configured with DisableMadvise. Hints are
-// advisory — errors are ignored — and on owned (heap) indexes or
-// platforms without madvise the call is a no-op.
-func (e *Engine) advise(idx *index.Index, a index.Advice) {
-	if e.cfg.DisableMadvise {
-		return
-	}
-	_ = idx.Advise(a)
-}
-
 // engineAroundIndex wraps a loaded (possibly mapped) segmented index in a
 // quiet single-segment engine whose document store is the index's payload
 // section.
 func engineAroundIndex(cfg Config, seg *index.Segmented) (*Engine, error) {
 	if cfg.Shards > 0 {
 		// O(shards) boundary rebuild over the same physical index — cheap
-		// even when mapped, unlike a posting relayout.
+		// even when mapped.
 		seg = seg.Resegment(cfg.Shards)
 	}
 	installTables(cfg, seg.Index())
-	if cfg.DisableMadvise {
-		// OpenMapped defaults the region to MADV_RANDOM (the serving
-		// pattern); an engine opting out restores normal readahead.
-		_ = seg.Index().Advise(index.AdviseNormal)
-	}
 	e := &Engine{cfg: cfg}
 	e.cur.Store(freshState(cfg, seg, &mappedDocs{idx: seg.Index()}, 0))
 	// The state took its own reference on the mapping; drop the open one
@@ -118,9 +99,10 @@ func (e *Engine) WriteMappedTo(w io.Writer) (int64, error) {
 	idx := sg.seg.Index()
 	// The export is one sequential pass over postings and payload: hint
 	// readahead for the scan, then restore the serving pattern (the
-	// segment keeps answering searches throughout).
-	e.advise(idx, index.AdviseSequential)
-	defer e.advise(idx, index.AdviseRandom)
+	// segment keeps answering searches throughout). Advisory: errors are
+	// ignored.
+	_ = idx.Advise(index.AdviseSequential)
+	defer func() { _ = idx.Advise(index.AdviseRandom) }()
 	return sg.seg.WriteMapped(w, func(d int32) string { return sg.docs.Text(d).payload() })
 }
 

@@ -111,8 +111,8 @@ func shardWalk(t *testing.T, e *Engine, si int, query string, k int) []shardRow 
 	return out
 }
 
-// TestOpenIndexFileHeap: the same RIDX7 file without Config.Mmap decodes
-// onto the heap — identical results, no mapping.
+// TestOpenIndexFileHeap: the same RIDX7 file without Config.Mmap is read
+// onto a heap slab — identical results, no mapping.
 func TestOpenIndexFileHeap(t *testing.T) {
 	src, err := Build(smallCorpus(), Config{})
 	if err != nil {
@@ -129,8 +129,8 @@ func TestOpenIndexFileHeap(t *testing.T) {
 	sameResults(t, src.Search("leopard", 10), e.Search("leopard", 10), "heap v7")
 }
 
-// TestOpenIndexFileEngineStream: OpenIndexFile dispatches RENG2 streams
-// through Load.
+// TestOpenIndexFileEngineStream: OpenIndexFile dispatches RENG3 epoch
+// files through Load.
 func TestOpenIndexFileEngineStream(t *testing.T) {
 	src, err := Build(smallCorpus(), Config{})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestOpenIndexFileEngineStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sameResults(t, src.Search("apple", 10), e.Search("apple", 10), "RENG2")
+	sameResults(t, src.Search("apple", 10), e.Search("apple", 10), "RENG3")
 }
 
 // TestMappedMutationLifecycle: a mapped engine accepts the full mutation

@@ -13,84 +13,79 @@ import (
 )
 
 // Engine persistence: an engine state can be written to a single stream
-// and reloaded without re-analyzing the corpus. The format, RENG2, is the
-// full segment lifecycle state —
+// and reloaded without re-analyzing its sealed segments. The format,
+// RENG3, is a small container around the segments' own index images (all
+// counts and lengths unsigned varints) —
 //
-//	magic "RENG2\n"
-//	index manifest (index codec RIDX6: epoch, segments, tombstones)
-//	per segment, per doc in internal order: bodyLen, bodyBytes
-//	  (doc IDs come from the segment's index, so only bodies repeat)
+//	magic "RENG3\n"
+//	epoch
+//	numTombstones, then per tombstone (sorted): idLen, idBytes
 //	memtable: numDocs, then per doc: idLen, idBytes, bodyLen, bodyBytes
 //	  (tokens are re-derived by analysis at load time)
+//	numSegments, then per segment (oldest first): imageLen, then an
+//	  RIDX7 image with payload and forward-index sections
+//	  (index.Segmented.WriteMappedFramed)
 //
-// Any other magic — the RENG1 of early builds included, which nothing has
-// written since the lifecycle landed — is ErrBadEngineFormat. The
-// weighting model and analyzer are code, not data: the loader supplies
-// them through Config exactly as Build does. The IDF table and term
-// lexicon are reconstructed from the base index at load time (the codec's
-// sorted-dictionary invariant makes the lexicon a zero-copy wrap).
+// so a sealed segment travels in the form it is served in — postings,
+// score tables, shard partition, bodies, forward index — and Load parses
+// each image on a heap slab of its own instead of analyzing any body.
+// Any other magic — the RENG1 and RENG2 of earlier builds included — is
+// ErrBadEngineFormat. The weighting model and analyzer are code, not
+// data: the loader supplies them through Config exactly as Build does.
+// The IDF table and term lexicon are reconstructed from the base index at
+// load time (the image's sorted-dictionary invariant makes the lexicon a
+// zero-copy wrap).
 
-const engineMagic = "RENG2\n"
+const engineMagic = "RENG3\n"
+
+// maxSegments bounds the segment count an epoch file may declare — far
+// above what any lifecycle accumulates between compactions, low enough
+// that a hostile count fails fast.
+const maxSegments = 1 << 10
 
 // ErrBadEngineFormat reports a corrupt or foreign engine stream.
 var ErrBadEngineFormat = errors.New("engine: bad engine format")
 
 // SaveTo serializes the engine's current state — segments, tombstones and
-// buffered memtable documents included. Shard partitions and posting
-// layouts survive the round trip (Load keeps them unless Config
-// overrides).
+// buffered memtable documents included. Shard partitions and block sizes
+// survive the round trip (Load keeps the partition unless Config.Shards
+// overrides it).
 func (e *Engine) SaveTo(w io.Writer) error {
-	return saveState(e.cur.Load(), w)
+	st := e.snapshot()
+	defer st.unpin()
+	return saveState(st, w)
 }
 
 func saveState(st *state, w io.Writer) error {
+	// bufio.Writer errors are sticky: the first failed write surfaces from
+	// the next image write or the final Flush.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(engineMagic); err != nil {
-		return err
+	var num [binary.MaxVarintLen64]byte
+	writeUvarint := func(v uint64) { bw.Write(num[:binary.PutUvarint(num[:], v)]) }
+	writeString := func(s string) {
+		writeUvarint(uint64(len(s)))
+		bw.WriteString(s)
 	}
-	man := &index.Manifest{Epoch: st.epoch}
-	for _, sg := range st.segs {
-		man.Segments = append(man.Segments, sg.seg)
-	}
+	bw.WriteString(engineMagic)
+	writeUvarint(st.epoch)
+	tombs := make([]string, 0, len(st.dead))
 	for id := range st.dead {
-		man.Tombstones = append(man.Tombstones, id)
+		tombs = append(tombs, id)
 	}
-	sort.Strings(man.Tombstones)
-	if _, err := man.WriteTo(bw); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	// Per-segment bodies in internal doc order: the stream is canonical
-	// and IDs need not repeat (the index carries them).
-	for _, sg := range st.segs {
-		idx := sg.seg.Index()
-		for d := int32(0); d < int32(idx.NumDocs()); d++ {
-			if err := writeString(sg.docs.Text(d).payload()); err != nil {
-				return err
-			}
-		}
+	sort.Strings(tombs)
+	writeUvarint(uint64(len(tombs)))
+	for _, id := range tombs {
+		writeString(id)
 	}
 	docs := st.mem.LiveDocs()
-	if err := writeUvarint(uint64(len(docs))); err != nil {
-		return err
-	}
+	writeUvarint(uint64(len(docs)))
 	for _, d := range docs {
-		if err := writeString(d.ID); err != nil {
-			return err
-		}
-		if err := writeString(d.Payload); err != nil {
+		writeString(d.ID)
+		writeString(d.Payload)
+	}
+	writeUvarint(uint64(len(st.segs)))
+	for _, sg := range st.segs {
+		if _, err := sg.seg.WriteMappedFramed(bw, func(d int32) string { return sg.docs.Text(d).payload() }); err != nil {
 			return err
 		}
 	}
@@ -114,75 +109,99 @@ func Load(r io.Reader, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// loadState reads an RENG3 stream. Every length and count in it is
+// untrusted: nothing is allocated in proportion to a claimed size, only
+// to the bytes actually read, so a short hostile stream fails cheaply.
 func loadState(r io.Reader, cfg Config) (*state, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(engineMagic))
+	st, err := readState(bufio.NewReader(r), cfg)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEngineFormat, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadEngineFormat, err)
 	}
-	if string(head) != engineMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadEngineFormat, head)
+	return st, nil
+}
+
+func readState(br *bufio.Reader, cfg Config) (*state, error) {
+	magic := make([]byte, len(engineMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, err
 	}
-	if _, err := br.Discard(len(engineMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEngineFormat, err)
+	if string(magic) != engineMagic {
+		return nil, fmt.Errorf("bad magic %q", magic)
 	}
-	man, err := index.ReadManifest(br)
+	epoch, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("engine: loading manifest: %w", err)
+		return nil, fmt.Errorf("epoch: %w", err)
 	}
-	segs := make([]*segment, len(man.Segments))
-	for si, sg := range man.Segments {
-		if si == 0 {
-			// Deployment knobs reshape the base segment only: flushed
-			// segments were already laid out under this config, and their
-			// single-shard partition is part of the lifecycle's shape.
-			sg = reshape(sg, cfg)
+	numTombs, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("tombstone count: %w", err)
+	}
+	dead := make(map[string]bool)
+	for i := uint64(0); i < numTombs; i++ {
+		id, err := readString(br)
+		if err != nil {
+			return nil, fmt.Errorf("tombstone %d: %w", i, err)
 		}
-		installTables(cfg, sg.Index())
-		idx := sg.Index()
-		raw := newHeapDocs(idx.NumDocs())
-		for d := int32(0); d < int32(idx.NumDocs()); d++ {
-			body, err := readLenString(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: segment %d body %d: %v", ErrBadEngineFormat, si, d, err)
-			}
-			raw.add(idx.DocID(d), docText{body: body})
-		}
-		// Engine streams carry no forward index: one analysis pass over
-		// the bodies rebuilds it, where Build would have spent the same
-		// pass producing the postings.
-		ensureForward(cfg, idx, raw)
-		segs[si] = &segment{seg: sg, docs: raw}
+		dead[id] = true
 	}
 	memN, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: memtable count: %v", ErrBadEngineFormat, err)
+		return nil, fmt.Errorf("memtable count: %w", err)
 	}
-	if memN > 1<<24 {
-		return nil, fmt.Errorf("%w: memtable count %d too large", ErrBadEngineFormat, memN)
-	}
-	mem := index.NewMemtable(cfg.blockLayout())
+	mem := index.NewMemtable()
 	for i := uint64(0); i < memN; i++ {
-		id, err := readLenString(br)
+		id, err := readString(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: memtable id %d: %v", ErrBadEngineFormat, i, err)
+			return nil, fmt.Errorf("memtable id %d: %w", i, err)
 		}
-		body, err := readLenString(br)
+		body, err := readString(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: memtable body %d: %v", ErrBadEngineFormat, i, err)
+			return nil, fmt.Errorf("memtable body %d: %w", i, err)
 		}
 		toks, lens := analyze(cfg.Analyzer, docText{body: body}, nil, nil)
 		mem.Add(index.MemDoc{ID: id, Tokens: toks, FieldLens: lens, Payload: body})
+		delete(dead, id) // defensive: the invariant keeps these disjoint
 	}
-	dead := make(map[string]bool, len(man.Tombstones))
-	for _, id := range man.Tombstones {
-		if !mem.Has(id) { // defensive: the invariant keeps these disjoint
-			dead[id] = true
+	numSegs, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("segment count: %w", err)
+	}
+	if numSegs == 0 || numSegs > maxSegments {
+		return nil, fmt.Errorf("segment count %d out of range", numSegs)
+	}
+	var segs []*segment
+	for si := uint64(0); si < numSegs; si++ {
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("segment %d length: %w", si, err)
 		}
+		if n > 1<<62 {
+			return nil, fmt.Errorf("segment %d length %d out of range", si, n)
+		}
+		img := &io.LimitedReader{R: br, N: int64(n)}
+		seg, err := index.ReadSegmented(img)
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", si, err)
+		}
+		if img.N != 0 {
+			return nil, fmt.Errorf("segment %d: image cut at %d of %d bytes", si, n-uint64(img.N), n)
+		}
+		idx := seg.Index()
+		if idx.Forward() == nil || !idx.HasPayloads() {
+			return nil, fmt.Errorf("segment %d: image lacks its payload or forward-index sections", si)
+		}
+		if si == 0 && cfg.Shards > 0 {
+			// Shard count is a deployment knob, not corpus data: it
+			// reshapes the base segment only — flushed segments' single
+			// shard is part of the lifecycle's shape.
+			seg = seg.Resegment(cfg.Shards)
+		}
+		installTables(cfg, idx)
+		segs = append(segs, &segment{seg: seg, docs: &mappedDocs{idx: idx}})
 	}
 	st := &state{
 		stateData: stateData{
-			epoch: man.Epoch,
+			epoch: epoch,
 			segs:  segs,
 			dead:  dead,
 			mem:   mem,
@@ -214,37 +233,22 @@ func loadState(r io.Reader, cfg Config) (*state, error) {
 	return st, nil
 }
 
-// reshape applies the deployment knobs — shard count, posting layout —
-// to a loaded segment. Config zero values keep the stream's choices.
-func reshape(seg *index.Segmented, cfg Config) *index.Segmented {
-	if cfg.Shards > 0 {
-		// Shard count is a deployment knob, not corpus data: an explicit
-		// Config.Shards overrides whatever partition the stream recorded.
-		seg = seg.Resegment(cfg.Shards)
-	}
-	// Posting layout is a deployment knob too: an explicit block size
-	// (negative = flat, Build's convention) or DisableCompression
-	// re-lays the loaded postings (preserving the shard partition).
-	switch {
-	case (cfg.DisableCompression || cfg.BlockSize < 0) && seg.Index().Blocked():
-		seg = index.ReblockSegmented(seg, -1)
-	case !cfg.DisableCompression && cfg.BlockSize > 0 && seg.Index().BlockSize() != cfg.BlockSize:
-		seg = index.ReblockSegmented(seg, cfg.BlockSize)
-	}
-	return seg
-}
-
-func readLenString(br *bufio.Reader) (string, error) {
-	l, err := binary.ReadUvarint(br)
+// readString reads a length-prefixed string. The bytes are copied in as
+// they arrive, so a hostile length costs memory in proportion to the
+// bytes actually present, not to the length claimed.
+func readString(br *bufio.Reader) (string, error) {
+	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", err
 	}
-	if l > 1<<28 {
-		return "", fmt.Errorf("string too long (%d)", l)
-	}
-	b := make([]byte, l)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
+	var b []byte
+	for n > 0 {
+		chunk := min(n, 1<<16)
+		b = append(b, make([]byte, chunk)...)
+		if _, err := io.ReadFull(br, b[len(b)-int(chunk):]); err != nil {
+			return "", err
+		}
+		n -= chunk
 	}
 	return string(b), nil
 }

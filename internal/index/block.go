@@ -10,13 +10,13 @@ import (
 
 // Block-compressed posting storage: each term's posting list is split into
 // fixed-capacity blocks of (docID delta, term frequency) pairs encoded as
-// unsigned varints — the same delta chain the codec has always written,
-// with headers marking block boundaries so the list can be traversed (and
-// skipped) block at a time without touching the bytes in between. A flat
-// []Posting posting costs 8 bytes; the compressed form lands around 2–3
-// bytes plus ~0.1 bytes of header per posting at the default block size,
-// which is what lets a node hold a several-times-larger corpus in the
-// same memory.
+// unsigned varints — one delta chain per term, with headers marking block
+// boundaries so the list can be traversed (and skipped) block at a time
+// without touching the bytes in between. A posting lands around 2–3 bytes plus ~0.1 bytes of header at the default
+// block size, against 8 for a []Posting struct — what lets a node hold a
+// several-times-larger corpus in the same memory. It is the only posting
+// layout: Builder.SetBlockSize varies the block capacity (tests sweep
+// block boundaries with it), never the encoding.
 //
 // Every block header carries the block's largest document number, so
 // SeekGE lands on block starts by binary search over headers and decodes
@@ -32,10 +32,10 @@ import (
 // bit per posting.
 const DefaultBlockSize = 128
 
-// MaxBlockSize caps the posting-block capacity. The codec reader rejects
-// streams claiming a larger blockCap as hostile, so the builder-side
-// convention (normBlockSize) clamps here — any configured size builds an
-// index that can round-trip through the codec.
+// MaxBlockSize caps the posting-block capacity. The image reader rejects
+// a larger blockCap as hostile, so the builder (normBlockSize) clamps
+// here — any configured size builds an index that can round-trip through
+// its image.
 const MaxBlockSize = 1 << 20
 
 // blockHeader describes one encoded block of a term's posting list.
@@ -49,37 +49,34 @@ type blockHeader struct {
 // 4-byte fields, no padding) — used by Storage accounting.
 const blockHeaderBytes = 12
 
-// postingList is the per-term posting storage: exactly one of flat
-// (uncompressed 8-byte structs) or data+blocks (block-compressed) is
-// populated for a non-empty list.
+// postingList is the per-term posting storage: the delta-varint byte
+// stream and the headers of its blocks (both nil for an empty list).
 type postingList struct {
-	n      int32     // document frequency
-	flat   []Posting // uncompressed layout; nil when compressed
-	data   []byte    // delta-varint (doc, tf) stream
+	n      int32  // document frequency
+	data   []byte // delta-varint (doc, tf) stream
 	blocks []blockHeader
 	blk0   int32 // index of blocks[0] in the index-wide block numbering
 }
 
-// appendBlocks encodes flat into blocks of at most blockSize postings,
+// appendBlocks encodes list into blocks of at most blockSize postings,
 // appending to data (the term's byte stream) and returning the grown
 // stream plus the headers. The delta chain is continuous across blocks —
 // block i's first delta is relative to block i-1's last document (-1
-// before the first block) — so the concatenated bytes are exactly the
-// legacy flat encoding and a block decodes independently given the
+// before the first block) — so a block decodes independently given the
 // previous header's maxDoc.
-func appendBlocks(data []byte, flat []Posting, blockSize int) ([]byte, []blockHeader) {
-	if len(flat) == 0 {
+func appendBlocks(data []byte, list []Posting, blockSize int) ([]byte, []blockHeader) {
+	if len(list) == 0 {
 		return data, nil
 	}
-	blocks := make([]blockHeader, 0, (len(flat)+blockSize-1)/blockSize)
+	blocks := make([]blockHeader, 0, (len(list)+blockSize-1)/blockSize)
 	prev := int32(-1)
-	for start := 0; start < len(flat); start += blockSize {
+	for start := 0; start < len(list); start += blockSize {
 		end := start + blockSize
-		if end > len(flat) {
-			end = len(flat)
+		if end > len(list) {
+			end = len(list)
 		}
-		h := blockHeader{off: uint32(len(data)), n: int32(end - start), maxDoc: flat[end-1].Doc}
-		for _, p := range flat[start:end] {
+		h := blockHeader{off: uint32(len(data)), n: int32(end - start), maxDoc: list[end-1].Doc}
+		for _, p := range list[start:end] {
 			data = binary.AppendUvarint(data, uint64(p.Doc-prev))
 			data = binary.AppendUvarint(data, uint64(p.TF))
 			prev = p.Doc
@@ -90,9 +87,9 @@ func appendBlocks(data []byte, flat []Posting, blockSize int) ([]byte, []blockHe
 }
 
 // decodeBlock appends the postings of block h to dst. base is the last
-// document of the preceding block (-1 for the first). The byte stream is
-// validated at build/load time, so decoding is branch-lean and trusts the
-// invariants: every varint terminates and every delta is positive.
+// document of the preceding block (-1 for the first). The byte stream was
+// written by Build, so decoding is branch-lean and trusts the invariants:
+// every varint terminates and every delta is positive.
 func decodeBlock(dst []Posting, data []byte, h blockHeader, base int32) []Posting {
 	off := int(h.off)
 	prev := base
@@ -133,9 +130,10 @@ func decodeBlock(dst []Posting, data []byte, h blockHeader, base int32) []Postin
 	return dst
 }
 
-// decodeBlockSafe decodes block h from an UNVERIFIED byte region —
-// mapped storage is served in place, so its posting bytes were never
-// validation-decoded at load the way the v5 stream reader does. end is
+// decodeBlockSafe decodes block h from an UNVERIFIED byte region — a
+// mapped image's posting bytes are served as they are, never validation-
+// decoded at open (ReadSegmented runs every block of a slab through here
+// once instead). end is
 // the block's end offset within data (the next header's off, or the
 // term's data length for the last block). Every structural property the
 // branch-lean decoder trusts is checked here instead: terminating
@@ -174,14 +172,13 @@ func decodeBlockSafe(dst []Posting, data []byte, h blockHeader, base int32, end 
 	return dst, true
 }
 
-// materialize returns the full posting list as a flat slice. Flat lists
-// come back shared (zero copy); compressed lists decode into a fresh
-// allocation — use iterators on hot paths. unverified selects the
-// defensive decoder (mapped storage); a corrupt mapped block truncates
-// the materialized list at the corruption point.
+// materialize decodes the full posting list into a fresh slice — use
+// iterators on hot paths. unverified selects the defensive decoder (image
+// storage); a corrupt block truncates the materialized list at the
+// corruption point.
 func (pl *postingList) materialize(unverified bool) []Posting {
-	if pl.flat != nil || pl.n == 0 {
-		return pl.flat
+	if pl.n == 0 {
+		return nil
 	}
 	out := make([]Posting, 0, pl.n)
 	base := int32(-1)
@@ -206,20 +203,15 @@ func (pl *postingList) materialize(unverified bool) []Posting {
 	return out
 }
 
-// assemblePostings converts per-term flat posting slices into the index's
-// posting storage at the given layout (blockCap 0 = keep flat), numbering
-// blocks index-wide. Shared by Build, the codec loaders, and Reblock.
+// assemblePostings encodes Build's per-term posting slices into blocks of
+// blockCap postings, numbering blocks index-wide.
 func assemblePostings(postings [][]Posting, blockCap int) ([]postingList, int) {
 	plists := make([]postingList, len(postings))
 	nBlocks := 0
-	for id, flat := range postings {
+	for id, list := range postings {
 		pl := &plists[id]
-		pl.n = int32(len(flat))
-		if blockCap <= 0 {
-			pl.flat = flat
-			continue
-		}
-		data, blocks := appendBlocks(nil, flat, blockCap)
+		pl.n = int32(len(list))
+		data, blocks := appendBlocks(nil, list, blockCap)
 		pl.data = data
 		pl.blocks = blocks
 		pl.blk0 = int32(nBlocks)
@@ -286,10 +278,10 @@ func BlockIOStats() (decoded, skipped int64) {
 
 // PostingIterator streams one term's posting list — or the sub-range of
 // it falling inside a shard's document range — block at a time, decoding
-// lazily into pooled scratch. Zero-copy over flat lists. An iterator is
-// single-use and not safe for concurrent use; call Release when done to
-// return its scratch to the pool (forgetting Release leaks nothing — the
-// buffer just falls to the garbage collector).
+// lazily into pooled scratch. An iterator is single-use and not safe for
+// concurrent use; call Release when done to return its scratch to the
+// pool (forgetting Release leaks nothing — the buffer just falls to the
+// garbage collector).
 //
 // Traversal is forward-only: Next/SeekGE/NextBlock never move backwards,
 // and slices returned by NextBlock are valid only until the next method
@@ -327,22 +319,6 @@ func (pl *postingList) iter(lo, hi int32) PostingIterator {
 		it.done = true
 		return it
 	}
-	if pl.flat != nil {
-		f := pl.flat
-		if lo > 0 {
-			f = f[seekPostings(f, 0, lo):]
-		}
-		if len(f) > 0 && f[len(f)-1].Doc >= hi {
-			f = f[:seekPostings(f, 0, hi)]
-		}
-		if len(f) == 0 {
-			it.done = true
-			return it
-		}
-		it.cur = f
-		it.curOK = true
-		return it
-	}
 	it.data = pl.data
 	it.blocks = pl.blocks
 	if lo > 0 {
@@ -368,7 +344,7 @@ func (it *PostingIterator) SetBlockMax(bmax []float64) {
 // HasBlockMax reports whether a block-max table is attached — whether
 // BlockUpperBound can ever answer with anything tighter than +Inf.
 // Evaluators check it once per cursor and skip the per-probe
-// BlockUpperBound call entirely on flat (or tableless) lists.
+// BlockUpperBound call entirely on tableless lists.
 func (it *PostingIterator) HasBlockMax() bool { return it.bmax != nil }
 
 // decodeCur decodes block cb into scratch and clips it to [lo, hi),
@@ -398,8 +374,8 @@ func (it *PostingIterator) decodeCur() {
 			dec, ok := decodeBlockSafe((*it.buf)[:0], it.data, h, it.base(), end)
 			if !ok {
 				// Corrupt mapped block: end the list here rather than
-				// serve garbage. Structurally impossible for owned
-				// storage, whose bytes were validated at build/load.
+				// serve garbage. Built and slab-read storage never gets
+				// here: its bytes were written by Build or validated.
 				*it.buf = dec[:0]
 				it.nDecoded++
 				it.done = true
@@ -442,10 +418,6 @@ func (it *PostingIterator) base() int32 {
 
 // advanceBlock moves past the current block.
 func (it *PostingIterator) advanceBlock() {
-	if it.blocks == nil {
-		it.done = true // flat lists are one clipped run
-		return
-	}
 	if it.curOK && it.blocks[it.cb].maxDoc >= it.hi {
 		it.done = true // later blocks lie entirely beyond the range
 		return
@@ -460,9 +432,9 @@ func (it *PostingIterator) advanceBlock() {
 // NextBlock returns the remaining postings of the current block and
 // advances to the next one, or nil when the list (range) is exhausted.
 // Bulk traversals — the exhaustive evaluators — loop over NextBlock and
-// range the returned slice: per-posting that is exactly the flat-slice
-// loop, with one decode per block in between. The slice is valid only
-// until the next iterator call.
+// range the returned slice: per posting that is a plain slice loop, with
+// one decode per block in between. The slice is valid only until the
+// next iterator call.
 func (it *PostingIterator) NextBlock() []Posting {
 	for !it.done {
 		if !it.curOK {
@@ -531,14 +503,10 @@ func (it *PostingIterator) curContains(d int32) bool {
 // headers in between are skipped and tallied. Precondition (the
 // curContains fast path): the current decoded block, if any, has no
 // unconsumed posting >= d. Returns false — flagging exhaustion — when no
-// such block remains; flat lists are one decoded run, so they exhaust
-// here. SeekGE and BlockUpperBound share this so the block cursor can
-// never desynchronize between a bound probe and the decode trusting it.
+// such block remains. SeekGE and BlockUpperBound share this so the block
+// cursor can never desynchronize between a bound probe and the decode
+// trusting it.
 func (it *PostingIterator) advanceToBlock(d int32) bool {
-	if it.blocks == nil {
-		it.done = true
-		return false
-	}
 	s := it.cb
 	if it.curOK {
 		s = it.cb + 1 // the decoded block is spent for targets >= d
@@ -636,87 +604,23 @@ func (it *PostingIterator) Release() {
 	}
 }
 
-// Reblock returns an index with the same logical content laid out at the
-// given posting block size: n > 0 sets the block capacity, 0 means
-// DefaultBlockSize, n < 0 means flat (uncompressed) postings. Document
-// store, dictionary, statistics and the per-term max-score tables are
-// shared with x (they are layout-independent); per-BLOCK max tables are
-// layout-bound and therefore dropped — ranking.InstallMaxScores rebuilds
-// them for the new layout.
-func Reblock(x *Index, blockSize int) *Index {
-	flat := make([][]Posting, len(x.plists))
-	for id := range x.plists {
-		flat[id] = x.plists[id].materialize(x.unverified)
-	}
-	plists, nBlocks := assemblePostings(flat, normBlockSize(blockSize))
-	out := &Index{
-		docIDs:   x.docIDs,
-		docLens:  x.docLens,
-		terms:    x.terms,
-		termList: x.termList,
-		plists:   plists,
-		blockCap: normBlockSize(blockSize),
-		nBlocks:  nBlocks,
-		cf:       x.cf,
-		total:    x.total,
-		fwd:      x.fwd,
-	}
-	if x.mapping != nil {
-		// The reblocked index is owned and outlives the mapping: clone
-		// every numeric slice that is a view into the mapped region.
-		// (docIDs/termList strings were heap-copied at open already.)
-		out.docLens = append([]int32(nil), x.docLens...)
-		out.cf = append([]int64(nil), x.cf...)
-		if x.fwd != nil {
-			out.fwd = &Forward{
-				offs:     append([]uint64(nil), x.fwd.offs...),
-				blob:     append([]byte(nil), x.fwd.blob...),
-				numTerms: x.fwd.numTerms,
-			}
-		}
-	}
-	if x.maxScores != nil {
-		out.maxScores = make(map[string][]float64, len(x.maxScores))
-		for k, v := range x.maxScores {
-			if x.mapping != nil {
-				v = append([]float64(nil), v...)
-			}
-			out.maxScores[k] = v
-		}
-	}
-	return out
-}
-
-// ReblockSegmented is Reblock over a segmented index, preserving the
-// shard partition exactly (the manifest, not a re-split).
-func ReblockSegmented(s *Segmented, blockSize int) *Segmented {
-	return &Segmented{idx: Reblock(s.idx, blockSize), bounds: s.bounds}
-}
-
-// normBlockSize maps the public block-size convention (0 default, < 0
-// flat) onto the internal one (blockCap 0 = flat), clamping to
-// MaxBlockSize so every built layout stays codec-readable.
+// normBlockSize maps Builder.SetBlockSize's argument onto a block
+// capacity: n <= 0 means DefaultBlockSize, and sizes beyond MaxBlockSize
+// clamp so every built index stays readable from its own image.
 func normBlockSize(n int) int {
-	if n == 0 {
+	if n <= 0 {
 		return DefaultBlockSize
 	}
-	if n < 0 {
-		return 0
-	}
-	if n > MaxBlockSize {
-		return MaxBlockSize
-	}
-	return n
+	return min(n, MaxBlockSize)
 }
 
 // StorageStats describes the posting-storage footprint of an index.
 type StorageStats struct {
 	Postings int64 // total postings across the dictionary
-	Blocks   int64 // posting blocks (0 for a flat layout)
-	// Bytes is the posting payload: encoded bytes plus block headers for
-	// the compressed layout, 8 bytes per posting for the flat one.
+	Blocks   int64 // posting blocks
+	// Bytes is the posting payload: encoded bytes plus block headers.
 	Bytes           int64
-	BlockSize       int     // block capacity; 0 = flat
+	BlockSize       int     // block capacity
 	BytesPerPosting float64 // Bytes / Postings (0 for an empty index)
 }
 
@@ -728,10 +632,6 @@ func (x *Index) Storage() StorageStats {
 	for id := range x.plists {
 		pl := &x.plists[id]
 		st.Postings += int64(pl.n)
-		if pl.flat != nil {
-			st.Bytes += int64(len(pl.flat)) * 8
-			continue
-		}
 		st.Blocks += int64(len(pl.blocks))
 		st.Bytes += int64(len(pl.data)) + int64(len(pl.blocks))*blockHeaderBytes
 	}

@@ -2,31 +2,39 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// buildRandom builds a randomized index at the given block size, with
-// enough documents and a small enough vocabulary that posting lists span
-// many blocks.
-func buildRandom(t testing.TB, seed int64, numDocs, blockSize int) *Index {
-	t.Helper()
+// randomDocs draws numDocs token lists over a 25-word vocabulary: small
+// enough that posting lists span many blocks.
+func randomDocs(seed int64, numDocs int) [][]string {
 	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
-	b.SetBlockSize(blockSize)
 	vocab := make([]string, 25)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("w%02d", i)
 	}
-	for d := 0; d < numDocs; d++ {
-		n := rng.Intn(20) + 1
-		toks := make([]string, n)
-		for j := range toks {
-			toks[j] = vocab[rng.Intn(len(vocab))]
+	docs := make([][]string, numDocs)
+	for d := range docs {
+		docs[d] = make([]string, rng.Intn(20)+1)
+		for j := range docs[d] {
+			docs[d][j] = vocab[rng.Intn(len(vocab))]
 		}
+	}
+	return docs
+}
+
+// buildRandom builds randomDocs(seed, numDocs) at the given block size.
+func buildRandom(t testing.TB, seed int64, numDocs, blockSize int) *Index {
+	t.Helper()
+	b := NewBuilder()
+	b.SetBlockSize(blockSize)
+	for d, toks := range randomDocs(seed, numDocs) {
 		if err := b.Add(fmt.Sprintf("doc%04d", d), toks); err != nil {
 			t.Fatal(err)
 		}
@@ -35,20 +43,33 @@ func buildRandom(t testing.TB, seed int64, numDocs, blockSize int) *Index {
 }
 
 // TestBlockedMatchesFlat is the layout differential at the index level:
-// materialized postings, stats and storage invariants must agree between
-// the flat layout and every block size.
+// at every block size the decoded postings must equal the flat []Posting
+// lists counted straight from the documents, and the storage invariants
+// must hold.
 func TestBlockedMatchesFlat(t *testing.T) {
-	flat := buildRandom(t, 7, 300, -1)
-	if flat.Blocked() {
-		t.Fatal("SetBlockSize(-1) still built a blocked index")
+	flat := make(map[string][]Posting)
+	for d, toks := range randomDocs(7, 300) {
+		for _, tok := range toks {
+			pl := flat[tok]
+			if n := len(pl); n > 0 && pl[n-1].Doc == int32(d) {
+				pl[n-1].TF++
+			} else {
+				flat[tok] = append(pl, Posting{Doc: int32(d), TF: 1})
+			}
+		}
 	}
 	for _, bs := range []int{1, 3, 8, 128, 1024} {
 		blocked := buildRandom(t, 7, 300, bs)
-		if !blocked.Blocked() || blocked.BlockSize() != bs {
-			t.Fatalf("bs=%d: Blocked=%v BlockSize=%d", bs, blocked.Blocked(), blocked.BlockSize())
+		if blocked.BlockSize() != bs {
+			t.Fatalf("bs=%d: BlockSize=%d", bs, blocked.BlockSize())
 		}
-		if !indexesEqual(flat, blocked) {
-			t.Fatalf("bs=%d: blocked index differs from flat", bs)
+		if blocked.NumTerms() != len(flat) {
+			t.Fatalf("bs=%d: %d terms, want %d", bs, blocked.NumTerms(), len(flat))
+		}
+		for term, want := range flat {
+			if got := blocked.Postings(term); !reflect.DeepEqual(got, want) {
+				t.Fatalf("bs=%d term %q: postings %v, want %v", bs, term, got, want)
+			}
 		}
 		st := blocked.Storage()
 		if st.Postings == 0 || st.Blocks == 0 {
@@ -62,21 +83,21 @@ func TestBlockedMatchesFlat(t *testing.T) {
 			t.Fatalf("bs=%d: %d blocks, want %d", bs, st.Blocks, wantBlocks)
 		}
 	}
-	// The default layout must compress: well under the flat 8 B/posting
-	// on this corpus (the acceptance bar is >= 2x).
+	// The default layout must compress: well under a []Posting struct's
+	// 8 B/posting on this corpus (the acceptance bar is >= 2x).
 	def := buildRandom(t, 7, 300, 0)
-	if bpp := def.Storage().BytesPerPosting; bpp > 4 {
-		t.Errorf("default layout bytes/posting = %.2f, want <= 4 (2x vs flat's 8)", bpp)
+	if def.BlockSize() != DefaultBlockSize {
+		t.Fatalf("default block size %d", def.BlockSize())
 	}
-	if flatBpp := flat.Storage().BytesPerPosting; flatBpp != 8 {
-		t.Errorf("flat layout bytes/posting = %.2f, want 8", flatBpp)
+	if bpp := def.Storage().BytesPerPosting; bpp > 4 {
+		t.Errorf("default layout bytes/posting = %.2f, want <= 4 (2x vs 8)", bpp)
 	}
 }
 
 // TestPostingIteratorTraversal checks Next/NextBlock against the
-// materialized list across layouts.
+// materialized list across block sizes.
 func TestPostingIteratorTraversal(t *testing.T) {
-	for _, bs := range []int{-1, 1, 4, 128} {
+	for _, bs := range []int{1, 4, 128} {
 		x := buildRandom(t, 11, 200, bs)
 		for id := int32(0); int(id) < x.NumTerms(); id++ {
 			want := x.PostingsByID(id)
@@ -113,10 +134,10 @@ func TestPostingIteratorTraversal(t *testing.T) {
 }
 
 // TestPostingIteratorSeekGE drives monotone seek sequences against a
-// linear-scan reference, across layouts and block sizes.
+// linear-scan reference, across block sizes.
 func TestPostingIteratorSeekGE(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, bs := range []int{-1, 1, 4, 128} {
+	for _, bs := range []int{1, 4, 128} {
 		x := buildRandom(t, 17, 250, bs)
 		for trial := 0; trial < 20; trial++ {
 			id := int32(rng.Intn(x.NumTerms()))
@@ -195,42 +216,6 @@ func TestShardIterBlockBoundaries(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestReblock checks layout conversion both ways preserves content and
-// shares the layout-independent tables.
-func TestReblock(t *testing.T) {
-	x := buildRandom(t, 29, 200, 0)
-	table := x.ComputeMaxScores(func(tf, docLen float64, _ TermStats, _ CollectionStats) float64 {
-		return tf / (1 + docLen)
-	})
-	if err := x.SetMaxScores("T", table); err != nil {
-		t.Fatal(err)
-	}
-	bm := x.ComputeBlockMaxScores(func(tf, docLen float64, _ TermStats, _ CollectionStats) float64 {
-		return tf / (1 + docLen)
-	})
-	if err := x.SetBlockMaxScores("T", bm); err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{-1, 1, 64, 0} {
-		y := Reblock(x, bs)
-		if !indexesEqual(x, y) {
-			t.Fatalf("bs=%d: Reblock changed content", bs)
-		}
-		if got := y.MaxScores("T"); len(got) != len(table) {
-			t.Fatalf("bs=%d: per-term max-score table not carried over", bs)
-		}
-		if got := y.BlockMaxKeys(); len(got) != 0 {
-			t.Fatalf("bs=%d: layout-bound block-max tables must be dropped, got %v", bs, got)
-		}
-	}
-	if Reblock(x, -1).Blocked() {
-		t.Error("Reblock(-1) still blocked")
-	}
-	if got := Reblock(x, 64).BlockSize(); got != 64 {
-		t.Errorf("Reblock(64).BlockSize = %d", got)
 	}
 }
 
@@ -333,28 +318,22 @@ func TestBlockUpperBoundSkipsWithoutDecode(t *testing.T) {
 	it.Release()
 }
 
-// TestCodecRoundTripBlocked round-trips blocked layouts (several block
-// sizes, with block-max tables) and the flat layout through the v5
-// codec, checking the layout and the tables survive byte for byte.
+// TestCodecRoundTripBlocked round-trips several block sizes, with
+// max-score and block-max tables, through the image, checking the layout
+// and the tables survive byte for byte.
 func TestCodecRoundTripBlocked(t *testing.T) {
 	score := func(tf, docLen float64, _ TermStats, _ CollectionStats) float64 {
 		return tf / (1 + docLen)
 	}
-	for _, bs := range []int{-1, 1, 8, 128} {
+	for _, bs := range []int{1, 8, 128} {
 		x := buildRandom(t, 41, 180, bs)
 		if err := x.SetMaxScores("S", x.ComputeMaxScores(score)); err != nil {
 			t.Fatal(err)
 		}
-		if bs > 0 {
-			if err := x.SetBlockMaxScores("S", x.ComputeBlockMaxScores(score)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if _, err := SegmentIndex(x, 3).WriteTo(&buf); err != nil {
+		if err := x.SetBlockMaxScores("S", x.ComputeBlockMaxScores(score)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadSegmented(&buf)
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, 3), nil)))
 		if err != nil {
 			t.Fatalf("bs=%d: %v", bs, err)
 		}
@@ -366,33 +345,27 @@ func TestCodecRoundTripBlocked(t *testing.T) {
 		if !indexesEqual(x, y) {
 			t.Fatalf("bs=%d: content did not round-trip", bs)
 		}
-		wantMS := x.MaxScores("S")
-		gotMS := y.MaxScores("S")
-		for i := range wantMS {
-			if wantMS[i] != gotMS[i] {
-				t.Fatalf("bs=%d: max-score entry %d %v != %v", bs, i, gotMS[i], wantMS[i])
+		for _, tables := range [][2][]float64{
+			{x.MaxScores("S"), y.MaxScores("S")},
+			{x.BlockMaxScores("S"), y.BlockMaxScores("S")},
+		} {
+			want, have := tables[0], tables[1]
+			if len(have) != len(want) {
+				t.Fatalf("bs=%d: table of %d entries, want %d", bs, len(have), len(want))
 			}
-		}
-		if bs > 0 {
-			wantBM := x.BlockMaxScores("S")
-			gotBM := y.BlockMaxScores("S")
-			if len(gotBM) != len(wantBM) {
-				t.Fatalf("bs=%d: block-max table %d entries, want %d", bs, len(gotBM), len(wantBM))
-			}
-			for i := range wantBM {
-				if wantBM[i] != gotBM[i] {
-					t.Fatalf("bs=%d: block-max entry %d %v != %v", bs, i, gotBM[i], wantBM[i])
+			for i := range want {
+				if want[i] != have[i] {
+					t.Fatalf("bs=%d: table entry %d %v != %v", bs, i, have[i], want[i])
 				}
 			}
-		} else if keys := y.BlockMaxKeys(); len(keys) != 0 {
-			t.Fatalf("flat round-trip grew block-max tables %v", keys)
 		}
 	}
 }
 
-// TestCorruptBlockStreamsRejected hand-corrupts the v5 posting blocks:
-// hostile block counts, byte lengths and truncations must all error,
-// never panic or over-allocate.
+// TestCorruptBlockStreamsRejected hand-corrupts an image with tiny
+// blocks: every truncation must error, every single-byte flip must error
+// or leave an index whose traversal stays in range — never panic — and a
+// hostile block count must error.
 func TestCorruptBlockStreamsRejected(t *testing.T) {
 	b := NewBuilder()
 	b.SetBlockSize(2)
@@ -404,24 +377,16 @@ func TestCorruptBlockStreamsRejected(t *testing.T) {
 		}
 	}
 	x := b.Build()
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := imageOf(t, SegmentIndex(x, 1), nil)
 	if _, err := Read(bytes.NewReader(full)); err != nil {
-		t.Fatalf("pristine stream rejected: %v", err)
+		t.Fatalf("pristine image rejected: %v", err)
 	}
-	// Every truncation must error.
-	for cut := 1; cut < len(full); cut++ {
+	for cut := 0; cut < len(full); cut++ {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("stream truncated to %d bytes accepted", cut)
+			t.Errorf("image truncated to %d bytes accepted", cut)
 		}
 	}
-	// Every single-byte corruption must either error or produce a
-	// logically consistent index — never panic. (Some flips only touch
-	// doc IDs or TFs and stay self-consistent.)
-	for i := len(magicV5); i < len(full); i++ {
+	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0xff
 		func() {
@@ -430,46 +395,24 @@ func TestCorruptBlockStreamsRejected(t *testing.T) {
 					t.Fatalf("byte %d flipped: reader panicked: %v", i, r)
 				}
 			}()
-			if y, err := Read(bytes.NewReader(mut)); err == nil {
-				for id := int32(0); int(id) < y.NumTerms(); id++ {
-					_ = y.PostingsByID(id)
+			y, err := Read(bytes.NewReader(mut))
+			if err != nil {
+				return
+			}
+			for id := int32(0); int(id) < y.NumTerms(); id++ {
+				for _, p := range y.PostingsByID(id) {
+					if p.Doc < 0 || int(p.Doc) >= y.NumDocs() {
+						t.Fatalf("byte %d flipped: term %d served doc %d", i, id, p.Doc)
+					}
 				}
 			}
 		}()
 	}
-	// Hostile block count: claims 2^60 blocks for a 4-doc term.
-	hostile := append([]byte(nil), full[:len(magicV5)]...)
-	hostile = appendUvarintBytes(hostile, 2)     // blockCap
-	hostile = appendUvarintBytes(hostile, 1)     // numDocs
-	hostile = appendUvarintBytes(hostile, 1)     // idLen
-	hostile = append(hostile, 'x')               // id
-	hostile = appendUvarintBytes(hostile, 1)     // docLen
-	hostile = appendUvarintBytes(hostile, 1)     // totalTokens
-	hostile = appendUvarintBytes(hostile, 1)     // numTerms
-	hostile = appendUvarintBytes(hostile, 1)     // termLen
-	hostile = append(hostile, 'a')               // term
-	hostile = appendUvarintBytes(hostile, 1)     // cf
-	hostile = appendUvarintBytes(hostile, 1)     // df
-	hostile = appendUvarintBytes(hostile, 1<<60) // numBlocks: hostile
+	// Hostile block count: the first term claims 2^31 blocks.
+	hostile := append([]byte(nil), full...)
+	recs := binary.LittleEndian.Uint64(hostile[104+16*secTermRecs:])
+	binary.LittleEndian.PutUint32(hostile[recs+20:], 1<<31)
 	if _, err := Read(bytes.NewReader(hostile)); err == nil {
 		t.Error("hostile block count accepted")
 	}
-}
-
-func appendUvarintBytes(dst []byte, v uint64) []byte {
-	var tmp [16]byte
-	n := 0
-	for {
-		b := byte(v & 0x7f)
-		v >>= 7
-		if v != 0 {
-			b |= 0x80
-		}
-		tmp[n] = b
-		n++
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, tmp[:n]...)
 }

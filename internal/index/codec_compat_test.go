@@ -2,43 +2,26 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sort"
-	"strings"
 	"testing"
 )
 
-// TestLegacyMagicsRejected: the flat-posting RIDX1–RIDX4 streams of early
-// builds, which nothing has written since RIDX5, are foreign formats now.
-// Every reading entry point answers ErrBadFormat from the magic alone,
-// whatever follows it.
+// TestLegacyMagicsRejected: the varint streams that came before RIDX7 —
+// the flat-posting RIDX1–RIDX4, the blocked RIDX5 and the RIDX6 manifest
+// of RIDX5 streams — are foreign formats now. Every reading entry point
+// answers ErrBadFormat from the magic alone, whatever follows it.
 func TestLegacyMagicsRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := buildSmall(t).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, magic := range []string{"RIDX1\n", "RIDX2\n", "RIDX3\n", "RIDX4\n"} {
-		stream := append([]byte(magic), buf.Bytes()[len(magicV5):]...)
+	img := imageOf(t, SegmentIndex(buildSmall(t), 1), nil)
+	for _, magic := range []string{"RIDX1\n", "RIDX2\n", "RIDX3\n", "RIDX4\n", "RIDX5\n", "RIDX6\n"} {
+		stream := append([]byte(magic), img[len(magicV7):]...)
 		if _, err := Read(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%q: Read = %v, want ErrBadFormat", magic, err)
 		}
 		if _, err := ReadSegmented(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%q: ReadSegmented = %v, want ErrBadFormat", magic, err)
 		}
-		if _, err := ReadManifest(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("%q: ReadManifest = %v, want ErrBadFormat", magic, err)
-		}
-	}
-}
-
-func TestWriteToEmitsV5(t *testing.T) {
-	x := buildSmall(t)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), magicV5) {
-		t.Errorf("stream starts with %q, want %q", buf.String()[:6], magicV5)
 	}
 }
 
@@ -61,11 +44,7 @@ func TestMaxScoreTablesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3} {
-		var buf bytes.Buffer
-		if _, err := SegmentIndex(x, shards).WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSegmented(&buf)
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, shards), nil)))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -86,9 +65,9 @@ func TestMaxScoreTablesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptMaxScoreBlocksRejected feeds a valid stream with its score-
-// table tail (max-score block, block-max block) truncated or corrupted at
-// various points: every variant must error, never panic.
+// TestCorruptMaxScoreBlocksRejected feeds a valid image with its score-
+// table region truncated or corrupted: every variant must error, never
+// panic.
 func TestCorruptMaxScoreBlocksRejected(t *testing.T) {
 	x := buildSmall(t)
 	table := make([]float64, x.NumTerms())
@@ -98,41 +77,41 @@ func TestCorruptMaxScoreBlocksRejected(t *testing.T) {
 	if err := x.SetMaxScores("T", table); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	full := imageOf(t, SegmentIndex(x, 1), nil)
+	if _, err := Read(bytes.NewReader(full)); err != nil {
+		t.Fatalf("pristine image rejected: %v", err)
 	}
-	full := buf.Bytes()
-	// The tail: max-score table count byte, key ("T" + length byte), the
-	// float64 entries, then the block-max table count byte.
-	blockLen := 1 + 2 + 8*x.NumTerms() + 1
-	for cut := 1; cut <= blockLen; cut++ {
-		if _, err := Read(bytes.NewReader(full[:len(full)-cut])); err == nil {
-			t.Errorf("stream truncated by %d bytes accepted", cut)
+	// The region: key length, "T" padded to 8, the float64 entries.
+	at := int(binary.LittleEndian.Uint64(full[104+16*secMaxTables:]))
+	end := at + 8 + 8 + 8*x.NumTerms()
+	for cut := at; cut < end; cut++ {
+		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+			t.Errorf("image cut to %d bytes, inside the max-score table, accepted", cut)
 		}
 	}
-	// A NaN entry violates the finite-nonnegative contract. The last
-	// max-score float sits just before the trailing block-max count byte.
+	// A NaN entry violates the finite-nonnegative contract.
 	nan := append([]byte(nil), full...)
-	for i := 0; i < 8; i++ {
-		nan[len(nan)-2-i] = 0xff
+	for i := end - 8; i < end; i++ {
+		nan[i] = 0xff
 	}
 	if _, err := Read(bytes.NewReader(nan)); err == nil {
 		t.Error("NaN max-score entry accepted")
 	}
+	// A key length that overruns the region.
+	long := append([]byte(nil), full...)
+	binary.LittleEndian.PutUint64(long[at:], 1<<9)
+	if _, err := Read(bytes.NewReader(long)); err == nil {
+		t.Error("overrunning max-score key accepted")
+	}
 }
 
 // TestSegmentedRoundTripV3 writes a multi-shard index and checks the
-// manifest and the index both survive the v3 round trip.
+// shard partition and the index both survive the image round trip.
 func TestSegmentedRoundTripV3(t *testing.T) {
 	x := buildSmall(t)
 	for _, shards := range []int{1, 2, 3} {
 		seg := SegmentIndex(x, shards)
-		var buf bytes.Buffer
-		if _, err := seg.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSegmented(&buf)
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, seg, nil)))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

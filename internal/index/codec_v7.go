@@ -11,15 +11,16 @@ import (
 	"unsafe"
 )
 
-// RIDX7: the mapped layout. Unlike RIDX5/RIDX6 (varint streams decoded
-// into heap structures at load), a v7 file stores every section in its
-// exact in-memory wire shape at 8-byte-aligned offsets so OpenMapped can
-// mmap the file and serve it in place: block headers, numeric tables and
-// max-score tables are reinterpreted (not parsed), the delta-varint
-// posting region is iterated lazily exactly like the heap layout, and
-// the only per-open heap cost is one copy of the two string blobs
-// (document IDs and the term dictionary) plus O(terms + blocks)
-// validation — no posting byte is read at open.
+// RIDX7: the index image — the only persisted form of an Index. A v7
+// file stores every section in its exact in-memory wire shape at
+// 8-byte-aligned offsets so OpenMapped can mmap the file and serve it in
+// place (and ReadSegmented can parse the same bytes off a heap slab):
+// block headers, numeric tables and max-score tables are reinterpreted
+// (not parsed), the delta-varint posting region is iterated lazily
+// exactly like the heap layout, and the only per-open heap cost is one
+// copy of the two string blobs (document IDs and the term dictionary)
+// plus O(terms + blocks) validation — OpenMapped reads no posting byte
+// at open (ReadSegmented validates a slab's once, see codec.go).
 //
 // File layout (all integers little-endian):
 //
@@ -45,8 +46,8 @@ import (
 //	                                       blk0 u32, nBlk u32, df u32, pad}
 //	  blockHdrs  nBlocks × 12 B           {maxDoc i32, off u32, n i32},
 //	                                      off relative to the term's data
-//	  blockData  bytes (page-aligned)     delta-varint posting blocks,
-//	                                      identical bytes to the v5 stream
+//	  blockData  bytes (page-aligned)     delta-varint posting blocks
+//	                                      (block.go), verbatim
 //	  shards     numShards × i64          shard document counts
 //	  maxTables  packed                   per table: keyLen u64, key,
 //	                                      zero-pad to 8, numTerms × f64
@@ -61,8 +62,8 @@ import (
 // sections existed, and such images still open.
 //
 // The dictionary has no hash map in this layout: terms is left nil and
-// lookups binary-search the sorted termList (the Build invariant every
-// stream guarantees, validated at open).
+// lookups binary-search the sorted termList (the Build invariant,
+// validated at open).
 //
 // Open-time validation is structural only — section bounds, alignment,
 // monotone offset arrays, per-term block accounting (contiguous blk0,
@@ -121,14 +122,21 @@ func roundUp(n, align int64) int64 { return (n + align - 1) / align * align }
 // WriteMapped serializes the segmented index as a mappable RIDX7 file.
 // payload, when non-nil, supplies a per-document body stored in the
 // payload sections (the engine persists document bodies this way so a
-// mapped index can snippet); nil writes no payload sections. A flat
-// (uncompressed) index is re-blocked at DefaultBlockSize first — the
-// mapped layout is always block-compressed.
+// mapped index can snippet); nil writes no payload sections.
 func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (int64, error) {
+	return s.writeMapped(w, payload, false)
+}
+
+// WriteMappedFramed is WriteMapped preceded by the image's byte length as
+// an unsigned varint — the framing engine epoch files embed images with.
+// The length is known from the section layout before any byte is
+// written, so the image streams out unbuffered.
+func (s *Segmented) WriteMappedFramed(w io.Writer, payload func(doc int32) string) (int64, error) {
+	return s.writeMapped(w, payload, true)
+}
+
+func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, framed bool) (n int64, err error) {
 	x := s.idx
-	if !x.Blocked() {
-		x = Reblock(x, 0)
-	}
 	numDocs := int64(x.NumDocs())
 	numTerms := int64(x.NumTerms())
 
@@ -206,6 +214,13 @@ func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (in
 	fileSize := off
 
 	bw := bufio.NewWriterSize(w, 1<<16)
+	if framed {
+		k, err := bw.Write(binary.AppendUvarint(nil, uint64(fileSize)))
+		if err != nil {
+			return int64(k), err
+		}
+		defer func() { n += int64(k) }()
+	}
 	written := int64(0)
 	var scratch [8]byte
 	wr := func(p []byte) error {
@@ -516,9 +531,9 @@ func OpenMapped(path string) (*Segmented, error) {
 
 // parseV7 builds an Index over a complete v7 byte region. m is the
 // refcounted mapping backing data, or nil when data is an owned heap
-// slab (the io.Reader compat path) — the index layout is identical
-// either way, including defensive posting decode, since the posting
-// bytes are not validated here. Validation is structural: every section
+// slab (ReadSegmented) — the index layout is identical either way,
+// including defensive posting decode, since the posting bytes are not
+// validated here. Validation is structural: every section
 // bound, alignment and accounting invariant the in-place readers trust
 // is checked before the index is returned, and a failure never panics.
 func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {

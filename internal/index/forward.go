@@ -141,7 +141,7 @@ func newForward(offs []uint64, blob []byte, numDocs, numTerms int) (*Forward, er
 }
 
 // Forward returns the index's forward index, or nil when it has none (it
-// was built through Builder.Add, or read from a stream that predates the
+// was built through Builder.Add, or read from an image that predates the
 // forward sections and not rebuilt).
 func (x *Index) Forward() *Forward { return x.fwd }
 

@@ -97,12 +97,11 @@ func checkForwardFixture(t testing.TB, x *Index, label string) {
 
 // TestForwardRoundTrip: the forward index reproduces every document's
 // fields in the FINAL (sorted-dictionary) term numbering, through every
-// way an index can come to hold one — built, reblocked, rebuilt from
-// text, written to a mapped image and opened in place or onto the heap.
+// way an index can come to hold one — built, rebuilt from text, written
+// to a mapped image and opened in place or onto the heap.
 func TestForwardRoundTrip(t *testing.T) {
 	x := buildForwardFixture(t, 2)
 	checkForwardFixture(t, x, "built")
-	checkForwardFixture(t, Reblock(x, -1), "reblocked flat")
 
 	// Appending to caller scratch leaves what was there alone.
 	terms, ends, ok := x.Forward().Doc(4, []int32{7, 7}, []int32{9})
@@ -156,7 +155,6 @@ func TestForwardRoundTrip(t *testing.T) {
 		t.Fatalf("open decoded %d posting blocks", after-before)
 	}
 	checkForwardFixture(t, mapped.Index(), "v7 mapped")
-	checkForwardFixture(t, Reblock(mapped.Index(), 4), "reblocked off the mapping")
 }
 
 // TestForwardSectionsAreOptional: an index without a forward index is

@@ -2,13 +2,14 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
-// fuzzSeedStream builds a small valid v5 stream (block-compressed
-// postings plus max-score and block-max tables) for the fuzzer to mutate.
-func fuzzSeedStream(tb testing.TB, blockSize int) []byte {
+// fuzzSeedImage builds a small valid RIDX7 image (two shards, max-score
+// and block-max tables, optional payloads) for the fuzzer to mutate.
+func fuzzSeedImage(tb testing.TB, blockSize int, payload func(int32) string) []byte {
 	b := NewBuilder()
 	b.SetBlockSize(blockSize)
 	docs := [][2]string{
@@ -28,100 +29,46 @@ func fuzzSeedStream(tb testing.TB, blockSize int) []byte {
 	if err := x.SetMaxScores("DPH", x.ComputeMaxScores(score)); err != nil {
 		tb.Fatal(err)
 	}
-	if x.Blocked() {
-		if err := x.SetBlockMaxScores("DPH", x.ComputeBlockMaxScores(score)); err != nil {
-			tb.Fatal(err)
-		}
+	if err := x.SetBlockMaxScores("DPH", x.ComputeBlockMaxScores(score)); err != nil {
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := SegmentIndex(x, 2).WriteTo(&buf); err != nil {
+	if _, err := SegmentIndex(x, 2).WriteMapped(&buf, payload); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// fuzzSeedManifest builds a small valid RIDX6 manifest — two segments
-// (one block-compressed with a max-score table, one flat) plus
-// tombstones — for the fuzzer to mutate.
-func fuzzSeedManifest(tb testing.TB) []byte {
-	b := NewBuilder()
-	b.SetBlockSize(-1)
-	for _, d := range [][2]string{{"d4", "banana bread"}, {"d2", "apple watch"}} {
-		if err := b.Add(d[0], strings.Fields(d[1])); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	var base *Segmented
-	if seg, err := ReadSegmented(bytes.NewReader(fuzzSeedStream(tb, 2))); err != nil {
-		tb.Fatal(err)
-	} else {
-		base = seg
-	}
-	man := &Manifest{
-		Epoch:      3,
-		Segments:   []*Segmented{base, b.BuildSegmented(1)},
-		Tombstones: []string{"d3"},
-	}
-	var buf bytes.Buffer
-	if _, err := man.WriteTo(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// fuzzSeedMapped builds a small valid RIDX7 mapped-layout file image for
-// the fuzzer to mutate.
-func fuzzSeedMapped(tb testing.TB, payload func(int32) string) []byte {
-	seg, err := ReadSegmented(bytes.NewReader(fuzzSeedStream(tb, 2)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := seg.WriteMapped(&buf, payload); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzReadIndex drives both codec entry points with arbitrary bytes: any
-// input may be rejected with an error, but none may panic or hang —
-// truncated or corrupt streams (including mangled RIDX5 block headers —
-// hostile block counts and byte lengths — and mangled score tables) must
-// degrade to ErrBadFormat-wrapped errors. CI runs this for a short fixed
-// budget next to the deterministic corrupt-stream cases in the codec
+// FuzzReadIndex drives both reading entry points with arbitrary bytes:
+// any input may be rejected with an error, but none may panic or hang —
+// truncated or corrupt images (hostile section tables, term records,
+// block headers, score tables, payload and forward offsets) and foreign
+// magics must degrade to ErrBadFormat-wrapped errors. Read parses through
+// the same validator as OpenMapped, so heap fuzzing covers the mapped
+// open path's structural checks too. CI runs this for a short fixed
+// budget next to the deterministic corrupt-image cases in the codec
 // tests.
 func FuzzReadIndex(f *testing.F) {
-	valid := fuzzSeedStream(f, 2) // tiny blocks: boundaries everywhere
+	valid := fuzzSeedImage(f, 2, nil) // tiny blocks: boundaries everywhere
 	f.Add(valid)
-	f.Add(fuzzSeedStream(f, -1))  // flat transport (blockCap 0)
-	f.Add(fuzzSeedStream(f, 128)) // default layout
+	f.Add(fuzzSeedImage(f, 1, nil))
+	f.Add(fuzzSeedImage(f, 128, nil)) // default layout
 	// Truncations at structurally interesting depths: inside the magic,
-	// the block headers, the manifest, and the score tables.
+	// the header, the section table, the sections and the padding.
 	for _, cut := range []int{1, 4, 7, 9, len(valid) / 3, len(valid) / 2, len(valid) - 9, len(valid) - 1} {
-		if cut > 0 && cut < len(valid) {
-			f.Add(valid[:cut])
-		}
+		f.Add(valid[:cut])
 	}
-	// Legacy (now foreign) magics with junk bodies, and bare v5 headers.
+	// Foreign magics — the varint streams of earlier builds — with junk
+	// bodies.
 	f.Add([]byte("RIDX1\n\xff\xff\xff\xff"))
 	f.Add([]byte("RIDX4\n"))
 	f.Add([]byte("RIDX4\n\x00\x00\x00\x00\x00"))
 	f.Add([]byte("RIDX5\n"))
-	f.Add([]byte("RIDX5\n\x00\x00\x00\x00\x00\x00"))
-	// Hostile v5 block shapes: huge block count, huge byte length.
 	f.Add([]byte("RIDX5\n\x02\x01\x01x\x01\x01\x01\x01a\x01\x01\xff\xff\xff\xff\x0f"))
-	f.Add([]byte("RIDX5\n\x02\x01\x01x\x01\x01\x01\x01a\x01\x01\x01\x01\xff\xff\xff\xff\x0f"))
-	// RIDX6 manifests: a valid two-segment manifest with tombstones, the
-	// legacy lift of a bare v5 stream, and hostile segment/tombstone
-	// counts (huge varints where the counts go).
-	// RIDX7 mapped layouts: a valid file (with and without payloads), its
-	// truncations at the header / section table / block region, a bare
-	// header, and hostile section offsets. Read() parses v7 through the
-	// same validator as OpenMapped, so heap fuzzing covers the mapped
-	// open path's structural checks too.
-	v7 := fuzzSeedMapped(f, nil)
-	f.Add(v7)
-	f.Add(fuzzSeedMapped(f, func(d int32) string { return strings.Repeat("x", int(d)+1) }))
+	f.Add([]byte("RIDX6\n"))
+	f.Add([]byte("RIDX6\n\x01\x01" + "RIDX5\n"))
+	// With payload sections.
+	f.Add(fuzzSeedImage(f, 2, func(d int32) string { return strings.Repeat("x", int(d)+1) }))
 	// With forward-index sections (16-entry table, flag bit 1), whole and
 	// cut inside the forward offsets and arena.
 	var fwd bytes.Buffer
@@ -132,24 +79,29 @@ func FuzzReadIndex(f *testing.F) {
 	for _, cut := range []int{v7HeaderSize + 16, fwd.Len() - 90, fwd.Len() - 30, fwd.Len() - 1} {
 		f.Add(fwd.Bytes()[:cut])
 	}
-	for _, cut := range []int{7, 95, v7HeaderSize - 1, v7HeaderSize, v7HeaderSize + 64, len(v7) / 2, len(v7) - 1} {
-		if cut > 0 && cut < len(v7) {
-			f.Add(v7[:cut])
-		}
+	for _, cut := range []int{95, v7HeaderSize - 1, v7HeaderSize, v7HeaderSize + 64, v7PageAlign, v7PageAlign + 8, len(valid) - 200} {
+		f.Add(valid[:cut])
 	}
 	f.Add([]byte(magicV7))
 	f.Add(append([]byte(magicV7), make([]byte, v7HeaderSize)...)) // zeroed header
-	hostile := append([]byte(nil), v7...)
-	for i := 104; i < v7HeaderSize; i += 8 {
-		hostile[i] = 0xff // section offsets/lengths far past EOF
+	// Targeted corruptions of a whole image.
+	corrupt := func(mutate func(b []byte, sec func(i int) int)) {
+		b := append([]byte(nil), valid...)
+		mutate(b, func(i int) int { return int(binary.LittleEndian.Uint64(b[104+16*i:])) })
+		f.Add(b)
 	}
-	f.Add(hostile)
-	f.Add(fuzzSeedManifest(f))
-	f.Add([]byte("RIDX6\n"))
-	f.Add([]byte("RIDX6\n\x01\x00"))                                     // zero segments
-	f.Add([]byte("RIDX6\n\x01\xff\xff\xff\xff\x0f"))                     // hostile segment count
-	f.Add([]byte("RIDX6\n\x01\x01" + "RIDX5\n"))                         // truncated embedded segment
-	f.Add(append(fuzzSeedManifest(f)[:8], 0xff, 0xff, 0xff, 0xff, 0x0f)) // mangled counts mid-header
+	corrupt(func(b []byte, _ func(int) int) { // section offsets/lengths far past EOF
+		for i := 104; i < v7HeaderSize; i += 8 {
+			b[i] = 0xff
+		}
+	})
+	corrupt(func(b []byte, sec func(int) int) { binary.LittleEndian.PutUint64(b[sec(secShards):], 1<<40) })            // partition does not cover the docs
+	corrupt(func(b []byte, sec func(int) int) { b[sec(secTermRecs)+24]++ })                                            // df lies
+	corrupt(func(b []byte, sec func(int) int) { binary.LittleEndian.PutUint32(b[sec(secBlockHdrs)+8:], 0) })           // empty block
+	corrupt(func(b []byte, sec func(int) int) { binary.LittleEndian.PutUint64(b[sec(secMaxTables)+16:], ^uint64(0)) }) // NaN bound
+	corrupt(func(b []byte, sec func(int) int) { binary.LittleEndian.PutUint64(b[sec(secDocOffs)+8:], 1<<40) })         // doc ID past its blob
+	corrupt(func(b []byte, _ func(int) int) { binary.LittleEndian.PutUint64(b[24:], MaxBlockSize+1) })                 // blockCap
+	corrupt(func(b []byte, _ func(int) int) { binary.LittleEndian.PutUint64(b[64:], 0) })                              // no shards
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if x, err := Read(bytes.NewReader(data)); err == nil {
 			// Accepted streams must produce a usable index: exercise the
@@ -199,26 +151,6 @@ func FuzzReadIndex(f *testing.F) {
 				lo, hi := seg.Shard(i).DocRange()
 				if lo > hi || int(hi) > seg.Index().NumDocs() {
 					t.Fatalf("shard %d range [%d,%d) out of bounds", i, lo, hi)
-				}
-			}
-		}
-		if man, err := ReadManifest(bytes.NewReader(data)); err == nil {
-			// An accepted manifest must uphold the invariants the engine's
-			// live-state loader trusts: at least one segment, every segment
-			// a usable index with an in-bounds shard partition.
-			if len(man.Segments) == 0 {
-				t.Fatal("accepted manifest with no segments")
-			}
-			for si, seg := range man.Segments {
-				x := seg.Index()
-				for id := int32(0); id < int32(x.NumTerms()); id++ {
-					_ = x.PostingsByID(id)
-				}
-				for i := 0; i < seg.NumShards(); i++ {
-					lo, hi := seg.Shard(i).DocRange()
-					if lo > hi || int(hi) > x.NumDocs() {
-						t.Fatalf("segment %d shard %d range [%d,%d) out of bounds", si, i, lo, hi)
-					}
 				}
 			}
 		}

@@ -4,12 +4,11 @@
 // DFR ranking models of package ranking need. It replaces the Terrier
 // index of the paper's experimental setup (§5).
 //
-// Postings are stored block-compressed by default (see block.go): fixed-
-// capacity blocks of delta-varint (docID, tf) pairs behind per-block
-// max-doc headers, traversed through PostingIterator. A flat []Posting
-// layout remains available (Builder.SetBlockSize(-1), engine
-// DisableCompression) and is bit-identical in retrieval output — only
-// memory and traversal cost differ.
+// Postings are stored block-compressed (see block.go): fixed-capacity
+// blocks of delta-varint (docID, tf) pairs behind per-block max-doc
+// headers, traversed through PostingIterator. An index persists as one
+// RIDX7 image (codec_v7.go), served mapped in place or read onto an owned
+// heap slab.
 //
 // The index is token-agnostic: callers analyze text (package text) before
 // adding documents, so index and query processing are guaranteed to agree
@@ -68,8 +67,8 @@ type Builder struct {
 	noForward bool
 }
 
-// NewBuilder returns an empty Builder producing the default
-// block-compressed posting layout.
+// NewBuilder returns an empty Builder producing postings in blocks of
+// DefaultBlockSize.
 func NewBuilder() *Builder {
 	return &Builder{
 		seen:  make(map[string]bool),
@@ -77,10 +76,10 @@ func NewBuilder() *Builder {
 	}
 }
 
-// SetBlockSize tunes the posting layout of the built index: n > 0 sets
-// the block capacity, 0 keeps DefaultBlockSize, n < 0 builds flat
-// (uncompressed) []Posting lists. Retrieval output is bit-identical at
-// any setting; only memory footprint and traversal cost differ.
+// SetBlockSize sets the posting-block capacity of the built index (n <= 0
+// keeps DefaultBlockSize; sizes beyond MaxBlockSize clamp). Retrieval
+// output is bit-identical at any capacity — tests sweep it to put block
+// boundaries everywhere.
 func (b *Builder) SetBlockSize(n int) { b.blockSize = n }
 
 // ErrDuplicateDoc is returned when the same external document ID is added
@@ -162,8 +161,8 @@ func (b *Builder) NumDocs() int { return len(b.docIDs) }
 // ascending term ID order equals ascending string order. The similarity
 // substrate (textsim.Lexicon seeded from this dictionary) depends on that
 // invariant to keep interned-vector merges in the same order as
-// string-sorted merges, and the v2 codec persists it. Postings are then
-// laid out per SetBlockSize (block-compressed by default).
+// string-sorted merges, and the image persists it. Postings are then
+// encoded in blocks of the SetBlockSize capacity.
 func (b *Builder) Build() *Index {
 	// Postings were appended in doc order already (Add assigns increasing
 	// doc numbers), so no per-term sort is needed; assert order in debug
@@ -248,28 +247,28 @@ type Index struct {
 	terms    map[string]int32
 	termList []string
 	plists   []postingList
-	blockCap int // posting block capacity; 0 = flat layout
+	blockCap int // posting block capacity
 	nBlocks  int // total blocks across the dictionary
 	cf       []int64
 	total    int64
 	// maxScores holds per-term upper bounds on a single posting's model
 	// score contribution, keyed by the scoring function's identity
 	// (ranking.Boundable.BoundKey()). MaxScore dynamic pruning consumes
-	// these; the codec persists them (since v4).
+	// these; the image persists them.
 	maxScores map[string][]float64
 	// blockMax refines maxScores to block granularity: per key, one upper
 	// bound per posting block, indexed by the index-wide block numbering
-	// (postingList.blk0). Only meaningful for the compressed layout; the
-	// v5 codec persists it.
+	// (postingList.blk0). The image persists it.
 	blockMax map[string][]float64
 
-	// Mapped-storage state (RIDX7, see mapped.go / codec_v7.go). An
-	// owned index leaves all of this zero. mapping refcounts the backing
-	// byte region; unverified marks posting bytes that were never
-	// validation-decoded at load, switching iterators to the defensive
-	// block decoder; terms is nil in this layout (termID binary-searches
-	// the sorted termList instead); payOffs/payBlob are the optional
-	// per-document payload sections.
+	// Image state (RIDX7, see mapped.go / codec_v7.go). A built index
+	// leaves all of this zero. mapping refcounts the backing byte region
+	// (nil for an image read onto an owned slab); unverified marks posting
+	// bytes that were never validation-decoded (a mapped image's — a
+	// slab's are validated when it is read), switching iterators to the
+	// defensive block decoder; terms is nil in this layout (termID
+	// binary-searches the sorted termList instead); payOffs/payBlob are
+	// the optional per-document payload sections.
 	mapping    *Mapping
 	closed     atomic.Bool
 	unverified bool
@@ -302,14 +301,11 @@ func (x *Index) NumDocs() int { return len(x.docIDs) }
 // NumTerms returns the dictionary size.
 func (x *Index) NumTerms() int { return len(x.termList) }
 
-// Blocked reports whether postings are stored block-compressed.
-func (x *Index) Blocked() bool { return x.blockCap > 0 }
-
-// BlockSize returns the posting block capacity (0 for the flat layout).
+// BlockSize returns the posting block capacity.
 func (x *Index) BlockSize() int { return x.blockCap }
 
-// NumBlocks returns the total posting-block count across the dictionary
-// (0 for the flat layout) — the length of every block-max table.
+// NumBlocks returns the total posting-block count across the dictionary —
+// the length of every block-max table.
 func (x *Index) NumBlocks() int { return x.nBlocks }
 
 // DocID maps an internal document number to its external ID.
@@ -356,10 +352,8 @@ func (x *Index) PostingIter(id int32) PostingIterator {
 }
 
 // LookupPostings returns the statistics and postings of term in one
-// dictionary probe, materializing the list. Flat layouts return the
-// shared slice (do not modify); the compressed layout decodes into a
-// fresh allocation per call — evaluators use LookupIter instead and
-// stream block at a time.
+// dictionary probe, decoding the list into a fresh allocation per call —
+// evaluators use LookupIter instead and stream block at a time.
 func (x *Index) LookupPostings(term string) (TermStats, []Posting, bool) {
 	id, ok := x.termID(term)
 	if !ok {
@@ -369,9 +363,8 @@ func (x *Index) LookupPostings(term string) (TermStats, []Posting, bool) {
 	return TermStats{ID: id, DF: int64(pl.n), CF: x.cf[id]}, pl.materialize(x.unverified), true
 }
 
-// Postings returns the postings of term (nil if absent), materializing
-// under the compressed layout — see LookupPostings. The flat layout's
-// slice is shared and must not be modified.
+// Postings returns the postings of term (nil if absent), decoded into a
+// fresh slice — see LookupPostings.
 func (x *Index) Postings(term string) []Posting {
 	id, ok := x.termID(term)
 	if !ok {
@@ -380,8 +373,8 @@ func (x *Index) Postings(term string) []Posting {
 	return x.plists[id].materialize(x.unverified)
 }
 
-// PostingsByID returns the postings for an internal term number,
-// materializing under the compressed layout.
+// PostingsByID returns the postings for an internal term number, decoded
+// into a fresh slice.
 func (x *Index) PostingsByID(id int32) []Posting { return x.plists[id].materialize(x.unverified) }
 
 // Term returns the term string for an internal term number.
@@ -407,7 +400,7 @@ func (x *Index) DF(id int32) int { return int(x.plists[id].n) }
 func (x *Index) MaxScores(key string) []float64 { return x.maxScores[key] }
 
 // MaxScoreKeys returns the registered max-score table keys in sorted
-// order (stats endpoints and the codec rely on the determinism).
+// order (stats endpoints and the image writer rely on the determinism).
 func (x *Index) MaxScoreKeys() []string {
 	keys := make([]string, 0, len(x.maxScores))
 	for k := range x.maxScores {
@@ -459,28 +452,22 @@ func (x *Index) BlockMaxKeys() []string {
 
 // TermBlockMax returns the slice of key's block-max table covering the
 // given term's blocks (aligned with the term's block sequence), or nil
-// when the table or the compressed layout is absent. Evaluators attach it
-// to the term's iterator via SetBlockMax.
+// when the table is absent. Evaluators attach it to the term's iterator
+// via SetBlockMax.
 func (x *Index) TermBlockMax(key string, id int32) []float64 {
 	t := x.blockMax[key]
 	if t == nil {
 		return nil
 	}
 	pl := &x.plists[id]
-	if pl.blocks == nil {
-		return nil
-	}
 	return t[pl.blk0 : int(pl.blk0)+len(pl.blocks)]
 }
 
 // SetBlockMaxScores registers a block-max table under key: one finite
 // nonnegative upper bound per posting block, in index-wide block order.
-// Only valid on the compressed layout. Same ownership contract as
-// SetMaxScores: call while the index is privately owned.
+// Same ownership contract as SetMaxScores: call while the index is
+// privately owned.
 func (x *Index) SetBlockMaxScores(key string, scores []float64) error {
-	if !x.Blocked() {
-		return fmt.Errorf("index: block-max table %q on a flat-layout index", key)
-	}
 	if len(scores) != x.nBlocks {
 		return fmt.Errorf("index: block-max table %q has %d entries for %d blocks",
 			key, len(scores), x.nBlocks)
@@ -530,11 +517,8 @@ func (x *Index) ComputeMaxScores(score ScoreFunc) []float64 {
 // its postings can contribute (floored at 0), in index-wide block order —
 // a valid SetBlockMaxScores table. The per-term maximum is the max over
 // the term's entries, so callers needing both tables can derive one from
-// the other exactly. Returns nil on a flat layout.
+// the other exactly.
 func (x *Index) ComputeBlockMaxScores(score ScoreFunc) []float64 {
-	if !x.Blocked() {
-		return nil
-	}
 	c := x.Stats()
 	out := make([]float64, x.nBlocks)
 	scratch := blockScratch.Get().(*[]Posting)

@@ -159,20 +159,26 @@ func indexesEqual(a, b *Index) bool {
 	return true
 }
 
+// imageOf writes s as an RIDX7 image.
+func imageOf(tb testing.TB, s *Segmented, payload func(int32) string) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteMapped(&buf, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	x := buildSmall(t)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(imageOf(t, SegmentIndex(x, 1), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !indexesEqual(x, got) {
 		t.Error("round-trip index differs")
 	}
-	// Lookups must work on the decoded index.
+	// Lookups must work on the read index.
 	ts, ok := got.Lookup("apple")
 	if !ok || ts.CF != 4 {
 		t.Errorf("decoded Lookup(apple) = %+v, %v", ts, ok)
@@ -180,7 +186,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "XXXX1\n", "RIDX5\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"} {
+	for _, in := range []string{"", "XXXX1\n", "RIDX7\n", "RIDX7\n\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("Read(%q) succeeded", in)
 		}
@@ -204,11 +210,7 @@ func TestCodecRoundTripRandomized(t *testing.T) {
 			}
 		}
 		x := b.Build()
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
+		got, err := Read(bytes.NewReader(imageOf(t, SegmentIndex(x, rng.Intn(3)+1), nil)))
 		if err != nil {
 			return false
 		}

@@ -6,11 +6,11 @@ import (
 )
 
 // Mapped storage: an Index can be backed either by heap slices it owns
-// (every path that existed before RIDX7 — Build, Read, Reblock) or by one
-// contiguous read-only byte region served in place — an mmap'ed RIDX7
-// file (OpenMapped). The Mapping below is the ownership unit of the
-// second kind: a refcount on the region that keeps the bytes addressable
-// until the last reader drops.
+// (Build, and an RIDX7 image read onto a heap slab by Read/ReadSegmented)
+// or by one contiguous read-only byte region served in place — an
+// mmap'ed RIDX7 file (OpenMapped). The Mapping below is the ownership
+// unit of the second kind: a refcount on the region that keeps the bytes
+// addressable until the last reader drops.
 //
 // The refcount protocol has exactly three classes of holder:
 //
@@ -90,8 +90,8 @@ func (x *Index) Advise(a Advice) error {
 	return madviseBytes(x.mapping.data, a)
 }
 
-// Mapped reports whether the index is served off a mapped (or
-// slab-loaded RIDX7) region rather than owned heap structures.
+// Mapped reports whether the index is served off a mapped file region
+// (OpenMapped) rather than heap memory.
 func (x *Index) Mapped() bool { return x.mapping != nil }
 
 // Retain takes an additional reference on the index's backing region,

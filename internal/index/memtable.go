@@ -16,13 +16,12 @@ import "sync"
 // per generation: it is rebuilt lazily on the first View after a mutation
 // and shared by every search until the next one.
 type Memtable struct {
-	mu        sync.Mutex
-	blockSize int // Builder.SetBlockSize convention for sealed views
-	entries   []memEntry
-	byID      map[string]int // docID → index of its live entry
-	gen       uint64         // bumped on every mutation
-	viewGen   uint64
-	view      *MemView
+	mu      sync.Mutex
+	entries []memEntry
+	byID    map[string]int // docID → index of its live entry
+	gen     uint64         // bumped on every mutation
+	viewGen uint64
+	view    *MemView
 }
 
 // MemDoc is one buffered document: its external ID, analyzed tokens, and
@@ -42,10 +41,9 @@ type memEntry struct {
 	dead bool
 }
 
-// NewMemtable returns an empty memtable whose sealed views use the given
-// block-size convention (> 0 capacity, 0 default, < 0 flat).
-func NewMemtable(blockSize int) *Memtable {
-	return &Memtable{blockSize: blockSize, byID: make(map[string]int)}
+// NewMemtable returns an empty memtable.
+func NewMemtable() *Memtable {
+	return &Memtable{byID: make(map[string]int)}
 }
 
 // Add upserts a document: a live entry with the same ID is marked dead and
@@ -176,7 +174,6 @@ func (m *Memtable) View() *MemView {
 		return m.view
 	}
 	b := NewBuilder()
-	b.SetBlockSize(m.blockSize)
 	byID := make(map[string]int32, len(m.byID))
 	payloads := make([]string, 0, len(m.byID))
 	for _, e := range m.entries {

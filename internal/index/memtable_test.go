@@ -11,7 +11,7 @@ func memdoc(id, text string) MemDoc {
 }
 
 func TestMemtableLifecycle(t *testing.T) {
-	m := NewMemtable(0)
+	m := NewMemtable()
 	if v := m.View(); v != nil {
 		t.Fatalf("empty memtable view = %v, want nil", v)
 	}
@@ -86,7 +86,7 @@ func TestMemtableLifecycle(t *testing.T) {
 // bit-identical to a Builder fed the same live docs in the same order —
 // the property flushing relies on.
 func TestMemtableViewMatchesBatchBuild(t *testing.T) {
-	m := NewMemtable(2)
+	m := NewMemtable()
 	m.Add(memdoc("a", "x y z"))
 	m.Add(memdoc("b", "x q"))
 	m.Add(memdoc("a", "y y w"))
@@ -94,7 +94,6 @@ func TestMemtableViewMatchesBatchBuild(t *testing.T) {
 	m.Add(memdoc("c", "w z"))
 
 	b := NewBuilder()
-	b.SetBlockSize(2)
 	for _, d := range m.LiveDocs() {
 		if err := b.Add(d.ID, d.Tokens); err != nil {
 			t.Fatal(err)

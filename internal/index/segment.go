@@ -45,8 +45,8 @@ func (b *Builder) BuildSegmented(shards int) *Segmented {
 	return SegmentIndex(b.Build(), shards)
 }
 
-// segmentedFromSizes reassembles a Segmented from the shard sizes a codec
-// manifest records. The sizes must be non-negative and sum to NumDocs.
+// segmentedFromSizes reassembles a Segmented from the shard sizes an
+// image records. The sizes must be non-negative and sum to NumDocs.
 func segmentedFromSizes(x *Index, sizes []int64) (*Segmented, bool) {
 	if len(sizes) == 0 {
 		return nil, false
@@ -81,7 +81,7 @@ func (s *Segmented) Shard(i int) Shard {
 }
 
 // ShardSizes returns the per-shard document counts (for stats endpoints
-// and the codec manifest).
+// and the image's shard section).
 func (s *Segmented) ShardSizes() []int {
 	sizes := make([]int, s.NumShards())
 	for i := range sizes {
@@ -121,17 +121,9 @@ func (sh Shard) Iter(id int32) PostingIterator {
 }
 
 // Postings returns the portion of the term's posting list whose documents
-// fall inside the shard. Under the flat layout this is a zero-copy
-// sub-slice (shared; do not modify); the compressed layout decodes the
-// range into a fresh slice. Hot paths stream through Iter instead.
+// fall inside the shard, decoded into a fresh slice. Hot paths stream
+// through Iter instead.
 func (sh Shard) Postings(id int32) []Posting {
-	pl := &sh.idx.plists[id]
-	if pl.flat != nil || pl.n == 0 {
-		f := pl.flat
-		a := seekPostings(f, 0, sh.lo)
-		f = f[a:]
-		return f[:seekPostings(f, 0, sh.hi)]
-	}
 	var out []Posting
 	it := sh.idx.iterRange(id, sh.lo, sh.hi)
 	for blk := it.NextBlock(); blk != nil; blk = it.NextBlock() {

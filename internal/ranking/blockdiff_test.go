@@ -10,18 +10,20 @@ import (
 )
 
 // The block-layout acceptance differential: retrieval over block-
-// compressed postings must be BIT-IDENTICAL to retrieval over flat
-// []Posting lists — same documents, same ranks, same float64 score bits —
-// across block sizes (including the degenerate 1-posting blocks and
+// compressed postings must be BIT-IDENTICAL to a test-only exhaustive
+// scorer over the flat []Posting lists PostingsByID materializes
+// (retrieveReference) — same documents, same ranks, same float64 score
+// bits — across block sizes (including the degenerate 1-posting blocks and
 // blocks far larger than any list), every weighting model, shard counts,
 // and both the exhaustive and the MaxScore/Block-Max evaluators.
 
-// flatCorpusIndex builds the reference index with the flat layout.
-func flatCorpusIndex(t testing.TB, seed int64, numDocs int) *index.Index {
+// corpusIndex builds the differential corpus with postings in blocks of
+// blockSize.
+func corpusIndex(t testing.TB, seed int64, numDocs, blockSize int) *index.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := index.NewBuilder()
-	b.SetBlockSize(-1)
+	b.SetBlockSize(blockSize)
 	vocab := make([]string, 40)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("v%02d", i)
@@ -41,14 +43,12 @@ func flatCorpusIndex(t testing.TB, seed int64, numDocs int) *index.Index {
 
 // TestBlockedRetrievalBitIdenticalToFlat sweeps block sizes {1, 8, 128,
 // 1024} × models {DPH, BM25, TFIDF, LMDirichlet} × shards {1, 4} ×
-// k {10, 100, all} against the flat-layout reference, through Retrieve,
-// the pruned one-shard batch and the sharded batch (pruning on).
+// k {10, 100, all} against the flat reference scorer, through Retrieve,
+// the pruned one-shard batch and the sharded batch (pruning on). The
+// reference runs over the 1-posting-block index, so every block size is
+// also held to every other.
 func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
-	flat := flatCorpusIndex(t, 61, 300)
-	if flat.Blocked() {
-		t.Fatal("reference index unexpectedly blocked")
-	}
-	installTables(t, flat)
+	ref := corpusIndex(t, 61, 300, 1)
 	models := []Model{DPH{}, BM25{}, TFIDF{}, LMDirichlet{}}
 	rng := rand.New(rand.NewSource(19))
 	queries := make([][]string, 0, 24)
@@ -68,15 +68,15 @@ func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 	}
 
 	for _, bs := range []int{1, 8, 128, 1024} {
-		blocked := index.Reblock(flat, bs)
+		blocked := corpusIndex(t, 61, 300, bs)
 		installTables(t, blocked)
-		if index.Reblock(flat, bs).BlockSize() != bs {
-			t.Fatalf("Reblock(%d) built block size %d", bs, blocked.BlockSize())
+		if blocked.BlockSize() != bs {
+			t.Fatalf("block size %d built %d", bs, blocked.BlockSize())
 		}
 		for _, m := range models {
 			for _, k := range []int{10, 100, 0} {
-				for qi, q := range queries {
-					want := Retrieve(flat, m, q, k)
+				for _, q := range queries {
+					want := retrieveReference(ref, m, q, k)
 					if got := Retrieve(blocked, m, q, k); !hitsBitIdentical(got, want) {
 						t.Fatalf("bs=%d %s k=%d q=%v: Retrieve diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
@@ -85,7 +85,6 @@ func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 						t.Fatalf("bs=%d %s k=%d q=%v: pruned one-shard retrieval diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
 					}
-					_ = qi
 				}
 				for _, shards := range []int{1, 4} {
 					seg := index.SegmentIndex(blocked, shards)
@@ -98,7 +97,7 @@ func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 						t.Fatal(err)
 					}
 					for qi := range queries {
-						want := Retrieve(flat, m, queries[qi], k)
+						want := retrieveReference(ref, m, queries[qi], k)
 						if !hitsBitIdentical(got[qi], want) {
 							t.Fatalf("bs=%d shards=%d %s k=%d query %d: batch diverged\n got %+v\nwant %+v",
 								bs, shards, m.Name(), k, qi, got[qi], want)
@@ -110,14 +109,37 @@ func TestBlockedRetrievalBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
+// scoreDocReference is ScoreDoc as a linear scan of the flat lists
+// PostingsByID materializes.
+func scoreDocReference(idx *index.Index, model Model, queryTokens []string, doc int32) float64 {
+	cstats := idx.Stats()
+	terms, mults := termMultiplicities(queryTokens)
+	total, matched := 0.0, false
+	for ti, term := range terms {
+		tstats, ok := idx.Lookup(term)
+		if !ok {
+			continue
+		}
+		for _, p := range idx.PostingsByID(tstats.ID) {
+			if p.Doc == doc {
+				total += mults[ti] * model.TermScore(float64(p.TF), float64(idx.DocLen(doc)), tstats, cstats)
+				matched = true
+			}
+		}
+	}
+	if !matched {
+		return 0
+	}
+	return total + model.DocAdjust(float64(idx.DocLen(doc)), len(queryTokens), cstats)
+}
+
 // TestScoreDocBlockedMatchesFlat pins the point-lookup path (SeekGE over
-// blocks) against the flat layout.
+// blocks) against a linear scan of the flat lists.
 func TestScoreDocBlockedMatchesFlat(t *testing.T) {
-	flat := flatCorpusIndex(t, 67, 150)
-	blocked := index.Reblock(flat, 8)
+	blocked := corpusIndex(t, 67, 150, 8)
 	q := []string{"v01", "v05", "v05", "v11"}
-	for d := int32(0); d < int32(flat.NumDocs()); d++ {
-		want := ScoreDoc(flat, DPH{}, q, d)
+	for d := int32(0); d < int32(blocked.NumDocs()); d++ {
+		want := scoreDocReference(blocked, DPH{}, q, d)
 		got := ScoreDoc(blocked, DPH{}, q, d)
 		if got != want {
 			t.Fatalf("doc %d: ScoreDoc %v != flat %v", d, got, want)
@@ -130,8 +152,7 @@ func TestScoreDocBlockedMatchesFlat(t *testing.T) {
 // meaningful under -race: every worker decodes blocks of the same shared
 // lists into its own pooled buffers.
 func TestRetrieveBatchPrunedConcurrentBlocked(t *testing.T) {
-	flat := flatCorpusIndex(t, 71, 200)
-	blocked := index.Reblock(flat, 8)
+	blocked := corpusIndex(t, 71, 200, 8)
 	installTables(t, blocked)
 	seg := index.SegmentIndex(blocked, 4)
 	queries := [][]string{

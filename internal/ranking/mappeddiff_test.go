@@ -10,11 +10,11 @@ import (
 )
 
 // The mapped-storage acceptance differential: retrieval over an RIDX7
-// image served in place by OpenMapped must be BIT-IDENTICAL to retrieval
-// over the flat []Posting reference — the same sweep the block layout
-// passed in PR 5, now with the posting bytes living in a file mapping
-// instead of process heap. Models × k × shard counts, exhaustive and
-// pruned evaluators, plus the sharded batch path.
+// image served in place by OpenMapped must be BIT-IDENTICAL to the flat
+// reference scorer over the heap-built index (retrieveReference) — the
+// same sweep the block layout passes, now with the posting bytes living
+// in a file mapping instead of process heap. Models × k × shard counts,
+// exhaustive and pruned evaluators, plus the sharded batch path.
 
 // openMappedCopy persists blocked as a mapped image and opens it in
 // place. The returned Segmented holds live file-backed memory; the
@@ -43,13 +43,12 @@ func openMappedCopy(t *testing.T, blocked *index.Index) *index.Segmented {
 
 // TestMappedRetrievalBitIdenticalToFlat sweeps block sizes {8, 128} ×
 // models {DPH, BM25, TFIDF, LMDirichlet} × k {10, 100, all} × shards
-// {1, 4} over the mapped image against the flat heap reference. The
+// {1, 4} over the mapped image against the flat reference. The
 // image is written with the max-score and block-max tables of every
 // model installed, so the pruned paths run entirely off persisted
 // tables — no posting is decoded to recompute a bound.
 func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
-	flat := flatCorpusIndex(t, 61, 300)
-	installTables(t, flat)
+	ref := corpusIndex(t, 61, 300, 1)
 	models := []Model{DPH{}, BM25{}, TFIDF{}, LMDirichlet{}}
 	queries := [][]string{
 		{"v00"},
@@ -63,7 +62,7 @@ func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
 	}
 
 	for _, bs := range []int{8, 128} {
-		blocked := index.Reblock(flat, bs)
+		blocked := corpusIndex(t, 61, 300, bs)
 		installTables(t, blocked)
 		mappedSeg := openMappedCopy(t, blocked)
 		mapped := mappedSeg.Index()
@@ -73,7 +72,7 @@ func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
 		for _, m := range models {
 			for _, k := range []int{10, 100, 0} {
 				for _, q := range queries {
-					want := Retrieve(flat, m, q, k)
+					want := retrieveReference(ref, m, q, k)
 					if got := Retrieve(mapped, m, q, k); !hitsBitIdentical(got, want) {
 						t.Fatalf("bs=%d %s k=%d q=%v: mapped Retrieve diverged\n got %+v\nwant %+v",
 							bs, m.Name(), k, q, got, want)
@@ -94,7 +93,7 @@ func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
 						t.Fatal(err)
 					}
 					for qi := range queries {
-						want := Retrieve(flat, m, queries[qi], k)
+						want := retrieveReference(ref, m, queries[qi], k)
 						if !hitsBitIdentical(got[qi], want) {
 							t.Fatalf("bs=%d shards=%d %s k=%d query %d: mapped batch diverged\n got %+v\nwant %+v",
 								bs, shards, m.Name(), k, qi, got[qi], want)
@@ -107,14 +106,14 @@ func TestMappedRetrievalBitIdenticalToFlat(t *testing.T) {
 }
 
 // TestMappedPointLookupMatchesFlat pins ScoreDoc (SeekGE over mapped
-// blocks) against the flat layout for every document.
+// blocks) against a linear scan of the flat lists for every document.
 func TestMappedPointLookupMatchesFlat(t *testing.T) {
-	flat := flatCorpusIndex(t, 67, 150)
-	mappedSeg := openMappedCopy(t, index.Reblock(flat, 8))
+	heap := corpusIndex(t, 67, 150, 8)
+	mappedSeg := openMappedCopy(t, heap)
 	mapped := mappedSeg.Index()
 	q := []string{"v01", "v05", "v05", "v11"}
-	for d := int32(0); d < int32(flat.NumDocs()); d++ {
-		want := ScoreDoc(flat, DPH{}, q, d)
+	for d := int32(0); d < int32(heap.NumDocs()); d++ {
+		want := scoreDocReference(heap, DPH{}, q, d)
 		got := ScoreDoc(mapped, DPH{}, q, d)
 		if got != want {
 			t.Fatalf("doc %d: mapped ScoreDoc %v != flat %v", d, got, want)

@@ -69,7 +69,7 @@ type msCursor struct {
 	cur index.Posting
 	ok  bool
 	// hasBM caches it.HasBlockMax(): probes consult the block-max bound
-	// only when a table is attached, so flat (or tableless) lists pay no
+	// only when a table is attached, so tableless lists pay no
 	// BlockUpperBound call — SeekGE alone answers "no posting >= d".
 	hasBM bool
 }
@@ -113,9 +113,8 @@ func Pruneable(idx *index.Index, model Model) bool {
 	return maxScoreTable(idx, model) != nil
 }
 
-// InstallMaxScores computes and attaches max-score tables — per-term
-// always, per-BLOCK additionally when the index stores postings block-
-// compressed — for every Boundable model among models whose tables idx
+// InstallMaxScores computes and attaches max-score tables — per-BLOCK
+// and per-term — for every Boundable model among models whose tables idx
 // does not already carry. The per-term table is derived from the block
 // table (exact float maximum over the term's blocks), so the two can
 // never disagree. Engine build and load call this while the index is
@@ -130,35 +129,23 @@ func InstallMaxScores(idx *index.Index, models ...Model) error {
 			continue
 		}
 		key := b.BoundKey()
-		wantTerm := idx.MaxScores(key) == nil
-		wantBlock := idx.Blocked() && idx.BlockMaxScores(key) == nil
-		if !wantTerm && !wantBlock {
+		if idx.BlockMaxScores(key) == nil {
+			if err := idx.SetBlockMaxScores(key, idx.ComputeBlockMaxScores(b.TermScore)); err != nil {
+				return err
+			}
+		}
+		if idx.MaxScores(key) != nil {
 			continue
 		}
-		if idx.Blocked() {
-			blockTable := idx.BlockMaxScores(key)
-			if blockTable == nil {
-				blockTable = idx.ComputeBlockMaxScores(b.TermScore)
-				if err := idx.SetBlockMaxScores(key, blockTable); err != nil {
-					return err
+		term := make([]float64, idx.NumTerms())
+		for id := range term {
+			for _, v := range idx.TermBlockMax(key, int32(id)) {
+				if v > term[id] {
+					term[id] = v
 				}
 			}
-			if wantTerm {
-				term := make([]float64, idx.NumTerms())
-				for id := range term {
-					for _, v := range idx.TermBlockMax(key, int32(id)) {
-						if v > term[id] {
-							term[id] = v
-						}
-					}
-				}
-				if err := idx.SetMaxScores(key, term); err != nil {
-					return err
-				}
-			}
-			continue
 		}
-		if err := idx.SetMaxScores(key, idx.ComputeMaxScores(b.TermScore)); err != nil {
+		if err := idx.SetMaxScores(key, term); err != nil {
 			return err
 		}
 	}

@@ -296,8 +296,10 @@ func TestTermMultiplicitiesFold(t *testing.T) {
 }
 
 // retrieveReference is the pre-accumulator implementation of Retrieve —
-// the map[int32]float64 DAAT scorer — kept as a differential oracle: the
-// dense-array rewrite must reproduce its scores bit for bit.
+// the map[int32]float64 DAAT scorer over the flat lists PostingsByID
+// materializes — kept as a differential oracle: the dense-array rewrite
+// and every block size of the evaluators must reproduce its scores bit
+// for bit.
 func retrieveReference(idx *index.Index, model Model, queryTokens []string, k int) []Hit {
 	if len(queryTokens) == 0 {
 		return nil
@@ -311,7 +313,7 @@ func retrieveReference(idx *index.Index, model Model, queryTokens []string, k in
 		if !ok {
 			continue
 		}
-		for _, p := range idx.Postings(term) {
+		for _, p := range idx.PostingsByID(tstats.ID) {
 			s := model.TermScore(float64(p.TF), float64(idx.DocLen(p.Doc)), tstats, cstats)
 			if s != 0 {
 				acc[p.Doc] += mult * s

@@ -93,10 +93,8 @@ func Retrieve(idx *index.Index, model Model, queryTokens []string, k int) []Hit 
 	for ti, term := range terms {
 		mult := mults[ti]
 		// One dictionary probe per term: stats and an iterator together.
-		// The iterator streams the (possibly block-compressed) posting
-		// list one decoded block at a time into pooled scratch; over a
-		// flat layout NextBlock degenerates to the whole shared slice, so
-		// the inner loop is the classic flat traversal either way.
+		// The iterator streams the posting list one decoded block at a
+		// time into pooled scratch.
 		tstats, it, ok := idx.LookupIter(term)
 		if !ok {
 			continue

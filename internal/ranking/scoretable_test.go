@@ -177,18 +177,11 @@ func TestScoreTableHitsOnRetrieval(t *testing.T) {
 // direct pass over the postings finds — an index written before the table
 // existed and one written after are the same bytes.
 func TestMaxScoreTablesUnchangedByScoreTable(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		idx := randomCorpusIndex(t, 223, 500)
-		if flat {
-			idx = flatCorpusIndex(t, 223, 500)
-		}
+	for _, idx := range []*index.Index{randomCorpusIndex(t, 223, 500), corpusIndex(t, 223, 500, 8)} {
 		cs := idx.Stats()
 		for _, m := range PrecomputableModels() {
 			perTerm := idx.ComputeMaxScores(m.TermScore)
 			perBlock := idx.ComputeBlockMaxScores(m.TermScore)
-			if (perBlock == nil) != flat {
-				t.Fatalf("flat=%v: block table nil=%v", flat, perBlock == nil)
-			}
 			block := 0
 			for id := 0; id < idx.NumTerms(); id++ {
 				ts, ok := idx.Lookup(idx.Term(int32(id)))
@@ -202,12 +195,10 @@ func TestMaxScoreTablesUnchangedByScoreTable(t *testing.T) {
 					for _, p := range blk {
 						blockMax = math.Max(blockMax, m.TermScore(float64(p.TF), float64(idx.DocLen(p.Doc)), ts, cs))
 					}
-					if !flat {
-						if math.Float64bits(perBlock[block]) != math.Float64bits(blockMax) {
-							t.Fatalf("%s term %d block %d: table %v, direct %v", m.Name(), id, block, perBlock[block], blockMax)
-						}
-						block++
+					if math.Float64bits(perBlock[block]) != math.Float64bits(blockMax) {
+						t.Fatalf("%s term %d block %d: table %v, direct %v", m.Name(), id, block, perBlock[block], blockMax)
 					}
+					block++
 					termMax = math.Max(termMax, blockMax)
 				}
 				it.Release()
@@ -215,7 +206,7 @@ func TestMaxScoreTablesUnchangedByScoreTable(t *testing.T) {
 					t.Fatalf("%s term %d: table %v, direct %v", m.Name(), id, perTerm[id], termMax)
 				}
 			}
-			if !flat && block != len(perBlock) {
+			if block != len(perBlock) {
 				t.Fatalf("%s: walked %d blocks, table has %d", m.Name(), block, len(perBlock))
 			}
 		}

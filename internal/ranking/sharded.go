@@ -111,8 +111,7 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 	// plan is in ascending term order and each query's term list is a
 	// subsequence of it, so append order is the accumulation order. Each
 	// cursor gets its OWN shard-ranged iterator (iterators carry decode
-	// state and pooled scratch, so they cannot be shared the way the flat
-	// sub-slices once were). Ownership passes to maxscoreTopK query by
+	// state and pooled scratch, so they cannot be shared). Ownership passes to maxscoreTopK query by
 	// query; the deferred sweep releases whatever an early error leaves
 	// behind (Release is a no-op for never-decoded iterators).
 	var msCursors [][]msCursor

@@ -276,9 +276,9 @@ type CacheStats struct {
 // fan-out every retrieval pays, with the per-shard document counts of the
 // partition, whether MaxScore dynamic pruning is live and which scoring
 // functions have precomputed max-score tables, plus the posting-storage
-// footprint (block size 0 = flat layout) and the process-wide block I/O
-// counters — blocks decoded versus blocks skipped by header, the
-// observable win of Block-Max skipping.
+// footprint and the process-wide block I/O counters — blocks decoded
+// versus blocks skipped by header, the observable win of Block-Max
+// skipping.
 type IndexStats struct {
 	Shards          int      `json:"shards"`
 	DocsPerShard    []int    `json:"docs_per_shard"`

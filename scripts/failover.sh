@@ -4,8 +4,8 @@
 # Topology: one router over two shards — shard 0 with TWO replicas,
 # shard 1 with one — plus a single-process serve as the byte-identity
 # reference. All three workers serve ONE shared RIDX7 image built by
-# `buildindex -format mmap` and opened with `serve -worker -index ...
-# -mmap`: no per-worker index build, the mapping is shared through the
+# `buildindex` and opened with `serve -worker -index ... -mmap`: no
+# per-worker index build, the mapping is shared through the
 # page cache, and the re-admission phase measures a realistic respawn
 # (open the image, not rebuild the world). The gate has three parts:
 #
@@ -59,7 +59,7 @@ go build -o "$workdir/loadgen" ./cmd/loadgen
 go build -o "$workdir/buildindex" ./cmd/buildindex
 
 echo "== building the shared mapped index image"
-"$workdir/buildindex" -format mmap -seed 1 -topics 8 -shards 2 \
+"$workdir/buildindex" -seed 1 -topics 8 -shards 2 \
   -o "$workdir/index.ridx7" 2>&1 | sed 's/^/   /'
 
 start_worker() { # $1=addr ; echoes pid

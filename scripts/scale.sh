@@ -2,7 +2,7 @@
 # Replica-scaling curve for the distributed serving tier over ONE shared
 # mapped index image.
 #
-# One RIDX7 image is built once with `buildindex -format mmap`; then for
+# One RIDX7 image is built once with `buildindex`; then for
 # each replica count N in 1, 2, 4 the script starts N shard workers that
 # all mmap that same file (`serve -worker -index ... -mmap` — instant
 # startup, page cache shared between the processes), puts a router in
@@ -43,7 +43,7 @@ go build -o "$workdir/buildindex" ./cmd/buildindex
 go build -o "$workdir/bench" ./cmd/bench
 
 echo "== building the shared mapped index image"
-"$workdir/buildindex" -format mmap -seed 1 -topics 8 -shards 1 \
+"$workdir/buildindex" -seed 1 -topics 8 -shards 1 \
   -o "$workdir/index.ridx7" 2>&1 | sed 's/^/   /'
 
 wait_ready() { # $1=host:port $2=name
