@@ -25,6 +25,86 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	}
 }
 
+// TestWriteToEmitsV5 keeps the name it had when the index writer emitted
+// RIDX5. Both writers that remain stamp RIDX7 and nothing else:
+// WriteMapped writes the bare image, and WriteMappedFramed writes the same
+// bytes behind their uvarint length. Each reports the bytes it wrote.
+func TestWriteToEmitsV5(t *testing.T) {
+	seg := SegmentIndex(buildSmall(t), 2)
+	var bare bytes.Buffer
+	n, err := seg.WriteMapped(&bare, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := bare.Bytes()
+	if n != int64(len(img)) {
+		t.Errorf("WriteMapped reported %d bytes, wrote %d", n, len(img))
+	}
+	if !bytes.HasPrefix(img, []byte(magicV7+"\x00\x00")) {
+		t.Fatalf("image starts with %q, want %q", img[:8], magicV7+"\x00\x00")
+	}
+	if bytes.HasPrefix(img, []byte("RIDX5\n")) {
+		t.Fatal("writer emitted the retired RIDX5 magic")
+	}
+
+	var framed bytes.Buffer
+	n, err = seg.WriteMappedFramed(&framed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(framed.Len()) {
+		t.Errorf("WriteMappedFramed reported %d bytes, wrote %d", n, framed.Len())
+	}
+	size, k := binary.Uvarint(framed.Bytes())
+	if k <= 0 || size != uint64(len(img)) {
+		t.Fatalf("frame length %d (varint %d bytes), want %d", size, k, len(img))
+	}
+	if !bytes.Equal(framed.Bytes()[k:], img) {
+		t.Fatal("framed image differs from the bare image")
+	}
+}
+
+// TestManifestLegacyReadCompat keeps the name it had when ReadManifest
+// lifted a bare single-segment stream into a one-segment manifest. The
+// manifest is gone (RIDX6 is rejected, TestLegacyMagicsRejected); what
+// remains of the lift is that a segment image read back — bare, or cut
+// out of the frame an engine epoch file embeds it in — is that one
+// segment with its shard partition, through both readers.
+func TestManifestLegacyReadCompat(t *testing.T) {
+	x := buildSmall(t)
+	seg := SegmentIndex(x, 2)
+	var framed bytes.Buffer
+	if _, err := seg.WriteMappedFramed(&framed, nil); err != nil {
+		t.Fatal(err)
+	}
+	size, k := binary.Uvarint(framed.Bytes())
+	if k <= 0 || uint64(framed.Len()-k) != size {
+		t.Fatalf("bad frame: length %d (varint %d bytes) over %d bytes", size, k, framed.Len())
+	}
+	for name, img := range map[string][]byte{
+		"bare":   imageOf(t, seg, nil),
+		"framed": framed.Bytes()[k:],
+	} {
+		got, err := ReadSegmented(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("%s: ReadSegmented: %v", name, err)
+		}
+		if got.NumShards() != 2 {
+			t.Errorf("%s: shard partition lost: %d shards", name, got.NumShards())
+		}
+		if !indexesEqual(x, got.Index()) {
+			t.Errorf("%s: ReadSegmented index differs from source", name)
+		}
+		flat, err := Read(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("%s: Read: %v", name, err)
+		}
+		if !indexesEqual(x, flat) {
+			t.Errorf("%s: Read index differs from source", name)
+		}
+	}
+}
+
 // TestMaxScoreTablesRoundTrip writes an index carrying max-score tables
 // and checks keys and values survive the round trip bit for bit, at
 // several shard counts.
