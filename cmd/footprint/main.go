@@ -38,13 +38,11 @@ func main() {
 	}
 
 	store := engine.NewSurrogateStore()
-	mined := 0
 	for _, topic := range pipe.Testbed.Topics {
 		specs := pipe.DetectSpecializations(topic.Query)
 		if len(specs) == 0 {
 			continue
 		}
-		mined++
 		queries := make([]string, len(specs))
 		for i, s := range specs {
 			queries[i] = s.Query
@@ -106,5 +104,4 @@ func main() {
 	} else {
 		fmt.Println("WARNING: measured usage exceeds the paper's bound")
 	}
-	_ = mined
 }

@@ -40,10 +40,10 @@ func main() {
 	candidates := make([]core.Doc, len(results))
 	for i, r := range results {
 		candidates[i] = core.Doc{
-			ID:     r.DocID,
-			Rank:   r.Rank,
-			Rel:    r.Score / results[0].Score,
-			Vector: eng.VectorOfText(r.Snippet),
+			ID:   r.DocID,
+			Rank: r.Rank,
+			Rel:  r.Score / results[0].Score,
+			IVec: eng.IVectorOfText(r.Snippet),
 		}
 	}
 	problem := &core.Problem{
@@ -51,12 +51,13 @@ func main() {
 		Candidates: candidates,
 		K:          6,
 		Lambda:     0.15,
+		Lex:        eng.Lexicon(),
 	}
 	for _, s := range specs {
 		var rs []core.SpecResult
 		for _, r := range eng.Search(s.q, 5) {
 			rs = append(rs, core.SpecResult{
-				ID: r.DocID, Rank: r.Rank, Vector: eng.VectorOfText(r.Snippet),
+				ID: r.DocID, Rank: r.Rank, IVec: eng.IVectorOfText(r.Snippet),
 			})
 		}
 		problem.Specs = append(problem.Specs, core.Specialization{

@@ -88,7 +88,7 @@ func TestFullSystemThroughSerializedArtifacts(t *testing.T) {
 			t.Fatalf("topic %d: no results", topic.ID)
 		}
 		problem := &core.Problem{
-			Query: topic.Query, K: 50, Lambda: 0.15, Threshold: 0.2,
+			Query: topic.Query, K: 50, Lambda: 0.15, Threshold: 0.2, Lex: eng.Lexicon(),
 		}
 		maxScore := results[0].Score
 		for _, r := range results {
@@ -99,13 +99,13 @@ func TestFullSystemThroughSerializedArtifacts(t *testing.T) {
 		for _, r := range results {
 			problem.Candidates = append(problem.Candidates, core.Doc{
 				ID: r.DocID, Rank: r.Rank, Rel: r.Score / maxScore,
-				Vector: eng.VectorOfText(r.Snippet),
+				IVec: eng.IVectorOfText(r.Snippet),
 			})
 		}
 		for _, s := range specs {
 			var rs []core.SpecResult
 			for _, r := range eng.Search(s.Query, 10) {
-				rs = append(rs, core.SpecResult{ID: r.DocID, Rank: r.Rank, Vector: eng.VectorOfText(r.Snippet)})
+				rs = append(rs, core.SpecResult{ID: r.DocID, Rank: r.Rank, IVec: eng.IVectorOfText(r.Snippet)})
 			}
 			problem.Specs = append(problem.Specs, core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs})
 		}

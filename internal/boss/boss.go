@@ -54,10 +54,10 @@ func (c *Client) CandidateDocs(results []Result) []core.Doc {
 	docs := make([]core.Doc, len(results))
 	for i, r := range results {
 		docs[i] = core.Doc{
-			ID:     r.Title,
-			Rank:   r.Rank,
-			Rel:    1 / float64(r.Rank),
-			Vector: c.eng.VectorOfText(r.Abstract),
+			ID:   r.Title,
+			Rank: r.Rank,
+			Rel:  1 / float64(r.Rank),
+			IVec: c.eng.IVectorOfText(r.Abstract),
 		}
 	}
 	return docs
@@ -68,9 +68,9 @@ func (c *Client) SpecResults(results []Result) []core.SpecResult {
 	out := make([]core.SpecResult, len(results))
 	for i, r := range results {
 		out[i] = core.SpecResult{
-			ID:     r.Title,
-			Rank:   r.Rank,
-			Vector: c.eng.VectorOfText(r.Abstract),
+			ID:   r.Title,
+			Rank: r.Rank,
+			IVec: c.eng.IVectorOfText(r.Abstract),
 		}
 	}
 	return out

@@ -64,7 +64,7 @@ func TestCandidateDocs(t *testing.T) {
 		t.Error("relevance not decaying with rank")
 	}
 	for _, d := range docs {
-		if d.Vector.IsZero() {
+		if d.IVec.IsZero() {
 			t.Errorf("zero vector for %s", d.ID)
 		}
 	}

@@ -38,8 +38,7 @@ type SpecBounds struct {
 type specRef struct{ j, r uint16 }
 
 // NewSpecBounds computes the bounds of a specialization set. The results
-// must carry their interned vectors (a problem built from string Vectors
-// calls EnsureInterned first).
+// must carry their surrogate vectors.
 func NewSpecBounds(specs []Specialization) *SpecBounds {
 	b := &SpecBounds{rho: math.Inf(1)}
 	for j := range specs {
@@ -154,10 +153,10 @@ func under(ub, thr float64) bool { return ub+1e-9*math.Abs(ub) < thr }
 // and have no such entry.
 //
 // vec, when non-nil, supplies candidate i's vector just before it is
-// scored and p.Candidates[i].IVec is set from it (p.Lex must then be
-// set); nil means the candidates already carry theirs. A vec error or a
-// canceled ctx — polled every 64 candidates — ends the call with that
-// error.
+// scored and p.Candidates[i].IVec is set from it — the one write this
+// package makes to a problem; nil means the candidates already carry
+// theirs. A vec error or a canceled ctx — polled every 64 candidates —
+// ends the call with that error.
 func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i int) (textsim.IVector, error)) ([]Selected, int, error) {
 	k := p.clampK()
 	if k == 0 {

@@ -49,18 +49,24 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 		}
 		return terms
 	}
-	randVec := func(terms []string, zero float64) textsim.Vector {
+	// randBag draws a bag of 1–6 terms, each occurring 1–3 times; or,
+	// with probability zero, the empty bag.
+	randBag := func(terms []string, zero float64) []string {
 		if rng.Float64() < zero {
-			return textsim.Vector{}
+			return nil
 		}
-		counts := map[string]float64{}
+		var bag []string
 		for t := rng.Intn(6) + 1; t > 0; t-- {
-			counts[terms[rng.Intn(len(terms))]] += float64(rng.Intn(3) + 1)
+			term := terms[rng.Intn(len(terms))]
+			for c := rng.Intn(3) + 1; c > 0; c-- {
+				bag = append(bag, term)
+			}
 		}
-		return textsim.FromCounts(counts)
+		return bag
 	}
 
 	specs := make([]Specialization, sh.specs)
+	specToks := make([][][]string, sh.specs)
 	probSum := 0.0
 	for j := range specs {
 		terms := vocab(j)
@@ -68,12 +74,14 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 			terms = []string{"barren0", "barren1", "barren2"}
 		}
 		results := make([]SpecResult, sh.perSpec)
+		specToks[j] = make([][]string, sh.perSpec)
 		for r := range results {
 			rank := r + 1
 			if rng.Intn(7) == 0 {
 				rank = 0 // the rank fallback
 			}
-			results[r] = SpecResult{ID: fmt.Sprintf("s%02d-r%02d", j, r), Rank: rank, Vector: randVec(terms, sh.zeros)}
+			results[r] = SpecResult{ID: fmt.Sprintf("s%02d-r%02d", j, r), Rank: rank}
+			specToks[j][r] = randBag(terms, sh.zeros)
 		}
 		prob := rng.Float64() + 0.1
 		if sh.tinyProb && j == sh.specs-1 {
@@ -86,16 +94,18 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 		specs[j].Prob /= probSum
 	}
 	if sh.negative {
-		specs[0].Results[0].Vector = textsim.FromCounts(map[string]float64{"shared": 2, "s00t0": -1.5})
+		specToks[0][0] = []string{"shared", "shared", "s00t0"} // s00t0's weight is negated below
 	}
 
 	cands := make([]Doc, sh.n)
+	candToks := make([][]string, sh.n)
 	for i := range cands {
 		j := rng.Intn(sh.specs)
 		if sh.barren && j == sh.specs-1 {
 			j = 0
 		}
-		d := Doc{ID: fmt.Sprintf("d%04d", i), Rank: i + 1, Vector: randVec(vocab(j), sh.zeros)}
+		d := Doc{ID: fmt.Sprintf("d%04d", i), Rank: i + 1}
+		candToks[i] = randBag(vocab(j), sh.zeros)
 		switch sh.rel {
 		case "sorted":
 			d.Rel = 1 - 0.0005*float64(i) // slow: dozens of candidates stay within λ of the top
@@ -111,14 +121,25 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 			d.ID = res[rng.Intn(len(res))].ID // may repeat: the same document twice in R_q is the caller's business
 		}
 		if sh.ties && i%3 == 2 {
-			d.Rel, d.Vector = cands[i-1].Rel, cands[i-1].Vector
+			d.Rel, candToks[i] = cands[i-1].Rel, candToks[i-1]
 		}
 		cands[i] = d
 	}
-	return &Problem{
+	p := withVectors(&Problem{
 		Query: "bounded", Candidates: cands, Specs: specs,
 		K: sh.k, Lambda: sh.lambda, Threshold: sh.c,
+	}, candToks, specToks)
+	if sh.negative {
+		// Negating a weight leaves the norm as it was.
+		iv := &specs[0].Results[0].IVec
+		neg := p.Lex.Intern("s00t0")
+		for t, id := range iv.IDs {
+			if id == neg {
+				iv.Weights[t] = -iv.Weights[t]
+			}
+		}
 	}
+	return p
 }
 
 // boundedVsFull runs both selections on p — the bounded one over a copy
@@ -127,7 +148,6 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 // candidates the bounded pass evaluated.
 func boundedVsFull(t testing.TB, p *Problem) int {
 	t.Helper()
-	p.EnsureInterned()
 	want := OptSelect(p, ComputeUtilities(p))
 
 	lazy := *p
@@ -237,7 +257,6 @@ func TestSpecBoundsHold(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		sh := randomShape(rng)
 		p := boundedProblem(rng, sh)
-		p.EnsureInterned()
 		b := NewSpecBounds(p.Specs)
 		if sh.negative && b.rho < b.ceil {
 			t.Fatalf("trial %d: ρ* = %v stays on over a negative weight", trial, b.rho)
@@ -303,7 +322,6 @@ func (c *pollBudget) Err() error {
 func TestBoundedOptSelectCancellation(t *testing.T) {
 	// Flat relevance: nothing is skipped, so the walk polls n/64 times.
 	p := boundedProblem(rand.New(rand.NewSource(24)), boundedShape{n: 400, specs: 3, perSpec: 8, k: 10, lambda: 0.15, rel: "flat"})
-	p.EnsureInterned()
 	b := NewSpecBounds(p.Specs)
 	want := OptSelect(p, ComputeUtilities(p))
 

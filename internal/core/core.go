@@ -8,7 +8,8 @@
 //
 // All algorithms consume the same Problem and the same precomputed
 // Utilities, so efficiency comparisons time exactly the selection logic
-// the paper's Table 2 measures.
+// the paper's Table 2 measures. A Problem arrives with every surrogate
+// vector built (Doc.IVec, SpecResult.IVec); the algorithms only read it.
 package core
 
 import (
@@ -26,23 +27,17 @@ type Doc struct {
 	// Rel is P(d|q): the normalized relevance of d for q in [0,1]
 	// (retrieval score divided by the maximum score of R_q).
 	Rel float64
-	// Vector is the string-term vector of the document surrogate
-	// (snippet) used by the distance function δ — the compatibility
-	// representation. Problem builders may leave it empty and supply IVec
-	// directly (the engine pipeline does).
-	Vector textsim.Vector
-	// IVec is the interned twin of Vector under Problem.Lex; the scoring
-	// hot paths operate exclusively on it. Populated by the problem
-	// builder or lazily by (*Problem).EnsureInterned.
+	// IVec is the vector of the document surrogate (snippet) that the
+	// distance function δ compares, under Problem.Lex. The problem builder
+	// sets it, except where OptSelectBounded's vec supplies it.
 	IVec textsim.IVector
 }
 
 // SpecResult is one entry of R_q′, the result list of a specialization.
 type SpecResult struct {
-	ID     string
-	Rank   int // 1-based rank in R_q′
-	Vector textsim.Vector
-	// IVec is the interned twin of Vector; see Doc.IVec.
+	ID   string
+	Rank int // 1-based rank in R_q′
+	// IVec is the surrogate vector of the result; see Doc.IVec.
 	IVec textsim.IVector
 }
 
@@ -68,12 +63,9 @@ type Problem struct {
 	// Threshold is the utility cutoff c of §5: utilities strictly below c
 	// are forced to 0 before the algorithms run.
 	Threshold float64
-	// Lex is the term lexicon all IVec fields are interned under. When
-	// set, every candidate and specialization result must already carry
-	// its IVec (the engine pipeline builds problems this way, and the
-	// serving layer's cached R_q′ lists store interned vectors only).
-	// When nil, EnsureInterned derives a problem-local sorted lexicon
-	// from the string Vectors on first use.
+	// Lex is the term lexicon all IVec fields are interned under, for the
+	// builder's and the reader's benefit: the algorithms never read it,
+	// and vectors compare correctly only when they share it.
 	Lex *textsim.Lexicon
 	// Ops, when set, receives the selection algorithms' operation counts —
 	// what Table 1's complexities count, and what the scaling tests fit
@@ -89,43 +81,6 @@ type OpCount struct {
 	// MarginalEvals: xQuAD's and IASelect's evaluations of one remaining
 	// candidate against the current S, each O(|S_q|).
 	MarginalEvals int64
-}
-
-// EnsureInterned makes the problem ready for interned-term scoring: a nil
-// Lex means the problem was built from string Vectors (tests, the
-// synthetic generators, external callers), so a problem-local lexicon is
-// derived from the union of all terms — sorted, which keeps interned
-// merges in string order and scoring bit-identical to the legacy path —
-// and every vector is interned under it, in place.
-//
-// The lazy path mutates the problem; it must not run concurrently for a
-// shared problem. Builders that share result lists across goroutines (the
-// serving cache) pre-intern and set Lex, making this a no-op.
-func (p *Problem) EnsureInterned() {
-	if p.Lex != nil {
-		return
-	}
-	var terms []string
-	for i := range p.Candidates {
-		terms = append(terms, p.Candidates[i].Vector.Terms...)
-	}
-	for j := range p.Specs {
-		results := p.Specs[j].Results
-		for r := range results {
-			terms = append(terms, results[r].Vector.Terms...)
-		}
-	}
-	lex := textsim.NewSortedLexicon(terms)
-	for i := range p.Candidates {
-		p.Candidates[i].IVec = textsim.Intern(lex, p.Candidates[i].Vector)
-	}
-	for j := range p.Specs {
-		results := p.Specs[j].Results
-		for r := range results {
-			results[r].IVec = textsim.Intern(lex, results[r].Vector)
-		}
-	}
-	p.Lex = lex
 }
 
 // Selected is one document of the diversified set S, with the score under
@@ -212,12 +167,6 @@ func (a Algorithm) Valid() bool {
 // drawn from a pool instead of allocated: the serving path stops paying a
 // fresh n×|S_q| matrix per query. The selection algorithms read the
 // matrix and copy what they keep (Doc + Score), never retaining it.
-//
-// Concurrency: a problem with Lex == nil is interned lazily on first use
-// (see EnsureInterned), which mutates it — concurrent Diversify/
-// ComputeUtilities/MMR calls on a shared Lex-nil problem race. Call
-// EnsureInterned once (or build the problem pre-interned, as the engine
-// pipeline does) before sharing a problem across goroutines.
 func Diversify(alg Algorithm, p *Problem) []Selected {
 	switch alg {
 	case AlgBaseline:

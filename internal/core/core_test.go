@@ -9,48 +9,75 @@ import (
 	"repro/internal/textsim"
 )
 
-func v(tokens ...string) textsim.Vector { return textsim.FromTokens(tokens) }
+// withVectors sets a problem's surrogate vectors from token lists:
+// cands[i] is candidate i's, specs[j][r] that of result r of
+// specialization j. All are counted with unit weights under one sorted
+// lexicon of their union, so IDs run in string order and every utility
+// has the bits string-keyed vectors would give it.
+func withVectors(p *Problem, cands [][]string, specs [][][]string) *Problem {
+	var union []string
+	for _, toks := range cands {
+		union = append(union, toks...)
+	}
+	for _, lists := range specs {
+		for _, toks := range lists {
+			union = append(union, toks...)
+		}
+	}
+	lex := textsim.NewSortedLexicon(union)
+	for i, toks := range cands {
+		p.Candidates[i].IVec = textsim.SliceIDF{}.InternTokens(lex, toks)
+	}
+	for j, lists := range specs {
+		for r, toks := range lists {
+			p.Specs[j].Results[r].IVec = textsim.SliceIDF{}.InternTokens(lex, toks)
+		}
+	}
+	p.Lex = lex
+	return p
+}
 
 // twoIntentProblem builds a small, fully hand-checkable problem:
 // query "leopard" with two specializations, "mac os" (P=0.75) and "tank"
 // (P=0.25). Candidates: two OS docs, two tank docs, one off-topic doc.
 func twoIntentProblem(k int) *Problem {
-	osVec1 := v("leopard", "mac", "os", "apple")
-	osVec2 := v("mac", "os", "apple", "upgrade")
-	tankVec1 := v("leopard", "tank", "army")
-	tankVec2 := v("tank", "army", "military")
-	offVec := v("pizza", "recipe")
+	os1 := []string{"leopard", "mac", "os", "apple"}
+	os2 := []string{"mac", "os", "apple", "upgrade"}
+	tank1 := []string{"leopard", "tank", "army"}
+	tank2 := []string{"tank", "army", "military"}
+	off := []string{"pizza", "recipe"}
 
-	return &Problem{
+	p := &Problem{
 		Query: "leopard",
 		Candidates: []Doc{
-			{ID: "os1", Rank: 1, Rel: 1.0, Vector: osVec1},
-			{ID: "tank1", Rank: 2, Rel: 0.9, Vector: tankVec1},
-			{ID: "os2", Rank: 3, Rel: 0.8, Vector: osVec2},
-			{ID: "tank2", Rank: 4, Rel: 0.7, Vector: tankVec2},
-			{ID: "off", Rank: 5, Rel: 0.6, Vector: offVec},
+			{ID: "os1", Rank: 1, Rel: 1.0},
+			{ID: "tank1", Rank: 2, Rel: 0.9},
+			{ID: "os2", Rank: 3, Rel: 0.8},
+			{ID: "tank2", Rank: 4, Rel: 0.7},
+			{ID: "off", Rank: 5, Rel: 0.6},
 		},
 		Specs: []Specialization{
 			{
 				Query: "leopard mac os x",
 				Prob:  0.75,
 				Results: []SpecResult{
-					{ID: "s-os1", Rank: 1, Vector: osVec1},
-					{ID: "s-os2", Rank: 2, Vector: osVec2},
+					{ID: "s-os1", Rank: 1},
+					{ID: "s-os2", Rank: 2},
 				},
 			},
 			{
 				Query: "leopard tank",
 				Prob:  0.25,
 				Results: []SpecResult{
-					{ID: "s-tank1", Rank: 1, Vector: tankVec1},
-					{ID: "s-tank2", Rank: 2, Vector: tankVec2},
+					{ID: "s-tank1", Rank: 1},
+					{ID: "s-tank2", Rank: 2},
 				},
 			},
 		},
 		K:      k,
 		Lambda: 0.15,
 	}
+	return withVectors(p, [][]string{os1, tank1, os2, tank2, off}, [][][]string{{os1, os2}, {tank1, tank2}})
 }
 
 func TestComputeUtilitiesBasics(t *testing.T) {
@@ -118,11 +145,11 @@ func TestComputeUtilitiesThreshold(t *testing.T) {
 }
 
 func TestComputeUtilitiesEmptySpecResults(t *testing.T) {
-	p := &Problem{
-		Candidates: []Doc{{ID: "d", Rank: 1, Rel: 1, Vector: v("x")}},
+	p := withVectors(&Problem{
+		Candidates: []Doc{{ID: "d", Rank: 1, Rel: 1}},
 		Specs:      []Specialization{{Query: "q'", Prob: 1}},
 		K:          1,
-	}
+	}, [][]string{{"x"}}, nil)
 	u := ComputeUtilities(p)
 	if u.U[0][0] != 0 {
 		t.Errorf("utility against empty R_q' = %f", u.U[0][0])
@@ -374,14 +401,15 @@ func randomProblem(rng *rand.Rand, n, nSpecs, k int) *Problem {
 		total += probs[j]
 	}
 	specs := make([]Specialization, nSpecs)
+	specToks := make([][][]string, nSpecs)
 	for j := range specs {
 		results := make([]SpecResult, rng.Intn(3)+1)
 		for r := range results {
 			results[r] = SpecResult{
-				ID:     fmt.Sprintf("spec%d-res%d", j, r),
-				Rank:   r + 1,
-				Vector: textsim.FromTokens(specVocab[j]),
+				ID:   fmt.Sprintf("spec%d-res%d", j, r),
+				Rank: r + 1,
 			}
+			specToks[j] = append(specToks[j], specVocab[j])
 		}
 		specs[j] = Specialization{
 			Query:   fmt.Sprintf("query spec %d", j),
@@ -390,32 +418,31 @@ func randomProblem(rng *rand.Rand, n, nSpecs, k int) *Problem {
 		}
 	}
 	cands := make([]Doc, n)
+	candToks := make([][]string, n)
 	for i := range cands {
 		j := rng.Intn(nSpecs + 1)
-		var vec textsim.Vector
 		if j < nSpecs {
 			toks := append([]string{}, specVocab[j]...)
 			if rng.Intn(2) == 0 {
 				toks = append(toks, "extra", fmt.Sprintf("w%d", rng.Intn(5)))
 			}
-			vec = textsim.FromTokens(toks)
+			candToks[i] = toks
 		} else {
-			vec = textsim.FromTokens([]string{fmt.Sprintf("noise%d", i), "junk"})
+			candToks[i] = []string{fmt.Sprintf("noise%d", i), "junk"}
 		}
 		cands[i] = Doc{
-			ID:     fmt.Sprintf("d%03d", i),
-			Rank:   i + 1,
-			Rel:    1 - float64(i)/float64(n+1),
-			Vector: vec,
+			ID:   fmt.Sprintf("d%03d", i),
+			Rank: i + 1,
+			Rel:  1 - float64(i)/float64(n+1),
 		}
 	}
-	return &Problem{
+	return withVectors(&Problem{
 		Query:      "ambiguous",
 		Candidates: cands,
 		Specs:      specs,
 		K:          k,
 		Lambda:     0.15,
-	}
+	}, candToks, specToks)
 }
 
 // Property: on random problems every algorithm returns exactly
@@ -700,16 +727,16 @@ func TestXQuADLambdaExtremes(t *testing.T) {
 // MMR at high diversity weight must not pick two near-duplicate documents
 // consecutively when a dissimilar alternative exists.
 func TestMMRAvoidsNearDuplicates(t *testing.T) {
-	dup := v("same", "words", "vector")
-	p := &Problem{
+	dup := []string{"same", "words", "vector"}
+	p := withVectors(&Problem{
 		Candidates: []Doc{
-			{ID: "a", Rank: 1, Rel: 1.00, Vector: dup},
-			{ID: "a-dup", Rank: 2, Rel: 0.99, Vector: dup},
-			{ID: "other", Rank: 3, Rel: 0.50, Vector: v("different", "topic")},
+			{ID: "a", Rank: 1, Rel: 1.00},
+			{ID: "a-dup", Rank: 2, Rel: 0.99},
+			{ID: "other", Rank: 3, Rel: 0.50},
 		},
 		K:      2,
 		Lambda: 0.5,
-	}
+	}, [][]string{dup, dup, {"different", "topic"}}, nil)
 	sel := MMR(p)
 	if sel[0].ID != "a" || sel[1].ID != "other" {
 		t.Errorf("MMR = %v, want [a other]", IDs(sel))

@@ -16,7 +16,6 @@ func MMR(p *Problem) []Selected {
 	if k == 0 {
 		return nil
 	}
-	p.EnsureInterned()
 	n := len(p.Candidates)
 	lambda := p.Lambda
 	if lambda == 0 {

@@ -38,19 +38,14 @@ type Utilities struct {
 // c are forced to 0, as in §5: "we forced its returning value to be 0
 // when it is below a given threshold c".
 //
-// The cosines are evaluated with accumulator scoring over interned term
-// vectors (EnsureInterned): per specialization, a tiny inverted index over
-// the R_q′ surrogates is built once, and each candidate is scored against
-// all of a specialization's results in a single pass over the candidate's
-// terms — one posting traversal instead of |R_q′| string-compare merge
-// joins. Per-pair dot products accumulate in ascending term-ID order,
-// which under a sorted lexicon is exactly the string-sorted merge order of
-// the legacy path, so the matrix is bit-identical to the one the
-// string-vector code produced (see the differential tests).
-//
-// A problem with Lex == nil is interned in place on first use; see the
-// concurrency note on Diversify before sharing such a problem across
-// goroutines.
+// The cosines are evaluated with accumulator scoring over the surrogate
+// vectors: per specialization, a tiny inverted index over the R_q′
+// surrogates is built once, and each candidate is scored against all of a
+// specialization's results in a single pass over the candidate's terms —
+// one posting traversal instead of |R_q′| merge joins. Per-pair dot
+// products accumulate in ascending term-ID order, exactly the order of a
+// pairwise IVector.Cosine merge, so the matrix is bit-identical to the
+// per-pair one (see the differential tests).
 func ComputeUtilities(p *Problem) *Utilities {
 	u := &Utilities{}
 	computeUtilitiesInto(p, u)
@@ -169,11 +164,8 @@ type UtilityScorer struct {
 }
 
 // NewUtilityScorer prepares a streaming scorer for the problem's
-// specializations. The problem must be interned first (EnsureInterned is
-// called here; problems built by the engine pipeline carry Lex and this is
-// a no-op).
+// specializations.
 func NewUtilityScorer(p *Problem) *UtilityScorer {
-	p.EnsureInterned()
 	sc := utilScratchPool.Get().(*utilScratch)
 	sc.prepare(p)
 	return &UtilityScorer{p: p, sc: sc}
@@ -181,8 +173,7 @@ func NewUtilityScorer(p *Problem) *UtilityScorer {
 
 // ScoreInto fills row (length |S_q|) with the thresholded utilities
 // Ũ(d|R_q′_j) of one candidate and returns its overall score (Equation
-// (9)). d.IVec must be interned under the same lexicon as the
-// specialization results.
+// (9)). d.IVec must share a lexicon with the specialization results.
 func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
 	p, sc := us.p, us.sc
 	cids := d.IVec.IDs
@@ -259,7 +250,6 @@ func (us *UtilityScorer) Close() {
 }
 
 func computeUtilitiesInto(p *Problem, u *Utilities) {
-	p.EnsureInterned()
 	n := len(p.Candidates)
 	s := len(p.Specs)
 

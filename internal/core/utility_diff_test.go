@@ -4,17 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/textsim"
 )
 
 // computeUtilitiesReference is the pre-accumulator implementation of
-// ComputeUtilities — the per-pair string-vector merge join — kept verbatim
-// as the differential oracle: the interned accumulator rewrite must
-// reproduce this matrix bit for bit.
+// ComputeUtilities — one IVector.Cosine merge join per pair — kept as the
+// differential oracle: the accumulator scorer must reproduce this matrix
+// bit for bit.
 func computeUtilitiesReference(p *Problem) *Utilities {
 	n := len(p.Candidates)
 	s := len(p.Specs)
@@ -44,7 +44,7 @@ func computeUtilitiesReference(p *Problem) *Utilities {
 				if dr.ID == d.ID {
 					sim = 1
 				} else {
-					sim = textsim.Cosine(d.Vector, dr.Vector)
+					sim = d.IVec.Cosine(dr.IVec)
 				}
 				if sim <= 0 {
 					continue
@@ -67,26 +67,26 @@ func computeUtilitiesReference(p *Problem) *Utilities {
 	return u
 }
 
-// randomProblem builds a random diversification problem with string
-// vectors only (the legacy construction), exercising shared-term overlap,
-// same-ID candidate/result pairs, zero vectors, rank fallbacks, and a
-// threshold.
+// randomDiffProblem builds a random diversification problem, exercising
+// shared-term overlap, same-ID candidate/result pairs, zero vectors, rank
+// fallbacks, and a threshold.
 func randomDiffProblem(rng *rand.Rand) *Problem {
 	vocab := make([]string, 60)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("t%02d", rng.Intn(90))
 	}
-	randVec := func(maxLen int) textsim.Vector {
+	randToks := func(maxLen int) []string {
 		n := rng.Intn(maxLen + 1)
 		toks := make([]string, n)
 		for i := range toks {
 			toks[i] = vocab[rng.Intn(len(vocab))]
 		}
-		return textsim.FromTokens(toks)
+		return toks
 	}
 
 	s := rng.Intn(5) + 1
 	specs := make([]Specialization, s)
+	specToks := make([][][]string, s)
 	probSum := 0.0
 	for j := range specs {
 		nr := rng.Intn(8) // occasionally zero results
@@ -97,10 +97,10 @@ func randomDiffProblem(rng *rand.Rand) *Problem {
 				rank = 0 // exercise the rank fallback
 			}
 			results[r] = SpecResult{
-				ID:     fmt.Sprintf("s%02d-r%02d", j, r),
-				Rank:   rank,
-				Vector: randVec(12),
+				ID:   fmt.Sprintf("s%02d-r%02d", j, r),
+				Rank: rank,
 			}
+			specToks[j] = append(specToks[j], randToks(12))
 		}
 		prob := rng.Float64() + 0.05
 		probSum += prob
@@ -112,6 +112,7 @@ func randomDiffProblem(rng *rand.Rand) *Problem {
 
 	n := rng.Intn(40) + 5
 	cands := make([]Doc, n)
+	candToks := make([][]string, n)
 	for i := range cands {
 		id := fmt.Sprintf("d%03d", i)
 		if rng.Intn(10) == 0 && s > 0 && len(specs[0].Results) > 0 {
@@ -119,21 +120,21 @@ func randomDiffProblem(rng *rand.Rand) *Problem {
 			id = specs[0].Results[rng.Intn(len(specs[0].Results))].ID
 		}
 		cands[i] = Doc{
-			ID:     id,
-			Rank:   i + 1,
-			Rel:    rng.Float64(),
-			Vector: randVec(12),
+			ID:   id,
+			Rank: i + 1,
+			Rel:  rng.Float64(),
 		}
+		candToks[i] = randToks(12)
 	}
 
-	return &Problem{
+	return withVectors(&Problem{
 		Query:      "diff test",
 		Candidates: cands,
 		Specs:      specs,
 		K:          rng.Intn(n+5) + 1,
 		Lambda:     0.15,
 		Threshold:  []float64{0, 0, 0.2, 0.5}[rng.Intn(4)],
-	}
+	}, candToks, specToks)
 }
 
 // TestComputeUtilitiesMatchesReference is the tentpole differential test:
@@ -218,7 +219,6 @@ func TestDiversifyConcurrentPooledScratch(t *testing.T) {
 	want := make([][]Selected, len(problems))
 	for i := range problems {
 		problems[i] = randomDiffProblem(rng)
-		problems[i].EnsureInterned() // shared problems must be pre-interned
 		want[i] = Diversify(AlgOptSelect, problems[i])
 	}
 	var wg sync.WaitGroup
@@ -249,4 +249,76 @@ func TestDiversifyConcurrentPooledScratch(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+}
+
+// TestProblemWithoutLexKeepsVectors: the algorithms read a problem's
+// vectors and never rebuild them, so a problem whose builder set every
+// IVec but no Lex selects what the same problem with its Lex selects, and
+// still holds the same vectors afterwards.
+func TestProblemWithoutLexKeepsVectors(t *testing.T) {
+	build := func() *Problem {
+		car, cat := []string{"jaguar", "car", "engine"}, []string{"jaguar", "cat", "jungle"}
+		return withVectors(&Problem{
+			Query: "jaguar",
+			Candidates: []Doc{
+				{ID: "car1", Rank: 1, Rel: 1},
+				{ID: "car2", Rank: 2, Rel: 0.95}, // car1's twin
+				{ID: "cat1", Rank: 3, Rel: 0.9},
+			},
+			Specs: []Specialization{
+				{Query: "jaguar car", Prob: 0.5, Results: []SpecResult{{ID: "s-car", Rank: 1}}},
+				{Query: "jaguar cat", Prob: 0.5, Results: []SpecResult{{ID: "s-cat", Rank: 1}}},
+			},
+			K: 2, Lambda: 0.5, Threshold: 0.5,
+		}, [][]string{car, car, cat}, [][][]string{{car}, {cat}})
+	}
+	withLex, noLex := build(), build()
+	noLex.Lex = nil
+	for _, alg := range []Algorithm{AlgOptSelect, AlgXQuAD, AlgIASelect, AlgMMR} {
+		want := Diversify(alg, withLex)
+		if ids := IDs(want); ids[1] != "cat1" {
+			t.Fatalf("%s with Lex selects %v: the problem no longer tells the intents apart", alg, ids)
+		}
+		if got := Diversify(alg, noLex); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s without Lex selects %v, with Lex %v", alg, IDs(got), IDs(want))
+		}
+	}
+	got, _, err := OptSelectBounded(context.Background(), noLex, NewSpecBounds(noLex.Specs), nil)
+	if want := OptSelect(withLex, ComputeUtilities(withLex)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("OptSelectBounded without Lex selects %v (err %v), OptSelect with Lex %v", IDs(got), err, IDs(want))
+	}
+	fresh := build()
+	if !reflect.DeepEqual(noLex.Candidates, fresh.Candidates) || !reflect.DeepEqual(noLex.Specs, fresh.Specs) {
+		t.Error("selection changed the problem's vectors")
+	}
+}
+
+// TestSharedProblemConcurrentSelection: nothing here writes to the problem
+// it is handed, so one problem — without a Lex, as a builder may leave it —
+// serves every algorithm from many goroutines at once, each getting the
+// serial answer. Run under -race.
+func TestSharedProblemConcurrentSelection(t *testing.T) {
+	p := randomDiffProblem(rand.New(rand.NewSource(8)))
+	p.Lex = nil
+	want := map[Algorithm][]Selected{}
+	for _, alg := range Algorithms {
+		want[alg] = Diversify(alg, p)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, alg := range Algorithms {
+				if got := Diversify(alg, p); !reflect.DeepEqual(got, want[alg]) {
+					t.Errorf("%s: concurrent selection %v, serial %v", alg, IDs(got), IDs(want[alg]))
+				}
+			}
+			got, _, err := OptSelectBounded(context.Background(), p, NewSpecBounds(p.Specs), nil)
+			if err != nil || !reflect.DeepEqual(got, want[AlgOptSelect]) {
+				t.Errorf("OptSelectBounded: concurrent selection %v (err %v), serial %v", IDs(got), err, IDs(want[AlgOptSelect]))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -183,9 +183,9 @@ type stateData struct {
 	// sorted base is the base segment's dictionary (lexicographic by the
 	// Build invariant), so every term of every base document — hence
 	// every snippet term — gets an ID whose order equals string order,
-	// keeping interned cosines bit-identical to the string path. Terms
-	// of out-of-collection text (including memtable-only terms) land in
-	// the dynamic overflow region.
+	// so dot products accumulate in string order. Terms of
+	// out-of-collection text (including memtable-only terms) land in the
+	// dynamic overflow region.
 	lex *textsim.Lexicon
 	// dict is the lazily computed fingerprint of the base dictionary lex
 	// wraps; it lives and is replaced with lex (see Dictionary).
@@ -351,7 +351,7 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 			dead:  make(map[string]bool),
 			mem:   index.NewMemtable(),
 			live:  idx.NumDocs(),
-			idf:   textsim.ComputeIDFFromIndex(idx, lex),
+			idf:   textsim.ComputeIDFFromIndex(idx),
 			lex:   lex,
 			dict:  new(dictPrint),
 		},
@@ -662,25 +662,20 @@ func (e *Engine) Snippet(docID, query string) string {
 	return ""
 }
 
-// VectorOfText analyzes arbitrary text and returns its IDF-weighted vector
-// under the base segment's collection statistics.
-func (e *Engine) VectorOfText(s string) textsim.Vector {
-	return e.cur.Load().idf.Apply(textsim.FromTokens(e.cfg.Analyzer.Tokens(s)))
-}
-
 // Lexicon returns the engine's term lexicon — the interning dictionary
 // every IVectorOfText result is expressed in. Problems built from this
-// engine's vectors must carry it as their Problem.Lex. Compaction swaps
+// engine's vectors carry it as their Problem.Lex. Compaction swaps
 // in a fresh lexicon over the rebuilt dictionary; interned vectors from
 // different epochs compare safely (the similarity kernels are sorted-ID
 // merge joins), though cross-epoch cosines are not bit-stable — the
 // serving layer keys its caches by epoch for exactly this reason.
 func (e *Engine) Lexicon() *textsim.Lexicon { return e.cur.Load().lex }
 
-// IVectorOfText is VectorOfText in interned form: the representation the
-// scoring hot paths consume. Equivalent to interning VectorOfText(s)
-// under Lexicon(), weights and norm bit-identical.
+// IVectorOfText analyzes arbitrary text and returns its IDF-weighted
+// surrogate vector under the base segment's collection statistics,
+// interned under Lexicon(): the reference route to the vectors the
+// forward index counts (Candidates.Vector), bit for bit.
 func (e *Engine) IVectorOfText(s string) textsim.IVector {
 	st := e.cur.Load()
-	return textsim.Intern(st.lex, st.idf.Apply(textsim.FromTokens(e.cfg.Analyzer.Tokens(s))))
+	return st.idf.InternTokens(st.lex, e.cfg.Analyzer.Tokens(s))
 }

@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/textsim"
 )
 
 // shardCorpus is a larger synthetic corpus so shard sweeps get
@@ -125,39 +123,6 @@ func TestSaveLoadKeepsShardManifest(t *testing.T) {
 		}
 		if got := reshard.Search(q, 10); !reflect.DeepEqual(got, want) {
 			t.Errorf("resharded engine differs on %q", q)
-		}
-	}
-}
-
-// TestSliceIDFMatchesMapIDF is the differential for the DocFreqs
-// replacement: the ID-indexed IDF table must reweight vectors with the
-// same float64 bits as the deprecated map path, including overflow
-// (out-of-collection) terms falling back to weight 1.
-func TestSliceIDFMatchesMapIDF(t *testing.T) {
-	e := buildEngine(t)
-	idx := e.Index()
-	legacy := textsim.ComputeIDF(idx.DocFreqs(), idx.NumDocs())
-	texts := []string{
-		"apple pie with cinnamon sugar crust",
-		"leopard tank armor cannon",
-		"completely unindexed surprising zebra words",
-		"apple apple apple leopard",
-		"",
-	}
-	for _, s := range texts {
-		toks := e.cfg.Analyzer.Tokens(s)
-		want := legacy.Apply(textsim.FromTokens(toks))
-		got := e.cur.Load().idf.Apply(textsim.FromTokens(toks))
-		if !reflect.DeepEqual(got.Terms, want.Terms) {
-			t.Fatalf("%q: terms %v, want %v", s, got.Terms, want.Terms)
-		}
-		for i := range want.Weights {
-			if got.Weights[i] != want.Weights[i] {
-				t.Fatalf("%q term %q: weight %v, want %v", s, want.Terms[i], got.Weights[i], want.Weights[i])
-			}
-		}
-		if got.Norm() != want.Norm() {
-			t.Fatalf("%q: norm %v, want %v", s, got.Norm(), want.Norm())
 		}
 	}
 }

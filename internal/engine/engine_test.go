@@ -115,8 +115,8 @@ func TestSurrogateVectorDiscriminates(t *testing.T) {
 	e := buildEngine(t)
 	// The representation the paper's utility function operates on: the
 	// IDF-weighted vector of the document's query-biased snippet.
-	surrogate := func(docID, query string) textsim.Vector {
-		return e.VectorOfText(e.Snippet(docID, query))
+	surrogate := func(docID, query string) textsim.IVector {
+		return e.IVectorOfText(e.Snippet(docID, query))
 	}
 	osV := surrogate("osx", "leopard mac os x")
 	tankV := surrogate("tank", "leopard tank")
@@ -126,10 +126,10 @@ func TestSurrogateVectorDiscriminates(t *testing.T) {
 	}
 	// OS and tank snippets share "leopard" but IDF weighting must keep
 	// cross-intent similarity well below same-intent self-similarity.
-	if sim := textsim.Cosine(osV, tankV); sim > 0.6 {
+	if sim := osV.Cosine(tankV); sim > 0.6 {
 		t.Errorf("os~tank similarity = %f, suspiciously high", sim)
 	}
-	if self := textsim.Cosine(osV, osV); self < 0.999 {
+	if self := osV.Cosine(osV); self < 0.999 {
 		t.Errorf("self similarity = %f", self)
 	}
 }
@@ -178,7 +178,7 @@ func TestPopulateFromEngine(t *testing.T) {
 	if tankList[0].DocID != "tank" {
 		t.Errorf("top surrogate = %s, want tank", tankList[0].DocID)
 	}
-	if tankList[0].Vector.IsZero() {
+	if tankList[0].Snippet == "" || e.IVectorOfText(tankList[0].Snippet).IsZero() {
 		t.Error("surrogate vector is zero")
 	}
 	if tankList[0].Rank != 1 {
@@ -241,10 +241,10 @@ func TestSurrogateStoreOverwrite(t *testing.T) {
 func TestVectorOfTextConsistentWithSearchAnalysis(t *testing.T) {
 	e := buildEngine(t)
 	// The same raw text must vectorize identically regardless of path.
-	v1 := e.VectorOfText("Apple released the Leopard operating system")
-	v2 := e.VectorOfText("apple RELEASED the leopard OPERATING system!!")
-	if textsim.Cosine(v1, v2) < 0.999 {
-		t.Errorf("case/punctuation changed the vector: cos = %f", textsim.Cosine(v1, v2))
+	v1 := e.IVectorOfText("Apple released the Leopard operating system")
+	v2 := e.IVectorOfText("apple RELEASED the leopard OPERATING system!!")
+	if v1.Cosine(v2) < 0.999 {
+		t.Errorf("case/punctuation changed the vector: cos = %f", v1.Cosine(v2))
 	}
 }
 
@@ -270,9 +270,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Surrogate vectors identical (IDF recomputed from the index).
-	v1 := e.VectorOfText(e.Snippet("osx", "leopard mac"))
-	v2 := loaded.VectorOfText(loaded.Snippet("osx", "leopard mac"))
-	if textsim.Cosine(v1, v2) < 0.999999 {
+	v1 := e.IVectorOfText(e.Snippet("osx", "leopard mac"))
+	v2 := loaded.IVectorOfText(loaded.Snippet("osx", "leopard mac"))
+	if v1.Cosine(v2) < 0.999999 {
 		t.Error("surrogate vectors differ after reload")
 	}
 }

@@ -62,7 +62,7 @@ func refSnippet(e *Engine, body string, qTokens []string) string {
 // refSurrogate is the body-analysis surrogateIVec.
 func refSurrogate(e *Engine, st *state, body string, qTokens []string) textsim.IVector {
 	intern := func(toks []string) textsim.IVector {
-		return textsim.Intern(st.lex, st.idf.Apply(textsim.FromTokens(toks)))
+		return st.idf.InternTokens(st.lex, toks)
 	}
 	raw := strings.Fields(body)
 	if len(raw) == 0 {

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/textsim"
 )
 
 // TestLiveConcurrentSearchMutate runs searches concurrently with ingests,
@@ -223,7 +221,7 @@ func TestForwardConcurrentSearchMutate(t *testing.T) {
 				}
 				for qi := range queries {
 					rt.windows(ctx, qi, func(_ int, w hitWindow) {
-						want := textsim.Intern(st.lex, st.idf.Apply(textsim.FromTokens(e.cfg.Analyzer.Tokens(w.snippet()))))
+						want := st.idf.InternTokens(st.lex, e.cfg.Analyzer.Tokens(w.snippet()))
 						if !ivecEqual(w.vector(st.idf), want) {
 							t.Errorf("reader %d: doc %s: surrogate differs from its snippet's vector", r, w.DocID)
 						}

@@ -225,7 +225,7 @@ func readState(br *bufio.Reader, cfg Config) (*state, error) {
 	}
 	base := segs[0].seg.Index()
 	st.lex = textsim.WrapSortedTerms(base.Terms())
-	st.idf = textsim.ComputeIDFFromIndex(base, st.lex)
+	st.idf = textsim.ComputeIDFFromIndex(base)
 	st.dict = new(dictPrint)
 	for _, sg := range segs[1:] {
 		sg.xlat = translate(st.lex, sg.seg.Index())

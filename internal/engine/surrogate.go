@@ -1,21 +1,13 @@
 package engine
 
-import (
-	"sort"
+import "sort"
 
-	"repro/internal/textsim"
-)
-
-// Surrogate is one stored document surrogate: the snippet (and its vector)
-// of a document highly relevant to some specialization.
+// Surrogate is one stored document surrogate: the snippet of a document
+// highly relevant to some specialization.
 type Surrogate struct {
 	DocID   string
 	Rank    int // 1-based rank in R_q′
 	Snippet string
-	Vector  textsim.Vector
-	// IVec is Vector interned under the owning engine's lexicon — the
-	// representation the scoring paths consume.
-	IVec textsim.IVector
 }
 
 // SurrogateStore holds, for every known ambiguous query, the R_q′ result
@@ -75,14 +67,7 @@ func (s *SurrogateStore) PopulateFromEngine(e *Engine, q string, specs []string,
 		results := e.Search(spec, perList)
 		surrogates := make([]Surrogate, len(results))
 		for i, r := range results {
-			vec := e.VectorOfText(r.Snippet)
-			surrogates[i] = Surrogate{
-				DocID:   r.DocID,
-				Rank:    r.Rank,
-				Snippet: r.Snippet,
-				Vector:  vec,
-				IVec:    textsim.Intern(e.Lexicon(), vec),
-			}
+			surrogates[i] = Surrogate{DocID: r.DocID, Rank: r.Rank, Snippet: r.Snippet}
 		}
 		s.Put(q, spec, surrogates)
 	}

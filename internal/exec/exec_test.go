@@ -96,7 +96,6 @@ func TestFusedStateMatchesStaged(t *testing.T) {
 		for _, threshold := range []float64{0, 0.3} {
 			p := synth.GenerateProblem(spec)
 			p.Threshold = threshold
-			p.EnsureInterned()
 			u := core.ComputeUtilities(p)
 			for _, k := range []int{0, 1, 10, spec.N, spec.N + 5} {
 				p.K = k
@@ -130,7 +129,6 @@ func TestFusedStateMatchesStaged(t *testing.T) {
 // and the process counter moves.
 func TestFusedStateCountsEvictions(t *testing.T) {
 	p := synth.GenerateProblem(synth.ProblemSpec{Seed: 4, N: 400, NumSpecs: 4, UsefulProb: 0.9})
-	p.EnsureInterned()
 	for i := range p.Candidates {
 		p.Candidates[i].Rel = float64(i+1) / float64(len(p.Candidates))
 	}

@@ -563,18 +563,3 @@ func (x *Index) ComputeBlockMaxScores(score ScoreFunc) []float64 {
 	}
 	return out
 }
-
-// DocFreqs returns a term→document-frequency map (for IDF computations
-// over the whole collection).
-//
-// Deprecated: the map costs one allocation per dictionary term. Walk the
-// dictionary with NumTerms/Term/DF instead (textsim.ComputeIDFFromIndex
-// does, with zero map allocation); DocFreqs remains for external callers
-// and tests.
-func (x *Index) DocFreqs() map[string]int {
-	df := make(map[string]int, len(x.termList))
-	for id, t := range x.termList {
-		df[t] = int(x.plists[id].n)
-	}
-	return df
-}

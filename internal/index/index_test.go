@@ -119,9 +119,11 @@ func TestEmptyIndexStats(t *testing.T) {
 
 func TestDocFreqs(t *testing.T) {
 	x := buildSmall(t)
-	df := x.DocFreqs()
-	if df["apple"] != 3 || df["leopard"] != 2 || df["pie"] != 1 {
-		t.Errorf("DocFreqs = %v", df)
+	for term, want := range map[string]int{"apple": 3, "leopard": 2, "pie": 1} {
+		ts, ok := x.Lookup(term)
+		if got := x.DF(ts.ID); !ok || got != want {
+			t.Errorf("DF(%q) = %d (found %v), want %d", term, got, ok, want)
+		}
 	}
 }
 

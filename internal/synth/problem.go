@@ -51,7 +51,9 @@ func (s ProblemSpec) withDefaults() ProblemSpec {
 // candidate vectors share terms with the specialization result vectors,
 // so utilities computed by core.ComputeUtilities show the sparse,
 // skewed structure of the real pipeline. Candidates are assigned Zipf-
-// decaying relevance, mirroring retrieval score decay.
+// decaying relevance, mirroring retrieval score decay. The vectors count
+// raw term frequencies under a problem-local lexicon, sorted over every
+// term the problem uses.
 func GenerateProblem(spec ProblemSpec) *core.Problem {
 	spec = spec.withDefaults()
 	rng := rand.New(rand.NewSource(spec.Seed))
@@ -59,14 +61,16 @@ func GenerateProblem(spec ProblemSpec) *core.Problem {
 	// Specialization probabilities: Zipf over specs, normalized.
 	z := NewZipf(spec.NumSpecs, 1.0)
 	specs := make([]core.Specialization, spec.NumSpecs)
+	specToks := make([][][]string, spec.NumSpecs)
 	for j := range specs {
 		results := make([]core.SpecResult, spec.PerSpec)
+		specToks[j] = make([][]string, spec.PerSpec)
 		for r := range results {
 			results[r] = core.SpecResult{
-				ID:     fmt.Sprintf("spec%02d-res%03d", j, r),
-				Rank:   r + 1,
-				Vector: specVector(j, r%4),
+				ID:   fmt.Sprintf("spec%02d-res%03d", j, r),
+				Rank: r + 1,
 			}
+			specToks[j][r] = specTokens(j, r%4)
 		}
 		specs[j] = core.Specialization{
 			Query:   fmt.Sprintf("query intent %02d", j),
@@ -76,23 +80,41 @@ func GenerateProblem(spec ProblemSpec) *core.Problem {
 	}
 
 	cands := make([]core.Doc, spec.N)
+	candToks := make([][]string, spec.N)
 	for i := range cands {
-		var vec textsim.Vector
 		if rng.Float64() < spec.UsefulProb*float64(spec.NumSpecs)/(float64(spec.NumSpecs)+1) {
 			// Useful for one (occasionally two) specializations.
 			j := rng.Intn(spec.NumSpecs)
-			vec = candVector(j, rng.Intn(4), rng.Intn(1000))
+			candToks[i] = candTokens(j, rng.Intn(4), rng.Intn(1000))
 		} else {
-			vec = textsim.FromTokens([]string{
+			candToks[i] = []string{
 				fmt.Sprintf("offtopic%05d", rng.Intn(10000)),
 				fmt.Sprintf("junk%04d", rng.Intn(5000)),
-			})
+			}
 		}
 		cands[i] = core.Doc{
-			ID:     fmt.Sprintf("d%06d", i),
-			Rank:   i + 1,
-			Rel:    1 / (1 + 0.01*float64(i)),
-			Vector: vec,
+			ID:   fmt.Sprintf("d%06d", i),
+			Rank: i + 1,
+			Rel:  1 / (1 + 0.01*float64(i)),
+		}
+	}
+
+	var union []string
+	for _, toks := range candToks {
+		union = append(union, toks...)
+	}
+	for _, lists := range specToks {
+		for _, toks := range lists {
+			union = append(union, toks...)
+		}
+	}
+	lex := textsim.NewSortedLexicon(union)
+	for i, toks := range candToks {
+		cands[i].IVec = textsim.SliceIDF{}.InternTokens(lex, toks)
+	}
+	for j, lists := range specToks {
+		for r, toks := range lists {
+			specs[j].Results[r].IVec = textsim.SliceIDF{}.InternTokens(lex, toks)
 		}
 	}
 
@@ -102,24 +124,25 @@ func GenerateProblem(spec ProblemSpec) *core.Problem {
 		Specs:      specs,
 		K:          spec.K,
 		Lambda:     spec.Lambda,
+		Lex:        lex,
 	}
 }
 
-// specVector gives specialization result r its term profile; variant
+// specTokens gives specialization result r its term profile; variant
 // differentiates results within the spec so cosines vary.
-func specVector(j, variant int) textsim.Vector {
-	return textsim.FromTokens([]string{
+func specTokens(j, variant int) []string {
+	return []string{
 		fmt.Sprintf("intent%02d", j),
 		fmt.Sprintf("intent%02dvar%d", j, variant),
 		"shared",
-	})
+	}
 }
 
-// candVector gives a useful candidate a profile overlapping specVector(j).
-func candVector(j, variant, salt int) textsim.Vector {
-	return textsim.FromTokens([]string{
+// candTokens gives a useful candidate a profile overlapping specTokens(j).
+func candTokens(j, variant, salt int) []string {
+	return []string{
 		fmt.Sprintf("intent%02d", j),
 		fmt.Sprintf("intent%02dvar%d", j, variant),
 		fmt.Sprintf("salt%04d", salt),
-	})
+	}
 }

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -291,6 +293,54 @@ func TestGenerateProblemDeterministic(t *testing.T) {
 	b := GenerateProblem(ProblemSpec{Seed: 9, N: 50})
 	if !reflect.DeepEqual(a.Candidates, b.Candidates) {
 		t.Error("same seed produced different problems")
+	}
+}
+
+// TestGenerateProblemPinned pins the Table 2 generator's output: a hash
+// of the utility matrix and the overall scores, bit for bit, and each
+// selection algorithm's operation count, for seeds 1–3 at the default
+// shape: Table 2 times these problems, so a change to how they are built
+// must not move a bit of them.
+func TestGenerateProblemPinned(t *testing.T) {
+	for _, want := range []struct {
+		seed                 int64
+		hash                 uint64
+		pushes, xquad, iasel int64
+	}{
+		{1, 0xd38992678622e1e1, 1340, 9955, 9955},
+		{2, 0x64bf356ed35d9b1f, 1325, 9955, 9955},
+		{3, 0xcaf6879226f9742, 1328, 9955, 9955},
+	} {
+		p := GenerateProblem(ProblemSpec{Seed: want.seed})
+		u := core.ComputeUtilities(p)
+		h := fnv.New64a()
+		put := func(x float64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+		for _, row := range u.U {
+			for _, x := range row {
+				put(x)
+			}
+		}
+		for _, x := range u.Overall {
+			put(x)
+		}
+		var opt, xq, ia core.OpCount
+		p.Ops = &opt
+		core.OptSelect(p, u)
+		p.Ops = &xq
+		core.XQuAD(p, u)
+		p.Ops = &ia
+		core.IASelect(p, u)
+		if got := h.Sum64(); got != want.hash {
+			t.Errorf("seed %d: utility hash %#x, want %#x", want.seed, got, want.hash)
+		}
+		if opt.HeapPushes != want.pushes || xq.MarginalEvals != want.xquad || ia.MarginalEvals != want.iasel {
+			t.Errorf("seed %d: OptSelect %d pushes, xQuAD %d and IASelect %d evaluations; want %d, %d, %d",
+				want.seed, opt.HeapPushes, xq.MarginalEvals, ia.MarginalEvals, want.pushes, want.xquad, want.iasel)
+		}
 	}
 }
 

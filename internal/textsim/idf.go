@@ -2,73 +2,35 @@ package textsim
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// IDF maps terms to inverse-document-frequency weights. It turns raw
-// term-frequency vectors into TF-IDF vectors, the weighting we use for the
-// snippet surrogates on which the paper's utility function operates
-// (cosine over raw TF over-weights boilerplate terms shared by all
-// snippets of a result page).
-type IDF map[string]float64
-
-// ComputeIDF derives smoothed IDF weights idf(t) = ln(1 + N/df(t)) from
-// per-term document frequencies over a collection of numDocs documents.
-func ComputeIDF(docFreq map[string]int, numDocs int) IDF {
-	idf := make(IDF, len(docFreq))
-	n := float64(numDocs)
-	for t, df := range docFreq {
-		if df <= 0 {
-			continue
-		}
-		idf[t] = math.Log(1 + n/float64(df))
-	}
-	return idf
-}
-
-// ComputeIDFFromVectors counts document frequencies over the given vectors
-// and returns the corresponding IDF table.
-func ComputeIDFFromVectors(docs []Vector) IDF {
-	df := make(map[string]int)
-	for _, d := range docs {
-		for _, t := range d.Terms {
-			df[t]++
-		}
-	}
-	return ComputeIDF(df, len(docs))
-}
-
-// DocFreqSource is the slice of an inverted index the ID-based IDF
-// computation needs: the dictionary size, the collection size, and the
-// per-term document frequency by internal term number. *index.Index
-// satisfies it.
+// DocFreqSource is the slice of an inverted index the IDF computation
+// needs: the dictionary size, the collection size, and the per-term
+// document frequency by internal term number. *index.Index satisfies it.
 type DocFreqSource interface {
 	NumTerms() int
 	NumDocs() int
 	DF(id int32) int
 }
 
-// SliceIDF is the ID-indexed twin of IDF: one weight per dictionary term,
-// indexed by term number. Where the map-based path materializes a
-// term→df map (one allocation per dictionary entry) just to throw it away
-// after the IDF table is built, SliceIDF is computed by a single walk of
-// the dictionary into one flat []float64 — zero map allocation — and
-// weight lookups during Apply are an array index for every in-collection
-// term. Results are bit-identical to the map path: same ln(1+N/df)
-// weights, same "unknown term weighs 1" rule, same accumulation order
-// (vectors keep their terms sorted).
+// SliceIDF holds the inverse-document-frequency weights of a dictionary,
+// one per term number: the TF-IDF weighting of the snippet surrogates on
+// which the paper's utility function operates (cosine over raw TF
+// over-weights boilerplate terms shared by all snippets of a result page).
+// Weights are read by lexicon ID, so the lexicon a vector is counted
+// under must have the dictionary as its sorted base (the engine wraps
+// idx.Terms()); an ID outside the table — an out-of-collection term — or a
+// term with df 0 weighs 1. The zero SliceIDF weighs every term 1: raw term
+// frequencies.
 type SliceIDF struct {
-	lex     *Lexicon
 	weights []float64
 }
 
-// ComputeIDFFromIndex walks src's dictionary once and returns the
-// ID-indexed IDF table. lex must be the lexicon whose sorted base IS the
-// dictionary (the engine seeds it with WrapSortedTerms(idx.Terms())), so
-// a base lexicon ID and a dictionary term number agree; overflow IDs —
-// out-of-collection terms — fall outside the weight slice and weigh 1,
-// exactly like the map path's missing entries.
-func ComputeIDFFromIndex(src DocFreqSource, lex *Lexicon) SliceIDF {
+// ComputeIDFFromIndex walks src's dictionary once and returns its smoothed
+// IDF weights idf(t) = ln(1 + N/df(t)).
+func ComputeIDFFromIndex(src DocFreqSource) SliceIDF {
 	n := float64(src.NumDocs())
 	weights := make([]float64, src.NumTerms())
 	for id := range weights {
@@ -76,43 +38,39 @@ func ComputeIDFFromIndex(src DocFreqSource, lex *Lexicon) SliceIDF {
 			weights[id] = math.Log(1 + n/float64(df))
 		}
 	}
-	return SliceIDF{lex: lex, weights: weights}
+	return SliceIDF{weights: weights}
 }
 
-// Apply reweights v by IDF exactly as IDF.Apply does (unknown terms get
-// weight 1), without building the intermediate counts map: v's terms are
-// already sorted and unique, so the reweighted vector and its norm are
-// assembled in one ordered pass — the same order FromCounts uses, keeping
-// the floats bit-identical to the map path.
-func (s SliceIDF) Apply(v Vector) Vector {
-	terms := make([]string, 0, len(v.Terms))
-	weights := make([]float64, 0, len(v.Terms))
-	ss := 0.0
-	for i, t := range v.Terms {
-		w := 1.0
-		if id, ok := s.lex.ID(t); ok && int(id) < len(s.weights) && s.weights[id] != 0 {
-			w = s.weights[id]
+// InternTokens builds the IDF-weighted vector of a bag of analyzed tokens
+// (a snippet's text) under lex: it sorts a copy of the tokens, numbers
+// each distinct one by lex.Intern in string order, and counts the runs
+// with InternSorted through that numbering. A text and a forward-index
+// window holding the same terms therefore get the same vector, bit for
+// bit.
+func (s SliceIDF) InternTokens(lex *Lexicon, tokens []string) IVector {
+	sorted := slices.Clone(tokens)
+	slices.Sort(sorted)
+	terms := make([]int32, len(sorted))
+	var xlat []int32
+	for i, t := range sorted {
+		if i == 0 || t != sorted[i-1] {
+			xlat = append(xlat, lex.Intern(t))
 		}
-		nw := v.Weights[i] * w
-		if nw == 0 {
-			continue // FromCounts drops zero components; match it
-		}
-		terms = append(terms, t)
-		weights = append(weights, nw)
-		ss += nw * nw
+		terms[i] = int32(len(xlat) - 1)
 	}
-	return Vector{Terms: terms, Weights: weights, norm: math.Sqrt(ss)}
+	return s.InternSorted(terms, xlat)
 }
 
-// InternSorted builds the IDF-weighted interned vector of a bag of terms
-// given by number: terms holds one entry per occurrence, ascending, in a
-// numbering whose order is the terms' string order (an index dictionary's
-// term numbers), and xlat maps that numbering to this table's lexicon IDs
-// (nil when the two are the same numbering). The result is bit-identical
-// to Intern(lex, s.Apply(FromTokens(tokens))) over the same occurrences:
-// counts become weights and the norm accumulates in string order exactly
-// as Apply does, and the pairs are re-sorted by ID afterwards only when
-// xlat broke the order (lexicon overflow IDs are in arrival order).
+// InternSorted builds the IDF-weighted vector of a bag of terms given by
+// number: terms holds one entry per occurrence, ascending, in a numbering
+// whose order is the terms' string order (an index dictionary's term
+// numbers), and xlat maps that numbering to lexicon IDs (nil when the two
+// are the same numbering). A term's weight is its count times its IDF,
+// zero weights are dropped, and the norm accumulates over the terms in
+// string order; the pairs are re-sorted by ID afterwards only when xlat
+// broke the order (lexicon overflow IDs are in arrival order). These are
+// the bits of the string route — a term→count map, IDF applied by term,
+// then interned — which the package's tests keep as the oracle.
 func (s SliceIDF) InternSorted(terms, xlat []int32) IVector {
 	uniq := 0
 	for i, t := range terms {
@@ -153,18 +111,4 @@ func (s SliceIDF) InternSorted(terms, xlat []int32) IVector {
 		sort.Sort(byID(iv))
 	}
 	return iv
-}
-
-// Apply reweights v by IDF (unknown terms get weight idf=1) and returns a
-// new vector with a recomputed norm.
-func (idf IDF) Apply(v Vector) Vector {
-	counts := make(map[string]float64, len(v.Terms))
-	for i, t := range v.Terms {
-		w := idf[t]
-		if w == 0 {
-			w = 1
-		}
-		counts[t] = v.Weights[i] * w
-	}
-	return FromCounts(counts)
 }

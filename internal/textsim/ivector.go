@@ -1,51 +1,20 @@
 package textsim
 
-import "sort"
-
-// IVector is the interned-term representation of a sparse term vector:
-// term IDs from a Lexicon (sorted ascending) plus their weights, with the
-// L2 norm cached at construction. It is the hot-path twin of Vector — all
-// inner loops (utility matrices, MMR, Jaccard features) merge int32 IDs
-// instead of comparing strings, which removes every string comparison and
-// every map lookup from per-query scoring.
+// IVector is a sparse term vector: term IDs from a Lexicon (sorted
+// ascending) plus their weights, with the L2 norm cached at construction.
+// All inner loops (utility matrices, MMR) merge int32 IDs, so per-query
+// scoring compares no strings and looks up no maps.
 //
 // Weights are stored raw, not pre-normalized: Cosine divides the merged
-// dot product by the cached norm product, exactly like the string path.
-// Pre-dividing each weight by the norm would save that one division per
-// pair but changes floating-point rounding per element, breaking the
-// bit-identity guarantee the serving cache and the differential tests
-// rely on (see docs/PERFORMANCE.md). One division per pair is noise next
-// to the merge it replaces.
+// dot product by the cached norm product. Pre-dividing each weight by the
+// norm would save that one division per pair but changes floating-point
+// rounding per element, breaking the bit-identity guarantee the serving
+// cache and the differential tests rely on (see docs/PERFORMANCE.md). One
+// division per pair is noise next to the merge.
 type IVector struct {
 	IDs     []int32
 	Weights []float64
 	norm    float64
-}
-
-// Intern converts a Vector to its interned representation under lex,
-// assigning IDs to unseen terms. The weights and the cached norm are
-// copied bit-for-bit; when every term falls in the lexicon's sorted base
-// (always true for vectors drawn from an engine-seeded lexicon), the ID
-// order equals the string order and interned similarities are
-// bit-identical to their string counterparts.
-func Intern(lex *Lexicon, v Vector) IVector {
-	ids := make([]int32, len(v.Terms))
-	weights := make([]float64, len(v.Terms))
-	copy(weights, v.Weights)
-	sorted := true
-	for i, t := range v.Terms {
-		ids[i] = lex.Intern(t)
-		if i > 0 && ids[i] < ids[i-1] {
-			sorted = false
-		}
-	}
-	iv := IVector{IDs: ids, Weights: weights, norm: v.norm}
-	if !sorted {
-		// Overflow terms broke the ID order; re-sort the pairs. The norm is
-		// kept from the Vector (summation order preserved).
-		sort.Sort(byID(iv))
-	}
-	return iv
 }
 
 // byID sorts an IVector's (ID, weight) pairs by ascending ID.
@@ -67,20 +36,7 @@ func (v IVector) Norm() float64 { return v.norm }
 // IsZero reports whether the vector has no components.
 func (v IVector) IsZero() bool { return len(v.IDs) == 0 }
 
-// Uninterned reconstructs the string Vector (for debugging and the
-// compatibility shim); it is not used on any hot path.
-func (v IVector) Uninterned(lex *Lexicon) Vector {
-	terms := make([]string, len(v.IDs))
-	for i, id := range v.IDs {
-		terms[i] = lex.Term(id)
-	}
-	weights := make([]float64, len(v.Weights))
-	copy(weights, v.Weights)
-	return Vector{Terms: terms, Weights: weights, norm: v.norm}
-}
-
-// Dot returns the inner product via an int32 merge join — the interned
-// twin of Dot(a, b Vector).
+// Dot returns the inner product via an int32 merge join.
 func (a IVector) Dot(b IVector) float64 {
 	i, j := 0, 0
 	dot := 0.0
@@ -100,8 +56,8 @@ func (a IVector) Dot(b IVector) float64 {
 }
 
 // Cosine returns the cosine similarity in [0,1] for non-negative weights,
-// 0 against a zero vector — the interned twin of Cosine(a, b Vector),
-// with identical operation order.
+// 0 against a zero vector: the merged dot product, one division by the
+// norm product, then a clamp to [−1,1] against floating-point drift.
 func (a IVector) Cosine(b IVector) float64 {
 	if a.norm == 0 || b.norm == 0 {
 		return 0
@@ -116,11 +72,11 @@ func (a IVector) Cosine(b IVector) float64 {
 	return c
 }
 
-// Distance is Equation (2) on interned vectors: δ = 1 − cosine.
+// Distance is Equation (2): δ = 1 − cosine.
 func (a IVector) Distance(b IVector) float64 { return 1 - a.Cosine(b) }
 
 // Jaccard returns the Jaccard coefficient of the ID sets (ignoring
-// weights) — the interned twin of Jaccard(a, b Vector).
+// weights).
 func (a IVector) Jaccard(b IVector) float64 {
 	if len(a.IDs) == 0 && len(b.IDs) == 0 {
 		return 1

@@ -5,9 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/text"
 )
 
 // randomVector builds a Vector from a random multiset over a shared
@@ -106,16 +110,13 @@ func TestLexiconRoundTrip(t *testing.T) {
 		t.Fatalf("SortedLen = %d after dedup, want 3", lex.SortedLen())
 	}
 	// Base region is lexicographic.
-	for i, want := range []string{"apple", "banana", "cherry"} {
-		if got := lex.Term(int32(i)); got != want {
-			t.Errorf("Term(%d) = %q, want %q", i, got, want)
+	for i, term := range []string{"apple", "banana", "cherry"} {
+		if got := lex.Intern(term); got != int32(i) {
+			t.Errorf("Intern(%q) = %d, want %d", term, got, i)
 		}
 	}
-	if id, ok := lex.ID("banana"); !ok || id != 1 {
-		t.Errorf("ID(banana) = %d, %v", id, ok)
-	}
-	if _, ok := lex.ID("durian"); ok {
-		t.Error("ID(durian) should be absent before interning")
+	if lex.Len() != 3 {
+		t.Errorf("Len = %d before any overflow, want 3", lex.Len())
 	}
 	d := lex.Intern("durian")
 	if d != 3 {
@@ -124,14 +125,8 @@ func TestLexiconRoundTrip(t *testing.T) {
 	if lex.Intern("durian") != d {
 		t.Error("re-interning changed the ID")
 	}
-	if lex.Term(d) != "durian" {
-		t.Errorf("Term(%d) = %q", d, lex.Term(d))
-	}
 	if lex.Len() != 4 {
 		t.Errorf("Len = %d, want 4", lex.Len())
-	}
-	if lex.Term(99) != "" {
-		t.Error("unknown ID should map to empty string")
 	}
 }
 
@@ -165,22 +160,6 @@ func TestLexiconConcurrentIntern(t *testing.T) {
 	}
 }
 
-func TestUninterned(t *testing.T) {
-	lex := NewSortedLexicon([]string{"x", "y", "z"})
-	v := FromTokens([]string{"z", "x", "x"})
-	iv := Intern(lex, v)
-	back := iv.Uninterned(lex)
-	if got, want := fmt.Sprint(back.Terms), fmt.Sprint(v.Terms); got != want {
-		t.Errorf("terms: %s != %s", got, want)
-	}
-	if got, want := fmt.Sprint(back.Weights), fmt.Sprint(v.Weights); got != want {
-		t.Errorf("weights: %s != %s", got, want)
-	}
-	if back.Norm() != v.Norm() {
-		t.Errorf("norm: %v != %v", back.Norm(), v.Norm())
-	}
-}
-
 // dfTable is a DocFreqSource over a fixed dictionary.
 type dfTable struct {
 	docs int
@@ -191,14 +170,26 @@ func (d dfTable) NumTerms() int   { return len(d.df) }
 func (d dfTable) NumDocs() int    { return d.docs }
 func (d dfTable) DF(id int32) int { return d.df[id] }
 
+// mapIDF is the oracle's IDF table over dictionary terms with d's
+// frequencies: what ComputeIDFFromIndex(d) holds, keyed by string.
+func (d dfTable) mapIDF(terms []string) IDF {
+	df := make(map[string]int, len(terms))
+	for id, term := range terms {
+		df[term] = d.df[id]
+	}
+	return ComputeIDF(df, d.docs)
+}
+
 // TestInternSortedMatchesIntern: counting term numbers straight into an
 // interned vector gives the bits of the string route — FromTokens, Apply,
 // Intern — both in the lexicon's own numbering and through a translation
-// table whose overflow IDs arrive out of string order.
+// table whose overflow IDs arrive out of string order; and so does
+// InternTokens over the same occurrences as text.
 func TestInternSortedMatchesIntern(t *testing.T) {
 	base := []string{"apple", "fox", "mango", "zebra"}
 	lex := WrapSortedTerms(base)
-	idf := ComputeIDFFromIndex(dfTable{docs: 50, df: []int{3, 0, 17, 50}}, lex)
+	src := dfTable{docs: 50, df: []int{3, 0, 17, 50}}
+	idf, oracle := ComputeIDFFromIndex(src), src.mapIDF(base)
 
 	// A second dictionary (a flushed segment's): sorted, partly outside
 	// the base. Its late terms reach the lexicon first.
@@ -226,10 +217,96 @@ func TestInternSortedMatchesIntern(t *testing.T) {
 		for _, id := range tc.terms {
 			tokens = append(tokens, tc.dict[id])
 		}
-		want := Intern(lex, idf.Apply(FromTokens(tokens)))
+		want := Intern(lex, oracle.Apply(FromTokens(tokens)))
 		got := idf.InternSorted(tc.terms, tc.xlat)
 		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) || got.Norm() != want.Norm() {
 			t.Errorf("terms %v: InternSorted %v %v |%v|, want %v %v |%v|", tokens, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
+		}
+		// The same bag as text, in reverse order.
+		slices.Reverse(tokens)
+		if got := idf.InternTokens(lex, tokens); !reflect.DeepEqual(got, want) {
+			t.Errorf("tokens %v: InternTokens %v %v |%v|, want %v %v |%v|", tokens, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
+		}
+	}
+}
+
+// FuzzInternTokens: for any bag of tokens — duplicates, non-ASCII text,
+// terms outside the dictionary (overflow, some of them interned earlier
+// and out of string order), a base term with df 0, the empty bag —
+// InternTokens under engine IDF and under unit weights gives exactly the
+// string route's vector, norm included, each side on a lexicon of its own
+// with the same history.
+func FuzzInternTokens(f *testing.F) {
+	base := []string{"alpha", "beta", "café", "delta", "zero", "東京"}
+	src := dfTable{docs: 50, df: []int{3, 50, 1, 17, 0, 9}}
+	f.Add("", "", false)
+	f.Add("", "alpha alpha beta zero zero", false)
+	f.Add("yak banana", "banana yak alpha aardvark aardvark zebra", false)
+	f.Add("", "café 東京 naïve данные café Ǆungla", false)
+	f.Add("zz a", "alpha zz beta a a", true)
+	f.Fuzz(func(t *testing.T, earlier, text string, unit bool) {
+		idf, oracle := ComputeIDFFromIndex(src), src.mapIDF(base)
+		if unit {
+			idf, oracle = SliceIDF{}, IDF{}
+		}
+		lex, oracleLex := WrapSortedTerms(base), WrapSortedTerms(base)
+		for _, term := range strings.Fields(earlier) {
+			lex.Intern(term)
+			oracleLex.Intern(term)
+		}
+		tokens := strings.Fields(text)
+		want := Intern(oracleLex, oracle.Apply(FromTokens(tokens)))
+		if got := idf.InternTokens(lex, tokens); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tokens %q after %q: InternTokens %v %v |%v|, want %v %v |%v|",
+				tokens, earlier, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
+		}
+	})
+}
+
+// TestSliceIDFMatchesMapIDF: the ID-indexed IDF table weighs analyzed text
+// with the same float64 bits as the map path over the same collection's
+// document frequencies, including out-of-collection terms falling back to
+// weight 1.
+func TestSliceIDFMatchesMapIDF(t *testing.T) {
+	an := text.NewAnalyzer()
+	docs := []string{
+		"Apple pie with cinnamon and sugar",
+		"The Leopard 2 main battle tank of the German army",
+		"Apple released the Leopard operating system",
+		"A leopard is a wild cat of the savanna",
+	}
+	df := map[string]int{}
+	for _, d := range docs {
+		seen := map[string]bool{}
+		for _, term := range an.Tokens(d) {
+			if !seen[term] {
+				seen[term] = true
+				df[term]++
+			}
+		}
+	}
+	dict := make([]string, 0, len(df))
+	for term := range df {
+		dict = append(dict, term)
+	}
+	slices.Sort(dict)
+	src := dfTable{docs: len(docs), df: make([]int, len(dict))}
+	for id, term := range dict {
+		src.df[id] = df[term]
+	}
+	idf, legacy := ComputeIDFFromIndex(src), ComputeIDF(df, len(docs))
+	lex, oracleLex := WrapSortedTerms(dict), WrapSortedTerms(dict)
+	for _, s := range []string{
+		"apple pie with cinnamon sugar crust",
+		"leopard tank armor cannon",
+		"completely unindexed surprising zebra words",
+		"apple apple apple leopard",
+		"",
+	} {
+		toks := an.Tokens(s)
+		want := Intern(oracleLex, legacy.Apply(FromTokens(toks)))
+		if got := idf.InternTokens(lex, toks); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: %v %v |%v|, want %v %v |%v|", s, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
 		}
 	}
 }

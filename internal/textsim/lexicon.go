@@ -11,9 +11,10 @@ import (
 //   - a sorted base: IDs [0, len(base)) assigned to a lexicographically
 //     sorted term list at construction time, so ascending ID order equals
 //     ascending string order. Vectors whose terms all come from the base
-//     therefore merge in exactly the order the string-sorted Vector code
-//     merges — which is what keeps interned cosines bit-identical to the
-//     legacy string path (float addition is order-sensitive).
+//     therefore accumulate dot products in string order — the same bits
+//     under any lexicon whose base holds their terms, which is what lets
+//     an engine's lexicon and a problem-local one agree (float addition
+//     is order-sensitive).
 //   - a dynamic overflow: terms first seen after construction get the next
 //     free ID in arrival order. Overflow IDs are correct but not
 //     string-ordered, so vectors touching them may accumulate dot products
@@ -24,17 +25,10 @@ import (
 // All methods are safe for concurrent use; Intern is lock-free for base
 // terms (the common case on the serving path).
 type Lexicon struct {
-	base      map[string]int32
-	baseTerms []string
+	base map[string]int32
 
-	mu         sync.RWMutex
-	extra      map[string]int32
-	extraTerms []string
-}
-
-// NewLexicon returns an empty lexicon: every term is assigned dynamically.
-func NewLexicon() *Lexicon {
-	return &Lexicon{extra: make(map[string]int32)}
+	mu    sync.RWMutex
+	extra map[string]int32 // overflow term → ID − len(base)
 }
 
 // NewSortedLexicon builds a lexicon whose base is the given term list,
@@ -57,7 +51,7 @@ func NewSortedLexicon(terms []string) *Lexicon {
 // WrapSortedTerms builds a lexicon over a term list that is already
 // lexicographically sorted and duplicate-free — for callers that own such
 // a list (the inverted index keeps its dictionary sorted). The slice is
-// retained; it must not be mutated afterwards.
+// not retained.
 func WrapSortedTerms(sorted []string) *Lexicon {
 	return newBaseLexicon(sorted)
 }
@@ -67,37 +61,19 @@ func newBaseLexicon(sorted []string) *Lexicon {
 	for i, t := range sorted {
 		base[t] = int32(i)
 	}
-	return &Lexicon{
-		base:      base,
-		baseTerms: sorted,
-		extra:     make(map[string]int32),
-	}
+	return &Lexicon{base: base, extra: make(map[string]int32)}
 }
 
 // Len returns the number of interned terms.
 func (l *Lexicon) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.baseTerms) + len(l.extraTerms)
+	return len(l.base) + len(l.extra)
 }
 
 // SortedLen returns the size of the sorted base region: IDs below it are
 // in lexicographic order.
-func (l *Lexicon) SortedLen() int { return len(l.baseTerms) }
-
-// ID returns the ID of term if already interned.
-func (l *Lexicon) ID(term string) (int32, bool) {
-	if id, ok := l.base[term]; ok {
-		return id, true
-	}
-	l.mu.RLock()
-	id, ok := l.extra[term]
-	l.mu.RUnlock()
-	if ok {
-		return int32(len(l.baseTerms)) + id, true
-	}
-	return 0, false
-}
+func (l *Lexicon) SortedLen() int { return len(l.base) }
 
 // Intern returns the ID of term, assigning the next free one if the term
 // is new.
@@ -109,30 +85,14 @@ func (l *Lexicon) Intern(term string) int32 {
 	id, ok := l.extra[term]
 	l.mu.RUnlock()
 	if ok {
-		return int32(len(l.baseTerms)) + id
+		return int32(len(l.base)) + id
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if id, ok := l.extra[term]; ok {
-		return int32(len(l.baseTerms)) + id
+		return int32(len(l.base)) + id
 	}
-	id = int32(len(l.extraTerms))
+	id = int32(len(l.extra))
 	l.extra[term] = id
-	l.extraTerms = append(l.extraTerms, term)
-	return int32(len(l.baseTerms)) + id
-}
-
-// Term returns the string for an interned ID; the empty string for an
-// unknown ID.
-func (l *Lexicon) Term(id int32) string {
-	if id >= 0 && int(id) < len(l.baseTerms) {
-		return l.baseTerms[id]
-	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	i := int(id) - len(l.baseTerms)
-	if i >= 0 && i < len(l.extraTerms) {
-		return l.extraTerms[i]
-	}
-	return ""
+	return int32(len(l.base)) + id
 }

@@ -4,136 +4,16 @@
 // function δ(d1,d2) = 1 − cosine(d1,d2) of Equation (2). δ is
 // non-negative, symmetric and zero only for identical vectors — the
 // properties §3.1 requires of the distance.
+//
+// A surrogate vector is an IVector: term IDs from a Lexicon with their
+// TF-IDF weights. SliceIDF.InternSorted is the one routine that counts
+// one, from a bag of term numbers (a forward-index window); InternTokens
+// feeds it a bag of analyzed tokens (a snippet's text).
 package textsim
 
-import (
-	"math"
-	"sort"
-)
-
-// Vector is a sparse term-weight vector with terms kept sorted, so that
-// dot products are linear-time merge joins. Construct vectors through the
-// package constructors, which also cache the L2 norm.
-type Vector struct {
-	Terms   []string
-	Weights []float64
-	norm    float64
-}
-
-// FromTokens builds a term-frequency vector from a token stream.
-func FromTokens(tokens []string) Vector {
-	counts := make(map[string]float64, len(tokens))
-	for _, t := range tokens {
-		counts[t]++
-	}
-	return FromCounts(counts)
-}
-
-// FromCounts builds a vector from an arbitrary term→weight map.
-func FromCounts(counts map[string]float64) Vector {
-	terms := make([]string, 0, len(counts))
-	for t, w := range counts {
-		if w != 0 {
-			terms = append(terms, t)
-		}
-	}
-	sort.Strings(terms)
-	weights := make([]float64, len(terms))
-	ss := 0.0
-	for i, t := range terms {
-		w := counts[t]
-		weights[i] = w
-		ss += w * w
-	}
-	return Vector{Terms: terms, Weights: weights, norm: math.Sqrt(ss)}
-}
-
-// Len returns the number of non-zero components.
-func (v Vector) Len() int { return len(v.Terms) }
-
-// Norm returns the cached L2 norm.
-func (v Vector) Norm() float64 { return v.norm }
-
-// IsZero reports whether the vector has no components.
-func (v Vector) IsZero() bool { return len(v.Terms) == 0 }
-
-// Weight returns the weight of term, or 0.
-func (v Vector) Weight(term string) float64 {
-	i := sort.SearchStrings(v.Terms, term)
-	if i < len(v.Terms) && v.Terms[i] == term {
-		return v.Weights[i]
-	}
-	return 0
-}
-
-// Dot returns the inner product of two vectors via a sorted merge.
-func Dot(a, b Vector) float64 {
-	i, j := 0, 0
-	dot := 0.0
-	for i < len(a.Terms) && j < len(b.Terms) {
-		switch {
-		case a.Terms[i] == b.Terms[j]:
-			dot += a.Weights[i] * b.Weights[j]
-			i++
-			j++
-		case a.Terms[i] < b.Terms[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return dot
-}
-
-// Cosine returns the cosine similarity of a and b in [0,1] for
-// non-negative weights. The cosine with a zero vector is 0.
-func Cosine(a, b Vector) float64 {
-	if a.norm == 0 || b.norm == 0 {
-		return 0
-	}
-	c := Dot(a, b) / (a.norm * b.norm)
-	// Guard against floating-point drift outside [−1,1].
-	if c > 1 {
-		c = 1
-	}
-	if c < -1 {
-		c = -1
-	}
-	return c
-}
-
-// Distance is the paper's Equation (2): δ(d1,d2) = 1 − cosine(d1,d2).
-// For non-negative weight vectors it lies in [0,1], is symmetric, and is 0
-// exactly when the vectors point in the same direction.
-func Distance(a, b Vector) float64 { return 1 - Cosine(a, b) }
-
-// Jaccard returns the Jaccard coefficient of the term sets of a and b
-// (ignoring weights). Used by the query-flow-graph chaining features.
-func Jaccard(a, b Vector) float64 {
-	if len(a.Terms) == 0 && len(b.Terms) == 0 {
-		return 1
-	}
-	i, j, inter := 0, 0, 0
-	for i < len(a.Terms) && j < len(b.Terms) {
-		switch {
-		case a.Terms[i] == b.Terms[j]:
-			inter++
-			i++
-			j++
-		case a.Terms[i] < b.Terms[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a.Terms) + len(b.Terms) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// JaccardTokens is Jaccard over raw token slices (building the sets inline).
+// JaccardTokens returns the Jaccard coefficient of the term sets of two
+// token slices (building the sets inline). Used by the query-flow-graph
+// chaining features.
 func JaccardTokens(a, b []string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1

@@ -169,15 +169,17 @@ func TestIDFApplyUnknownTermDefaults(t *testing.T) {
 // like the paper's document surrogates.
 func TestSnippetSurrogateSimilarity(t *testing.T) {
 	a := text.NewAnalyzer()
-	apple1 := FromTokens(a.Tokens("Apple unveils the new Mac OS X Leopard operating system"))
-	apple2 := FromTokens(a.Tokens("Mac OS X Leopard operating system released by Apple"))
-	tank := FromTokens(a.Tokens("The Leopard 2 main battle tank of the German army"))
+	lex := NewSortedLexicon(nil)
+	surrogate := func(s string) IVector { return SliceIDF{}.InternTokens(lex, a.Tokens(s)) }
+	apple1 := surrogate("Apple unveils the new Mac OS X Leopard operating system")
+	apple2 := surrogate("Mac OS X Leopard operating system released by Apple")
+	tank := surrogate("The Leopard 2 main battle tank of the German army")
 
-	if Cosine(apple1, apple2) <= Cosine(apple1, tank) {
+	if apple1.Cosine(apple2) <= apple1.Cosine(tank) {
 		t.Errorf("same-intent snippets must be closer: %f vs %f",
-			Cosine(apple1, apple2), Cosine(apple1, tank))
+			apple1.Cosine(apple2), apple1.Cosine(tank))
 	}
-	if d := Distance(apple1, tank); d <= 0.3 {
+	if d := apple1.Distance(tank); d <= 0.3 {
 		t.Errorf("cross-intent distance suspiciously low: %f", d)
 	}
 }
@@ -185,9 +187,10 @@ func TestSnippetSurrogateSimilarity(t *testing.T) {
 func BenchmarkCosine(b *testing.B) {
 	tokens1 := text.Tokenize("the quick brown fox jumps over the lazy dog and runs far away into the woods")
 	tokens2 := text.Tokenize("a lazy brown dog sleeps under the quick red fox near the old woods entrance")
-	v1, v2 := FromTokens(tokens1), FromTokens(tokens2)
+	lex := NewSortedLexicon(append(tokens1, tokens2...))
+	v1, v2 := SliceIDF{}.InternTokens(lex, tokens1), SliceIDF{}.InternTokens(lex, tokens2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Cosine(v1, v2)
+		v1.Cosine(v2)
 	}
 }
