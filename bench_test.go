@@ -20,7 +20,7 @@ import (
 )
 
 // BenchmarkTable2 times the three diversification algorithms over a
-// reduced |R_q| × k grid (the full grid is cmd/efficiency -full). The
+// reduced |R_q| × k grid (the full grid is `repro efficiency -full`). The
 // paper's Table 2 shape shows here directly: OptSelect sub-benchmarks are
 // near-constant in k while xQuAD/IASelect grow linearly.
 func BenchmarkTable2(b *testing.B) {
@@ -77,7 +77,7 @@ func BenchmarkTable1ComplexityFit(b *testing.B) {
 }
 
 // BenchmarkTable3Effectiveness runs a reduced effectiveness sweep (the
-// full Table 3 is cmd/trecdiv) and reports the headline means: the
+// full Table 3 is `repro trecdiv`) and reports the headline means: the
 // DPH baseline and the three diversifiers at the paper's best threshold.
 func BenchmarkTable3Effectiveness(b *testing.B) {
 	spec := exp.DefaultTable3Spec()
@@ -107,7 +107,7 @@ func BenchmarkTable3Effectiveness(b *testing.B) {
 }
 
 // BenchmarkFigure1UtilityRatio runs a reduced Appendix C utility-ratio
-// experiment (full curves: cmd/utilityfig) and reports the mean ratio —
+// experiment (full curves: `repro utilityfig`) and reports the mean ratio —
 // the paper's factor-5-to-10 improvement headline.
 func BenchmarkFigure1UtilityRatio(b *testing.B) {
 	spec := exp.Figure1Spec{

@@ -7,16 +7,15 @@
 //	bench -bench 'Table2' -count 3   # any benchmark regex, best-of-3
 //	bench -cpu 1,2                   # sweep GOMAXPROCS (shard fan-out scaling)
 //	bench -out /dev/stdout           # print instead of committing a file
-//	bench -merge points.jsonl        # fold loadgen -json points into the snapshot
 //
 // The default -bench pattern covers the serving hot paths (utility matrix,
-// DAAT retrieval incl. the sharded fan-out and the block-vs-flat posting
-// layouts, batched vs sequential R_q′ scatter-gather, full Diversify) plus
-// the Table 2 selection algorithms. After writing the snapshot, bench
-// prints a non-gating delta table against the newest committed
-// BENCH_*.json (override with -baseline, or -baseline none to skip):
-// ns/op per benchmark, plus an index-size line for every point reporting
-// a bytes/posting metric. CI runs this as a non-gating job so regressions
+// DAAT retrieval incl. the sharded fan-out and the block-compressed
+// posting layout, batched vs sequential R_q′ scatter-gather, full
+// Diversify) plus the Table 2 selection algorithms, over the root
+// package. After writing the snapshot, bench prints a non-gating delta
+// table against the newest committed BENCH_*.json (override with
+// -baseline, or -baseline none to skip): ns/op per benchmark, plus the
+// index-size and open-time metrics of the benchmarks that report them. CI runs this as a non-gating job so regressions
 // are visible without blocking merges on noisy shared runners.
 package main
 
@@ -61,35 +60,25 @@ type Snapshot struct {
 
 const defaultPattern = "ComputeUtilities|Retrieve|DiversifyFull|SpecRetrieval|Table2$|OpenIndex"
 
-// sizeUnit is the custom metric the storage sub-benchmarks report
-// (BenchmarkRetrieveLayout's b.ReportMetric) — the posting-storage
-// footprint the delta table tracks next to ns/op.
-const sizeUnit = "bytes/posting"
-
-// openUnit is the custom metric BenchmarkOpenIndex reports: wall-clock
-// milliseconds to open a persisted index (heap decode vs mmap-in-place),
-// tracked in the delta table so startup-latency regressions are as
-// visible as throughput ones.
-const openUnit = "open_ms"
+// deltaUnits are the metrics the delta table diffs, with the precision
+// each prints at: ns/op for every benchmark, plus the custom metrics of
+// the storage sub-benchmarks (BenchmarkRetrieveLayout's posting-storage
+// footprint) and of BenchmarkOpenIndex (wall-clock milliseconds to open a
+// persisted index), so a layout or startup regression is as visible as a
+// throughput one.
+var deltaUnits = []struct {
+	unit string
+	prec int
+}{{"ns/op", 0}, {"bytes/posting", 2}, {"open_ms", 3}}
 
 func main() {
 	pattern := flag.String("bench", defaultPattern, "benchmark regex passed to go test -bench")
 	count := flag.Int("count", 1, "-count passed to go test (keep every run in the snapshot)")
 	benchtime := flag.String("benchtime", "", "-benchtime passed to go test (empty: go default)")
 	cpu := flag.String("cpu", "", "-cpu passed to go test (GOMAXPROCS list, e.g. 1,2; empty: current)")
-	pkg := flag.String("pkg", ".", "package pattern to benchmark")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json in the working directory)")
 	baseline := flag.String("baseline", "", "snapshot to diff against (default: newest BENCH_*.json in the working directory); \"none\" disables the delta")
-	merge := flag.String("merge", "", "JSONL file of externally measured points (loadgen -json output) to fold into the snapshot at -out instead of running go test; same-name points are replaced")
 	flag.Parse()
-
-	if *merge != "" {
-		if err := mergePoints(*merge, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	args := []string{"test", "-run", "^$", "-bench", *pattern, "-benchmem", "-count", strconv.Itoa(*count)}
 	if *benchtime != "" {
@@ -98,7 +87,7 @@ func main() {
 	if *cpu != "" {
 		args = append(args, "-cpu", *cpu)
 	}
-	args = append(args, *pkg)
+	args = append(args, ".")
 
 	fmt.Fprintf(os.Stderr, "bench: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
@@ -149,78 +138,6 @@ func main() {
 	printDelta(*baseline, path, snap)
 }
 
-// mergePoints folds externally measured benchmark points — one JSON
-// object per line, the shape loadgen -json writes — into the snapshot at
-// outPath, creating it if absent. A point with the same (name,
-// gomaxprocs) as an existing one replaces it, so re-running an
-// experiment updates the curve instead of duplicating it. This is how
-// scripts/scale.sh lands its QPS/p99 replica-scaling points next to the
-// go-test benchmarks in the committed BENCH_<date>.json.
-func mergePoints(src, outPath string) error {
-	raw, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	var incoming []Point
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for dec.More() {
-		var p Point
-		if err := dec.Decode(&p); err != nil {
-			return fmt.Errorf("%s: %w", src, err)
-		}
-		if p.Name == "" {
-			return fmt.Errorf("%s: point without a name", src)
-		}
-		incoming = append(incoming, p)
-	}
-	if len(incoming) == 0 {
-		return fmt.Errorf("%s: no points to merge", src)
-	}
-
-	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02"))
-	}
-	snap := Snapshot{
-		Schema:    1,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-	if existing, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(existing, &snap); err != nil {
-			return fmt.Errorf("%s: %w", outPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
-	replaced := 0
-	for _, p := range incoming {
-		found := false
-		for i := range snap.Points {
-			if snap.Points[i].Name == p.Name && snap.Points[i].Gomaxprocs == p.Gomaxprocs {
-				snap.Points[i] = p
-				found = true
-				replaced++
-				break
-			}
-		}
-		if !found {
-			snap.Points = append(snap.Points, p)
-		}
-	}
-	enc, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(enc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: merged %d points (%d replaced) -> %s\n", len(incoming), replaced, outPath)
-	return nil
-}
-
 // printDelta diffs the fresh snapshot against the most recent committed
 // BENCH_*.json (or an explicit -baseline) and prints a ns/op delta table
 // to stderr. Strictly non-gating: any problem — no baseline, unreadable
@@ -256,75 +173,39 @@ func printDelta(baseline, freshPath string, fresh Snapshot) {
 		fmt.Fprintf(os.Stderr, "bench: delta skipped: %s: %v\n", baseline, err)
 		return
 	}
-	// Key points by (name, gomaxprocs); with -count > 1 the last run wins,
-	// matching how the table reads top to bottom.
+	// Key points by (name, gomaxprocs, unit); with -count > 1 the last run
+	// wins, matching how the table reads top to bottom.
 	type key struct {
 		name  string
 		procs int
+		unit  string
 	}
-	baseNs := make(map[key]float64, len(base.Points))
-	baseSize := make(map[key]float64)
-	baseOpen := make(map[key]float64)
+	old := make(map[key]float64)
 	for _, p := range base.Points {
-		if v, ok := p.Metrics["ns/op"]; ok {
-			baseNs[key{p.Name, p.Gomaxprocs}] = v
-		}
-		if v, ok := p.Metrics[sizeUnit]; ok {
-			baseSize[key{p.Name, p.Gomaxprocs}] = v
-		}
-		if v, ok := p.Metrics[openUnit]; ok {
-			baseOpen[key{p.Name, p.Gomaxprocs}] = v
+		for unit, v := range p.Metrics {
+			old[key{p.Name, p.Gomaxprocs, unit}] = v
 		}
 	}
 	fmt.Fprintf(os.Stderr, "bench: delta vs %s (negative = faster; non-gating)\n", baseline)
 	matched := 0
-	for _, p := range fresh.Points {
-		v, ok := p.Metrics["ns/op"]
-		if !ok {
-			continue
+	for _, u := range deltaUnits {
+		for _, p := range fresh.Points {
+			v, ok := p.Metrics[u.unit]
+			if !ok {
+				continue
+			}
+			name := fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs)
+			if was := old[key{p.Name, p.Gomaxprocs, u.unit}]; was != 0 {
+				matched++
+				fmt.Fprintf(os.Stderr, "  %-55s %12.*f -> %12.*f %s  %+6.1f%%\n",
+					name, u.prec, was, u.prec, v, u.unit, 100*(v-was)/was)
+			} else if u.unit != "ns/op" {
+				fmt.Fprintf(os.Stderr, "  %-55s %27.*f %s  (no baseline)\n", name, u.prec, v, u.unit)
+			}
 		}
-		old, ok := baseNs[key{p.Name, p.Gomaxprocs}]
-		if !ok || old == 0 {
-			continue
-		}
-		matched++
-		fmt.Fprintf(os.Stderr, "  %-55s %12.0f -> %12.0f ns/op  %+6.1f%%\n",
-			fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs), old, v, 100*(v-old)/old)
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "  (no benchmarks in common with the baseline)")
-	}
-	// Index-size trajectory: any benchmark reporting a bytes/posting
-	// metric (the storage sub-benchmarks of BenchmarkRetrieveLayout) gets
-	// a delta line too, so a layout change that regresses posting storage
-	// is as visible as one that regresses latency. Equally non-gating.
-	for _, p := range fresh.Points {
-		v, ok := p.Metrics[sizeUnit]
-		if !ok {
-			continue
-		}
-		if old, ok := baseSize[key{p.Name, p.Gomaxprocs}]; ok && old != 0 {
-			fmt.Fprintf(os.Stderr, "  index size: %-43s %12.2f -> %12.2f %s  %+6.1f%%\n",
-				fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs), old, v, sizeUnit, 100*(v-old)/old)
-		} else {
-			fmt.Fprintf(os.Stderr, "  index size: %-43s %27.2f %s  (no baseline)\n",
-				fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs), v, sizeUnit)
-		}
-	}
-	// Startup-latency trajectory: benchmarks reporting open_ms (the
-	// BenchmarkOpenIndex heap-vs-mmap pair) get their own delta line.
-	for _, p := range fresh.Points {
-		v, ok := p.Metrics[openUnit]
-		if !ok {
-			continue
-		}
-		if old, ok := baseOpen[key{p.Name, p.Gomaxprocs}]; ok && old != 0 {
-			fmt.Fprintf(os.Stderr, "  open time:  %-43s %12.3f -> %12.3f %s  %+6.1f%%\n",
-				fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs), old, v, openUnit, 100*(v-old)/old)
-		} else {
-			fmt.Fprintf(os.Stderr, "  open time:  %-43s %27.3f %s  (no baseline)\n",
-				fmt.Sprintf("%s-%d", p.Name, p.Gomaxprocs), v, openUnit)
-		}
 	}
 }
 

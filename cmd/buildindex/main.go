@@ -8,11 +8,11 @@
 //	buildindex -o index.ridx7 -topics 20
 //	buildindex -o index.ridx7 -corpus docs.tsv
 //	buildindex -o index.ridx7 -shards 4      # record a 4-segment partition
-//	buildindex -o index.ridx7 -no-maxscore   # skip the max-score/block-max tables
 //
 // `serve -index index.ridx7 -mmap` (and the shard workers behind
-// scripts/failover.sh) serve the image straight off the page cache;
-// without -mmap serve reads it onto a heap slab and serves it the same way.
+// scripts/failover.sh) serve the image straight off the page cache, over
+// the partition it records; without -mmap serve reads it onto a heap slab
+// and serves it the same way.
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/synth"
 )
@@ -29,16 +30,14 @@ import (
 func main() {
 	out := flag.String("o", "index.ridx7", "output file")
 	corpus := flag.String("corpus", "", "TSV corpus file (id<TAB>title<TAB>body); empty = synthetic")
-	topics := flag.Int("topics", 20, "synthetic testbed topics (when -corpus is empty)")
-	seed := flag.Int64("seed", 1, "synthetic generator seed")
+	world := cli.World{Seed: 1, Topics: 20} // the synthetic testbed when -corpus is empty
+	world.Register(flag.CommandLine)
 	shards := flag.Int("shards", 1, "index segments recorded in the shard manifest (serving fans retrieval out over them)")
-	noMaxScore := flag.Bool("no-maxscore", false, "skip computing/persisting max-score and block-max tables (loaders rebuild them unless they too disable pruning)")
 	flag.Parse()
 
 	var docs []engine.Document
 	if *corpus == "" {
-		tb := synth.GenerateTestbed(synth.CorpusSpec{Seed: *seed, NumTopics: *topics})
-		docs = tb.Docs
+		docs = synth.GenerateTestbed(world.Corpus()).Docs
 	} else {
 		f, err := os.Open(*corpus)
 		if err != nil {
@@ -68,10 +67,7 @@ func main() {
 		}
 	}
 
-	eng, err := engine.Build(docs, engine.Config{
-		Shards:         *shards,
-		DisablePruning: *noMaxScore,
-	})
+	eng, err := engine.Build(docs, engine.Config{Shards: *shards})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "buildindex:", err)
 		os.Exit(1)

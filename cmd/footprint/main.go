@@ -6,7 +6,7 @@
 // per-document forward index (total, per document, per token).
 //
 //	footprint                         # 30 topics, 8000 sessions
-//	footprint -topics 50 -rq1 20
+//	footprint -topics 50
 package main
 
 import (
@@ -16,22 +16,19 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/engine"
-	"repro/internal/synth"
 )
 
+// perList is |R_q'|, the surrogates stored per specialization (paper: 20).
+const perList = 20
+
 func main() {
-	topics := flag.Int("topics", 30, "number of ambiguous topics")
-	sessions := flag.Int("sessions", 8000, "query-log sessions")
-	perList := flag.Int("rq1", 20, "|Rq'|: surrogates stored per specialization")
-	seed := flag.Int64("seed", 1, "generator seed")
+	world := cli.World{Seed: 1, Topics: 30, Sessions: 8000}
+	world.Register(flag.CommandLine)
 	flag.Parse()
 
-	cfg := repro.Config{
-		Corpus: synth.CorpusSpec{Seed: *seed, NumTopics: *topics},
-		Log:    synth.AOLLike(*seed+1, *sessions),
-	}
-	pipe, err := repro.Build(cfg)
+	pipe, err := repro.Build(repro.Config{Corpus: world.Corpus(), Log: world.Log()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "footprint:", err)
 		os.Exit(1)
@@ -47,7 +44,7 @@ func main() {
 		for i, s := range specs {
 			queries[i] = s.Query
 		}
-		store.PopulateFromEngine(pipe.Engine, topic.Query, queries, *perList)
+		store.PopulateFromEngine(pipe.Engine, topic.Query, queries, perList)
 	}
 
 	st := pipe.Engine.Index().Storage()

@@ -33,9 +33,8 @@
 //	loadgen -json point.json -name QPSScale/workers=2   # machine-readable summary
 //
 // -json writes the client-observed QPS and latency percentiles as one
-// benchmark point; cmd/bench -merge folds such points into the committed
-// BENCH_<date>.json snapshot, which is how scripts/scale.sh records its
-// replica-scaling curve.
+// benchmark point in the shape of a BENCH_<date>.json entry;
+// scripts/failover.sh reads its p99 from there.
 package main
 
 import (
@@ -72,9 +71,14 @@ func main() {
 	allowDegraded := flag.Bool("allow-degraded", false, "count degraded (partial-result) responses as successes; without this they are failures and trip -fail-on-error")
 	ingestN := flag.Int("ingest", 0, "live-index mutations to interleave with the search load (ingests with periodic updates, deletes, flushes and compactions; 0 = read-only run)")
 	failOnError := flag.Bool("fail-on-error", false, "exit nonzero if any search request fails (the failover gate: chaos runs must lose zero requests)")
-	jsonOut := flag.String("json", "", "also write the run summary to this file as one benchmark point (the shape cmd/bench -merge folds into a BENCH_<date>.json snapshot)")
-	pointName := flag.String("name", "Loadgen", "point name recorded with -json (scripts/scale.sh uses QPSScale/workers=N)")
+	jsonOut := flag.String("json", "", "also write the run summary to this file as one benchmark point (the shape of a BENCH_<date>.json entry)")
+	pointName := flag.String("name", "Loadgen", "point name recorded with -json")
 	flag.Parse()
+	if err := checkLoad(*n, *c); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	client := &http.Client{
 		Timeout: *timeout,
@@ -283,10 +287,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		// One point in the shape cmd/bench snapshots use, so a scaling
-		// experiment (scripts/scale.sh) can fold client-observed QPS and
-		// tail latency into the committed BENCH_<date>.json next to the
-		// go-test benchmarks.
+		// One point in the shape cmd/bench snapshots use.
 		point := struct {
 			Name       string             `json:"name"`
 			Gomaxprocs int                `json:"gomaxprocs"`
@@ -323,6 +324,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d of %d requests failed\n", *n-okCount, *n)
 		os.Exit(1)
 	}
+}
+
+// checkLoad rejects a run that could not finish: without a connection
+// nothing drains the queue of queries, and a negative count has no
+// queries to sample.
+func checkLoad(n, c int) error {
+	if c < 1 {
+		return fmt.Errorf("-c %d: need at least one connection", c)
+	}
+	if n < 1 {
+		return fmt.Errorf("-n %d: need at least one query", n)
+	}
+	return nil
 }
 
 // classify buckets a request outcome into an error class; the empty

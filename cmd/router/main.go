@@ -12,9 +12,11 @@
 //
 // Each -shard flag declares one shard's replica pool, in shard order;
 // 'url@weight' biases the weighted round-robin (default weight 1). The
-// workers must be started with -shards N where N is the number of
-// -shard flags, and with the same world flags (-seed, -topics, ...) as
-// the router — probes reject workers whose shard count disagrees.
+// workers must serve N shards, where N is the number of -shard flags
+// (-shards N, or an -index image built with N), over the same world
+// flags (-seed, -topics, ...) as the router — probes reject workers
+// whose shard count disagrees. The flags router shares with serve are
+// declared once, in internal/cli.
 //
 // Fault tolerance: replicas are health-checked every -probe-interval
 // and circuit-broken after -fail-threshold consecutive failures, with
@@ -41,23 +43,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro"
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/router"
-	"repro/internal/server"
-	"repro/internal/synth"
 )
 
 // shardFlag accumulates repeated -shard values into the topology.
@@ -106,21 +102,9 @@ func (f *shardFlag) Set(v string) error {
 
 func main() {
 	var shards shardFlag
+	var s cli.Serving
+	s.Register(flag.CommandLine)
 	flag.Var(&shards, "shard", "one shard's replica pool: 'url[,url...]' with optional '@weight'; repeat per shard, in shard order")
-	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Int64("seed", 1, "testbed + log seed; MUST match the workers' world")
-	topics := flag.Int("topics", 12, "ambiguous topics; MUST match the workers' world")
-	sessions := flag.Int("sessions", 6000, "training query-log sessions")
-	candidates := flag.Int("candidates", 500, "|R_q|, candidates retrieved per query")
-	perSpec := flag.Int("perspec", 20, "|R_q'|, stored results per specialization")
-	k := flag.Int("k", 10, "default diversified SERP size")
-	threshold := flag.Float64("threshold", 0.30, "utility threshold c")
-	workers := flag.Int("workers", 8, "max concurrent diversifications")
-	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "max wait for a worker slot")
-	cacheCap := flag.Int("cache", 1024, "query-artifact cache capacity (entries)")
-	cacheShards := flag.Int("cache-shards", 16, "cache shard count")
-	alg := flag.String("alg", string(core.AlgOptSelect), "default algorithm (baseline|optselect|xquad|iaselect|mmr)")
-	maxK := flag.Int("maxk", 100, "cap on per-request k")
 	attemptTimeout := flag.Duration("attempt-timeout", 2*time.Second, "per-replica scatter attempt timeout before failing over")
 	maxAttempts := flag.Int("max-attempts", 0, "max replicas tried per shard per request (0 = pool size)")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that open a replica's circuit breaker")
@@ -134,19 +118,10 @@ func main() {
 	extraBurst := flag.Float64("extra-burst", 10, "retry/hedge token budget capacity (exhausted = single-attempt behavior)")
 	scatterFraction := flag.Float64("scatter-fraction", 0.65, "fraction of the remaining request budget given to the scatter stage (>= 1 disables sub-budgeting)")
 	partial := flag.Bool("partial", false, "on whole-shard outage or spent sub-budget, merge surviving shards and answer degraded:true instead of 503")
-	budget := flag.Duration("budget", 0, "default end-to-end /search budget (0 = none; per-request X-Search-Budget overrides)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health-check period per replica")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "health-check request timeout")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout (0 = unlimited)")
-	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout (0 = unlimited)")
-	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout (0 = unlimited)")
 	flag.Parse()
 
-	defaultAlg := core.Algorithm(*alg)
-	if !defaultAlg.Valid() {
-		fmt.Fprintf(os.Stderr, "router: unknown -alg %q (valid: %v)\n", *alg, core.Algorithms)
-		os.Exit(2)
-	}
 	if len(shards) == 0 {
 		fmt.Fprintln(os.Stderr, "router: at least one -shard pool is required")
 		os.Exit(2)
@@ -179,63 +154,27 @@ func main() {
 
 	// Listener up first: probes, /healthz and a 503 /readyz work while
 	// the local pipeline builds.
-	inner := server.New(nil, server.Config{
-		Workers:       *workers,
-		QueueTimeout:  *queueTimeout,
-		DefaultAlg:    defaultAlg,
-		MaxK:          *maxK,
-		DefaultBudget: *budget,
-	})
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           router.NewRouter(inner, searcher).Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "router listening on %s over %d shards (not ready: building pipeline)\n", *addr, len(shards))
+	inner := s.Server()
+	_, wait := cli.Listen(s.HTTP(router.NewRouter(inner, searcher).Handler()))
+	fmt.Fprintf(os.Stderr, "router listening on %s over %d shards (not ready: building pipeline)\n", s.Addr, len(shards))
 
 	// The router's own pipeline carries the query-understanding half —
 	// lexicon, query-flow graph, recommender — built from the same seeds
 	// as the workers' world. Its local index never scores a query (the
 	// Searcher override sends retrieval to the workers); it exists so
 	// surrogate vectors and cache epochs come from the identical world.
-	fmt.Fprintf(os.Stderr, "building pipeline (seed %d, %d topics, %d sessions)...\n", *seed, *topics, *sessions)
+	fmt.Fprintf(os.Stderr, "building pipeline (seed %d, %d topics, %d sessions)...\n", s.Seed, s.Topics, s.Sessions)
 	began := time.Now()
-	pipe, err := repro.Build(repro.Config{
-		Corpus:        synth.CorpusSpec{Seed: *seed, NumTopics: *topics},
-		Log:           synth.AOLLike(*seed+1, *sessions),
-		Engine:        engine.Config{Shards: len(shards)},
-		NumCandidates: *candidates,
-		PerSpec:       *perSpec,
-		K:             *k,
-		Threshold:     *threshold,
-	})
+	pipe, err := repro.Build(s.Pipeline(engine.Config{Shards: len(shards)}))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "router:", err)
-		os.Exit(1)
+		cli.Fatal("router", err)
 	}
 	pipe.Searcher = searcher
-	inner.Publish(pipe.NewServeHandle(*cacheCap, *cacheShards))
+	s.Publish(inner, pipe)
 	fmt.Fprintf(os.Stderr, "pipeline ready in %v; serving when every shard has a healthy replica (see /readyz)\n",
 		time.Since(began).Round(time.Millisecond))
 
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "router:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "shutting down...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "router: shutdown:", err)
-			os.Exit(1)
-		}
+	if err := wait(); err != nil {
+		cli.Fatal("router", err)
 	}
 }

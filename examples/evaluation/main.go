@@ -2,7 +2,8 @@
 // with the TREC 2009 Diversity Task metrics (α-NDCG, IA-P) plus the
 // subtopic-recall and ERR-IA extensions, and test significance with the
 // Wilcoxon signed-rank test — the full measurement stack of the paper's
-// §5 applied to your own data.
+// §5 applied to your own data. The same stack scores the paper's Table 3
+// on the synthetic testbed in `go run ./cmd/repro trecdiv`.
 //
 //	go run ./examples/evaluation
 package main

@@ -19,10 +19,10 @@ import (
 // production deployment would be split across processes:
 //
 //	offline:  corpus → engine → SaveTo      (cmd/buildindex)
-//	offline:  log → TSV → sessions → A(q)   (cmd/loggen | cmd/mine)
+//	offline:  log → TSV → sessions → A(q)   (repro loggen | repro mine)
 //	offline:  topics + qrels round-tripped  (trec formats)
 //	online:   Load(engine) + Algorithm 1 + OptSelect → run file
-//	offline:  run file → α-NDCG/IA-P        (cmd/trecdiv's metrics)
+//	offline:  run file → α-NDCG/IA-P        (repro trecdiv's metrics)
 //
 // Every hand-off crosses a serialization boundary, so format drift in any
 // codec breaks this test.

@@ -39,6 +39,12 @@ type Result struct {
 // Config tunes engine construction.
 type Config struct {
 	// Model is the weighting model; nil means DPH (the paper's baseline).
+	// Retrieval prunes whenever the model is ranking.Boundable: per-block
+	// and per-term score upper bounds are computed at build time (or read
+	// back from the index image), and Block-Max MaxScore top-k evaluation
+	// skips postings — whole blocks of them undecoded — that provably
+	// cannot enter the result. Results are bit-identical to exhaustive
+	// scoring, which the other models (LMDirichlet) keep.
 	Model ranking.Model
 	// Analyzer is the analysis chain; nil means stopwords + Porter.
 	Analyzer *text.Analyzer
@@ -49,16 +55,6 @@ type Config struct {
 	// partition the image records. Results are bit-identical at any shard
 	// count — only parallelism changes.
 	Shards int
-	// DisablePruning forces the exhaustive scoring path. By default the
-	// engine retrieves with MaxScore dynamic pruning whenever the model
-	// is ranking.Boundable: per-block and per-term score upper bounds
-	// are computed at build time (or read back from the index image) and
-	// Block-Max MaxScore top-k evaluation skips postings — whole blocks
-	// of them undecoded — that provably cannot enter the result. Results
-	// are bit-identical either way — the toggle exists for benchmarking
-	// and as an escape hatch. Disabling it also skips computing/persisting
-	// the max-score tables for fresh builds.
-	DisablePruning bool
 	// MemtableCap bounds the in-memory write buffer: once Ingest has
 	// buffered this many live documents the memtable is flushed into an
 	// immutable segment automatically. 0 means 1024; negative disables
@@ -361,14 +357,15 @@ func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *
 	return st
 }
 
+// pruneOpts is the retrieval option every search path shares: prune
+// wherever the model allows it.
+var pruneOpts = ranking.BatchOptions{Prune: true}
+
 // installTables installs max-score tables for the registered boundable
 // models plus the configured one: fresh builds compute them, images
 // arrive with the ones their writer had and get the rest computed — so
 // pruning works identically whichever way the segment came to be.
 func installTables(cfg Config, idx *index.Index) {
-	if cfg.DisablePruning {
-		return
-	}
 	models := append(ranking.PrecomputableModels(), cfg.Model)
 	if err := ranking.InstallMaxScores(idx, models...); err != nil {
 		// Only reachable through a table/dictionary size mismatch,
@@ -388,18 +385,6 @@ func (e *Engine) Segments() *index.Segmented { return e.cur.Load().segs[0].seg }
 
 // Model returns the engine's weighting model.
 func (e *Engine) Model() ranking.Model { return e.cfg.Model }
-
-// PruningEnabled reports whether retrieval runs with MaxScore dynamic
-// pruning: the config allows it and the base index carries the model's
-// max-score table. The serving layer surfaces this in /stats.
-func (e *Engine) PruningEnabled() bool {
-	return !e.cfg.DisablePruning && ranking.Pruneable(e.Index(), e.cfg.Model)
-}
-
-// batchOpts returns the retrieval options every search path shares.
-func (e *Engine) batchOpts() ranking.BatchOptions {
-	return ranking.BatchOptions{Prune: !e.cfg.DisablePruning}
-}
 
 // NumDocs returns the number of live documents across segments and the
 // write buffer. For a batch-built engine this is the collection size.
@@ -497,7 +482,7 @@ func (e *Engine) searchShard(ctx context.Context, st *state, si int, queries []s
 	}
 	r := e.newRetrieval(st, st.segs[:1], queries)
 	var err error
-	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, e.batchOpts())
+	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, pruneOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -589,7 +574,7 @@ func (e *Engine) retrieve(ctx context.Context, st *state, queries []string, ks [
 	r := e.newRetrieval(st, e.sources(st, mv), queries)
 	if st.quiet(mv) {
 		var err error
-		r.hits, err = ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, r.qToks, ks, e.batchOpts())
+		r.hits, err = ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, r.qToks, ks, pruneOpts)
 		return r, err
 	}
 
@@ -607,7 +592,7 @@ func (e *Engine) retrieve(ctx context.Context, st *state, queries []string, ks [
 	}
 	off := int32(0)
 	for si, src := range r.srcs {
-		res, err := ranking.RetrieveBatchOpts(ctx, src.seg, e.cfg.Model, r.qToks, kp, e.batchOpts())
+		res, err := ranking.RetrieveBatchOpts(ctx, src.seg, e.cfg.Model, r.qToks, kp, pruneOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -5,9 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/index"
+	"repro/internal/ranking"
+	"repro/internal/text"
 )
 
 // shardCorpus is a larger synthetic corpus so shard sweeps get
@@ -128,35 +134,33 @@ func TestSaveLoadKeepsShardManifest(t *testing.T) {
 }
 
 // TestPruningBitIdenticalAndPersisted covers the engine-level MaxScore
-// contract: pruned and exhaustive engines answer identically at every
-// shard count, the max-score tables survive a save/load round trip, and
-// a stream written without tables gets them rebuilt at load time.
+// contract: engines prune at every shard count and answer exactly as
+// exhaustive scoring (ranking.Retrieve) does, the max-score tables survive
+// a save/load round trip, and an index image written without tables gets
+// them computed at load.
 func TestPruningBitIdenticalAndPersisted(t *testing.T) {
 	docs := shardCorpus(80)
-	exhaustive, err := Build(docs, Config{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exhaustive.PruningEnabled() {
-		t.Fatal("DisablePruning engine reports pruning enabled")
-	}
-	if keys := exhaustive.Index().MaxScoreKeys(); len(keys) != 0 {
-		t.Fatalf("DisablePruning build computed tables %v", keys)
-	}
+	analyzer := text.NewAnalyzer()
 	queries := []string{"apple pie recipe", "leopard tank", "apple apple mac", "nosuchterm"}
 	for _, shards := range []int{1, 2, 4, 7} {
 		pruning, err := Build(docs, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pruning.PruningEnabled() {
-			t.Fatalf("shards=%d: pruning not enabled for the default DPH engine", shards)
+		if !ranking.Pruneable(pruning.Index(), pruning.Model()) {
+			t.Fatalf("shards=%d: the default DPH engine cannot prune", shards)
 		}
 		for _, q := range queries {
-			want := exhaustive.Search(q, 20)
 			got := pruning.Search(q, 20)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d q=%q:\n got %+v\nwant %+v", shards, q, got, want)
+			want := ranking.Retrieve(pruning.Index(), pruning.Model(), analyzer.Tokens(q), 20)
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d q=%q: %d results, exhaustive %d", shards, q, len(got), len(want))
+			}
+			for i, h := range want {
+				if got[i].DocID != pruning.Index().DocID(h.Doc) || got[i].Score != h.Score {
+					t.Fatalf("shards=%d q=%q rank %d: got %s %v, exhaustive %s %v",
+						shards, q, i+1, got[i].DocID, got[i].Score, pruning.Index().DocID(h.Doc), h.Score)
+				}
 			}
 		}
 	}
@@ -174,7 +178,7 @@ func TestPruningBitIdenticalAndPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.PruningEnabled() {
+	if !ranking.Pruneable(loaded.Index(), loaded.Model()) {
 		t.Fatal("loaded engine lost pruning")
 	}
 	if !reflect.DeepEqual(loaded.Index().MaxScoreKeys(), built.Index().MaxScoreKeys()) {
@@ -187,21 +191,40 @@ func TestPruningBitIdenticalAndPersisted(t *testing.T) {
 		}
 	}
 
-	// A tableless epoch file (written by a DisablePruning build) rebuilds
-	// its tables on load.
-	var bare bytes.Buffer
-	if err := exhaustive.SaveTo(&bare); err != nil {
-		t.Fatal(err)
+	// An image without tables (an index built outside the engine) gets
+	// them computed when it is opened.
+	b := index.NewBuilder()
+	for _, d := range docs {
+		toks, lens := analyze(analyzer, docText{title: d.Title, body: d.Body}, nil, nil)
+		if err := b.AddFields(d.ID, toks, lens); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rebuilt, err := Load(&bare, Config{})
+	bare := b.BuildSegmented(2)
+	if ranking.Pruneable(bare.Index(), ranking.DPH{}) {
+		t.Fatal("a bare builder's index already carries tables")
+	}
+	path := filepath.Join(t.TempDir(), "bare.ridx7")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rebuilt.PruningEnabled() {
-		t.Fatal("load did not rebuild the missing max-score tables")
+	if _, err := bare.WriteMapped(f, func(d int32) string { return docText{body: docs[d].Body}.payload() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := OpenIndexFile(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if !ranking.Pruneable(rebuilt.Index(), rebuilt.Model()) {
+		t.Fatal("opening did not compute the missing max-score tables")
 	}
 	for _, q := range queries {
-		if !reflect.DeepEqual(rebuilt.Search(q, 20), exhaustive.Search(q, 20)) {
+		if !reflect.DeepEqual(rebuilt.Search(q, 20), built.Search(q, 20)) {
 			t.Fatalf("rebuilt-table engine diverged on %q", q)
 		}
 	}

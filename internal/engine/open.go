@@ -24,7 +24,8 @@ import (
 // Anything else is an error. An index image serves bodies from its
 // payload section when present and empty snippets otherwise. The analyzer
 // and model come from cfg, exactly as for Load, and must match the ones
-// used at build time; cfg.Shards resegments the loaded partition.
+// used at build time; a positive cfg.Shards resegments the loaded
+// partition, 0 keeps the one the file records.
 func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	f, err := os.Open(path)
@@ -69,7 +70,6 @@ func engineAroundIndex(cfg Config, seg *index.Segmented) (*Engine, error) {
 		// even when mapped.
 		seg = seg.Resegment(cfg.Shards)
 	}
-	installTables(cfg, seg.Index())
 	e := &Engine{cfg: cfg}
 	e.cur.Store(freshState(cfg, seg, &mappedDocs{idx: seg.Index()}, 0))
 	// The state took its own reference on the mapping; drop the open one

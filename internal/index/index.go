@@ -351,20 +351,9 @@ func (x *Index) PostingIter(id int32) PostingIterator {
 	return x.iterRange(id, 0, math.MaxInt32)
 }
 
-// LookupPostings returns the statistics and postings of term in one
-// dictionary probe, decoding the list into a fresh allocation per call —
-// evaluators use LookupIter instead and stream block at a time.
-func (x *Index) LookupPostings(term string) (TermStats, []Posting, bool) {
-	id, ok := x.termID(term)
-	if !ok {
-		return TermStats{}, nil, false
-	}
-	pl := &x.plists[id]
-	return TermStats{ID: id, DF: int64(pl.n), CF: x.cf[id]}, pl.materialize(x.unverified), true
-}
-
 // Postings returns the postings of term (nil if absent), decoded into a
-// fresh slice — see LookupPostings.
+// fresh slice; evaluators use LookupIter instead and stream block at a
+// time.
 func (x *Index) Postings(term string) []Posting {
 	id, ok := x.termID(term)
 	if !ok {

@@ -91,13 +91,6 @@ func (m *Memtable) Len() int {
 	return len(m.byID)
 }
 
-// Gen returns the mutation generation counter (monotonic; for tests).
-func (m *Memtable) Gen() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen
-}
-
 // LiveDocs returns the live documents in insertion order — the replay
 // order a flush seals into a segment. The slice is fresh; the MemDoc
 // contents (tokens, payload) are shared and must not be modified.
@@ -137,15 +130,6 @@ func (v *MemView) Ordinal(id string) (int32, bool) {
 	}
 	d, ok := v.byID[id]
 	return d, ok
-}
-
-// Payload returns the payload stored with id, if present.
-func (v *MemView) Payload(id string) (string, bool) {
-	d, ok := v.Ordinal(id)
-	if !ok {
-		return "", false
-	}
-	return v.payloads[d], true
 }
 
 // PayloadAt returns the payload of the view's document number d.

@@ -31,8 +31,8 @@ func TestMemtableLifecycle(t *testing.T) {
 	if !v.Has("b") || v.Has("zz") {
 		t.Fatal("view membership wrong")
 	}
-	if p, ok := v.Payload("c"); !ok || p != "cherry tart" {
-		t.Fatalf("payload(c) = %q, %v", p, ok)
+	if d, ok := v.Ordinal("c"); !ok || v.PayloadAt(d) != "cherry tart" {
+		t.Fatalf("payload of c = %q, %v", v.PayloadAt(d), ok)
 	}
 	if m.View() != v {
 		t.Fatal("unmutated memtable rebuilt its view")
@@ -77,8 +77,9 @@ func TestMemtableLifecycle(t *testing.T) {
 	if got, want := ids(), []string{"c", "a", "b"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("LiveDocs after re-add %v, want %v", got, want)
 	}
-	if p, _ := m.View().Payload("b"); p != "banana bread" {
-		t.Fatalf("re-added payload %q", p)
+	v3 := m.View()
+	if d, _ := v3.Ordinal("b"); v3.PayloadAt(d) != "banana bread" {
+		t.Fatalf("re-added payload %q", v3.PayloadAt(d))
 	}
 }
 

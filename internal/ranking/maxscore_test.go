@@ -30,8 +30,8 @@ func TestMaxScoreTableDominatesPostings(t *testing.T) {
 			t.Fatalf("%s: no table installed", m.Name())
 		}
 		for id := int32(0); id < int32(idx.NumTerms()); id++ {
-			tstats, plist, _ := idx.LookupPostings(idx.Term(id))
-			for _, p := range plist {
+			tstats, _ := idx.Lookup(idx.Term(id))
+			for _, p := range idx.PostingsByID(id) {
 				s := m.TermScore(float64(p.TF), float64(idx.DocLen(p.Doc)), tstats, cstats)
 				if s > table[id] {
 					t.Fatalf("%s term %q: posting score %v exceeds bound %v",

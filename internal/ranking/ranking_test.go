@@ -232,48 +232,6 @@ func TestScoreDocMatchesRetrieve(t *testing.T) {
 	}
 }
 
-func TestNormalizeScores(t *testing.T) {
-	hits := []Hit{{Score: 4}, {Score: 2}, {Score: 1}}
-	norm := NormalizeScores(hits)
-	if norm[0].Score != 1 || norm[1].Score != 0.5 || norm[2].Score != 0.25 {
-		t.Errorf("normalized = %+v", norm)
-	}
-	// Original slice untouched.
-	if hits[0].Score != 4 {
-		t.Error("NormalizeScores mutated input")
-	}
-	if got := NormalizeScores(nil); got != nil {
-		t.Error("nil input mishandled")
-	}
-	zero := []Hit{{Score: 0}}
-	if NormalizeScores(zero)[0].Score != 0 {
-		t.Error("all-zero list changed")
-	}
-}
-
-func TestNormalizeScoresInPlace(t *testing.T) {
-	hits := []Hit{{Score: 4}, {Score: 2}, {Score: 1}}
-	NormalizeScoresInPlace(hits)
-	if hits[0].Score != 1 || hits[1].Score != 0.5 || hits[2].Score != 0.25 {
-		t.Errorf("normalized = %+v", hits)
-	}
-	NormalizeScoresInPlace(nil) // must not panic
-	zero := []Hit{{Score: 0}}
-	NormalizeScoresInPlace(zero)
-	if zero[0].Score != 0 {
-		t.Error("all-zero list changed")
-	}
-	// The copying variant must agree with the in-place one bit for bit.
-	a := []Hit{{Score: 3.7}, {Score: 1.1}, {Score: 2.9}}
-	b := NormalizeScores(a)
-	NormalizeScoresInPlace(a)
-	for i := range a {
-		if a[i].Score != b[i].Score {
-			t.Errorf("variant disagreement at %d: %v != %v", i, a[i].Score, b[i].Score)
-		}
-	}
-}
-
 func TestTermMultiplicitiesFold(t *testing.T) {
 	terms, mults := termMultiplicities([]string{"b", "a", "b", "c", "a", "b"})
 	wantTerms := []string{"a", "b", "c"}

@@ -190,42 +190,3 @@ func ScoreDoc(idx *index.Index, model Model, queryTokens []string, doc int32) fl
 	}
 	return total + model.DocAdjust(float64(idx.DocLen(doc)), len(queryTokens), cstats)
 }
-
-// NormalizeScores maps hit scores to [0,1] by dividing by the maximum
-// score (all-zero lists are returned unchanged). The diversification
-// algorithms consume P(d|q) as a normalized relevance; this is the
-// canonical way the reproduction derives it from retrieval scores. The
-// input is not mutated; callers that own their slice should prefer
-// NormalizeScoresInPlace and skip the copy.
-func NormalizeScores(hits []Hit) []Hit {
-	if len(hits) == 0 {
-		return hits
-	}
-	out := make([]Hit, len(hits))
-	copy(out, hits)
-	NormalizeScoresInPlace(out)
-	return out
-}
-
-// NormalizeScoresInPlace is NormalizeScores without the defensive copy,
-// for callers normalizing a freshly built hit slice they own. (The
-// pipeline's candidate construction normalizes at the engine.Result
-// level instead, after snippets are attached, so it does not come
-// through here.)
-func NormalizeScoresInPlace(hits []Hit) {
-	if len(hits) == 0 {
-		return
-	}
-	max := hits[0].Score
-	for _, h := range hits {
-		if h.Score > max {
-			max = h.Score
-		}
-	}
-	if max <= 0 {
-		return
-	}
-	for i := range hits {
-		hits[i].Score /= max
-	}
-}

@@ -39,6 +39,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/ranking"
 	"repro/internal/suggest"
 	"repro/internal/synth"
 	"repro/internal/text"
@@ -603,7 +604,7 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 		Index: IndexStats{
 			Shards:          seg.NumShards(),
 			DocsPerShard:    seg.ShardSizes(),
-			Pruning:         h.Pipeline.Engine.PruningEnabled(),
+			Pruning:         ranking.Pruneable(seg.Index(), h.Pipeline.Engine.Model()),
 			MaxScoreModels:  seg.Index().MaxScoreKeys(),
 			BlockSize:       storage.BlockSize,
 			Postings:        storage.Postings,

@@ -8,14 +8,14 @@
 //	          → utilities Ũ(d|R_q′) (Definition 2)
 //	          → OptSelect / xQuAD / IASelect → diversified SERP
 //
-// The examples/ directory shows the intended use. The experiment tools
-// (cmd/efficiency, cmd/trecdiv, cmd/utilityfig, cmd/footprint) and the
-// root benchmarks regenerate the paper's tables and figures through this
-// API; the data tools (cmd/loggen, cmd/mine, cmd/buildindex) expose the
-// individual pipeline stages; and the serving stack (cmd/serve backed by
-// internal/server plus ServeHandle, load-tested by cmd/loadgen) runs the
-// same pipeline as a concurrent HTTP service with cached per-query
-// artifacts. cmd/diversify is the interactive command-line front end.
+// The examples/ directory shows the intended use. cmd/repro's
+// subcommands (efficiency, trecdiv, utilityfig; loggen and mine for the
+// log stages; diversify, the interactive front end), cmd/footprint and
+// the root benchmarks regenerate the paper's tables and figures through
+// this API; cmd/buildindex persists the index; and the serving stack
+// (cmd/serve backed by internal/server plus ServeHandle, load-tested by
+// cmd/loadgen) runs the same pipeline as a concurrent HTTP service with
+// cached per-query artifacts.
 package repro
 
 import (

@@ -63,7 +63,8 @@ echo "== building the shared mapped index image"
   -o "$workdir/index.ridx7" 2>&1 | sed 's/^/   /'
 
 start_worker() { # $1=addr ; echoes pid
-  "$workdir/serve" -worker -shards 2 -index "$workdir/index.ridx7" -mmap \
+  # No -shards: a worker serves the 2-shard partition the image records.
+  "$workdir/serve" -worker -index "$workdir/index.ridx7" -mmap \
     -addr "$1" >>"$workdir/log.$1" 2>&1 &
   echo $!
 }
