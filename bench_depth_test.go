@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/synth"
 )
@@ -83,5 +85,47 @@ func BenchmarkRetrievalByClass(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkServeHitByClass times a warm DiversifyServe hit (OptSelect, k =
+// 10) over that world, per query class: topic queries, cycling through
+// every topic, whose cached artifacts hold the aspect index Definition 2
+// is scored through; noise queries, whose cached verdict is "not
+// ambiguous", so the hit is one posting list retrieved k deep; and a mix
+// of the two in head-hot's proportion (about 26 % noise).
+func BenchmarkServeHitByClass(b *testing.B) {
+	p, err := repro.Build(servedWorld())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := p.NewServeHandle(1024, 16)
+	ctx := context.Background()
+	var topics, noise []string
+	for _, t := range p.Testbed.Topics {
+		topics = append(topics, t.Query)
+	}
+	for i := 0; i < 17; i++ {
+		noise = append(noise, synth.NoiseQuery(i))
+	}
+	mix := append(slices.Clip(topics), noise...)
+	for _, q := range mix {
+		if _, _, _, _, err := h.DiversifyServe(ctx, q, core.AlgOptSelect, p.Config.K); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, class := range []struct {
+		name    string
+		queries []string
+	}{{"topic", topics}, {"noise", noise}, {"mix", mix}} {
+		b.Run(class.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := class.queries[i%len(class.queries)]
+				if _, _, hit, _, err := h.DiversifyServe(ctx, q, core.AlgOptSelect, p.Config.K); err != nil || !hit {
+					b.Fatalf("%q: hit %v, err %v", q, hit, err)
+				}
+			}
+		})
 	}
 }

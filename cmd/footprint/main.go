@@ -3,7 +3,10 @@
 // for each specialization, and reports the measured memory footprint
 // against the paper's back-of-the-envelope bound N·|S_q̂|·|R_q̂′|·L —
 // beside what the retrieval tier itself holds: posting storage and the
-// per-document forward index (total, per document, per token).
+// per-document forward index (total, per document, per token). It also
+// sizes what a served artifact keeps for Definition 2, in total and per
+// artifact: the R_q′ result vectors against the aspect index the serving
+// cache stores in their place.
 //
 //	footprint                         # 30 topics, 8000 sessions
 //	footprint -topics 50
@@ -14,10 +17,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/textsim"
 )
 
 // perList is |R_q'|, the surrogates stored per specialization (paper: 20).
@@ -88,6 +94,16 @@ func main() {
 		mappedBytes, float64(mappedBytes)/(1<<20))
 	fmt.Println()
 
+	a := measureArtifacts(pipe)
+	fmt.Println("== served artifacts: what Definition 2 reads of R_q' ==")
+	fmt.Printf("artifacts (ambiguous queries):      %d (%d results, %d postings)\n", a.artifacts, a.results, a.postings)
+	fmt.Printf("R_q' surrogate vectors:             %d B (%.0f B per artifact, %.2f B/posting)\n",
+		a.vectors, a.per(a.vectors), float64(a.vectors)/float64(max(a.postings, 1)))
+	fmt.Printf("aspect index:                       %d B (%.0f B per artifact, %.2f B/posting)\n",
+		a.aspects, a.per(a.aspects), float64(a.aspects)/float64(max(a.postings, 1)))
+	fmt.Printf("index / vectors:                    %.3f\n", float64(a.aspects)/float64(max(a.vectors, 1)))
+	fmt.Println()
+
 	f := store.ComputeFootprint()
 	fmt.Println("== §4.1 feasibility: surrogate-store footprint ==")
 	fmt.Printf("ambiguous queries mined (N):        %d (of %d topics)\n", f.AmbiguousQueries, len(pipe.Testbed.Topics))
@@ -101,4 +117,69 @@ func main() {
 	} else {
 		fmt.Println("WARNING: measured usage exceeds the paper's bound")
 	}
+}
+
+// artifactBytes compares the two forms a served artifact can keep its
+// R_q' lists' vectors in: one vector per result, or the one aspect index
+// the serving cache builds instead. Both are live-heap deltas after a
+// collection, so allocator size classes count as the cache pays them.
+type artifactBytes struct {
+	artifacts, results, postings int
+	vectors, aspects             uint64
+}
+
+func (a artifactBytes) per(total uint64) float64 {
+	return float64(total) / float64(max(a.artifacts, 1))
+}
+
+// measureArtifacts builds every ambiguous topic query's R_q' lists (the
+// reference route's vectors, bit-identical to the served ones), then
+// measures the heap an aspect index of each adds and the heap dropping
+// the vectors frees.
+func measureArtifacts(pipe *repro.Pipeline) artifactBytes {
+	var a artifactBytes
+	var lists [][]core.Specialization
+	for _, topic := range pipe.Testbed.Topics {
+		if specs := pipe.DetectSpecializations(topic.Query); len(specs) > 0 {
+			lists = append(lists, pipe.BuildProblem(topic.Query, specs).Specs)
+		}
+	}
+	a.artifacts = len(lists)
+	for _, specs := range lists {
+		for _, s := range specs {
+			for _, r := range s.Results {
+				a.results++
+				if r.IVec.Norm() != 0 {
+					a.postings += r.IVec.Len()
+				}
+			}
+		}
+	}
+	indexes := make([]*core.AspectIndex, len(lists))
+	before := liveHeap()
+	for i, specs := range lists {
+		indexes[i] = core.NewAspectIndex(specs)
+	}
+	withBoth := liveHeap()
+	for _, specs := range lists {
+		for j := range specs {
+			for r := range specs[j].Results {
+				specs[j].Results[r].IVec = textsim.IVector{}
+			}
+		}
+	}
+	a.aspects, a.vectors = withBoth-before, withBoth-liveHeap()
+	runtime.KeepAlive(indexes)
+	runtime.KeepAlive(lists)
+	return a
+}
+
+// liveHeap is the heap in use once garbage, and what sync.Pools hold over
+// one collection, is gone.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -37,9 +37,13 @@ type SpecBounds struct {
 
 type specRef struct{ j, r uint16 }
 
-// NewSpecBounds computes the bounds of a specialization set. The results
-// must carry their surrogate vectors.
-func NewSpecBounds(specs []Specialization) *SpecBounds {
+// Bounds computes the bounds of the specialization set ix was built from;
+// the results need not carry their vectors any more. ρ* is summed term by
+// term in ascending term order, so the same lists give the same bits
+// every time.
+func (ix *AspectIndex) Bounds(specs []Specialization) *SpecBounds {
+	sc := utilScratchPool.Get().(*utilScratch)
+	defer utilScratchPool.Put(sc)
 	b := &SpecBounds{rho: math.Inf(1)}
 	for j := range specs {
 		if specs[j].Prob < 0 {
@@ -50,10 +54,14 @@ func NewSpecBounds(specs []Specialization) *SpecBounds {
 	// ρ* holds while every weight is non-negative (and the pairs fit a
 	// specRef); ceil needs only the probabilities to be.
 	rhoHolds := len(specs) <= math.MaxUint16
-	sum := map[int32]float64{} // Σ_j P_j/H_j · Σ_r d̂_r/rank_r, by term
+	// scale[cell] = P_j/H_j/rank_r/‖d_r‖: d̂_r's coefficient in
+	// Σ_j P_j/H_j · Σ_r d̂_r/rank_r.
+	scale := resize(sc.acc, len(ix.norms))
+	sc.acc = scale
+	b.members = make([]specRef, 0, len(ix.norms)) // a cell per result, and padding
 	for j := range specs {
 		spec := &specs[j]
-		h := stats.Harmonic(len(spec.Results))
+		h := ix.h[j]
 		if h == 0 {
 			continue // ScoreInto gives an empty list utility 0
 		}
@@ -62,24 +70,29 @@ func NewSpecBounds(specs []Specialization) *SpecBounds {
 		// similarity at 1, so rounding cannot put a real utility above it.
 		top := 0.0
 		for r := range spec.Results {
-			dr := &spec.Results[r]
-			rank := resultRank(dr, r)
+			rank := resultRank(&spec.Results[r], r)
 			top += 1 / float64(rank)
 			if !rhoHolds {
 				continue
 			}
 			b.members = append(b.members, specRef{uint16(j), uint16(r)})
-			if dr.IVec.Norm() == 0 {
-				continue
-			}
-			scale := spec.Prob / h / float64(rank) / dr.IVec.Norm()
-			for t, id := range dr.IVec.IDs {
-				w := dr.IVec.Weights[t]
-				rhoHolds = rhoHolds && w >= 0
-				sum[id] += scale * w
+			if n := ix.norms[j*ix.stride+r]; n != 0 {
+				scale[j*ix.stride+r] = spec.Prob / h / float64(rank) / n
 			}
 		}
 		b.ceil += spec.Prob * (top / h)
+	}
+	ss := 0.0
+	for ti := 0; rhoHolds && ti < len(ix.terms); ti++ {
+		v := 0.0 // the term's component, summed in the index's run order
+		for x := ix.termRuns[ti]; x < ix.termRuns[ti+1]; x++ {
+			w := ix.runWeight[x]
+			rhoHolds = rhoHolds && w >= 0
+			for _, c := range ix.cells[ix.runCells[x]:ix.runCells[x+1]] {
+				v += scale[c] * w
+			}
+		}
+		ss += v * v
 	}
 	if !rhoHolds {
 		b.members = nil
@@ -88,10 +101,6 @@ func NewSpecBounds(specs []Specialization) *SpecBounds {
 	sort.Slice(b.members, func(x, y int) bool {
 		return b.id(specs, x) < b.id(specs, y)
 	})
-	ss := 0.0
-	for _, v := range sum {
-		ss += v * v
-	}
 	b.rho = math.Sqrt(ss)
 	return b
 }

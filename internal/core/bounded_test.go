@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -142,6 +144,12 @@ func boundedProblem(rng *rand.Rand, sh boundedShape) *Problem {
 	return p
 }
 
+// specBounds is the SpecBounds of a list set as the serving cache builds
+// them: through the lists' aspect index.
+func specBounds(specs []Specialization) *SpecBounds {
+	return NewAspectIndex(specs).Bounds(specs)
+}
+
 // boundedVsFull runs both selections on p — the bounded one over a copy
 // whose candidates get their vectors through vec, as the serving route's
 // do — and fails unless they agree exactly. It returns how many
@@ -157,7 +165,7 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 		lazy.Candidates[i] = d
 	}
 	built := 0
-	got, evaluated, err := OptSelectBounded(context.Background(), &lazy, NewSpecBounds(lazy.Specs),
+	got, evaluated, err := OptSelectBounded(context.Background(), &lazy, specBounds(lazy.Specs),
 		func(i int) (textsim.IVector, error) { built++; return p.Candidates[i].IVec, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -170,10 +178,26 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 			evaluated, len(p.Candidates), want, got)
 	}
 	// Vectors already on the candidates (vec nil) is the same selection.
-	eager, again, err := OptSelectBounded(context.Background(), p, NewSpecBounds(p.Specs), nil)
+	eager, again, err := OptSelectBounded(context.Background(), p, specBounds(p.Specs), nil)
 	if err != nil || again != evaluated || !reflect.DeepEqual(eager, want) {
 		t.Fatalf("vec=nil: evaluated %d (lazy pass %d), err %v, equal %v", again, evaluated, err, reflect.DeepEqual(eager, want))
 	}
+	// So is the artifact form — result vectors dropped, one aspect index
+	// and its bounds built before — shared by 8 selections at once.
+	art := artifactForm(p)
+	b := art.Aspects.Bounds(art.Specs)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, n, err := OptSelectBounded(context.Background(), art, b, nil)
+			if err != nil || n != evaluated || !reflect.DeepEqual(got, want) {
+				t.Errorf("artifact form: evaluated %d (lazy pass %d), err %v, equal %v", n, evaluated, err, reflect.DeepEqual(got, want))
+			}
+		}()
+	}
+	wg.Wait()
 	return evaluated
 }
 
@@ -257,7 +281,7 @@ func TestSpecBoundsHold(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		sh := randomShape(rng)
 		p := boundedProblem(rng, sh)
-		b := NewSpecBounds(p.Specs)
+		b := specBounds(p.Specs)
 		if sh.negative && b.rho < b.ceil {
 			t.Fatalf("trial %d: ρ* = %v stays on over a negative weight", trial, b.rho)
 		}
@@ -269,6 +293,28 @@ func TestSpecBoundsHold(t *testing.T) {
 			}
 			if ub := b.lambdaTerm(p.Specs, d.ID); sum > ub*(1+1e-12) {
 				t.Fatalf("trial %d candidate %d (%s): λ-term %v over its bound %v (ρ* %v, ceiling %v)", trial, i, d.ID, sum, ub, b.rho, b.ceil)
+			}
+		}
+	}
+}
+
+// TestSpecBoundsDeterministic: ρ* is summed over terms in ascending order,
+// so the bounds of the same lists — through a rebuilt aspect index or the
+// same one — have the same bits every time. (Summed in a map's iteration
+// order, 5 lists of 20 changed their last bit within 50 rebuilds.)
+func TestSpecBoundsDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := aspectProblem(rng, 5, 20, 1, 16) // IDF weights
+		want := specBounds(p.Specs)
+		if math.IsInf(want.rho, 1) {
+			t.Fatalf("seed %d: ρ* is off", seed)
+		}
+		ix := NewAspectIndex(p.Specs)
+		for i := 0; i < 50; i++ {
+			if !sameBounds(t, fmt.Sprintf("seed %d, rebuild %d", seed, i), specBounds(p.Specs), want) ||
+				!sameBounds(t, fmt.Sprintf("seed %d, index %d", seed, i), ix.Bounds(p.Specs), want) {
+				break
 			}
 		}
 	}
@@ -322,7 +368,7 @@ func (c *pollBudget) Err() error {
 func TestBoundedOptSelectCancellation(t *testing.T) {
 	// Flat relevance: nothing is skipped, so the walk polls n/64 times.
 	p := boundedProblem(rand.New(rand.NewSource(24)), boundedShape{n: 400, specs: 3, perSpec: 8, k: 10, lambda: 0.15, rel: "flat"})
-	b := NewSpecBounds(p.Specs)
+	b := specBounds(p.Specs)
 	want := OptSelect(p, ComputeUtilities(p))
 
 	canceled, completed := 0, 0

@@ -9,7 +9,8 @@
 // All algorithms consume the same Problem and the same precomputed
 // Utilities, so efficiency comparisons time exactly the selection logic
 // the paper's Table 2 measures. A Problem arrives with every surrogate
-// vector built (Doc.IVec, SpecResult.IVec); the algorithms only read it.
+// vector built (Doc.IVec, and SpecResult.IVec or the AspectIndex built
+// from them); the algorithms only read it.
 package core
 
 import (
@@ -37,7 +38,9 @@ type Doc struct {
 type SpecResult struct {
 	ID   string
 	Rank int // 1-based rank in R_q′
-	// IVec is the surrogate vector of the result; see Doc.IVec.
+	// IVec is the surrogate vector of the result; see Doc.IVec. It is the
+	// input form: once an AspectIndex holds the vectors (Problem.Aspects),
+	// it may be empty.
 	IVec textsim.IVector
 }
 
@@ -55,6 +58,11 @@ type Problem struct {
 	Query      string
 	Candidates []Doc
 	Specs      []Specialization
+	// Aspects, when set, is NewAspectIndex(Specs) built while the results
+	// still had their vectors: Definition 2 then reads the vectors from
+	// it, and Specs' IVecs may be empty. Nil means the utilities are
+	// computed from the IVecs.
+	Aspects *AspectIndex
 	// K is the size of the diversified result set S.
 	K int
 	// Lambda is the relevance/diversity mixing parameter λ ∈ [0,1] of

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sync"
-
-	"repro/internal/stats"
-)
+import "sync"
 
 // Utilities holds the precomputed normalized utilities of Definition 2 and
 // the overall per-document scores of Equation (9). Building it costs
@@ -39,120 +34,42 @@ type Utilities struct {
 // when it is below a given threshold c".
 //
 // The cosines are evaluated with accumulator scoring over the surrogate
-// vectors: per specialization, a tiny inverted index over the R_q′
-// surrogates is built once, and each candidate is scored against all of a
-// specialization's results in a single pass over the candidate's terms —
-// one posting traversal instead of |R_q′| merge joins. Per-pair dot
-// products accumulate in ascending term-ID order, exactly the order of a
-// pairwise IVector.Cosine merge, so the matrix is bit-identical to the
-// per-pair one (see the differential tests).
+// vectors: one inverted index over all R_q′ surrogates (AspectIndex) is
+// built once — per artifact on the serving route, per call otherwise —
+// and each candidate is scored against every result of every
+// specialization in a single pass over the candidate's terms, instead of
+// |S_q|·|R_q′| merge joins. Per-pair dot products accumulate in ascending
+// term-ID order, exactly the order of a pairwise IVector.Cosine merge, so
+// the matrix is bit-identical to the per-pair one (see the differential
+// tests).
 func ComputeUtilities(p *Problem) *Utilities {
 	u := &Utilities{}
 	computeUtilitiesInto(p, u)
 	return u
 }
 
-// specPosting is one (term, result, weight) triple while a specialization
-// index is being built.
-type specPosting struct {
-	id int32
-	r  int32
-	w  float64
-}
-
-// specIndex is the per-specialization inverted index over the R_q′
-// surrogate vectors: for each term ID (sorted ascending), the results it
-// occurs in and its weight there, flattened into parallel arrays.
-type specIndex struct {
-	termIDs []int32
-	starts  []int32 // len(termIDs)+1 offsets into postRes/postW
-	postRes []int32
-	postW   []float64
-}
-
-// build (re)fills the index from a result list, reusing posts as the
-// triple scratch buffer and returning it (possibly regrown).
-func (si *specIndex) build(results []SpecResult, posts []specPosting) []specPosting {
-	posts = posts[:0]
-	for r := range results {
-		iv := &results[r].IVec
-		for t, id := range iv.IDs {
-			posts = append(posts, specPosting{id: id, r: int32(r), w: iv.Weights[t]})
-		}
-	}
-	slices.SortFunc(posts, func(a, b specPosting) int {
-		if a.id != b.id {
-			return int(a.id) - int(b.id)
-		}
-		return int(a.r) - int(b.r)
-	})
-	si.termIDs = si.termIDs[:0]
-	si.starts = si.starts[:0]
-	si.postRes = si.postRes[:0]
-	si.postW = si.postW[:0]
-	for pi := range posts {
-		if len(si.termIDs) == 0 || posts[pi].id != si.termIDs[len(si.termIDs)-1] {
-			si.termIDs = append(si.termIDs, posts[pi].id)
-			si.starts = append(si.starts, int32(len(si.postRes)))
-		}
-		si.postRes = append(si.postRes, posts[pi].r)
-		si.postW = append(si.postW, posts[pi].w)
-	}
-	si.starts = append(si.starts, int32(len(si.postRes)))
-	return posts
-}
-
 // utilScratch is the pooled per-call working set of computeUtilitiesInto:
-// the specialization indexes, the triple buffer they are built through,
-// the per-result dot-product accumulator, the per-spec normalizers, and
-// OptSelectBounded's suffix maxima of relevance. Pooling it makes utility
-// computation allocation-free in steady state on the serving path.
+// the aspect index of a problem that brings none and its sort buffer, the
+// per-cell dot-product accumulator, and OptSelectBounded's suffix maxima
+// of relevance. Pooling it makes utility computation allocation-free in
+// steady state on the serving path.
 type utilScratch struct {
-	specs  []specIndex
-	posts  []specPosting
+	ix     AspectIndex
+	sort   aspectSort
 	acc    []float64
-	norm   []float64
 	relMax []float64
 }
 
 var utilScratchPool = sync.Pool{New: func() any { return new(utilScratch) }}
 
-// prepare sizes the scratch for p and builds the per-spec indexes.
-func (sc *utilScratch) prepare(p *Problem) {
-	s := len(p.Specs)
-	if cap(sc.specs) < s {
-		sc.specs = make([]specIndex, s)
-	} else {
-		sc.specs = sc.specs[:s]
-	}
-	if cap(sc.norm) < s {
-		sc.norm = make([]float64, s)
-	} else {
-		sc.norm = sc.norm[:s]
-	}
-	maxResults := 0
-	for j := range p.Specs {
-		results := p.Specs[j].Results
-		sc.posts = sc.specs[j].build(results, sc.posts)
-		sc.norm[j] = stats.Harmonic(len(results))
-		if len(results) > maxResults {
-			maxResults = len(results)
-		}
-	}
-	if cap(sc.acc) < maxResults {
-		sc.acc = make([]float64, maxResults)
-	} else {
-		sc.acc = sc.acc[:maxResults]
-	}
-}
-
 // UtilityScorer evaluates Definition 2 one candidate at a time — the
 // streaming form of ComputeUtilities the fused execution plan uses to
 // score candidates as the retrieval scan materializes them, instead of in
-// a separate pass over a completed candidate list. The per-specialization
-// inverted indexes are built once at construction; ScoreInto then runs
-// exactly the inner loop of the batch path, so a matrix assembled row by
-// row through a scorer is bit-identical to ComputeUtilities output.
+// a separate pass over a completed candidate list. The aspect index is
+// the problem's own (Problem.Aspects) or built once at construction;
+// ScoreInto then runs exactly the inner loop of the batch path, so a
+// matrix assembled row by row through a scorer is bit-identical to
+// ComputeUtilities output.
 //
 // A scorer borrows pooled scratch; Close returns it. The scorer reads only
 // p.Specs (which must not change while it is alive) — candidates may be
@@ -160,64 +77,75 @@ func (sc *utilScratch) prepare(p *Problem) {
 // the fused operator streams them in.
 type UtilityScorer struct {
 	p  *Problem
+	ix *AspectIndex
 	sc *utilScratch
 }
 
 // NewUtilityScorer prepares a streaming scorer for the problem's
-// specializations.
+// specializations: over p.Aspects when the problem carries one, else over
+// an index of the results' IVecs built into pooled scratch.
 func NewUtilityScorer(p *Problem) *UtilityScorer {
 	sc := utilScratchPool.Get().(*utilScratch)
-	sc.prepare(p)
-	return &UtilityScorer{p: p, sc: sc}
+	ix := p.Aspects
+	if ix == nil {
+		ix = &sc.ix
+		ix.build(p.Specs, &sc.sort)
+	} else if len(ix.h) != len(p.Specs) {
+		panic("core: Problem.Aspects was not built from Problem.Specs")
+	}
+	sc.acc = resize(sc.acc, len(ix.norms))
+	return &UtilityScorer{p: p, ix: ix, sc: sc}
 }
 
 // ScoreInto fills row (length |S_q|) with the thresholded utilities
 // Ũ(d|R_q′_j) of one candidate and returns its overall score (Equation
 // (9)). d.IVec must share a lexicon with the specialization results.
 func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
-	p, sc := us.p, us.sc
-	cids := d.IVec.IDs
-	cw := d.IVec.Weights
+	p, ix := us.p, us.ix
+	acc := us.sc.acc
+	clear(acc)
+	// One pass of the candidate's terms through the aspect index scores
+	// it against every result of every R_q′ at once. A cell's
+	// contributions arrive in ascending term order, as in a pairwise merge.
+	cids, cw := d.IVec.IDs, d.IVec.Weights
+	ti := 0
+	for ci := 0; ci < len(cids) && ti < len(ix.terms); ci++ {
+		id := cids[ci]
+		if ix.terms[ti] < id {
+			if ti = gallop(ix.terms, ti, id); ti == len(ix.terms) {
+				break
+			}
+		}
+		if ix.terms[ti] != id {
+			continue
+		}
+		w := cw[ci]
+		for x := ix.termRuns[ti]; x < ix.termRuns[ti+1]; x++ {
+			v := w * ix.runWeight[x]
+			for _, c := range ix.cells[ix.runCells[x]:ix.runCells[x+1]] {
+				acc[c] += v
+			}
+		}
+		ti++
+	}
 	dn := d.IVec.Norm()
 	for j := range p.Specs {
 		spec := &p.Specs[j]
-		if len(spec.Results) == 0 || sc.norm[j] == 0 {
+		if len(spec.Results) == 0 || ix.h[j] == 0 {
 			row[j] = 0
 			continue
 		}
-		si := &sc.specs[j]
-		acc := sc.acc[:len(spec.Results)]
-		for r := range acc {
-			acc[r] = 0
-		}
-		// One merge of the candidate's terms against the spec index
-		// scores the candidate against every result of R_q′ at once.
-		ci, ti := 0, 0
-		for ci < len(cids) && ti < len(si.termIDs) {
-			switch {
-			case cids[ci] == si.termIDs[ti]:
-				w := cw[ci]
-				for pi := si.starts[ti]; pi < si.starts[ti+1]; pi++ {
-					acc[si.postRes[pi]] += w * si.postW[pi]
-				}
-				ci++
-				ti++
-			case cids[ci] < si.termIDs[ti]:
-				ci++
-			default:
-				ti++
-			}
-		}
+		cells := j * ix.stride
 		sum := 0.0
 		for r := range spec.Results {
 			dr := &spec.Results[r]
 			var sim float64
 			if dr.ID == d.ID {
 				sim = 1 // δ(d,d) = 0
-			} else if dn != 0 && dr.IVec.Norm() != 0 {
+			} else if rn := ix.norms[cells+r]; dn != 0 && rn != 0 {
 				// Same operation order as textsim cosine: merged dot,
 				// then one division by the norm product, then clamp.
-				c := acc[r] / (dn * dr.IVec.Norm())
+				c := acc[cells+r] / (dn * rn)
 				if c > 1 {
 					c = 1
 				}
@@ -231,7 +159,7 @@ func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
 			}
 			sum += sim / float64(resultRank(dr, r))
 		}
-		util := sum / sc.norm[j]
+		util := sum / ix.h[j]
 		if util < p.Threshold {
 			util = 0
 		}

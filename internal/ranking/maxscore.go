@@ -44,9 +44,13 @@ import (
 //     term order — the exhaustive evaluator's exact float addition
 //     sequence — from the per-term contributions recorded while probing;
 //   - documents arrive in ascending document order, so every candidate
-//     loses score ties against everything already in the heap, and a
-//     candidate whose (slack-inflated, see msSlack) bound does not
-//     exceed the threshold can be dropped even on equality.
+//     loses score ties against everything already in the heap: a
+//     candidate whose bound does not exceed the threshold can be
+//     dropped, and the scan can end, on equality. The bound is inflated
+//     by msSlack wherever it is a sum of several lists' bounds, since
+//     float addition in another order may round past it; with one live
+//     list it is used as it is (see msSlack), so a settled one-term
+//     top-k stops the moment its heap holds k documents at the bound.
 
 // msCursor is one query term's traversal state in the MaxScore
 // evaluator. The iterator owns pooled decode scratch; maxscoreTopK takes
@@ -75,14 +79,24 @@ type msCursor struct {
 }
 
 // msSlack returns the multiplicative safety factor applied to pruning
-// bounds. Floating-point sums are order-sensitive: the exhaustive
-// evaluator accumulates contributions in sorted term order while the
-// bound sums upper bounds in bound order, so the two can disagree by a
-// few ulps. Inflating the (nonnegative) bound by a handful of machine
-// epsilons per list guarantees bound >= exhaustive score, keeping the
-// pruning exact; the slack is ~1e-15 relative, far too small to cost
-// pruning power.
+// bounds over nLists live lists. Floating-point sums are order-sensitive:
+// the exhaustive evaluator accumulates contributions in sorted term order
+// while the bound sums upper bounds in bound order, so the two can
+// disagree by a few ulps. Inflating the (nonnegative) bound by a handful
+// of machine epsilons per list guarantees bound >= exhaustive score,
+// keeping the pruning exact; the slack is ~1e-15 relative, far too small
+// to cost pruning power.
+//
+// One list needs none: no sum is reassociated. A document's score is
+// 0 + mult·s (plus a zero DocAdjust) and the bound is mult·max s, and
+// rounding a product is monotone in s, so every score is at most the
+// bound exactly. A threshold equal to the bound then ends the scan —
+// which the slack would forbid, leaving a list of equal top scores to be
+// walked to its end.
 func msSlack(nLists int) float64 {
+	if nLists == 1 {
+		return 1
+	}
 	const eps = 2.220446049250313e-16 // 2^-52
 	return 1 + float64(nLists+2)*8*eps
 }

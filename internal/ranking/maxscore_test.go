@@ -1,9 +1,12 @@
 package ranking
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -158,6 +161,65 @@ func TestRetrievePrunedTiesAndEdgeCases(t *testing.T) {
 	}
 	if got := retrievePruned(t, idx, BM25{}, []string{"zzz-unindexed"}, 5); got != nil {
 		t.Error("unknown-term query returned hits")
+	}
+
+	// A settled one-term top-k: every fourth of 1 600 documents is the same
+	// text, so the term's 400 postings (25 blocks of 16) all score the
+	// list's bound. Once a shard's heap holds k of them its threshold is
+	// the bound, every later posting loses the tie on document number, and
+	// the scan must stop: at most the blocks holding the shard's first k
+	// postings are decoded, plus the one the last advance steps into.
+	const block = 16
+	b := index.NewBuilder()
+	b.SetBlockSize(block)
+	for i := 0; i < 1600; i++ {
+		text := "other content entirely"
+		if i%4 == 0 {
+			text = "same words here"
+		}
+		if err := b.Add(fmt.Sprintf("tie%04d", i), strings.Fields(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ties := b.Build()
+	installTables(t, ties)
+	q := []string{"same"}
+	st, _ := ties.Lookup("same")
+	postings := ties.PostingsByID(st.ID)
+	if len(postings) < 20*block {
+		t.Fatalf("the tied list spans %d postings, want ≥ 20 blocks", len(postings))
+	}
+	for _, m := range []Model{BM25{}, DPH{}, TFIDF{}} {
+		for _, shards := range []int{1, 4} {
+			seg := index.SegmentIndex(ties, shards)
+			for _, k := range []int{1, 10, 100} {
+				want := Retrieve(ties, m, q, k)
+				if len(want) != k {
+					t.Fatalf("%s k=%d: the oracle finds %d hits", m.Name(), k, len(want))
+				}
+				before, _ := index.BlockIOStats()
+				got, err := retrieveOne(context.Background(), seg, m, q, k, BatchOptions{Prune: true})
+				after, _ := index.BlockIOStats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hitsBitIdentical(got, want) {
+					t.Fatalf("%s shards=%d k=%d settled ties: got %+v want %+v", m.Name(), shards, k, got, want)
+				}
+				limit := 0
+				for si := 0; si < shards; si++ {
+					lo, hi := seg.Shard(si).DocRange()
+					first, _ := slices.BinarySearchFunc(postings, lo, func(p index.Posting, d int32) int { return cmp.Compare(p.Doc, d) })
+					end, _ := slices.BinarySearchFunc(postings, hi, func(p index.Posting, d int32) int { return cmp.Compare(p.Doc, d) })
+					if last := min(first+k, end) - 1; last >= first {
+						limit += last/block - first/block + 1 + 1
+					}
+				}
+				if decoded := after - before; decoded > int64(limit) {
+					t.Errorf("%s shards=%d k=%d: %d blocks decoded of %d, want ≤ %d", m.Name(), shards, k, decoded, len(postings)/block, limit)
+				}
+			}
+		}
 	}
 }
 

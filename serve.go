@@ -18,19 +18,24 @@ import (
 )
 
 // queryArtifacts is what the serving cache stores per normalized query:
-// the outcome of Algorithm 1 and the R_q′ surrogate lists of every
-// detected specialization — everything that is query-dependent but
+// the outcome of Algorithm 1 and the R_q′ lists of every detected
+// specialization — everything that is query-dependent but
 // request-independent. A nil Specs means the query was detected as
 // unambiguous; caching that verdict is just as valuable, since it skips
 // the recommender walk on every repeat. Cached artifacts are shared
 // across concurrent requests and must never be mutated.
 type queryArtifacts struct {
-	Specs     []suggest.Specialization
+	Specs []suggest.Specialization
+	// SpecLists keep each result's ID and rank; their surrogate vectors
+	// live in Aspects only.
 	SpecLists []core.Specialization
+	// Aspects is the one inverted index Definition 2 scores every
+	// candidate through, built once here instead of per request. It
+	// replaces the result vectors rather than sitting beside them: the
+	// benchmark holds live heap to 2 %, and both would not fit.
+	Aspects *core.AspectIndex
 	// Bounds is what the bounded OptSelect knows about SpecLists before a
-	// candidate has a vector (nil with no specializations). A few hundred
-	// bytes: the benchmark holds live heap to 2 %, and a per-artifact map,
-	// or the spec index Definition 2 is scored through, would not fit.
+	// candidate has a vector (nil with no specializations).
 	Bounds *core.SpecBounds
 }
 
@@ -199,6 +204,7 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 		}
 	}
 	problem := p.newProblem(norm, candidatesOf(rq.Lists[0]), art.SpecLists)
+	problem.Aspects = art.Aspects
 	if k > 0 {
 		problem.K = k
 	}
@@ -385,6 +391,12 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 		}
 		art.SpecLists[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 	}
-	art.Bounds = core.NewSpecBounds(art.SpecLists)
+	art.Aspects = core.NewAspectIndex(art.SpecLists)
+	art.Bounds = art.Aspects.Bounds(art.SpecLists)
+	for i := range art.SpecLists {
+		for j := range art.SpecLists[i].Results {
+			art.SpecLists[i].Results[j].IVec = textsim.IVector{}
+		}
+	}
 	return art, sc.Info.Degraded, nil
 }
