@@ -31,6 +31,17 @@ func servedWorld() repro.Config {
 	}
 }
 
+// deepWorld is the world of the serving benchmark's deep-serp workload
+// (seed 1): 8 topics of 5 subtopics, 350 documents per subtopic and 300
+// generic ones per topic, 4 000 noise documents, |R_q| = 1 000, k = 100.
+func deepWorld() repro.Config {
+	c := servedWorld()
+	c.Corpus.NumTopics, c.Corpus.MinSubtopics, c.Corpus.MaxSubtopics = 8, 5, 5
+	c.Corpus.DocsPerSubtopic, c.Corpus.GenericDocsPerTopic, c.Corpus.NoiseDocs = 350, 300, 4000
+	c.NumCandidates, c.K = 1000, 100
+	return c
+}
+
 // BenchmarkBuild times repro.Build over that world: most of what the
 // serving benchmark reports as setup_s.
 func BenchmarkBuild(b *testing.B) {
@@ -93,7 +104,10 @@ func BenchmarkRetrievalByClass(b *testing.B) {
 // every topic, whose cached artifacts hold the aspect index Definition 2
 // is scored through; noise queries, whose cached verdict is "not
 // ambiguous", so the hit is one posting list retrieved k deep; and a mix
-// of the two in head-hot's proportion (about 26 % noise).
+// of the two in head-hot's proportion (about 26 % noise). The deep class
+// cycles through the topics of deepWorld at its k = 100 over 1 000
+// candidates, where building the evaluated candidates' surrogate vectors
+// is the largest cost.
 func BenchmarkServeHitByClass(b *testing.B) {
 	p, err := repro.Build(servedWorld())
 	if err != nil {
@@ -118,14 +132,37 @@ func BenchmarkServeHitByClass(b *testing.B) {
 		name    string
 		queries []string
 	}{{"topic", topics}, {"noise", noise}, {"mix", mix}} {
-		b.Run(class.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := class.queries[i%len(class.queries)]
-				if _, _, hit, _, err := h.DiversifyServe(ctx, q, core.AlgOptSelect, p.Config.K); err != nil || !hit {
-					b.Fatalf("%q: hit %v, err %v", q, hit, err)
+		b.Run(class.name, func(b *testing.B) { serveHits(b, h, class.queries, p.Config.K) })
+	}
+
+	var deep *repro.ServeHandle
+	var deepTopics []string
+	b.Run("deep", func(b *testing.B) {
+		if deep == nil {
+			dp, err := repro.Build(deepWorld())
+			if err != nil {
+				b.Fatal(err)
+			}
+			deep = dp.NewServeHandle(1024, 16)
+			for _, t := range dp.Testbed.Topics {
+				deepTopics = append(deepTopics, t.Query)
+				if _, _, _, _, err := deep.DiversifyServe(ctx, t.Query, core.AlgOptSelect, dp.Config.K); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
+			b.ResetTimer()
+		}
+		serveHits(b, deep, deepTopics, deepWorld().K)
+	})
+}
+
+// serveHits times b.N warm DiversifyServe hits cycling through queries.
+func serveHits(b *testing.B, h *repro.ServeHandle, queries []string, k int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if _, _, hit, _, err := h.DiversifyServe(context.Background(), q, core.AlgOptSelect, k); err != nil || !hit {
+			b.Fatalf("%q: hit %v, err %v", q, hit, err)
+		}
 	}
 }

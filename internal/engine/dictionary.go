@@ -65,7 +65,8 @@ func (e *Engine) Dictionary() Dictionary {
 // Vector counts a bag of base term numbers — one entry per occurrence,
 // ascending, each below Fingerprint.Terms — into its IDF-weighted
 // surrogate vector: IVectorOfText of any text that analyzes to those
-// terms, bit for bit.
-func (d Dictionary) Vector(terms []int32) textsim.IVector {
-	return d.idf.InternSorted(terms, nil)
+// terms, bit for bit. The vector is carved out of slab (nil: allocated on
+// its own).
+func (d Dictionary) Vector(terms []int32, slab *textsim.Slab) textsim.IVector {
+	return d.idf.InternSorted(terms, nil, slab)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/textsim"
 )
 
 // TestDictionaryFingerprint: the fingerprint names the base dictionary —
@@ -59,6 +61,7 @@ func TestDictionaryVector(t *testing.T) {
 	dict := e.Dictionary()
 	ctx := context.Background()
 	seen := 0
+	var slab textsim.Slab
 	for si := 0; si < 2; si++ {
 		sh, err := e.SearchShard(ctx, si, []string{"leopard apple"}, []int{0})
 		if err != nil {
@@ -69,8 +72,11 @@ func TestDictionaryVector(t *testing.T) {
 		}
 		err = sh.Each(ctx, 0, true, func(h *ShardHit) {
 			seen++
-			if got, want := dict.Vector(h.Terms), e.IVectorOfText(h.Snippet()); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Vector(terms) = %+v, IVectorOfText(%q) = %+v", h.DocID, got, h.Snippet(), want)
+			want := e.IVectorOfText(h.Snippet())
+			for _, slab := range []*textsim.Slab{nil, &slab} {
+				if got := dict.Vector(h.Terms, slab); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Vector(terms) = %+v, IVectorOfText(%q) = %+v", h.DocID, got, h.Snippet(), want)
+				}
 			}
 		})
 		if err != nil {

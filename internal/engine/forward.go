@@ -85,7 +85,8 @@ func (e *Engine) sources(st *state, mv *index.MemView) []*segment {
 }
 
 // termSet resolves a query's analyzed tokens to idx's term numbers,
-// dropping those the dictionary does not hold (no field can match them).
+// ascending and distinct, dropping those the dictionary does not hold (no
+// field can match them).
 func termSet(idx *index.Index, qTokens []string) []int32 {
 	set := make([]int32, 0, len(qTokens))
 	for _, t := range qTokens {
@@ -93,13 +94,14 @@ func termSet(idx *index.Index, qTokens []string) []int32 {
 			set = append(set, ts.ID)
 		}
 	}
-	return set
+	slices.Sort(set)
+	return slices.Compact(set)
 }
 
 // fwdScratch is the per-search decode space of window.
 type fwdScratch struct {
-	terms, ends []int32
-	match       []uint8
+	terms, fields []int32
+	match, spare  []int32 // matched fields, and union's output space
 }
 
 var fwdScratchPool = sync.Pool{New: func() any { return new(fwdScratch) }}
@@ -108,53 +110,103 @@ var fwdScratchPool = sync.Pool{New: func() any { return new(fwdScratch) }}
 // window of its text holding the most fields with a term of q (the
 // earliest on ties; a text of at most w fields is its own window). It
 // returns the window as whitespace fields [lo, hi) and the term numbers
-// the window's fields analyze to, sorted — the bag the surrogate vector
-// counts. Both come from the forward index alone: no body is read, no
-// string compared. A document whose forward bytes are malformed has an
-// empty window.
+// the window's fields analyze to, ascending — the bag the surrogate
+// vector counts. Both come from the forward index alone: no body is read,
+// no string compared, nothing sorted, and no space sized by the field
+// count, which the forward bytes claim and nothing checks. A document
+// whose forward bytes are malformed has an empty window.
 func (sg *segment) window(d int32, q []int32, w int, sc *fwdScratch) (lo, hi int, terms []int32) {
+	var nf int
 	var ok bool
-	sc.terms, sc.ends, ok = sg.seg.Index().Forward().Doc(d, sc.terms[:0], sc.ends[:0])
-	ends := sc.ends
-	if !ok || len(ends) == 0 {
+	sc.terms, sc.fields, nf, ok = sg.seg.Index().Forward().Doc(d, sc.terms[:0], sc.fields[:0])
+	if !ok || nf == 0 {
 		return 0, 0, nil
 	}
-	lo, hi = 0, len(ends)
-	if len(ends) > w {
-		// match[i] = 1 when field i analyzes to a query term.
-		match := append(sc.match[:0], make([]uint8, len(ends))...)
-		sc.match = match
-		from := int32(0)
-		for i, end := range ends {
-			for _, t := range sc.terms[from:end] {
-				if slices.Contains(q, t) {
-					match[i] = 1
-					break
-				}
-			}
-			from = end
-		}
-		// Sliding window of width w maximizing matches.
-		cur := 0
-		for i := 0; i < w; i++ {
-			cur += int(match[i])
-		}
-		best := cur
-		for i := w; i < len(ends); i++ {
-			cur += int(match[i]) - int(match[i-w])
-			if cur > best {
-				best, lo = cur, i-w+1
-			}
-		}
-		hi = lo + w
+	terms = sc.terms
+	if nf <= w {
+		return 0, nf, terms
 	}
-	from := int32(0)
-	if lo > 0 {
-		from = ends[lo-1]
+	lo = bestStart(sc.matchedFields(q), w)
+	// The entries are in (term, field) order, so keeping those inside the
+	// window keeps the terms ascending.
+	n := 0
+	for i, f := range sc.fields {
+		terms[n] = terms[i]
+		n += b2i(uint(int(f)-lo) < uint(w))
 	}
-	terms = sc.terms[from:ends[hi-1]]
-	slices.Sort(terms)
-	return lo, hi, terms
+	return lo, lo + w, terms[:n]
+}
+
+// matchedFields returns the fields, ascending and distinct, in which the
+// decoded entry holds a term of q: one merge of the entry's terms with q,
+// each matched term's fields (ascending) folded into the union.
+func (sc *fwdScratch) matchedFields(q []int32) []int32 {
+	m, i := sc.match[:0], 0
+	for _, t := range q {
+		for i < len(sc.terms) && sc.terms[i] < t {
+			i++
+		}
+		j := i
+		for j < len(sc.terms) && sc.terms[j] == t {
+			j++
+		}
+		if j > i {
+			m, sc.spare = union(m, sc.fields[i:j], sc.spare)
+		}
+		i = j
+	}
+	sc.match = m
+	return m
+}
+
+// union merges run (ascending, repeats allowed) into m (ascending,
+// distinct), writing into spare's space; it returns the union and m's
+// space for the next call.
+func union(m, run, spare []int32) (out, free []int32) {
+	out = spare[:0]
+	i, j := 0, 0
+	for i < len(m) || j < len(run) {
+		var f int32
+		if j == len(run) || (i < len(m) && m[i] <= run[j]) {
+			f, i = m[i], i+1
+		} else {
+			f, j = run[j], j+1
+		}
+		if len(out) == 0 || out[len(out)-1] != f {
+			out = append(out, f)
+		}
+	}
+	return out, m[:0]
+}
+
+// bestStart returns the start of the earliest w-field window holding the
+// most of the matched fields m (ascending, distinct). That window starts
+// at 0 or ends on a matched field — a later start that beats the one
+// before it gained a field at its right edge — so only those starts are
+// counted, with two pointers: a window ending on m[i] holds m[j..i].
+func bestStart(m []int32, w int) int {
+	best, lo, j := 0, 0, 0
+	for i, f := range m {
+		s := int(f) - w + 1
+		if s <= 0 {
+			best = i + 1 // the window at 0 holds m[0..i]
+			continue
+		}
+		for int(m[j]) < s {
+			j++
+		}
+		if c := i - j + 1; c > best {
+			best, lo = c, s
+		}
+	}
+	return lo
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // retrieval is a query batch's merged hit lists over one pinned
@@ -170,7 +222,7 @@ type retrieval struct {
 
 // hitWindow is one hit with the snippet window picked for it: its source,
 // local document number, the window as whitespace fields [lo, hi) and
-// the window's sorted term numbers (valid only during the callback).
+// the window's term numbers, ascending (valid only during the callback).
 type hitWindow struct {
 	*ranking.Hit
 	sg     *segment
@@ -182,9 +234,10 @@ type hitWindow struct {
 // snippet cuts the window's text out of the document.
 func (w hitWindow) snippet() string { return w.sg.docs.Text(w.d).cut(w.lo, w.hi) }
 
-// vector counts the window's terms into the surrogate vector.
-func (w hitWindow) vector(idf textsim.SliceIDF) textsim.IVector {
-	return idf.InternSorted(w.terms, w.sg.xlat)
+// vector counts the window's terms into the surrogate vector, carved out
+// of slab (nil: allocated on its own).
+func (w hitWindow) vector(idf textsim.SliceIDF, slab *textsim.Slab) textsim.IVector {
+	return idf.InternSorted(w.terms, w.sg.xlat, slab)
 }
 
 // windower picks the snippet windows of one hit list: the query's term
@@ -258,8 +311,9 @@ type Candidates struct {
 	Epoch uint64
 	Lex   *textsim.Lexicon
 
-	r  *retrieval  // nil once closed
-	wd []*windower // per list, made on its first Vector
+	r    *retrieval  // nil once closed
+	wd   []*windower // per list, made on its first Vector
+	slab textsim.Slab
 }
 
 // Candidates is SearchBatch for callers that want surrogate vectors
@@ -286,7 +340,8 @@ func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*C
 
 // Vector builds the surrogate vector of candidate j of list q — the one
 // Surrogates attaches to it — and of no other: one forward-index decode
-// and one window. It must not be called after Close.
+// and one window, counted into the candidates' own slab. It must not be
+// called after Close; the vectors it returned stay valid.
 func (c *Candidates) Vector(q, j int) textsim.IVector {
 	if c.wd == nil {
 		c.wd = make([]*windower, len(c.Lists))
@@ -294,7 +349,7 @@ func (c *Candidates) Vector(q, j int) textsim.IVector {
 	if c.wd[q] == nil {
 		c.wd[q] = c.r.windower(q)
 	}
-	return c.wd[q].at(j).vector(c.r.st.idf)
+	return c.wd[q].at(j).vector(c.r.st.idf, &c.slab)
 }
 
 // Surrogates attaches every candidate's surrogate vector. The only

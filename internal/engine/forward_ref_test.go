@@ -143,7 +143,7 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 					t.Fatalf("%s: source %d doc %q query %q: snippet %q, reference %q", label, si, idx.DocID(d), q, got, want)
 				}
 				want := refSurrogate(e, st, body, qTokens)
-				if got := st.idf.InternSorted(terms, sg.xlat); !ivecEqual(got, want) {
+				if got := st.idf.InternSorted(terms, sg.xlat, nil); !ivecEqual(got, want) {
 					t.Fatalf("%s: source %d doc %q query %q: surrogate\n got  %v %v |%v|\n want %v %v |%v|", label, si, idx.DocID(d), q,
 						got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
 				}
@@ -301,12 +301,25 @@ func awkwardDocs() []Document {
 		{ID: "dense", Body: "alpha alpha beta x1 alpha beta beta x2 x3 gamma gamma gamma x4 alpha"},
 		{ID: "case", Body: "ALPHA Alpha aLpHa Running RUNS runner BETA"},
 		{ID: "digits", Body: "route 66 and 3.14 or 1,000 alpha2beta 2024-01-01 x"},
+		// The window selector's edges: a query term in several fields (and
+		// twice in one), matches only in the first and last field, windows
+		// tied three ways, multi-term fields matched by several query
+		// terms, empty fields on both sides of the window, and texts of
+		// exactly w and w+1 fields that hold empty ones.
+		{ID: "several", Body: "alpha x1 alpha x2 x3 x4 alpha alpha x5 x6 x7 alpha-alpha"},
+		{ID: "first-last", Body: "alpha x1 x2 x3 x4 x5 x6 alpha"},
+		{ID: "tied3", Body: "x1 beta x2 x3 x4 x5 beta x6 x7 x8 x9 beta x10"},
+		{ID: "multi-terms", Body: "alpha-beta-gamma x1 delta-alpha x2 x3 beta-beta-gamma x4 x5 x6 gamma-alpha"},
+		{ID: "empty-sides", Body: "-- ... !!! x1 x2 alpha ,, ;; beta gamma -- ?? .."},
+		{ID: "exact-empty", Body: "-- alpha ... beta !!!"},
+		{ID: "longer-empty", Body: "-- alpha ... beta !!! gamma"},
 	}
 }
 
 var awkwardQueries = []string{
 	"alpha", "beta gamma", "alpha beta gamma delta", "state art", "mail", "running",
 	"the", "nonexistentterm", "nonexistentterm alpha", "東京", "cafe café", "66 3 14", "", "x5 x9",
+	"beta", "gamma alpha", "x1 alpha", "delta x4",
 }
 
 // TestForwardMatchesBodyAnalysis is the differential of the forward

@@ -62,7 +62,7 @@ func (e *Engine) SearchFusedStamped(ctx context.Context, plan *exec.Plan) ([]cor
 	pl.Lex = st.lex
 	fs := exec.NewFusedState(&pl, len(hits))
 	err = r.windows(ctx, 0, func(_ int, w hitWindow) {
-		fs.Push(core.Doc{ID: w.DocID, Rank: w.Rank, Rel: rn.Rel(w.Score), IVec: w.vector(st.idf)})
+		fs.Push(core.Doc{ID: w.DocID, Rank: w.Rank, Rel: rn.Rel(w.Score), IVec: w.vector(st.idf, nil)})
 	})
 	if err != nil {
 		fs.Close()

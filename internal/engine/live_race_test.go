@@ -222,7 +222,7 @@ func TestForwardConcurrentSearchMutate(t *testing.T) {
 				for qi := range queries {
 					rt.windows(ctx, qi, func(_ int, w hitWindow) {
 						want := st.idf.InternTokens(st.lex, e.cfg.Analyzer.Tokens(w.snippet()))
-						if !ivecEqual(w.vector(st.idf), want) {
+						if !ivecEqual(w.vector(st.idf, nil), want) {
 							t.Errorf("reader %d: doc %s: surrogate differs from its snippet's vector", r, w.DocID)
 						}
 					})

@@ -366,3 +366,71 @@ func TestMappedHostileForward(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowUntrustedFieldCount: the field count F a forward entry claims
+// is not checked against anything — empty fields cost no byte — so a
+// document may claim 2³⁰ fields over one occurrence. window must neither
+// size anything by F nor step through it: the window it picks ends at F,
+// holds the one occurrence, and a warm scratch makes it allocate nothing.
+func TestWindowUntrustedFieldCount(t *testing.T) {
+	src, err := Build([]Document{{ID: "huge", Body: "alpha gamma"}, {ID: "other", Body: "beta gamma"}}, Config{SnippetWindow: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(writeMappedEngine(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the arena — the image's last section — with document 0 as
+	// F = 2³⁰, N = 1, and "alpha" (term 0) in the last field.
+	const secFwdOffs, secFwdBlob = 14, 15 // index/codec_v7.go's section table
+	const nf = 1 << 30
+	u64 := func(at int) int { return int(binary.LittleEndian.Uint64(img[at:])) }
+	offsAt, blobAt := u64(104+16*secFwdOffs), u64(104+16*secFwdBlob)
+	if blobAt+u64(104+16*secFwdBlob+8) != len(img) {
+		t.Fatal("the forward arena is not the image's last section")
+	}
+	arena := binary.AppendUvarint(nil, nf)
+	arena = binary.AppendUvarint(arena, 1)
+	arena = binary.AppendUvarint(arena, (nf-1)<<1)
+	arena = binary.AppendUvarint(arena, 1)
+	binary.LittleEndian.PutUint64(img[offsAt+8:], uint64(len(arena)))
+	arena = append(arena, img[blobAt+u64(offsAt+8):]...) // document 1 as written
+	binary.LittleEndian.PutUint64(img[offsAt+16:], uint64(len(arena)))
+	img = append(img[:blobAt], arena...)
+	binary.LittleEndian.PutUint64(img[104+16*secFwdBlob+8:], uint64(len(arena)))
+	binary.LittleEndian.PutUint64(img[8+8*10:], uint64(len(img))) // fileSize
+	path := filepath.Join(t.TempDir(), "huge.ridx7")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := OpenIndexFile(path, Config{SnippetWindow: 5, Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	sg := e.cur.Load().segs[0]
+	q := termSet(sg.seg.Index(), []string{"alpha"})
+	sc := new(fwdScratch)
+	lo, hi, terms := sg.window(0, q, 5, sc)
+	if lo != nf-5 || hi != nf || !reflect.DeepEqual(terms, []int32{0}) {
+		t.Fatalf("window [%d,%d) holding %v, want [%d,%d) holding [0]", lo, hi, terms, nf-5, nf)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sg.window(0, q, 5, sc) }); allocs != 0 {
+		t.Fatalf("window on warm scratch allocated %v times per call", allocs)
+	}
+	// The surrogate still counts the occurrence; the text has no such
+	// field, so the snippet is empty.
+	cands, err := e.Candidates(context.Background(), []string{"alpha"}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cands.Close()
+	if len(cands.Lists[0]) != 1 || !ivecEqual(cands.Vector(0, 0), e.IVectorOfText("alpha")) {
+		t.Fatalf("candidates %+v: vector differs from IVectorOfText(\"alpha\")", cands.Lists)
+	}
+	if got := e.Snippet("huge", "alpha"); got != "" {
+		t.Fatalf("snippet %q of a window past the text", got)
+	}
+}

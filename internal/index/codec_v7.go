@@ -27,7 +27,8 @@ import (
 //	0    magic "RIDX7\n" + 2 zero bytes
 //	8    eleven u64 header fields:
 //	         headerVersion (1), flags (bit 0: payload sections present,
-//	         bit 1: forward-index sections present),
+//	         bit 1: forward-index sections present, bit 2: their arena
+//	         is in term order — set whenever bit 1 is),
 //	         blockCap, numDocs, numTerms, nBlocks, totalTokens,
 //	         numShards, numMaxTables, numBlockTables, fileSize
 //	96   u64 section count: 14, or 16 when flag bit 1 is set; then that
@@ -57,9 +58,11 @@ import (
 //	  fwdOffs    (numDocs+1) × u64        forward-index offsets (flag bit 1)
 //	  fwdBlob    bytes                    forward-index arena (forward.go)
 //
-// An index without a forward index is written with 14 sections and flag
-// bit 1 clear — byte for byte what was written before the forward
-// sections existed, and such images still open.
+// An index without a forward index is written with 14 sections and flags
+// 1 and 2 clear — byte for byte what was written before the forward
+// sections existed, and such images still open. An image with bit 1 but
+// not bit 2 holds the earlier text-order arena, which no reader decodes:
+// it is refused at open, to be rewritten with buildindex.
 //
 // The dictionary has no hash map in this layout: terms is left nil and
 // lookups binary-search the sorted termList (the Build invariant,
@@ -85,6 +88,7 @@ const (
 	v7HeaderVersion = 1
 	v7FlagPayload   = 1 << 0
 	v7FlagForward   = 1 << 1
+	v7FlagTermOrder = 1 << 2
 	v7PageAlign     = 4096
 	v7TermRecBytes  = 32
 	// v7BaseSections is the section count of an image without a forward
@@ -166,7 +170,7 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	}
 	numSections := v7BaseSections
 	if x.fwd != nil {
-		flags |= v7FlagForward
+		flags |= v7FlagForward | v7FlagTermOrder
 		numSections = v7NumSections
 	}
 	maxKeys := x.MaxScoreKeys()
@@ -558,8 +562,14 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if version != v7HeaderVersion {
 		return fail("unknown header version %d", version)
 	}
-	if flags&^uint64(v7FlagPayload|v7FlagForward) != 0 {
+	if flags&^uint64(v7FlagPayload|v7FlagForward|v7FlagTermOrder) != 0 {
 		return fail("unknown flags %#x", flags)
+	}
+	switch flags & (v7FlagForward | v7FlagTermOrder) {
+	case v7FlagForward:
+		return fail("forward index in text order, a layout this reader no longer decodes: rewrite the image with buildindex")
+	case v7FlagTermOrder:
+		return fail("term-order flag without forward sections")
 	}
 	numSections := v7BaseSections
 	if flags&v7FlagForward != 0 {

@@ -3,9 +3,13 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,21 +56,27 @@ func buildForwardFixture(t testing.TB, blockSize int) *Index {
 	return b.Build()
 }
 
-// decodeDoc returns document d as one term-string slice per field.
+// decodeDoc returns document d as one sorted term-string multiset per
+// field, checking Doc's order contract on the way: terms ascending, and
+// within a term fields ascending.
 func decodeDoc(t testing.TB, x *Index, d int32) [][]string {
 	t.Helper()
-	terms, ends, ok := x.Forward().Doc(d, nil, nil)
-	if !ok {
-		t.Fatalf("doc %d does not decode", d)
+	terms, fields, nf, ok := x.Forward().Doc(d, nil, nil)
+	if !ok || len(terms) != len(fields) {
+		t.Fatalf("doc %d does not decode (ok=%v, %d terms, %d fields)", d, ok, len(terms), len(fields))
 	}
-	out := make([][]string, len(ends))
-	from := int32(0)
-	for i, end := range ends {
+	out := make([][]string, nf)
+	for i := range out {
 		out[i] = []string{}
-		for _, id := range terms[from:end] {
-			out[i] = append(out[i], x.Term(id))
+	}
+	for i, id := range terms {
+		if i > 0 && (id < terms[i-1] || id == terms[i-1] && fields[i] < fields[i-1]) {
+			t.Fatalf("doc %d: occurrence %d (term %d, field %d) out of (term, field) order", d, i, id, fields[i])
 		}
-		from = end
+		out[fields[i]] = append(out[fields[i]], x.Term(id))
+	}
+	for _, f := range out {
+		slices.Sort(f)
 	}
 	return out
 }
@@ -80,33 +90,36 @@ func checkForwardFixture(t testing.TB, x *Index, label string) {
 		var want [][]string
 		tokens, lens := fieldsOf(text)
 		for _, n := range lens {
-			want = append(want, append([]string{}, tokens[:n]...))
+			field := append([]string{}, tokens[:n]...)
+			slices.Sort(field)
+			want = append(want, field)
 			tokens = tokens[n:]
 		}
 		if got := decodeDoc(t, x, int32(d)); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 			t.Errorf("%s: doc %d fields %q, want %q", label, d, got, want)
 		}
 	}
-	if _, _, ok := x.Forward().Doc(int32(len(forwardTexts)), nil, nil); ok {
+	if _, _, _, ok := x.Forward().Doc(int32(len(forwardTexts)), nil, nil); ok {
 		t.Errorf("%s: out-of-range document decoded", label)
 	}
-	if _, _, ok := x.Forward().Doc(-1, nil, nil); ok {
+	if _, _, _, ok := x.Forward().Doc(-1, nil, nil); ok {
 		t.Errorf("%s: negative document decoded", label)
 	}
 }
 
 // TestForwardRoundTrip: the forward index reproduces every document's
-// fields in the FINAL (sorted-dictionary) term numbering, through every
-// way an index can come to hold one — built, rebuilt from text, written
-// to a mapped image and opened in place or onto the heap.
+// per-field term multisets in the FINAL (sorted-dictionary) term
+// numbering, through every way an index can come to hold one — built,
+// rebuilt from text, written to a mapped image and opened in place or
+// onto the heap.
 func TestForwardRoundTrip(t *testing.T) {
 	x := buildForwardFixture(t, 2)
 	checkForwardFixture(t, x, "built")
 
 	// Appending to caller scratch leaves what was there alone.
-	terms, ends, ok := x.Forward().Doc(4, []int32{7, 7}, []int32{9})
-	if !ok || len(terms) != 2+6 || len(ends) != 1+6 || terms[0] != 7 || ends[0] != 9 || ends[6] != 6 {
-		t.Fatalf("Doc appended %v / %v", terms, ends)
+	terms, fields, nf, ok := x.Forward().Doc(4, []int32{7, 7}, []int32{9})
+	if !ok || nf != 6 || len(terms) != 2+6 || len(fields) != 1+6 || terms[0] != 7 || terms[1] != 7 || fields[0] != 9 {
+		t.Fatalf("Doc appended %v / %v (%d fields)", terms, fields, nf)
 	}
 
 	// An index built without field boundaries has none, until rebuilt.
@@ -127,7 +140,7 @@ func TestForwardRoundTrip(t *testing.T) {
 	})
 	for d, text := range forwardTexts {
 		got := decodeDoc(t, plain, int32(d))
-		if n := len(strings.Fields(text)) + 1; len(got) != n || len(got[n-1]) != 0 {
+		if n := len(strings.Fields(text)) + 1; len(got) != n || len(got[n-1]) != 0 || !reflect.DeepEqual(got[:n-1], decodeDoc(t, x, int32(d))) {
 			t.Fatalf("rebuilt doc %d has fields %q", d, got)
 		}
 	}
@@ -158,8 +171,9 @@ func TestForwardRoundTrip(t *testing.T) {
 }
 
 // TestForwardSectionsAreOptional: an index without a forward index is
-// written exactly as before the sections existed — 14 sections, flag bit
-// 1 clear — and one with it differs only by the two sections and the flag.
+// written exactly as before the sections existed — 14 sections, flag bits
+// 1 and 2 clear — and one with it differs only by the two sections and
+// the two flags.
 func TestForwardSectionsAreOptional(t *testing.T) {
 	b := NewBuilder()
 	b.SetBlockSize(2)
@@ -180,7 +194,7 @@ func TestForwardSectionsAreOptional(t *testing.T) {
 	if flags, n := u64(old.Bytes(), 16), u64(old.Bytes(), 96); flags != 0 || n != v7BaseSections {
 		t.Fatalf("forward-less image has flags %#x and %d sections", flags, n)
 	}
-	if flags, n := u64(cur.Bytes(), 16), u64(cur.Bytes(), 96); flags != v7FlagForward || n != v7NumSections {
+	if flags, n := u64(cur.Bytes(), 16), u64(cur.Bytes(), 96); flags != v7FlagForward|v7FlagTermOrder || n != v7NumSections {
 		t.Fatalf("forward image has flags %#x and %d sections", flags, n)
 	}
 	x, err := Read(bytes.NewReader(old.Bytes()))
@@ -190,16 +204,49 @@ func TestForwardSectionsAreOptional(t *testing.T) {
 	if x.Forward() != nil {
 		t.Fatal("forward-less image opened with a forward index")
 	}
-	// A forward flag over a 14-section table (or the reverse) is corrupt.
-	bad := append([]byte(nil), old.Bytes()...)
-	binary.LittleEndian.PutUint64(bad[16:], v7FlagForward)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("forward flag without forward sections accepted")
+	// Forward flags over a 14-section table (or the reverse), and the
+	// term-order flag alone, are corrupt.
+	for _, c := range []struct {
+		img   []byte
+		flags uint64
+	}{
+		{old.Bytes(), v7FlagForward | v7FlagTermOrder},
+		{cur.Bytes(), 0},
+		{cur.Bytes(), v7FlagTermOrder},
+		{old.Bytes(), v7FlagTermOrder},
+	} {
+		bad := append([]byte(nil), c.img...)
+		binary.LittleEndian.PutUint64(bad[16:], c.flags)
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("flags %#x over %d sections accepted", c.flags, u64(bad, 96))
+		}
 	}
-	bad = append([]byte(nil), cur.Bytes()...)
-	binary.LittleEndian.PutUint64(bad[16:], 0)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("16 sections without the forward flag accepted")
+}
+
+// TestForwardTextOrderImageRefused: an image whose forward sections carry
+// flag bit 1 without bit 2 holds the text-order arena earlier builds
+// wrote. No reader decodes it, so it fails to open — heap or mapped —
+// with an error that says how to get a current image.
+func TestForwardTextOrderImageRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	binary.LittleEndian.PutUint64(old[16:], v7FlagForward)
+	path := filepath.Join(t.TempDir(), "text-order.ridx7")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := Read(bytes.NewReader(old))
+	seg, mapErr := OpenMapped(path)
+	if seg != nil {
+		seg.Close()
+	}
+	for name, err := range map[string]error{"Read": readErr, "OpenMapped": mapErr} {
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "buildindex") {
+			t.Errorf("%s of a text-order image: %v, want ErrBadFormat naming buildindex", name, err)
+		}
 	}
 }
 
@@ -245,38 +292,119 @@ func TestForwardHostile(t *testing.T) {
 		}
 	}
 
-	// Document 4 is "zebra apple zebra mango apple zebra": six one-term
-	// fields, two bytes each after the one-byte field count.
+	// Each arena case overwrites document 4 ("zebra apple zebra mango apple
+	// zebra", 11 bytes) with a document of the same length that breaks
+	// exactly one decode rule; the first breaks none. The filler is
+	// occurrences marked same in field 0.
 	const victim = 4
-	for name, mutate := range map[string]func(b []byte){
-		"term number >= numTerms": func(b []byte) { b[docAt(victim)+1], b[docAt(victim)+2] = 0xfe, 0x7f },
-		"truncated varint":        func(b []byte) { b[docAt(victim+1)-1] = 0x80 },
-		"oversized varint": func(b []byte) {
-			for i := docAt(victim) + 1; i < docAt(victim+1); i++ {
-				b[i] = 0xff
-			}
-		},
-		"field count above the bytes":     func(b []byte) { b[docAt(victim)] = 0x7f },
-		"field count below the bytes":     func(b []byte) { b[docAt(victim)] = 5 },
-		"empty-field marker inside field": func(b []byte) { b[docAt(victim)+1], b[docAt(victim)+2] = 0x03, 0x00 },
+	n := docAt(victim+1) - docAt(victim)
+	if n < 11 || n > 127 {
+		t.Fatalf("document %d takes %d bytes; the cases need 11 to 127", victim, n)
+	}
+	numTerms := byte(binary.LittleEndian.Uint64(good[40:]))
+	same := func(k int, field byte) []byte { return bytes.Repeat([]byte{field<<1 | 1}, k) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	by := func(v ...int) []byte {
+		out := make([]byte, len(v))
+		for i, x := range v {
+			out[i] = byte(x)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		doc  []byte
+	}{
+		{"sound", cat(by(6, n-3, 0, 1), same(n-4, 0))},
+		{"truncated varint", cat(by(6, n-3, 0, 1), same(n-5, 0), by(0x80))},
+		{"oversized varint", bytes.Repeat([]byte{0xff}, n)},
+		{"field count beyond an int32", cat(by(0x80, 0x80, 0x80, 0x80, 0x08, n-7, 0, 1), same(n-8, 0))},
+		{"more occurrences than bytes", cat(by(6, n-1, 0, 1), same(n-4, 0))},
+		{"first occurrence marked same", cat(by(6, n-2), same(n-2, 0))},
+		{"zero delta on a new term", cat(by(6, n-3, 0, 0), same(n-4, 0))},
+		{"term outside the dictionary", cat(by(6, n-3, 0, int(numTerms)+1), same(n-4, 0))},
+		{"field >= F", cat(by(6, n-3, 0, 1), same(n-5, 0), same(1, 6))},
+		{"field below its term's last", cat(by(6, n-3, 2<<1, 1), same(n-5, 2), same(1, 1))},
+		{"trailing bytes", cat(by(6, n-4, 0, 1), same(n-5, 0), by(0))},
 	} {
-		seg, err := open(mutate)
+		if len(c.doc) != n {
+			t.Fatalf("%s: crafted %d bytes for a %d-byte slot", c.name, len(c.doc), n)
+		}
+		seg, err := open(func(b []byte) { copy(b[docAt(victim):], c.doc) })
 		if err != nil {
-			t.Errorf("%s: arena damage must pass the structural open, got %v", name, err)
+			t.Errorf("%s: arena damage must pass the structural open, got %v", c.name, err)
 			continue
 		}
 		x := seg.Index()
-		terms, ends, ok := x.Forward().Doc(victim, []int32{42}, []int32{43})
-		if ok || !reflect.DeepEqual(terms, []int32{42}) || !reflect.DeepEqual(ends, []int32{43}) {
-			t.Errorf("%s: damaged document decoded: ok=%v terms=%v ends=%v", name, ok, terms, ends)
+		terms, fields, nf, ok := x.Forward().Doc(victim, []int32{42}, []int32{43})
+		if c.name == "sound" {
+			if !ok || nf != 6 || len(terms) != 1+n-3 || !slices.Equal(fields, append([]int32{43}, make([]int32, n-3)...)) {
+				t.Errorf("sound document: ok=%v nf=%d terms=%v fields=%v", ok, nf, terms, fields)
+			}
+		} else if ok || nf != 0 || !reflect.DeepEqual(terms, []int32{42}) || !reflect.DeepEqual(fields, []int32{43}) {
+			t.Errorf("%s: damaged document decoded: ok=%v nf=%d terms=%v fields=%v", c.name, ok, nf, terms, fields)
 		}
 		for d := range forwardTexts {
 			if d != victim {
-				if _, _, ok := x.Forward().Doc(int32(d), nil, nil); !ok {
-					t.Errorf("%s: undamaged document %d does not decode", name, d)
+				if _, _, _, ok := x.Forward().Doc(int32(d), nil, nil); !ok {
+					t.Errorf("%s: undamaged document %d does not decode", c.name, d)
 				}
 			}
 		}
 		seg.Close()
+	}
+}
+
+// TestForwardBatches: documents are put in term order a batch of about
+// 1<<16 occurrences at a time; a collection several batches long, with
+// repeated terms inside fields and empty fields, still decodes to every
+// document's own per-field multisets, built or rebuilt from text.
+func TestForwardBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	texts := make([]string, 3000)
+	for d := range texts {
+		var fields []string
+		for f := rng.Intn(90); f >= 0; f-- {
+			var toks []string
+			for k := rng.Intn(4); k > 0; k-- {
+				toks = append(toks, fmt.Sprintf("t%d", rng.Intn(700)))
+			}
+			if len(toks) == 0 {
+				toks = []string{"the"}
+			}
+			fields = append(fields, strings.Join(toks, "-"))
+		}
+		texts[d] = strings.Join(fields, " ")
+	}
+	b, plain := NewBuilder(), NewBuilder()
+	occurrences := 0
+	for d, text := range texts {
+		tokens, lens := fieldsOf(text)
+		occurrences += len(tokens)
+		if err := b.AddFields(fmt.Sprint(d), tokens, lens); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Add(fmt.Sprint(d), tokens); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if occurrences < 3<<16 {
+		t.Fatalf("%d occurrences fill fewer than three batches", occurrences)
+	}
+	rebuilt := plain.Build()
+	rebuilt.RebuildForward(func(d int32) ([]string, []int32) { return fieldsOf(texts[d]) })
+	for label, x := range map[string]*Index{"built": b.Build(), "rebuilt": rebuilt} {
+		for d, text := range texts {
+			tokens, lens := fieldsOf(text)
+			want := make([][]string, len(lens))
+			for i, n := range lens {
+				want[i] = append([]string{}, tokens[:n]...)
+				slices.Sort(want[i])
+				tokens = tokens[n:]
+			}
+			if got := decodeDoc(t, x, int32(d)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s doc %d: fields %q, want %q", label, d, got, want)
+			}
+		}
 	}
 }

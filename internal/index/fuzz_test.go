@@ -69,8 +69,8 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("RIDX6\n\x01\x01" + "RIDX5\n"))
 	// With payload sections.
 	f.Add(fuzzSeedImage(f, 2, func(d int32) string { return strings.Repeat("x", int(d)+1) }))
-	// With forward-index sections (16-entry table, flag bit 1), whole and
-	// cut inside the forward offsets and arena.
+	// With forward-index sections (16-entry table, flag bits 1 and 2),
+	// whole and cut inside the forward offsets and arena.
 	var fwd bytes.Buffer
 	if _, err := SegmentIndex(buildForwardFixture(f, 2), 2).WriteMapped(&fwd, func(d int32) string { return forwardTexts[d] }); err != nil {
 		f.Fatal(err)
@@ -122,16 +122,20 @@ func FuzzReadIndex(f *testing.F) {
 			}
 			if fw := x.Forward(); fw != nil {
 				// The arena is never validated at open: decoding must end
-				// cleanly on any bytes, and only ever yield dictionary terms.
+				// cleanly on any bytes, and only ever yield dictionary
+				// terms, ascending, each in a field below the count.
 				for d := int32(0); d < int32(x.NumDocs()); d++ {
-					terms, ends, ok := fw.Doc(d, nil, nil)
-					for _, id := range terms {
-						if !ok || id < 0 || int(id) >= x.NumTerms() {
-							t.Fatalf("doc %d: forward index yielded term %d (ok=%v) of %d", d, id, ok, x.NumTerms())
-						}
+					terms, fields, nf, ok := fw.Doc(d, nil, nil)
+					if !ok && (terms != nil || fields != nil || nf != 0) || len(terms) != len(fields) {
+						t.Fatalf("doc %d: ok=%v with %d terms, %d fields, F %d", d, ok, len(terms), len(fields), nf)
 					}
-					if n := len(ends); n > 0 && int(ends[n-1]) != len(terms) {
-						t.Fatalf("doc %d: fields end at %d of %d terms", d, ends[n-1], len(terms))
+					for i, id := range terms {
+						if id < 0 || int(id) >= x.NumTerms() || i > 0 && id < terms[i-1] {
+							t.Fatalf("doc %d: forward index yielded term %d after %v, of %d", d, id, terms[:i], x.NumTerms())
+						}
+						if fields[i] < 0 || int(fields[i]) >= nf {
+							t.Fatalf("doc %d: occurrence %d in field %d of %d", d, i, fields[i], nf)
+						}
 					}
 				}
 			}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -61,9 +60,7 @@ type Builder struct {
 	// the sorted dictionary: every document's token IDs in text order and
 	// its per-field token counts. noForward latches once a document arrives
 	// without field boundaries (Add); such an index gets no forward index.
-	fwdIDs    []int32
-	fwdLens   []int32
-	fwdFields []int32 // per document: how many entries of fwdLens are its
+	fwd       forwardWriter
 	noForward bool
 }
 
@@ -142,12 +139,11 @@ func (b *Builder) AddFields(docID string, tokens []string, fieldLens []int32) er
 		}
 		b.cf[id]++
 		if !b.noForward {
-			b.fwdIDs = append(b.fwdIDs, id)
+			b.fwd.ids = append(b.fwd.ids, id)
 		}
 	}
 	if !b.noForward {
-		b.fwdLens = append(b.fwdLens, fieldLens...)
-		b.fwdFields = append(b.fwdFields, int32(len(fieldLens)))
+		b.fwd.endDoc(fieldLens)
 	}
 	return nil
 }
@@ -187,29 +183,9 @@ func (b *Builder) Build() *Index {
 		total:    b.total,
 	}
 	if !b.noForward {
-		idx.fwd = b.buildForward(perm, len(termList))
+		idx.fwd = b.fwd.forward(len(termList), perm)
 	}
 	return idx
-}
-
-// buildForward encodes the accumulated per-document token IDs under the
-// final term numbering (perm maps provisional to final; nil is identity).
-func (b *Builder) buildForward(perm []int32, numTerms int) *Forward {
-	if perm != nil {
-		for i, id := range b.fwdIDs {
-			b.fwdIDs[i] = perm[id]
-		}
-	}
-	w := newForwardWriter(len(b.docIDs))
-	w.blob = make([]byte, 0, 2*len(b.fwdIDs)+len(b.fwdLens))
-	ids, lens := b.fwdIDs, b.fwdLens
-	for d, nf := range b.fwdFields {
-		n := b.docLens[d]
-		w.add(ids[:n], lens[:nf])
-		ids, lens = ids[n:], lens[nf:]
-	}
-	w.blob = slices.Clone(w.blob) // the arena lives as long as the index: drop the spare capacity
-	return w.forward(numTerms)
 }
 
 // sortDictionary renumbers term IDs so termList is lexicographically

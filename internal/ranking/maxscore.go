@@ -355,7 +355,7 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		}
 		touched = touched[:0]
 	}
-	return heap.Drain(), nil
+	return heap.DrainSorted(), nil // the heap is this call's own
 }
 
 // scoreTables is a posting loop's pooled index.ScoreTables: one per cursor

@@ -120,7 +120,7 @@ func Retrieve(idx *index.Index, model Model, queryTokens []string, k int) []Hit 
 		score := acc.scores[doc] + model.DocAdjust(float64(idx.DocLen(doc)), qLen, cstats)
 		heap.Push(doc, score, int64(doc))
 	}
-	items := heap.Drain()
+	items := heap.DrainSorted()
 	hits := make([]Hit, len(items))
 	for i, it := range items {
 		hits[i] = Hit{

@@ -238,7 +238,7 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 			score := acc.scores[local] + model.DocAdjust(float64(idx.DocLen(doc)), qLen, cstats)
 			heap.Push(doc, score, int64(doc))
 		}
-		items := heap.Drain()
+		items := heap.DrainSorted()
 		hits := make(shardHits, len(items))
 		for i, it := range items {
 			hits[i] = Hit{Doc: it.Value, Score: it.Score}

@@ -403,7 +403,7 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 	}
 	for j, h := range hits {
 		got, err := sc.Vector(0, j)
-		if err != nil || !reflect.DeepEqual(got, dict.Vector(h.terms)) {
+		if err != nil || !reflect.DeepEqual(got, dict.Vector(h.terms, nil)) {
 			t.Fatalf("candidate %d: vector %+v, err %v; want Dictionary.Vector of its terms", j, got, err)
 		}
 	}
@@ -413,7 +413,7 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 	if _, err := sc.Vector(0, 1); err == nil || !strings.Contains(err.Error(), "terms claimed") {
 		t.Fatalf("Vector over a corrupted payload: err = %v, want the frame reader's", err)
 	}
-	if got, err := sc.Vector(0, 0); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms)) {
+	if got, err := sc.Vector(0, 0); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms, nil)) {
 		t.Fatalf("the sound candidate beside it: vector %+v, err %v", got, err)
 	}
 	if err := sc.Attach(context.Background()); err == nil || !strings.Contains(err.Error(), "terms claimed") {

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,6 +361,60 @@ func TestRouterServeDifferential(t *testing.T) {
 	}
 }
 
+// TestScoredVectorSlab: a fan-out's vectors — local (engine.Candidates)
+// or routed (the searcher's Score) — are carved out of one slab per
+// request. Each must equal IVectorOfText of its hit's snippet, have cap ==
+// len so that appending to one leaves its neighbours alone, and stay
+// valid after Close, while eight requests run at once (under -race, the
+// slabs must share nothing, and routed frames handed back on Close are
+// reused by the others).
+func TestScoredVectorSlab(t *testing.T) {
+	p := testPipeline(t)
+	ctx := context.Background()
+	dict := p.Engine.Dictionary()
+	queries := testQueries(p)
+	for name, s := range map[string]repro.Searcher{"local": repro.LocalSearcher(p.Engine), "routed": localWorkers(t, p, Config{})} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(q string) {
+				defer wg.Done()
+				ref, err := s.SearchBatch(ctx, []string{q}, []int{0})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sc, err := s.Score(ctx, dict, []string{q}, []int{0}, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				vecs := make([]textsim.IVector, len(sc.Lists[0]))
+				for j := range vecs {
+					if vecs[j], err = sc.Vector(0, j); err != nil {
+						t.Error(err)
+					}
+				}
+				sc.Close()
+				for j, v := range vecs {
+					if cap(v.IDs) != len(v.IDs) || cap(v.Weights) != len(v.Weights) {
+						t.Errorf("%s q=%q #%d: vector of %d entries has cap %d/%d", name, q, j, v.Len(), cap(v.IDs), cap(v.Weights))
+					}
+					vecs[j].IDs, vecs[j].Weights = append(v.IDs, -1), append(v.Weights, -1)
+				}
+				for j, v := range vecs {
+					want := p.Engine.IVectorOfText(ref[0][j].Snippet)
+					v.IDs, v.Weights = v.IDs[:len(v.IDs)-1], v.Weights[:len(v.Weights)-1]
+					if !reflect.DeepEqual(v, want) {
+						t.Errorf("%s q=%q #%d (%s): after Close and every neighbour's append, vector %+v, IVectorOfText(snippet) %+v", name, q, j, ref[0][j].DocID, v, want)
+					}
+				}
+			}(queries[g%len(queries)])
+		}
+		wg.Wait()
+	}
+}
+
 // TestDictionaryMismatch: a worker whose dictionary numbers terms
 // differently must never have a frame merged — its term payloads would
 // count into the wrong vectors without any other symptom. It fails the
@@ -538,7 +593,28 @@ func TestSearcherOwnTransport(t *testing.T) {
 	p := testPipeline(t)
 	var mu sync.Mutex
 	states := map[http.ConnState]int{}
-	ts := httptest.NewUnstartedServer(NewWorker(p.Engine).Handler())
+	// The first wave's sixteen shard requests are held at the server until
+	// all have arrived, so the idle pool fills with exactly sixteen dials.
+	// Left to race, a request that finds the pool empty dials, and when
+	// another request's connection comes back first it takes that one
+	// instead; the dial still completes and lands in the pool, a
+	// connection more than the waves ever use at once.
+	var holding atomic.Bool
+	var held atomic.Int32
+	arrived := make(chan struct{})
+	worker := NewWorker(p.Engine).Handler()
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if holding.Load() && r.URL.Path == "/shard/search" {
+			if held.Add(1) == workerSearches {
+				close(arrived)
+			}
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second): // the wave never reached sixteen: the count below says so
+			}
+		}
+		worker.ServeHTTP(w, r)
+	}))
 	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		mu.Lock()
 		states[st]++
@@ -555,7 +631,10 @@ func TestSearcherOwnTransport(t *testing.T) {
 	}
 	// Waves of eight concurrent two-shard searches — sixteen connections
 	// at most in use at once. An idle pool of two would redial most of
-	// every wave; this one never needs a seventeenth connection.
+	// every wave; this one never needs a seventeenth connection. A search
+	// reads its answer to the end, which hands the connection back to the
+	// pool before the search returns.
+	holding.Store(true)
 	for wave := 0; wave < 4; wave++ {
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
@@ -568,6 +647,7 @@ func TestSearcherOwnTransport(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		holding.Store(false)
 	}
 	mu.Lock()
 	dialed := states[http.StateNew]

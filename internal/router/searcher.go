@@ -414,6 +414,7 @@ func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repr
 		return sc, nil
 	}
 	var terms []int32
+	var slab textsim.Slab // the request's vectors; they outlive Close
 	sc.Vector = func(q, j int) (textsim.IVector, error) {
 		if g.released {
 			return textsim.IVector{}, errors.New("router: Vector after Close")
@@ -423,7 +424,7 @@ func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repr
 		if terms, err = w.f.termsOf(w.ref, terms); err != nil {
 			return textsim.IVector{}, err
 		}
-		return dict.Vector(terms), nil
+		return dict.Vector(terms, &slab), nil
 	}
 	return sc, nil
 }

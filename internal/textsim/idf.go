@@ -58,7 +58,7 @@ func (s SliceIDF) InternTokens(lex *Lexicon, tokens []string) IVector {
 		}
 		terms[i] = int32(len(xlat) - 1)
 	}
-	return s.InternSorted(terms, xlat)
+	return s.InternSorted(terms, xlat, nil)
 }
 
 // InternSorted builds the IDF-weighted vector of a bag of terms given by
@@ -71,14 +71,23 @@ func (s SliceIDF) InternTokens(lex *Lexicon, tokens []string) IVector {
 // broke the order (lexicon overflow IDs are in arrival order). These are
 // the bits of the string route — a term→count map, IDF applied by term,
 // then interned — which the package's tests keep as the oracle.
-func (s SliceIDF) InternSorted(terms, xlat []int32) IVector {
+//
+// The vector's two slices are carved out of slab, or allocated at their
+// exact size when slab is nil; the vector is the same either way.
+func (s SliceIDF) InternSorted(terms, xlat []int32, slab *Slab) IVector {
 	uniq := 0
 	for i, t := range terms {
 		if i == 0 || t != terms[i-1] {
 			uniq++
 		}
 	}
-	iv := IVector{IDs: make([]int32, 0, uniq), Weights: make([]float64, 0, uniq)}
+	carved := slab != nil && uniq > 0
+	var iv IVector
+	if carved {
+		iv.IDs, iv.Weights = slab.carve(uniq)
+	} else {
+		iv = IVector{IDs: make([]int32, 0, uniq), Weights: make([]float64, 0, uniq)}
+	}
 	ss := 0.0
 	sorted := true
 	for i := 0; i < len(terms); {
@@ -110,5 +119,41 @@ func (s SliceIDF) InternSorted(terms, xlat []int32) IVector {
 	if !sorted {
 		sort.Sort(byID(iv))
 	}
+	if carved {
+		slab.keep(&iv)
+	}
 	return iv
+}
+
+// slabMin is the size, in vector entries, of a Slab's first chunk.
+const slabMin = 256
+
+// Slab is the storage InternSorted carves the vectors of one request out
+// of: a few chunks, each twice the size of the one before (the first
+// slabMin entries), instead of two allocations per vector. A carved
+// vector's slices have cap == len, so appending to one never writes into
+// its neighbour, and they stay valid for as long as they are referenced —
+// a chunk is never reused, which is why a Slab must not be pooled. The
+// zero Slab is ready to use. Not safe for concurrent use.
+type Slab struct {
+	ids     []int32
+	weights []float64
+}
+
+// carve returns the free end of the current chunk, empty, once it has room
+// for n entries, starting a new chunk when it has less than n left.
+func (s *Slab) carve(n int) ([]int32, []float64) {
+	if cap(s.ids)-len(s.ids) < n {
+		size := max(slabMin, 2*cap(s.ids), n)
+		s.ids, s.weights = make([]int32, 0, size), make([]float64, 0, size)
+	}
+	return s.ids[len(s.ids):], s.weights[len(s.weights):]
+}
+
+// keep marks the entries iv was filled with at the free end as used, and
+// cuts iv to cap == len.
+func (s *Slab) keep(iv *IVector) {
+	n := len(iv.IDs)
+	iv.IDs, iv.Weights = iv.IDs[:n:n], iv.Weights[:n:n]
+	s.ids, s.weights = s.ids[:len(s.ids)+n], s.weights[:len(s.weights)+n]
 }

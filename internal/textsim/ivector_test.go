@@ -202,6 +202,7 @@ func TestInternSortedMatchesIntern(t *testing.T) {
 		xlat[i] = lex.Intern(term)
 	}
 
+	var slab Slab
 	for _, tc := range []struct {
 		dict  []string
 		xlat  []int32
@@ -218,9 +219,12 @@ func TestInternSortedMatchesIntern(t *testing.T) {
 			tokens = append(tokens, tc.dict[id])
 		}
 		want := Intern(lex, oracle.Apply(FromTokens(tokens)))
-		got := idf.InternSorted(tc.terms, tc.xlat)
+		got := idf.InternSorted(tc.terms, tc.xlat, nil)
 		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) || got.Norm() != want.Norm() {
 			t.Errorf("terms %v: InternSorted %v %v |%v|, want %v %v |%v|", tokens, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
+		}
+		if carved := idf.InternSorted(tc.terms, tc.xlat, &slab); !reflect.DeepEqual(carved, got) {
+			t.Errorf("terms %v: carved out of a slab %+v, allocated %+v", tokens, carved, got)
 		}
 		// The same bag as text, in reverse order.
 		slices.Reverse(tokens)
@@ -308,5 +312,61 @@ func TestSliceIDFMatchesMapIDF(t *testing.T) {
 		if got := idf.InternTokens(lex, toks); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: %v %v |%v|, want %v %v |%v|", s, got.IDs, got.Weights, got.Norm(), want.IDs, want.Weights, want.Norm())
 		}
+	}
+}
+
+// TestSlabCarving: vectors carved out of one slab equal the allocated
+// ones, each has cap == len — so an append to one reallocates it instead
+// of writing into the next — and the slab grows in doubling chunks from
+// slabMin entries, one chunk (two allocations) at a time.
+func TestSlabCarving(t *testing.T) {
+	idf := ComputeIDFFromIndex(dfTable{docs: 10, df: []int{1, 2, 3, 4, 5, 6, 7, 8}})
+	rng := rand.New(rand.NewSource(3))
+	bags := make([][]int32, 400)
+	for i := range bags {
+		for j := rng.Intn(12); j >= 0; j-- {
+			bags[i] = append(bags[i], int32(rng.Intn(8)))
+		}
+		slices.Sort(bags[i])
+	}
+	var slab Slab
+	carved := make([]IVector, len(bags))
+	for i, bag := range bags {
+		carved[i] = idf.InternSorted(bag, nil, &slab)
+		if cap(carved[i].IDs) != len(carved[i].IDs) || cap(carved[i].Weights) != len(carved[i].Weights) {
+			t.Fatalf("bag %d: carved vector has len %d cap %d/%d", i, carved[i].Len(), cap(carved[i].IDs), cap(carved[i].Weights))
+		}
+	}
+	for i := range carved[:len(carved)-1] {
+		next := slices.Clone(carved[i+1].IDs)
+		carved[i].IDs = append(carved[i].IDs, 99)
+		carved[i].Weights = append(carved[i].Weights, 99)
+		if !slices.Equal(carved[i+1].IDs, next) {
+			t.Fatalf("appending to vector %d changed vector %d", i, i+1)
+		}
+	}
+	for i, bag := range bags {
+		want := idf.InternSorted(bag, nil, nil)
+		got := carved[i]
+		got.IDs, got.Weights = got.IDs[:want.Len()], got.Weights[:want.Len()]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("bag %v: carved %+v, allocated %+v", bag, got, want)
+		}
+	}
+
+	// 100 vectors of 8 distinct terms: 800 entries, chunks of 256 and 512
+	// hold 32 + 64 vectors, the 1024-entry third chunk the rest.
+	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	allocs := testing.AllocsPerRun(5, func() {
+		var s Slab
+		for i := 0; i < 100; i++ {
+			idf.InternSorted(all, nil, &s)
+		}
+		if cap(s.ids) != 4*slabMin || len(s.ids) != 8*(100-32-64) {
+			t.Fatalf("third chunk holds %d of %d entries", len(s.ids), cap(s.ids))
+		}
+	})
+	if allocs != 6 {
+		t.Fatalf("100 vectors out of a fresh slab made %v allocations, want 6", allocs)
 	}
 }

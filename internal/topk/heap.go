@@ -27,13 +27,21 @@ func better[T any](a, b Item[T]) bool {
 	return a.Tie < b.Tie
 }
 
-// bestFirst is better as a three-way comparison: the order Descending,
-// Drain and DrainSorted return items in.
+// bestFirst is better as a three-way comparison, in one pass over the
+// fields: the order Descending, Drain and DrainSorted return items in.
+// Scores that are neither equal nor ordered (a NaN on either side)
+// compare 0, as two better calls would have.
 func bestFirst[T any](a, b Item[T]) int {
 	switch {
-	case better(a, b):
+	case a.Score > b.Score:
 		return -1
-	case better(b, a):
+	case a.Score < b.Score:
+		return 1
+	case a.Score != b.Score:
+		return 0
+	case a.Tie < b.Tie:
+		return -1
+	case a.Tie > b.Tie:
 		return 1
 	}
 	return 0
