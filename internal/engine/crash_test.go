@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // Crash-consistency tests: a writer that dies mid-stream must never
@@ -207,6 +210,165 @@ func TestWALRecoversNewestValidEpoch(t *testing.T) {
 	}
 	if got, want := r4.NumDocs(), len(docs); got != want {
 		t.Fatalf("fresh start after total WAL loss: %d docs, want %d", got, want)
+	}
+}
+
+// TestWALRefusesTextOrderEpoch: an epoch file whose segment images carry
+// the text-order forward arena of earlier builds (RIDX7 flag bit 1
+// without bit 2) is not a torn write to fall back past. Opening the
+// directory must fail with index.ErrTextOrderForward — whether the file
+// is the newest of several or sorts above a fresh start's epoch — and
+// leave every file as it was.
+func TestWALRefusesTextOrderEpoch(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	var docs []Document
+	for i := 0; i < 10; i++ {
+		docs = append(docs, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
+	}
+	cfg := Config{WALDir: dir}
+	e, err := Build(docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(liveDoc(rng, "d0100", 0)); err != nil {
+		t.Fatal(err)
+	}
+	newest, err := e.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	textOrder := func(name string) {
+		t.Helper()
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images := 0
+		for at := 0; ; {
+			i := bytes.Index(b[at:], []byte(index.MagicMapped+"\x00\x00"))
+			if i < 0 {
+				break
+			}
+			at += i
+			flags := binary.LittleEndian.Uint64(b[at+16:])
+			binary.LittleEndian.PutUint64(b[at+16:], flags&^(1<<2))
+			images++
+			at++
+		}
+		if images == 0 {
+			t.Fatalf("%s holds no segment image", name)
+		}
+		if err := os.WriteFile(name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() map[string]string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "epoch-*.eng"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string)
+		for _, name := range names {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = string(b)
+		}
+		return files
+	}
+	refused := func(what string) {
+		t.Helper()
+		before := snapshot()
+		if _, err := Build(docs, cfg); !errors.Is(err, index.ErrTextOrderForward) {
+			t.Fatalf("%s: Build error %v, want index.ErrTextOrderForward", what, err)
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: a refused open changed the WAL directory: %d files before, %d after", what, len(before), len(after))
+		}
+	}
+
+	// The newest of two epochs is in the old layout.
+	textOrder(filepath.Join(dir, epochFileName(newest)))
+	refused("newest epoch in text order")
+
+	// Only an old-layout file, numbered above the epoch a fresh start
+	// would write: the open must neither start fresh nor prune it.
+	old := filepath.Join(dir, epochFileName(newest))
+	oldBytes, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, epochFileName(40)), oldBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("lone text-order epoch above a fresh start")
+}
+
+// TestWALPruneKeepsWhatItWrote: epoch files that do not parse and sort
+// above everything a fresh start writes must not make the prune delete
+// the new files. The engine starts fresh, seals two more epochs, and a
+// restart recovers the newest of them; the unreadable files stay.
+func TestWALPruneKeepsWhatItWrote(t *testing.T) {
+	dir := t.TempDir()
+	junk := []string{filepath.Join(dir, epochFileName(40)), filepath.Join(dir, epochFileName(41))}
+	for _, name := range junk {
+		if err := os.WriteFile(name, []byte("not an engine stream at all"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	var docs []Document
+	for i := 0; i < 8; i++ {
+		docs = append(docs, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
+	}
+	cfg := Config{WALDir: dir}
+	e, err := Build(docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := e.Epoch()
+	var sealed []uint64
+	for _, id := range []string{"d0100", "d0101"} {
+		if _, err := e.Ingest(liveDoc(rng, id, 0)); err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := e.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, epoch)
+	}
+	if sealed[1] >= 40 {
+		t.Fatalf("sealed epoch %d does not sort below the junk files", sealed[1])
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "epoch-*.eng"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, epochFileName(sealed[0])), filepath.Join(dir, epochFileName(sealed[1])), junk[0], junk[1]}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("WAL dir after a fresh start at epoch %d and seals %v: %v, want %v", fresh, sealed, names, want)
+	}
+	r, err := Build(docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Epoch() != sealed[1] {
+		t.Fatalf("recovered epoch %d, want %d", r.Epoch(), sealed[1])
+	}
+	for _, id := range []string{"d0100", "d0101"} {
+		if len(r.Search("uniq"+id, 5)) == 0 {
+			t.Fatalf("%s, sealed before the restart, is gone after it", id)
+		}
 	}
 }
 

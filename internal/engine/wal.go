@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/index"
 )
 
 // Durability: when Config.WALDir is set, every SEALED epoch — the initial
@@ -12,8 +15,10 @@ import (
 // stream `epoch-<n>.eng` in that directory before the in-memory swap
 // (write to a temp file, fsync, atomic rename). Recovery takes the newest
 // file that parses, so a crash mid-write (torn temp file, or a garbage or
-// truncated epoch file) falls back to the last durable epoch. The two
-// newest epoch files are kept; older ones are pruned opportunistically.
+// truncated epoch file) falls back to the last durable epoch; a file an
+// earlier build wrote with a layout this one refuses stops the open
+// instead. Each seal keeps its own file and the one before it; older ones
+// are pruned opportunistically.
 //
 // Ingest/Delete epochs between seals are deliberately NOT persisted: the
 // memtable is the volatile tail, and a crash rolls it back to the last
@@ -38,7 +43,11 @@ func (e *Engine) openWAL() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if st, ok := recoverNewest(e.cfg); ok {
+	st, err := recoverNewest(e.cfg)
+	if err != nil {
+		return err
+	}
+	if st != nil {
 		old := e.cur.Load()
 		e.cur.Store(st)
 		old.unpin()
@@ -48,11 +57,15 @@ func (e *Engine) openWAL() error {
 	return e.persistLocked(e.cur.Load())
 }
 
-// recoverNewest loads the newest parseable epoch file, newest first.
-func recoverNewest(cfg Config) (*state, bool) {
+// recoverNewest loads the newest parseable epoch file, newest first, or
+// returns nil when none parses. A file holding a segment whose forward
+// index is in the earlier text order is an error, not a torn write:
+// falling back past it would restart from an older state, or from none,
+// and lose what it holds.
+func recoverNewest(cfg Config) (*state, error) {
 	names, err := filepath.Glob(filepath.Join(cfg.WALDir, epochFilePattern))
 	if err != nil || len(names) == 0 {
-		return nil, false
+		return nil, nil
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
@@ -63,10 +76,13 @@ func recoverNewest(cfg Config) (*state, bool) {
 		st, err := loadState(f, cfg)
 		f.Close()
 		if err == nil {
-			return st, true
+			return st, nil
+		}
+		if errors.Is(err, index.ErrTextOrderForward) {
+			return nil, fmt.Errorf("engine: WAL epoch %s was written by an earlier build: %w", name, err)
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 // persistLocked seals a state into the WAL directory (no-op without one).
@@ -102,21 +118,24 @@ func (e *Engine) persistLocked(st *state) error {
 		os.Remove(tmp)
 		return err
 	}
-	pruneEpochs(e.cfg.WALDir)
+	pruneEpochs(e.cfg.WALDir, final)
 	e.durable = st.epoch
 	return nil
 }
 
-// pruneEpochs keeps the two newest epoch files (the newest plus one
-// fallback against a torn newest). Best-effort: errors are ignored — a
-// failed prune costs disk, not correctness.
-func pruneEpochs(dir string) {
+// pruneEpochs keeps the epoch file just written and the one before it (a
+// fallback against a torn newest) and removes the older ones. Files that
+// sort after the one just written are left alone: recovery could not
+// parse them, and the prune must never take the new file for the stale
+// one. Best-effort: errors are ignored — a failed prune costs disk, not
+// correctness.
+func pruneEpochs(dir, written string) {
 	names, err := filepath.Glob(filepath.Join(dir, epochFilePattern))
-	if err != nil || len(names) <= 2 {
+	if err != nil {
 		return
 	}
 	sort.Strings(names)
-	for _, name := range names[:len(names)-2] {
+	for _, name := range names[:max(sort.SearchStrings(names, written)-1, 0)] {
 		os.Remove(name)
 	}
 }

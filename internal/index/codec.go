@@ -18,6 +18,12 @@ import (
 // ErrBadFormat reports a corrupt or foreign index image.
 var ErrBadFormat = errors.New("index: bad index format")
 
+// ErrTextOrderForward is the ErrBadFormat of an RIDX7 image whose forward
+// index is in the text order earlier builds wrote (flag bit 1 without bit
+// 2). Unlike a torn or corrupt image it is well-formed data this reader
+// refuses, so a caller that falls back past bad images must stop here.
+var ErrTextOrderForward = fmt.Errorf("%w: v7: forward index in text order, a layout this reader no longer decodes: rewrite the image with buildindex", ErrBadFormat)
+
 // Read deserializes an RIDX7 image (see ReadSegmented), dropping its
 // shard partition.
 func Read(r io.Reader) (*Index, error) {

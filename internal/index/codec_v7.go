@@ -567,7 +567,7 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	}
 	switch flags & (v7FlagForward | v7FlagTermOrder) {
 	case v7FlagForward:
-		return fail("forward index in text order, a layout this reader no longer decodes: rewrite the image with buildindex")
+		return nil, nil, ErrTextOrderForward
 	case v7FlagTermOrder:
 		return fail("term-order flag without forward sections")
 	}

@@ -244,8 +244,8 @@ func TestForwardTextOrderImageRefused(t *testing.T) {
 		seg.Close()
 	}
 	for name, err := range map[string]error{"Read": readErr, "OpenMapped": mapErr} {
-		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "buildindex") {
-			t.Errorf("%s of a text-order image: %v, want ErrBadFormat naming buildindex", name, err)
+		if !errors.Is(err, ErrTextOrderForward) || !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "buildindex") {
+			t.Errorf("%s of a text-order image: %v, want ErrTextOrderForward, an ErrBadFormat naming buildindex", name, err)
 		}
 	}
 }

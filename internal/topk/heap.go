@@ -27,21 +27,13 @@ func better[T any](a, b Item[T]) bool {
 	return a.Tie < b.Tie
 }
 
-// bestFirst is better as a three-way comparison, in one pass over the
-// fields: the order Descending, Drain and DrainSorted return items in.
-// Scores that are neither equal nor ordered (a NaN on either side)
-// compare 0, as two better calls would have.
+// bestFirst is better as a three-way comparison: the order Descending,
+// Drain and DrainSorted return items in.
 func bestFirst[T any](a, b Item[T]) int {
 	switch {
-	case a.Score > b.Score:
+	case better(a, b):
 		return -1
-	case a.Score < b.Score:
-		return 1
-	case a.Score != b.Score:
-		return 0
-	case a.Tie < b.Tie:
-		return -1
-	case a.Tie > b.Tie:
+	case better(b, a):
 		return 1
 	}
 	return 0

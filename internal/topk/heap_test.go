@@ -350,42 +350,3 @@ func TestBoundedOrdersAgree(t *testing.T) {
 		}
 	}
 }
-
-// TestBestFirstMatchesBetter: bestFirst's one comparison chain gives the
-// sign the two better calls it replaced gave, for every pair — equal
-// scores, ±0, infinities, NaN on either side or both (NaN compares 0) —
-// and every tie order, exhaustively over the edge values and then over
-// arbitrary bit patterns.
-func TestBestFirstMatchesBetter(t *testing.T) {
-	twoCalls := func(a, b Item[int]) int {
-		switch {
-		case better(a, b):
-			return -1
-		case better(b, a):
-			return 1
-		}
-		return 0
-	}
-	edges := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.SmallestNonzeroFloat64, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000001)}
-	for _, sa := range edges {
-		for _, sb := range edges {
-			for _, ta := range []int64{-1, 0, 1} {
-				for _, tb := range []int64{-1, 0, 1} {
-					a, b := Item[int]{Score: sa, Tie: ta}, Item[int]{Score: sb, Tie: tb}
-					if got, want := bestFirst(a, b), twoCalls(a, b); got != want {
-						t.Fatalf("bestFirst(%v/%d, %v/%d) = %d, two better calls say %d", sa, ta, sb, tb, got, want)
-					}
-				}
-			}
-		}
-	}
-	prop := func(ba, bb uint64, ta, tb int64) bool {
-		a := Item[int]{Score: math.Float64frombits(ba), Tie: ta}
-		b := Item[int]{Score: math.Float64frombits(bb), Tie: tb % 3}
-		return bestFirst(a, b) == twoCalls(a, b) && bestFirst(a, a) == twoCalls(a, a)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
