@@ -166,3 +166,78 @@ func serveHits(b *testing.B, h *repro.ServeHandle, queries []string, k int) {
 		}
 	}
 }
+
+// BenchmarkServeMiss times a DiversifyServe miss over servedWorld: a
+// four-entry cache and the topics cycled by a stride of 7, so every call
+// runs Algorithm 1, retrieves and indexes the R_q′ lists, and evicts —
+// cold-tail's request, in process.
+func BenchmarkServeMiss(b *testing.B) {
+	p, err := repro.Build(servedWorld())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := p.NewServeHandle(4, 1)
+	var topics []string
+	for _, t := range p.Testbed.Topics {
+		topics = append(topics, t.Query)
+	}
+	miss := func(i int) {
+		q := topics[i*7%len(topics)]
+		if _, _, hit, _, err := h.DiversifyServe(context.Background(), q, core.AlgOptSelect, p.Config.K); err != nil || hit {
+			b.Fatalf("%q: hit %v, err %v", q, hit, err)
+		}
+	}
+	for i := range topics {
+		miss(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(i)
+	}
+}
+
+// BenchmarkAspectIndex times core.NewAspectIndex over the artifacts of
+// servedWorld's topics: every topic's R_q′ lists, |R_q′| = 20 deep, with
+// their surrogate vectors — what a miss indexes before it caches.
+func BenchmarkAspectIndex(b *testing.B) {
+	p, err := repro.Build(servedWorld())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sets [][]core.Specialization
+	for _, t := range p.Testbed.Topics {
+		specs := p.DetectSpecializations(t.Query)
+		if len(specs) == 0 {
+			continue
+		}
+		queries, ks := make([]string, len(specs)), make([]int, len(specs))
+		for i, s := range specs {
+			queries[i], ks[i] = s.Query, p.Config.PerSpec
+		}
+		c, err := p.Engine.Candidates(context.Background(), queries, ks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Surrogates(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		set := make([]core.Specialization, len(specs))
+		for i, s := range specs {
+			rs := make([]core.SpecResult, len(c.Lists[i]))
+			for j, d := range c.Lists[i] {
+				rs[j] = core.SpecResult{ID: d.DocID, Rank: d.Rank, IVec: d.IVec}
+			}
+			set[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
+		}
+		c.Close()
+		sets = append(sets, set)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aspectSink = core.NewAspectIndex(sets[i%len(sets)])
+	}
+}
+
+var aspectSink *core.AspectIndex

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/textsim"
@@ -98,8 +100,8 @@ func (ix *AspectIndex) Bounds(specs []Specialization) *SpecBounds {
 		b.members = nil
 		return b
 	}
-	sort.Slice(b.members, func(x, y int) bool {
-		return b.id(specs, x) < b.id(specs, y)
+	slices.SortFunc(b.members, func(x, y specRef) int {
+		return strings.Compare(specs[x.j].Results[x.r].ID, specs[y.j].Results[y.r].ID)
 	})
 	b.rho = math.Sqrt(ss)
 	return b
@@ -139,12 +141,22 @@ func (b *SpecBounds) lambdaTerm(specs []Specialization, id string) float64 {
 // with a relative margin for the rounding of the bound's own arithmetic.
 func under(ub, thr float64) bool { return ub+1e-9*math.Abs(ub) < thr }
 
+// BoundedWork is what one OptSelectBounded call looked at.
+type BoundedWork struct {
+	// Walked counts the candidates the walk of R_q decided on — scored or
+	// skipped — before it stopped: all of R_q unless the stop rule fired.
+	Walked int
+	// Evaluated counts the candidates it scored.
+	Evaluated int
+}
+
 // OptSelectBounded is OptSelect for a caller that has not computed the
 // utility matrix — the serving route. It walks R_q in candidate order,
 // scores a candidate (and, through vec, builds its surrogate vector) only
 // when that candidate could still enter one of Algorithm 2's heaps, and
 // returns exactly OptSelect(p, ComputeUtilities(p)) — same documents,
-// order and scores — beside the number of candidates it evaluated.
+// order and scores — beside how far it walked and how many candidates it
+// evaluated.
 //
 // Once M and every M_q′ are full, a candidate whose overall score
 // (Equation (9): (1−λ)·|S_q|·P(d|q) + λ·Σ_j P(q′_j|q)·Ũ(d|R_q′_j)) is
@@ -166,13 +178,13 @@ func under(ub, thr float64) bool { return ub+1e-9*math.Abs(ub) < thr }
 // package makes to a problem; nil means the candidates already carry
 // theirs. A vec error or a canceled ctx — polled every 64 candidates —
 // ends the call with that error.
-func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i int) (textsim.IVector, error)) ([]Selected, int, error) {
+func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i int) (textsim.IVector, error)) ([]Selected, BoundedWork, error) {
 	k := p.clampK()
 	if k == 0 {
-		return nil, 0, nil
+		return nil, BoundedWork{}, nil
 	}
 	if len(p.Specs) == 0 {
-		return Baseline(p), 0, nil
+		return Baseline(p), BoundedWork{}, nil
 	}
 	n, s := len(p.Candidates), len(p.Specs)
 	us := NewUtilityScorer(p)
@@ -199,7 +211,7 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 
 	h := NewOptSelectHeaps(p, k)
 	floor, full := 0.0, false
-	evaluated := 0
+	var w BoundedWork
 	var err error
 	for i := range p.Candidates {
 		d := &p.Candidates[i]
@@ -213,6 +225,7 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 				break
 			}
 			if under(relW*d.Rel+p.Lambda*b.lambdaTerm(p.Specs, d.ID), floor) {
+				w.Walked++
 				continue
 			}
 		}
@@ -221,8 +234,9 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 				break
 			}
 		}
-		row := u.flat[evaluated*s : (evaluated+1)*s : (evaluated+1)*s]
-		evaluated++
+		row := u.flat[w.Evaluated*s : (w.Evaluated+1)*s : (w.Evaluated+1)*s]
+		w.Walked++
+		w.Evaluated++
 		u.U[i] = row
 		u.Overall[i] = us.ScoreInto(d, row)
 		h.Offer(i, row, u.Overall[i], d.Rank)
@@ -230,9 +244,9 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 	}
 	if err != nil {
 		optSelectPool.Put(h)
-		return nil, evaluated, err
+		return nil, w, err
 	}
-	return OptSelectFrom(p, u, h), evaluated, nil
+	return OptSelectFrom(p, u, h), w, nil
 }
 
 // floor is the lowest admission threshold over M and every M_q′, and

@@ -165,13 +165,17 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 		lazy.Candidates[i] = d
 	}
 	built := 0
-	got, evaluated, err := OptSelectBounded(context.Background(), &lazy, specBounds(lazy.Specs),
+	got, work, err := OptSelectBounded(context.Background(), &lazy, specBounds(lazy.Specs),
 		func(i int) (textsim.IVector, error) { built++; return p.Candidates[i].IVec, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
+	evaluated := work.Evaluated
 	if built != evaluated {
 		t.Fatalf("%d vectors built for %d candidates evaluated", built, evaluated)
+	}
+	if work.Walked < evaluated || work.Walked > len(p.Candidates) {
+		t.Fatalf("walked %d candidates of %d, evaluated %d", work.Walked, len(p.Candidates), evaluated)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("bounded OptSelect diverges from OptSelect(p, ComputeUtilities(p)) (evaluated %d of %d)\nwant %+v\ngot  %+v",
@@ -179,8 +183,8 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 	}
 	// Vectors already on the candidates (vec nil) is the same selection.
 	eager, again, err := OptSelectBounded(context.Background(), p, specBounds(p.Specs), nil)
-	if err != nil || again != evaluated || !reflect.DeepEqual(eager, want) {
-		t.Fatalf("vec=nil: evaluated %d (lazy pass %d), err %v, equal %v", again, evaluated, err, reflect.DeepEqual(eager, want))
+	if err != nil || again != work || !reflect.DeepEqual(eager, want) {
+		t.Fatalf("vec=nil: evaluated %d (lazy pass %d), err %v, equal %v", again.Evaluated, evaluated, err, reflect.DeepEqual(eager, want))
 	}
 	// So is the artifact form — result vectors dropped, one aspect index
 	// and its bounds built before — shared by 8 selections at once.
@@ -192,8 +196,8 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 		go func() {
 			defer wg.Done()
 			got, n, err := OptSelectBounded(context.Background(), art, b, nil)
-			if err != nil || n != evaluated || !reflect.DeepEqual(got, want) {
-				t.Errorf("artifact form: evaluated %d (lazy pass %d), err %v, equal %v", n, evaluated, err, reflect.DeepEqual(got, want))
+			if err != nil || n != work || !reflect.DeepEqual(got, want) {
+				t.Errorf("artifact form: evaluated %d (lazy pass %d), err %v, equal %v", n.Evaluated, evaluated, err, reflect.DeepEqual(got, want))
 			}
 		}()
 	}
@@ -393,14 +397,14 @@ func TestBoundedOptSelectCancellation(t *testing.T) {
 	}
 
 	boom := errors.New("no vector")
-	got, evaluated, err := OptSelectBounded(context.Background(), p, b, func(i int) (textsim.IVector, error) {
+	got, work, err := OptSelectBounded(context.Background(), p, b, func(i int) (textsim.IVector, error) {
 		if i == 37 {
 			return textsim.IVector{}, boom
 		}
 		return p.Candidates[i].IVec, nil
 	})
-	if !errors.Is(err, boom) || got != nil || evaluated != 37 {
-		t.Fatalf("vec error: err = %v, selection %v, evaluated %d; want the error, nothing, 37", err, got, evaluated)
+	if !errors.Is(err, boom) || got != nil || work.Evaluated != 37 {
+		t.Fatalf("vec error: err = %v, selection %v, evaluated %d; want the error, nothing, 37", err, got, work.Evaluated)
 	}
 	if got, _, err := OptSelectBounded(context.Background(), p, b, nil); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after aborted passes: err %v, equal %v", err, reflect.DeepEqual(got, want))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/textsim"
@@ -632,7 +633,7 @@ func TestOptSelectSortEquivalence(t *testing.T) {
 		p := randomProblem(rng, n, nSpecs, k)
 		u := ComputeUtilities(p)
 		heapSel := OptSelect(p, u)
-		sortSel := OptSelectSort(p, u)
+		sortSel := optSelectSort(p, u)
 		if len(heapSel) != len(sortSel) {
 			t.Fatalf("trial %d: sizes differ %d vs %d", trial, len(heapSel), len(sortSel))
 		}
@@ -686,9 +687,107 @@ func BenchmarkAblationHeapVsSort(b *testing.B) {
 	})
 	b.Run("sort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			OptSelectSort(p, u)
+			optSelectSort(p, u)
 		}
 	})
+}
+
+// optSelectSort is the ablation counterpart of OptSelect called out in
+// DESIGN.md §5: it solves the same MaxUtility Diversify(k) problem by
+// fully sorting the candidates per specialization instead of maintaining
+// the bounded heaps of Algorithm 2 — O(n·|S_q|·log n) instead of
+// O(n·|S_q|·log k). The output must be the same diversified set (verified
+// by property test); the run-time gap between the two is the measurable
+// value of the paper's heap-based design, benchmarked by
+// BenchmarkAblationHeapVsSort. Test code: nothing serves it.
+func optSelectSort(p *Problem, u *Utilities) []Selected {
+	k := p.clampK()
+	if k == 0 {
+		return nil
+	}
+	if len(p.Specs) == 0 {
+		return Baseline(p)
+	}
+	n := len(p.Candidates)
+
+	order := make([]int, len(p.Specs))
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return p.Specs[order[a]].Prob > p.Specs[order[b]].Prob
+	})
+
+	// Full per-specialization candidate lists, sorted by overall score —
+	// the naive replacement for the bounded heaps.
+	better := func(a, b int) bool {
+		if u.Overall[a] != u.Overall[b] {
+			return u.Overall[a] > u.Overall[b]
+		}
+		return p.Candidates[a].Rank < p.Candidates[b].Rank
+	}
+	quota := make([]int, len(p.Specs))
+	perSpec := make([][]int, len(p.Specs))
+	for j := range p.Specs {
+		quota[j] = int(float64(k) * p.Specs[j].Prob)
+		for i := 0; i < n; i++ {
+			if u.U[i][j] > 0 {
+				perSpec[j] = append(perSpec[j], i)
+			}
+		}
+		list := perSpec[j]
+		sort.SliceStable(list, func(x, y int) bool { return better(list[x], list[y]) })
+	}
+
+	selected := make([]bool, n)
+	cover := make([]int, len(p.Specs))
+	out := make([]Selected, 0, k)
+	add := func(i int) {
+		selected[i] = true
+		for j := range p.Specs {
+			if u.U[i][j] > 0 {
+				cover[j]++
+			}
+		}
+		out = append(out, Selected{Doc: p.Candidates[i], Score: u.Overall[i]})
+	}
+
+	// Phase 1 — proportional coverage, most probable specialization first.
+	for _, j := range order {
+		pos := 0
+		for cover[j] < quota[j] && len(out) < k && pos < len(perSpec[j]) {
+			i := perSpec[j][pos]
+			pos++
+			if !selected[i] {
+				add(i)
+			}
+		}
+	}
+
+	// Phase 2 — fill with the globally best remaining candidates.
+	if len(out) < k {
+		rest := make([]int, 0, n-len(out))
+		for i := 0; i < n; i++ {
+			if !selected[i] {
+				rest = append(rest, i)
+			}
+		}
+		sort.SliceStable(rest, func(x, y int) bool { return better(rest[x], rest[y]) })
+		for _, i := range rest {
+			if len(out) >= k {
+				break
+			}
+			add(i)
+		}
+	}
+
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Rank < out[b].Rank
+	})
+	return out
 }
 
 // λ = 1 removes the relevance term from xQuAD: the first pick must be the

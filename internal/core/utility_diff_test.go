@@ -345,7 +345,7 @@ func TestAspectIndexSharedMatchesVectors(t *testing.T) {
 				}
 				got, n, err := OptSelectBounded(context.Background(), art, b, nil)
 				if err != nil || n != evaluated || !reflect.DeepEqual(got, bounded) {
-					t.Errorf("trial %d OptSelectBounded: %v (%d evaluated, err %v), from vectors %v (%d)", trial, IDs(got), n, err, IDs(bounded), evaluated)
+					t.Errorf("trial %d OptSelectBounded: %v (%d evaluated, err %v), from vectors %v (%d)", trial, IDs(got), n.Evaluated, err, IDs(bounded), evaluated.Evaluated)
 				}
 			}()
 		}

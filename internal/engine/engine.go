@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -484,6 +485,7 @@ func (e *Engine) searchShard(ctx context.Context, st *state, si int, queries []s
 	var err error
 	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, pruneOpts)
 	if err != nil {
+		r.release()
 		return nil, err
 	}
 	return &ShardHits{Epoch: st.epoch, Dict: st.dict.of(seg.Index().Terms()), r: r}, nil
@@ -516,6 +518,7 @@ func (s *ShardHits) Each(ctx context.Context, q int, windows bool, f func(h *Sha
 func (s *ShardHits) Close() {
 	if s.r != nil {
 		s.r.st.unpin()
+		s.r.release()
 		s.r = nil
 	}
 }
@@ -540,6 +543,7 @@ func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []stri
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	out := make([][]Result, len(queries))
 	for i, hits := range r.hits {
 		rs := make([]Result, len(hits))
@@ -554,11 +558,18 @@ func (e *Engine) searchBatchState(ctx context.Context, st *state, queries []stri
 	return out, nil
 }
 
-// newRetrieval analyzes the batch's queries for a retrieval over srcs.
+// newRetrieval analyzes the batch's queries for a retrieval over srcs,
+// into a pooled retrieval: the tokens are substrings of queries where
+// analysis leaves them so (see text.AppendTokens), and live until
+// release.
 func (e *Engine) newRetrieval(st *state, srcs []*segment, queries []string) *retrieval {
-	r := &retrieval{st: st, srcs: srcs, w: e.cfg.SnippetWindow, qToks: make([][]string, len(queries))}
-	for i, q := range queries {
-		r.qToks[i] = e.cfg.Analyzer.Tokens(q)
+	r := retrievalPool.Get().(*retrieval)
+	r.st, r.srcs, r.w = st, srcs, e.cfg.SnippetWindow
+	r.qToks, r.toks = slices.Grow(r.qToks[:0], len(queries)), r.toks[:0]
+	for _, q := range queries {
+		from := len(r.toks)
+		r.toks = e.cfg.Analyzer.AppendTokens(r.toks, q)
+		r.qToks = append(r.qToks, r.toks[from:len(r.toks):len(r.toks)])
 	}
 	return r
 }
@@ -574,8 +585,11 @@ func (e *Engine) retrieve(ctx context.Context, st *state, queries []string, ks [
 	r := e.newRetrieval(st, e.sources(st, mv), queries)
 	if st.quiet(mv) {
 		var err error
-		r.hits, err = ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, r.qToks, ks, pruneOpts)
-		return r, err
+		if r.hits, err = ranking.RetrieveBatchOpts(ctx, st.segs[0].seg, e.cfg.Model, r.qToks, ks, pruneOpts); err != nil {
+			r.release()
+			return nil, err
+		}
+		return r, nil
 	}
 
 	segN := len(st.segs)
@@ -594,6 +608,7 @@ func (e *Engine) retrieve(ctx context.Context, st *state, queries []string, ks [
 	for si, src := range r.srcs {
 		res, err := ranking.RetrieveBatchOpts(ctx, src.seg, e.cfg.Model, r.qToks, kp, pruneOpts)
 		if err != nil {
+			r.release()
 			return nil, err
 		}
 		for q, hl := range res {

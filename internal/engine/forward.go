@@ -88,14 +88,19 @@ func (e *Engine) sources(st *state, mv *index.MemView) []*segment {
 // ascending and distinct, dropping those the dictionary does not hold (no
 // field can match them).
 func termSet(idx *index.Index, qTokens []string) []int32 {
-	set := make([]int32, 0, len(qTokens))
+	return appendTermSet(make([]int32, 0, len(qTokens)), idx, qTokens)
+}
+
+// appendTermSet appends termSet(idx, qTokens) to dst.
+func appendTermSet(dst []int32, idx *index.Index, qTokens []string) []int32 {
+	from := len(dst)
 	for _, t := range qTokens {
 		if ts, ok := idx.Lookup(t); ok {
-			set = append(set, ts.ID)
+			dst = append(dst, ts.ID)
 		}
 	}
-	slices.Sort(set)
-	return slices.Compact(set)
+	slices.Sort(dst[from:])
+	return dst[:from+len(slices.Compact(dst[from:]))]
 }
 
 // fwdScratch is the per-search decode space of window.
@@ -211,13 +216,35 @@ func b2i(b bool) int {
 
 // retrieval is a query batch's merged hit lists over one pinned
 // snapshot, before any snippet or surrogate exists: what SearchBatch,
-// SearchShard, Candidates and the fused scan all start from.
+// SearchShard, Candidates and the fused scan all start from. It comes
+// from a pool with the space of its last use — query tokens, windowers —
+// and goes back with release; the hit lists are the retrieval's own, and
+// nothing else of it may be kept past release. Per-query lists are
+// windows of one backing array, taken as it is appended to: a window
+// stays valid when the array later outgrows its backing.
 type retrieval struct {
 	st    *state
 	srcs  []*segment
-	w     int // Config.SnippetWindow
-	qToks [][]string
+	w     int        // Config.SnippetWindow
+	qToks [][]string // windows of toks
+	toks  []string
 	hits  [][]ranking.Hit // Doc numbers are global: source offset + local
+	wds   []windower      // per list, set up on first use
+}
+
+var retrievalPool = sync.Pool{New: func() any { return new(retrieval) }}
+
+// release hands the retrieval back to the pool, and every windower's
+// decode space back to its own. The snapshot stays pinned: that is the
+// caller's.
+func (r *retrieval) release() {
+	for i := range r.wds {
+		r.wds[i].close()
+	}
+	clear(r.toks)
+	clear(r.qToks)
+	r.st, r.srcs, r.hits, r.wds = nil, nil, nil, r.wds[:0]
+	retrievalPool.Put(r)
 }
 
 // hitWindow is one hit with the snippet window picked for it: its source,
@@ -246,19 +273,38 @@ func (w hitWindow) vector(idf textsim.SliceIDF, slab *textsim.Slab) textsim.IVec
 type windower struct {
 	r    *retrieval
 	hits []ranking.Hit
-	sets [][]int32
+	sets [][]int32 // windows of set, as retrieval's are
+	set  []int32
 	sc   *fwdScratch
 }
 
+// windower returns list qi's windower, setting it up on first use.
 func (r *retrieval) windower(qi int) *windower {
-	sets := make([][]int32, len(r.srcs))
-	for s, sg := range r.srcs {
-		sets[s] = termSet(sg.seg.Index(), r.qToks[qi])
+	if len(r.wds) == 0 {
+		r.wds = slices.Grow(r.wds, len(r.hits))[:len(r.hits)]
 	}
-	return &windower{r: r, hits: r.hits[qi], sets: sets, sc: fwdScratchPool.Get().(*fwdScratch)}
+	wd := &r.wds[qi]
+	if wd.r != nil {
+		return wd
+	}
+	wd.r, wd.hits, wd.sc = r, r.hits[qi], fwdScratchPool.Get().(*fwdScratch)
+	wd.sets, wd.set = wd.sets[:0], wd.set[:0]
+	for _, sg := range r.srcs {
+		from := len(wd.set)
+		wd.set = appendTermSet(wd.set, sg.seg.Index(), r.qToks[qi])
+		wd.sets = append(wd.sets, wd.set[from:len(wd.set):len(wd.set)])
+	}
+	return wd
 }
 
-func (wd *windower) close() { fwdScratchPool.Put(wd.sc) }
+// close hands the decode space back. A windower never set up has none.
+func (wd *windower) close() {
+	if wd.r != nil {
+		fwdScratchPool.Put(wd.sc)
+		clear(wd.sets)
+		wd.r, wd.hits, wd.sc = nil, nil, nil
+	}
+}
 
 // at picks hit j's window. Its terms are valid until the next call.
 func (wd *windower) at(j int) hitWindow {
@@ -311,8 +357,7 @@ type Candidates struct {
 	Epoch uint64
 	Lex   *textsim.Lexicon
 
-	r    *retrieval  // nil once closed
-	wd   []*windower // per list, made on its first Vector
+	r    *retrieval // nil once closed
 	slab textsim.Slab
 }
 
@@ -343,13 +388,7 @@ func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*C
 // and one window, counted into the candidates' own slab. It must not be
 // called after Close; the vectors it returned stay valid.
 func (c *Candidates) Vector(q, j int) textsim.IVector {
-	if c.wd == nil {
-		c.wd = make([]*windower, len(c.Lists))
-	}
-	if c.wd[q] == nil {
-		c.wd[q] = c.r.windower(q)
-	}
-	return c.wd[q].at(j).vector(c.r.st.idf, &c.slab)
+	return c.r.windower(q).at(j).vector(c.r.st.idf, &c.slab)
 }
 
 // Surrogates attaches every candidate's surrogate vector. The only
@@ -370,12 +409,8 @@ func (c *Candidates) Surrogates(ctx context.Context) error {
 // Idempotent; the lists and their vectors stay valid.
 func (c *Candidates) Close() {
 	if c.r != nil {
-		for _, wd := range c.wd {
-			if wd != nil {
-				wd.close()
-			}
-		}
 		c.r.st.unpin()
-		c.r, c.wd = nil, nil
+		c.r.release()
+		c.r = nil
 	}
 }

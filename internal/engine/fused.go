@@ -44,6 +44,7 @@ func (e *Engine) SearchFusedStamped(ctx context.Context, plan *exec.Plan) ([]cor
 	if err != nil {
 		return nil, st.epoch, err
 	}
+	defer r.release()
 	hits := r.hits[0]
 
 	// P(d|q) normalization needs the min/max of the FULL score column, so

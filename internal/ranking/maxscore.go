@@ -188,13 +188,14 @@ func violatesZeroAdjust(m Model, c index.CollectionStats) bool {
 // exhaustive path, where no threshold ever forms.
 //
 // Ownership: maxscoreTopK releases every cursor's iterator, on every
-// path; callers must not touch the cursors afterwards.
+// path; callers must not touch the cursors afterwards. The returned items
+// live in ts's heap, valid until ts is used again.
 //
 // ctx is polled every few hundred candidates — the pruned counterpart
 // of the exhaustive pass's between-posting-lists preemption — so a shed
 // or disconnected request stops mid-evaluation instead of finishing a
 // top-k nobody will read.
-func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, cursors []msCursor, k int) ([]topk.Item[int32], error) {
+func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, cursors []msCursor, k int, ts *topKScratch) ([]topk.Item[int32], error) {
 	cstats := idx.Stats()
 	// Compact to the live (non-empty) cursors in place, releasing dead
 	// iterators immediately. After this, each iterator's pooled scratch is
@@ -227,7 +228,8 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		}
 		return cmp.Compare(a.order, b.order)
 	})
-	prefix := make([]float64, len(live))
+	prefix := grow(ts.prefix, len(live))
+	ts.prefix = prefix
 	sum := 0.0
 	for i := range live {
 		sum += live[i].ub
@@ -241,11 +243,15 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 	tabs := scratch.take(len(live))
 	termScore := model.TermScore
 
-	heap := topk.NewBounded[int32](k)
+	heap := &ts.heap
+	heap.Reset(k)
 	threshold := math.Inf(-1)
 	firstEss := 0 // live[firstEss:] are the essential lists
-	contrib := make([]float64, len(cursors))
-	touched := make([]int, 0, len(cursors))
+	contrib := grow(ts.contrib, len(cursors))
+	clear(contrib)
+	ts.contrib = contrib
+	touched := ts.touched[:0]
+	defer func() { ts.touched = touched[:0] }()
 	for candidates := 0; ; candidates++ {
 		// Poll on entry (a canceled request must not start) and then
 		// every 256 candidates.
@@ -355,7 +361,16 @@ func maxscoreTopK(ctx context.Context, idx *index.Index, model Model, qLen int, 
 		}
 		touched = touched[:0]
 	}
-	return heap.DrainSorted(), nil // the heap is this call's own
+	return heap.DrainSorted(), nil
+}
+
+// topKScratch is the space a query's top-k selection reuses: the bounded
+// heap, and MaxScore's bound prefix and per-candidate contributions.
+type topKScratch struct {
+	heap    topk.Bounded[int32]
+	prefix  []float64
+	contrib []float64
+	touched []int
 }
 
 // scoreTables is a posting loop's pooled index.ScoreTables: one per cursor

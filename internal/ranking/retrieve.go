@@ -2,7 +2,7 @@ package ranking
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/index"
@@ -141,12 +141,17 @@ func Retrieve(idx *index.Index, model Model, queryTokens []string, k int) []Hit 
 // break the serving layer's cache-equivalence guarantee. The fold works
 // on a sorted copy of the token slice, so no map is built per query.
 func termMultiplicities(queryTokens []string) ([]string, []float64) {
-	terms := make([]string, len(queryTokens))
-	copy(terms, queryTokens)
-	sort.Strings(terms)
-	mults := make([]float64, 0, len(terms))
-	out := terms[:0]
-	for i, t := range terms {
+	return appendTermMultiplicities(make([]string, 0, len(queryTokens)), make([]float64, 0, len(queryTokens)), queryTokens)
+}
+
+// appendTermMultiplicities is termMultiplicities appending to terms and
+// mults: the batch retrievals fold every query into one pooled pair.
+func appendTermMultiplicities(terms []string, mults []float64, queryTokens []string) ([]string, []float64) {
+	from := len(terms)
+	terms = append(terms, queryTokens...)
+	slices.Sort(terms[from:])
+	out := terms[:from]
+	for i, t := range terms[from:] {
 		if i > 0 && t == out[len(out)-1] {
 			mults[len(mults)-1]++
 			continue

@@ -22,11 +22,11 @@ import (
 // the router.
 //
 // Bit-identity with the in-process path holds because the scatter plan
-// is built by the same batchPlan, per-posting scores depend only on
-// collection-global statistics (segments share one physical index), and
-// each query's contributions accumulate in ascending term order — an
-// order independent of which other queries share the batch. The
-// differential test in shardbatch_test.go (and the distributed tier's
+// is built by the same batchScratch.prepare, per-posting scores depend
+// only on collection-global statistics (segments share one physical
+// index), and each query's contributions accumulate in ascending term
+// order — an order independent of which other queries share the batch.
+// The differential test in shardbatch_test.go (and the distributed tier's
 // router tests) enforce it.
 func RetrieveShardBatch(ctx context.Context, seg *index.Segmented, si int, model Model, queries [][]string, ks []int, opts BatchOptions) ([][]Hit, error) {
 	if len(queries) != len(ks) {
@@ -40,25 +40,26 @@ func RetrieveShardBatch(ctx context.Context, seg *index.Segmented, si int, model
 		return out, nil
 	}
 	idx := seg.Index()
-
-	qterms, plan, table, pruned, any := batchPlan(idx, queries, ks, opts, model)
-	if !any {
+	b := batchPool.Get().(*batchScratch)
+	defer b.release()
+	if !b.prepare(idx, queries, ks, opts, model) {
 		return out, nil
 	}
 
-	hits, err := scoreShard(ctx, seg, seg.Shard(si), model, plan, queries, ks, table, pruned)
-	if err != nil {
+	sc := shardScratchPool.Get().(*shardScratch)
+	b.shards = append(b.shards, sc)
+	if err := b.scoreShard(ctx, seg, si, model, queries, ks, sc); err != nil {
 		return nil, err
 	}
-	for q := range queries {
-		if qterms[q] == nil {
+	for q, hl := range sc.out {
+		if len(hl) == 0 {
 			continue
 		}
-		hl := []Hit(hits[q])
-		for i := range hl {
-			hl[i].DocID = idx.DocID(hl[i].Doc)
+		hits := append(make([]Hit, 0, len(hl)), hl...)
+		for i := range hits {
+			hits[i].DocID = idx.DocID(hits[i].Doc)
 		}
-		out[q] = hl
+		out[q] = hits
 	}
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package ranking
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/index"
@@ -43,124 +45,268 @@ type scatterTerm struct {
 	targets []scatterTarget
 }
 
-// buildScatterPlan resolves the union of all query terms against the
-// dictionary, in ascending term order, grouping the queries interested in
-// each term. Unindexed terms are dropped (they contribute no postings).
-func buildScatterPlan(idx *index.Index, qterms [][]string, qmults [][]float64) []scatterTerm {
-	type ref struct {
-		term string
-		q    int
-		mult float64
+// scatterRef is one (term, query) pair of the batch before the plan
+// groups the pairs by term.
+type scatterRef struct {
+	term string
+	q    int
+	mult float64
+}
+
+// batchScratch is one batch retrieval's working state: the per-query
+// term folds, the scatter plan, the per-shard scoring space and the merge
+// cursors. It lives in a sync.Pool, so a RetrieveBatchOpts or
+// RetrieveShardBatch call allocates only what it returns — the outer
+// slice and one list per query with hits — and nothing of it outlives
+// the pool's next clearing.
+//
+// Its per-query and per-term lists are windows of one backing array each,
+// taken as the array is appended to. A window stays valid when the array
+// later outgrows its backing: append never writes to an array it has
+// left.
+type batchScratch struct {
+	qterms  [][]string  // query q's distinct terms, ascending: a window of terms
+	qmults  [][]float64 // their multiplicities: a window of mults
+	terms   []string
+	mults   []float64
+	refs    []scatterRef
+	plan    []scatterTerm
+	targets []scatterTarget // every plan term's targets, term by term
+	table   []float64       // the model's max-score table; nil: no query prunes
+	pruned  []bool
+	shards  []*shardScratch // one per shard scored, in shard order
+	errs    []error
+	lists   [][]Hit
+	merge   merger
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release hands the scratch, and every shard scratch it holds, back to
+// the pools, dropping what it references of the caller's queries and of
+// the index.
+func (b *batchScratch) release() {
+	for _, sc := range b.shards {
+		sc.release()
 	}
-	var refs []ref
-	for q := range qterms {
-		for i, t := range qterms[q] {
-			refs = append(refs, ref{term: t, q: q, mult: qmults[q][i]})
+	clear(b.shards)
+	clear(b.qterms)
+	clear(b.terms)
+	clear(b.refs)
+	clear(b.lists)
+	clear(b.errs)
+	b.shards, b.lists, b.table = b.shards[:0], b.lists[:0], nil
+	batchPool.Put(b)
+}
+
+// grow returns s resliced to length n, reallocated when its capacity is
+// short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// prepare resolves everything about a query batch that is shard-
+// independent: per-query sorted terms and multiplicities, the scatter
+// plan over the term union, and — when pruning is requested and the
+// model's max-score table is installed — the per-query pruned flags. It
+// reports false when no query has a term. Both the all-shards gather
+// (RetrieveBatchOpts) and the single-shard worker path
+// (RetrieveShardBatch) plan here, so a remote worker scores its shard
+// with exactly the plan the in-process fan-out would have used — the
+// first half of the distributed tier's bit-identity argument (the other
+// half is that per-query accumulation order depends only on the query's
+// own sorted terms, never on the rest of the batch).
+func (b *batchScratch) prepare(idx *index.Index, queries [][]string, ks []int, opts BatchOptions, model Model) bool {
+	nq := len(queries)
+	b.qterms, b.qmults = grow(b.qterms, nq), grow(b.qmults, nq)
+	b.terms, b.mults = b.terms[:0], b.mults[:0]
+	for q, toks := range queries {
+		from := len(b.terms)
+		b.terms, b.mults = appendTermMultiplicities(b.terms, b.mults, toks)
+		b.qterms[q], b.qmults[q] = nil, nil // a query without terms
+		if n := len(b.terms); n > from {
+			b.qterms[q], b.qmults[q] = b.terms[from:n:n], b.mults[from:n:n]
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].term != refs[j].term {
-			return refs[i].term < refs[j].term
+	if len(b.terms) == 0 {
+		return false
+	}
+	b.buildPlan(idx)
+
+	b.table, b.pruned = nil, b.pruned[:0]
+	if opts.Prune {
+		if table := maxScoreTable(idx, model); table != nil {
+			b.pruned = grow(b.pruned, nq)
+			anyPruned := false
+			for q := range queries {
+				b.pruned[q] = ks[q] > 0 && b.qterms[q] != nil
+				anyPruned = anyPruned || b.pruned[q]
+			}
+			if anyPruned {
+				b.table = table
+			} else {
+				b.pruned = b.pruned[:0]
+			}
 		}
-		return refs[i].q < refs[j].q
+	}
+	return true
+}
+
+// prunes reports whether query q runs the MaxScore evaluator.
+func (b *batchScratch) prunes(q int) bool { return b.table != nil && b.pruned[q] }
+
+// buildPlan resolves the union of all query terms against the dictionary,
+// in ascending term order, grouping the queries interested in each term.
+// Unindexed terms are dropped (they contribute no postings).
+func (b *batchScratch) buildPlan(idx *index.Index) {
+	b.refs = b.refs[:0]
+	for q := range b.qterms {
+		for i, t := range b.qterms[q] {
+			b.refs = append(b.refs, scatterRef{term: t, q: q, mult: b.qmults[q][i]})
+		}
+	}
+	// A query's terms are distinct, so (term, query) orders the pairs
+	// totally.
+	slices.SortFunc(b.refs, func(x, y scatterRef) int {
+		if c := strings.Compare(x.term, y.term); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.q, y.q)
 	})
-	var plan []scatterTerm
+	b.plan, b.targets = b.plan[:0], b.targets[:0]
+	refs := b.refs
 	for i := 0; i < len(refs); {
 		j := i
 		for j < len(refs) && refs[j].term == refs[i].term {
 			j++
 		}
 		if tstats, ok := idx.Lookup(refs[i].term); ok {
-			st := scatterTerm{stats: tstats, targets: make([]scatterTarget, 0, j-i)}
+			from := len(b.targets)
 			for _, r := range refs[i:j] {
-				st.targets = append(st.targets, scatterTarget{q: r.q, mult: r.mult})
+				b.targets = append(b.targets, scatterTarget{q: r.q, mult: r.mult})
 			}
-			plan = append(plan, st)
+			n := len(b.targets)
+			b.plan = append(b.plan, scatterTerm{stats: tstats, targets: b.targets[from:n:n]})
 		}
 		i = j
 	}
-	return plan
 }
 
-// shardHits is the per-shard output for one query: hits with global Doc
-// and final Score, sorted by (score desc, doc asc); DocID and Rank are
-// filled after the gather.
-type shardHits []Hit
+// shardScratch is one shard's scoring space within a batch: a goroutine
+// scoring a shard owns one. out[q] is query q's hits on the shard — Doc
+// global, Score final, sorted by (score desc, doc asc) — valid until the
+// scratch is released. Its per-query lists are windows, as batchScratch's
+// are.
+type shardScratch struct {
+	accs    []*accumulator
+	cursors []msCursor   // every pruned query's cursors, query by query
+	qcurs   [][]msCursor // query q's cursors; nil once handed to maxscoreTopK
+	live    []scatterTarget
+	top     topKScratch
+	hits    []Hit // every query's hits, query by query
+	out     [][]Hit
+}
 
-// scoreShard runs the batch's scatter plan over one shard: a single pass
+var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
+
+func (sc *shardScratch) release() {
+	clear(sc.cursors) // iterator copies: released, but they point at scratch
+	clear(sc.qcurs)
+	clear(sc.hits)
+	clear(sc.out)
+	shardScratchPool.Put(sc)
+}
+
+// scoreShard runs the batch's scatter plan over shard si: a single pass
 // over the shard's posting sub-slices feeding one pooled accumulator per
-// query, then a bounded top-k selection per query. Cancellation is
-// checked once per plan term — the natural preemption point between
-// posting-list traversals.
+// query, then a bounded top-k selection per query, into sc.out.
+// Cancellation is checked once per plan term — the natural preemption
+// point between posting-list traversals.
 //
 // Queries flagged in pruned leave the shared scatter pass and run the
 // MaxScore evaluator over shard-ranged iterators of the same lists
-// instead, each against its own local heap (table carries the per-term
-// bounds; global maxima, hence valid for any document sub-range). A
-// pruned query gives up the batch's term-score sharing but skips whole
-// posting blocks by header; per-shard results are bit-identical either
-// way, so the merge cannot tell.
-func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, model Model,
-	plan []scatterTerm, queries [][]string, ks []int, table []float64, pruned []bool) ([]shardHits, error) {
+// instead (the table carries the per-term bounds; global maxima, hence
+// valid for any document sub-range). A pruned query gives up the batch's
+// term-score sharing but skips whole posting blocks by header; per-shard
+// results are bit-identical either way, so the merge cannot tell.
+func (b *batchScratch) scoreShard(ctx context.Context, seg *index.Segmented, si int, model Model,
+	queries [][]string, ks []int, sc *shardScratch) error {
+	shard := seg.Shard(si)
 	idx := seg.Index()
 	cstats := idx.Stats()
 	lo, _ := shard.DocRange()
 	nq := len(queries)
+	plan, table := b.plan, b.table
 
 	// Cursor lists for the pruned queries, assembled off the plan: the
 	// plan is in ascending term order and each query's term list is a
-	// subsequence of it, so append order is the accumulation order. Each
+	// subsequence of it, so plan order is the accumulation order. Each
 	// cursor gets its OWN shard-ranged iterator (iterators carry decode
-	// state and pooled scratch, so they cannot be shared). Ownership passes to maxscoreTopK query by
-	// query; the deferred sweep releases whatever an early error leaves
-	// behind (Release is a no-op for never-decoded iterators).
-	var msCursors [][]msCursor
-	bkey := boundKey(model)
+	// state and pooled scratch, so they cannot be shared). Ownership passes
+	// to maxscoreTopK query by query; the deferred sweep releases whatever
+	// an early error leaves behind (Release is a no-op for never-decoded
+	// iterators).
+	sc.qcurs = grow(sc.qcurs, nq)
+	clear(sc.qcurs)
 	if table != nil {
-		msCursors = make([][]msCursor, nq)
 		defer func() {
-			for _, cs := range msCursors {
+			for _, cs := range sc.qcurs {
 				for i := range cs {
 					cs[i].it.Release()
 				}
 			}
 		}()
-		for ti := range plan {
-			st := &plan[ti]
-			for _, tgt := range st.targets {
-				if !pruned[tgt.q] {
-					continue
-				}
-				it := shard.Iter(st.stats.ID)
-				it.SetBlockMax(idx.TermBlockMax(bkey, st.stats.ID))
-				msCursors[tgt.q] = append(msCursors[tgt.q], msCursor{
-					it:    it,
-					stats: st.stats,
-					mult:  tgt.mult,
-					ub:    tgt.mult * table[st.stats.ID],
-					order: len(msCursors[tgt.q]),
-				})
+		bkey := boundKey(model)
+		sc.cursors = sc.cursors[:0]
+		for q := range queries {
+			if !b.pruned[q] {
+				continue
 			}
+			from := len(sc.cursors)
+			for ti := range plan {
+				st := &plan[ti]
+				for _, tgt := range st.targets {
+					if tgt.q != q {
+						continue
+					}
+					it := shard.Iter(st.stats.ID)
+					it.SetBlockMax(idx.TermBlockMax(bkey, st.stats.ID))
+					sc.cursors = append(sc.cursors, msCursor{
+						it:    it,
+						stats: st.stats,
+						mult:  tgt.mult,
+						ub:    tgt.mult * table[st.stats.ID],
+						order: len(sc.cursors) - from,
+					})
+				}
+			}
+			n := len(sc.cursors)
+			sc.qcurs[q] = sc.cursors[from:n:n]
 		}
 	}
 
-	accs := make([]*accumulator, nq)
+	sc.accs = grow(sc.accs, nq)
+	clear(sc.accs)
 	anyExhaustive := false
-	for q := range accs {
-		if len(queries[q]) == 0 || (pruned != nil && pruned[q]) {
+	for q := range sc.accs {
+		if len(queries[q]) == 0 || b.prunes(q) {
 			continue
 		}
 		acc := accPool.Get().(*accumulator)
 		acc.reset(shard.NumDocs())
-		accs[q] = acc
+		sc.accs[q] = acc
 		anyExhaustive = true
 	}
 	defer func() {
-		for _, acc := range accs {
+		for _, acc := range sc.accs {
 			if acc != nil {
 				accPool.Put(acc)
 			}
 		}
+		clear(sc.accs)
 	}()
 
 	if anyExhaustive {
@@ -170,19 +316,20 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 		termScore := model.TermScore
 		for ti := range plan {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			st := &plan[ti]
 			targets := st.targets
 			if table != nil {
 				// Strip pruned queries' targets; skip the traversal when
 				// nobody on the exhaustive path wants this term.
-				live := targets[:0:0]
+				live := sc.live[:0]
 				for _, tgt := range targets {
-					if !pruned[tgt.q] {
+					if !b.pruned[tgt.q] {
 						live = append(live, tgt)
 					}
 				}
+				sc.live = live
 				if len(live) == 0 {
 					continue
 				}
@@ -198,7 +345,7 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 					}
 					local := p.Doc - lo
 					for _, tgt := range targets {
-						accs[tgt.q].add(local, tgt.mult*s)
+						sc.accs[tgt.q].add(local, tgt.mult*s)
 					}
 				}
 			}
@@ -206,115 +353,116 @@ func scoreShard(ctx context.Context, seg *index.Segmented, shard index.Shard, mo
 		}
 	}
 
-	out := make([]shardHits, nq)
-	for q, acc := range accs {
-		if pruned != nil && pruned[q] {
+	sc.hits = sc.hits[:0]
+	sc.out = grow(sc.out, nq)
+	heap := &sc.top.heap
+	for q, acc := range sc.accs {
+		from := len(sc.hits)
+		var items []topk.Item[int32]
+		switch {
+		case b.prunes(q):
 			// Ownership of the cursors (and their iterators) transfers to
 			// maxscoreTopK; drop our reference so the deferred sweep does
 			// not double-release.
-			cs := msCursors[q]
-			msCursors[q] = nil
-			items, err := maxscoreTopK(ctx, idx, model, len(queries[q]), cs, ks[q])
-			if err != nil {
-				return nil, err
+			cs := sc.qcurs[q]
+			sc.qcurs[q] = nil
+			var err error
+			if items, err = maxscoreTopK(ctx, idx, model, len(queries[q]), cs, ks[q], &sc.top); err != nil {
+				return err
 			}
-			if len(items) == 0 {
-				continue
+		case acc != nil && len(acc.touched) > 0:
+			qLen := len(queries[q])
+			heap.Reset(boundFor(ks[q], len(acc.touched)))
+			for _, local := range acc.touched {
+				doc := local + lo
+				score := acc.scores[local] + model.DocAdjust(float64(idx.DocLen(doc)), qLen, cstats)
+				heap.Push(doc, score, int64(doc))
 			}
-			hits := make(shardHits, len(items))
-			for i, it := range items {
-				hits[i] = Hit{Doc: it.Value, Score: it.Score}
-			}
-			out[q] = hits
-			continue
+			items = heap.DrainSorted()
 		}
-		if acc == nil || len(acc.touched) == 0 {
-			continue
+		for _, it := range items {
+			sc.hits = append(sc.hits, Hit{Doc: it.Value, Score: it.Score})
 		}
-		qLen := len(queries[q])
-		heap := topk.NewBounded[int32](boundFor(ks[q], len(acc.touched)))
-		for _, local := range acc.touched {
-			doc := local + lo
-			score := acc.scores[local] + model.DocAdjust(float64(idx.DocLen(doc)), qLen, cstats)
-			heap.Push(doc, score, int64(doc))
-		}
-		items := heap.DrainSorted()
-		hits := make(shardHits, len(items))
-		for i, it := range items {
-			hits[i] = Hit{Doc: it.Value, Score: it.Score}
-		}
-		out[q] = hits
+		n := len(sc.hits)
+		sc.out[q] = sc.hits[from:n:n]
 	}
-	return out, nil
+	return nil
 }
 
-// mergeHits performs the deterministic k-way merge of per-shard hit
-// lists: each list is already sorted by (score desc, doc asc), and a
-// cursor min-heap pops the globally best head until k hits are gathered
-// (k <= 0 merges everything). Shard doc ranges are disjoint, so the
-// (score, doc) order is total and the output is unique.
-func mergeHits(lists []shardHits, k int) []Hit {
-	live := lists[:0:0]
+// merger is the deterministic k-way merge of per-shard hit lists, with
+// its cursor heap kept between merges.
+type merger struct{ cursors [][]Hit }
+
+var mergerPool = sync.Pool{New: func() any { return new(merger) }}
+
+// merge returns the k best hits of lists (k <= 0: all of them), each
+// list already sorted by (score desc, doc asc): a cursor min-heap pops
+// the globally best head until k hits are gathered. Shard doc ranges are
+// disjoint, so the (score, doc) order is total and the output is unique.
+// The result is a list of its own, exactly as long as it needs to be —
+// except that, with alias, a single list with hits is returned cut to
+// length rather than copied.
+func (m *merger) merge(lists [][]Hit, k int, alias bool) []Hit {
+	cursors := m.cursors[:0]
 	total := 0
 	for _, l := range lists {
 		if len(l) > 0 {
-			live = append(live, l)
+			cursors = append(cursors, l)
 			total += len(l)
 		}
 	}
-	if len(live) == 0 {
+	defer func() { clear(cursors); m.cursors = cursors[:0] }()
+	if len(cursors) == 0 {
 		return nil
 	}
 	want := total
 	if k > 0 && k < want {
 		want = k
 	}
-	if len(live) == 1 {
-		out := live[0]
-		if len(out) > want {
-			out = out[:want]
+	if len(cursors) == 1 {
+		if alias {
+			return cursors[0][:want]
 		}
-		return out
+		return append(make([]Hit, 0, want), cursors[0][:want]...)
 	}
 	// cursors is a binary min-heap ordered by "head hit wins": higher
 	// score first, lower doc on ties.
-	cursors := make([]shardHits, len(live))
-	copy(cursors, live)
-	headBefore := func(a, b shardHits) bool {
+	headBefore := func(a, b []Hit) bool {
 		if a[0].Score != b[0].Score {
 			return a[0].Score > b[0].Score
 		}
 		return a[0].Doc < b[0].Doc
 	}
+	h := cursors
 	siftDown := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			best := i
-			if l < len(cursors) && headBefore(cursors[l], cursors[best]) {
+			if l < len(h) && headBefore(h[l], h[best]) {
 				best = l
 			}
-			if r < len(cursors) && headBefore(cursors[r], cursors[best]) {
+			if r < len(h) && headBefore(h[r], h[best]) {
 				best = r
 			}
 			if best == i {
 				return
 			}
-			cursors[i], cursors[best] = cursors[best], cursors[i]
+			h[i], h[best] = h[best], h[i]
 			i = best
 		}
 	}
-	for i := len(cursors)/2 - 1; i >= 0; i-- {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(i)
 	}
 	out := make([]Hit, 0, want)
 	for len(out) < want {
-		out = append(out, cursors[0][0])
-		if rest := cursors[0][1:]; len(rest) > 0 {
-			cursors[0] = rest
+		out = append(out, h[0][0])
+		if rest := h[0][1:]; len(rest) > 0 {
+			h[0] = rest
 		} else {
-			cursors[0] = cursors[len(cursors)-1]
-			cursors = cursors[:len(cursors)-1]
-			if len(cursors) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			if len(h) == 0 {
 				break
 			}
 		}
@@ -334,48 +482,6 @@ type BatchOptions struct {
 	Prune bool
 }
 
-// batchPlan resolves everything about a query batch that is shard-
-// independent: per-query sorted terms and multiplicities, the scatter
-// plan over the term union, and — when pruning is requested and the
-// model's max-score table is installed — the per-query pruned flags.
-// Both the all-shards gather (RetrieveBatchOpts) and the single-shard
-// worker path (RetrieveShardBatch) build their plan here, so a remote
-// worker scores its shard with exactly the plan the in-process fan-out
-// would have used — the first half of the distributed tier's
-// bit-identity argument (the other half is that per-query accumulation
-// order depends only on the query's own sorted terms, never on the rest
-// of the batch).
-func batchPlan(idx *index.Index, queries [][]string, ks []int, opts BatchOptions, model Model) (qterms [][]string, plan []scatterTerm, table []float64, pruned []bool, any bool) {
-	qterms = make([][]string, len(queries))
-	qmults := make([][]float64, len(queries))
-	for q, toks := range queries {
-		if len(toks) == 0 {
-			continue
-		}
-		qterms[q], qmults[q] = termMultiplicities(toks)
-		any = true
-	}
-	if !any {
-		return qterms, nil, nil, nil, false
-	}
-	plan = buildScatterPlan(idx, qterms, qmults)
-
-	if opts.Prune {
-		if table = maxScoreTable(idx, model); table != nil {
-			pruned = make([]bool, len(queries))
-			anyPruned := false
-			for q := range queries {
-				pruned[q] = ks[q] > 0 && qterms[q] != nil
-				anyPruned = anyPruned || pruned[q]
-			}
-			if !anyPruned {
-				table, pruned = nil, nil
-			}
-		}
-	}
-	return qterms, plan, table, pruned, true
-}
-
 // RetrieveBatchOpts evaluates a batch of analyzed queries against the
 // segmented index in one scatter-gather round: every shard is visited by
 // exactly one worker no matter how many queries are pending, and each
@@ -383,7 +489,7 @@ func batchPlan(idx *index.Index, queries [][]string, ks []int, opts BatchOptions
 // across all queries containing the term. ks[i] bounds query i's result
 // size (<= 0 means all matches). The per-query results are bit-identical
 // to Retrieve(seg.Index(), model, queries[i], ks[i]), with opts.Prune or
-// without.
+// without. Each list is the caller's; the working state is pooled.
 //
 // ctx cancellation aborts the remaining shard work and returns the
 // context's error — the serving layer threads request contexts here so
@@ -397,48 +503,47 @@ func RetrieveBatchOpts(ctx context.Context, seg *index.Segmented, model Model, q
 		return out, nil
 	}
 	idx := seg.Index()
-
-	qterms, plan, table, pruned, any := batchPlan(idx, queries, ks, opts, model)
-	if !any {
+	b := batchPool.Get().(*batchScratch)
+	defer b.release()
+	if !b.prepare(idx, queries, ks, opts, model) {
 		return out, nil
 	}
 
 	shards := seg.NumShards()
-	perShard := make([][]shardHits, shards)
+	for si := 0; si < shards; si++ {
+		b.shards = append(b.shards, shardScratchPool.Get().(*shardScratch))
+	}
 	if shards == 1 {
-		hits, err := scoreShard(ctx, seg, seg.Shard(0), model, plan, queries, ks, table, pruned)
-		if err != nil {
+		if err := b.scoreShard(ctx, seg, 0, model, queries, ks, b.shards[0]); err != nil {
 			return nil, err
 		}
-		perShard[0] = hits
 	} else {
 		var wg sync.WaitGroup
-		errs := make([]error, shards)
+		b.errs = grow(b.errs, shards)
 		for si := 0; si < shards; si++ {
 			wg.Add(1)
 			go func(si int) {
 				defer wg.Done()
-				perShard[si], errs[si] = scoreShard(ctx, seg, seg.Shard(si), model, plan, queries, ks, table, pruned)
+				b.errs[si] = b.scoreShard(ctx, seg, si, model, queries, ks, b.shards[si])
 			}(si)
 		}
 		wg.Wait()
-		for _, err := range errs {
+		for _, err := range b.errs {
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	lists := make([]shardHits, 0, shards)
 	for q := range queries {
-		if qterms[q] == nil {
+		if b.qterms[q] == nil {
 			continue
 		}
-		lists = lists[:0]
-		for si := 0; si < shards; si++ {
-			lists = append(lists, perShard[si][q])
+		b.lists = b.lists[:0]
+		for _, sc := range b.shards {
+			b.lists = append(b.lists, sc.out[q])
 		}
-		hits := mergeHits(lists, ks[q])
+		hits := b.merge.merge(b.lists, ks[q], false)
 		for i := range hits {
 			hits[i].DocID = idx.DocID(hits[i].Doc)
 			hits[i].Rank = i + 1
@@ -456,11 +561,9 @@ func RetrieveBatchOpts(ctx context.Context, seg *index.Segmented, model Model, q
 // results cannot introduce order differences a single-segment run would
 // not have.
 func MergeSegments(lists [][]Hit, k int) []Hit {
-	sh := make([]shardHits, len(lists))
-	for i, l := range lists {
-		sh[i] = l
-	}
-	hits := mergeHits(sh, k)
+	m := mergerPool.Get().(*merger)
+	hits := m.merge(lists, k, true)
+	mergerPool.Put(m)
 	for i := range hits {
 		hits[i].Rank = i + 1
 	}

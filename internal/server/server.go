@@ -310,13 +310,16 @@ type FusedStats struct {
 // R_q candidates this server's requests retrieved — all of them, the
 // ones answered k deep because nothing would diversify them included —
 // and, over its diversified requests, how many the selection stage saw,
-// how many it scored under Definition 2 and how many surrogate vectors it
-// built. OptSelect is served by the bounded selection, which scores a
-// candidate only while it can still enter a heap; xQuAD, IASelect and MMR
-// read every candidate. Counted per serving handle, not per process.
+// how far into R_q its walk went before it stopped, how many it scored
+// under Definition 2 and how many surrogate vectors it built. OptSelect
+// is served by the bounded selection, which scores a candidate only while
+// it can still enter a heap and stops walking once no later one can;
+// xQuAD, IASelect and MMR read every candidate. Counted per serving
+// handle, not per process.
 type SelectionStats struct {
 	CandidatesRetrieved int64 `json:"candidates_retrieved"`
 	CandidatesSeen      int64 `json:"candidates_seen"`
+	CandidatesWalked    int64 `json:"candidates_walked"`
 	CandidatesEvaluated int64 `json:"candidates_evaluated"`
 	VectorsBuilt        int64 `json:"vectors_built"`
 }
@@ -622,6 +625,7 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 		Selection: SelectionStats{
 			CandidatesRetrieved: h.Work.CandidatesRetrieved.Load(),
 			CandidatesSeen:      h.Work.CandidatesSeen.Load(),
+			CandidatesWalked:    h.Work.CandidatesWalked.Load(),
 			CandidatesEvaluated: h.Work.CandidatesEvaluated.Load(),
 			VectorsBuilt:        h.Work.VectorsBuilt.Load(),
 		},

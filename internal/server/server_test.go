@@ -209,6 +209,11 @@ func TestStatsCounters(t *testing.T) {
 		sel.CandidatesEvaluated == 0 || sel.VectorsBuilt != sel.CandidatesEvaluated {
 		t.Errorf("selection after 3 optselect searches = %+v, want 0 < evaluated = vectors < seen = 3·|R_q|", sel)
 	}
+	// The walk goes at least as far as the last candidate scored, and the
+	// same query walks the same prefix every time.
+	if sel.CandidatesWalked%3 != 0 || sel.CandidatesWalked < sel.CandidatesEvaluated || sel.CandidatesWalked > sel.CandidatesSeen {
+		t.Errorf("selection after 3 optselect searches = %+v, want evaluated <= walked <= seen, walked = 3·a prefix", sel)
+	}
 	if sel.CandidatesRetrieved != sel.CandidatesSeen {
 		t.Errorf("retrieved %d candidates over 3 ambiguous searches, want what the selection saw, %d", sel.CandidatesRetrieved, sel.CandidatesSeen)
 	}
@@ -217,8 +222,9 @@ func TestStatsCounters(t *testing.T) {
 	var after StatsResponse
 	getJSON(t, ts.URL+"/stats", &after)
 	rq := sel.CandidatesSeen / 3
-	if d := after.Selection; d.CandidatesSeen-sel.CandidatesSeen != rq || d.CandidatesEvaluated-sel.CandidatesEvaluated != rq || d.VectorsBuilt-sel.VectorsBuilt != rq {
-		t.Errorf("selection after one xquad search = %+v (before %+v), want all three up by |R_q| = %d", d, sel, rq)
+	if d := after.Selection; d.CandidatesSeen-sel.CandidatesSeen != rq || d.CandidatesWalked-sel.CandidatesWalked != rq ||
+		d.CandidatesEvaluated-sel.CandidatesEvaluated != rq || d.VectorsBuilt-sel.VectorsBuilt != rq {
+		t.Errorf("selection after one xquad search = %+v (before %+v), want all four up by |R_q| = %d", d, sel, rq)
 	}
 	// An unambiguous query diversifies nothing, so only the retrieval count
 	// moves: by the full depth while the verdict is being found out, by the
@@ -233,7 +239,7 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatalf("search %d for %q: ambiguous=%v, %d results, cache_hit=%v", i, noise, sr.Ambiguous, len(sr.Results), sr.CacheHit)
 		}
 		d, b := after.Selection, before.Selection
-		if d.CandidatesRetrieved-b.CandidatesRetrieved != want || d.CandidatesSeen != b.CandidatesSeen ||
+		if d.CandidatesRetrieved-b.CandidatesRetrieved != want || d.CandidatesSeen != b.CandidatesSeen || d.CandidatesWalked != b.CandidatesWalked ||
 			d.CandidatesEvaluated != b.CandidatesEvaluated || d.VectorsBuilt != b.VectorsBuilt {
 			t.Errorf("selection after search %d for %q = %+v (before %+v), want only candidates_retrieved up, by %d", i, noise, d, b, want)
 		}

@@ -1,6 +1,10 @@
 package suggest
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Specialization is one mined specialization q' of an ambiguous query q,
 // with its log popularity f(q') and the probability P(q'|q) of
@@ -9,6 +13,18 @@ type Specialization struct {
 	Query string
 	Freq  int
 	Prob  float64
+	// Weight is the mass Prob is proportional to: f(q') plus
+	// ClickWeight·clicks(q') when AmbiguousQueryDetect weighs clicks.
+	// TopSpecializations renormalizes by it; 0 means Freq.
+	Weight float64
+}
+
+// mass is the weight Prob is proportional to.
+func (s Specialization) mass() float64 {
+	if s.Weight != 0 {
+		return s.Weight
+	}
+	return float64(s.Freq)
 }
 
 // DetectOptions configures AmbiguousQueryDetect.
@@ -77,42 +93,42 @@ func AmbiguousQueryDetect(q string, rec *Recommender, opts DetectOptions) []Spec
 		return nil
 	}
 	// Definition 1 probabilities, optionally click-weighted (§6 ii).
-	weight := func(s Specialization) float64 {
-		return float64(s.Freq) + opts.ClickWeight*float64(rec.Clicks(s.Query))
-	}
 	total := 0.0
-	for _, s := range specs {
-		total += weight(s)
+	for i := range specs {
+		specs[i].Weight = float64(specs[i].Freq) + opts.ClickWeight*float64(rec.Clicks(specs[i].Query))
+		total += specs[i].Weight
 	}
 	for i := range specs {
-		specs[i].Prob = weight(specs[i]) / total
+		specs[i].Prob = specs[i].Weight / total
 	}
 	// Deterministic order: by probability descending, then query.
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Prob != specs[j].Prob {
-			return specs[i].Prob > specs[j].Prob
+	slices.SortFunc(specs, func(a, b Specialization) int {
+		if a.Prob != b.Prob {
+			return cmp.Compare(b.Prob, a.Prob)
 		}
-		return specs[i].Query < specs[j].Query
+		return strings.Compare(a.Query, b.Query)
 	})
 	return specs
 }
 
 // TopSpecializations truncates specs to the k most probable and
-// renormalizes the probabilities. §3.1.3: "if |S_q| > k we select from S_q
-// the k specializations with the largest probabilities."
+// renormalizes the probabilities by the weights they were computed from
+// (Specialization.Weight), so click weighting survives the cut. §3.1.3:
+// "if |S_q| > k we select from S_q the k specializations with the largest
+// probabilities."
 func TopSpecializations(specs []Specialization, k int) []Specialization {
 	if k <= 0 || len(specs) <= k {
 		return specs
 	}
 	out := make([]Specialization, k)
 	copy(out, specs[:k])
-	total := 0
+	total := 0.0
 	for _, s := range out {
-		total += s.Freq
+		total += s.mass()
 	}
 	if total > 0 {
 		for i := range out {
-			out[i].Prob = float64(out[i].Freq) / float64(total)
+			out[i].Prob = out[i].mass() / total
 		}
 	}
 	return out

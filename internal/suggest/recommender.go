@@ -12,7 +12,9 @@
 package suggest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/qfg"
 	"repro/internal/querylog"
@@ -154,14 +156,14 @@ func (r *Recommender) Recommend(q string, max int) []Suggestion {
 	for s, w := range scores {
 		out = append(out, Suggestion{Query: s, Score: w, Freq: r.freq.Of(s)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Suggestion) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
+		if a.Freq != b.Freq {
+			return cmp.Compare(b.Freq, a.Freq)
 		}
-		return out[i].Query < out[j].Query
+		return strings.Compare(a.Query, b.Query)
 	})
 	if max > 0 && len(out) > max {
 		out = out[:max]
@@ -172,21 +174,36 @@ func (r *Recommender) Recommend(q string, max int) []Suggestion {
 // IsSpecialization reports whether q2 states the information need of q1
 // "more precisely" (the Boldi et al. terminology adopted in §3.1). The
 // predicate is purely lexical: q2 must contain every token of q1 and add
-// at least one token. The session evidence the recommender is trained on
-// supplies the behavioural part of the definition.
+// at least one token (tokens counted with their repeats). The session
+// evidence the recommender is trained on supplies the behavioural part of
+// the definition. Nothing is allocated: the tokens are compared where they
+// stand in q1 and q2.
 func IsSpecialization(q1, q2 string) bool {
-	t1, t2 := text.Tokenize(q1), text.Tokenize(q2)
-	if len(t2) <= len(t1) || len(t1) == 0 {
+	n1, n2 := countTokens(q1), countTokens(q2)
+	if n2 <= n1 || n1 == 0 {
 		return false
 	}
-	set := make(map[string]bool, len(t2))
-	for _, t := range t2 {
-		set[t] = true
-	}
-	for _, t := range t1 {
-		if !set[t] {
+	for tok, rest := text.NextToken(q1); tok != ""; tok, rest = text.NextToken(rest) {
+		if !hasToken(q2, tok) {
 			return false
 		}
 	}
 	return true
+}
+
+func countTokens(q string) int {
+	n := 0
+	for tok, rest := text.NextToken(q); tok != ""; tok, rest = text.NextToken(rest) {
+		n++
+	}
+	return n
+}
+
+func hasToken(q, tok string) bool {
+	for t, rest := text.NextToken(q); t != ""; t, rest = text.NextToken(rest) {
+		if text.SameToken(t, tok) {
+			return true
+		}
+	}
+	return false
 }

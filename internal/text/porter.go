@@ -8,7 +8,9 @@ package text
 // lowercase first (the package tokenizer already does).
 
 // Stem returns the Porter stem of word. Words shorter than three characters
-// are returned unchanged, per the original algorithm.
+// are returned unchanged, per the original algorithm. A stem that is a
+// prefix of word — most are: the algorithm mostly strips suffixes — is
+// returned as a substring of it.
 func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
@@ -22,6 +24,9 @@ func Stem(word string) string {
 	b = step4(b)
 	b = step5a(b)
 	b = step5b(b)
+	if len(b) <= len(word) && string(b) == word[:len(b)] {
+		return word[:len(b)]
+	}
 	return string(b)
 }
 

@@ -9,38 +9,124 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits text into lowercase alphanumeric tokens. Any rune that is
 // neither a letter nor a digit is a separator. The tokenizer is
 // deliberately simple and deterministic: the same choice Terrier's default
-// "EnglishTokeniser" makes for Latin alphabets.
+// "EnglishTokeniser" makes for Latin alphabets. The tokens share one
+// lowercased copy of text and never reference text itself.
 func Tokenize(text string) []string {
-	tokens := make([]string, 0, len(text)/6)
+	return appendTokens(make([]string, 0, len(text)/6), text, true)
+}
+
+// AppendTokens appends the tokens Tokenize would return for text to dst.
+// When text is already lowercase ASCII the tokens are substrings of it and
+// nothing is allocated beyond dst's growth; otherwise they share one
+// lowercased copy. A token kept therefore keeps text alive: this is for a
+// request's own query strings, never for document text, which may live in
+// a mapping.
+func AppendTokens(dst []string, text string) []string {
+	return appendTokens(dst, text, !lowerASCII(text))
+}
+
+// appendTokens appends text's tokens to dst: as they stand in text, or,
+// with lower, lowercased rune by rune into one buffer. The builder only
+// appends, so a token taken from it stays valid whatever it does next.
+func appendTokens(dst []string, text string, lower bool) []string {
 	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
+	if lower {
+		b.Grow(len(text))
+	}
+	for tok, rest := NextToken(text); tok != ""; tok, rest = NextToken(rest) {
+		if lower {
+			from := b.Len()
+			for _, r := range tok {
+				b.WriteRune(unicode.ToLower(r))
+			}
+			tok = b.String()[from:]
+		}
+		dst = append(dst, tok)
+	}
+	return dst
+}
+
+// lowerASCII reports whether s has no byte outside ASCII and no upper-case
+// letter: whether lowercasing s rune by rune leaves it as it is.
+func lowerASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return false
 		}
 	}
-	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
+	return true
+}
+
+// isWord reports whether r belongs to a token: a letter or a digit.
+func isWord(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+// NextToken returns the first token of s as it stands in s — before
+// lowercasing — and the rest of s after it; tok is "" when s holds none.
+// Tokenize lowercases exactly these substrings, in this order.
+func NextToken(s string) (tok, rest string) {
+	start := -1
+	for i, r := range s {
+		if isWord(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return s[start:i], s[i:]
 		}
 	}
-	flush()
-	return tokens
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// SameToken reports whether two NextToken tokens lowercase to the same
+// token.
+func SameToken(a, b string) bool {
+	for a != "" && b != "" {
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return a == b
 }
 
 // NormalizeQuery canonicalizes a raw query string the way the query-log
 // pipeline expects: lowercase, alphanumeric tokens joined by single spaces.
 // Two queries that normalize identically are treated as the same query
-// throughout log mining.
+// throughout log mining. A query already in that form is returned as it
+// is.
 func NormalizeQuery(q string) string {
+	if normalized(q) {
+		return q
+	}
 	return strings.Join(Tokenize(q), " ")
+}
+
+// normalized reports whether NormalizeQuery(q) == q: q is tokens whose
+// runes lowercasing leaves as they are, each pair separated by one space.
+func normalized(q string) bool {
+	prev := ' ' // a leading space is a separator after nothing
+	for _, r := range q {
+		if r == ' ' {
+			if prev == ' ' {
+				return false
+			}
+		} else if !isWord(r) || unicode.ToLower(r) != r {
+			return false
+		}
+		prev = r
+	}
+	return prev != ' ' || q == ""
 }
 
 // Analyzer bundles the full analysis chain. The zero value performs
@@ -81,9 +167,20 @@ func NewAnalyzer() *Analyzer {
 
 // Tokens runs the full chain on text.
 func (a *Analyzer) Tokens(text string) []string {
-	raw := Tokenize(text)
-	out := raw[:0]
-	for _, tok := range raw {
+	return a.filter(Tokenize(text), 0)
+}
+
+// AppendTokens runs the full chain on text and appends the surviving
+// tokens to dst. Like text.AppendTokens it may return substrings of text:
+// for a request's query strings only.
+func (a *Analyzer) AppendTokens(dst []string, text string) []string {
+	return a.filter(AppendTokens(dst, text), len(dst))
+}
+
+// filter runs keep over toks[from:] in place.
+func (a *Analyzer) filter(toks []string, from int) []string {
+	out := toks[:from]
+	for _, tok := range toks[from:] {
 		if tok, ok := a.keep(tok); ok {
 			out = append(out, tok)
 		}
@@ -144,7 +241,7 @@ func (a *Analyzer) FieldTokens(tokens []string, lens []int32, text string) ([]st
 		switch {
 		case unicode.IsSpace(r):
 			endField()
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
+		case isWord(r):
 			inField = true
 			b.WriteRune(unicode.ToLower(r))
 		default:

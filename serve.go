@@ -77,14 +77,20 @@ type SelectionWork struct {
 	CandidatesRetrieved atomic.Int64
 	// CandidatesSeen sums |R_q| over the diversified requests.
 	CandidatesSeen atomic.Int64
+	// CandidatesWalked sums how far into R_q the selection's walk went
+	// before its stop rule fired (core.BoundedWork.Walked): the prefix a
+	// retrieval stopping where the selection stops would have needed.
+	// All of R_q for the algorithms that read every candidate.
+	CandidatesWalked atomic.Int64
 	// CandidatesEvaluated sums the candidates the selection scored.
 	CandidatesEvaluated atomic.Int64
 	// VectorsBuilt sums the R_q surrogate vectors built.
 	VectorsBuilt atomic.Int64
 }
 
-func (w *SelectionWork) add(seen, evaluated, vectors int) {
+func (w *SelectionWork) add(seen, walked, evaluated, vectors int) {
 	w.CandidatesSeen.Add(int64(seen))
+	w.CandidatesWalked.Add(int64(walked))
 	w.CandidatesEvaluated.Add(int64(evaluated))
 	w.VectorsBuilt.Add(int64(vectors))
 }
@@ -217,12 +223,12 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 		return core.Baseline(problem), art.Specs, hit, info, nil
 	}
 	if !bounded {
-		h.Work.add(n, n, n)
+		h.Work.add(n, n, n, n)
 		return core.Diversify(alg, problem), art.Specs, hit, info, nil
 	}
-	sel, evaluated, err := core.OptSelectBounded(ctx, problem, art.Bounds,
+	sel, work, err := core.OptSelectBounded(ctx, problem, art.Bounds,
 		func(i int) (textsim.IVector, error) { return rq.Vector(0, i) })
-	h.Work.add(n, evaluated, evaluated)
+	h.Work.add(n, work.Walked, work.Evaluated, work.Evaluated)
 	if err != nil {
 		return nil, nil, hit, info, err
 	}
