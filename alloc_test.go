@@ -66,8 +66,8 @@ func TestAllocationCeilings(t *testing.T) {
 		{"topic hit", 32, func() { serve(warm, topic, true) }},
 		{"noise hit", 36, func() { serve(warm, noise, true) }},
 		{"miss", 100, miss},
-		{"Candidates, topic", 8, candidates(topic, p.Config.NumCandidates)},
-		{"Candidates, noise", 8, candidates(noise, k)},
+		{"Candidates, topic", 4, candidates(topic, p.Config.NumCandidates)},
+		{"Candidates, noise", 5, candidates(noise, k)},
 	} {
 		if n := testing.AllocsPerRun(100, c.f); n > c.ceiling {
 			t.Errorf("%s: %v allocations a call, ceiling %v", c.name, n, c.ceiling)

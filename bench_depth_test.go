@@ -219,14 +219,11 @@ func BenchmarkAspectIndex(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Surrogates(context.Background()); err != nil {
-			b.Fatal(err)
-		}
 		set := make([]core.Specialization, len(specs))
 		for i, s := range specs {
 			rs := make([]core.SpecResult, len(c.Lists[i]))
 			for j, d := range c.Lists[i] {
-				rs[j] = core.SpecResult{ID: d.DocID, Rank: d.Rank, IVec: d.IVec}
+				rs[j] = core.SpecResult{ID: d.DocID, Rank: d.Rank, IVec: c.Vector(i, j)}
 			}
 			set[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 		}

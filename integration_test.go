@@ -20,12 +20,12 @@ import (
 //
 //	offline:  corpus → engine → SaveTo      (cmd/buildindex)
 //	offline:  log → TSV → sessions → A(q)   (repro loggen | repro mine)
-//	offline:  topics + qrels round-tripped  (trec formats)
-//	online:   Load(engine) + Algorithm 1 + OptSelect → run file
-//	offline:  run file → α-NDCG/IA-P        (repro trecdiv's metrics)
+//	online:   Load(engine) + Algorithm 1 + OptSelect → run
+//	offline:  run → α-NDCG/IA-P             (repro trecdiv's metrics)
 //
-// Every hand-off crosses a serialization boundary, so format drift in any
-// codec breaks this test.
+// The engine and the log cross a serialization boundary, so format drift
+// in either codec breaks this test; topics, qrels and the run stay in
+// memory, as they do everywhere else.
 func TestFullSystemThroughSerializedArtifacts(t *testing.T) {
 	tb := synth.GenerateTestbed(synth.CorpusSpec{
 		Seed: 31, NumTopics: 5, MinSubtopics: 2, MaxSubtopics: 4,
@@ -60,27 +60,10 @@ func TestFullSystemThroughSerializedArtifacts(t *testing.T) {
 	sessions := qfg.ExtractSessions(log, qfg.Options{})
 	rec := suggest.Train(sessions, log.Frequencies(), suggest.TrainOptions{})
 
-	// --- testbed artifacts, through the TREC formats.
-	var topicsBuf, qrelsBuf bytes.Buffer
-	if err := trec.WriteTopics(&topicsBuf, tb.Topics); err != nil {
-		t.Fatal(err)
-	}
-	topics, err := trec.ReadTopics(&topicsBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trec.WriteQrels(&qrelsBuf, tb.Qrels); err != nil {
-		t.Fatal(err)
-	}
-	qrels, err := trec.ReadQrels(&qrelsBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// --- online serving: detect, diversify, emit a TREC run.
 	run := trec.NewRun()
 	diversifiedTopics := 0
-	for _, topic := range topics {
+	for _, topic := range tb.Topics {
 		specs := suggest.TopSpecializations(
 			suggest.AmbiguousQueryDetect(topic.Query, rec, suggest.DefaultDetectOptions()), 8)
 		results := eng.Search(topic.Query, 200)
@@ -123,16 +106,8 @@ func TestFullSystemThroughSerializedArtifacts(t *testing.T) {
 		t.Fatal("Algorithm 1 fired on no topics")
 	}
 
-	// --- run file round trip, then evaluation.
-	var runBuf bytes.Buffer
-	if err := trec.WriteRun(&runBuf, run); err != nil {
-		t.Fatal(err)
-	}
-	loadedRun, err := trec.ReadRun(&runBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := eval.EvaluateRun("integration", loadedRun, qrels, eval.DefaultAlpha, []int{5, 20})
+	// --- evaluation.
+	rep := eval.EvaluateRun("integration", run, tb.Qrels, eval.DefaultAlpha, []int{5, 20})
 	if rep.MeanAlphaNDCG(20) <= 0.1 {
 		t.Errorf("end-to-end α-NDCG@20 = %f, suspiciously low", rep.MeanAlphaNDCG(20))
 	}

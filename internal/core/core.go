@@ -8,9 +8,12 @@
 //
 // All algorithms consume the same Problem and the same precomputed
 // Utilities, so efficiency comparisons time exactly the selection logic
-// the paper's Table 2 measures. A Problem arrives with every surrogate
-// vector built (Doc.IVec, and SpecResult.IVec or the AspectIndex built
-// from them); the algorithms only read it.
+// the paper's Table 2 measures. A Problem's R_q′ side arrives built
+// (SpecResult.IVec, or the AspectIndex built from them), and so does R_q's
+// Doc.IVec for every algorithm but one: OptSelectBounded may take a vec
+// func instead, the lazy door through which it asks for a candidate's
+// vector only when it scores that candidate. Apart from that one write,
+// the algorithms only read a Problem.
 package core
 
 import (

@@ -214,10 +214,6 @@ func overallScore(p *Problem, row []float64, rel float64) float64 {
 	return (1-p.Lambda)*float64(len(p.Specs))*rel + p.Lambda*sum
 }
 
-// UtilityOf returns Ũ(candidate i | specialization j), for callers probing
-// the matrix (tests, the coverage-constraint checker).
-func (u *Utilities) UtilityOf(i, j int) float64 { return u.U[i][j] }
-
 // WithThreshold derives a new Utilities with cutoff c applied to this
 // matrix and the overall scores recomputed for p. It lets the Table 3
 // harness sweep the threshold without re-running the O(n·|S_q|·|R_q′|)

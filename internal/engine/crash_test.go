@@ -372,6 +372,56 @@ func TestWALPruneKeepsWhatItWrote(t *testing.T) {
 	}
 }
 
+// TestWALDirSyncFailure: a seal whose directory sync fails is not
+// durable — its rename may not survive a crash — so Flush must return the
+// error, leave the epoch where it was, and prune nothing.
+func TestWALDirSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(17))
+	var docs []Document
+	for i := 0; i < 8; i++ {
+		docs = append(docs, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
+	}
+	e, err := Build(docs, Config{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(liveDoc(rng, "d0100", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "epoch-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := files()
+	if len(before) != 2 {
+		t.Fatalf("WAL dir after one seal: %v, want the fresh epoch and the seal", before)
+	}
+
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(string) error { return errDiskGone }
+	if _, err := e.Ingest(liveDoc(rng, "d0101", 0)); err != nil {
+		t.Fatal(err)
+	}
+	epoch := e.Epoch()
+	if _, err := e.Flush(); !errors.Is(err, errDiskGone) {
+		t.Fatalf("Flush with a failing directory sync: err = %v, want %v", err, errDiskGone)
+	}
+	if e.Epoch() != epoch {
+		t.Fatalf("epoch moved %d -> %d on a seal that is not durable", epoch, e.Epoch())
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("WAL dir after the failed seal: %v, want %v untouched", after, before)
+	}
+}
+
 // TestFlushFailureKeepsServing removes the WAL directory out from under
 // the engine: the seal cannot become durable, so Flush must fail WITHOUT
 // swapping state — the buffered document stays searchable, the epoch does

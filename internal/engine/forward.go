@@ -332,16 +332,6 @@ func (r *retrieval) windows(ctx context.Context, qi int, f func(j int, w hitWind
 	return nil
 }
 
-// Candidate is one retrieved document as the diversification stage takes
-// it: no snippet string, and a surrogate vector only once somebody asked
-// for it (Candidates.Vector, or Surrogates for all of them).
-type Candidate struct {
-	DocID string
-	Rank  int // 1-based
-	Score float64
-	IVec  textsim.IVector
-}
-
 // Candidates is a query batch retrieved against one pinned snapshot,
 // with the second half of the document scoring phase — surrogate vectors
 // — left to the caller's decision, candidate by candidate: a caller that
@@ -350,8 +340,9 @@ type Candidate struct {
 // never pays for that one. Close must be called; it releases the
 // snapshot. Not safe for concurrent use.
 type Candidates struct {
-	// Lists[i] answers queries[i], in rank order.
-	Lists [][]Candidate
+	// Lists[i] answers queries[i], in rank order: the retrieval's own
+	// lists, which outlive Close.
+	Lists [][]ranking.Hit
 	// Epoch is the snapshot's epoch; Lex the lexicon the vectors are
 	// interned under (Problem.Lex for problems built from them).
 	Epoch uint64
@@ -365,7 +356,7 @@ type Candidates struct {
 // instead of snippets: the same retrieval, bit for bit, but results carry
 // no display string, and their vectors — equal to IVectorOfText of the
 // snippet SearchBatch would have returned — are built from the forward
-// index when Vector or Surrogates is called.
+// index when Vector is called.
 func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*Candidates, error) {
 	st := e.snapshot()
 	r, err := e.retrieve(ctx, st, queries, ks)
@@ -373,36 +364,15 @@ func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*C
 		st.unpin()
 		return nil, err
 	}
-	c := &Candidates{Lists: make([][]Candidate, len(queries)), Epoch: st.epoch, Lex: st.lex, r: r}
-	for i, hits := range r.hits {
-		c.Lists[i] = make([]Candidate, len(hits))
-		for j, h := range hits {
-			c.Lists[i][j] = Candidate{DocID: h.DocID, Rank: h.Rank, Score: h.Score}
-		}
-	}
-	return c, nil
+	return &Candidates{Lists: r.hits, Epoch: st.epoch, Lex: st.lex, r: r}, nil
 }
 
-// Vector builds the surrogate vector of candidate j of list q — the one
-// Surrogates attaches to it — and of no other: one forward-index decode
-// and one window, counted into the candidates' own slab. It must not be
-// called after Close; the vectors it returned stay valid.
+// Vector builds the surrogate vector of candidate j of list q, and of no
+// other: one forward-index decode and one window, counted into the
+// candidates' own slab. It must not be called after Close; the vectors it
+// returned stay valid.
 func (c *Candidates) Vector(q, j int) textsim.IVector {
 	return c.r.windower(q).at(j).vector(c.r.st.idf, &c.slab)
-}
-
-// Surrogates attaches every candidate's surrogate vector. The only
-// possible error is ctx.Err(), polled every 64 candidates.
-func (c *Candidates) Surrogates(ctx context.Context) error {
-	for q, list := range c.Lists {
-		for j := range list {
-			if j&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			list[j].IVec = c.Vector(q, j)
-		}
-	}
-	return nil
 }
 
 // Close releases the snapshot the candidates were retrieved against.

@@ -162,9 +162,7 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 		t.Fatal(err)
 	}
 	defer cands.Close()
-	if err := cands.Surrogates(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	vecs := candidateVectors(cands)
 	for i, q := range queries {
 		if len(results[i]) != len(cands.Lists[i]) {
 			t.Fatalf("%s: query %q: %d results, %d candidates", label, q, len(results[i]), len(cands.Lists[i]))
@@ -174,7 +172,7 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 			if c.DocID != r.DocID || c.Rank != r.Rank || c.Score != r.Score {
 				t.Fatalf("%s: query %q rank %d: candidate %+v, result %+v", label, q, j+1, c, r)
 			}
-			if want := e.IVectorOfText(r.Snippet); !ivecEqual(c.IVec, want) {
+			if want := e.IVectorOfText(r.Snippet); !ivecEqual(vecs[i][j], want) {
 				t.Fatalf("%s: query %q doc %q: candidate vector differs from IVectorOfText(snippet)", label, q, r.DocID)
 			}
 			if got := e.Snippet(r.DocID, q); got != r.Snippet {
@@ -182,6 +180,19 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 			}
 		}
 	}
+}
+
+// candidateVectors asks Vector for every candidate's surrogate vector,
+// list by list, in rank order.
+func candidateVectors(c *Candidates) [][]textsim.IVector {
+	vecs := make([][]textsim.IVector, len(c.Lists))
+	for q, list := range c.Lists {
+		vecs[q] = make([]textsim.IVector, len(list))
+		for j := range list {
+			vecs[q][j] = c.Vector(q, j)
+		}
+	}
+	return vecs
 }
 
 // ForwardVariants returns engines holding docs in every storage shape a

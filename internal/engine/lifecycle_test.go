@@ -9,7 +9,9 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ranking"
 	"repro/internal/synth"
+	"repro/internal/textsim"
 )
 
 // TestSaveLoadLifecycleRoundTrip: a mid-lifecycle engine — a base
@@ -104,19 +106,24 @@ func TestSaveLoadLifecycleRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotRes, wantRes) {
 		t.Fatal("SearchBatch differs after load")
 	}
-	candidates := func(e *engine.Engine) [][]engine.Candidate {
+	candidates := func(e *engine.Engine) ([][]ranking.Hit, [][]textsim.IVector) {
 		t.Helper()
 		c, err := e.Candidates(context.Background(), queries, ks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if err := c.Surrogates(context.Background()); err != nil {
-			t.Fatal(err)
+		vecs := make([][]textsim.IVector, len(c.Lists))
+		for q, list := range c.Lists {
+			for j := range list {
+				vecs[q] = append(vecs[q], c.Vector(q, j))
+			}
 		}
-		return c.Lists
+		return c.Lists, vecs
 	}
-	if !reflect.DeepEqual(candidates(loaded), candidates(e)) {
+	gotLists, gotVecs := candidates(loaded)
+	wantLists, wantVecs := candidates(e)
+	if !reflect.DeepEqual(gotLists, wantLists) || !reflect.DeepEqual(gotVecs, wantVecs) {
 		t.Fatal("Candidates (or their surrogate vectors) differ after load")
 	}
 

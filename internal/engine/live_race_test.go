@@ -203,12 +203,8 @@ func TestForwardConcurrentSearchMutate(t *testing.T) {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				err = cands.Surrogates(ctx)
+				candidateVectors(cands)
 				cands.Close()
-				if err != nil {
-					t.Errorf("reader %d: %v", r, err)
-					return
-				}
 				e.Snippet(fmt.Sprintf("d%04d", (r*17+i)%80), queries[i%len(queries)])
 
 				// One snapshot, both halves: vector = vector of the snippet.

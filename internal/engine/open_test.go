@@ -324,21 +324,19 @@ func TestMappedHostileForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cands.Close()
-	if err := cands.Surrogates(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	vecs := candidateVectors(cands)[0]
 	for i, r := range got {
-		c := cands.Lists[0][i]
+		c, iv := cands.Lists[0][i], vecs[i]
 		if r.DocID != want[i].DocID || r.Score != want[i].Score || c.DocID != r.DocID {
 			t.Fatalf("rank %d: retrieval changed: %+v vs %+v", i+1, r, want[i])
 		}
 		if i == 1 {
-			if r.Snippet != "" || c.IVec.Len() != 0 || c.IVec.Norm() != 0 {
-				t.Fatalf("damaged document served snippet %q, vector %v", r.Snippet, c.IVec)
+			if r.Snippet != "" || iv.Len() != 0 || iv.Norm() != 0 {
+				t.Fatalf("damaged document served snippet %q, vector %v", r.Snippet, iv)
 			}
 			continue
 		}
-		if r.Snippet != want[i].Snippet || !ivecEqual(c.IVec, e.IVectorOfText(r.Snippet)) {
+		if r.Snippet != want[i].Snippet || !ivecEqual(iv, e.IVectorOfText(r.Snippet)) {
 			t.Fatalf("undamaged document %s: snippet %q (want %q) or vector differs", r.DocID, r.Snippet, want[i].Snippet)
 		}
 	}

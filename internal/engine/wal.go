@@ -13,12 +13,12 @@ import (
 // Durability: when Config.WALDir is set, every SEALED epoch — the initial
 // build/load, each flush, each compaction — is persisted as a full engine
 // stream `epoch-<n>.eng` in that directory before the in-memory swap
-// (write to a temp file, fsync, atomic rename). Recovery takes the newest
-// file that parses, so a crash mid-write (torn temp file, or a garbage or
-// truncated epoch file) falls back to the last durable epoch; a file an
-// earlier build wrote with a layout this one refuses stops the open
-// instead. Each seal keeps its own file and the one before it; older ones
-// are pruned opportunistically.
+// (write to a temp file, fsync, atomic rename, fsync the directory).
+// Recovery takes the newest file that parses, so a crash mid-write (torn
+// temp file, or a garbage or truncated epoch file) falls back to the last
+// durable epoch; a file an earlier build wrote with a layout this one
+// refuses stops the open instead. Each seal keeps its own file and the one
+// before it; older ones are pruned opportunistically.
 //
 // Ingest/Delete epochs between seals are deliberately NOT persisted: the
 // memtable is the volatile tail, and a crash rolls it back to the last
@@ -118,9 +118,30 @@ func (e *Engine) persistLocked(st *state) error {
 		os.Remove(tmp)
 		return err
 	}
+	// The rename is durable only once the directory is: until then a crash
+	// may leave the old name, and the epoch must not count as sealed, nor
+	// the files it would replace be pruned.
+	if err := syncDir(e.cfg.WALDir); err != nil {
+		os.Remove(final)
+		return err
+	}
 	pruneEpochs(e.cfg.WALDir, final)
 	e.durable = st.epoch
 	return nil
+}
+
+// syncDir fsyncs a directory, so the renames in it survive a crash. A
+// variable, so a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // pruneEpochs keeps the epoch file just written and the one before it (a

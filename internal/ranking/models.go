@@ -16,7 +16,7 @@ import (
 // Model scores one (term, document) match. Implementations must be
 // stateless and safe for concurrent use.
 type Model interface {
-	// Name identifies the model in run files and benchmark output.
+	// Name identifies the model in reports and benchmark output.
 	Name() string
 	// TermScore returns the score contribution of a term occurring tf
 	// times in a document of length docLen.

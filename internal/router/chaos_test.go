@@ -514,14 +514,15 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	if err != nil || !sc.Info.Degraded {
 		t.Fatalf("Score: err=%v info=%+v, want nil/degraded", err, sc)
 	}
-	if err := sc.Attach(context.Background()); err != nil {
+	vecs, err := vectorsOf(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.Lists[0]) != len(want) {
 		t.Fatalf("degraded Score has %d candidates, want %d (shard 0 only)", len(sc.Lists[0]), len(want))
 	}
 	for i, c := range sc.Lists[0] {
-		if c.DocID != want[i].DocID || c.Score != want[i].Score || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(snippets[c.DocID])) {
+		if c.DocID != want[i].DocID || c.Score != want[i].Score || !reflect.DeepEqual(vecs[0][i], p.Engine.IVectorOfText(snippets[c.DocID])) {
 			t.Fatalf("degraded Score[%d] = %+v, want %s/%g with its snippet's vector", i, c, want[i].DocID, want[i].Score)
 		}
 	}
@@ -673,7 +674,7 @@ func TestChaosHedgeLoserFrames(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				err = sc.Attach(context.Background())
+				vecs, err := vectorsOf(sc)
 				sc.Close()
 				if err != nil {
 					t.Error(err)
@@ -686,7 +687,7 @@ func TestChaosHedgeLoserFrames(t *testing.T) {
 					}
 					for j, c := range list {
 						if c.DocID != want[q][j].DocID || c.Score != want[q][j].Score ||
-							!reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(want[q][j].Snippet)) {
+							!reflect.DeepEqual(vecs[q][j], p.Engine.IVectorOfText(want[q][j].Snippet)) {
 							t.Errorf("q=%q #%d: %+v, want %s", queries[q], j, c, want[q][j].DocID)
 							return
 						}

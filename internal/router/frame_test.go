@@ -384,9 +384,10 @@ func FuzzShardFrame(f *testing.F) {
 // TestVectorSurfacesFrameError: the per-candidate vector reads a winner's
 // term payload out of the frame at the moment it is asked for, long after
 // decode checked it — so bytes that went bad in between (a pooled frame
-// handed back too early is how) must come out of Scored.Vector, and of
-// the bulk Attach over it, as an error for that candidate, never as a
-// wrong vector or a panic, and leave every other candidate's vector alone.
+// handed back too early is how) must come out of Scored.Vector as an
+// error for that candidate, and stop a pass over every candidate, never
+// as a wrong vector or a panic, and leave every other candidate's vector
+// alone.
 func TestVectorSurfacesFrameError(t *testing.T) {
 	dict := testPipeline(t).Engine.Dictionary()
 	hits := []wantHit{
@@ -416,8 +417,8 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 	if got, err := sc.Vector(0, 0); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms, nil)) {
 		t.Fatalf("the sound candidate beside it: vector %+v, err %v", got, err)
 	}
-	if err := sc.Attach(context.Background()); err == nil || !strings.Contains(err.Error(), "terms claimed") {
-		t.Fatalf("Attach over a corrupted payload: err = %v, want the frame reader's", err)
+	if _, err := vectorsOf(sc); err == nil || !strings.Contains(err.Error(), "terms claimed") {
+		t.Fatalf("every vector over a corrupted payload: err = %v, want the frame reader's", err)
 	}
 	sc.Close()
 	if _, err := sc.Vector(0, 0); err == nil {

@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,6 +231,23 @@ func testQueries(p *repro.Pipeline) []string {
 	return qs
 }
 
+// vectorsOf asks sc.Vector for every candidate's surrogate vector, list
+// by list, in rank order; zero vectors where the fan-out was told none
+// would be read. The first error stops it.
+func vectorsOf(sc *repro.Scored) ([][]textsim.IVector, error) {
+	vecs := make([][]textsim.IVector, len(sc.Lists))
+	for q, list := range sc.Lists {
+		vecs[q] = make([]textsim.IVector, len(list))
+		for j := 0; j < len(list) && sc.Vector != nil; j++ {
+			var err error
+			if vecs[q][j], err = sc.Vector(q, j); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return vecs, nil
+}
+
 // TestRouterServeDifferential is the frame's gate at the facade: through
 // the router's searcher — term payloads, per-candidate vectors, payload
 // none for cached unambiguous verdicts — DiversifyServe must return
@@ -237,7 +256,7 @@ func testQueries(p *repro.Pipeline) []string {
 // order, ranks and selection scores — cold and warm, for every query ×
 // algorithm × k × shard count; the bounded OptSelect behind both handles
 // must be seen to skip candidates (a bound silently off would pass every
-// equality) and the other algorithms to skip none; every vector Attach
+// equality) and the other algorithms to skip none; every vector Vector
 // builds must equal IVectorOfText of the snippet the text payload carries
 // for the same hit; and SearchBatch over the frame must equal
 // engine.SearchBatch.
@@ -330,7 +349,8 @@ func TestRouterServeDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sc.Attach(ctx); err != nil {
+				vecs, err := vectorsOf(sc)
+				if err != nil {
 					t.Fatal(err)
 				}
 				for i, list := range sc.Lists {
@@ -346,18 +366,55 @@ func TestRouterServeDifferential(t *testing.T) {
 						if !vectors {
 							wantVec = textsim.IVector{}
 						}
-						if !reflect.DeepEqual(c.IVec, wantVec) {
-							t.Fatalf("vectors=%v q=%q #%d (%s): IVec %+v, IVectorOfText(snippet) %+v", vectors, queries[i], j, c.DocID, c.IVec, wantVec)
+						if !reflect.DeepEqual(vecs[i][j], wantVec) {
+							t.Fatalf("vectors=%v q=%q #%d (%s): vector %+v, IVectorOfText(snippet) %+v", vectors, queries[i], j, c.DocID, vecs[i][j], wantVec)
 						}
 					}
 				}
 				sc.Close()
 				sc.Close() // idempotent
-				if err := sc.Attach(ctx); vectors && err == nil {
-					t.Fatal("Attach after Close read frames that were handed back")
+				if _, err := vectorsOf(sc); vectors && err == nil {
+					t.Fatal("Vector after Close read frames that were handed back")
 				}
 			}
 		})
+	}
+}
+
+// TestScoreListsOutliveFrames: with a single shard answering, the merge
+// has one list to return, and ranking.MergeSegments hands a lone list back
+// uncopied — here a view into the shard's pooled frame. Score's lists must
+// be the request's own: after Close hands the frame back and other Scores
+// reuse it, the first request's lists must read as they did.
+func TestScoreListsOutliveFrames(t *testing.T) {
+	// One P, so the frame pool hands the frame just put back to the next
+	// fan-out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	p := testPipelineShards(t, 1)
+	s := localWorkers(t, p, Config{})
+	dict := p.Engine.Dictionary()
+	queries := testQueries(p)
+	for _, vectors := range []bool{false, true} {
+		sc, err := s.Score(ctx, dict, queries[:1], []int{0}, vectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(sc.Lists[0])
+		if len(want) == 0 {
+			t.Fatalf("%q retrieved nothing", queries[0])
+		}
+		sc.Close()
+		for _, q := range queries[1:] {
+			other, err := s.Score(ctx, dict, []string{q}, []int{0}, vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other.Close()
+		}
+		if !reflect.DeepEqual(sc.Lists[0], want) {
+			t.Fatalf("vectors=%v: the lists changed after Close, once the frame was reused", vectors)
+		}
 	}
 }
 
@@ -478,11 +535,12 @@ func TestDictionaryMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v (want failover to the true replica)", i, err)
 		}
-		if err := sc.Attach(ctx); err != nil {
+		vecs, err := vectorsOf(sc)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for j, c := range sc.Lists[0] {
-			if c.DocID != want[0][j].DocID || !reflect.DeepEqual(c.IVec, p.Engine.IVectorOfText(want[0][j].Snippet)) {
+			if c.DocID != want[0][j].DocID || !reflect.DeepEqual(vecs[0][j], p.Engine.IVectorOfText(want[0][j].Snippet)) {
 				t.Fatalf("request %d #%d: %+v, want %s", i, j, c, want[0][j].DocID)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -400,7 +401,7 @@ func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []
 // scored merges the gathered frames into the lists of a Scored whose
 // Vector (with vectors set) reads winners' term payloads out of them.
 func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repro.Scored, error) {
-	sc := &repro.Scored{Lists: make([][]engine.Candidate, len(ks)), Info: g.info, Close: g.release}
+	sc := &repro.Scored{Lists: make([][]ranking.Hit, len(ks)), Info: g.info, Close: g.release}
 	wins := make([][]winner, len(ks))
 	for q := range ks {
 		var err error
@@ -461,21 +462,31 @@ type winner struct {
 }
 
 // merge k-way merges query q's per-shard lists and returns the winners
-// as candidates — DocIDs cut from one string, so a list costs one
-// allocation for its IDs — beside where each winner's payload sits.
-func (g *gathered) merge(q, k int) ([]engine.Candidate, []winner, error) {
+// — a list of the request's own, DocIDs cut from one string, so a list
+// costs one allocation for its IDs — beside where each winner's payload
+// sits.
+func (g *gathered) merge(q, k int) ([]ranking.Hit, []winner, error) {
 	if g.lists == nil {
 		n := len(g.frames)
 		g.lists, g.refs, g.next = make([][]ranking.Hit, n), make([][]hitRef, n), make([]int, n)
 	}
 	lists, refs, next := g.lists, g.refs, g.next
 	clear(next)
+	answered := 0
 	for si, f := range g.frames {
 		if f != nil { // nil: shard dropped from a degraded merge
 			lists[si], refs[si] = f.list(q)
+			if len(lists[si]) > 0 {
+				answered++
+			}
 		}
 	}
 	merged := ranking.MergeSegments(lists, k)
+	if answered == 1 {
+		// A lone list comes back uncopied: a view into its frame, which
+		// release hands back to the pool.
+		merged = slices.Clone(merged)
+	}
 	// The merge keeps every list's order, so a merged hit is the next
 	// unconsumed hit of the one shard whose doc range holds it.
 	wins := make([]winner, len(merged))
@@ -502,13 +513,12 @@ func (g *gathered) merge(q, k int) ([]engine.Candidate, []winner, error) {
 		ids.Write(w.f.id(w.ref))
 	}
 	all, from := ids.String(), 0
-	cands := make([]engine.Candidate, len(merged))
-	for j, h := range merged {
+	for j := range merged {
 		to := from + int(wins[j].ref.pay-wins[j].ref.id)
-		cands[j] = engine.Candidate{DocID: all[from:to], Rank: h.Rank, Score: h.Score}
+		merged[j].DocID = all[from:to]
 		from = to
 	}
-	return cands, wins, nil
+	return merged, wins, nil
 }
 
 // gather is the shared scatter-gather. When the caller's context carries

@@ -1,14 +1,6 @@
 package trec
 
-import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // RunEntry is one line of a TREC run: a retrieved document for a topic.
 type RunEntry struct {
@@ -90,55 +82,4 @@ func (r *Run) Normalize() {
 		}
 		r.byTopic[t] = entries
 	}
-}
-
-// WriteRun serializes the run in the classic six-column TREC format:
-// "topic Q0 docno rank score tag".
-func WriteRun(w io.Writer, r *Run) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range r.Topics() {
-		for _, e := range r.byTopic[t] {
-			tag := e.Tag
-			if tag == "" {
-				tag = "run"
-			}
-			if _, err := fmt.Fprintf(bw, "%d Q0 %s %d %g %s\n", e.Topic, e.DocID, e.Rank, e.Score, tag); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ErrBadRun reports a malformed run line.
-var ErrBadRun = errors.New("trec: malformed run")
-
-// ReadRun parses the six-column TREC run format.
-func ReadRun(rd io.Reader) (*Run, error) {
-	r := NewRun()
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 6 {
-			return nil, fmt.Errorf("%w: line %d: %d fields", ErrBadRun, lineNo, len(f))
-		}
-		topic, err1 := strconv.Atoi(f[0])
-		rank, err2 := strconv.Atoi(f[3])
-		score, err3 := strconv.ParseFloat(f[4], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("%w: line %d: non-numeric field", ErrBadRun, lineNo)
-		}
-		r.Add(RunEntry{Topic: topic, DocID: f[2], Rank: rank, Score: score, Tag: f[5]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
 }

@@ -1,20 +1,12 @@
 // Package trec models the TREC 2009 Web track Diversity Task testbed the
 // paper evaluates on (§5, Appendix B): topics with 3–8 manually identified
 // sub-topics, relevance judgements at sub-topic level (diversity qrels),
-// and TREC-format run files. Parsing and formatting follow the flat-text
-// conventions of the track so artifacts are interchangeable with standard
-// tooling (ndeval-style qrels, trec_eval-style runs).
+// and runs: ranked result lists per topic. Everything is held in memory;
+// the synthetic testbed builds it, and internal/eval scores runs against
+// it.
 package trec
 
-import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // Subtopic is one aspect of an ambiguous/faceted topic, e.g. for TREC
 // topic 1 ("obama family tree"): "Where did Barack Obama's parents and
@@ -44,92 +36,6 @@ func (ts Topics) ByID(id int) (Topic, bool) {
 		}
 	}
 	return Topic{}, false
-}
-
-// WriteTopics serializes topics in a line-oriented format:
-//
-//	topic <id> <query>
-//	desc <description>
-//	sub <id> <type> <description>
-func WriteTopics(w io.Writer, topics Topics) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range topics {
-		if _, err := fmt.Fprintf(bw, "topic %d %s\n", t.ID, t.Query); err != nil {
-			return err
-		}
-		if t.Description != "" {
-			if _, err := fmt.Fprintf(bw, "desc %s\n", t.Description); err != nil {
-				return err
-			}
-		}
-		for _, s := range t.Subtopics {
-			typ := s.Type
-			if typ == "" {
-				typ = "inf"
-			}
-			if _, err := fmt.Fprintf(bw, "sub %d %s %s\n", s.ID, typ, s.Description); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTopics parses the WriteTopics format. Blank lines and '#' comments
-// are ignored.
-func ReadTopics(r io.Reader) (Topics, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var topics Topics
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.SplitN(line, " ", 2)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("trec: topics line %d: malformed %q", lineNo, line)
-		}
-		switch fields[0] {
-		case "topic":
-			rest := strings.SplitN(fields[1], " ", 2)
-			if len(rest) < 2 {
-				return nil, fmt.Errorf("trec: topics line %d: topic needs id and query", lineNo)
-			}
-			id, err := strconv.Atoi(rest[0])
-			if err != nil {
-				return nil, fmt.Errorf("trec: topics line %d: bad topic id %q", lineNo, rest[0])
-			}
-			topics = append(topics, Topic{ID: id, Query: rest[1]})
-		case "desc":
-			if len(topics) == 0 {
-				return nil, fmt.Errorf("trec: topics line %d: desc before topic", lineNo)
-			}
-			topics[len(topics)-1].Description = fields[1]
-		case "sub":
-			if len(topics) == 0 {
-				return nil, fmt.Errorf("trec: topics line %d: sub before topic", lineNo)
-			}
-			rest := strings.SplitN(fields[1], " ", 3)
-			if len(rest) < 3 {
-				return nil, fmt.Errorf("trec: topics line %d: sub needs id, type, description", lineNo)
-			}
-			id, err := strconv.Atoi(rest[0])
-			if err != nil {
-				return nil, fmt.Errorf("trec: topics line %d: bad sub id %q", lineNo, rest[0])
-			}
-			t := &topics[len(topics)-1]
-			t.Subtopics = append(t.Subtopics, Subtopic{ID: id, Type: rest[1], Description: rest[2]})
-		default:
-			return nil, fmt.Errorf("trec: topics line %d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return topics, nil
 }
 
 // Qrels holds diversity-task relevance judgements: binary (or graded)
@@ -245,58 +151,4 @@ func (q *Qrels) JudgedPool(topic int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WriteQrels serializes judgements in the diversity-qrels format
-// "topic subtopic docno rel", sorted for determinism.
-func WriteQrels(w io.Writer, q *Qrels) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range q.Topics() {
-		for _, s := range q.Subtopics(t) {
-			docs := make([]string, 0, len(q.judgments[t][s]))
-			for d := range q.judgments[t][s] {
-				docs = append(docs, d)
-			}
-			sort.Strings(docs)
-			for _, d := range docs {
-				if _, err := fmt.Fprintf(bw, "%d %d %s %d\n", t, s, d, q.judgments[t][s][d]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ErrBadQrels reports a malformed qrels line.
-var ErrBadQrels = errors.New("trec: malformed qrels")
-
-// ReadQrels parses the diversity-qrels format.
-func ReadQrels(r io.Reader) (*Qrels, error) {
-	q := NewQrels()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("%w: line %d: %d fields", ErrBadQrels, lineNo, len(f))
-		}
-		topic, err1 := strconv.Atoi(f[0])
-		sub, err2 := strconv.Atoi(f[1])
-		rel, err3 := strconv.Atoi(f[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("%w: line %d: non-numeric field", ErrBadQrels, lineNo)
-		}
-		q.Add(topic, sub, f[2], rel)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return q, nil
 }

@@ -1,9 +1,7 @@
 package trec
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -27,21 +25,6 @@ func sampleTopics() Topics {
 	}
 }
 
-func TestTopicsRoundTrip(t *testing.T) {
-	topics := sampleTopics()
-	var buf bytes.Buffer
-	if err := WriteTopics(&buf, topics); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTopics(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, topics) {
-		t.Errorf("round trip:\ngot  %+v\nwant %+v", got, topics)
-	}
-}
-
 func TestTopicsByID(t *testing.T) {
 	topics := sampleTopics()
 	got, ok := topics.ByID(2)
@@ -50,33 +33,6 @@ func TestTopicsByID(t *testing.T) {
 	}
 	if _, ok := topics.ByID(99); ok {
 		t.Error("ByID(99) found a topic")
-	}
-}
-
-func TestReadTopicsErrors(t *testing.T) {
-	bad := []string{
-		"sub 1 inf orphan subtopic\n",
-		"desc orphan description\n",
-		"topic notanumber query\n",
-		"topic 1\n",
-		"bogus directive here\n",
-		"topic 1 q\nsub x inf broken\n",
-	}
-	for _, in := range bad {
-		if _, err := ReadTopics(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadTopics(%q) succeeded", in)
-		}
-	}
-}
-
-func TestReadTopicsSkipsComments(t *testing.T) {
-	in := "# comment\n\ntopic 7 some query\nsub 1 inf aspect one\n"
-	got, err := ReadTopics(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != 7 || len(got[0].Subtopics) != 1 {
-		t.Errorf("got %+v", got)
 	}
 }
 
@@ -124,53 +80,17 @@ func TestQrelsAccessors(t *testing.T) {
 	}
 }
 
-func TestQrelsRoundTrip(t *testing.T) {
-	q := sampleQrels()
-	var buf bytes.Buffer
-	if err := WriteQrels(&buf, q); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	got, err := ReadQrels(strings.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := WriteQrels(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if first != buf2.String() {
-		t.Errorf("round trip mismatch:\n%s\nvs\n%s", first, buf2.String())
-	}
-}
-
-func TestReadQrelsErrors(t *testing.T) {
-	for _, in := range []string{"1 1 doc\n", "a 1 doc 1\n", "1 b doc 1\n", "1 1 doc x\n"} {
-		if _, err := ReadQrels(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadQrels(%q) succeeded", in)
-		}
-	}
-}
-
-func TestRunRoundTrip(t *testing.T) {
+func TestRunAddRanking(t *testing.T) {
 	r := NewRun()
 	r.AddRanking(1, []string{"d3", "d1", "d2"}, "sys")
 	r.AddRanking(2, []string{"dX"}, "sys")
-	var buf bytes.Buffer
-	if err := WriteRun(&buf, r); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(r.Ranking(1), []string{"d3", "d1", "d2"}) {
+		t.Errorf("Ranking(1) = %v", r.Ranking(1))
 	}
-	got, err := ReadRun(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(r.Topics(), []int{1, 2}) {
+		t.Errorf("Topics = %v", r.Topics())
 	}
-	if !reflect.DeepEqual(got.Ranking(1), []string{"d3", "d1", "d2"}) {
-		t.Errorf("Ranking(1) = %v", got.Ranking(1))
-	}
-	if !reflect.DeepEqual(got.Topics(), []int{1, 2}) {
-		t.Errorf("Topics = %v", got.Topics())
-	}
-	e := got.Entries(1)[0]
+	e := r.Entries(1)[0]
 	if e.Rank != 1 || e.Tag != "sys" || e.Score != 3 {
 		t.Errorf("entry = %+v", e)
 	}
@@ -188,19 +108,6 @@ func TestRunNormalize(t *testing.T) {
 	for i, e := range r.Entries(1) {
 		if e.Rank != i+1 {
 			t.Errorf("rank[%d] = %d", i, e.Rank)
-		}
-	}
-}
-
-func TestReadRunErrors(t *testing.T) {
-	for _, in := range []string{
-		"1 Q0 doc 1 2.5\n",        // 5 fields
-		"x Q0 doc 1 2.5 tag\n",    // bad topic
-		"1 Q0 doc r 2.5 tag\n",    // bad rank
-		"1 Q0 doc 1 notnum tag\n", // bad score
-	} {
-		if _, err := ReadRun(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadRun(%q) succeeded", in)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/qfg"
 	"repro/internal/querylog"
+	"repro/internal/ranking"
 	"repro/internal/suggest"
 	"repro/internal/synth"
 	"repro/internal/textsim"
@@ -131,40 +132,20 @@ type Searcher interface {
 // the snapshot the retrieval pinned; the router's searcher out of the
 // term numbers its shard frames brought.
 type Scored struct {
-	// Lists[i] answers queries[i], in rank order.
-	Lists [][]engine.Candidate
+	// Lists[i] answers queries[i], in rank order: the retrieval's own hit
+	// lists, the one copy of them the request holds.
+	Lists [][]ranking.Hit
 	// Info reports a degraded or hedged fan-out (always zero locally).
 	Info SearchInfo
 	// Vector builds the surrogate vector of candidate j of Lists[q], and
-	// of no other: the bounded selection asks only for the candidates it
-	// scores. Nil when the fan-out was told no vector would be read. Not
-	// safe for concurrent use.
+	// of no other; it is the one way a vector enters. The bounded
+	// selection asks only for the candidates it scores, every other
+	// reader for all of them. Nil when the fan-out was told no vector
+	// would be read. Not safe for concurrent use.
 	Vector func(q, j int) (textsim.IVector, error)
 	// Close releases what the retrieval holds and must be called. Lists
 	// stay valid after Close; Vector does not.
 	Close func()
-}
-
-// Attach fills every candidate's IVec — the bulk form, for lists whose
-// every vector is read (the R_q′ lists; R_q under xQuAD, IASelect and
-// MMR). ctx is polled every 64 candidates.
-func (s *Scored) Attach(ctx context.Context) error {
-	if s.Vector == nil {
-		return nil
-	}
-	for q, list := range s.Lists {
-		for j := range list {
-			if j&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			iv, err := s.Vector(q, j)
-			if err != nil {
-				return err
-			}
-			list[j].IVec = iv
-		}
-	}
-	return nil
 }
 
 // LocalSearcher is the Searcher a pipeline without an override scores

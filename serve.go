@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/ranking"
@@ -204,12 +203,15 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// algorithms read them all.
 	ambiguous := len(art.Specs) > 0
 	bounded := alg == core.AlgOptSelect
+	var vector func(q, j int) (textsim.IVector, error)
 	if ambiguous && !bounded && alg != core.AlgBaseline {
-		if err := rq.Attach(ctx); err != nil {
-			return nil, nil, hit, info, err
-		}
+		vector = rq.Vector
 	}
-	problem := p.newProblem(norm, candidatesOf(rq.Lists[0]), art.SpecLists)
+	cands, err := candidatesOf(ctx, rq.Lists[0], vector)
+	if err != nil {
+		return nil, nil, hit, info, err
+	}
+	problem := p.newProblem(norm, cands, art.SpecLists)
 	problem.Aspects = art.Aspects
 	if k > 0 {
 		problem.K = k
@@ -268,23 +270,36 @@ func (p *Pipeline) servedDepth(alg core.Algorithm, k int, ambiguous bool) (depth
 
 // score runs one scoring fan-out through the active backend — the local
 // engine or a remote Searcher, one shape — degrading instead of failing
-// where the backend can. vectors says whether Attach may follow.
+// where the backend can. vectors says whether Vector may be called.
 func (p *Pipeline) score(ctx context.Context, queries []string, ks []int, vectors bool) (*Scored, error) {
 	return p.searcher().Score(ctx, p.Engine.Dictionary(), queries, ks, vectors)
 }
 
 // candidatesOf converts a retrieved R_q into diversification candidates,
-// normalizing relevance as candidatesFromResults does.
-func candidatesOf(list []engine.Candidate) []core.Doc {
+// normalizing relevance as candidatesFromResults does: the one place the
+// serving route makes core.Doc. With vector set (for list 0) every
+// candidate is given its surrogate vector in the same pass, ctx polled
+// every 64 candidates.
+func candidatesOf(ctx context.Context, hits []ranking.Hit, vector func(q, j int) (textsim.IVector, error)) ([]core.Doc, error) {
 	var rn exec.RelNormalizer
-	for i := range list {
-		rn.Observe(list[i].Score)
+	for i := range hits {
+		rn.Observe(hits[i].Score)
 	}
-	docs := make([]core.Doc, len(list))
-	for i, c := range list {
-		docs[i] = core.Doc{ID: c.DocID, Rank: c.Rank, Rel: rn.Rel(c.Score), IVec: c.IVec}
+	docs := make([]core.Doc, len(hits))
+	for j, h := range hits {
+		docs[j] = core.Doc{ID: h.DocID, Rank: h.Rank, Rel: rn.Rel(h.Score)}
+		if vector == nil {
+			continue
+		}
+		if j&63 == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		var err error
+		if docs[j].IVec, err = vector(0, j); err != nil {
+			return nil, err
+		}
 	}
-	return docs
+	return docs, nil
 }
 
 // artifactKey scopes a normalized query to an engine epoch. The NUL
@@ -377,10 +392,6 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 	// exact.
 	_, skipped0 := index.BlockIOStats()
 	sc, err := p.score(context.Background(), queries, ks, true)
-	if err == nil {
-		defer sc.Close()
-		err = sc.Attach(context.Background())
-	}
 	_, skipped1 := index.BlockIOStats()
 	if d := skipped1 - skipped0; d > 0 {
 		exec.AddAspectBlocksSkipped(uint64(d))
@@ -390,10 +401,15 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 		// will not cache it.
 		return &queryArtifacts{}, false, err
 	}
+	defer sc.Close()
 	for i, s := range specs {
 		rs := make([]core.SpecResult, len(sc.Lists[i]))
-		for j, c := range sc.Lists[i] {
-			rs[j] = core.SpecResult{ID: c.DocID, Rank: c.Rank, IVec: c.IVec}
+		for j, h := range sc.Lists[i] {
+			iv, err := sc.Vector(i, j)
+			if err != nil {
+				return &queryArtifacts{}, false, err
+			}
+			rs[j] = core.SpecResult{ID: h.DocID, Rank: h.Rank, IVec: iv}
 		}
 		art.SpecLists[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 	}
