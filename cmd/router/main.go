@@ -159,7 +159,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "router listening on %s over %d shards (not ready: building pipeline)\n", s.Addr, len(shards))
 
 	// The router's own pipeline carries the query-understanding half —
-	// lexicon, query-flow graph, recommender — built from the same seeds
+	// lexicon, sessions, recommender — built from the same seeds
 	// as the workers' world. Its local index never scores a query (the
 	// Searcher override sends retrieval to the workers); it exists so
 	// surrogate vectors and cache epochs come from the identical world.

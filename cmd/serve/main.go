@@ -1,6 +1,6 @@
 // Command serve runs the concurrent diversification service. It builds
 // the full pipeline once at startup (synthetic testbed, inverted index,
-// query log, query-flow graph, recommender) and then answers queries over
+// query log, sessions, recommender) and then answers queries over
 // HTTP through a bounded worker pool and a sharded LRU cache of per-query
 // diversification artifacts — the serving architecture the paper's §6
 // outlook sketches. Pair it with loadgen for an end-to-end benchmark.

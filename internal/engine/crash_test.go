@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -419,6 +422,78 @@ func TestWALDirSyncFailure(t *testing.T) {
 	}
 	if after := files(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("WAL dir after the failed seal: %v, want %v untouched", after, before)
+	}
+}
+
+// TestWALRecoveryStopsOnUnreadableEpoch: an epoch file the file system
+// cannot read is not a torn write to fall back past. A directory named
+// like a newer epoch file fails every read with EISDIR, even for root:
+// the next Build over the WAL dir must fail naming it, not quietly
+// recover the older epoch, and leave every file where it was.
+func TestWALRecoveryStopsOnUnreadableEpoch(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(23))
+	var docs []Document
+	for i := 0; i < 8; i++ {
+		docs = append(docs, liveDoc(rng, fmt.Sprintf("d%04d", i), 0))
+	}
+	cfg := Config{WALDir: dir}
+	e, err := Build(docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, epochFileName(e.Epoch()+1))
+	if err := os.Mkdir(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before, err := filepath.Glob(filepath.Join(dir, "epoch-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build(docs, cfg)
+	var pe *fs.PathError
+	if err == nil || !errors.As(err, &pe) || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Build over an unreadable newest epoch: engine %v, err = %v; want a *fs.PathError naming %s", r != nil, err, bad)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "epoch-*")); !reflect.DeepEqual(after, before) {
+		t.Fatalf("WAL dir after the refused open: %v, want %v", after, before)
+	}
+}
+
+// TestWALDirCreationIsDurable: a WAL directory Build creates, parents
+// included, is made durable before Build returns — each created
+// directory's parent is fsynced — while an existing directory syncs no
+// parent.
+func TestWALDirCreationIsDurable(t *testing.T) {
+	root := t.TempDir()
+	docs := []Document{{ID: "a", Body: "alpha beta"}, {ID: "b", Body: "beta gamma"}}
+	var synced []string
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+
+	wal := filepath.Join(root, "a", "b")
+	if _, err := Build(docs, Config{WALDir: wal}); err != nil {
+		t.Fatal(err)
+	}
+	for _, parent := range []string{root, filepath.Join(root, "a")} {
+		if !slices.Contains(synced, parent) {
+			t.Fatalf("created %s but synced only %v: %s not synced", wal, synced, parent)
+		}
+	}
+
+	existing := t.TempDir()
+	synced = nil
+	if _, err := Build(docs, Config{WALDir: existing}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range synced {
+		if d != existing {
+			t.Fatalf("existing WAL dir %s: synced %v, want the directory itself only", existing, synced)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/index"
+	"repro/internal/text"
 )
 
 // docText is a document's raw text, kept the way it arrived: Build and
@@ -83,85 +84,89 @@ func (t docText) cut(lo, hi int) string {
 	return b.String()
 }
 
-// docStore is the raw-text side of a searchable source: the store
+// textStore is the raw-text side of a searchable source: the store
 // snippets are cut from and compaction replays, addressed by the
-// source's internal document numbers. Three implementations exist — an
-// owned table (the build/flush/compact path), a view over an index
-// image's payload section (loaded and mapped segments, whose bodies are
-// read in place), and a view over the memtable's sealed snapshot.
-type docStore interface {
-	// Ordinal returns the internal number of the document with this ID.
-	Ordinal(id string) (int32, bool)
-	// Text returns the raw text of document d. For an image-backed store
-	// the strings alias the image: a mapped one is valid only while the
-	// backing mapping is retained (a pinned state), and anything that
-	// outlives the segment must copy them (see Borrowed).
-	Text(d int32) docText
-	// Borrowed reports whether Text strings alias an index image and
-	// must be cloned before they outlive the segment — to keep a mapping
-	// from being unmapped under them, or a retired heap image from being
-	// kept alive by them.
-	Borrowed() bool
-}
+// source's internal document numbers. It holds the source's index and,
+// for text the engine owns — built, flushed and compacted segments, the
+// memtable view — the texts by document number. Without owned texts
+// (loaded and mapped segments) it reads the image's payload section in
+// place; the engine serves no image that lacks one (checkImage).
+type textStore struct {
+	idx   *index.Index
+	texts []docText // nil: the texts are idx's payload section
 
-// heapDocs is the owned store every build, flush and compaction produces:
-// texts by document number plus the docID → number map liveness checks
-// probe. Strings are garbage-collected Go heap data; nothing to clone.
-type heapDocs struct {
-	byID  map[string]int32
-	texts []docText
-}
-
-func newHeapDocs(n int) *heapDocs {
-	return &heapDocs{byID: make(map[string]int32, n), texts: make([]docText, 0, n)}
-}
-
-// add appends the next document; callers add in index document order.
-func (h *heapDocs) add(id string, t docText) {
-	h.byID[id] = int32(len(h.texts))
-	h.texts = append(h.texts, t)
-}
-
-func (h *heapDocs) Ordinal(id string) (int32, bool) { d, ok := h.byID[id]; return d, ok }
-func (h *heapDocs) Text(d int32) docText            { return h.texts[d] }
-func (h *heapDocs) Borrowed() bool                  { return false }
-
-// mappedDocs serves bodies straight out of an index image's payload
-// section — the zero-copy document store of an engine opened over an
-// index file and of every segment Load reads.
-// The docID → ordinal map is built lazily on the first by-ID access, so
-// opening stays O(1) in the corpus and a pure serving workload (which
-// reaches documents by ordinal) never pays for it.
-//
-// An index without payloads still answers Ordinal (liveness is an index
-// property) but serves empty bodies — searches work, snippets are empty.
-type mappedDocs struct {
-	idx  *index.Index
+	// byID maps document IDs to numbers. It is built from idx on the
+	// first Ordinal: only mutations, and searches of a snapshot they left
+	// non-quiet, look documents up by ID, so a pure serving workload
+	// never pays for it.
 	once sync.Once
 	byID map[string]int32
 }
 
-func (m *mappedDocs) Ordinal(id string) (int32, bool) {
-	m.once.Do(func() {
-		m.byID = make(map[string]int32, m.idx.NumDocs())
-		for d := int32(0); d < int32(m.idx.NumDocs()); d++ {
-			m.byID[m.idx.DocID(d)] = d
+// Ordinal returns the internal number of the document with this ID.
+func (s *textStore) Ordinal(id string) (int32, bool) {
+	s.once.Do(func() {
+		s.byID = make(map[string]int32, s.idx.NumDocs())
+		for d := int32(0); d < int32(s.idx.NumDocs()); d++ {
+			s.byID[s.idx.DocID(d)] = d
 		}
 	})
-	d, ok := m.byID[id]
+	d, ok := s.byID[id]
 	return d, ok
 }
 
-func (m *mappedDocs) Text(d int32) docText {
-	p, _ := m.idx.Payload(d) // empty when the file carries no payloads
+// Text returns the raw text of document d. For a borrowed store the
+// strings alias the image: a mapped one is valid only while the backing
+// mapping is retained (a pinned state), and anything that outlives the
+// segment must copy them.
+func (s *textStore) Text(d int32) docText {
+	if s.texts != nil {
+		return s.texts[d]
+	}
+	p, _ := s.idx.Payload(d)
 	return docText{body: p}
 }
 
-func (m *mappedDocs) Borrowed() bool { return true }
+// Borrowed reports whether Text strings alias an index image and must be
+// cloned before they outlive the segment — to keep a mapping from being
+// unmapped under them, or a retired heap image from being kept alive by
+// them.
+func (s *textStore) Borrowed() bool { return s.texts == nil }
 
-// memDocs is the memtable's sealed view as a docStore.
-type memDocs struct{ mv *index.MemView }
+// segmentBuilder indexes documents in order and keeps their texts: the
+// one path by which Build, Flush and Compact fill a segment and its
+// store.
+type segmentBuilder struct {
+	b        *index.Builder
+	analyzer *text.Analyzer
+	tokens   []string
+	lens     []int32
+	texts    []docText
+}
 
-func (m memDocs) Ordinal(id string) (int32, bool) { return m.mv.Ordinal(id) }
-func (m memDocs) Text(d int32) docText            { return docText{body: m.mv.PayloadAt(d)} }
-func (m memDocs) Borrowed() bool                  { return false }
+func newSegmentBuilder(a *text.Analyzer, n int) *segmentBuilder {
+	return &segmentBuilder{b: index.NewBuilder(), analyzer: a.ForPass(), texts: make([]docText, 0, n)}
+}
+
+// add analyzes t and indexes it as document id.
+func (sb *segmentBuilder) add(id string, t docText) error {
+	sb.tokens, sb.lens = analyze(sb.analyzer, t, sb.tokens[:0], sb.lens[:0])
+	return sb.addAnalyzed(id, t, sb.tokens, sb.lens)
+}
+
+// addAnalyzed indexes a document whose analysis is already at hand (a
+// buffered one).
+func (sb *segmentBuilder) addAnalyzed(id string, t docText, tokens []string, lens []int32) error {
+	if err := sb.b.AddFields(id, tokens, lens); err != nil {
+		return err
+	}
+	sb.texts = append(sb.texts, t)
+	return nil
+}
+
+// build seals what was added into a segmented index over shards shards
+// (at least one) and returns it with its store.
+func (sb *segmentBuilder) build(shards int) (*index.Segmented, *textStore) {
+	seg := sb.b.BuildSegmented(max(shards, 1))
+	return seg, &textStore{idx: seg.Index(), texts: sb.texts}
+}

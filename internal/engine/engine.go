@@ -132,9 +132,9 @@ type segment struct {
 	// statistics — and therefore scores — stay collection-global within
 	// the segment.
 	seg *index.Segmented
-	// docs serves raw text by document number — an owned table for
-	// built/loaded segments, a payload view for mapped ones (see docStore).
-	docs docStore
+	// docs serves raw text by document number: owned texts, or the
+	// image's payload section (see textStore).
+	docs *textStore
 	// xlat maps the index's term numbers to the snapshot lexicon's IDs.
 	// nil for the base segment, whose dictionary IS the lexicon's base.
 	xlat []int32
@@ -292,24 +292,13 @@ func (st *state) quiet(mv *index.MemView) bool {
 // error (propagated from the index builder).
 func Build(docs []Document, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	b := index.NewBuilder()
-	raw := newHeapDocs(len(docs))
-	analyzer := cfg.Analyzer.ForPass()
-	var tokens []string
-	var lens []int32
+	sb := newSegmentBuilder(cfg.Analyzer, len(docs))
 	for _, d := range docs {
-		t := docText{title: d.Title, body: d.Body}
-		tokens, lens = analyze(analyzer, t, tokens[:0], lens[:0])
-		if err := b.AddFields(d.ID, tokens, lens); err != nil {
+		if err := sb.add(d.ID, docText{title: d.Title, body: d.Body}); err != nil {
 			return nil, err
 		}
-		raw.add(d.ID, t)
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	seg := b.BuildSegmented(shards)
+	seg, raw := sb.build(cfg.Shards)
 	e := newEngine(cfg, seg, raw)
 	if err := e.openWAL(); err != nil {
 		return nil, err
@@ -317,15 +306,9 @@ func Build(docs []Document, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newEngine assembles an Engine around a segmented index and its raw
-// document store — shared by Build and Load. The lexicon wraps the index
-// dictionary (sorted by the Build invariant), and the IDF table is the
-// ID-indexed walk of the same dictionary. Max-score tables for the
-// registered boundable models plus the configured one are installed
-// here, while the index is still privately owned: fresh builds compute
-// them, images arrive with them (and get any missing ones computed) —
-// so pruning works identically whichever way the engine came to be.
-func newEngine(cfg Config, seg *index.Segmented, docs docStore) *Engine {
+// newEngine assembles an Engine around a freshly built segmented index
+// and its document store (see freshState).
+func newEngine(cfg Config, seg *index.Segmented, docs *textStore) *Engine {
 	e := &Engine{cfg: cfg}
 	e.cur.Store(freshState(cfg, seg, docs, 0))
 	return e
@@ -333,13 +316,12 @@ func newEngine(cfg Config, seg *index.Segmented, docs docStore) *Engine {
 
 // freshState builds the single-segment state every engine starts (and
 // every compaction ends) in: max-score tables installed while the index
-// is still privately owned (and a forward index rebuilt from the bodies
-// when the index came without one), lexicon wrapped around the
-// dictionary, IDF table derived from it, empty tombstones, empty memtable.
-func freshState(cfg Config, seg *index.Segmented, docs docStore, epoch uint64) *state {
+// is still privately owned, lexicon wrapped around the dictionary (sorted
+// by the Build invariant), IDF table derived from it, empty tombstones,
+// empty memtable.
+func freshState(cfg Config, seg *index.Segmented, docs *textStore, epoch uint64) *state {
 	idx := seg.Index()
 	installTables(cfg, idx)
-	ensureForward(cfg, idx, docs)
 	lex := textsim.WrapSortedTerms(idx.Terms())
 	st := &state{
 		stateData: stateData{

@@ -13,18 +13,15 @@ import (
 func buildAtBlockSize(t *testing.T, docs []Document, cfg Config, bs int) *Engine {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	b := index.NewBuilder()
-	b.SetBlockSize(bs)
-	raw := newHeapDocs(len(docs))
+	sb := newSegmentBuilder(cfg.Analyzer, len(docs))
+	sb.b.SetBlockSize(bs)
 	for _, d := range docs {
-		txt := docText{title: d.Title, body: d.Body}
-		toks, lens := analyze(cfg.Analyzer, txt, nil, nil)
-		if err := b.AddFields(d.ID, toks, lens); err != nil {
+		if err := sb.add(d.ID, docText{title: d.Title, body: d.Body}); err != nil {
 			t.Fatal(err)
 		}
-		raw.add(d.ID, txt)
 	}
-	return newEngine(cfg, b.BuildSegmented(max(cfg.Shards, 1)), raw)
+	seg, raw := sb.build(cfg.Shards)
+	return newEngine(cfg, seg, raw)
 }
 
 // TestBlockLayoutConfig pins the one posting layout: a build is block-

@@ -152,18 +152,14 @@ func TestSurrogateStorePutGet(t *testing.T) {
 	s := NewSurrogateStore()
 	s.Put("leopard", "leopard tank", []Surrogate{{DocID: "tank", Rank: 1, Snippet: "snippet text"}})
 	s.Put("leopard", "leopard mac os x", []Surrogate{{DocID: "osx", Rank: 1, Snippet: "os snippet"}})
-	if got := s.Get("leopard", "leopard tank"); len(got) != 1 || got[0].DocID != "tank" {
-		t.Errorf("Get = %+v", got)
+	if got := s.lists["leopard"]["leopard tank"]; len(got) != 1 || got[0].DocID != "tank" {
+		t.Errorf("stored list = %+v", got)
 	}
-	if got := s.Get("leopard", "missing"); got != nil {
+	if got := s.lists["leopard"]["missing"]; got != nil {
 		t.Errorf("missing spec = %+v", got)
 	}
-	if got := s.AmbiguousQueries(); len(got) != 1 || got[0] != "leopard" {
-		t.Errorf("AmbiguousQueries = %v", got)
-	}
-	specs := s.Specializations("leopard")
-	if len(specs) != 2 || specs[0] != "leopard mac os x" {
-		t.Errorf("Specializations = %v", specs)
+	if len(s.lists) != 1 || len(s.lists["leopard"]) != 2 || s.lists["leopard"]["leopard mac os x"] == nil {
+		t.Errorf("stored lists = %+v", s.lists)
 	}
 }
 
@@ -171,7 +167,7 @@ func TestPopulateFromEngine(t *testing.T) {
 	e := buildEngine(t)
 	s := NewSurrogateStore()
 	s.PopulateFromEngine(e, "leopard", []string{"leopard tank", "leopard mac os x"}, 2)
-	tankList := s.Get("leopard", "leopard tank")
+	tankList := s.lists["leopard"]["leopard tank"]
 	if len(tankList) == 0 {
 		t.Fatal("no surrogates for leopard tank")
 	}
@@ -232,7 +228,7 @@ func TestSurrogateStoreOverwrite(t *testing.T) {
 	s := NewSurrogateStore()
 	s.Put("q", "q a", []Surrogate{{DocID: "old"}})
 	s.Put("q", "q a", []Surrogate{{DocID: "new1"}, {DocID: "new2"}})
-	got := s.Get("q", "q a")
+	got := s.lists["q"]["q a"]
 	if len(got) != 2 || got[0].DocID != "new1" {
 		t.Errorf("overwrite failed: %+v", got)
 	}

@@ -33,22 +33,6 @@ func analyze(a *text.Analyzer, t docText, tokens []string, lens []int32) ([]stri
 	return a.FieldTokens(tokens, lens, t.body)
 }
 
-// ensureForward gives an index image without forward sections (one
-// written before the sections existed) its forward index, from the stored
-// bodies.
-func ensureForward(cfg Config, idx *index.Index, docs docStore) {
-	if idx.Forward() != nil {
-		return
-	}
-	analyzer := cfg.Analyzer.ForPass()
-	var tokens []string
-	var lens []int32
-	idx.RebuildForward(func(d int32) ([]string, []int32) {
-		tokens, lens = analyze(analyzer, docs.Text(d), tokens[:0], lens[:0])
-		return tokens, lens
-	})
-}
-
 // translate maps idx's term numbers to lex's IDs, interning terms the
 // lexicon has not seen (they land in its overflow region).
 func translate(lex *textsim.Lexicon, idx *index.Index) []int32 {
@@ -76,8 +60,13 @@ func (e *Engine) sources(st *state, mv *index.MemView) []*segment {
 	}
 	ms := e.memSrc.Load()
 	if ms == nil || ms.mv != mv || ms.lex != st.lex {
+		texts := make([]docText, mv.NumDocs())
+		for d := range texts {
+			texts[d] = docText{body: mv.PayloadAt(int32(d))}
+		}
+		idx := mv.Seg.Index()
 		ms = &memSource{mv: mv, lex: st.lex, sg: &segment{
-			seg: mv.Seg, docs: memDocs{mv}, xlat: translate(st.lex, mv.Seg.Index()),
+			seg: mv.Seg, docs: &textStore{idx: idx, texts: texts}, xlat: translate(st.lex, idx),
 		}}
 		e.memSrc.Store(ms) // racing searches build equal tables; either may win
 	}

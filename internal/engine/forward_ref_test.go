@@ -3,12 +3,9 @@ package engine
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/textsim"
 )
 
@@ -197,9 +194,7 @@ func candidateVectors(c *Candidates) [][]textsim.IVector {
 
 // ForwardVariants returns engines holding docs in every storage shape a
 // sealed document can have: heap-built, Loaded from an epoch file,
-// mapped from an image with forward sections, mapped and heap-decoded
-// from an image written without them (what every image written before
-// the sections existed looks like), and compacted out of a live index.
+// mapped from an image, and compacted out of a live index.
 func ForwardVariants(t testing.TB, docs []Document, cfg Config) map[string]*Engine {
 	t.Helper()
 	built, err := Build(docs, cfg)
@@ -225,14 +220,6 @@ func ForwardVariants(t testing.TB, docs []Document, cfg Config) map[string]*Engi
 		t.Fatal("mapped engine is not serving the image's forward sections")
 	}
 
-	old := writeOldImage(t, docs, cfg)
-	if out["mapped-old-image"], err = OpenIndexFile(old, mcfg); err != nil {
-		t.Fatal(err)
-	}
-	if out["heap-old-image"], err = OpenIndexFile(old, cfg); err != nil {
-		t.Fatal(err)
-	}
-
 	// Half the corpus built, the rest ingested, flushed and compacted.
 	live, err := Build(docs[:len(docs)/2], cfg)
 	if err != nil {
@@ -254,37 +241,6 @@ func ForwardVariants(t testing.TB, docs []Document, cfg Config) map[string]*Engi
 		}
 	})
 	return out
-}
-
-// writeOldImage writes docs as the RIDX7 image the code before the
-// forward sections wrote: an index built without field boundaries has no
-// forward index, and WriteMapped then emits the 14-section layout with
-// flag bit 1 clear.
-func writeOldImage(t testing.TB, docs []Document, cfg Config) string {
-	t.Helper()
-	cfg = cfg.withDefaults()
-	b := index.NewBuilder()
-	for _, d := range docs {
-		if err := b.Add(d.ID, cfg.Analyzer.Tokens(d.Title+" "+d.Body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seg := b.BuildSegmented(1)
-	installTables(cfg, seg.Index())
-	path := filepath.Join(t.TempDir(), "old.ridx7")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seg.WriteMapped(f, func(d int32) string {
-		return strings.TrimSpace(docs[d].Title + " " + docs[d].Body)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // awkwardDocs are hand-written bodies around every edge of field

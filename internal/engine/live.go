@@ -165,15 +165,13 @@ func (e *Engine) flushLocked() error {
 		}
 		return nil
 	}
-	b := index.NewBuilder()
-	raw := newHeapDocs(len(docs))
+	sb := newSegmentBuilder(e.cfg.Analyzer, len(docs))
 	for _, d := range docs {
-		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
+		if err := sb.addAnalyzed(d.ID, docText{body: d.Payload}, d.Tokens, d.FieldLens); err != nil {
 			return err // unreachable: memtable live IDs are unique
 		}
-		raw.add(d.ID, docText{body: d.Payload})
 	}
-	seg := b.BuildSegmented(1)
+	seg, raw := sb.build(1)
 	installTables(e.cfg, seg.Index())
 	ns := st.clone()
 	ns.segs = append(append(make([]*segment, 0, len(st.segs)+1), st.segs...),
@@ -211,11 +209,7 @@ func (e *Engine) Compact() (uint64, error) {
 	if st.quiet(mv) && len(st.dead) == 0 {
 		return st.epoch, nil
 	}
-	b := index.NewBuilder()
-	raw := newHeapDocs(st.live)
-	analyzer := e.cfg.Analyzer.ForPass()
-	var tokens []string
-	var lens []int32
+	sb := newSegmentBuilder(e.cfg.Analyzer, st.live)
 	for si, sg := range st.segs {
 		idx := sg.seg.Index()
 		// Body replay is one sequential pass over the segment in docID
@@ -236,26 +230,20 @@ func (e *Engine) Compact() (uint64, error) {
 				// bodies move into strings of their own.
 				t = docText{body: strings.Clone(t.payload())}
 			}
-			tokens, lens = analyze(analyzer, t, tokens[:0], lens[:0])
-			if err := b.AddFields(id, tokens, lens); err != nil {
+			if err := sb.add(id, t); err != nil {
 				_ = idx.Advise(index.AdviseRandom)
 				return st.epoch, err
 			}
-			raw.add(id, t)
 		}
 		_ = idx.Advise(index.AdviseRandom)
 	}
 	for _, d := range st.mem.LiveDocs() {
-		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
+		if err := sb.addAnalyzed(d.ID, docText{body: d.Payload}, d.Tokens, d.FieldLens); err != nil {
 			return st.epoch, err
 		}
-		raw.add(d.ID, docText{body: d.Payload})
 	}
-	shards := e.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	ns := freshState(e.cfg, b.BuildSegmented(shards), raw, st.epoch+1)
+	seg, raw := sb.build(e.cfg.Shards)
+	ns := freshState(e.cfg, seg, raw, st.epoch+1)
 	if err := e.persistLocked(ns); err != nil {
 		return st.epoch, err
 	}

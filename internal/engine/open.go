@@ -21,11 +21,13 @@ import (
 //	       workers use. Without cfg.Mmap it is read onto a heap slab and
 //	       served the same way.
 //
-// Anything else is an error. An index image serves bodies from its
-// payload section when present and empty snippets otherwise. The analyzer
-// and model come from cfg, exactly as for Load, and must match the ones
-// used at build time; a positive cfg.Shards resegments the loaded
-// partition, 0 keeps the one the file records.
+// Anything else is an error, and so is an index image without its
+// forward-index or payload section (checkImage): the engine cuts
+// snippets and surrogates from the one and compacts from the other, and
+// repairs neither. The analyzer and model come from cfg, exactly as for
+// Load, and must match the ones used at build time; a positive
+// cfg.Shards resegments the loaded partition, 0 keeps the one the file
+// records.
 func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	f, err := os.Open(path)
@@ -63,15 +65,19 @@ func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 
 // engineAroundIndex wraps a loaded (possibly mapped) segmented index in a
 // quiet single-segment engine whose document store is the index's payload
-// section.
+// section. An image checkImage refuses is closed and its error returned.
 func engineAroundIndex(cfg Config, seg *index.Segmented) (*Engine, error) {
+	if err := checkImage(seg.Index()); err != nil {
+		seg.Close()
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	if cfg.Shards > 0 {
 		// O(shards) boundary rebuild over the same physical index — cheap
 		// even when mapped.
 		seg = seg.Resegment(cfg.Shards)
 	}
 	e := &Engine{cfg: cfg}
-	e.cur.Store(freshState(cfg, seg, &mappedDocs{idx: seg.Index()}, 0))
+	e.cur.Store(freshState(cfg, seg, &textStore{idx: seg.Index()}, 0))
 	// The state took its own reference on the mapping; drop the open one
 	// so the last unpin (or last live iterator) unmaps.
 	seg.Close()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -430,5 +432,84 @@ func TestWindowUntrustedFieldCount(t *testing.T) {
 	}
 	if got := e.Snippet("huge", "alpha"); got != "" {
 		t.Fatalf("snippet %q of a window past the text", got)
+	}
+}
+
+// TestOpenIndexFileRefusesIncompleteImage: the engine serves snippets and
+// surrogates out of an image's forward-index section and compacts from
+// its payload section, so OpenIndexFile refuses an RIDX7 image lacking
+// either — heap or mapped — with an error that wraps index.ErrBadFormat
+// and names what is missing, releasing any mapping it made and leaving
+// the file as it was. (A payload-less image used to open, and the next
+// Compact re-analyzed its empty bodies: every sealed document vanished
+// from search.)
+func TestOpenIndexFileRefusesIncompleteImage(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	docs := smallCorpus()
+	write := func(t *testing.T, forward, payloads bool) string {
+		b := index.NewBuilder()
+		for _, d := range docs {
+			tokens, lens := analyze(cfg.Analyzer, docText{title: d.Title, body: d.Body}, nil, nil)
+			var err error
+			if forward {
+				err = b.AddFields(d.ID, tokens, lens)
+			} else {
+				err = b.Add(d.ID, tokens)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var payload func(int32) string
+		if payloads {
+			payload = func(d int32) string { return docText{title: docs[d].Title, body: docs[d].Body}.payload() }
+		}
+		path := filepath.Join(t.TempDir(), "incomplete.ridx7")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.BuildSegmented(1).WriteMapped(f, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := []struct {
+		name              string
+		forward, payloads bool
+		missing           string
+	}{
+		{"forward-less", false, true, "forward-index section"},
+		{"payload-less", true, false, "payload section"},
+		{"both", false, false, "forward-index and payload sections"},
+	}
+	for _, c := range cases {
+		for _, mmap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mmap=%v", c.name, mmap), func(t *testing.T) {
+				path := write(t, c.forward, c.payloads)
+				before, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mappings := index.ActiveMappings()
+				e, err := OpenIndexFile(path, Config{Mmap: mmap})
+				if err == nil {
+					e.Close()
+					t.Fatal("incomplete image opened")
+				}
+				if !errors.Is(err, index.ErrBadFormat) || !strings.Contains(err.Error(), "lacks its "+c.missing) {
+					t.Fatalf("err = %v; want index.ErrBadFormat naming the %s", err, c.missing)
+				}
+				if got := index.ActiveMappings(); got != mappings {
+					t.Fatalf("ActiveMappings = %d after the refusal, want %d", got, mappings)
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+					t.Fatalf("image changed by the refused open (err %v)", err)
+				}
+			})
+		}
 	}
 }

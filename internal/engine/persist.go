@@ -187,8 +187,8 @@ func readState(br *bufio.Reader, cfg Config) (*state, error) {
 			return nil, fmt.Errorf("segment %d: image cut at %d of %d bytes", si, n-uint64(img.N), n)
 		}
 		idx := seg.Index()
-		if idx.Forward() == nil || !idx.HasPayloads() {
-			return nil, fmt.Errorf("segment %d: image lacks its payload or forward-index sections", si)
+		if err := checkImage(idx); err != nil {
+			return nil, fmt.Errorf("segment %d: %w", si, err)
 		}
 		if si == 0 && cfg.Shards > 0 {
 			// Shard count is a deployment knob, not corpus data: it
@@ -197,7 +197,7 @@ func readState(br *bufio.Reader, cfg Config) (*state, error) {
 			seg = seg.Resegment(cfg.Shards)
 		}
 		installTables(cfg, idx)
-		segs = append(segs, &segment{seg: seg, docs: &mappedDocs{idx: idx}})
+		segs = append(segs, &segment{seg: seg, docs: &textStore{idx: idx}})
 	}
 	st := &state{
 		stateData: stateData{
@@ -231,6 +231,27 @@ func readState(br *bufio.Reader, cfg Config) (*state, error) {
 		sg.xlat = translate(st.lex, sg.seg.Index())
 	}
 	return st, nil
+}
+
+// checkImage is the rule every index image the engine serves must meet,
+// whether it arrives as an epoch file's segment or through OpenIndexFile:
+// it carries its forward-index section, which snippets and surrogate
+// vectors are read from, and its payload section, which Compact replays.
+// The index package still reads images without them; the engine refuses
+// them rather than serve empty bodies or compact them away.
+func checkImage(idx *index.Index) error {
+	var missing string
+	switch fwd, pay := idx.Forward() != nil, idx.HasPayloads(); {
+	case fwd && pay:
+		return nil
+	case pay:
+		missing = "forward-index section"
+	case fwd:
+		missing = "payload section"
+	default:
+		missing = "forward-index and payload sections"
+	}
+	return fmt.Errorf("%w: image lacks its %s", index.ErrBadFormat, missing)
 }
 
 // readString reads a length-prefixed string. The bytes are copied in as

@@ -28,7 +28,7 @@ func CheckSealedFromImages(t testing.TB, e *Engine) {
 	defer st.unpin()
 	for si, sg := range st.segs {
 		idx := sg.seg.Index()
-		if _, ok := sg.docs.(*mappedDocs); !ok || !idx.HasPayloads() || idx.Forward() == nil {
+		if !sg.docs.Borrowed() || !idx.HasPayloads() || idx.Forward() == nil {
 			t.Fatalf("sealed segment %d does not serve its image's payload and forward sections", si)
 		}
 	}

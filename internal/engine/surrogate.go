@@ -1,7 +1,5 @@
 package engine
 
-import "sort"
-
 // Surrogate is one stored document surrogate: the snippet of a document
 // highly relevant to some specialization.
 type Surrogate struct {
@@ -34,30 +32,6 @@ func (s *SurrogateStore) Put(q, spec string, surrogates []Surrogate) {
 		s.lists[q] = row
 	}
 	row[spec] = surrogates
-}
-
-// Get returns the stored R_q′ for (q, q′), nil when absent.
-func (s *SurrogateStore) Get(q, spec string) []Surrogate { return s.lists[q][spec] }
-
-// AmbiguousQueries returns the sorted ambiguous queries with stored lists.
-func (s *SurrogateStore) AmbiguousQueries() []string {
-	out := make([]string, 0, len(s.lists))
-	for q := range s.lists {
-		out = append(out, q)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Specializations returns the sorted specialization queries stored for q.
-func (s *SurrogateStore) Specializations(q string) []string {
-	row := s.lists[q]
-	out := make([]string, 0, len(row))
-	for spec := range row {
-		out = append(out, spec)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PopulateFromEngine fills the store by querying the engine for each

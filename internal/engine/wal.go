@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,9 +17,10 @@ import (
 // (write to a temp file, fsync, atomic rename, fsync the directory).
 // Recovery takes the newest file that parses, so a crash mid-write (torn
 // temp file, or a garbage or truncated epoch file) falls back to the last
-// durable epoch; a file an earlier build wrote with a layout this one
-// refuses stops the open instead. Each seal keeps its own file and the one
-// before it; older ones are pruned opportunistically.
+// durable epoch; a file the file system cannot open or read, or one an
+// earlier build wrote with a layout this one refuses, stops the open
+// instead. Each seal keeps its own file and the one before it; older ones
+// are pruned opportunistically.
 //
 // Ingest/Delete epochs between seals are deliberately NOT persisted: the
 // memtable is the volatile tail, and a crash rolls it back to the last
@@ -38,7 +40,7 @@ func (e *Engine) openWAL() error {
 	if e.cfg.WALDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(e.cfg.WALDir, 0o755); err != nil {
+	if err := mkdirDurable(e.cfg.WALDir); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -57,11 +59,34 @@ func (e *Engine) openWAL() error {
 	return e.persistLocked(e.cur.Load())
 }
 
+// mkdirDurable creates dir and any missing parents, and fsyncs the parent
+// of each directory it created: until then the new entries, and with them
+// every epoch sealed inside, could vanish in a crash.
+func mkdirDurable(dir string) error {
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) || filepath.Dir(d) == d {
+			break
+		}
+		created = append(created, d)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := syncDir(filepath.Dir(d)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // recoverNewest loads the newest parseable epoch file, newest first, or
-// returns nil when none parses. A file holding a segment whose forward
-// index is in the earlier text order is an error, not a torn write:
-// falling back past it would restart from an older state, or from none,
-// and lose what it holds.
+// returns nil when none parses. Two failures are errors, not torn writes,
+// because falling back past them would restart from an older state, or
+// from none, and lose what the file holds: the file system refusing to
+// open or read a file (a *fs.PathError: permissions, I/O), and a segment
+// whose forward index is in the earlier text order.
 func recoverNewest(cfg Config) (*state, error) {
 	names, err := filepath.Glob(filepath.Join(cfg.WALDir, epochFilePattern))
 	if err != nil || len(names) == 0 {
@@ -71,7 +96,7 @@ func recoverNewest(cfg Config) (*state, error) {
 	for _, name := range names {
 		f, err := os.Open(name)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("engine: WAL epoch %s cannot be opened: %w", name, err)
 		}
 		st, err := loadState(f, cfg)
 		f.Close()
@@ -80,6 +105,9 @@ func recoverNewest(cfg Config) (*state, error) {
 		}
 		if errors.Is(err, index.ErrTextOrderForward) {
 			return nil, fmt.Errorf("engine: WAL epoch %s was written by an earlier build: %w", name, err)
+		}
+		if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
+			return nil, fmt.Errorf("engine: WAL epoch %s cannot be read: %w", name, pe)
 		}
 	}
 	return nil, nil

@@ -209,42 +209,6 @@ func IAPrecision(ranking []string, qrels *trec.Qrels, topic int, weights map[int
 	return out
 }
 
-// PrecisionAt returns P@k counting documents relevant to any subtopic.
-func PrecisionAt(ranking []string, qrels *trec.Qrels, topic, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	hits := 0
-	n := len(ranking)
-	if n > k {
-		n = k
-	}
-	for i := 0; i < n; i++ {
-		if qrels.RelevantToAny(topic, ranking[i]) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
-// AveragePrecision returns AP over the full ranking, with relevance = any
-// subtopic.
-func AveragePrecision(ranking []string, qrels *trec.Qrels, topic int) float64 {
-	numRel := len(qrels.JudgedPool(topic))
-	if numRel == 0 {
-		return 0
-	}
-	hits := 0
-	sum := 0.0
-	for i, d := range ranking {
-		if qrels.RelevantToAny(topic, d) {
-			hits++
-			sum += float64(hits) / float64(i+1)
-		}
-	}
-	return sum / float64(numRel)
-}
-
 // SubtopicRecall returns S-recall@k: the fraction of the topic's judged
 // subtopics covered by at least one relevant document in the top k.
 func SubtopicRecall(ranking []string, qrels *trec.Qrels, topic, k int) float64 {

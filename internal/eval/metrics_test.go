@@ -161,32 +161,6 @@ func TestIAPrecisionShortRanking(t *testing.T) {
 	}
 }
 
-func TestPrecisionAt(t *testing.T) {
-	q := twoSubtopicQrels()
-	if p := PrecisionAt([]string{"a1", "junk", "b1", "junk2"}, q, 1, 4); !almostEq(p, 0.5, 1e-12) {
-		t.Errorf("P@4 = %f, want 0.5", p)
-	}
-	if p := PrecisionAt(nil, q, 1, 5); p != 0 {
-		t.Errorf("P@5 empty = %f", p)
-	}
-	if p := PrecisionAt([]string{"a1"}, q, 1, 0); p != 0 {
-		t.Errorf("P@0 = %f", p)
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	q := twoSubtopicQrels()
-	// Pool = {a1, a2, b1, mixed} (4 relevant docs).
-	// Ranking: a1 (hit, 1/1), junk, b1 (hit, 2/3) → AP = (1 + 2/3)/4.
-	ap := AveragePrecision([]string{"a1", "junk", "b1"}, q, 1)
-	if !almostEq(ap, (1+2.0/3)/4, 1e-12) {
-		t.Errorf("AP = %f", ap)
-	}
-	if ap := AveragePrecision([]string{"x"}, trec.NewQrels(), 9); ap != 0 {
-		t.Errorf("AP unjudged = %f", ap)
-	}
-}
-
 func TestSubtopicRecall(t *testing.T) {
 	q := twoSubtopicQrels()
 	if sr := SubtopicRecall([]string{"a1", "a2"}, q, 1, 2); !almostEq(sr, 0.5, 1e-12) {

@@ -239,35 +239,5 @@ func newForward(offs []uint64, blob []byte, numDocs, numTerms int) (*Forward, er
 
 // Forward returns the index's forward index, or nil when it has none (it
 // was built through Builder.Add, or read from an image that predates the
-// forward sections and not rebuilt).
+// forward sections).
 func (x *Index) Forward() *Forward { return x.fwd }
-
-// RebuildForward gives an index that lacks a forward index one, from the
-// documents' text: analyze(d) returns document d's analyzed tokens and
-// the per-field token counts (text.Analyzer.FieldTokens). This is what an
-// image written before the forward sections costs at open — one analysis
-// pass over the payloads, and an arena on the heap. Tokens the dictionary
-// does not hold (a payload that disagrees with its index) are dropped,
-// adjusting fieldLens in place; analyze may reuse both slices across calls.
-// Same ownership contract as SetMaxScores: call while the index is
-// privately owned.
-func (x *Index) RebuildForward(analyze func(d int32) (tokens []string, fieldLens []int32)) {
-	var w forwardWriter
-	for d := int32(0); d < int32(x.NumDocs()); d++ {
-		tokens, fieldLens := analyze(d)
-		at := 0
-		for i, n := range fieldLens {
-			kept := int32(0)
-			for _, tok := range tokens[at : at+int(n)] {
-				if id, ok := x.termID(tok); ok {
-					w.ids = append(w.ids, id)
-					kept++
-				}
-			}
-			at += int(n)
-			fieldLens[i] = kept
-		}
-		w.endDoc(fieldLens)
-	}
-	x.fwd = w.forward(x.NumTerms(), nil)
-}

@@ -110,8 +110,7 @@ func checkForwardFixture(t testing.TB, x *Index, label string) {
 // TestForwardRoundTrip: the forward index reproduces every document's
 // per-field term multisets in the FINAL (sorted-dictionary) term
 // numbering, through every way an index can come to hold one — built,
-// rebuilt from text, written to a mapped image and opened in place or
-// onto the heap.
+// written to a mapped image and opened in place or onto the heap.
 func TestForwardRoundTrip(t *testing.T) {
 	x := buildForwardFixture(t, 2)
 	checkForwardFixture(t, x, "built")
@@ -122,7 +121,7 @@ func TestForwardRoundTrip(t *testing.T) {
 		t.Fatalf("Doc appended %v / %v (%d fields)", terms, fields, nf)
 	}
 
-	// An index built without field boundaries has none, until rebuilt.
+	// An index built without field boundaries has none.
 	b := NewBuilder()
 	for i, text := range forwardTexts {
 		tokens, _ := fieldsOf(text)
@@ -133,16 +132,6 @@ func TestForwardRoundTrip(t *testing.T) {
 	plain := b.Build()
 	if plain.Forward() != nil {
 		t.Fatal("Builder.Add produced a forward index")
-	}
-	plain.RebuildForward(func(d int32) ([]string, []int32) {
-		tokens, lens := fieldsOf(forwardTexts[d])
-		return append(tokens, "not-in-dictionary"), append(lens, 1) // dropped, leaving an empty field
-	})
-	for d, text := range forwardTexts {
-		got := decodeDoc(t, plain, int32(d))
-		if n := len(strings.Fields(text)) + 1; len(got) != n || len(got[n-1]) != 0 || !reflect.DeepEqual(got[:n-1], decodeDoc(t, x, int32(d))) {
-			t.Fatalf("rebuilt doc %d has fields %q", d, got)
-		}
 	}
 
 	var img bytes.Buffer
@@ -358,7 +347,7 @@ func TestForwardHostile(t *testing.T) {
 // TestForwardBatches: documents are put in term order a batch of about
 // 1<<16 occurrences at a time; a collection several batches long, with
 // repeated terms inside fields and empty fields, still decodes to every
-// document's own per-field multisets, built or rebuilt from text.
+// document's own per-field multisets.
 func TestForwardBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	texts := make([]string, 3000)
@@ -376,7 +365,7 @@ func TestForwardBatches(t *testing.T) {
 		}
 		texts[d] = strings.Join(fields, " ")
 	}
-	b, plain := NewBuilder(), NewBuilder()
+	b := NewBuilder()
 	occurrences := 0
 	for d, text := range texts {
 		tokens, lens := fieldsOf(text)
@@ -384,27 +373,21 @@ func TestForwardBatches(t *testing.T) {
 		if err := b.AddFields(fmt.Sprint(d), tokens, lens); err != nil {
 			t.Fatal(err)
 		}
-		if err := plain.Add(fmt.Sprint(d), tokens); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if occurrences < 3<<16 {
 		t.Fatalf("%d occurrences fill fewer than three batches", occurrences)
 	}
-	rebuilt := plain.Build()
-	rebuilt.RebuildForward(func(d int32) ([]string, []int32) { return fieldsOf(texts[d]) })
-	for label, x := range map[string]*Index{"built": b.Build(), "rebuilt": rebuilt} {
-		for d, text := range texts {
-			tokens, lens := fieldsOf(text)
-			want := make([][]string, len(lens))
-			for i, n := range lens {
-				want[i] = append([]string{}, tokens[:n]...)
-				slices.Sort(want[i])
-				tokens = tokens[n:]
-			}
-			if got := decodeDoc(t, x, int32(d)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s doc %d: fields %q, want %q", label, d, got, want)
-			}
+	x := b.Build()
+	for d, text := range texts {
+		tokens, lens := fieldsOf(text)
+		want := make([][]string, len(lens))
+		for i, n := range lens {
+			want[i] = append([]string{}, tokens[:n]...)
+			slices.Sort(want[i])
+			tokens = tokens[n:]
+		}
+		if got := decodeDoc(t, x, int32(d)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: fields %q, want %q", d, got, want)
 		}
 	}
 }

@@ -251,9 +251,8 @@ type Index struct {
 	payOffs    []uint64
 	payBlob    []byte
 
-	// fwd is the forward index (forward.go): heap-built by the Builder or
-	// RebuildForward, or a view of a mapped image's forward sections. nil
-	// when the index has none.
+	// fwd is the forward index (forward.go): heap-built by the Builder, or
+	// a view of an image's forward sections. nil when the index has none.
 	fwd *Forward
 }
 

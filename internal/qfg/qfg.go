@@ -1,28 +1,24 @@
-// Package qfg implements the Query-Flow Graph of Boldi et al. (CIKM'08),
-// the session-splitting substrate §3 of the paper relies on: "It consists
-// of building a Markov Chain model of the query log and subsequently
-// finding paths in the graph which are more likely to be followed by
-// random surfers. As a result, by processing a query log Q we obtain the
-// set of logical user sessions."
+// Package qfg splits a query log into logical user sessions, the
+// preprocessing step §3 of the paper takes from the Query-Flow Graph of
+// Boldi et al. (CIKM'08): "by processing a query log Q we obtain the set of
+// logical user sessions."
 //
-// Nodes are normalized queries; a directed edge (q, q') aggregates the
-// occurrences of q' immediately following q in some user's stream, weighted
-// by a chaining probability estimated from textual and temporal features.
-// Logical sessions are obtained by cutting each user's chronological stream
-// wherever the chaining probability drops below a threshold.
+// The graph's edge weight — the chaining probability that one query
+// continues the same search mission as the one before it, estimated from
+// textual and temporal features — is all the split needs: each user's
+// chronological stream is cut wherever that probability drops below a
+// threshold. No graph is built; nothing downstream reads one.
 package qfg
 
 import (
 	"math"
-	"sort"
 	"time"
 
-	"repro/internal/querylog"
 	"repro/internal/text"
 	"repro/internal/textsim"
 )
 
-// Options configures graph construction and session extraction.
+// Options configures session extraction.
 type Options struct {
 	// MaxGap is a hard session cutoff: consecutive submissions farther
 	// apart than this can never be chained. The default (26 minutes) is
@@ -98,140 +94,4 @@ func containsAll(haystack, needles []string) bool {
 		}
 	}
 	return true
-}
-
-// Edge is an aggregated, weighted transition of the query-flow graph.
-type Edge struct {
-	From   string
-	To     string
-	Count  int     // number of observed q→q' consecutive pairs
-	Weight float64 // mean chaining probability over those pairs
-}
-
-// Graph is the query-flow graph: a Markov-chain model over queries.
-type Graph struct {
-	adj      map[string]map[string]*edgeAccum
-	nodeFreq map[string]int
-}
-
-type edgeAccum struct {
-	count     int
-	weightSum float64
-}
-
-// Build constructs the query-flow graph from the log.
-func Build(log *querylog.Log, opts Options) *Graph {
-	opts = opts.withDefaults()
-	g := &Graph{
-		adj:      make(map[string]map[string]*edgeAccum),
-		nodeFreq: make(map[string]int),
-	}
-	for _, stream := range log.UserStreams() {
-		for i, r := range stream {
-			g.nodeFreq[r.Query]++
-			if i == 0 {
-				continue
-			}
-			prev := stream[i-1]
-			if prev.Query == r.Query {
-				continue // resubmission, not a transition
-			}
-			p := ChainProbability(prev.Query, r.Query, r.Time.Sub(prev.Time), opts)
-			if p <= 0 {
-				continue
-			}
-			row := g.adj[prev.Query]
-			if row == nil {
-				row = make(map[string]*edgeAccum)
-				g.adj[prev.Query] = row
-			}
-			acc := row[r.Query]
-			if acc == nil {
-				acc = &edgeAccum{}
-				row[r.Query] = acc
-			}
-			acc.count++
-			acc.weightSum += p
-		}
-	}
-	return g
-}
-
-// Nodes returns the number of distinct queries observed.
-func (g *Graph) Nodes() int { return len(g.nodeFreq) }
-
-// NodeFreq returns the submission count of q.
-func (g *Graph) NodeFreq(q string) int { return g.nodeFreq[q] }
-
-// Successors returns the outgoing edges of q, ordered by descending count
-// (then weight, then target string for determinism).
-func (g *Graph) Successors(q string) []Edge {
-	row := g.adj[q]
-	if len(row) == 0 {
-		return nil
-	}
-	edges := make([]Edge, 0, len(row))
-	for to, acc := range row {
-		edges = append(edges, Edge{
-			From:   q,
-			To:     to,
-			Count:  acc.count,
-			Weight: acc.weightSum / float64(acc.count),
-		})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Count != edges[j].Count {
-			return edges[i].Count > edges[j].Count
-		}
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
-}
-
-// TransitionProb returns the Markov-chain transition probability P(to|from):
-// the chain-weighted edge count normalized over all outgoing edges of from.
-func (g *Graph) TransitionProb(from, to string) float64 {
-	row := g.adj[from]
-	if len(row) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, acc := range row {
-		total += acc.weightSum
-	}
-	acc := row[to]
-	if acc == nil || total == 0 {
-		return 0
-	}
-	return acc.weightSum / total
-}
-
-// WalkDistribution returns the probability of the random surfer being at
-// each node after exactly steps transitions starting from q, following the
-// Markov chain (mass at absorbing nodes stays put). This is the "paths
-// more likely to be followed by random surfers" view of the graph.
-func (g *Graph) WalkDistribution(q string, steps int) map[string]float64 {
-	cur := map[string]float64{q: 1}
-	for s := 0; s < steps; s++ {
-		next := make(map[string]float64, len(cur))
-		for node, mass := range cur {
-			row := g.adj[node]
-			if len(row) == 0 {
-				next[node] += mass
-				continue
-			}
-			total := 0.0
-			for _, acc := range row {
-				total += acc.weightSum
-			}
-			for to, acc := range row {
-				next[to] += mass * acc.weightSum / total
-			}
-		}
-		cur = next
-	}
-	return cur
 }

@@ -74,75 +74,6 @@ func buildTestLog() *querylog.Log {
 	})
 }
 
-func TestBuildGraph(t *testing.T) {
-	g := Build(buildTestLog(), DefaultOptions())
-	// Distinct queries: leopard, leopard tank, banana bread recipe,
-	// leopard mac os x, weather boston.
-	if g.Nodes() != 5 {
-		t.Errorf("nodes = %d, want 5", g.Nodes())
-	}
-	if g.NodeFreq("leopard") != 3 {
-		t.Errorf("freq(leopard) = %d, want 3", g.NodeFreq("leopard"))
-	}
-	succ := g.Successors("leopard")
-	if len(succ) != 2 {
-		t.Fatalf("successors = %v, want 2 edges", succ)
-	}
-	// mac os x observed twice, tank once.
-	if succ[0].To != "leopard mac os x" || succ[0].Count != 2 {
-		t.Errorf("top successor = %+v", succ[0])
-	}
-	if succ[1].To != "leopard tank" || succ[1].Count != 1 {
-		t.Errorf("second successor = %+v", succ[1])
-	}
-}
-
-func TestTransitionProb(t *testing.T) {
-	g := Build(buildTestLog(), DefaultOptions())
-	pMac := g.TransitionProb("leopard", "leopard mac os x")
-	pTank := g.TransitionProb("leopard", "leopard tank")
-	if pMac <= pTank {
-		t.Errorf("P(mac|leopard)=%f should exceed P(tank|leopard)=%f", pMac, pTank)
-	}
-	if d := pMac + pTank; math.Abs(d-1) > 1e-12 {
-		t.Errorf("outgoing probabilities sum to %f, want 1", d)
-	}
-	if g.TransitionProb("leopard", "weather boston") != 0 {
-		t.Error("nonexistent edge has probability > 0")
-	}
-	if g.TransitionProb("no such node", "x") != 0 {
-		t.Error("unknown node has probability > 0")
-	}
-}
-
-func TestWalkDistribution(t *testing.T) {
-	g := Build(buildTestLog(), DefaultOptions())
-	d0 := g.WalkDistribution("leopard", 0)
-	if d0["leopard"] != 1 {
-		t.Errorf("step-0 distribution = %v", d0)
-	}
-	d1 := g.WalkDistribution("leopard", 1)
-	total := 0.0
-	for _, p := range d1 {
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("distribution mass = %f, want 1", total)
-	}
-	if d1["leopard mac os x"] <= d1["leopard tank"] {
-		t.Errorf("walk does not favour popular path: %v", d1)
-	}
-	// Absorbing: leaf nodes keep their mass.
-	d5 := g.WalkDistribution("leopard", 5)
-	total = 0.0
-	for _, p := range d5 {
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("step-5 mass = %f, want 1", total)
-	}
-}
-
 func TestExtractSessions(t *testing.T) {
 	sessions := ExtractSessions(buildTestLog(), DefaultOptions())
 	// u1: 2 sessions; u2: 1; u3: 1; u4: 1.

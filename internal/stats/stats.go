@@ -9,7 +9,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -40,9 +39,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs; it panics on an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -69,22 +65,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs (average of the two central values for
-// even-length input), or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := make([]float64, n)
-	copy(s, xs)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // harmonicCache memoizes small harmonic numbers; H_n for the paper's

@@ -17,9 +17,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if v := Variance(xs); !almostEq(v, 32.0/7.0, 1e-12) {
 		t.Errorf("Variance = %f, want %f", v, 32.0/7.0)
 	}
-	if s := StdDev(xs); !almostEq(s, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %f", s)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -28,23 +25,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 	if Variance([]float64{3}) != 0 {
 		t.Error("Variance of single sample != 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{[]float64{1}, 1},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-		{nil, 0},
-	}
-	for _, c := range cases {
-		if got := Median(c.in); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Median(%v) = %f, want %f", c.in, got, c.want)
-		}
 	}
 }
 

@@ -265,11 +265,3 @@ func step5b(b []byte) []byte {
 	}
 	return b
 }
-
-// StemTokens stems every token in place and returns the slice.
-func StemTokens(tokens []string) []string {
-	for i, t := range tokens {
-		tokens[i] = Stem(t)
-	}
-	return tokens
-}

@@ -229,15 +229,6 @@ func TestAnalyzerMinLen(t *testing.T) {
 	}
 }
 
-func TestStemTokens(t *testing.T) {
-	toks := []string{"running", "jumps"}
-	got := StemTokens(toks)
-	want := []string{"run", "jump"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("StemTokens = %v, want %v", got, want)
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	cases := []struct {
 		w string

@@ -74,29 +74,3 @@ func (a IVector) Cosine(b IVector) float64 {
 
 // Distance is Equation (2): δ = 1 − cosine.
 func (a IVector) Distance(b IVector) float64 { return 1 - a.Cosine(b) }
-
-// Jaccard returns the Jaccard coefficient of the ID sets (ignoring
-// weights).
-func (a IVector) Jaccard(b IVector) float64 {
-	if len(a.IDs) == 0 && len(b.IDs) == 0 {
-		return 1
-	}
-	i, j, inter := 0, 0, 0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] == b.IDs[j]:
-			inter++
-			i++
-			j++
-		case a.IDs[i] < b.IDs[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a.IDs) + len(b.IDs) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}

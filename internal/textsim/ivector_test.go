@@ -65,9 +65,6 @@ func TestInternedOpsBitIdentical(t *testing.T) {
 		if got, want := ia.Distance(ib), Distance(a, b); got != want {
 			t.Fatalf("iter %d: Distance mismatch: interned %v, string %v", iter, got, want)
 		}
-		if got, want := ia.Jaccard(ib), Jaccard(a, b); got != want {
-			t.Fatalf("iter %d: Jaccard mismatch: interned %v, string %v", iter, got, want)
-		}
 		if got, want := ia.Norm(), a.Norm(); got != want {
 			t.Fatalf("iter %d: norm not copied bitwise: %v vs %v", iter, got, want)
 		}
@@ -77,7 +74,7 @@ func TestInternedOpsBitIdentical(t *testing.T) {
 // TestInternOverflowStillCorrect exercises the dynamic-overflow region: a
 // lexicon seeded with only part of the vocabulary must still produce
 // mathematically correct similarities (tolerance comparison — overflow IDs
-// may reorder the accumulation) and exact Jaccard (order-free).
+// may reorder the accumulation).
 func TestInternOverflowStillCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vocab := make([]string, 120)
@@ -97,9 +94,6 @@ func TestInternOverflowStillCorrect(t *testing.T) {
 		}
 		if got, want := ia.Cosine(ib), Cosine(a, b); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("iter %d: overflow cosine off: %v vs %v", iter, got, want)
-		}
-		if got, want := ia.Jaccard(ib), Jaccard(a, b); got != want {
-			t.Fatalf("iter %d: overflow Jaccard mismatch: %v vs %v", iter, got, want)
 		}
 	}
 }

@@ -95,31 +95,6 @@ func (h *Bounded[T]) Threshold() (float64, bool) {
 	return h.items[0].Score, true
 }
 
-// Worst returns the lowest-scoring retained item without removing it.
-func (h *Bounded[T]) Worst() (Item[T], bool) {
-	if len(h.items) == 0 {
-		var zero Item[T]
-		return zero, false
-	}
-	return h.items[0], true
-}
-
-// PopWorst removes and returns the lowest-scoring retained item.
-func (h *Bounded[T]) PopWorst() (Item[T], bool) {
-	if len(h.items) == 0 {
-		var zero Item[T]
-		return zero, false
-	}
-	worst := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return worst, true
-}
-
 // Descending returns the retained items ordered best-first. The heap is
 // left intact; the returned slice is freshly allocated.
 func (h *Bounded[T]) Descending() []Item[T] {
@@ -176,14 +151,4 @@ func (h *Bounded[T]) down(i int) {
 		h.items[i], h.items[worst] = h.items[worst], h.items[i]
 		i = worst
 	}
-}
-
-// Select returns the k best items of input best-first, using a bounded heap
-// (O(n log k)). It is a convenience for callers that have a full slice.
-func Select[T any](items []Item[T], k int) []Item[T] {
-	h := NewBounded[T](k)
-	for _, it := range items {
-		h.PushItem(it)
-	}
-	return h.Drain()
 }

@@ -1,8 +1,7 @@
 // Package topk provides bounded and unbounded score-ordered heaps used
 // throughout the diversification pipeline: per-specialization candidate
-// heaps in OptSelect (Algorithm 2 of the paper), document accumulators in
-// the retrieval engine, and generic top-k selection in the evaluation
-// harnesses.
+// heaps in OptSelect (Algorithm 2 of the paper) and document accumulators
+// in the retrieval engine.
 //
 // All heaps order items by float64 score with a deterministic tie-break on
 // an int64 key (lower tie key wins among equal scores), so that algorithm
@@ -43,14 +42,6 @@ func bestFirst[T any](a, b Item[T]) int {
 // The zero value is ready to use.
 type Max[T any] struct {
 	items []Item[T]
-}
-
-// NewMax returns a max-heap with capacity preallocated for n items.
-func NewMax[T any](n int) *Max[T] {
-	if n < 0 {
-		n = 0
-	}
-	return &Max[T]{items: make([]Item[T], 0, n)}
 }
 
 // Len reports the number of items currently in the heap.

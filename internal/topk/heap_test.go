@@ -9,7 +9,7 @@ import (
 )
 
 func TestMaxHeapBasicOrder(t *testing.T) {
-	h := NewMax[string](4)
+	var h Max[string]
 	h.Push("b", 2, 0)
 	h.Push("a", 1, 0)
 	h.Push("d", 4, 0)
@@ -31,7 +31,7 @@ func TestMaxHeapBasicOrder(t *testing.T) {
 }
 
 func TestMaxHeapPeek(t *testing.T) {
-	h := NewMax[int](0)
+	var h Max[int]
 	if _, ok := h.Peek(); ok {
 		t.Fatal("peek on empty heap reported ok")
 	}
@@ -47,7 +47,7 @@ func TestMaxHeapPeek(t *testing.T) {
 }
 
 func TestMaxHeapTieBreak(t *testing.T) {
-	h := NewMax[string](3)
+	var h Max[string]
 	h.Push("late", 1.0, 5)
 	h.Push("early", 1.0, 1)
 	h.Push("mid", 1.0, 3)
@@ -65,7 +65,7 @@ func TestMaxHeapSortsRandomInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		n := rng.Intn(200) + 1
-		h := NewMax[int](n)
+		var h Max[int]
 		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = float64(rng.Intn(50)) // deliberately many ties
@@ -110,12 +110,6 @@ func TestBoundedZero(t *testing.T) {
 	if h.Len() != 0 {
 		t.Errorf("len = %d, want 0", h.Len())
 	}
-	if _, ok := h.Worst(); ok {
-		t.Error("Worst on empty heap reported ok")
-	}
-	if _, ok := h.PopWorst(); ok {
-		t.Error("PopWorst on empty heap reported ok")
-	}
 }
 
 func TestBoundedNegativeBoundTreatedAsZero(t *testing.T) {
@@ -153,8 +147,7 @@ func TestBoundedTieOnFullHeapPrefersEarlier(t *testing.T) {
 	if h.Push("zero", 1.0, 0) != true {
 		t.Error("equal score with earlier tie should evict")
 	}
-	it, _ := h.Worst()
-	if it.Value != "zero" {
+	if it := h.Descending()[0]; it.Value != "zero" {
 		t.Errorf("retained %q, want %q", it.Value, "zero")
 	}
 }
@@ -184,7 +177,11 @@ func TestSelectMatchesSort(t *testing.T) {
 		for i := range items {
 			items[i] = Item[int]{Value: i, Score: rng.NormFloat64(), Tie: int64(i)}
 		}
-		got := Select(items, k)
+		h := NewBounded[int](k)
+		for _, it := range items {
+			h.PushItem(it)
+		}
+		got := h.Drain()
 
 		sorted := make([]Item[int], n)
 		copy(sorted, items)
@@ -239,7 +236,7 @@ func TestBoundedTopBProperty(t *testing.T) {
 // Property: Max heap pops in non-increasing score order regardless of input.
 func TestMaxHeapOrderProperty(t *testing.T) {
 	prop := func(scores []float64) bool {
-		h := NewMax[int](len(scores))
+		var h Max[int]
 		for i, s := range scores {
 			h.Push(i, s, int64(i))
 		}

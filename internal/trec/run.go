@@ -19,8 +19,8 @@ type Run struct {
 // NewRun returns an empty run.
 func NewRun() *Run { return &Run{byTopic: make(map[int][]RunEntry)} }
 
-// Add appends an entry to its topic's list (entries should be added in
-// rank order; Ranking is re-derived by Normalize).
+// Add appends an entry to its topic's list; entries must be added in
+// rank order.
 func (r *Run) Add(e RunEntry) {
 	r.byTopic[e.Topic] = append(r.byTopic[e.Topic], e)
 }
@@ -62,24 +62,3 @@ func (r *Run) Ranking(topic int) []string {
 
 // Entries returns the raw entries for a topic (rank order).
 func (r *Run) Entries(topic int) []RunEntry { return r.byTopic[topic] }
-
-// Normalize sorts every topic's entries by descending score (stable, with
-// rank and doc ID tie-breaks) and reassigns ranks 1..n, enforcing the
-// TREC convention that rank order and score order agree.
-func (r *Run) Normalize() {
-	for t, entries := range r.byTopic {
-		sort.SliceStable(entries, func(i, j int) bool {
-			if entries[i].Score != entries[j].Score {
-				return entries[i].Score > entries[j].Score
-			}
-			if entries[i].Rank != entries[j].Rank {
-				return entries[i].Rank < entries[j].Rank
-			}
-			return entries[i].DocID < entries[j].DocID
-		})
-		for i := range entries {
-			entries[i].Rank = i + 1
-		}
-		r.byTopic[t] = entries
-	}
-}

@@ -109,30 +109,6 @@ func (q *Qrels) Topics() []int {
 	return out
 }
 
-// NumRelevant returns the number of documents relevant to (topic, subtopic).
-func (q *Qrels) NumRelevant(topic, subtopic int) int {
-	n := 0
-	for _, rel := range q.judgments[topic][subtopic] {
-		if rel > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// RelevantDocs returns the sorted IDs of documents relevant to the
-// subtopic.
-func (q *Qrels) RelevantDocs(topic, subtopic int) []string {
-	var out []string
-	for doc, rel := range q.judgments[topic][subtopic] {
-		if rel > 0 {
-			out = append(out, doc)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // JudgedPool returns the sorted IDs of all documents judged (relevant to
 // any subtopic) for the topic — the pool the ideal-gain computation of
 // α-NDCG greedily selects from.

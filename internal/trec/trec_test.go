@@ -69,12 +69,6 @@ func TestQrelsAccessors(t *testing.T) {
 	if got := q.Topics(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("Topics = %v", got)
 	}
-	if q.NumRelevant(1, 2) != 2 {
-		t.Errorf("NumRelevant(1,2) = %d", q.NumRelevant(1, 2))
-	}
-	if got := q.RelevantDocs(1, 2); !reflect.DeepEqual(got, []string{"docB", "docC"}) {
-		t.Errorf("RelevantDocs = %v", got)
-	}
 	if got := q.JudgedPool(1); !reflect.DeepEqual(got, []string{"docA", "docB", "docC"}) {
 		t.Errorf("JudgedPool = %v", got)
 	}
@@ -93,22 +87,6 @@ func TestRunAddRanking(t *testing.T) {
 	e := r.Entries(1)[0]
 	if e.Rank != 1 || e.Tag != "sys" || e.Score != 3 {
 		t.Errorf("entry = %+v", e)
-	}
-}
-
-func TestRunNormalize(t *testing.T) {
-	r := NewRun()
-	r.Add(RunEntry{Topic: 1, DocID: "low", Rank: 1, Score: 1})
-	r.Add(RunEntry{Topic: 1, DocID: "high", Rank: 2, Score: 9})
-	r.Add(RunEntry{Topic: 1, DocID: "mid", Rank: 3, Score: 5})
-	r.Normalize()
-	if got := r.Ranking(1); !reflect.DeepEqual(got, []string{"high", "mid", "low"}) {
-		t.Errorf("normalized ranking = %v", got)
-	}
-	for i, e := range r.Entries(1) {
-		if e.Rank != i+1 {
-			t.Errorf("rank[%d] = %d", i, e.Rank)
-		}
 	}
 }
 

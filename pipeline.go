@@ -195,7 +195,6 @@ type Pipeline struct {
 	Engine      *engine.Engine
 	Log         *querylog.Log
 	Sessions    []qfg.Session
-	Graph       *qfg.Graph
 	Recommender *suggest.Recommender
 
 	// Searcher overrides where the document scoring phase runs. Nil means
@@ -229,7 +228,6 @@ func Build(cfg Config) (*Pipeline, error) {
 		defer close(mined)
 		p.Log = synth.GenerateLog(tb, cfg.Log)
 		p.Sessions = qfg.ExtractSessions(p.Log, cfg.Session)
-		p.Graph = qfg.Build(p.Log, cfg.Session)
 		p.Recommender = suggest.Train(p.Sessions, p.Log.Frequencies(), suggest.TrainOptions{})
 	}()
 	var err error

@@ -56,9 +56,6 @@ func TestBuildPipeline(t *testing.T) {
 	if p.Log.Len() == 0 {
 		t.Error("empty log")
 	}
-	if p.Graph.Nodes() == 0 {
-		t.Error("empty query-flow graph")
-	}
 }
 
 func TestDetectSpecializationsOnPopularTopic(t *testing.T) {
