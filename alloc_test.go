@@ -2,17 +2,41 @@ package repro_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/server"
 	"repro/internal/synth"
 )
+
+// countingWriter is a reusable http.ResponseWriter that keeps nothing of
+// a response but its status and length, so a handler's allocations are
+// the handler's own.
+type countingWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *countingWriter) Header() http.Header { return w.header }
+
+func (w *countingWriter) WriteHeader(code int) { w.code = code }
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.n += len(b)
+	return len(b), nil
+}
 
 // TestAllocationCeilings holds the serving path to what it keeps: a warm
 // request allocates its SERP, its candidates and their vectors, a miss
 // also the artifact it caches; query analysis and retrieval work in
-// pooled scratch. Counts are per call over servedWorld, warm pools.
+// pooled scratch; the /search handler around a hit parses, admits and
+// encodes in pooled space too. Counts are per call over servedWorld,
+// warm pools.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -58,21 +82,46 @@ func TestAllocationCeilings(t *testing.T) {
 			c.Close()
 		}
 	}
+	handler := server.New(warm, server.Config{}).Handler()
+	search := func(q string) func() {
+		r := httptest.NewRequest(http.MethodGet, "/search?q="+url.QueryEscape(q), nil)
+		w := &countingWriter{header: http.Header{}}
+		return func() {
+			clear(w.header)
+			w.code, w.n = 0, 0
+			handler.ServeHTTP(w, r)
+			if w.code != http.StatusOK || w.n == 0 {
+				t.Fatalf("/search?q=%s: %d, %d bytes", q, w.code, w.n)
+			}
+		}
+	}
+	counts := map[string]float64{}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
+		over    string // when set, the ceiling is this row's count plus ceiling
 		f       func()
 	}{
-		{"topic hit", 32, func() { serve(warm, topic, true) }},
-		{"noise hit", 36, func() { serve(warm, noise, true) }},
-		{"miss", 100, miss},
-		{"Candidates, topic", 4, candidates(topic, p.Config.NumCandidates)},
-		{"Candidates, noise", 5, candidates(noise, k)},
+		{"topic hit", 32, "", func() { serve(warm, topic, true) }},
+		{"noise hit", 36, "", func() { serve(warm, noise, true) }},
+		// The same hits through the /search handler: parsing, admission
+		// and the encoded SERP may add no more than 8 to the hit.
+		{"handler, topic hit", 8, "topic hit", search(topic)},
+		{"handler, noise hit", 8, "noise hit", search(noise)},
+		{"miss", 100, "", miss},
+		{"Candidates, topic", 4, "", candidates(topic, p.Config.NumCandidates)},
+		{"Candidates, noise", 5, "", candidates(noise, k)},
 	} {
-		if n := testing.AllocsPerRun(100, c.f); n > c.ceiling {
-			t.Errorf("%s: %v allocations a call, ceiling %v", c.name, n, c.ceiling)
+		ceiling := c.ceiling
+		if c.over != "" {
+			ceiling += counts[c.over]
+		}
+		n := testing.AllocsPerRun(100, c.f)
+		counts[c.name] = n
+		if n > ceiling {
+			t.Errorf("%s: %v allocations a call, ceiling %v", c.name, n, ceiling)
 		} else {
-			t.Logf("%s: %v allocations a call (ceiling %v)", c.name, n, c.ceiling)
+			t.Logf("%s: %v allocations a call (ceiling %v)", c.name, n, ceiling)
 		}
 	}
 }

@@ -176,13 +176,13 @@ func TestPickTierOrder(t *testing.T) {
 	open := &replica{url: "open", weight: 1, state: breakerOpen, openedAt: now, cooldown: time.Hour}
 	p := &pool{replicas: []*replica{open, halfOpen, unprobed, healthy}}
 
-	tried := map[*replica]bool{}
+	var tried []*replica
 	for _, want := range []string{"healthy", "unprobed", "half", "open"} {
 		r := p.pick(now, tried)
 		if r == nil || r.url != want {
 			t.Fatalf("pick order: got %v, want %s (tried %d)", r, want, len(tried))
 		}
-		tried[r] = true
+		tried = append(tried, r)
 	}
 	if r := p.pick(now, tried); r != nil {
 		t.Fatalf("pick with all tried = %v, want nil", r)

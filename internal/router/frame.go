@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/engine"
@@ -53,23 +54,10 @@ const (
 	PayloadText
 )
 
-// payloadNames is the request field's vocabulary, indexed by Payload.
+// payloadNames names each Payload, for messages and test names.
 var payloadNames = [...]string{"none", "terms", "text"}
 
 func (p Payload) String() string { return payloadNames[p] }
-
-// parsePayload reads the request field; absent means none.
-func parsePayload(s string) (Payload, bool) {
-	if s == "" {
-		return PayloadNone, true
-	}
-	for p, name := range payloadNames {
-		if s == name {
-			return Payload(p), true
-		}
-	}
-	return 0, false
-}
 
 const (
 	frameMagic  = "RSF\x01"
@@ -170,24 +158,35 @@ func (f *frame) list(q int) ([]ranking.Hit, []hitRef) {
 }
 
 // readFrom fills buf with r's bytes up to EOF, refusing more than
-// maxFrameBytes. The buffer grows by what has arrived, never by what a
-// header claims.
-func (f *frame) readFrom(r io.Reader) error {
-	f.buf = f.buf[:0]
+// maxFrameBytes.
+func (f *frame) readFrom(r io.Reader) (err error) {
+	f.buf, err = readBounded(f.buf[:0], r, maxFrameBytes)
+	if err == errTooLong {
+		err = frameErr("longer than %d bytes", maxFrameBytes)
+	}
+	return err
+}
+
+var errTooLong = errors.New("body too long")
+
+// readBounded appends r's bytes up to EOF to buf, failing with
+// errTooLong past limit bytes. The buffer grows by what has arrived,
+// never by what a header claims.
+func readBounded(buf []byte, r io.Reader, limit int) ([]byte, error) {
 	for {
-		if len(f.buf) == cap(f.buf) {
-			f.buf = append(f.buf, 0)[:len(f.buf)]
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(f.buf[len(f.buf):cap(f.buf)])
-		f.buf = f.buf[:len(f.buf)+n]
-		if len(f.buf) > maxFrameBytes {
-			return frameErr("longer than %d bytes", maxFrameBytes)
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return buf, errTooLong
 		}
 		if err == io.EOF {
-			return nil
+			return buf, nil
 		}
 		if err != nil {
-			return err
+			return buf, err
 		}
 	}
 }
@@ -344,4 +343,142 @@ func (f *frame) termsOf(ref hitRef, dst []int32) ([]int32, error) {
 func (f *frame) snippetOf(ref hitRef) string {
 	_, n := binary.Uvarint(f.buf[ref.pay:ref.end])
 	return string(f.buf[int(ref.pay)+n : ref.end])
+}
+
+// The request frame is the body of POST /shard/search, in the shard
+// frame's style:
+//
+//	"RSQ" 0x01        magic, version
+//	uint32            bytes that follow this field
+//	uvarint           shard
+//	byte              payload kind (Payload)
+//	uvarint           number of queries, then per query:
+//	  varint          k, zigzag (k <= 0 keeps every match)
+//	  uvarint+bytes   the query as typed; the worker analyzes it
+//
+// The router encodes one per shard into a slice of exactly its size; the
+// worker reads it into pooled scratch and cuts every query out of one
+// string.
+const (
+	requestMagic  = "RSQ\x01"
+	requestHeader = len(requestMagic) + 4
+	// minQueryBytes is the smallest encoding of a query (k, empty
+	// string): the bound a query count is checked against.
+	minQueryBytes = 1 + 1
+)
+
+var errRequest = errors.New("malformed shard request")
+
+func requestErr(format string, a ...any) error {
+	return fmt.Errorf("%w: %s", errRequest, fmt.Sprintf(format, a...))
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// size is the length of req's request frame.
+func (req ShardSearchRequest) size() int {
+	n := requestHeader + uvarintLen(uint64(req.Shard)) + 1 + uvarintLen(uint64(len(req.Queries)))
+	for i, q := range req.Queries {
+		k := int64(req.Ks[i])
+		n += uvarintLen(uint64(k)<<1^uint64(k>>63)) + uvarintLen(uint64(len(q))) + len(q)
+	}
+	return n
+}
+
+// frame returns req's request frame in a slice of its own, exactly as
+// long as the frame. Queries and Ks must be as long as each other.
+func (req ShardSearchRequest) frame() []byte {
+	b := append(make([]byte, 0, req.size()), requestMagic...)
+	b = append(b, 0, 0, 0, 0) // length, set below
+	b = binary.AppendUvarint(b, uint64(req.Shard))
+	b = append(b, byte(req.Payload))
+	b = binary.AppendUvarint(b, uint64(len(req.Queries)))
+	for i, q := range req.Queries {
+		b = binary.AppendVarint(b, int64(req.Ks[i]))
+		b = binary.AppendUvarint(b, uint64(len(q)))
+		b = append(b, q...)
+	}
+	binary.LittleEndian.PutUint32(b[len(requestMagic):], uint32(len(b)-requestHeader))
+	return b
+}
+
+// decodeRequest parses b, which must hold exactly one request frame,
+// into req, reusing req's slices. It trusts nothing: a count is checked
+// against the bytes that remain before anything grows by it, more than
+// maxShardQueries queries are refused, and every query is cut out of one
+// string copied from b, so b may be reused once it returns.
+func decodeRequest(b []byte, req *ShardSearchRequest) error {
+	req.Queries, req.Ks = req.Queries[:0], req.Ks[:0]
+	if len(b) < requestHeader || string(b[:len(requestMagic)]) != requestMagic {
+		return requestErr("bad magic or version: a request frame starts %q", requestMagic)
+	}
+	if n := binary.LittleEndian.Uint32(b[len(requestMagic):]); uint64(n) != uint64(len(b)-requestHeader) {
+		return requestErr("length %d, %d bytes follow", n, len(b)-requestHeader)
+	}
+	pos := requestHeader
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return 0, requestErr("%s: truncated or oversized varint at byte %d", what, pos)
+		}
+		pos += n
+		return v, nil
+	}
+	shard, err := uvarint("shard")
+	if err != nil {
+		return err
+	}
+	if shard > math.MaxInt32 {
+		return requestErr("shard %d", shard)
+	}
+	req.Shard = int(shard)
+	if pos == len(b) {
+		return requestErr("payload kind: no bytes remain")
+	}
+	req.Payload = Payload(b[pos])
+	pos++
+	if req.Payload > PayloadText {
+		return requestErr("unknown payload kind %d", req.Payload)
+	}
+	nq, err := uvarint("query count")
+	if err != nil {
+		return err
+	}
+	if nq > maxShardQueries {
+		return requestErr("%d queries in one batch, at most %d", nq, maxShardQueries)
+	}
+	if nq > uint64(len(b)-pos)/minQueryBytes {
+		return requestErr("%d queries claimed, %d bytes remain", nq, len(b)-pos)
+	}
+	var all string // the bytes from the first query on, copied once
+	base := pos
+	if nq > 0 {
+		all = string(b[base:])
+	}
+	for i := uint64(0); i < nq; i++ {
+		k, n := binary.Varint(b[pos:])
+		if n <= 0 {
+			return requestErr("k: truncated or oversized varint at byte %d", pos)
+		}
+		if int64(int(k)) != k {
+			return requestErr("k %d", k)
+		}
+		pos += n
+		qLen, err := uvarint("query length")
+		if err != nil {
+			return err
+		}
+		if qLen > uint64(len(b)-pos) {
+			return requestErr("query: %d bytes claimed, %d remain", qLen, len(b)-pos)
+		}
+		from := pos - base
+		pos += int(qLen)
+		req.Ks = append(req.Ks, int(k))
+		req.Queries = append(req.Queries, all[from:pos-base])
+	}
+	if pos != len(b) {
+		return requestErr("%d trailing bytes", len(b)-pos)
+	}
+	return nil
 }

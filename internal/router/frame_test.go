@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,12 +256,8 @@ func TestFrameHostile(t *testing.T) {
 // response body.
 func shardFrame(t testing.TB, h http.Handler, req ShardSearchRequest) []byte {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/search", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/search", bytes.NewReader(req.frame())))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("shard search %+v: %d %s", req, rec.Code, rec.Body)
 	}
@@ -300,7 +296,7 @@ func TestWorkerFrames(t *testing.T) {
 			sh.Close()
 			matches += len(want[PayloadNone][0])
 			for kind := PayloadNone; kind <= PayloadText; kind++ {
-				f := &frame{buf: shardFrame(t, h, ShardSearchRequest{Shard: shard, Queries: queries, Ks: ks, Payload: kind.String()})}
+				f := &frame{buf: shardFrame(t, h, ShardSearchRequest{Shard: shard, Queries: queries, Ks: ks, Payload: kind})}
 				if err := f.decode(len(queries)); err != nil {
 					t.Fatalf("shard %d %v: %v", shard, kind, err)
 				}
@@ -327,7 +323,7 @@ func FuzzShardFrame(f *testing.F) {
 	queries := []string{p.Testbed.TopicQuery(2), "noise query 0001"}
 	for kind := PayloadNone; kind <= PayloadText; kind++ {
 		for shard := 0; shard < 2; shard++ {
-			f.Add(shardFrame(f, h, ShardSearchRequest{Shard: shard, Queries: queries, Ks: []int{5, 3}, Payload: kind.String()}), 2)
+			f.Add(shardFrame(f, h, ShardSearchRequest{Shard: shard, Queries: queries, Ks: []int{5, 3}, Payload: kind}), 2)
 		}
 	}
 	f.Add(encodeFrame(PayloadTerms, 0, engine.DictFingerprint{}, nil), 0)
@@ -398,7 +394,7 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 	if err := f.decode(1); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := (&gathered{frames: []*frame{f}}).scored(dict, []int{10}, true)
+	sc, err := (&gathered{shards: []shardAnswer{{f: f}}}).scored(dict, []int{10}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,4 +420,117 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 	if _, err := sc.Vector(0, 0); err == nil {
 		t.Fatal("Vector after Close read a frame that was handed back")
 	}
+}
+
+// requestCases are request frames a router can send: zero and negative
+// ks, empty queries, bytes that are not UTF-8, and the largest batch a
+// worker takes.
+func requestCases() []ShardSearchRequest {
+	batch := ShardSearchRequest{Shard: 1, Payload: PayloadTerms}
+	for i := 0; i < maxShardQueries; i++ {
+		batch.Queries = append(batch.Queries, strings.Repeat("q", i%5))
+		batch.Ks = append(batch.Ks, i-maxShardQueries/2)
+	}
+	return []ShardSearchRequest{
+		{Shard: 0, Queries: []string{}, Ks: []int{}},
+		{Shard: 0, Queries: []string{"topic01"}, Ks: []int{10}},
+		{Shard: 3, Queries: []string{"", "x", ""}, Ks: []int{0, -1, 0}, Payload: PayloadText},
+		{Shard: 1 << 20, Queries: []string{"\xff\xfe\x00bad", "caf\xc3"}, Ks: []int{math.MaxInt64, math.MinInt64}, Payload: PayloadTerms},
+		batch,
+	}
+}
+
+// TestShardRequestRoundTrip: what the router encodes, the worker decodes
+// to the same request, into a frame exactly as long as size says; one
+// query more than a worker takes is refused.
+func TestShardRequestRoundTrip(t *testing.T) {
+	var got ShardSearchRequest // reused, as a worker's pooled scratch is
+	for _, req := range requestCases() {
+		b := req.frame()
+		if len(b) != req.size() || cap(b) != len(b) {
+			t.Fatalf("frame of %d queries: len %d cap %d, size %d", len(req.Queries), len(b), cap(b), req.size())
+		}
+		if err := decodeRequest(b, &got); err != nil {
+			t.Fatalf("%d queries: %v", len(req.Queries), err)
+		}
+		if got.Shard != req.Shard || got.Payload != req.Payload || !slices.Equal(got.Queries, req.Queries) || !slices.Equal(got.Ks, req.Ks) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
+		}
+	}
+	over := requestCases()[4]
+	over.Queries, over.Ks = append(over.Queries, "one more"), append(over.Ks, 1)
+	if err := decodeRequest(over.frame(), &got); err == nil || !strings.Contains(err.Error(), "at most 256") {
+		t.Fatalf("%d queries: err = %v, want refused", len(over.Queries), err)
+	}
+}
+
+// requestOf cuts any bytes into a request: queries split at 0xff, each
+// k the byte after the split as a signed number, so zero, negative and
+// empty all occur.
+func requestOf(data []byte) ShardSearchRequest {
+	req := ShardSearchRequest{Shard: len(data) % 7, Payload: Payload(len(data) % 3)}
+	for i, part := range bytes.Split(data, []byte{0xff}) {
+		k := 0
+		if len(part) > 0 {
+			k = int(int8(part[0])) * (i + 1)
+		}
+		req.Queries = append(req.Queries, string(part))
+		req.Ks = append(req.Ks, k)
+	}
+	return req
+}
+
+// appendedCap is the capacity a nil slice reaches after n single appends.
+func appendedCap[T any](n int) int {
+	var s []T
+	for range n {
+		s = append(s, *new(T))
+	}
+	return cap(s)
+}
+
+// FuzzShardRequest: decodeRequest answers any bytes with a request or an
+// error of its own vocabulary, never a panic; its slices grow by queries
+// decoded, not by a count the frame claims; a frame it accepts re-encodes
+// to itself (unless a varint was spelled the long way) and is refused
+// with one byte more. And any bytes, cut into queries, round-trip.
+func FuzzShardRequest(f *testing.F) {
+	for _, req := range requestCases() {
+		f.Add(req.frame())
+	}
+	f.Add([]byte(`{"shard":0,"queries":["x"],"ks":[5]}`))
+	f.Add([]byte(requestMagic + "\x05\x00\x00\x00\x00\x00\xff\xff\x03"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req ShardSearchRequest
+		err := decodeRequest(data, &req)
+		if cap(req.Queries) != appendedCap[string](len(req.Queries)) || cap(req.Ks) != appendedCap[int](len(req.Ks)) {
+			t.Fatalf("%d queries decoded into room for %d", len(req.Queries), cap(req.Queries))
+		}
+		if err != nil {
+			if !errors.Is(err, errRequest) {
+				t.Fatalf("decode error outside the request vocabulary: %v", err)
+			}
+		} else {
+			if again := req.frame(); len(again) == len(data) && !bytes.Equal(again, data) {
+				t.Fatalf("re-encoding an accepted request of the same length changed it")
+			}
+			longer := append(slices.Clone(data), 0)
+			binary.LittleEndian.PutUint32(longer[len(requestMagic):], uint32(len(longer)-requestHeader))
+			if err := decodeRequest(longer, &ShardSearchRequest{}); err == nil || !strings.Contains(err.Error(), "trailing") {
+				t.Fatalf("an accepted request with a byte more: err = %v, want trailing bytes refused", err)
+			}
+		}
+
+		want := requestOf(data)
+		err = decodeRequest(want.frame(), &req)
+		if len(want.Queries) > maxShardQueries {
+			if err == nil {
+				t.Fatalf("%d queries accepted", len(want.Queries))
+			}
+			return
+		}
+		if err != nil || req.Shard != want.Shard || req.Payload != want.Payload || !slices.Equal(req.Queries, want.Queries) || !slices.Equal(req.Ks, want.Ks) {
+			t.Fatalf("round trip (%v):\n got %+v\nwant %+v", err, req, want)
+		}
+	})
 }

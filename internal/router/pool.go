@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -36,7 +37,7 @@ type pool struct {
 // tried excludes replicas this request already failed over from, so a
 // bounded retry loop never burns two attempts on the same endpoint.
 // Returns nil when every replica has been tried.
-func (p *pool) pick(now time.Time, tried map[*replica]bool) *replica {
+func (p *pool) pick(now time.Time, tried []*replica) *replica {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -46,10 +47,11 @@ func (p *pool) pick(now time.Time, tried map[*replica]bool) *replica {
 		func(r *replica) bool { return r.selectable(now) },
 		func(r *replica) bool { return true },
 	}
+	var in [8]*replica // a pool's candidates, in place up to eight
 	for _, ok := range tiers {
-		var cands []*replica
+		cands := in[:0]
 		for _, r := range p.replicas {
-			if !tried[r] && ok(r) {
+			if !slices.Contains(tried, r) && ok(r) {
 				cands = append(cands, r)
 			}
 		}

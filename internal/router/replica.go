@@ -50,8 +50,9 @@ func (s breakerState) String() string {
 // weighted-round-robin state are guarded by the owning pool's mutex;
 // the counters are atomic so /stats can read them without the lock.
 type replica struct {
-	url    string // base URL, e.g. http://127.0.0.1:9101
-	weight int
+	url       string // base URL, e.g. http://127.0.0.1:9101
+	searchURL string // url + "/shard/search"
+	weight    int
 
 	// Circuit breaker (pool.mu).
 	state     breakerState

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -750,54 +751,62 @@ func TestSearcherValidation(t *testing.T) {
 }
 
 // TestWorkerShardSearchErrors pins the worker's error envelope: shed
-// while loading, reject malformed bodies and out-of-range shards.
+// while loading, reject malformed request frames — and a JSON body, with
+// a message naming the frame's magic — and out-of-range shards.
 func TestWorkerShardSearchErrors(t *testing.T) {
 	p := testPipeline(t)
 	w := NewWorker(nil)
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
 
-	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/shard/search", "application/json", strings.NewReader(body))
+	post := func(body []byte) (int, string) {
+		resp, err := http.Post(ts.URL+"/shard/search", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
 	}
+	one := ShardSearchRequest{Shard: 0, Queries: []string{"x"}, Ks: []int{5}}
 
-	if code := post(`{"shard":0,"queries":["x"],"ks":[5]}`); code != http.StatusServiceUnavailable {
+	if code, _ := post(one.frame()); code != http.StatusServiceUnavailable {
 		t.Errorf("search while loading: %d, want 503", code)
 	}
 	w.Publish(p.Engine)
-	if code := post(`{not json`); code != http.StatusBadRequest {
+	malformed := one.frame()
+	malformed[len(malformed)-2] = 2 // the query claims two bytes, one follows
+	if code, _ := post(malformed); code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", code)
 	}
-	if code := post(`{"shard":0,"queries":["x"],"ks":[5,6]}`); code != http.StatusBadRequest {
+	mismatch := one.frame()
+	mismatch[len(requestMagic)]++ // the length field counts a byte that is not there
+	if code, _ := post(mismatch); code != http.StatusBadRequest {
 		t.Errorf("length mismatch: %d, want 400", code)
 	}
-	if code := post(fmt.Sprintf(`{"shard":%d,"queries":["x"],"ks":[5]}`, 99)); code != http.StatusInternalServerError {
+	if code, _ := post(ShardSearchRequest{Shard: 99, Queries: []string{"x"}, Ks: []int{5}}.frame()); code != http.StatusInternalServerError {
 		t.Errorf("out-of-range shard: %d, want 500", code)
 	}
-	if code := post(`{"shard":0,"queries":["x"],"ks":[5],"payload":"snippets"}`); code != http.StatusBadRequest {
+	if code, _ := post(ShardSearchRequest{Shard: 0, Queries: []string{"x"}, Ks: []int{5}, Payload: PayloadText + 1}.frame()); code != http.StatusBadRequest {
 		t.Errorf("unknown payload kind: %d, want 400", code)
 	}
 	many := ShardSearchRequest{Queries: make([]string, maxShardQueries+1), Ks: make([]int, maxShardQueries+1)}
-	body, _ := json.Marshal(many)
-	if code := post(string(body)); code != http.StatusBadRequest {
+	if code, _ := post(many.frame()); code != http.StatusBadRequest {
 		t.Errorf("%d queries in one batch: %d, want 400", len(many.Queries), code)
 	}
-	huge := `{"shard":0,"queries":["` + strings.Repeat("x", maxShardRequestBytes) + `"],"ks":[5]}`
-	if code := post(huge); code != http.StatusBadRequest {
+	huge := ShardSearchRequest{Shard: 0, Queries: []string{strings.Repeat("x", maxShardRequestBytes)}, Ks: []int{5}}
+	if code, _ := post(huge.frame()); code != http.StatusBadRequest {
 		t.Errorf("body over %d bytes: %d, want 400", maxShardRequestBytes, code)
 	}
-	if code := post(`{"shard":0,"queries":["x"],"ks":[5]}`); code != http.StatusOK {
+	if code, body := post([]byte(`{"shard":0,"queries":["x"],"ks":[5]}`)); code != http.StatusBadRequest || !strings.Contains(body, `RSQ\\x01`) {
+		t.Errorf("JSON body: %d %s, want 400 naming the request frame's magic", code, body)
+	}
+	if code, _ := post(one.frame()); code != http.StatusOK {
 		t.Errorf("valid search: %d, want 200", code)
 	}
-	for _, kind := range payloadNames {
-		if code := post(`{"shard":1,"queries":["x","y"],"ks":[5,0],"payload":"` + kind + `"}`); code != http.StatusOK {
-			t.Errorf("payload %q: %d, want 200", kind, code)
+	for kind := PayloadNone; kind <= PayloadText; kind++ {
+		if code, _ := post(ShardSearchRequest{Shard: 1, Queries: []string{"x", "y"}, Ks: []int{5, 0}, Payload: kind}.frame()); code != http.StatusOK {
+			t.Errorf("payload %v: %d, want 200", kind, code)
 		}
 	}
 }

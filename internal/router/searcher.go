@@ -237,7 +237,7 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 			if w <= 0 {
 				w = 1
 			}
-			p.replicas = append(p.replicas, &replica{url: spec.URL, weight: w})
+			p.replicas = append(p.replicas, &replica{url: spec.URL, searchURL: spec.URL + "/shard/search", weight: w})
 		}
 		s.pools = append(s.pools, p)
 	}
@@ -385,7 +385,8 @@ func (s *Searcher) SearchBatch(ctx context.Context, queries []string, ks []int) 
 // reuse.
 func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []string, ks []int, vectors bool) (*repro.Scored, error) {
 	if cur := s.dict.Load(); cur == nil || *cur != dict.Fingerprint {
-		s.dict.Store(&dict.Fingerprint)
+		fp := dict.Fingerprint // a copy: &dict.Fingerprint would put every call's dict on the heap
+		s.dict.Store(&fp)
 	}
 	kind := PayloadNone
 	if vectors {
@@ -398,59 +399,103 @@ func (s *Searcher) Score(ctx context.Context, dict engine.Dictionary, queries []
 	return g.scored(dict, ks, vectors)
 }
 
-// scored merges the gathered frames into the lists of a Scored whose
-// Vector (with vectors set) reads winners' term payloads out of them.
+// scored merges the gathered frames into the lists of the Scored it
+// returns, whose Vector (with vectors set) reads winners' term payloads
+// out of them.
 func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repro.Scored, error) {
-	sc := &repro.Scored{Lists: make([][]ranking.Hit, len(ks)), Info: g.info, Close: g.release}
-	wins := make([][]winner, len(ks))
+	g.sc = repro.Scored{Lists: make([][]ranking.Hit, len(ks)), Info: g.info, Close: g.release}
 	for q := range ks {
 		var err error
-		if sc.Lists[q], wins[q], err = g.merge(q, ks[q]); err != nil {
+		if g.sc.Lists[q], _, err = g.merge(q, ks[q]); err != nil {
 			g.release()
 			return nil, err
 		}
 	}
 	if !vectors {
 		g.release() // nothing of the frames is read again
-		return sc, nil
+		return &g.sc, nil
 	}
-	var terms []int32
-	var slab textsim.Slab // the request's vectors; they outlive Close
-	sc.Vector = func(q, j int) (textsim.IVector, error) {
-		if g.released {
-			return textsim.IVector{}, errors.New("router: Vector after Close")
-		}
-		w := wins[q][j]
-		var err error
-		if terms, err = w.f.termsOf(w.ref, terms); err != nil {
-			return textsim.IVector{}, err
-		}
-		return dict.Vector(terms, &slab), nil
-	}
-	return sc, nil
+	g.dict = dict
+	g.sc.Vector = g.vector
+	return &g.sc, nil
 }
 
-// gathered is one scatter's frames, one per shard; nil where a degraded
-// merge dropped the shard.
+// vector is Scored.Vector: it counts winner j of query q's term numbers
+// into its vector.
+func (g *gathered) vector(q, j int) (textsim.IVector, error) {
+	if g.released {
+		return textsim.IVector{}, errors.New("router: Vector after Close")
+	}
+	m := g.scratch
+	w := m.wins[q][j]
+	var err error
+	if m.terms, err = w.f.termsOf(w.ref, m.terms); err != nil {
+		return textsim.IVector{}, err
+	}
+	return g.dict.Vector(m.terms, &g.slab), nil
+}
+
+// inlineShards is how many shards' answers a gathered holds in place.
+const inlineShards = 4
+
+// gathered is one scatter's answers, one per shard, and the Scored built
+// over them: the scatter's one allocation of its own. Merge's working
+// space is borrowed from a pool until release.
 type gathered struct {
-	frames   []*frame
+	shards   []shardAnswer
 	info     repro.SearchInfo
 	released bool
+	scratch  *mergeScratch // nil before the first merge and after release
 
-	// merge's per-shard working space, shared by the batch's queries.
+	sc   repro.Scored
+	dict engine.Dictionary
+	slab textsim.Slab // the request's vectors; they outlive Close
+
+	wg     sync.WaitGroup
+	inline [inlineShards]shardAnswer
+}
+
+// shardAnswer is one shard's outcome: its frame, nil where the shard
+// failed or a degraded merge dropped it, whether a hedge raced for it,
+// and why it failed.
+type shardAnswer struct {
+	f      *frame
+	hedged bool
+	err    error
+}
+
+// mergeScratch is merge's working space, shared by a batch's queries:
+// the per-shard lists, refs and cursors, and the winners Vector reads,
+// wins[q] a window of flat.
+type mergeScratch struct {
 	lists [][]ranking.Hit
 	refs  [][]hitRef
 	next  []int
+	wins  [][]winner
+	flat  []winner
+	terms []int32 // the term numbers of the winner Vector counts
 }
 
-// release hands every frame back to the pool. Idempotent.
+var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// release hands every frame and the merge scratch back to their pools.
+// Idempotent.
 func (g *gathered) release() {
 	g.released = true
-	for i, f := range g.frames {
-		if f != nil {
+	for i := range g.shards {
+		if f := g.shards[i].f; f != nil {
 			f.release()
-			g.frames[i] = nil
+			g.shards[i].f = nil
 		}
+	}
+	if m := g.scratch; m != nil {
+		g.scratch = nil
+		clear(m.lists) // they point into frames now back in their pool
+		clear(m.refs)
+		clear(m.wins)
+		clear(m.flat)
+		m.wins, m.flat = m.wins[:0], m.flat[:0]
+		mergeScratchPool.Put(m)
 	}
 }
 
@@ -464,18 +509,24 @@ type winner struct {
 // merge k-way merges query q's per-shard lists and returns the winners
 // — a list of the request's own, DocIDs cut from one string, so a list
 // costs one allocation for its IDs — beside where each winner's payload
-// sits.
+// sits, which is valid until release.
 func (g *gathered) merge(q, k int) ([]ranking.Hit, []winner, error) {
-	if g.lists == nil {
-		n := len(g.frames)
-		g.lists, g.refs, g.next = make([][]ranking.Hit, n), make([][]hitRef, n), make([]int, n)
+	m := g.scratch
+	if m == nil {
+		m = mergeScratchPool.Get().(*mergeScratch)
+		g.scratch = m
+		n := len(g.shards)
+		m.lists = slices.Grow(m.lists[:0], n)[:n]
+		m.refs = slices.Grow(m.refs[:0], n)[:n]
+		m.next = slices.Grow(m.next[:0], n)[:n]
 	}
-	lists, refs, next := g.lists, g.refs, g.next
+	lists, refs, next := m.lists, m.refs, m.next
 	clear(next)
 	answered := 0
-	for si, f := range g.frames {
-		if f != nil { // nil: shard dropped from a degraded merge
-			lists[si], refs[si] = f.list(q)
+	for si, a := range g.shards {
+		lists[si], refs[si] = nil, nil
+		if a.f != nil { // nil: shard dropped from a degraded merge
+			lists[si], refs[si] = a.f.list(q)
 			if len(lists[si]) > 0 {
 				answered++
 			}
@@ -489,44 +540,57 @@ func (g *gathered) merge(q, k int) ([]ranking.Hit, []winner, error) {
 	}
 	// The merge keeps every list's order, so a merged hit is the next
 	// unconsumed hit of the one shard whose doc range holds it.
-	wins := make([]winner, len(merged))
+	from := len(m.flat)
 	idBytes := 0
-	for j, h := range merged {
+	for _, h := range merged {
+		var w winner
 		for si, l := range lists {
 			if n := next[si]; n < len(l) && l[n].Doc == h.Doc {
-				wins[j] = winner{g.frames[si], refs[si][n]}
+				w = winner{g.shards[si].f, refs[si][n]}
 				next[si]++
 				break
 			}
 		}
-		if wins[j].f == nil {
+		if w.f == nil {
 			// Only lists that break the contract — two shards answering
 			// one document, or a list out of order — merge into a hit
 			// that is no list's next.
 			return nil, nil, errors.New("shard lists overlap or are out of order")
 		}
-		idBytes += int(wins[j].ref.pay - wins[j].ref.id)
+		m.flat = append(m.flat, w)
+		idBytes += int(w.ref.pay - w.ref.id)
 	}
+	wins := m.flat[from:len(m.flat):len(m.flat)]
+	for len(m.wins) <= q {
+		m.wins = append(m.wins, nil)
+	}
+	m.wins[q] = wins
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	for _, w := range wins {
 		ids.Write(w.f.id(w.ref))
 	}
-	all, from := ids.String(), 0
+	all, at := ids.String(), 0
 	for j := range merged {
-		to := from + int(wins[j].ref.pay-wins[j].ref.id)
-		merged[j].DocID = all[from:to]
-		from = to
+		to := at + int(wins[j].ref.pay-wins[j].ref.id)
+		merged[j].DocID = all[at:to]
+		at = to
 	}
 	return merged, wins, nil
 }
 
-// gather is the shared scatter-gather. When the caller's context carries
+// gather is the shared scatter-gather: one goroutine per shard, each
+// writing its shard's answer in place. When the caller's context carries
 // a deadline, the scatter runs under a sub-budget of
 // ScatterFraction*remaining so the merge and the diversification stages
 // downstream keep their share of the request budget.
 func (s *Searcher) gather(ctx context.Context, queries []string, ks []int, kind Payload, partial bool) (*gathered, error) {
-	g := &gathered{frames: make([]*frame, len(s.pools))}
+	g := &gathered{}
+	if n := len(s.pools); n <= inlineShards {
+		g.shards = g.inline[:n]
+	} else {
+		g.shards = make([]shardAnswer, n)
+	}
 	scatterCtx := ctx
 	if dl, ok := ctx.Deadline(); ok && s.cfg.ScatterFraction < 1 {
 		sub := time.Duration(s.cfg.ScatterFraction * float64(time.Until(dl)))
@@ -535,30 +599,27 @@ func (s *Searcher) gather(ctx context.Context, queries []string, ks []int, kind 
 		defer cancel()
 	}
 
-	hedgedBy := make([]bool, len(s.pools))
-	errs := make([]error, len(s.pools))
-	var wg sync.WaitGroup
+	sctx := scatterCtx // assigned once, so each goroutine's closure copies it
 	for si := range s.pools {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			g.frames[si], hedgedBy[si], errs[si] = s.searchShard(scatterCtx, si, queries, ks, kind)
-		}(si)
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			a := &g.shards[si]
+			a.f, a.hedged, a.err = s.searchShard(sctx, si, queries, ks, kind)
+		}()
 	}
-	wg.Wait()
-	for _, h := range hedgedBy {
-		if h {
+	g.wg.Wait()
+	survivors := 0
+	for _, a := range g.shards {
+		if a.hedged {
 			g.info.Hedged = true
 		}
-	}
-	survivors := 0
-	for _, err := range errs {
-		if err == nil {
+		if a.err == nil {
 			survivors++
 		}
 	}
-	for si, err := range errs {
-		if err == nil {
+	for si, a := range g.shards {
+		if a.err == nil {
 			continue
 		}
 		if ctx.Err() != nil {
@@ -575,7 +636,7 @@ func (s *Searcher) gather(ctx context.Context, queries []string, ks []int, kind 
 			continue
 		}
 		g.release()
-		return g, fmt.Errorf("shard %d: %w", si, err)
+		return g, fmt.Errorf("shard %d: %w", si, a.err)
 	}
 	if g.info.Degraded {
 		s.tail.degraded.Add(1)
@@ -592,6 +653,10 @@ type attemptDone struct {
 	began time.Time
 }
 
+// inlineAttempts is how many attempts on one shard searchShard tracks
+// in place: a primary, a hedge and failovers past them spill to the heap.
+const inlineAttempts = 4
+
 // searchShard answers one shard with a hedged, budgeted attempt state
 // machine. One primary attempt launches immediately; if hedging is
 // enabled and the primary outlives the hedge trigger, a second attempt
@@ -607,17 +672,16 @@ type attemptDone struct {
 // itself, the winner's passes to the caller, and a loser's — deposited
 // unread, perhaps long after this function returned — is left to the
 // garbage collector, never released from here while its goroutine may
-// still be filling it.
+// still be filling it. The request frame follows the same rule: it is
+// this call's own and never pooled, because a loser may still be sending
+// it.
 //
 // Parent-context cancellation aborts without penalizing the replica in
 // flight — a client hanging up is not evidence the worker is sick — and
 // a worker-side 504 (propagated budget ran out) is likewise charged to
 // the deadline, not the replica.
 func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks []int, kind Payload) (*frame, bool, error) {
-	body, err := json.Marshal(ShardSearchRequest{Shard: si, Queries: queries, Ks: ks, Payload: kind.String()})
-	if err != nil {
-		return nil, false, err
-	}
+	body := ShardSearchRequest{Shard: si, Queries: queries, Ks: ks, Payload: kind}.frame()
 	p := s.pools[si]
 	maxAttempts := s.cfg.MaxAttempts
 	if maxAttempts <= 0 {
@@ -628,8 +692,9 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 	// deposit its (unread) result and exit: no goroutine leaks, no
 	// accounting for attempts that lost a race they didn't fail.
 	results := make(chan attemptDone, maxAttempts)
-	tried := make(map[*replica]bool, maxAttempts)
-	cancels := make([]context.CancelFunc, 0, 2)
+	var triedIn [inlineAttempts]*replica
+	var cancelsIn [inlineAttempts]context.CancelFunc
+	tried, cancels := triedIn[:0], cancelsIn[:0]
 	defer func() {
 		for _, c := range cancels {
 			c()
@@ -643,8 +708,8 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 		if r == nil {
 			return false // every replica tried
 		}
-		tried[r] = true
-		actx, cancel := context.WithCancel(ctx)
+		tried = append(tried, r)
+		actx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
 		cancels = append(cancels, cancel)
 		started++
 		inflight++
@@ -655,7 +720,6 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 		}()
 		return true
 	}
-
 	if !launch(false) {
 		return nil, false, errors.New("all replicas failed: no replica available")
 	}
@@ -723,18 +787,17 @@ func (s *Searcher) searchShard(ctx context.Context, si int, queries []string, ks
 	}
 }
 
-// attempt runs one scatter call against one replica, propagating the
-// remaining attempt budget to the worker via X-Budget-Ms, and returns
-// the decoded frame. A frame from another epoch or another dictionary
-// than the fleet's fails the attempt: its lists are never merged.
+// attempt runs one scatter call against one replica under ctx, which
+// carries the attempt's timeout, propagating the remaining budget to the
+// worker via X-Budget-Ms, and returns the decoded frame. A frame from
+// another epoch or another dictionary than the fleet's fails the
+// attempt: its lists are never merged.
 func (s *Searcher) attempt(ctx context.Context, r *replica, body []byte, nq int) (*frame, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url+"/shard/search", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.searchURL, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = octetStream
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
 			req.Header.Set(HeaderBudgetMs, strconv.FormatInt(ms, 10))

@@ -6,18 +6,19 @@
 // same deterministic world (same seed => same index, same
 // collection-global statistics => the very same score float64s) and
 // answers per-shard retrieval over POST /shard/search; the router runs
-// the rest of the pipeline — Algorithm 1, the query-flow graph
-// recommender, utilities, selection — locally, swapping only the
-// document scoring phase for a remote fan-out (repro.Searcher). Workers
-// answer in a binary frame (frame.go) whose hits carry, at the
-// requester's choice, nothing, the snippet window's term numbers or the
-// snippet's text; the router builds surrogate vectors from the term
-// numbers of the merged winners only. Because per-shard scores are
-// bit-identical to the in-process fan-out, ranking.MergeSegments is the
-// same deterministic merge, and a window's term numbers count into the
-// vector its text would tokenize to, a router /search response is
-// byte-identical to a single-process /search response; the differential
-// tests in this package enforce that.
+// the rest of the pipeline — Algorithm 1, the recommender trained on
+// the log's sessions (cut by the chaining probability), utilities,
+// selection — locally, swapping only the document scoring phase for a
+// remote fan-out (repro.Searcher). The router asks in a binary request
+// frame and workers answer in a binary shard frame (frame.go) whose
+// hits carry, at the requester's choice, nothing, the snippet window's
+// term numbers or the snippet's text; the router builds surrogate
+// vectors from the term numbers of the merged winners only. Because
+// per-shard scores are bit-identical to the in-process fan-out,
+// ranking.MergeSegments is the same deterministic merge, and a window's
+// term numbers count into the vector its text would tokenize to, a
+// router /search response is byte-identical to a single-process /search
+// response; the differential tests in this package enforce that.
 //
 // Fault tolerance lives in the replica pools: each shard is served by
 // one or more replicas with health-check-driven membership (periodic
@@ -45,18 +46,19 @@ import "repro/internal/engine"
 // router charges to the deadline, never to the replica's breaker.
 const HeaderBudgetMs = "X-Budget-Ms"
 
-// ShardSearchRequest is the wire form of one scatter call: score every
-// query of the batch against one shard of the deterministic index.
-// Queries are raw (pre-analysis) strings — the worker runs the same
-// analyzer the router would, so the token streams match by construction.
-// Payload names what each hit carries back beyond doc, score and ID:
-// "none", "terms" or "text" (see Payload; absent means none). The answer
-// is a shard frame (frame.go), not JSON; errors keep the JSON envelope.
+// ShardSearchRequest is one scatter call: score every query of the
+// batch against one shard of the deterministic index. Queries are raw
+// (pre-analysis) strings — the worker runs the same analyzer the router
+// would, so the token streams match by construction — and Ks[i] is query
+// i's depth (<= 0: every match). Payload says what each hit carries
+// back beyond doc, score and ID. It travels as a binary request frame
+// (frame.go), and the answer is a shard frame; errors keep the JSON
+// envelope.
 type ShardSearchRequest struct {
-	Shard   int      `json:"shard"`
-	Queries []string `json:"queries"`
-	Ks      []int    `json:"ks"`
-	Payload string   `json:"payload,omitempty"`
+	Shard   int
+	Queries []string
+	Ks      []int
+	Payload Payload
 }
 
 const (

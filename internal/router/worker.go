@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,22 +87,17 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 		writeJSON(wr, http.StatusServiceUnavailable, errorBody{Error: "warming up: index still loading"})
 		return
 	}
-	var req ShardSearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(wr, r.Body, maxShardRequestBytes)).Decode(&req); err != nil {
+	call := shardCalls.Get().(*shardCall)
+	defer call.release() // after the response is written: the queries are cut from its string
+	var err error
+	if call.buf, err = readBounded(call.buf[:0], r.Body, maxShardRequestBytes); err == errTooLong {
+		err = fmt.Errorf("longer than %d bytes", maxShardRequestBytes)
+	}
+	if err == nil {
+		err = decodeRequest(call.buf, &call.req)
+	}
+	if err != nil {
 		writeJSON(wr, http.StatusBadRequest, errorBody{Error: "invalid request body: " + err.Error()})
-		return
-	}
-	if len(req.Queries) != len(req.Ks) {
-		writeJSON(wr, http.StatusBadRequest, errorBody{Error: "queries and ks length mismatch"})
-		return
-	}
-	if len(req.Queries) > maxShardQueries {
-		writeJSON(wr, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("%d queries in one batch, at most %d", len(req.Queries), maxShardQueries)})
-		return
-	}
-	kind, ok := parsePayload(req.Payload)
-	if !ok {
-		writeJSON(wr, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown payload %q", req.Payload)})
 		return
 	}
 	// Deadline propagation: the router advertises the attempt's
@@ -120,7 +116,7 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 	}
 	enc := encoderPool.Get().(*frameEncoder)
 	defer encoderPool.Put(enc) // after the response is written: Write does not keep the buffer
-	if err := encodeShard(ctx, enc, e, req, kind); err != nil {
+	if err := encodeShard(ctx, enc, e, &call.req); err != nil {
 		code := http.StatusInternalServerError
 		switch {
 		case r.Context().Err() != nil:
@@ -134,8 +130,9 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 	}
 	w.searches.Add(1)
 	body := enc.finish()
-	wr.Header().Set("Content-Type", "application/octet-stream")
-	wr.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := wr.Header()
+	h["Content-Type"] = octetStream
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	wr.Write(body) // a failed write is the router's attempt failing; it retries
 }
 
@@ -143,7 +140,8 @@ func (w *Worker) handleShardSearch(wr http.ResponseWriter, r *http.Request) {
 // goes from the retrieval walk into the frame, and only what the payload
 // kind ships is computed — no window for none, no snippet text unless
 // text is asked for.
-func encodeShard(ctx context.Context, enc *frameEncoder, e *engine.Engine, req ShardSearchRequest, kind Payload) error {
+func encodeShard(ctx context.Context, enc *frameEncoder, e *engine.Engine, req *ShardSearchRequest) error {
+	kind := req.Payload
 	sh, err := e.SearchShard(ctx, req.Shard, req.Queries, req.Ks)
 	if err != nil {
 		return err
@@ -166,6 +164,26 @@ func encodeShard(ctx context.Context, enc *frameEncoder, e *engine.Engine, req S
 		}
 	}
 	return nil
+}
+
+// octetStream is a frame's Content-Type, assigned rather than Set:
+// net/http only reads it.
+var octetStream = []string{"application/octet-stream"}
+
+// shardCall is a worker's scratch for one shard search: the request
+// frame's bytes and the request decoded from them, pooled and handed
+// back once the response is written.
+type shardCall struct {
+	buf []byte
+	req ShardSearchRequest
+}
+
+var shardCalls = sync.Pool{New: func() any { return new(shardCall) }}
+
+func (c *shardCall) release() {
+	clear(c.req.Queries) // they hold this request's string
+	c.req.Queries = c.req.Queries[:0]
+	shardCalls.Put(c)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -26,11 +26,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -376,8 +380,89 @@ type QueriesResponse struct {
 	Queries []string `json:"queries"`
 }
 
+// searchParams is what /search reads of its query string: the first
+// value of q, k and alg, and whether each key was there at all.
+type searchParams struct {
+	q, k, alg          string
+	hasQ, hasK, hasAlg bool
+}
+
+// parseSearchParams reads q, k and alg out of a raw query string in one
+// pass, under url.ParseQuery's rules: pairs split on '&', a pair holding
+// ';' or a bad escape is skipped, '+' is a space, and the first kept
+// value of a key wins. Only a matched value that is escaped is
+// unescaped, so a plain one is a substring of raw and costs nothing.
+func parseSearchParams(raw string) searchParams {
+	var p searchParams
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		var dst *string
+		var seen *bool
+		switch key {
+		case "q":
+			dst, seen = &p.q, &p.hasQ
+		case "k":
+			dst, seen = &p.k, &p.hasK
+		case "alg":
+			dst, seen = &p.alg, &p.hasAlg
+		default:
+			continue
+		}
+		if *seen {
+			continue
+		}
+		if value, ok = queryUnescape(value); ok {
+			*dst, *seen = value, true
+		}
+	}
+	return p
+}
+
+// queryUnescape is url.QueryUnescape, returning s itself when nothing in
+// it is escaped.
+func queryUnescape(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
+// searchBody is a /search answer being written: the response, the buffer
+// it is encoded into and the encoder bound to that buffer, pooled so a
+// SERP is encoded without allocating.
+type searchBody struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	resp SearchResponse
+}
+
+var searchBodies = sync.Pool{New: func() any {
+	b := new(searchBody)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetEscapeHTML(false)
+	return b
+}}
+
+// Header values the hot path assigns rather than Sets: net/http only
+// reads them.
+var (
+	jsonContentType = []string{"application/json"}
+	headerTrue      = []string{"true"}
+)
+
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := parseSearchParams(r.URL.RawQuery)
+	q := params.q
 	if q == "" {
 		s.fail(w, http.StatusBadRequest, "missing required parameter q")
 		return
@@ -389,7 +474,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	p := h.Pipeline
 
 	k := p.Config.K
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := params.k; raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
 			s.fail(w, http.StatusBadRequest, "k must be a positive integer")
@@ -402,7 +487,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	alg := s.cfg.DefaultAlg
-	if raw := r.URL.Query().Get("alg"); raw != "" {
+	if raw := params.alg; raw != "" {
 		alg = core.Algorithm(raw)
 		if !alg.Valid() {
 			s.fail(w, http.StatusBadRequest, fmt.Sprintf("unknown alg %q (valid: %v)", raw, core.Algorithms))
@@ -433,23 +518,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	s.requests.Add(1)
 
-	// Bounded worker pool: block for a slot, shedding on timeout, spent
-	// budget, or client disconnect.
-	timeout := time.NewTimer(s.cfg.QueueTimeout)
-	defer timeout.Stop()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.rejected.Add(1)
-		if r.Context().Err() == nil {
-			s.fail(w, http.StatusServiceUnavailable, "request budget spent while queued")
-		} else {
-			s.fail(w, http.StatusServiceUnavailable, "client gave up while queued")
-		}
-		return
-	case <-timeout.C:
-		s.rejected.Add(1)
-		s.fail(w, http.StatusServiceUnavailable, "worker pool saturated, retry later")
+	// Bounded worker pool: take a free slot at once; only when every slot
+	// is busy wait for one, shedding on timeout, spent budget, or client
+	// disconnect.
+	if !s.admit(ctx, w, r) {
 		return
 	}
 	s.inFlight.Add(1)
@@ -499,14 +571,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if info.Degraded {
 		s.degraded.Add(1)
-		w.Header().Set(HeaderDegraded, "true")
+		w.Header()[HeaderDegraded] = headerTrue
 	}
 	if info.Hedged {
 		s.hedged.Add(1)
-		w.Header().Set(HeaderHedged, "true")
+		w.Header()[HeaderHedged] = headerTrue
 	}
 
-	resp := SearchResponse{
+	body := searchBodies.Get().(*searchBody)
+	resp := &body.resp
+	*resp = SearchResponse{
 		Query:           q,
 		NormalizedQuery: text.NormalizeQuery(q),
 		Algorithm:       string(alg),
@@ -515,15 +589,59 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		CacheHit:        hit,
 		Degraded:        info.Degraded,
 		TookMicros:      took.Microseconds(),
-		Results:         make([]SearchResult, len(selected)),
+		Specializations: resp.Specializations[:0],
+		Results:         resp.Results[:0],
+	}
+	if resp.Results == nil {
+		resp.Results = []SearchResult{} // "results": [] when nothing was selected
 	}
 	for _, sp := range specs {
 		resp.Specializations = append(resp.Specializations, SpecializationInfo{Query: sp.Query, Prob: sp.Prob})
 	}
-	for i, sel := range selected {
-		resp.Results[i] = SearchResult{ID: sel.ID, Rank: sel.Rank, Score: sel.Score, Rel: sel.Rel}
+	for _, sel := range selected {
+		resp.Results = append(resp.Results, SearchResult{ID: sel.ID, Rank: sel.Rank, Score: sel.Score, Rel: sel.Rel})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body.buf.Reset()
+	_ = body.enc.Encode(resp) // on an error (a NaN score) nothing is encoded: an empty body
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	w.Write(body.buf.Bytes()) // a failed write is the client's loss; nothing to report to
+	clear(resp.Specializations)
+	clear(resp.Results)
+	*resp = SearchResponse{Specializations: resp.Specializations[:0], Results: resp.Results[:0]}
+	searchBodies.Put(body)
+}
+
+// admit takes a worker slot for a search, or sheds the request with 503
+// and reports false. A context that is already done is shed at once; a
+// free slot is taken without waiting; only a full pool makes the request
+// wait, up to QueueTimeout.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) bool {
+	if ctx.Err() == nil {
+		select {
+		case s.sem <- struct{}{}:
+			return true
+		default:
+		}
+		timeout := time.NewTimer(s.cfg.QueueTimeout)
+		defer timeout.Stop()
+		select {
+		case s.sem <- struct{}{}:
+			return true
+		case <-ctx.Done():
+		case <-timeout.C:
+			s.rejected.Add(1)
+			s.fail(w, http.StatusServiceUnavailable, "worker pool saturated, retry later")
+			return false
+		}
+	}
+	s.rejected.Add(1)
+	if r.Context().Err() == nil {
+		s.fail(w, http.StatusServiceUnavailable, "request budget spent while queued")
+	} else {
+		s.fail(w, http.StatusServiceUnavailable, "client gave up while queued")
+	}
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

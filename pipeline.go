@@ -2,7 +2,7 @@
 // "Efficient Diversification of Web Search Results" (Capannini, Nardini,
 // Perego, Silvestri — PVLDB 4(7), 2011). It wires the full §3 pipeline:
 //
-//	query log → logical sessions (query-flow graph) → recommender A(q)
+//	query log → logical sessions (cut by chaining probability) → recommender A(q)
 //	          → AmbiguousQueryDetect (Algorithm 1) → specializations S_q
 //	corpus    → inverted index → DPH retrieval → R_q and the R_q′ lists
 //	          → utilities Ũ(d|R_q′) (Definition 2)

@@ -150,10 +150,11 @@ func (h *ServeHandle) CacheStats() cache.Stats { return h.cache.Stats() }
 // zero.
 func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core.Algorithm, k int) ([]core.Selected, []suggest.Specialization, bool, SearchInfo, error) {
 	p := h.Pipeline
-	// Serving normalizes at the edge: the log-mined knowledge (QFG nodes,
-	// recommender keys, popularity function) lives in normalized query
-	// space, and normalization is also what makes "Jaguar  Cars" and
-	// "jaguar cars" share a cache entry.
+	// Serving normalizes at the edge: the log-mined knowledge (sessions
+	// cut by the chaining probability, the recommender trained on them,
+	// the popularity function) lives in normalized query space, and
+	// normalization is also what makes "Jaguar  Cars" and "jaguar cars"
+	// share a cache entry.
 	norm := text.NormalizeQuery(query)
 
 	// Cache entries are keyed by (engine epoch, normalized query): a
