@@ -368,7 +368,7 @@ func diversify(args []string, e env) error {
 		return err
 	}
 	fmt.Fprintf(e.stderr, "ready: %d documents indexed, %d log records mined\n\n",
-		pipe.Engine.NumDocs(), pipe.Log.Len())
+		pipe.Engine.NumDocs(), pipe.LogRecords)
 
 	if fs.NArg() > 0 {
 		for _, q := range fs.Args() {

@@ -148,7 +148,7 @@ func main() {
 	storage := pipe.Engine.Index().Storage()
 	fmt.Fprintf(os.Stderr, "pipeline ready in %v: %d docs indexed over %d shards (block-compressed postings, %d/block, %.2f B/posting), %d log records, %d sessions\n",
 		time.Since(began).Round(time.Millisecond), pipe.Engine.NumDocs(), pipe.Engine.Segments().NumShards(),
-		storage.BlockSize, storage.BytesPerPosting, pipe.Log.Len(), len(pipe.Sessions))
+		storage.BlockSize, storage.BytesPerPosting, pipe.LogRecords, pipe.MinedSessions)
 
 	c.Publish(srv, pipe)
 	fmt.Fprintf(os.Stderr, "ready on %s (%d workers, cache %d entries / %d shards, default alg %s)\n",

@@ -49,13 +49,16 @@ func main() {
 
 	// Extensions: subtopic recall and ERR-IA on topic 1.
 	fmt.Println("\nextensions (topic 1):")
-	for name, ranking := range map[string][]string{
-		"relevance-only": relevanceOnly.Ranking(1),
-		"diversified":    diversified.Ranking(1),
+	for _, run := range []struct {
+		name    string
+		ranking []string
+	}{
+		{"relevance-only", relevanceOnly.Ranking(1)},
+		{"diversified", diversified.Ranking(1)},
 	} {
-		sr := eval.SubtopicRecall(ranking, qrels, 1, 3)
-		err3 := eval.ERRIA(ranking, qrels, 1, nil, []int{3})
-		fmt.Printf("  %-16s S-recall@3 = %.2f, ERR-IA@3 = %.3f\n", name, sr, err3[3])
+		sr := eval.SubtopicRecall(run.ranking, qrels, 1, 3)
+		err3 := eval.ERRIA(run.ranking, qrels, 1, nil, []int{3})
+		fmt.Printf("  %-16s S-recall@3 = %.2f, ERR-IA@3 = %.3f\n", run.name, sr, err3[3])
 	}
 
 	// Significance over the 4 topics.

@@ -655,7 +655,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		p := h.Pipeline
 		resp.Ready = true
 		resp.Docs = p.Engine.NumDocs()
-		resp.LogRecords = p.Log.Len()
+		resp.LogRecords = p.LogRecords
 		resp.Topics = len(p.Testbed.Topics)
 	}
 	s.writeJSON(w, http.StatusOK, resp)

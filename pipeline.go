@@ -26,7 +26,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/qfg"
-	"repro/internal/querylog"
 	"repro/internal/ranking"
 	"repro/internal/suggest"
 	"repro/internal/synth"
@@ -117,6 +116,8 @@ func (c Config) withDefaults() Config {
 // implementation checks its workers' against and counts their term
 // numbers under; vectors false promises no vector will be asked for,
 // which lets an implementation skip gathering what vectors are made of.
+// Neither method may keep queries or ks once it has returned: the serving
+// route lends them from a pool.
 //
 // The only error a conforming implementation may return for local
 // serving is ctx.Err(), but distributed searchers also surface scatter
@@ -188,14 +189,19 @@ func (i *SearchInfo) Merge(o SearchInfo) {
 	i.Hedged = i.Hedged || o.Hedged
 }
 
-// Pipeline is a fully assembled diversification system.
+// Pipeline is a fully assembled diversification system. It holds what
+// serving reads: the engine and the recommender A(q) with its popularity
+// function f(·). The query log and the sessions mined from it are the
+// offline phase's input and are dropped once the recommender is trained.
 type Pipeline struct {
 	Config      Config
 	Testbed     *synth.Testbed
 	Engine      *engine.Engine
-	Log         *querylog.Log
-	Sessions    []qfg.Session
 	Recommender *suggest.Recommender
+	// LogRecords and MinedSessions count the training log's records and
+	// the logical sessions cut from it.
+	LogRecords    int
+	MinedSessions int
 
 	// Searcher overrides where the document scoring phase runs. Nil means
 	// the local Engine. The distributed router sets this to its
@@ -222,13 +228,14 @@ func Build(cfg Config) (*Pipeline, error) {
 
 	// The two halves of the paper's offline phase share nothing but the
 	// testbed, which both only read: the log is generated and mined beside
-	// the index build.
+	// the index build, and goes out of scope with the goroutine.
 	mined := make(chan struct{})
 	go func() {
 		defer close(mined)
-		p.Log = synth.GenerateLog(tb, cfg.Log)
-		p.Sessions = qfg.ExtractSessions(p.Log, cfg.Session)
-		p.Recommender = suggest.Train(p.Sessions, p.Log.Frequencies(), suggest.TrainOptions{})
+		log := synth.GenerateLog(tb, cfg.Log)
+		sessions := qfg.ExtractSessions(log, cfg.Session)
+		p.Recommender = suggest.Train(sessions, log.Frequencies(), suggest.TrainOptions{})
+		p.LogRecords, p.MinedSessions = log.Len(), len(sessions)
 	}()
 	var err error
 	if p.Engine == nil {

@@ -50,10 +50,10 @@ func TestBuildPipeline(t *testing.T) {
 	if p.Engine.NumDocs() == 0 {
 		t.Error("empty engine")
 	}
-	if len(p.Sessions) == 0 {
+	if p.MinedSessions == 0 {
 		t.Error("no sessions extracted")
 	}
-	if p.Log.Len() == 0 {
+	if p.LogRecords == 0 {
 		t.Error("empty log")
 	}
 }

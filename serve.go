@@ -180,17 +180,9 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	var info SearchInfo
 	if hit {
 		depth, vectors := p.servedDepth(alg, k, len(art.Specs) > 0)
-		rq, rqErr = p.score(ctx, []string{norm}, []int{depth}, vectors)
+		rq, rqErr = p.scoreOne(ctx, norm, depth, vectors)
 	} else {
-		depth, vectors := p.servedDepth(alg, k, true)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rq, rqErr = p.score(ctx, []string{norm}, []int{depth}, vectors)
-		}()
-		art, info.Degraded = h.buildOrJoin(key, norm)
-		wg.Wait() // rq is the retrieval goroutine's until joined
+		art, info.Degraded, rq, rqErr = h.miss(ctx, key, norm, alg, k)
 	}
 	if rqErr != nil {
 		return nil, nil, hit, info, rqErr
@@ -238,6 +230,24 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	return sel, art.Specs, hit, info, nil
 }
 
+// miss runs a miss's two halves side by side: R_q is retrieved on a
+// goroutine, as deep as an unknown verdict needs, while this one builds or
+// joins the query's artifacts. It is DiversifyServe's miss branch, kept
+// apart so that only a miss pays for what the goroutine captures.
+func (h *ServeHandle) miss(ctx context.Context, key, norm string, alg core.Algorithm, k int) (art *queryArtifacts, degraded bool, rq *Scored, err error) {
+	p := h.Pipeline
+	depth, vectors := p.servedDepth(alg, k, true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rq, err = p.scoreOne(ctx, norm, depth, vectors)
+	}()
+	art, degraded = h.buildOrJoin(key, norm)
+	wg.Wait() // rq and err are the retrieval goroutine's until joined
+	return art, degraded, rq, err
+}
+
 // servedDepth says how many candidates a request's R_q retrieval asks for,
 // and whether any of their surrogate vectors may be read. ambiguous is what
 // is known of Algorithm 1's verdict when retrieval starts — true on a miss,
@@ -274,6 +284,26 @@ func (p *Pipeline) servedDepth(alg core.Algorithm, k int, ambiguous bool) (depth
 // where the backend can. vectors says whether Vector may be called.
 func (p *Pipeline) score(ctx context.Context, queries []string, ks []int, vectors bool) (*Scored, error) {
 	return p.searcher().Score(ctx, p.Engine.Dictionary(), queries, ks, vectors)
+}
+
+// scoreArgs are the two one-element slices a one-query fan-out passes to
+// Score. They escape through the Searcher interface, so a request borrows
+// them from scoreArgsPool rather than allocating them.
+type scoreArgs struct {
+	queries [1]string
+	ks      [1]int
+}
+
+var scoreArgsPool = sync.Pool{New: func() any { return new(scoreArgs) }}
+
+// scoreOne is score for one query retrieved depth deep: a request's R_q.
+func (p *Pipeline) scoreOne(ctx context.Context, query string, depth int, vectors bool) (*Scored, error) {
+	a := scoreArgsPool.Get().(*scoreArgs)
+	a.queries[0], a.ks[0] = query, depth
+	sc, err := p.score(ctx, a.queries[:], a.ks[:], vectors)
+	a.queries[0] = ""
+	scoreArgsPool.Put(a)
+	return sc, err
 }
 
 // candidatesOf converts a retrieved R_q into diversification candidates,

@@ -12,6 +12,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/qfg"
 	"repro/internal/ranking"
 	"repro/internal/router"
 	"repro/internal/suggest"
@@ -245,12 +246,25 @@ func TestServeDepthFollowsVerdict(t *testing.T) {
 // index build and stems through a per-pass memo; neither may show in what
 // comes out. Two builds of one seed serialize to the same index bytes in
 // both formats cmd/buildindex writes (max-score and block-max tables
-// included) and their recommenders answer alike.
+// included), train equal recommenders from logs and sessions of equal
+// size, and their recommenders answer alike. The pipeline keeps no log, so
+// the log and its sessions are compared by mining one testbed twice.
 func TestBuildDeterministic(t *testing.T) {
+	cfg := depthWorld(5, engine.Config{Shards: 2})
+	tb := synth.GenerateTestbed(cfg.Corpus)
+	logA, logB := synth.GenerateLog(tb, cfg.Log), synth.GenerateLog(tb, cfg.Log)
+	if logA.Len() == 0 || !reflect.DeepEqual(logA, logB) {
+		t.Errorf("two logs of one testbed differ (%d and %d records)", logA.Len(), logB.Len())
+	}
+	sessA, sessB := qfg.ExtractSessions(logA, cfg.Session), qfg.ExtractSessions(logB, cfg.Session)
+	if len(sessA) == 0 || !reflect.DeepEqual(sessA, sessB) {
+		t.Errorf("two minings of one log cut different sessions (%d and %d)", len(sessA), len(sessB))
+	}
+
 	var images [2][2]bytes.Buffer
 	var pipes [2]*repro.Pipeline
 	for i := range pipes {
-		p, err := repro.Build(depthWorld(5, engine.Config{Shards: 2}))
+		p, err := repro.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,8 +282,11 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 	a, b := pipes[0], pipes[1]
-	if !reflect.DeepEqual(a.Log, b.Log) || !reflect.DeepEqual(a.Sessions, b.Sessions) {
-		t.Error("two builds of one seed mined different logs or sessions")
+	if a.LogRecords == 0 || a.MinedSessions == 0 || a.LogRecords != b.LogRecords || a.MinedSessions != b.MinedSessions {
+		t.Errorf("two builds of one seed mined %d/%d and %d/%d records/sessions", a.LogRecords, a.MinedSessions, b.LogRecords, b.MinedSessions)
+	}
+	if !reflect.DeepEqual(a.Recommender, b.Recommender) {
+		t.Error("two builds of one seed trained different recommenders")
 	}
 	ambiguous := 0
 	queries := []string{synth.NoiseQuery(0), "never logged"}
