@@ -33,11 +33,14 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 }
 
 // TestAllocationCeilings holds the serving path to what it keeps: a warm
-// request allocates its SERP, its candidates and their vectors, a miss
-// also the artifact it caches; query analysis and retrieval work in
-// pooled scratch; the /search handler around a hit parses, admits and
-// encodes in pooled space too. Counts are per call over servedWorld,
-// warm pools.
+// request allocates its SERP and its candidates' hit list, a miss also
+// the artifact it caches; query analysis, retrieval, the candidate column
+// and the bounded selection's vectors work in pooled scratch; the /search
+// handler around a hit parses, admits and encodes in pooled space too.
+// Counts are per call over servedWorld, and over deepWorld at its
+// k = 100, warm pools. A deep hit's bytes are held too: the vectors of
+// the candidates it scores are built in one rewound slab, so they do not
+// grow with how far the walk goes.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -74,6 +77,29 @@ func TestAllocationCeilings(t *testing.T) {
 	for range topics {
 		miss()
 	}
+	dp, err := repro.Build(deepWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := dp.NewServeHandle(1024, 16)
+	var deepTopics []string
+	for _, tp := range dp.Testbed.Topics {
+		deepTopics = append(deepTopics, tp.Query)
+	}
+	nextDeep := 0
+	deepHit := func() {
+		q := deepTopics[nextDeep%len(deepTopics)]
+		nextDeep++
+		if _, _, hit, _, err := deep.DiversifyServe(ctx, q, core.AlgOptSelect, dp.Config.K); err != nil || !hit {
+			t.Fatalf("%q: hit %v, err %v; want a hit", q, hit, err)
+		}
+	}
+	for _, q := range deepTopics {
+		if _, _, _, _, err := deep.DiversifyServe(ctx, q, core.AlgOptSelect, dp.Config.K); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	candidates := func(q string, depth int) func() {
 		return func() {
 			c, err := p.Engine.Candidates(ctx, []string{q}, []int{depth})
@@ -103,8 +129,12 @@ func TestAllocationCeilings(t *testing.T) {
 		over    string // when set, the ceiling is this row's count plus ceiling
 		f       func()
 	}{
-		{"topic hit", 28, "", func() { serve(warm, topic, true) }},
-		{"noise hit", 32, "", func() { serve(warm, noise, true) }},
+		// Measured 5, 9 and 5 (17, 15 and 22 while every evaluated
+		// candidate's vector was carved into a slab of the request's own
+		// and the problem, scorer, cache key and Scored were allocated).
+		{"topic hit", 16, "", func() { serve(warm, topic, true) }},
+		{"noise hit", 26, "", func() { serve(warm, noise, true) }},
+		{"deep hit", 7, "", deepHit},
 		// The same hits through the /search handler: parsing, admission
 		// and the encoded SERP may add no more than 8 to the hit.
 		{"handler, topic hit", 8, "topic hit", search(topic)},
@@ -124,6 +154,22 @@ func TestAllocationCeilings(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocations a call (ceiling %v)", c.name, n, ceiling)
 		}
+	}
+
+	// Measured 51 KB: the hit list (40 B a candidate) and the SERP. It was
+	// 274 KB while the vectors lived in a slab of the request's own.
+	const deepBytes = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const hits = 50
+	for range hits {
+		deepHit()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / hits; b > deepBytes {
+		t.Errorf("deep hit: %d bytes a call, ceiling %d", b, deepBytes)
+	} else {
+		t.Logf("deep hit: %d bytes a call (ceiling %d)", b, deepBytes)
 	}
 }
 

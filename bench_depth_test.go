@@ -223,7 +223,7 @@ func BenchmarkAspectIndex(b *testing.B) {
 		for i, s := range specs {
 			rs := make([]core.SpecResult, len(c.Lists[i]))
 			for j, d := range c.Lists[i] {
-				rs[j] = core.SpecResult{ID: d.DocID, Rank: d.Rank, IVec: c.Vector(i, j)}
+				rs[j] = core.SpecResult{ID: d.DocID, Rank: d.Rank, IVec: c.Vector(i, j, nil)}
 			}
 			set[i] = core.Specialization{Query: s.Query, Prob: s.Prob, Results: rs}
 		}

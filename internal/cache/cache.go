@@ -76,9 +76,11 @@ func New[V any](capacity, shards int) *Cache[V] {
 }
 
 // Get returns the value cached under key and whether it was present,
-// promoting the entry to most-recently-used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	return c.shard(key).get(key)
+// promoting the entry to most-recently-used. The key is given as bytes so
+// that a caller can look up a key it assembled in a stack buffer without
+// making it a string: the lookup does not keep it.
+func (c *Cache[V]) Get(key []byte) (V, bool) {
+	return c.shards[fnv1a(key)&c.mask].get(key)
 }
 
 // Peek returns the value cached under key and whether it was present
@@ -124,9 +126,9 @@ func (c *Cache[V]) shard(key string) *shard[V] {
 	return c.shards[fnv1a(key)&c.mask]
 }
 
-// fnv1a is the 64-bit FNV-1a string hash, inlined to keep the hot path
-// allocation-free.
-func fnv1a(s string) uint64 {
+// fnv1a is the 64-bit FNV-1a hash of a key, string or bytes alike, inlined
+// to keep the hot path allocation-free.
+func fnv1a[K string | []byte](s K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -168,10 +170,10 @@ func newShard[V any](capacity int) *shard[V] {
 	return s
 }
 
-func (s *shard[V]) get(key string) (V, bool) {
+func (s *shard[V]) get(key []byte) (V, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok := s.items[key]
+	n, ok := s.items[string(key)]
 	if !ok {
 		s.misses++
 		var zero V

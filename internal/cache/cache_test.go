@@ -9,16 +9,16 @@ import (
 
 func TestGetPutBasic(t *testing.T) {
 	c := New[int](10, 1)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get([]byte("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.Get([]byte("a")); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %v; want 1, true", v, ok)
 	}
 	c.Put("a", 3) // overwrite
-	if v, _ := c.Get("a"); v != 3 {
+	if v, _ := c.Get([]byte("a")); v != 3 {
 		t.Fatalf("after overwrite Get(a) = %d, want 3", v)
 	}
 	if c.Len() != 2 {
@@ -32,13 +32,13 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
-	c.Get("a")    // a is now MRU; b is LRU
-	c.Put("d", 4) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Get([]byte("a")) // a is now MRU; b is LRU
+	c.Put("d", 4)      // evicts b
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Error("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get([]byte(k)); !ok {
 			t.Errorf("%s should still be cached", k)
 		}
 	}
@@ -111,9 +111,9 @@ func TestCapacityNeverExceededWhenNotDivisible(t *testing.T) {
 func TestStatsHitRate(t *testing.T) {
 	c := New[string](8, 2)
 	c.Put("q", "v")
-	c.Get("q")
-	c.Get("q")
-	c.Get("absent")
+	c.Get([]byte("q"))
+	c.Get([]byte("q"))
+	c.Get([]byte("absent"))
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
@@ -133,7 +133,7 @@ func TestDegenerateSizes(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if _, ok := c.Get("b"); !ok {
+	if _, ok := c.Get([]byte("b")); !ok {
 		t.Error("most recent key should survive in a 1-entry cache")
 	}
 }
@@ -157,7 +157,7 @@ func TestConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("k%04d", id)
 				if rng.Intn(2) == 0 {
 					c.Put(key, id)
-				} else if v, ok := c.Get(key); ok && v != id {
+				} else if v, ok := c.Get([]byte(key)); ok && v != id {
 					t.Errorf("Get(%s) = %d, want %d", key, v, id)
 				}
 			}

@@ -173,12 +173,13 @@ type BoundedWork struct {
 // of the matrix (every remaining candidate is rescanned per insertion)
 // and have no such entry.
 //
-// vec, when non-nil, supplies candidate i's vector just before it is
-// scored and p.Candidates[i].IVec is set from it — the one write this
-// package makes to a problem; nil means the candidates already carry
-// theirs. A vec error or a canceled ctx — polled every 64 candidates —
-// ends the call with that error.
-func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i int) (textsim.IVector, error)) ([]Selected, BoundedWork, error) {
+// vec, when non-nil, builds candidate i's vector just before it is
+// scored, carving it out of slab: pooled scratch, Reset before every
+// candidate, because the vector is read by that candidate's Definition 2
+// row and never again. Nothing is written to p; nil means the candidates
+// already carry their vectors. A vec error or a canceled ctx — polled
+// every 64 candidates — ends the call with that error.
+func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i int, slab *textsim.Slab) (textsim.IVector, error)) ([]Selected, BoundedWork, error) {
 	k := p.clampK()
 	if k == 0 {
 		return nil, BoundedWork{}, nil
@@ -229,8 +230,10 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 				continue
 			}
 		}
+		iv := d.IVec
 		if vec != nil {
-			if d.IVec, err = vec(i); err != nil {
+			us.sc.slab.Reset()
+			if iv, err = vec(i, &us.sc.slab); err != nil {
 				break
 			}
 		}
@@ -238,7 +241,7 @@ func OptSelectBounded(ctx context.Context, p *Problem, b *SpecBounds, vec func(i
 		w.Walked++
 		w.Evaluated++
 		u.U[i] = row
-		u.Overall[i] = us.ScoreInto(d, row)
+		u.Overall[i] = us.score(d, iv, row)
 		h.Offer(i, row, u.Overall[i], d.Rank)
 		floor, full = h.floor()
 	}

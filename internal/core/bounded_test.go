@@ -166,7 +166,7 @@ func boundedVsFull(t testing.TB, p *Problem) int {
 	}
 	built := 0
 	got, work, err := OptSelectBounded(context.Background(), &lazy, specBounds(lazy.Specs),
-		func(i int) (textsim.IVector, error) { built++; return p.Candidates[i].IVec, nil })
+		func(i int, _ *textsim.Slab) (textsim.IVector, error) { built++; return p.Candidates[i].IVec, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestBoundedOptSelectCancellation(t *testing.T) {
 	}
 
 	boom := errors.New("no vector")
-	got, work, err := OptSelectBounded(context.Background(), p, b, func(i int) (textsim.IVector, error) {
+	got, work, err := OptSelectBounded(context.Background(), p, b, func(i int, _ *textsim.Slab) (textsim.IVector, error) {
 		if i == 37 {
 			return textsim.IVector{}, boom
 		}

@@ -12,8 +12,10 @@
 // (SpecResult.IVec, or the AspectIndex built from them), and so does R_q's
 // Doc.IVec for every algorithm but one: OptSelectBounded may take a vec
 // func instead, the lazy door through which it asks for a candidate's
-// vector only when it scores that candidate. Apart from that one write,
-// the algorithms only read a Problem.
+// vector only when it scores that candidate, in scratch it reuses for the
+// next. The algorithms only read a Problem, and what they return is a
+// SERP: each selected document's ID, Rank, Rel and score, never its
+// vector.
 package core
 
 import (
@@ -33,7 +35,8 @@ type Doc struct {
 	Rel float64
 	// IVec is the vector of the document surrogate (snippet) that the
 	// distance function δ compares, under Problem.Lex. The problem builder
-	// sets it, except where OptSelectBounded's vec supplies it.
+	// sets it, except for OptSelectBounded with a vec, which never reads
+	// it.
 	IVec textsim.IVector
 }
 
@@ -95,10 +98,16 @@ type OpCount struct {
 }
 
 // Selected is one document of the diversified set S, with the score under
-// which the algorithm selected it.
+// which the algorithm selected it: a SERP row. Its Doc carries ID, Rank
+// and Rel; the surrogate vector stays with the caller that built it.
 type Selected struct {
 	Doc
 	Score float64
+}
+
+// serpRow is candidate d as a SERP row under score.
+func serpRow(d *Doc, score float64) Selected {
+	return Selected{Doc: Doc{ID: d.ID, Rank: d.Rank, Rel: d.Rel}, Score: score}
 }
 
 // IDs extracts the document IDs of a selection, in order.
@@ -134,9 +143,8 @@ func Baseline(p *Problem) []Selected {
 	copy(docs, p.Candidates)
 	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Rank < docs[j].Rank })
 	out := make([]Selected, 0, k)
-	for i := 0; i < k; i++ {
-		d := docs[i]
-		out = append(out, Selected{Doc: Doc{ID: d.ID, Rank: d.Rank, Rel: d.Rel}, Score: d.Rel})
+	for i := range docs[:k] {
+		out = append(out, serpRow(&docs[i], docs[i].Rel))
 	}
 	return out
 }
@@ -177,7 +185,8 @@ func (a Algorithm) Valid() bool {
 // The utility matrix lives only for the duration of the call, so it is
 // drawn from a pool instead of allocated: the serving path stops paying a
 // fresh n×|S_q| matrix per query. The selection algorithms read the
-// matrix and copy what they keep (Doc + Score), never retaining it.
+// matrix and copy what they keep (ID, Rank, Rel and score), never
+// retaining it.
 func Diversify(alg Algorithm, p *Problem) []Selected {
 	switch alg {
 	case AlgBaseline:

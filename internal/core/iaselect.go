@@ -59,7 +59,7 @@ func IASelect(p *Problem, u *Utilities) []Selected {
 		for j := 0; j < s; j++ {
 			residual[j] *= 1 - row[j]
 		}
-		out = append(out, Selected{Doc: p.Candidates[best], Score: bestGain})
+		out = append(out, serpRow(&p.Candidates[best], bestGain))
 	}
 	if p.Ops != nil {
 		p.Ops.MarginalEvals += int64(evals)

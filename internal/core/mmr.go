@@ -45,7 +45,7 @@ func MMR(p *Problem) []Selected {
 			break
 		}
 		selected[best] = true
-		out = append(out, Selected{Doc: p.Candidates[best], Score: bestScore})
+		out = append(out, serpRow(&p.Candidates[best], bestScore))
 		// Incremental update keeps the whole run at O(n) per insertion.
 		for i := 0; i < n; i++ {
 			if selected[i] {

@@ -166,7 +166,7 @@ func OptSelectFrom(p *Problem, u *Utilities, h *OptSelectHeaps) []Selected {
 				cover[j]++
 			}
 		}
-		out = append(out, Selected{Doc: p.Candidates[i], Score: u.Overall[i]})
+		out = append(out, serpRow(&p.Candidates[i], u.Overall[i]))
 	}
 
 	// Phase 1 — proportional coverage. Drain gives each heap's contents

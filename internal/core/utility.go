@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/textsim"
+)
 
 // Utilities holds the precomputed normalized utilities of Definition 2 and
 // the overall per-document scores of Equation (9). Building it costs
@@ -51,13 +55,15 @@ func ComputeUtilities(p *Problem) *Utilities {
 // utilScratch is the pooled per-call working set of computeUtilitiesInto:
 // the aspect index of a problem that brings none and its sort buffer, the
 // per-cell dot-product accumulator, and OptSelectBounded's suffix maxima
-// of relevance. Pooling it makes utility computation allocation-free in
-// steady state on the serving path.
+// of relevance and the slab it builds each candidate's vector in. Pooling
+// it makes utility computation allocation-free in steady state on the
+// serving path.
 type utilScratch struct {
 	ix     AspectIndex
 	sort   aspectSort
 	acc    []float64
 	relMax []float64
+	slab   textsim.Slab
 }
 
 var utilScratchPool = sync.Pool{New: func() any { return new(utilScratch) }}
@@ -72,20 +78,29 @@ var utilScratchPool = sync.Pool{New: func() any { return new(utilScratch) }}
 // ComputeUtilities output.
 //
 // A scorer borrows pooled scratch; Close returns it. The scorer reads only
-// p.Specs (which must not change while it is alive) — candidates may be
-// appended to p.Candidates between ScoreInto calls, which is precisely how
-// the fused operator streams them in.
+// p.Specs (which must not change while it is alive), λ and c — candidates
+// may be appended to p.Candidates between ScoreInto calls, which is
+// precisely how the fused operator streams them in.
 type UtilityScorer struct {
-	p  *Problem
+	// p is a copy of what the scorer reads of the problem, so that it
+	// holds no pointer to the caller's, which can then stay on its stack.
+	p  Problem
 	ix *AspectIndex
 	sc *utilScratch
 }
 
 // NewUtilityScorer prepares a streaming scorer for the problem's
 // specializations: over p.Aspects when the problem carries one, else over
-// an index of the results' IVecs built into pooled scratch.
+// an index of the results' IVecs built into pooled scratch. It inlines,
+// so a caller that keeps the scorer to itself keeps it on its stack.
 func NewUtilityScorer(p *Problem) *UtilityScorer {
-	sc := utilScratchPool.Get().(*utilScratch)
+	us := &UtilityScorer{p: Problem{Specs: p.Specs, Aspects: p.Aspects, Lambda: p.Lambda, Threshold: p.Threshold}}
+	us.init()
+	return us
+}
+
+func (us *UtilityScorer) init() {
+	p, sc := &us.p, utilScratchPool.Get().(*utilScratch)
 	ix := p.Aspects
 	if ix == nil {
 		ix = &sc.ix
@@ -94,20 +109,25 @@ func NewUtilityScorer(p *Problem) *UtilityScorer {
 		panic("core: Problem.Aspects was not built from Problem.Specs")
 	}
 	sc.acc = resize(sc.acc, len(ix.norms))
-	return &UtilityScorer{p: p, ix: ix, sc: sc}
+	us.ix, us.sc = ix, sc
 }
 
 // ScoreInto fills row (length |S_q|) with the thresholded utilities
 // Ũ(d|R_q′_j) of one candidate and returns its overall score (Equation
 // (9)). d.IVec must share a lexicon with the specialization results.
 func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
-	p, ix := us.p, us.ix
+	return us.score(d, d.IVec, row)
+}
+
+// score is ScoreInto with the candidate's vector given apart from d.
+func (us *UtilityScorer) score(d *Doc, iv textsim.IVector, row []float64) float64 {
+	p, ix := &us.p, us.ix
 	acc := us.sc.acc
 	clear(acc)
 	// One pass of the candidate's terms through the aspect index scores
 	// it against every result of every R_q′ at once. A cell's
 	// contributions arrive in ascending term order, as in a pairwise merge.
-	cids, cw := d.IVec.IDs, d.IVec.Weights
+	cids, cw := iv.IDs, iv.Weights
 	ti := 0
 	for ci := 0; ci < len(cids) && ti < len(ix.terms); ci++ {
 		id := cids[ci]
@@ -128,7 +148,7 @@ func (us *UtilityScorer) ScoreInto(d *Doc, row []float64) float64 {
 		}
 		ti++
 	}
-	dn := d.IVec.Norm()
+	dn := iv.Norm()
 	for j := range p.Specs {
 		spec := &p.Specs[j]
 		if len(spec.Results) == 0 || ix.h[j] == 0 {

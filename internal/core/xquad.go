@@ -62,7 +62,7 @@ func XQuAD(p *Problem, u *Utilities) []Selected {
 		for j := 0; j < s; j++ {
 			residual[j] *= 1 - row[j]
 		}
-		out = append(out, Selected{Doc: p.Candidates[best], Score: bestScore})
+		out = append(out, serpRow(&p.Candidates[best], bestScore))
 	}
 	if p.Ops != nil {
 		p.Ops.MarginalEvals += int64(evals)

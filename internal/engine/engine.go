@@ -420,7 +420,10 @@ func (h *ShardHit) Snippet() string { return h.w.snippet() }
 // ShardHits is a query batch retrieved against ONE shard of the base
 // segment, over a pinned snapshot, with the per-hit work — picking the
 // snippet window, cutting its text — left to the walk the caller asks
-// for. Close must be called; it releases the snapshot.
+// for. It is a value, and the lists and the hit Each hands out live in
+// pooled space, so a walk allocates nothing. Close must be called, once;
+// it releases the snapshot, and nothing Each handed out is valid after
+// it.
 type ShardHits struct {
 	// Epoch is the snapshot's epoch, so a router can detect replicas that
 	// have diverged from the common world; Dict fingerprints the
@@ -445,32 +448,35 @@ type ShardHits struct {
 // lifecycle's shadowed-copy filtering is a cross-segment property the
 // per-shard path cannot apply exactly. A non-quiescent engine returns
 // an error rather than silently approximate results.
-func (e *Engine) SearchShard(ctx context.Context, si int, queries []string, ks []int) (*ShardHits, error) {
+func (e *Engine) SearchShard(ctx context.Context, si int, queries []string, ks []int) (ShardHits, error) {
 	st := e.snapshot()
 	sh, err := e.searchShard(ctx, st, si, queries, ks)
 	if err != nil {
 		st.unpin()
-		return nil, err
+		return ShardHits{}, err
 	}
 	return sh, nil
 }
 
-func (e *Engine) searchShard(ctx context.Context, st *state, si int, queries []string, ks []int) (*ShardHits, error) {
+func (e *Engine) searchShard(ctx context.Context, st *state, si int, queries []string, ks []int) (ShardHits, error) {
 	if !st.quiet(st.mem.View()) {
-		return nil, errors.New("engine: shard search requires a quiescent index (no pending mutations)")
+		return ShardHits{}, errors.New("engine: shard search requires a quiescent index (no pending mutations)")
 	}
 	seg := st.segs[0].seg
 	if si < 0 || si >= seg.NumShards() {
-		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", si, seg.NumShards())
+		return ShardHits{}, fmt.Errorf("engine: shard %d out of range [0,%d)", si, seg.NumShards())
 	}
 	r := e.newRetrieval(st, st.segs[:1], queries)
+	// The lists are only walked before Close, so they are the pooled
+	// retrieval's own space, reused from search to search.
 	var err error
-	r.hits, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, pruneOpts)
+	r.shardLists, err = ranking.RetrieveShardBatch(ctx, seg, si, e.cfg.Model, r.qToks, ks, pruneOpts, r.shardLists)
 	if err != nil {
 		r.release()
-		return nil, err
+		return ShardHits{}, err
 	}
-	return &ShardHits{Epoch: st.epoch, Dict: st.dict.of(seg.Index().Terms()), r: r}, nil
+	r.hits = r.shardLists
+	return ShardHits{Epoch: st.epoch, Dict: st.dict.of(seg.Index().Terms()), r: r}, nil
 }
 
 // Len returns the number of hits of query q.
@@ -481,17 +487,17 @@ func (s *ShardHits) Len(q int) int { return len(s.r.hits[q]) }
 // without, the walk touches nothing but the hit list. h is reused
 // between calls. The only possible error is ctx.Err().
 func (s *ShardHits) Each(ctx context.Context, q int, windows bool, f func(h *ShardHit)) error {
-	var h ShardHit
+	h := &s.r.shardHit
 	if !windows {
 		for _, hit := range s.r.hits[q] {
-			h = ShardHit{Doc: hit.Doc, DocID: hit.DocID, Score: hit.Score}
-			f(&h)
+			*h = ShardHit{Doc: hit.Doc, DocID: hit.DocID, Score: hit.Score}
+			f(h)
 		}
 		return nil
 	}
 	return s.r.windows(ctx, q, func(_ int, w hitWindow) {
-		h = ShardHit{Doc: w.Doc, DocID: w.DocID, Score: w.Score, Terms: w.terms, w: w}
-		f(&h)
+		*h = ShardHit{Doc: w.Doc, DocID: w.DocID, Score: w.Score, Terms: w.terms, w: w}
+		f(h)
 	})
 }
 

@@ -219,6 +219,11 @@ type retrieval struct {
 	toks  []string
 	hits  [][]ranking.Hit // Doc numbers are global: source offset + local
 	wds   []windower      // per list, set up on first use
+
+	// A shard search's lists and the hit its walk hands out: they never
+	// leave the retrieval, so their space is reused (see searchShard).
+	shardLists [][]ranking.Hit
+	shardHit   ShardHit
 }
 
 var retrievalPool = sync.Pool{New: func() any { return new(retrieval) }}
@@ -232,6 +237,10 @@ func (r *retrieval) release() {
 	}
 	clear(r.toks)
 	clear(r.qToks)
+	for _, l := range r.shardLists {
+		clear(l)
+	}
+	r.shardHit = ShardHit{}
 	r.st, r.srcs, r.hits, r.wds = nil, nil, nil, r.wds[:0]
 	retrievalPool.Put(r)
 }
@@ -337,8 +346,7 @@ type Candidates struct {
 	Epoch uint64
 	Lex   *textsim.Lexicon
 
-	r    *retrieval // nil once closed
-	slab textsim.Slab
+	r *retrieval // nil once closed
 }
 
 // Candidates is SearchBatch for callers that want surrogate vectors
@@ -358,10 +366,11 @@ func (e *Engine) Candidates(ctx context.Context, queries []string, ks []int) (*C
 
 // Vector builds the surrogate vector of candidate j of list q, and of no
 // other: one forward-index decode and one window, counted into the
-// candidates' own slab. It must not be called after Close; the vectors it
+// caller's slab (nil: allocated on its own), which decides how long the
+// vector lives. It must not be called after Close; the vectors it
 // returned stay valid.
-func (c *Candidates) Vector(q, j int) textsim.IVector {
-	return c.r.windower(q).at(j).vector(c.r.st.idf, &c.slab)
+func (c *Candidates) Vector(q, j int, slab *textsim.Slab) textsim.IVector {
+	return c.r.windower(q).at(j).vector(c.r.st.idf, slab)
 }
 
 // Close releases the snapshot the candidates were retrieved against.

@@ -180,13 +180,14 @@ func CheckForward(t testing.TB, label string, e *Engine, queries []string) {
 }
 
 // candidateVectors asks Vector for every candidate's surrogate vector,
-// list by list, in rank order.
+// list by list, in rank order, carved into one slab it keeps.
 func candidateVectors(c *Candidates) [][]textsim.IVector {
+	var slab textsim.Slab
 	vecs := make([][]textsim.IVector, len(c.Lists))
 	for q, list := range c.Lists {
 		vecs[q] = make([]textsim.IVector, len(list))
 		for j := range list {
-			vecs[q][j] = c.Vector(q, j)
+			vecs[q][j] = c.Vector(q, j, &slab)
 		}
 	}
 	return vecs

@@ -113,10 +113,11 @@ func TestSaveLoadLifecycleRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		var slab textsim.Slab
 		vecs := make([][]textsim.IVector, len(c.Lists))
 		for q, list := range c.Lists {
 			for j := range list {
-				vecs[q] = append(vecs[q], c.Vector(q, j))
+				vecs[q] = append(vecs[q], c.Vector(q, j, &slab))
 			}
 		}
 		return c.Lists, vecs

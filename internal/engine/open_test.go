@@ -427,7 +427,7 @@ func TestWindowUntrustedFieldCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cands.Close()
-	if len(cands.Lists[0]) != 1 || !ivecEqual(cands.Vector(0, 0), e.IVectorOfText("alpha")) {
+	if len(cands.Lists[0]) != 1 || !ivecEqual(cands.Vector(0, 0, nil), e.IVectorOfText("alpha")) {
 		t.Fatalf("candidates %+v: vector differs from IVectorOfText(\"alpha\")", cands.Lists)
 	}
 	if got := e.Snippet("huge", "alpha"); got != "" {

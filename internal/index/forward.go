@@ -77,11 +77,19 @@ func (f *Forward) Doc(d int32, terms, fields []int32) (t, fl []int32, nFields in
 	t, fl = terms, fields
 	term, field := int64(-1), uint64(0)
 	for i := uint64(0); i < nOcc; i++ {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return terms, fields, 0, false
+		// Most varints here are one byte: a field below 64, a small delta.
+		// Those are read in place; binary.Uvarint reads, or refuses, the
+		// rest.
+		var v uint64
+		if len(b) > 0 && b[0] < 0x80 {
+			v, b = uint64(b[0]), b[1:]
+		} else {
+			var n int
+			if v, n = binary.Uvarint(b); n <= 0 {
+				return terms, fields, 0, false
+			}
+			b = b[n:]
 		}
-		b = b[n:]
 		next := v >> 1
 		if next >= nf {
 			return terms, fields, 0, false
@@ -91,11 +99,19 @@ func (f *Forward) Doc(d int32, terms, fields []int32) (t, fl []int32, nFields in
 				return terms, fields, 0, false
 			}
 		} else {
-			delta, n := binary.Uvarint(b)
-			if n <= 0 || delta == 0 || delta > uint64(int64(f.numTerms)-1-term) {
+			var delta uint64
+			if len(b) > 0 && b[0] < 0x80 {
+				delta, b = uint64(b[0]), b[1:]
+			} else {
+				var n int
+				if delta, n = binary.Uvarint(b); n <= 0 {
+					return terms, fields, 0, false
+				}
+				b = b[n:]
+			}
+			if delta == 0 || delta > uint64(int64(f.numTerms)-1-term) {
 				return terms, fields, 0, false
 			}
-			b = b[n:]
 			term += int64(delta)
 		}
 		field = next

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -390,4 +391,118 @@ func TestForwardBatches(t *testing.T) {
 			t.Fatalf("doc %d: fields %q, want %q", d, got, want)
 		}
 	}
+}
+
+// refForwardDoc is Forward.Doc as it decoded before the one-byte varint
+// fast path — every varint through binary.Uvarint — kept as the oracle
+// FuzzForwardDoc holds the decoder to.
+func refForwardDoc(f *Forward, d int32, terms, fields []int32) (t, fl []int32, nFields int, ok bool) {
+	if d < 0 || int(d) >= len(f.offs)-1 {
+		return terms, fields, 0, false
+	}
+	b := f.blob[f.offs[d]:f.offs[d+1]]
+	nf, n := binary.Uvarint(b)
+	if n <= 0 || nf > math.MaxInt32 {
+		return terms, fields, 0, false
+	}
+	b = b[n:]
+	nOcc, n := binary.Uvarint(b)
+	if n <= 0 {
+		return terms, fields, 0, false
+	}
+	b = b[n:]
+	if nOcc > uint64(len(b)) {
+		return terms, fields, 0, false
+	}
+	t, fl = terms, fields
+	term, field := int64(-1), uint64(0)
+	for i := uint64(0); i < nOcc; i++ {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return terms, fields, 0, false
+		}
+		b = b[n:]
+		next := v >> 1
+		if next >= nf {
+			return terms, fields, 0, false
+		}
+		if v&1 == 1 {
+			if i == 0 || next < field {
+				return terms, fields, 0, false
+			}
+		} else {
+			delta, n := binary.Uvarint(b)
+			if n <= 0 || delta == 0 || delta > uint64(int64(f.numTerms)-1-term) {
+				return terms, fields, 0, false
+			}
+			b = b[n:]
+			term += int64(delta)
+		}
+		field = next
+		t = append(t, int32(term))
+		fl = append(fl, int32(field))
+	}
+	if len(b) != 0 {
+		return terms, fields, 0, false
+	}
+	return t, fl, int(nf), true
+}
+
+// FuzzForwardDoc holds Forward.Doc to the decoder it replaced
+// (refForwardDoc) over arbitrary arenas: lens is a run of uvarint
+// document lengths cut from arena (clamped to it; the last document
+// takes the rest), numTerms the dictionary size, and pre how many
+// entries the slices handed in already hold. For every document, and for
+// the two just out of range, both decoders must return the same terms,
+// fields, field count and verdict — including what they append after
+// the entries handed in, and the slices given back on a refusal.
+func FuzzForwardDoc(f *testing.F) {
+	x := buildForwardFixture(f, 2)
+	fw := x.Forward()
+	var lens []byte
+	for d := 0; d+1 < len(fw.offs); d++ {
+		lens = binary.AppendUvarint(lens, fw.offs[d+1]-fw.offs[d])
+	}
+	f.Add(fw.blob, lens, fw.numTerms, uint8(0))
+	f.Add(fw.blob, lens, fw.numTerms, uint8(3))
+	f.Add(fw.blob[:len(fw.blob)-1], lens, fw.numTerms, uint8(1)) // the last document truncated
+	f.Add(fw.blob, lens, int32(1), uint8(2))                     // terms past a one-term dictionary
+	ten := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	f.Add(append([]byte{2, 1, 0}, ten...), []byte(nil), int32(math.MaxInt32), uint8(1))                                       // a 10-byte delta
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 0, 1}, []byte(nil), int32(4), uint8(0)) // an oversized varint
+	f.Add([]byte{1, 2, 0, 1, 0x81}, []byte(nil), int32(4), uint8(0))                                                          // a truncated varint
+	f.Add([]byte{1, 1, 0x80, 0x01, 1, 2, 1, 0, 1}, []byte{4, 5}, int32(8), uint8(2))                                          // a two-byte field
+
+	f.Fuzz(func(t *testing.T, arena, lens []byte, numTerms int32, pre uint8) {
+		offs := []uint64{0}
+		for len(lens) > 0 && len(offs) <= 1<<12 {
+			l, n := binary.Uvarint(lens)
+			if n <= 0 {
+				break
+			}
+			lens = lens[n:]
+			last := offs[len(offs)-1]
+			offs = append(offs, last+min(l, uint64(len(arena))-last))
+		}
+		if offs[len(offs)-1] != uint64(len(arena)) {
+			offs = append(offs, uint64(len(arena)))
+		}
+		fwd, err := newForward(offs, arena, len(offs)-1, int(numTerms))
+		if err != nil {
+			t.Fatalf("offsets %v over %d bytes: %v", offs, len(arena), err)
+		}
+		seed := make([]int32, pre%4)
+		for i := range seed {
+			seed[i] = int32(-1 - i)
+		}
+		for d := int32(-1); d <= int32(len(offs)-1); d++ {
+			terms, fields := slices.Clone(seed), append(slices.Clone(seed), -9)
+			wt, wf, wn, wok := refForwardDoc(fwd, d, terms, fields)
+			terms, fields = slices.Clone(seed), append(slices.Clone(seed), -9)
+			gt, gf, gn, gok := fwd.Doc(d, terms, fields)
+			if gok != wok || gn != wn || !slices.Equal(gt, wt) || !slices.Equal(gf, wf) {
+				t.Fatalf("doc %d of %v: Doc = %v %v %d %v, decoder it replaced = %v %v %d %v", d, arena[offs[max(d, 0)]:offs[min(int(d)+1, len(offs)-1)]], gt, gf, gn, gok, wt, wf, wn, wok)
+			}
+		}
+	})
 }

@@ -19,7 +19,10 @@ import (
 // sorted by (score desc, doc asc), truncated to ks[q] (<= 0 keeps all
 // matches), with DocID resolved. Rank is deliberately left zero — rank
 // is a property of the merged list and is assigned by MergeSegments on
-// the router.
+// the router. They are laid out in out's space — the outer slice and
+// each list grown in place as needed — so a caller that walks the lists
+// and drops them can hand the same out back on every call (nil: fresh
+// lists).
 //
 // Bit-identity with the in-process path holds because the scatter plan
 // is built by the same batchScratch.prepare, per-posting scores depend
@@ -28,14 +31,17 @@ import (
 // order — an order independent of which other queries share the batch.
 // The differential test in shardbatch_test.go (and the distributed tier's
 // router tests) enforce it.
-func RetrieveShardBatch(ctx context.Context, seg *index.Segmented, si int, model Model, queries [][]string, ks []int, opts BatchOptions) ([][]Hit, error) {
+func RetrieveShardBatch(ctx context.Context, seg *index.Segmented, si int, model Model, queries [][]string, ks []int, opts BatchOptions, out [][]Hit) ([][]Hit, error) {
 	if len(queries) != len(ks) {
 		panic("ranking: RetrieveShardBatch queries/ks length mismatch")
 	}
 	if si < 0 || si >= seg.NumShards() {
 		return nil, fmt.Errorf("ranking: shard %d out of range [0,%d)", si, seg.NumShards())
 	}
-	out := make([][]Hit, len(queries))
+	out = grow(out, len(queries))
+	for q := range out {
+		out[q] = out[q][:0]
+	}
 	if len(queries) == 0 {
 		return out, nil
 	}
@@ -55,7 +61,7 @@ func RetrieveShardBatch(ctx context.Context, seg *index.Segmented, si int, model
 		if len(hl) == 0 {
 			continue
 		}
-		hits := append(make([]Hit, 0, len(hl)), hl...)
+		hits := append(out[q], hl...)
 		for i := range hits {
 			hits[i].DocID = idx.DocID(hits[i].Doc)
 		}

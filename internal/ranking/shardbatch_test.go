@@ -49,7 +49,7 @@ func TestRetrieveShardBatchMergesToBatch(t *testing.T) {
 
 					perShard := make([][][]Hit, shards)
 					for si := 0; si < shards; si++ {
-						perShard[si], err = RetrieveShardBatch(ctx, seg, si, m, queries, ks, opts)
+						perShard[si], err = RetrieveShardBatch(ctx, seg, si, m, queries, ks, opts, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -78,15 +78,15 @@ func TestRetrieveShardBatchMergesToBatch(t *testing.T) {
 func TestRetrieveShardBatchValidation(t *testing.T) {
 	idx := randomCorpusIndex(t, 5, 30)
 	seg := index.SegmentIndex(idx, 2)
-	if _, err := RetrieveShardBatch(context.Background(), seg, 2, DPH{}, [][]string{{"v01"}}, []int{5}, BatchOptions{}); err == nil {
+	if _, err := RetrieveShardBatch(context.Background(), seg, 2, DPH{}, [][]string{{"v01"}}, []int{5}, BatchOptions{}, nil); err == nil {
 		t.Fatal("out-of-range shard: want error, got nil")
 	}
-	if _, err := RetrieveShardBatch(context.Background(), seg, -1, DPH{}, [][]string{{"v01"}}, []int{5}, BatchOptions{}); err == nil {
+	if _, err := RetrieveShardBatch(context.Background(), seg, -1, DPH{}, [][]string{{"v01"}}, []int{5}, BatchOptions{}, nil); err == nil {
 		t.Fatal("negative shard: want error, got nil")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RetrieveShardBatch(ctx, seg, 0, DPH{}, [][]string{{"v01", "v02"}}, []int{5}, BatchOptions{}); err == nil {
+	if _, err := RetrieveShardBatch(ctx, seg, 0, DPH{}, [][]string{{"v01", "v02"}}, []int{5}, BatchOptions{}, nil); err == nil {
 		t.Fatal("canceled context: want error, got nil")
 	}
 }

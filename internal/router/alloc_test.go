@@ -11,7 +11,9 @@ import (
 // count includes the worker and net/http on both ends, which allocate
 // the same on every run; the request frame, the merge's working space
 // and the winners come from the scatter's one allocation and pooled
-// scratch.
+// scratch. The worker's own half — the shard search, the walk and the
+// encoded frame, without net/http — allocates nothing: its lists and the
+// hit it walks with are the pooled retrieval's.
 func TestScoreAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -26,10 +28,11 @@ func TestScoreAllocations(t *testing.T) {
 		shards  int // shards whose list for the query is not empty
 		ceiling float64
 	}{
-		// Measured 228 and 230 (290 and 292 before the request frame,
-		// the single attempt context and the pooled merge); ceilings +10 %.
-		{p.Testbed.TopicQuery(1), 1, 251},
-		{p.Testbed.TopicQuery(5), 2, 253},
+		// Measured 221 and 222 (228 and 230 before the worker's pooled
+		// lists and hit; 290 and 292 before the request frame, the single
+		// attempt context and the pooled merge); ceilings +10 %.
+		{p.Testbed.TopicQuery(1), 1, 243},
+		{p.Testbed.TopicQuery(5), 2, 244},
 	} {
 		answering := 0
 		for si := 0; si < 2; si++ {
@@ -58,6 +61,27 @@ func TestScoreAllocations(t *testing.T) {
 			t.Errorf("Score %q (%d shards answer): %v allocations a call, ceiling %v", c.query, c.shards, n, c.ceiling)
 		} else {
 			t.Logf("Score %q (%d shards answer): %v allocations a call (ceiling %v)", c.query, c.shards, n, c.ceiling)
+		}
+
+		// The worker row: 3 or 4 a search before (a *ShardHits, the
+		// walk's hit, the lists and their copy); 0 measured, and 1 of
+		// slack for a pool a collection emptied mid-run.
+		for si := 0; si < 2; si++ {
+			for _, kind := range []Payload{PayloadNone, PayloadTerms} {
+				req := ShardSearchRequest{Shard: si, Queries: queries, Ks: ks, Payload: kind}
+				enc := new(frameEncoder)
+				search := func() {
+					if err := encodeShard(ctx, enc, p.Engine, &req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				search()
+				if n := testing.AllocsPerRun(200, search); n > 1 {
+					t.Errorf("worker %q shard %d payload %v: %v allocations a search, ceiling 1", c.query, si, kind, n)
+				} else {
+					t.Logf("worker %q shard %d payload %v: %v allocations a search (ceiling 1)", c.query, si, kind, n)
+				}
+			}
 		}
 	}
 }

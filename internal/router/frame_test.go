@@ -399,7 +399,7 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, h := range hits {
-		got, err := sc.Vector(0, j)
+		got, err := sc.Vector(0, j, nil)
 		if err != nil || !reflect.DeepEqual(got, dict.Vector(h.terms, nil)) {
 			t.Fatalf("candidate %d: vector %+v, err %v; want Dictionary.Vector of its terms", j, got, err)
 		}
@@ -407,17 +407,17 @@ func TestVectorSurfacesFrameError(t *testing.T) {
 
 	_, refs := f.list(0)
 	f.buf[refs[1].pay] = 0x7f // hit 1 now claims 127 terms in a 3-byte payload
-	if _, err := sc.Vector(0, 1); err == nil || !strings.Contains(err.Error(), "terms claimed") {
+	if _, err := sc.Vector(0, 1, nil); err == nil || !strings.Contains(err.Error(), "terms claimed") {
 		t.Fatalf("Vector over a corrupted payload: err = %v, want the frame reader's", err)
 	}
-	if got, err := sc.Vector(0, 0); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms, nil)) {
+	if got, err := sc.Vector(0, 0, nil); err != nil || !reflect.DeepEqual(got, dict.Vector(hits[0].terms, nil)) {
 		t.Fatalf("the sound candidate beside it: vector %+v, err %v", got, err)
 	}
 	if _, err := vectorsOf(sc); err == nil || !strings.Contains(err.Error(), "terms claimed") {
 		t.Fatalf("every vector over a corrupted payload: err = %v, want the frame reader's", err)
 	}
 	sc.Close()
-	if _, err := sc.Vector(0, 0); err == nil {
+	if _, err := sc.Vector(0, 0, nil); err == nil {
 		t.Fatal("Vector after Close read a frame that was handed back")
 	}
 }

@@ -233,15 +233,17 @@ func testQueries(p *repro.Pipeline) []string {
 }
 
 // vectorsOf asks sc.Vector for every candidate's surrogate vector, list
-// by list, in rank order; zero vectors where the fan-out was told none
-// would be read. The first error stops it.
+// by list, in rank order, carved into one slab it keeps; zero vectors
+// where the fan-out was told none would be read. The first error stops
+// it.
 func vectorsOf(sc *repro.Scored) ([][]textsim.IVector, error) {
+	var slab textsim.Slab
 	vecs := make([][]textsim.IVector, len(sc.Lists))
 	for q, list := range sc.Lists {
 		vecs[q] = make([]textsim.IVector, len(list))
 		for j := 0; j < len(list) && sc.Vector != nil; j++ {
 			var err error
-			if vecs[q][j], err = sc.Vector(q, j); err != nil {
+			if vecs[q][j], err = sc.Vector(q, j, &slab); err != nil {
 				return nil, err
 			}
 		}
@@ -420,12 +422,14 @@ func TestScoreListsOutliveFrames(t *testing.T) {
 }
 
 // TestScoredVectorSlab: a fan-out's vectors — local (engine.Candidates)
-// or routed (the searcher's Score) — are carved out of one slab per
-// request. Each must equal IVectorOfText of its hit's snippet, have cap ==
-// len so that appending to one leaves its neighbours alone, and stay
-// valid after Close, while eight requests run at once (under -race, the
-// slabs must share nothing, and routed frames handed back on Close are
-// reused by the others).
+// or routed (the searcher's Score) — are carved out of the slab the
+// caller hands in. Carved into one slab the caller keeps, each must equal
+// IVectorOfText of its hit's snippet, have cap == len so that appending
+// to one leaves its neighbours alone, and stay valid after Close; carved
+// into scratch the caller resets before every candidate, as the bounded
+// selection does, each must equal it too when read before the next.
+// Eight requests run at once (under -race, the slabs must share nothing,
+// and routed frames handed back on Close are reused by the others).
 func TestScoredVectorSlab(t *testing.T) {
 	p := testPipeline(t)
 	ctx := context.Background()
@@ -447,10 +451,16 @@ func TestScoredVectorSlab(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				var kept, scratch textsim.Slab
 				vecs := make([]textsim.IVector, len(sc.Lists[0]))
 				for j := range vecs {
-					if vecs[j], err = sc.Vector(0, j); err != nil {
+					if vecs[j], err = sc.Vector(0, j, &kept); err != nil {
 						t.Error(err)
+					}
+					scratch.Reset()
+					v, err := sc.Vector(0, j, &scratch)
+					if want := p.Engine.IVectorOfText(ref[0][j].Snippet); err != nil || !reflect.DeepEqual(v, want) {
+						t.Errorf("%s q=%q #%d (%s): through a scratch slab, vector %+v (err %v), IVectorOfText(snippet) %+v", name, q, j, ref[0][j].DocID, v, err, want)
 					}
 				}
 				sc.Close()

@@ -421,8 +421,8 @@ func (g *gathered) scored(dict engine.Dictionary, ks []int, vectors bool) (*repr
 }
 
 // vector is Scored.Vector: it counts winner j of query q's term numbers
-// into its vector.
-func (g *gathered) vector(q, j int) (textsim.IVector, error) {
+// into its vector, carved out of the caller's slab.
+func (g *gathered) vector(q, j int, slab *textsim.Slab) (textsim.IVector, error) {
 	if g.released {
 		return textsim.IVector{}, errors.New("router: Vector after Close")
 	}
@@ -432,7 +432,7 @@ func (g *gathered) vector(q, j int) (textsim.IVector, error) {
 	if m.terms, err = w.f.termsOf(w.ref, m.terms); err != nil {
 		return textsim.IVector{}, err
 	}
-	return g.dict.Vector(m.terms, &g.slab), nil
+	return g.dict.Vector(m.terms, slab), nil
 }
 
 // inlineShards is how many shards' answers a gathered holds in place.
@@ -449,7 +449,6 @@ type gathered struct {
 
 	sc   repro.Scored
 	dict engine.Dictionary
-	slab textsim.Slab // the request's vectors; they outlive Close
 
 	wg     sync.WaitGroup
 	inline [inlineShards]shardAnswer

@@ -72,20 +72,22 @@ func (s SliceIDF) InternTokens(lex *Lexicon, tokens []string) IVector {
 // the bits of the string route — a term→count map, IDF applied by term,
 // then interned — which the package's tests keep as the oracle.
 //
-// The vector's two slices are carved out of slab, or allocated at their
-// exact size when slab is nil; the vector is the same either way.
+// The vector's two slices are carved out of slab — which sets aside
+// len(terms) entries, a bound on the distinct terms, and keeps only what
+// was filled — or allocated at their exact size when slab is nil; the
+// vector is the same either way.
 func (s SliceIDF) InternSorted(terms, xlat []int32, slab *Slab) IVector {
-	uniq := 0
-	for i, t := range terms {
-		if i == 0 || t != terms[i-1] {
-			uniq++
-		}
-	}
-	carved := slab != nil && uniq > 0
+	carved := slab != nil && len(terms) > 0
 	var iv IVector
 	if carved {
-		iv.IDs, iv.Weights = slab.carve(uniq)
+		iv.IDs, iv.Weights = slab.carve(len(terms))
 	} else {
+		uniq := 0
+		for i, t := range terms {
+			if i == 0 || t != terms[i-1] {
+				uniq++
+			}
+		}
 		iv = IVector{IDs: make([]int32, 0, uniq), Weights: make([]float64, 0, uniq)}
 	}
 	ss := 0.0
@@ -128,16 +130,27 @@ func (s SliceIDF) InternSorted(terms, xlat []int32, slab *Slab) IVector {
 // slabMin is the size, in vector entries, of a Slab's first chunk.
 const slabMin = 256
 
-// Slab is the storage InternSorted carves the vectors of one request out
-// of: a few chunks, each twice the size of the one before (the first
-// slabMin entries), instead of two allocations per vector. A carved
-// vector's slices have cap == len, so appending to one never writes into
-// its neighbour, and they stay valid for as long as they are referenced —
-// a chunk is never reused, which is why a Slab must not be pooled. The
-// zero Slab is ready to use. Not safe for concurrent use.
+// Slab is the storage InternSorted carves vectors out of: a few chunks,
+// each twice the size of the one before (the first slabMin entries),
+// instead of two allocations per vector. A carved vector's slices have
+// cap == len, so appending to one never writes into its neighbour. Who
+// holds the slab decides how long its vectors live: a caller that keeps
+// them (a request's candidates, an artifact's result lists) carves into
+// a slab of its own and never resets it, and they stay valid for as long
+// as they are referenced; a caller that reads each vector once and drops
+// it (the bounded selection, candidate by candidate) may Reset the slab
+// between them and reuse it, pooled or not. The zero Slab is ready to
+// use. Not safe for concurrent use.
 type Slab struct {
 	ids     []int32
 	weights []float64
+}
+
+// Reset rewinds the slab to the start of its current chunk, so the next
+// vectors are carved over the ones before: call it only once no vector
+// carved from the slab will be read again.
+func (s *Slab) Reset() {
+	s.ids, s.weights = s.ids[:0], s.weights[:0]
 }
 
 // carve returns the free end of the current chunk, empty, once it has room

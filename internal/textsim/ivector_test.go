@@ -364,3 +364,38 @@ func TestSlabCarving(t *testing.T) {
 		t.Fatalf("100 vectors out of a fresh slab made %v allocations, want 6", allocs)
 	}
 }
+
+// TestSlabReset: a slab reset before every vector — the bounded
+// selection's scratch — carves each over the one before, so once its
+// chunk fits the largest bag it allocates nothing, and every vector read
+// before the next Reset equals the allocated one.
+func TestSlabReset(t *testing.T) {
+	idf := ComputeIDFFromIndex(dfTable{docs: 10, df: []int{1, 2, 3, 4, 5, 6, 7, 8}})
+	rng := rand.New(rand.NewSource(5))
+	bags := make([][]int32, 200)
+	for i := range bags {
+		for j := rng.Intn(3 * slabMin); j >= 0; j-- {
+			bags[i] = append(bags[i], int32(rng.Intn(8)))
+		}
+		slices.Sort(bags[i])
+	}
+	var slab Slab
+	check := func() {
+		for _, bag := range bags {
+			slab.Reset()
+			if got, want := idf.InternSorted(bag, nil, &slab), idf.InternSorted(bag, nil, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("bag of %d: carved after Reset %+v, allocated %+v", len(bag), got, want)
+			}
+		}
+	}
+	check()
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, bag := range bags {
+			slab.Reset()
+			idf.InternSorted(bag, nil, &slab)
+		}
+	}); allocs != 0 {
+		t.Fatalf("200 vectors out of a warm, reset slab made %v allocations, want 0", allocs)
+	}
+	check()
+}

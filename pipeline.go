@@ -21,6 +21,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -139,13 +140,17 @@ type Scored struct {
 	// Info reports a degraded or hedged fan-out (always zero locally).
 	Info SearchInfo
 	// Vector builds the surrogate vector of candidate j of Lists[q], and
-	// of no other; it is the one way a vector enters. The bounded
-	// selection asks only for the candidates it scores, every other
-	// reader for all of them. Nil when the fan-out was told no vector
-	// would be read. Not safe for concurrent use.
-	Vector func(q, j int) (textsim.IVector, error)
-	// Close releases what the retrieval holds and must be called. Lists
-	// stay valid after Close; Vector does not.
+	// of no other, carved out of slab (nil: allocated on its own); it is
+	// the one way a vector enters. The caller owns slab and so decides
+	// how long the vector lives: the bounded selection asks only for the
+	// candidates it scores, each into scratch it rewinds for the next;
+	// every other reader asks for all of them into a slab it keeps. Nil
+	// when the fan-out was told no vector would be read. Not safe for
+	// concurrent use.
+	Vector func(q, j int, slab *textsim.Slab) (textsim.IVector, error)
+	// Close releases what the retrieval holds and must be called, once.
+	// The lists, and the vectors carved into a slab the caller keeps, stay
+	// valid after Close; Vector and the Scored itself do not.
 	Close func()
 }
 
@@ -160,8 +165,38 @@ func (l localSearcher) Score(ctx context.Context, _ engine.Dictionary, queries [
 	if err != nil {
 		return nil, err
 	}
-	vector := func(q, j int) (textsim.IVector, error) { return c.Vector(q, j), nil }
-	return &Scored{Lists: c.Lists, Vector: vector, Close: c.Close}, nil
+	ls := localScoredPool.Get().(*localScored)
+	ls.c, ls.sc.Lists = c, c.Lists
+	return &ls.sc, nil
+}
+
+// localScored is a local fan-out's Scored beside the candidates its
+// Vector reads. It is pooled with Vector and Close bound once, so a
+// request's Score allocates nothing beyond the retrieval; Close hands it
+// back.
+type localScored struct {
+	sc Scored
+	c  *engine.Candidates
+}
+
+var localScoredPool sync.Pool
+
+func init() { // apart from the declaration: close refers to the pool
+	localScoredPool.New = func() any {
+		ls := new(localScored)
+		ls.sc.Vector, ls.sc.Close = ls.vector, ls.close
+		return ls
+	}
+}
+
+func (ls *localScored) vector(q, j int, slab *textsim.Slab) (textsim.IVector, error) {
+	return ls.c.Vector(q, j, slab), nil
+}
+
+func (ls *localScored) close() {
+	ls.c.Close()
+	ls.c, ls.sc.Lists = nil, nil
+	localScoredPool.Put(ls)
 }
 
 // SearchInfo is per-request serving metadata reported by a tail-tolerant
@@ -304,9 +339,9 @@ func (p *Pipeline) specFromResults(s suggest.Specialization, specResults []engin
 // newProblem assembles a Problem from already-built parts, applying the
 // configured k/λ/c parameters. Candidates and specialization results are
 // already interned under the engine's lexicon, which the problem carries
-// as Lex.
-func (p *Pipeline) newProblem(query string, candidates []core.Doc, specs []core.Specialization) *core.Problem {
-	return &core.Problem{
+// as Lex. It is a value, so a request's problem lives on its stack.
+func (p *Pipeline) newProblem(query string, candidates []core.Doc, specs []core.Specialization) core.Problem {
+	return core.Problem{
 		Query:      query,
 		Candidates: candidates,
 		Specs:      specs,
@@ -345,7 +380,8 @@ func (p *Pipeline) BuildProblem(query string, specs []suggest.Specialization) *c
 	for i, s := range specs {
 		specLists = append(specLists, p.specFromResults(s, lists[1+i]))
 	}
-	return p.newProblem(query, p.candidatesFromResults(lists[0]), specLists)
+	problem := p.newProblem(query, p.candidatesFromResults(lists[0]), specLists)
+	return &problem
 }
 
 // Diversify answers a query end to end: detect ambiguity, build the

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -161,8 +162,10 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// mutation — ingest, delete, flush, compaction — bumps the epoch, so
 	// artifacts computed against an older snapshot are never served after
 	// it (a deleted document must not resurface through a cached R_q′
-	// list). Stale-epoch entries age out of the LRU naturally.
-	key := artifactKey(p.Engine.Epoch(), norm)
+	// list). Stale-epoch entries age out of the LRU naturally. The key is
+	// assembled on the stack, and made a string only on a miss.
+	var kb [96]byte
+	key := appendArtifactKey(kb[:0], p.Engine.Epoch(), norm)
 
 	// The document scoring phase runs per request: on a miss it overlaps
 	// with the artifact build (the §6 parallel architecture); on a hit it
@@ -182,7 +185,7 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 		depth, vectors := p.servedDepth(alg, k, len(art.Specs) > 0)
 		rq, rqErr = p.scoreOne(ctx, norm, depth, vectors)
 	} else {
-		art, info.Degraded, rq, rqErr = h.miss(ctx, key, norm, alg, k)
+		art, info.Degraded, rq, rqErr = h.miss(ctx, string(key), norm, alg, k)
 	}
 	if rqErr != nil {
 		return nil, nil, hit, info, rqErr
@@ -196,11 +199,13 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// algorithms read them all.
 	ambiguous := len(art.Specs) > 0
 	bounded := alg == core.AlgOptSelect
-	var vector func(q, j int) (textsim.IVector, error)
+	var vector func(q, j int, slab *textsim.Slab) (textsim.IVector, error)
 	if ambiguous && !bounded && alg != core.AlgBaseline {
 		vector = rq.Vector
 	}
-	cands, err := candidatesOf(ctx, rq.Lists[0], vector)
+	col := docColumns.Get().(*[]core.Doc)
+	defer putDocColumn(col)
+	cands, err := candidatesOf(ctx, rq.Lists[0], vector, col)
 	if err != nil {
 		return nil, nil, hit, info, err
 	}
@@ -212,17 +217,17 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	n := len(problem.Candidates)
 	h.Work.CandidatesRetrieved.Add(int64(n))
 	if !ambiguous {
-		return core.Baseline(problem), nil, hit, info, nil
+		return core.Baseline(&problem), nil, hit, info, nil
 	}
 	if alg == core.AlgBaseline {
-		return core.Baseline(problem), art.Specs, hit, info, nil
+		return core.Baseline(&problem), art.Specs, hit, info, nil
 	}
 	if !bounded {
 		h.Work.add(n, n, n, n)
-		return core.Diversify(alg, problem), art.Specs, hit, info, nil
+		return core.Diversify(alg, &problem), art.Specs, hit, info, nil
 	}
-	sel, work, err := core.OptSelectBounded(ctx, problem, art.Bounds,
-		func(i int) (textsim.IVector, error) { return rq.Vector(0, i) })
+	sel, work, err := core.OptSelectBounded(ctx, &problem, art.Bounds,
+		func(i int, slab *textsim.Slab) (textsim.IVector, error) { return rq.Vector(0, i, slab) })
 	h.Work.add(n, work.Walked, work.Evaluated, work.Evaluated)
 	if err != nil {
 		return nil, nil, hit, info, err
@@ -308,15 +313,21 @@ func (p *Pipeline) scoreOne(ctx context.Context, query string, depth int, vector
 
 // candidatesOf converts a retrieved R_q into diversification candidates,
 // normalizing relevance as candidatesFromResults does: the one place the
-// serving route makes core.Doc. With vector set (for list 0) every
-// candidate is given its surrogate vector in the same pass, ctx polled
-// every 64 candidates.
-func candidatesOf(ctx context.Context, hits []ranking.Hit, vector func(q, j int) (textsim.IVector, error)) ([]core.Doc, error) {
+// serving route makes core.Doc. The column is laid out in *col's space,
+// which grows to fit. With vector set (for list 0) every candidate is
+// given its surrogate vector in the same pass, carved into one slab the
+// candidates keep, ctx polled every 64 candidates.
+func candidatesOf(ctx context.Context, hits []ranking.Hit, vector func(q, j int, slab *textsim.Slab) (textsim.IVector, error), col *[]core.Doc) ([]core.Doc, error) {
 	var rn exec.RelNormalizer
 	for i := range hits {
 		rn.Observe(hits[i].Score)
 	}
-	docs := make([]core.Doc, len(hits))
+	*col = slices.Grow((*col)[:0], len(hits))[:len(hits)]
+	docs := *col
+	var slab *textsim.Slab
+	if vector != nil {
+		slab = new(textsim.Slab)
+	}
 	for j, h := range hits {
 		docs[j] = core.Doc{ID: h.DocID, Rank: h.Rank, Rel: rn.Rel(h.Score)}
 		if vector == nil {
@@ -326,18 +337,33 @@ func candidatesOf(ctx context.Context, hits []ranking.Hit, vector func(q, j int)
 			return nil, ctx.Err()
 		}
 		var err error
-		if docs[j].IVec, err = vector(0, j); err != nil {
+		if docs[j].IVec, err = vector(0, j, slab); err != nil {
 			return nil, err
 		}
 	}
 	return docs, nil
 }
 
-// artifactKey scopes a normalized query to an engine epoch. The NUL
-// separator cannot occur in either part (epochs are decimal digits,
-// normalization strips control characters), so keys never collide.
-func artifactKey(epoch uint64, norm string) string {
-	return strconv.FormatUint(epoch, 10) + "\x00" + norm
+// docColumns pools the candidate column a request's problem is laid out
+// in: no SERP row points into it (a selection copies ID, Rank and Rel),
+// so it goes back once DiversifyServe returns.
+var docColumns = sync.Pool{New: func() any { return new([]core.Doc) }}
+
+// putDocColumn drops what the column references — the request's IDs and
+// vectors — and hands it back.
+func putDocColumn(col *[]core.Doc) {
+	clear(*col)
+	docColumns.Put(col)
+}
+
+// appendArtifactKey appends the cache key scoping a normalized query to an
+// engine epoch. The NUL separator cannot occur in either part (epochs are
+// decimal digits, normalization strips control characters), so keys never
+// collide.
+func appendArtifactKey(b []byte, epoch uint64, norm string) []byte {
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, 0)
+	return append(b, norm...)
 }
 
 // buildOrJoin returns the artifacts for norm under the epoch-scoped cache
@@ -433,10 +459,11 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 		return &queryArtifacts{}, false, err
 	}
 	defer sc.Close()
+	var slab textsim.Slab // the results' vectors, read once by the aspect index
 	for i, s := range specs {
 		rs := make([]core.SpecResult, len(sc.Lists[i]))
 		for j, h := range sc.Lists[i] {
-			iv, err := sc.Vector(i, j)
+			iv, err := sc.Vector(i, j, &slab)
 			if err != nil {
 				return &queryArtifacts{}, false, err
 			}
