@@ -168,14 +168,16 @@ func serveHits(b *testing.B, h *repro.ServeHandle, queries []string, k int) {
 }
 
 // BenchmarkServeMiss times a DiversifyServe miss over servedWorld: a
-// four-entry cache and the topics cycled by a stride of 7, so every call
-// runs Algorithm 1, retrieves and indexes the R_q′ lists, and evicts —
-// cold-tail's request, in process.
+// four-entry cache and the topics cycled by a stride of 7, past the epoch
+// of Build's store, so every call runs Algorithm 1, retrieves and indexes
+// the R_q′ lists, and evicts — cold-tail's request as it was before the
+// store answered it, in process.
 func BenchmarkServeMiss(b *testing.B) {
 	p, err := repro.Build(servedWorld())
 	if err != nil {
 		b.Fatal(err)
 	}
+	repro.PastStore(b, p)
 	h := p.NewServeHandle(4, 1)
 	var topics []string
 	for _, t := range p.Testbed.Topics {

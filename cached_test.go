@@ -83,6 +83,7 @@ func TestDiversifyCachedMatchesDiversify(t *testing.T) {
 // repeats actually skip the artifact build (hit counter moves).
 func TestDiversifyCachedHitReporting(t *testing.T) {
 	p := buildTiny(t)
+	PastStore(t, p)
 	h := p.NewServeHandle(64, 2)
 	q := p.Testbed.TopicQuery(1)
 
@@ -107,6 +108,7 @@ func TestDiversifyCachedHitReporting(t *testing.T) {
 // artifact build, and every response must still be correct.
 func TestDiversifyCachedCoalescesMisses(t *testing.T) {
 	p := buildTiny(t)
+	PastStore(t, p)
 	h := p.NewServeHandle(64, 2)
 	q := p.Testbed.TopicQuery(1)
 	want, _ := p.Diversify(q, core.AlgOptSelect)

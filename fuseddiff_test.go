@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/ranking"
+	"repro/internal/synth"
 )
 
 // stagedReference computes the staged-plan SERP with a per-query k
@@ -124,7 +125,10 @@ func sweepPipeline(t *testing.T, pipe *Pipeline, algs []core.Algorithm, ksweep [
 	// mid-mutation — buffered and flushed documents with terms outside
 	// the base dictionary, updates, tombstones — where surrogates come
 	// from three sources' forward indexes through their translation
-	// tables (and the fused operator declines: exec.ErrNotFusable).
+	// tables (and the fused operator declines: exec.ErrNotFusable). Both
+	// passes run past the store's epoch, so a cold request builds its
+	// artifacts.
+	PastStore(t, pipe)
 	serveMatchesDiversify(t, pipe, algs, "quiesced")
 	mutateEngine(t, pipe)
 	serveMatchesDiversify(t, pipe, algs, "mid-mutation")
@@ -182,7 +186,7 @@ func serveMatchesDiversify(t *testing.T, pipe *Pipeline, algs []core.Algorithm, 
 // retrieve.
 func mutateEngine(t *testing.T, pipe *Pipeline) {
 	t.Helper()
-	docs, eng := pipe.Testbed.Docs, pipe.Engine
+	docs, eng := synth.GenerateTestbed(pipe.Config.Corpus).Docs, pipe.Engine
 	ingest := func(d engine.Document) {
 		t.Helper()
 		if _, err := eng.Ingest(d); err != nil {

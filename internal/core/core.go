@@ -19,7 +19,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/textsim"
@@ -136,12 +137,17 @@ func (p *Problem) clampK() int {
 // order — the "no diversification" row of Table 3. It reads only ID, Rank
 // and Rel and returns only those: surrogate vectors play no part in it,
 // so a caller that knows it wants the baseline need not build them, and
-// gets the same SERP as one that did.
+// gets the same SERP as one that did. A column already in Rank order (a
+// retrieval's, as served) is read where it stands; any other is
+// stable-sorted in a copy.
 func Baseline(p *Problem) []Selected {
 	k := p.clampK()
-	docs := make([]Doc, len(p.Candidates))
-	copy(docs, p.Candidates)
-	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Rank < docs[j].Rank })
+	byRank := func(a, b Doc) int { return cmp.Compare(a.Rank, b.Rank) }
+	docs := p.Candidates
+	if !slices.IsSortedFunc(docs, byRank) {
+		docs = slices.Clone(docs)
+		slices.SortStableFunc(docs, byRank)
+	}
 	out := make([]Selected, 0, k)
 	for i := range docs[:k] {
 		out = append(out, serpRow(&docs[i], docs[i].Rel))

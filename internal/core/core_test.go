@@ -182,6 +182,40 @@ func TestBaselineOrder(t *testing.T) {
 	}
 }
 
+// TestBaselineUnsortedColumn holds Baseline to its Rank order when the
+// column does not arrive in it: the rows of a stable sort by Rank (ties
+// keep their column order), with the caller's column left as it was.
+func TestBaselineUnsortedColumn(t *testing.T) {
+	cands := []Doc{
+		{ID: "c", Rank: 3, Rel: 0.5},
+		{ID: "a", Rank: 1, Rel: 1.0},
+		{ID: "d2", Rank: 4, Rel: 0.3},
+		{ID: "b", Rank: 2, Rel: 0.9},
+		{ID: "d1", Rank: 4, Rel: 0.4},
+		{ID: "e", Rank: 5, Rel: 0.1},
+	}
+	column := append([]Doc(nil), cands...)
+	for _, k := range []int{0, 1, 4, 6, 9} {
+		sel := Baseline(&Problem{Candidates: cands, K: k})
+		want := append([]Doc(nil), cands...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Rank < want[j].Rank })
+		want = want[:min(k, len(want))]
+		if len(sel) != len(want) {
+			t.Fatalf("k=%d: %d rows, want %d", k, len(sel), len(want))
+		}
+		for i, d := range want {
+			if got := sel[i]; got.ID != d.ID || got.Rank != d.Rank || got.Rel != d.Rel || got.Score != d.Rel {
+				t.Errorf("k=%d row %d = %+v, want %s (rank %d)", k, i, sel[i], d.ID, d.Rank)
+			}
+		}
+	}
+	for i := range cands {
+		if cands[i].ID != column[i].ID {
+			t.Fatalf("Baseline reordered the caller's column: %v", cands)
+		}
+	}
+}
+
 func TestOptSelectCoversBothIntents(t *testing.T) {
 	p := twoIntentProblem(4)
 	sel := OptSelect(p, ComputeUtilities(p))

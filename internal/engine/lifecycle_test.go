@@ -39,7 +39,7 @@ func TestSaveLoadLifecycleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, docs := pipe.Engine, pipe.Testbed.Docs
+	e, docs := pipe.Engine, synth.GenerateTestbed(pipe.Config.Corpus).Docs
 	must := func(_ uint64, err error) {
 		t.Helper()
 		if err != nil {

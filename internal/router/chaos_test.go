@@ -17,10 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ranking"
 	"repro/internal/server"
+	"repro/internal/synth"
 )
 
 // ---- fault-injection harness -----------------------------------------
@@ -115,7 +117,12 @@ type chaosWorld struct {
 
 func newChaosWorld(t *testing.T, cfg Config) *chaosWorld {
 	t.Helper()
-	p := testPipeline(t)
+	return newChaosWorldOver(t, testPipeline(t), cfg)
+}
+
+// newChaosWorldOver is newChaosWorld over the world of p.
+func newChaosWorldOver(t *testing.T, p *repro.Pipeline, cfg Config) *chaosWorld {
+	t.Helper()
 	fn := newFakeNet()
 	for _, host := range []string{"s0a", "s0b", "s1a", "s1b"} {
 		fn.register(host, NewWorker(p.Engine).Handler())
@@ -445,7 +452,8 @@ func TestChaosBudgetExpiredNotPenalized(t *testing.T) {
 // merged and the response honestly marked degraded (wire field + HTTP
 // header + counters), then return to bit-identity once the shard heals.
 func TestChaosWholeShardDownPartial(t *testing.T) {
-	w := newChaosWorld(t, Config{
+	p := lazyPipelineShards(t, 2)
+	w := newChaosWorldOver(t, p, Config{
 		AttemptTimeout: 100 * time.Millisecond,
 		AllowPartial:   true,
 		FailThreshold:  1,
@@ -453,7 +461,6 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 		CooldownMax:    50 * time.Millisecond,
 		ProbeInterval:  time.Hour,
 	})
-	p := testPipeline(t)
 	q := p.Testbed.TopicQuery(1)
 	// Partial mode enabled + healthy fleet: still bit-identical.
 	w.expectSame(t, q, url.Values{"k": {"5"}})
@@ -462,8 +469,9 @@ func TestChaosWholeShardDownPartial(t *testing.T) {
 	// shard for the k hit headers of the SERP and nothing more.
 	// (A background word of the first document that the last one has too,
 	// so both shards hold matches.)
-	plain, last := "", " "+p.Testbed.Docs[len(p.Testbed.Docs)-1].Body+" "
-	for _, word := range strings.Fields(p.Testbed.Docs[0].Body) {
+	docs := synth.GenerateTestbed(p.Config.Corpus).Docs
+	plain, last := "", " "+docs[len(docs)-1].Body+" "
+	for _, word := range strings.Fields(docs[0].Body) {
 		if strings.Contains(last, " "+word+" ") {
 			plain = word
 			break

@@ -30,9 +30,16 @@ import (
 )
 
 var (
-	testPipes  = map[int]*repro.Pipeline{}
+	testPipes  = map[pipeKey]*repro.Pipeline{}
 	testPipeMu sync.Mutex
 )
+
+// pipeKey names a memoized test world: its shard count, and whether its
+// engine was moved past the store's epoch.
+type pipeKey struct {
+	shards int
+	lazy   bool
+}
 
 // testPipeline builds one small deterministic world with a 2-shard
 // index partition — the same spec the server tests use, so behavior
@@ -43,17 +50,44 @@ func testPipeline(t testing.TB) *repro.Pipeline { return testPipelineShards(t, 2
 // testPipelineShards is the same world partitioned into the given
 // number of shards (built once per count).
 func testPipelineShards(t testing.TB, shards int) *repro.Pipeline {
+	return memoPipeline(t, shards, false)
+}
+
+// lazyPipelineShards is testPipelineShards' world with its engine moved
+// past the epoch Build's artifact store was built at, so that every
+// request takes the lazy path — the LRU and singleflight — and a cold
+// one misses: the world of the tests that count on that. Built once per
+// count, apart from testPipelineShards' (a router pins its fleet to the
+// first epoch it sees).
+func lazyPipelineShards(t testing.TB, shards int) *repro.Pipeline {
+	return memoPipeline(t, shards, true)
+}
+
+func memoPipeline(t testing.TB, shards int, lazy bool) *repro.Pipeline {
 	t.Helper()
 	testPipeMu.Lock()
 	defer testPipeMu.Unlock()
-	if p := testPipes[shards]; p != nil {
+	key := pipeKey{shards, lazy}
+	if p := testPipes[key]; p != nil {
 		return p
 	}
 	p, err := repro.Build(testConfig(shards, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	testPipes[shards] = p
+	if lazy {
+		// An ingest and a delete of the same document: the epoch moves on,
+		// and the engine is left quiescent, as workers need it, with every
+		// answer as it was.
+		const id = "past-the-store"
+		if _, err := p.Engine.Ingest(engine.Document{ID: id, Title: "past", Body: "past the store"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.Engine.Delete(id); !ok {
+			t.Fatalf("deleting %s missed", id)
+		}
+	}
+	testPipes[key] = p
 	return p
 }
 
@@ -266,7 +300,7 @@ func vectorsOf(sc *repro.Scored) ([][]textsim.IVector, error) {
 func TestRouterServeDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 3} {
-		p := testPipelineShards(t, shards)
+		p := lazyPipelineShards(t, shards)
 		s := localWorkers(t, p, Config{})
 		rp := routedPipeline(p, s)
 		queries := testQueries(p)

@@ -267,6 +267,18 @@ type ReadyResponse struct {
 	Docs   int    `json:"docs,omitempty"`
 }
 
+// StoreStats is the store section of a stats response: the artifact
+// store the pipeline's build precomputed (the paper's §4.1 store) — how
+// many queries it holds, the engine epoch it serves at, and how many of
+// this server's searches it answered. Those are cache hits too
+// (cache_hits, cache_hit in a response); the cache section counts the
+// LRU alone.
+type StoreStats struct {
+	Entries int    `json:"entries"`
+	Epoch   uint64 `json:"epoch"`
+	Hits    int64  `json:"hits"`
+}
+
 // CacheStats is the cache section of a stats response.
 type CacheStats struct {
 	Hits      int64   `json:"hits"`
@@ -348,6 +360,7 @@ type StatsResponse struct {
 	Fused          FusedStats              `json:"fused"`
 	Selection      SelectionStats          `json:"selection"`
 	Live           engine.LiveStats        `json:"live"`
+	Store          StoreStats              `json:"store"`
 	Cache          CacheStats              `json:"cache"`
 	Latency        map[string]LatencyStats `json:"latency"`
 }
@@ -693,7 +706,7 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 	if h == nil {
 		return StatsResponse{}, false
 	}
-	cs := h.CacheStats()
+	cs, ss := h.CacheStats(), h.StoreStats()
 	searches := s.searches.Load()
 	avgMs := 0.0
 	if searches > 0 {
@@ -749,6 +762,7 @@ func (s *Server) StatsSnapshot() (StatsResponse, bool) {
 		},
 		Live:    h.Pipeline.Engine.Live(),
 		Latency: latency,
+		Store:   StoreStats{Entries: ss.Entries, Epoch: ss.Epoch, Hits: ss.Hits},
 		Cache: CacheStats{
 			Hits:      cs.Hits,
 			Misses:    cs.Misses,

@@ -71,6 +71,7 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 // from the response.
 func TestServerDeleteInvalidatesCachedSearch(t *testing.T) {
 	_, ts, p := newLiveServer(t)
+	pastStore(t, p)
 	q := p.Testbed.TopicQuery(1)
 
 	var first SearchResponse

@@ -21,44 +21,78 @@ import (
 )
 
 var (
-	testPipe     *repro.Pipeline
-	testPipeOnce sync.Once
+	testPipe, lazyPipe         *repro.Pipeline
+	testPipeOnce, lazyPipeOnce sync.Once
 )
 
 // testPipeline builds one small shared pipeline; server tests only read it.
 func testPipeline(t testing.TB) *repro.Pipeline {
 	t.Helper()
-	testPipeOnce.Do(func() {
-		p, err := repro.Build(repro.Config{
-			Corpus: synth.CorpusSpec{
-				Seed:                11,
-				NumTopics:           6,
-				MinSubtopics:        2,
-				MaxSubtopics:        4,
-				DocsPerSubtopic:     10,
-				GenericDocsPerTopic: 5,
-				NoiseDocs:           100,
-				DocLength:           40,
-				BackgroundVocab:     400,
-				TopicVocab:          10,
-				SubtopicVocab:       8,
-			},
-			Log:           synth.AOLLike(12, 2500),
-			NumCandidates: 100,
-			PerSpec:       10,
-			K:             10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testPipe = p
-	})
+	testPipeOnce.Do(func() { testPipe = buildTestPipeline(t) })
 	return testPipe
+}
+
+// lazyPipeline is a second build of that world, moved past the epoch of
+// Build's artifact store: every request takes the lazy path (the LRU and
+// singleflight), so a cold one misses. Tests only read it.
+func lazyPipeline(t testing.TB) *repro.Pipeline {
+	t.Helper()
+	lazyPipeOnce.Do(func() {
+		lazyPipe = buildTestPipeline(t)
+		pastStore(t, lazyPipe)
+	})
+	return lazyPipe
+}
+
+func buildTestPipeline(t testing.TB) *repro.Pipeline {
+	t.Helper()
+	p, err := repro.Build(repro.Config{
+		Corpus: synth.CorpusSpec{
+			Seed:                11,
+			NumTopics:           6,
+			MinSubtopics:        2,
+			MaxSubtopics:        4,
+			DocsPerSubtopic:     10,
+			GenericDocsPerTopic: 5,
+			NoiseDocs:           100,
+			DocLength:           40,
+			BackgroundVocab:     400,
+			TopicVocab:          10,
+			SubtopicVocab:       8,
+		},
+		Log:           synth.AOLLike(12, 2500),
+		NumCandidates: 100,
+		PerSpec:       10,
+		K:             10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// pastStore moves p's engine past the epoch its artifact store was built
+// at without changing any answer: it ingests a document and deletes it
+// again.
+func pastStore(t testing.TB, p *repro.Pipeline) {
+	t.Helper()
+	const id = "past-the-store"
+	if _, err := p.Engine.Ingest(engine.Document{ID: id, Title: "past", Body: "past the store"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Engine.Delete(id); !ok {
+		t.Fatalf("deleting %s missed", id)
+	}
 }
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	p := testPipeline(t)
+	return newTestServerOver(t, testPipeline(t), cfg)
+}
+
+// newTestServerOver is newTestServer over p.
+func newTestServerOver(t testing.TB, p *repro.Pipeline, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	srv := New(p.NewServeHandle(256, 4), cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -90,8 +124,8 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 func TestSearchEndpoint(t *testing.T) {
-	p := testPipeline(t)
-	_, ts := newTestServer(t, Config{})
+	p := lazyPipeline(t)
+	_, ts := newTestServerOver(t, p, Config{})
 	q := p.Testbed.TopicQuery(1)
 
 	var got SearchResponse
@@ -179,9 +213,36 @@ func TestHealthzAndQueries(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
+// TestStatsStore pins the store section of /stats: a stored query is a
+// cache hit from its first search on, counted under store and in
+// cache_hits but not in the LRU's section, which counts the query the
+// store lacks alone.
+func TestStatsStore(t *testing.T) {
 	p := testPipeline(t)
 	_, ts := newTestServer(t, Config{})
+	q := p.Testbed.TopicQuery(2)
+	for i := 0; i < 2; i++ {
+		var sr SearchResponse
+		getJSON(t, searchURL(ts.URL, q, nil), &sr)
+		if !sr.CacheHit || !sr.Ambiguous {
+			t.Fatalf("search %d for stored %q: cache_hit=%v ambiguous=%v, want both", i, q, sr.CacheHit, sr.Ambiguous)
+		}
+	}
+	var sr SearchResponse
+	getJSON(t, searchURL(ts.URL, synth.NoiseQuery(1), nil), &sr)
+	var st StatsResponse
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Store.Entries == 0 || st.Store.Epoch != p.Engine.Epoch() || st.Store.Hits != 2 {
+		t.Errorf("store = %+v, want entries > 0, epoch %d, hits 2", st.Store, p.Engine.Epoch())
+	}
+	if st.CacheHits != 2 || st.Cache.Hits != 0 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
+		t.Errorf("cache_hits %d, cache %+v; want 2, and the LRU to hold only the noise query's one miss", st.CacheHits, st.Cache)
+	}
+}
+
+func TestStatsCounters(t *testing.T) {
+	p := lazyPipeline(t)
+	_, ts := newTestServerOver(t, p, Config{})
 	q := p.Testbed.TopicQuery(2)
 	for i := 0; i < 3; i++ {
 		var sr SearchResponse
@@ -443,7 +504,7 @@ func (s *stubPartial) Score(ctx context.Context, dict engine.Dictionary, queries
 // entry: the moment the fleet heals, full-fidelity answers return
 // instead of a cached partial SERP.
 func TestSearchDegradedResponse(t *testing.T) {
-	p := testPipeline(t)
+	p := lazyPipeline(t)
 	stub := &stubPartial{p: p}
 	stub.degraded.Store(true)
 	stub.hedged.Store(true)

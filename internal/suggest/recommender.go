@@ -131,6 +131,19 @@ func (r *Recommender) Freq() querylog.Freq { return r.freq }
 // training sessions.
 func (r *Recommender) Clicks(q string) int { return r.clicks[q] }
 
+// Queries returns, sorted, every query with direct session evidence: the
+// queries some session followed with another, which Recommend answers
+// without the shortcut fallback. They are the queries whose verdict can
+// be mined ahead of time.
+func (r *Recommender) Queries() []string {
+	qs := make([]string, 0, len(r.follow))
+	for q := range r.follow {
+		qs = append(qs, q)
+	}
+	slices.Sort(qs)
+	return qs
+}
+
 // Recommend returns up to max candidate refinements of q, the A(q) call of
 // Algorithm 1. Direct session evidence is preferred; if q produced no
 // session transitions (e.g. a slightly different surface form), the

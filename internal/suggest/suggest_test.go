@@ -2,6 +2,7 @@ package suggest
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -63,6 +64,22 @@ func TestRecommendDirectEvidence(t *testing.T) {
 	}
 	if sugg[0].Freq != 3 {
 		t.Errorf("f(mac os x) = %d, want 3", sugg[0].Freq)
+	}
+}
+
+// TestQueries: the queries with direct session evidence are the ones a
+// session followed with another — "leopard" alone in this log (its
+// refinements end their sessions, and "weather boston" is a session of
+// one) — sorted.
+func TestQueries(t *testing.T) {
+	r, _ := trained(t)
+	if got := r.Queries(); !reflect.DeepEqual(got, []string{"leopard"}) {
+		t.Errorf("Queries() = %q, want [leopard]", got)
+	}
+	l := querylog.New(append(trainingLog().Records, rec("u8", 0, "weather"), rec("u8", 1, "weather boston")))
+	r = Train(qfg.ExtractSessions(l, qfg.DefaultOptions()), l.Frequencies(), TrainOptions{})
+	if got := r.Queries(); !reflect.DeepEqual(got, []string{"leopard", "weather"}) {
+		t.Errorf("Queries() = %q, want [leopard weather]", got)
 	}
 }
 

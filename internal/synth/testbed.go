@@ -143,7 +143,13 @@ func GenerateTestbed(spec CorpusSpec) *Testbed {
 		SubtopicPopularity: make(map[int]map[int]float64),
 	}
 
-	bgWord := func(i int) string { return fmt.Sprintf("bg%04d", i) }
+	// Background words are drawn about a million times a testbed; each is
+	// formatted once.
+	bgWords := make([]string, len(background.cdf))
+	for i := range bgWords {
+		bgWords[i] = fmt.Sprintf("bg%04d", i)
+	}
+	bgWord := func(i int) string { return bgWords[i] }
 
 	for t := 1; t <= spec.NumTopics; t++ {
 		head := fmt.Sprintf("topic%02d", t)

@@ -243,6 +243,10 @@ type Pipeline struct {
 	// scatter-gatherer over shard-worker pools; everything else about the
 	// pipeline (Algorithm 1, utilities, selection) stays local.
 	Searcher Searcher
+
+	// store is the §4.1 artifact store Build fills; a pointer, so that
+	// copies of the pipeline share it.
+	store *artifactStore
 }
 
 // searcher resolves the active scoring backend.
@@ -254,8 +258,13 @@ func (p *Pipeline) searcher() Searcher {
 }
 
 // Build generates the testbed, indexes the corpus, generates and mines the
-// query log, and trains the recommender. Everything is deterministic given
-// Config.Corpus.Seed and Config.Log.Seed.
+// query log, trains the recommender, and ends the offline phase as §4.1
+// does: the artifacts of every mined ambiguous query are built into a
+// store that serving reads before its cache. Everything is deterministic
+// given Config.Corpus.Seed and Config.Log.Seed.
+//
+// The testbed keeps no documents (Testbed.Docs is nil): the engine holds
+// their text, and nothing serving reads needs them again.
 func Build(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	tb := synth.GenerateTestbed(cfg.Corpus)
@@ -280,6 +289,8 @@ func Build(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: building engine: %w", err)
 	}
+	tb.Docs = nil
+	p.store = p.buildStore()
 	return p, nil
 }
 

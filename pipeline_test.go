@@ -333,7 +333,7 @@ func TestFacadeSurface(t *testing.T) {
 		{"*Pipeline methods", methods(&Pipeline{}),
 			[]string{"BuildProblem", "DetectSpecializations", "Diversify", "NewServeHandle"}},
 		{"*ServeHandle methods", methods(&ServeHandle{}),
-			[]string{"CacheStats", "DiversifyServe"}},
+			[]string{"CacheStats", "DiversifyServe", "StoreStats"}},
 		{"Config fields", fields,
 			[]string{"Corpus", "Log", "Engine", "PrebuiltEngine", "Session", "Detect",
 				"NumCandidates", "PerSpec", "K", "Lambda", "Threshold", "MaxSpecs"}},

@@ -40,12 +40,14 @@ type queryArtifacts struct {
 }
 
 // ServeHandle is the concurrency-safe serving facade over a warm
-// Pipeline: it memoizes per-query diversification artifacts in a
-// sharded LRU (package cache), so repeat ambiguous-head queries skip
-// Algorithm 1 and the |S_q| specialization retrievals entirely and pay
-// only for the R_q retrieval plus the selection algorithm. This is the
-// dynamic realization of §4.1's precomputed specialization store, and
-// the building block of the internal/server subsystem.
+// Pipeline. The artifacts of every mined ambiguous query come from the
+// store Build precomputed (§4.1); the rest — other queries' verdicts and
+// artifacts, and every query once the engine has moved past the store's
+// epoch — are built on a miss and memoized in a sharded LRU (package
+// cache). Either way, a request with its artifacts skips Algorithm 1 and
+// the |S_q| specialization retrievals and pays only for the R_q
+// retrieval plus the selection algorithm. It is the building block of
+// the internal/server subsystem.
 type ServeHandle struct {
 	Pipeline *Pipeline
 	cache    *cache.Cache[*queryArtifacts]
@@ -58,6 +60,8 @@ type ServeHandle struct {
 	mu       sync.Mutex
 	inflight map[string]*artifactCall
 	builds   int64 // completed artifact builds (leaders only), for tests/stats
+
+	storeHits atomic.Int64 // requests Build's store answered
 
 	// Work counts what requests actually paid for.
 	Work SelectionWork
@@ -118,16 +122,37 @@ func (p *Pipeline) NewServeHandle(capacity, shards int) *ServeHandle {
 	}
 }
 
-// CacheStats snapshots the artifact cache counters.
+// CacheStats snapshots the artifact cache counters: the LRU's alone, not
+// the requests Build's store answered.
 func (h *ServeHandle) CacheStats() cache.Stats { return h.cache.Stats() }
+
+// StoreStats describes Build's artifact store as this handle uses it.
+type StoreStats struct {
+	// Entries is how many queries the store holds artifacts for.
+	Entries int
+	// Epoch is the engine epoch the store was built at and serves at.
+	Epoch uint64
+	// Hits counts the requests of this handle the store answered.
+	Hits int64
+}
+
+// StoreStats snapshots the store's size and this handle's hits on it.
+func (h *ServeHandle) StoreStats() StoreStats {
+	st := StoreStats{Hits: h.storeHits.Load()}
+	if s := h.Pipeline.store; s != nil {
+		st.Entries, st.Epoch = len(s.arts), s.epoch
+	}
+	return st
+}
 
 // DiversifyServe is the serving entry point: it answers a query end to
 // end like Pipeline.Diversify, reusing cached artifacts when the
-// normalized query has been seen before at this engine epoch. The SERP is
+// normalized query has been seen before at this engine epoch, and the
+// stored ones while the engine is at the store's epoch. The SERP is
 // identical to Diversify(text.NormalizeQuery(query), alg) cut to k (k <= 0
-// means the pipeline's configured K; the artifact cache is k-independent);
-// the boolean reports whether the cache served the artifacts. Safe for
-// concurrent use.
+// means the pipeline's configured K; artifacts are k-independent); the
+// boolean reports whether the store or the cache served the artifacts.
+// Safe for concurrent use.
 //
 // R_q is retrieved NumCandidates deep when the request may diversify, and
 // only k deep — the same SERP, bit for bit — when it is known before
@@ -158,26 +183,33 @@ func (h *ServeHandle) DiversifyServe(ctx context.Context, query string, alg core
 	// share a cache entry.
 	norm := text.NormalizeQuery(query)
 
-	// Cache entries are keyed by (engine epoch, normalized query): a
-	// mutation — ingest, delete, flush, compaction — bumps the epoch, so
-	// artifacts computed against an older snapshot are never served after
-	// it (a deleted document must not resurface through a cached R_q′
-	// list). Stale-epoch entries age out of the LRU naturally. The key is
-	// assembled on the stack, and made a string only on a miss.
+	// Artifacts are scoped to an engine epoch: a mutation — ingest,
+	// delete, flush, compaction — bumps it, so artifacts computed against
+	// an older snapshot are never served after it (a deleted document must
+	// not resurface through a stored or cached R_q′ list). Build's store
+	// answers first while the engine is at the epoch it was built at; the
+	// LRU, keyed by (epoch, normalized query), holds what the store lacks,
+	// and its stale-epoch entries age out naturally. The key is assembled
+	// on the stack, and made a string only on a miss.
+	epoch := p.Engine.Epoch()
 	var kb [96]byte
-	key := appendArtifactKey(kb[:0], p.Engine.Epoch(), norm)
+	var key []byte
+	art, hit := p.store.get(epoch, norm)
+	if hit {
+		h.storeHits.Add(1)
+	} else {
+		key = appendArtifactKey(kb[:0], epoch, norm)
+		art, hit = h.cache.Get(key)
+	}
 
-	// The document scoring phase runs per request: on a miss it overlaps
-	// with the artifact build (the §6 parallel architecture); on a hit it
-	// is the only retrieval left.
-	art, hit := h.cache.Get(key)
-
-	// The document scoring phase in two halves: R_q is retrieved now — on a
-	// miss beside the artifact build — and a candidate given its surrogate
-	// vector only once something will read it. servedDepth decides how deep
-	// the retrieval goes, and whether vectors can be asked for at all, from
-	// what is known of the verdict by now: all of it on a hit, nothing on a
-	// miss. "None" spares a remote fan-out everything but the hit headers.
+	// The document scoring phase runs per request, in two halves: R_q is
+	// retrieved now — on a miss beside the artifact build (the §6 parallel
+	// architecture), on a hit as the only retrieval left — and a candidate
+	// given its surrogate vector only once something will read it.
+	// servedDepth decides how deep the retrieval goes, and whether vectors
+	// can be asked for at all, from what is known of the verdict by now:
+	// all of it on a hit, nothing on a miss. "None" spares a remote fan-out
+	// everything but the hit headers.
 	var rq *Scored
 	var rqErr error
 	var info SearchInfo
@@ -430,12 +462,9 @@ func (h *ServeHandle) buildOrJoin(key, norm string) (*queryArtifacts, bool) {
 func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error) {
 	p := h.Pipeline
 	specs := p.DetectSpecializations(norm)
-	art := &queryArtifacts{
-		Specs:     specs,
-		SpecLists: make([]core.Specialization, len(specs)),
-	}
 	if len(specs) == 0 {
-		return art, false, nil
+		art, err := newArtifacts(specs, nil, nil)
+		return art, false, err
 	}
 	queries := make([]string, len(specs))
 	ks := make([]int, len(specs))
@@ -459,13 +488,33 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 		return &queryArtifacts{}, false, err
 	}
 	defer sc.Close()
-	var slab textsim.Slab // the results' vectors, read once by the aspect index
+	art, err := newArtifacts(specs, sc.Lists, sc.Vector)
+	if err != nil {
+		return &queryArtifacts{}, false, err
+	}
+	return art, sc.Info.Degraded, nil
+}
+
+// newArtifacts assembles a query's artifacts from Algorithm 1's verdict
+// and the retrieved R_q′ lists, lists[i] answering specs[i] with vector
+// building its results' vectors: the one builder behind both the lazy
+// miss path and the store Build fills. The vectors are read once, by the
+// aspect index, and not kept.
+func newArtifacts(specs []suggest.Specialization, lists [][]ranking.Hit, vector func(q, j int, slab *textsim.Slab) (textsim.IVector, error)) (*queryArtifacts, error) {
+	art := &queryArtifacts{
+		Specs:     specs,
+		SpecLists: make([]core.Specialization, len(specs)),
+	}
+	if len(specs) == 0 {
+		return art, nil
+	}
+	var slab textsim.Slab
 	for i, s := range specs {
-		rs := make([]core.SpecResult, len(sc.Lists[i]))
-		for j, h := range sc.Lists[i] {
-			iv, err := sc.Vector(i, j, &slab)
+		rs := make([]core.SpecResult, len(lists[i]))
+		for j, h := range lists[i] {
+			iv, err := vector(i, j, &slab)
 			if err != nil {
-				return &queryArtifacts{}, false, err
+				return nil, err
 			}
 			rs[j] = core.SpecResult{ID: h.DocID, Rank: h.Rank, IVec: iv}
 		}
@@ -478,5 +527,5 @@ func (h *ServeHandle) buildArtifacts(norm string) (*queryArtifacts, bool, error)
 			art.SpecLists[i].Results[j].IVec = textsim.IVector{}
 		}
 	}
-	return art, sc.Info.Degraded, nil
+	return art, nil
 }

@@ -129,6 +129,7 @@ func TestServeDepthFollowsVerdict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				repro.PastStore(t, p)
 				n := p.Config.NumCandidates
 				ks := []int{-3, 0, 1, 10, p.Config.K, n, n + 5}
 

@@ -56,6 +56,7 @@ func TestDiversifyShardSweepBitIdentical(t *testing.T) {
 func TestDiversifyCachedShardedMatches(t *testing.T) {
 	base := buildTiny(t)
 	p := buildTinySharded(t, 4)
+	PastStore(t, p)
 	h := p.NewServeHandle(64, 4)
 	for _, q := range []string{"topic01", "noise query 0002"} {
 		want, _ := base.Diversify(q, core.AlgOptSelect)
