@@ -77,7 +77,7 @@ func buildPruningBenchIndex(b *testing.B) *index.Index {
 				u := rng.Float64()
 				toks[j] = vocab[int(u*u*float64(len(vocab)))]
 			}
-			if err := builder.Add(fmt.Sprintf("doc%05d", d), toks); err != nil {
+			if err := builder.AddFields(fmt.Sprintf("doc%05d", d), toks, []int32{int32(len(toks))}); err != nil {
 				panic(err)
 			}
 		}

@@ -35,7 +35,7 @@ func buildOpenBenchFile(b *testing.B) string {
 			openBenchErr = err
 			return
 		}
-		if _, openBenchErr = index.SegmentIndex(idx, 1).WriteMapped(f, nil); openBenchErr != nil {
+		if _, openBenchErr = index.SegmentIndex(idx, 1).WriteMapped(f, func(int32) string { return "" }); openBenchErr != nil {
 			f.Close()
 			return
 		}

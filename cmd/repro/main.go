@@ -5,9 +5,11 @@
 //	repro trecdiv                     # Table 3: α-NDCG and IA-P with the §5 Wilcoxon check
 //	repro loggen | repro mine         # a synthetic query log, and the §3.1 mining over it
 //	repro diversify QUERY...          # the end-user SERP: mined specializations beside the plain ranking
+//	repro footprint                   # §4.1: the stored surrogates against N·|S_q̂|·|R_q̂′|·L, beside the index's bytes
 //
 // Every subcommand prints to stdout and takes -h. The output is
-// deterministic for given flags, apart from Table 2's wall-clock times;
+// deterministic for given flags, apart from Table 2's wall-clock times
+// and footprint's live-heap byte counts;
 // the outputs pinned in testdata/ are checked byte for byte by the
 // package's tests. The world flags (-seed, -topics, -sessions) are
 // declared by one helper, with each subcommand's own defaults.
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 
 	"repro"
@@ -30,6 +33,7 @@ import (
 	"repro/internal/querylog"
 	"repro/internal/suggest"
 	"repro/internal/synth"
+	"repro/internal/textsim"
 )
 
 // env is what a subcommand reads and writes.
@@ -50,6 +54,7 @@ var commands = []command{
 	{"loggen", "write a synthetic query log as TSV", loggen},
 	{"mine", "§3.1 mining: ambiguous queries and their specializations in a TSV log", mine},
 	{"diversify", "answer queries with the diversified SERP beside the plain ranking", diversify},
+	{"footprint", "§4.1 memory footprint of the stored surrogates, beside the index's", footprint},
 }
 
 // errUsage marks a usage error the flag package has already reported.
@@ -413,4 +418,155 @@ func answer(out io.Writer, pipe *repro.Pipeline, alg core.Algorithm, query strin
 		fmt.Fprintf(out, "  %-4d %-24s | %s\n", i+1, plain, diversified[i].ID)
 	}
 	fmt.Fprintln(out)
+}
+
+// footprint reproduces the §4.1 feasibility analysis over the store Build
+// holds — the R_q′ lists of every mined ambiguous query — and reports
+// their snippet bytes against the paper's back-of-the-envelope bound
+// N·|S_q̂|·|R_q̂′|·L, beside what the retrieval tier itself holds: posting
+// storage and the per-document forward index (total, per document, per
+// token), and the mapped RIDX7 image. It also sizes what a stored
+// artifact keeps for Definition 2, in total and per artifact: the R_q′
+// result vectors against the aspect index that replaces them.
+func footprint(args []string, e env) error {
+	fs := e.flags("footprint")
+	w := cli.World{Seed: 1, Topics: 30, Sessions: 8000}
+	w.Register(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	pipe, err := repro.Build(repro.Config{Corpus: w.Corpus(), Log: w.Log()})
+	if err != nil {
+		return err
+	}
+	out := e.stdout
+	st := pipe.Engine.Index().Storage()
+	fmt.Fprintln(out, "== retrieval-tier footprint: posting storage ==")
+	fmt.Fprintf(out, "posting layout:                     block-compressed (%d postings/block, %d blocks)\n", st.BlockSize, st.Blocks)
+	fmt.Fprintf(out, "postings:                           %d\n", st.Postings)
+	fmt.Fprintf(out, "posting bytes:                      %d (%.2f MiB, %.2f B/posting; a []Posting struct costs 8)\n",
+		st.Bytes, float64(st.Bytes)/(1<<20), st.BytesPerPosting)
+	fmt.Fprintln(out)
+
+	// The forward index is what the engine keeps per DOCUMENT so that no
+	// body is analyzed at query time: the paper's stored surrogates in
+	// their rawest form (every field's term numbers; the query-biased
+	// window is cut from them per request). It sits next to the inverted
+	// index it doubles and the §4.1 estimate below, which budgets only
+	// the surrogates of the ambiguous queries' R_q′ lists.
+	idx := pipe.Engine.Index()
+	fwd, cs := idx.Forward().Bytes(), idx.Stats()
+	fmt.Fprintln(out, "== retrieval-tier footprint: forward index ==")
+	fmt.Fprintf(out, "forward-index bytes:                %d (%.2f MiB, %.2fx the posting bytes)\n",
+		fwd, float64(fwd)/(1<<20), float64(fwd)/float64(max(st.Bytes, 1)))
+	fmt.Fprintf(out, "per document / per token:           %.1f B / %.2f B (%d documents, %d analyzed tokens)\n",
+		float64(fwd)/float64(max(cs.NumDocs, 1)), float64(fwd)/float64(max(cs.TotalTokens, 1)), cs.NumDocs, cs.TotalTokens)
+	fmt.Fprintln(out)
+
+	// Mapped-vs-heap: size of the page-aligned RIDX7 image this engine
+	// would serve in place, next to what the heap representation holds.
+	// The mapped image bounds the resident set (pages fault in on
+	// demand), and opening it decodes zero postings — the §4.1 estimate
+	// sits beside both so the surrogate store can be budgeted against
+	// either deployment.
+	mappedBytes, err := pipe.Engine.WriteMappedTo(io.Discard)
+	if err != nil {
+		return fmt.Errorf("sizing mapped image: %w", err)
+	}
+	fmt.Fprintln(out, "== mapped-vs-heap index footprint ==")
+	fmt.Fprintf(out, "heap posting bytes:                 %d (%.2f MiB, decoded structures owned by the process)\n",
+		st.Bytes, float64(st.Bytes)/(1<<20))
+	fmt.Fprintf(out, "mapped image bytes (RIDX7):         %d (%.2f MiB: postings + dictionary + doc store + score tables + forward index, page-aligned, served in place)\n",
+		mappedBytes, float64(mappedBytes)/(1<<20))
+	fmt.Fprintln(out)
+
+	f := pipe.StoreFootprint()
+	a := measureArtifacts(pipe, f.Queries)
+	fmt.Fprintln(out, "== served artifacts: what Definition 2 reads of R_q' ==")
+	fmt.Fprintf(out, "artifacts (ambiguous queries):      %d (%d results, %d postings)\n", a.artifacts, a.results, a.postings)
+	fmt.Fprintf(out, "R_q' surrogate vectors:             %d B (%.0f B per artifact, %.2f B/posting)\n",
+		a.vectors, a.per(a.vectors), float64(a.vectors)/float64(max(a.postings, 1)))
+	fmt.Fprintf(out, "aspect index:                       %d B (%.0f B per artifact, %.2f B/posting)\n",
+		a.aspects, a.per(a.aspects), float64(a.aspects)/float64(max(a.postings, 1)))
+	fmt.Fprintf(out, "index / vectors:                    %.3f\n", float64(a.aspects)/float64(max(a.vectors, 1)))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "== §4.1 feasibility: surrogate-store footprint ==")
+	fmt.Fprintf(out, "ambiguous queries mined (N):        %d (of %d topics)\n", len(f.Queries), len(pipe.Testbed.Topics))
+	fmt.Fprintf(out, "max specializations (|S_q̂|):        %d\n", f.MaxSpecs)
+	fmt.Fprintf(out, "max surrogates per list (|R_q̂'|):   %d\n", f.MaxListLen)
+	fmt.Fprintf(out, "mean surrogate bytes (L):           %d\n", f.MeanSnippet)
+	fmt.Fprintf(out, "measured snippet bytes:             %d (%.2f MiB)\n", f.SnippetBytes, float64(f.SnippetBytes)/(1<<20))
+	fmt.Fprintf(out, "paper bound N*|S_q̂|*|R_q̂'|*L:       %d (%.2f MiB)\n", f.BoundBytes, float64(f.BoundBytes)/(1<<20))
+	if f.BoundBytes >= f.SnippetBytes {
+		fmt.Fprintln(out, "bound holds: measured usage <= paper's estimate")
+	} else {
+		fmt.Fprintln(out, "WARNING: measured usage exceeds the paper's bound")
+	}
+	return nil
+}
+
+// artifactBytes compares the two forms a served artifact can keep its
+// R_q' lists' vectors in: one vector per result, or the one aspect index
+// the store and the serving cache build instead. Both are live-heap
+// deltas after a collection, so allocator size classes count as the
+// cache pays them.
+type artifactBytes struct {
+	artifacts, results, postings int
+	vectors, aspects             uint64
+}
+
+func (a artifactBytes) per(total uint64) float64 {
+	return float64(total) / float64(max(a.artifacts, 1))
+}
+
+// measureArtifacts builds the R_q' lists of every stored query (the
+// reference route's vectors, bit-identical to the served ones), then
+// measures the heap an aspect index of each adds and the heap dropping
+// the vectors frees.
+func measureArtifacts(pipe *repro.Pipeline, queries []string) artifactBytes {
+	var a artifactBytes
+	lists := make([][]core.Specialization, len(queries))
+	for i, q := range queries {
+		lists[i] = pipe.BuildProblem(q, pipe.DetectSpecializations(q)).Specs
+	}
+	a.artifacts = len(lists)
+	for _, specs := range lists {
+		for _, s := range specs {
+			for _, r := range s.Results {
+				a.results++
+				if r.IVec.Norm() != 0 {
+					a.postings += r.IVec.Len()
+				}
+			}
+		}
+	}
+	indexes := make([]*core.AspectIndex, len(lists))
+	before := liveHeap()
+	for i, specs := range lists {
+		indexes[i] = core.NewAspectIndex(specs)
+	}
+	withBoth := liveHeap()
+	for _, specs := range lists {
+		for j := range specs {
+			for r := range specs[j].Results {
+				specs[j].Results[r].IVec = textsim.IVector{}
+			}
+		}
+	}
+	a.aspects, a.vectors = withBoth-before, withBoth-liveHeap()
+	runtime.KeepAlive(indexes)
+	runtime.KeepAlive(lists)
+	return a
+}
+
+// liveHeap is the heap in use once garbage, and what sync.Pools hold over
+// one collection, is gone.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -22,7 +22,8 @@ func runOK(t *testing.T, stdin string, args ...string) string {
 // testdata/<name>.golden, recorded from the separate binaries these
 // subcommands replaced, run with the same arguments. Table 2 is
 // wall-clock and is left out; the Table 1 block after it fits operation
-// counts, which repeat exactly.
+// counts, which repeat exactly. Likewise footprint's live-heap byte
+// lines are left out, and every count it prints is kept.
 func TestPaperOutputsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -47,6 +48,7 @@ func TestPaperOutputsGolden(t *testing.T) {
 		}},
 		{"diversify", func(t *testing.T) string { return runOK(t, "", "diversify", "topic01", "noise query 0001") }},
 		{"mine", func(t *testing.T) string { return runOK(t, runOK(t, "", "loggen"), "mine") }},
+		{"footprint", func(t *testing.T) string { return withoutLiveHeap(runOK(t, "", "footprint")) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -59,6 +61,19 @@ func TestPaperOutputsGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withoutLiveHeap drops footprint's lines that measure the live heap,
+// which depends on the allocator and the collector's timing.
+func withoutLiveHeap(out string) string {
+	var kept []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(line, "R_q' surrogate vectors:") && !strings.HasPrefix(line, "aspect index:") &&
+			!strings.HasPrefix(line, "index / vectors:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
 }
 
 // TestUsageErrors: an unknown subcommand, a bad flag, an unknown -alg or

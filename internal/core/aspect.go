@@ -18,7 +18,7 @@ import (
 // A weight is stored once per run, not once per cell: surrogate weights
 // are counts times a term's IDF, so a term's cells share a few values,
 // and the index is smaller than the vectors it is built from (see
-// cmd/footprint). The serving cache builds one per artifact
+// repro footprint). The serving cache builds one per artifact
 // (NewAspectIndex) and drops those vectors; a scorer over a Problem
 // without one builds the same index from the results' IVecs into pooled
 // scratch. A result whose vector has norm 0 has no postings: its

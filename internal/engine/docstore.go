@@ -90,7 +90,7 @@ func (t docText) cut(lo, hi int) string {
 // for text the engine owns — built, flushed and compacted segments, the
 // memtable view — the texts by document number. Without owned texts
 // (loaded and mapped segments) it reads the image's payload section in
-// place; the engine serves no image that lacks one (checkImage).
+// place; every image has one.
 type textStore struct {
 	idx   *index.Index
 	texts []docText // nil: the texts are idx's payload section

@@ -148,69 +148,6 @@ func TestCustomModel(t *testing.T) {
 	}
 }
 
-func TestSurrogateStorePutGet(t *testing.T) {
-	s := NewSurrogateStore()
-	s.Put("leopard", "leopard tank", []Surrogate{{DocID: "tank", Rank: 1, Snippet: "snippet text"}})
-	s.Put("leopard", "leopard mac os x", []Surrogate{{DocID: "osx", Rank: 1, Snippet: "os snippet"}})
-	if got := s.lists["leopard"]["leopard tank"]; len(got) != 1 || got[0].DocID != "tank" {
-		t.Errorf("stored list = %+v", got)
-	}
-	if got := s.lists["leopard"]["missing"]; got != nil {
-		t.Errorf("missing spec = %+v", got)
-	}
-	if len(s.lists) != 1 || len(s.lists["leopard"]) != 2 || s.lists["leopard"]["leopard mac os x"] == nil {
-		t.Errorf("stored lists = %+v", s.lists)
-	}
-}
-
-func TestPopulateFromEngine(t *testing.T) {
-	e := buildEngine(t)
-	s := NewSurrogateStore()
-	s.PopulateFromEngine(e, "leopard", []string{"leopard tank", "leopard mac os x"}, 2)
-	tankList := s.lists["leopard"]["leopard tank"]
-	if len(tankList) == 0 {
-		t.Fatal("no surrogates for leopard tank")
-	}
-	if tankList[0].DocID != "tank" {
-		t.Errorf("top surrogate = %s, want tank", tankList[0].DocID)
-	}
-	if tankList[0].Snippet == "" || e.IVectorOfText(tankList[0].Snippet).IsZero() {
-		t.Error("surrogate vector is zero")
-	}
-	if tankList[0].Rank != 1 {
-		t.Errorf("surrogate rank = %d", tankList[0].Rank)
-	}
-}
-
-func TestFootprint(t *testing.T) {
-	s := NewSurrogateStore()
-	s.Put("q1", "q1 a", []Surrogate{{Snippet: strings.Repeat("x", 100)}, {Snippet: strings.Repeat("y", 100)}})
-	s.Put("q1", "q1 b", []Surrogate{{Snippet: strings.Repeat("z", 100)}})
-	s.Put("q2", "q2 a", []Surrogate{{Snippet: strings.Repeat("w", 100)}})
-	f := s.ComputeFootprint()
-	if f.AmbiguousQueries != 2 || f.MaxSpecs != 2 || f.MaxListLen != 2 {
-		t.Errorf("footprint = %+v", f)
-	}
-	if f.ActualBytes != 400 {
-		t.Errorf("ActualBytes = %d, want 400", f.ActualBytes)
-	}
-	if f.AvgSurrogateBytes != 100 {
-		t.Errorf("AvgSurrogateBytes = %d", f.AvgSurrogateBytes)
-	}
-	// Bound: N(2) * maxSpecs(2) * maxList(2) * L(100) = 800 >= actual.
-	if f.BoundBytes != 800 {
-		t.Errorf("BoundBytes = %d, want 800", f.BoundBytes)
-	}
-	if f.BoundBytes < f.ActualBytes {
-		t.Error("paper bound below actual usage")
-	}
-	// Empty store.
-	empty := NewSurrogateStore().ComputeFootprint()
-	if empty.BoundBytes != 0 || empty.ActualBytes != 0 {
-		t.Errorf("empty footprint = %+v", empty)
-	}
-}
-
 func TestBuildEmptyCorpus(t *testing.T) {
 	e, err := Build(nil, Config{})
 	if err != nil {
@@ -221,16 +158,6 @@ func TestBuildEmptyCorpus(t *testing.T) {
 	}
 	if got := e.Search("anything", 5); len(got) != 0 {
 		t.Errorf("search on empty corpus = %v", got)
-	}
-}
-
-func TestSurrogateStoreOverwrite(t *testing.T) {
-	s := NewSurrogateStore()
-	s.Put("q", "q a", []Surrogate{{DocID: "old"}})
-	s.Put("q", "q a", []Surrogate{{DocID: "new1"}, {DocID: "new2"}})
-	got := s.lists["q"]["q a"]
-	if len(got) != 2 || got[0].DocID != "new1" {
-		t.Errorf("overwrite failed: %+v", got)
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 //	       workers use. Without cfg.Mmap it is read onto a heap slab and
 //	       served the same way.
 //
-// Anything else is an error, and so is an index image without its
-// forward-index or payload section (checkImage): the engine cuts
-// snippets and surrogates from the one and compacts from the other, and
-// repairs neither. The analyzer and model come from cfg, exactly as for
+// Anything else is an error. An RIDX7 image always carries the
+// forward-index section the engine cuts snippets and surrogates from and
+// the payload section it compacts from; the index package refuses one
+// without them. The analyzer and model come from cfg, exactly as for
 // Load, and must match the ones used at build time; a positive
 // cfg.Shards resegments the loaded partition, 0 keeps the one the file
 // records.
@@ -65,12 +65,8 @@ func OpenIndexFile(path string, cfg Config) (*Engine, error) {
 
 // engineAroundIndex wraps a loaded (possibly mapped) segmented index in a
 // quiet single-segment engine whose document store is the index's payload
-// section. An image checkImage refuses is closed and its error returned.
+// section.
 func engineAroundIndex(cfg Config, seg *index.Segmented) (*Engine, error) {
-	if err := checkImage(seg.Index()); err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("engine: %w", err)
-	}
 	if cfg.Shards > 0 {
 		// O(shards) boundary rebuild over the same physical index — cheap
 		// even when mapped.

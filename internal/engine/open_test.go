@@ -444,52 +444,39 @@ func TestWindowUntrustedFieldCount(t *testing.T) {
 // Compact re-analyzed its empty bodies: every sealed document vanished
 // from search.)
 func TestOpenIndexFileRefusesIncompleteImage(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	docs := smallCorpus()
-	write := func(t *testing.T, forward, payloads bool) string {
-		b := index.NewBuilder()
-		for _, d := range docs {
-			tokens, lens := analyze(cfg.Analyzer, docText{title: d.Title, body: d.Body}, nil, nil)
-			var err error
-			if forward {
-				err = b.AddFields(d.ID, tokens, lens)
-			} else {
-				err = b.Add(d.ID, tokens)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		var payload func(int32) string
-		if payloads {
-			payload = func(d int32) string { return docText{title: docs[d].Title, body: docs[d].Body}.payload() }
-		}
+	e, err := Build(smallCorpus(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var complete bytes.Buffer
+	if _, err := e.WriteMappedTo(&complete); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	// write stores the complete image with its header flags (bit 0
+	// payload, bit 1 forward index, bit 2 term order) set to flags.
+	write := func(t *testing.T, flags uint64) string {
+		img := bytes.Clone(complete.Bytes())
+		binary.LittleEndian.PutUint64(img[16:], flags)
 		path := filepath.Join(t.TempDir(), "incomplete.ridx7")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.BuildSegmented(1).WriteMapped(f, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
 	cases := []struct {
-		name              string
-		forward, payloads bool
-		missing           string
+		name    string
+		flags   uint64
+		missing string
 	}{
-		{"forward-less", false, true, "forward-index section"},
-		{"payload-less", true, false, "payload section"},
-		{"both", false, false, "forward-index and payload sections"},
+		{"forward-less", 1, "forward-index section"},
+		{"payload-less", 6, "payload section"},
+		{"both", 0, "forward-index and payload sections"},
 	}
 	for _, c := range cases {
 		for _, mmap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mmap=%v", c.name, mmap), func(t *testing.T) {
-				path := write(t, c.forward, c.payloads)
+				path := write(t, c.flags)
 				before, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)

@@ -625,7 +625,7 @@ type StorageStats struct {
 }
 
 // Storage reports the posting-storage footprint — the number the
-// compression exists to shrink. /stats, cmd/buildindex and cmd/footprint
+// compression exists to shrink. /stats, cmd/buildindex and repro footprint
 // surface it; benchmarks report BytesPerPosting next to ns/op.
 func (x *Index) Storage() StorageStats {
 	st := StorageStats{BlockSize: x.blockCap}

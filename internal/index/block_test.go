@@ -35,7 +35,7 @@ func buildRandom(t testing.TB, seed int64, numDocs, blockSize int) *Index {
 	b := NewBuilder()
 	b.SetBlockSize(blockSize)
 	for d, toks := range randomDocs(seed, numDocs) {
-		if err := b.Add(fmt.Sprintf("doc%04d", d), toks); err != nil {
+		if err := addDoc(b, fmt.Sprintf("doc%04d", d), toks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestCodecRoundTripBlocked(t *testing.T) {
 		if err := x.SetBlockMaxScores("S", x.ComputeBlockMaxScores(score)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, 3), nil)))
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, 3), noBodies)))
 		if err != nil {
 			t.Fatalf("bs=%d: %v", bs, err)
 		}
@@ -372,17 +372,17 @@ func TestCorruptBlockStreamsRejected(t *testing.T) {
 	for _, d := range []struct{ id, toks string }{
 		{"d1", "aa bb aa"}, {"d2", "aa cc"}, {"d3", "aa bb"}, {"d4", "aa"},
 	} {
-		if err := b.Add(d.id, strings.Fields(d.toks)); err != nil {
+		if err := addDoc(b, d.id, strings.Fields(d.toks)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	x := b.Build()
-	full := imageOf(t, SegmentIndex(x, 1), nil)
-	if _, err := Read(bytes.NewReader(full)); err != nil {
+	full := imageOf(t, SegmentIndex(x, 1), noBodies)
+	if _, err := readIndex(bytes.NewReader(full)); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("image truncated to %d bytes accepted", cut)
 		}
 	}
@@ -395,7 +395,7 @@ func TestCorruptBlockStreamsRejected(t *testing.T) {
 					t.Fatalf("byte %d flipped: reader panicked: %v", i, r)
 				}
 			}()
-			y, err := Read(bytes.NewReader(mut))
+			y, err := readIndex(bytes.NewReader(mut))
 			if err != nil {
 				return
 			}
@@ -412,7 +412,7 @@ func TestCorruptBlockStreamsRejected(t *testing.T) {
 	hostile := append([]byte(nil), full...)
 	recs := binary.LittleEndian.Uint64(hostile[104+16*secTermRecs:])
 	binary.LittleEndian.PutUint32(hostile[recs+20:], 1<<31)
-	if _, err := Read(bytes.NewReader(hostile)); err == nil {
+	if _, err := readIndex(bytes.NewReader(hostile)); err == nil {
 		t.Error("hostile block count accepted")
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // The owned-slab entry point of the RIDX7 image (codec_v7.go). RIDX7 is
 // the only index image: OpenMapped serves a file of it in place, and
-// Read/ReadSegmented read one from any io.Reader onto a heap slab and
-// parse it there — same in-place views, no refcounted mapping,
+// ReadSegmented reads one from any io.Reader onto a heap slab and
+// parses it there — same in-place views, no refcounted mapping,
 // GC-managed lifetime. The varint streams that came before it — RIDX1–4
 // (flat postings), RIDX5 (blocked postings) and RIDX6 (a manifest of
 // RIDX5 streams) — are ErrBadFormat like any other foreign magic.
@@ -23,16 +23,6 @@ var ErrBadFormat = errors.New("index: bad index format")
 // 2). Unlike a torn or corrupt image it is well-formed data this reader
 // refuses, so a caller that falls back past bad images must stop here.
 var ErrTextOrderForward = fmt.Errorf("%w: v7: forward index in text order, a layout this reader no longer decodes: rewrite the image with buildindex", ErrBadFormat)
-
-// Read deserializes an RIDX7 image (see ReadSegmented), dropping its
-// shard partition.
-func Read(r io.Reader) (*Index, error) {
-	seg, err := ReadSegmented(r)
-	if err != nil {
-		return nil, err
-	}
-	return seg.Index(), nil
-}
 
 // ReadSegmented reads an RIDX7 image — every byte r yields up to EOF —
 // onto an 8-byte-aligned heap slab and parses it with the same validator

@@ -13,11 +13,11 @@ import (
 // of RIDX5 streams — are foreign formats now. Every reading entry point
 // answers ErrBadFormat from the magic alone, whatever follows it.
 func TestLegacyMagicsRejected(t *testing.T) {
-	img := imageOf(t, SegmentIndex(buildSmall(t), 1), nil)
+	img := imageOf(t, SegmentIndex(buildSmall(t), 1), noBodies)
 	for _, magic := range []string{"RIDX1\n", "RIDX2\n", "RIDX3\n", "RIDX4\n", "RIDX5\n", "RIDX6\n"} {
 		stream := append([]byte(magic), img[len(magicV7):]...)
-		if _, err := Read(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("%q: Read = %v, want ErrBadFormat", magic, err)
+		if _, err := readIndex(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: readIndex = %v, want ErrBadFormat", magic, err)
 		}
 		if _, err := ReadSegmented(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%q: ReadSegmented = %v, want ErrBadFormat", magic, err)
@@ -25,14 +25,13 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	}
 }
 
-// TestWriteToEmitsV5 keeps the name it had when the index writer emitted
-// RIDX5. Both writers that remain stamp RIDX7 and nothing else:
+// TestWritersStampRIDX7: both writers stamp RIDX7 and nothing else —
 // WriteMapped writes the bare image, and WriteMappedFramed writes the same
 // bytes behind their uvarint length. Each reports the bytes it wrote.
-func TestWriteToEmitsV5(t *testing.T) {
+func TestWritersStampRIDX7(t *testing.T) {
 	seg := SegmentIndex(buildSmall(t), 2)
 	var bare bytes.Buffer
-	n, err := seg.WriteMapped(&bare, nil)
+	n, err := seg.WriteMapped(&bare, noBodies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestWriteToEmitsV5(t *testing.T) {
 	}
 
 	var framed bytes.Buffer
-	n, err = seg.WriteMappedFramed(&framed, nil)
+	n, err = seg.WriteMappedFramed(&framed, noBodies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +63,14 @@ func TestWriteToEmitsV5(t *testing.T) {
 	}
 }
 
-// TestManifestLegacyReadCompat keeps the name it had when ReadManifest
-// lifted a bare single-segment stream into a one-segment manifest. The
-// manifest is gone (RIDX6 is rejected, TestLegacyMagicsRejected); what
-// remains of the lift is that a segment image read back — bare, or cut
-// out of the frame an engine epoch file embeds it in — is that one
-// segment with its shard partition, through both readers.
-func TestManifestLegacyReadCompat(t *testing.T) {
+// TestImageReadBackKeepsPartition: a segment image read back — bare, or
+// cut out of the frame an engine epoch file embeds it in — is that one
+// segment with its shard partition, and the index alone without it.
+func TestImageReadBackKeepsPartition(t *testing.T) {
 	x := buildSmall(t)
 	seg := SegmentIndex(x, 2)
 	var framed bytes.Buffer
-	if _, err := seg.WriteMappedFramed(&framed, nil); err != nil {
+	if _, err := seg.WriteMappedFramed(&framed, noBodies); err != nil {
 		t.Fatal(err)
 	}
 	size, k := binary.Uvarint(framed.Bytes())
@@ -82,7 +78,7 @@ func TestManifestLegacyReadCompat(t *testing.T) {
 		t.Fatalf("bad frame: length %d (varint %d bytes) over %d bytes", size, k, framed.Len())
 	}
 	for name, img := range map[string][]byte{
-		"bare":   imageOf(t, seg, nil),
+		"bare":   imageOf(t, seg, noBodies),
 		"framed": framed.Bytes()[k:],
 	} {
 		got, err := ReadSegmented(bytes.NewReader(img))
@@ -95,12 +91,12 @@ func TestManifestLegacyReadCompat(t *testing.T) {
 		if !indexesEqual(x, got.Index()) {
 			t.Errorf("%s: ReadSegmented index differs from source", name)
 		}
-		flat, err := Read(bytes.NewReader(img))
+		flat, err := readIndex(bytes.NewReader(img))
 		if err != nil {
-			t.Fatalf("%s: Read: %v", name, err)
+			t.Fatalf("%s: readIndex: %v", name, err)
 		}
 		if !indexesEqual(x, flat) {
-			t.Errorf("%s: Read index differs from source", name)
+			t.Errorf("%s: readIndex index differs from source", name)
 		}
 	}
 }
@@ -124,7 +120,7 @@ func TestMaxScoreTablesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3} {
-		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, shards), nil)))
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, SegmentIndex(x, shards), noBodies)))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -157,15 +153,15 @@ func TestCorruptMaxScoreBlocksRejected(t *testing.T) {
 	if err := x.SetMaxScores("T", table); err != nil {
 		t.Fatal(err)
 	}
-	full := imageOf(t, SegmentIndex(x, 1), nil)
-	if _, err := Read(bytes.NewReader(full)); err != nil {
+	full := imageOf(t, SegmentIndex(x, 1), noBodies)
+	if _, err := readIndex(bytes.NewReader(full)); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 	// The region: key length, "T" padded to 8, the float64 entries.
 	at := int(binary.LittleEndian.Uint64(full[104+16*secMaxTables:]))
 	end := at + 8 + 8 + 8*x.NumTerms()
 	for cut := at; cut < end; cut++ {
-		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("image cut to %d bytes, inside the max-score table, accepted", cut)
 		}
 	}
@@ -174,13 +170,13 @@ func TestCorruptMaxScoreBlocksRejected(t *testing.T) {
 	for i := end - 8; i < end; i++ {
 		nan[i] = 0xff
 	}
-	if _, err := Read(bytes.NewReader(nan)); err == nil {
+	if _, err := readIndex(bytes.NewReader(nan)); err == nil {
 		t.Error("NaN max-score entry accepted")
 	}
 	// A key length that overruns the region.
 	long := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint64(long[at:], 1<<9)
-	if _, err := Read(bytes.NewReader(long)); err == nil {
+	if _, err := readIndex(bytes.NewReader(long)); err == nil {
 		t.Error("overrunning max-score key accepted")
 	}
 }
@@ -191,7 +187,7 @@ func TestSegmentedRoundTripV3(t *testing.T) {
 	x := buildSmall(t)
 	for _, shards := range []int{1, 2, 3} {
 		seg := SegmentIndex(x, shards)
-		got, err := ReadSegmented(bytes.NewReader(imageOf(t, seg, nil)))
+		got, err := ReadSegmented(bytes.NewReader(imageOf(t, seg, noBodies)))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -3,6 +3,7 @@ package index
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -26,16 +27,14 @@ import (
 //
 //	0    magic "RIDX7\n" + 2 zero bytes
 //	8    eleven u64 header fields:
-//	         headerVersion (1), flags (bit 0: payload sections present,
-//	         bit 1: forward-index sections present, bit 2: their arena
-//	         is in term order — set whenever bit 1 is),
+//	         headerVersion (1), flags (7: bit 0 payload sections, bit 1
+//	         forward-index sections, bit 2 their arena in term order),
 //	         blockCap, numDocs, numTerms, nBlocks, totalTokens,
 //	         numShards, numMaxTables, numBlockTables, fileSize
-//	96   u64 section count: 14, or 16 when flag bit 1 is set; then that
-//	     many × {offset u64, length u64}
-//	328  (360 with 16 sections) the sections, each at an 8-byte-aligned
-//	     offset (the posting block region at a 4096-byte page-aligned
-//	     offset), padded with zeros in between:
+//	96   u64 section count (16), then 16 × {offset u64, length u64}
+//	360  the sections, each at an 8-byte-aligned offset (the posting
+//	     block region at a 4096-byte page-aligned offset), padded with
+//	     zeros in between:
 //
 //	  docLens    numDocs × i32            document token counts
 //	  docOffs    (numDocs+1) × u64        docID blob offsets
@@ -53,16 +52,17 @@ import (
 //	  maxTables  packed                   per table: keyLen u64, key,
 //	                                      zero-pad to 8, numTerms × f64
 //	  blkTables  packed                   same shape, nBlocks × f64
-//	  payOffs    (numDocs+1) × u64        document payload offsets (flagged)
+//	  payOffs    (numDocs+1) × u64        document payload offsets
 //	  payBlob    bytes                    concatenated document payloads
-//	  fwdOffs    (numDocs+1) × u64        forward-index offsets (flag bit 1)
+//	  fwdOffs    (numDocs+1) × u64        forward-index offsets
 //	  fwdBlob    bytes                    forward-index arena (forward.go)
 //
-// An index without a forward index is written with 14 sections and flags
-// 1 and 2 clear — byte for byte what was written before the forward
-// sections existed, and such images still open. An image with bit 1 but
-// not bit 2 holds the earlier text-order arena, which no reader decodes:
-// it is refused at open, to be rewritten with buildindex.
+// Every image has all 16 sections and flags 7: the engine cuts snippets
+// and surrogate vectors from the forward index and compacts from the
+// payloads, so an image without either serves nothing. Any other flags
+// are refused at open, naming what the image lacks; bit 1 without bit 2
+// is the text-order arena of earlier builds (ErrTextOrderForward), to be
+// rewritten with buildindex.
 //
 // The dictionary has no hash map in this layout: terms is left nil and
 // lookups binary-search the sorted termList (the Build invariant,
@@ -89,16 +89,12 @@ const (
 	v7FlagPayload   = 1 << 0
 	v7FlagForward   = 1 << 1
 	v7FlagTermOrder = 1 << 2
+	v7Flags         = v7FlagPayload | v7FlagForward | v7FlagTermOrder
 	v7PageAlign     = 4096
 	v7TermRecBytes  = 32
-	// v7BaseSections is the section count of an image without a forward
-	// index (and of every image written before forward sections existed);
-	// v7NumSections the count with them.
-	v7BaseSections = 14
-	v7NumSections  = 16
-	// v7HeaderSize: 8 magic+pad, 11 u64 fields, section count, and the
-	// table of a v7BaseSections image; each further section adds 16.
-	v7HeaderSize = 8 + 11*8 + 8 + v7BaseSections*16
+	v7NumSections   = 16
+	// v7HeaderSize: 8 magic+pad, 11 u64 fields, section count and table.
+	v7HeaderSize = 8 + 11*8 + 8 + v7NumSections*16
 )
 
 // Section indices into the v7 section table.
@@ -124,9 +120,9 @@ const (
 func roundUp(n, align int64) int64 { return (n + align - 1) / align * align }
 
 // WriteMapped serializes the segmented index as a mappable RIDX7 file.
-// payload, when non-nil, supplies a per-document body stored in the
-// payload sections (the engine persists document bodies this way so a
-// mapped index can snippet); nil writes no payload sections.
+// payload supplies each document's body for the payload sections (the
+// engine persists document bodies this way so a mapped index can
+// compact); it must not be nil.
 func (s *Segmented) WriteMapped(w io.Writer, payload func(doc int32) string) (int64, error) {
 	return s.writeMapped(w, payload, false)
 }
@@ -140,38 +136,27 @@ func (s *Segmented) WriteMappedFramed(w io.Writer, payload func(doc int32) strin
 }
 
 func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, framed bool) (n int64, err error) {
+	if payload == nil {
+		return 0, errors.New("index: an RIDX7 image needs a payload func")
+	}
 	x := s.idx
 	numDocs := int64(x.NumDocs())
 	numTerms := int64(x.NumTerms())
 
-	// Gather blob and payload sizes.
-	var docBlobLen int64
-	for _, id := range x.docIDs {
-		docBlobLen += int64(len(id))
-	}
-	var termBlobLen int64
-	for _, t := range x.termList {
-		termBlobLen += int64(len(t))
+	// Gather blob sizes.
+	blobLen := func(ss []string) (n int64) {
+		for _, s := range ss {
+			n += int64(len(s))
+		}
+		return n
 	}
 	var blockDataLen int64
 	for i := range x.plists {
 		blockDataLen += int64(len(x.plists[i].data))
 	}
-	var payloads []string
-	var payBlobLen int64
-	flags := uint64(0)
-	if payload != nil {
-		flags |= v7FlagPayload
-		payloads = make([]string, numDocs)
-		for d := int64(0); d < numDocs; d++ {
-			payloads[d] = payload(int32(d))
-			payBlobLen += int64(len(payloads[d]))
-		}
-	}
-	numSections := v7BaseSections
-	if x.fwd != nil {
-		flags |= v7FlagForward | v7FlagTermOrder
-		numSections = v7NumSections
+	payloads := make([]string, numDocs)
+	for d := range payloads {
+		payloads[d] = payload(int32(d))
 	}
 	maxKeys := x.MaxScoreKeys()
 	blkKeys := x.BlockMaxKeys()
@@ -186,7 +171,7 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	// Place the sections.
 	type section struct{ off, len int64 }
 	var secs [v7NumSections]section
-	off := int64(v7HeaderSize + 16*(numSections-v7BaseSections))
+	off := int64(v7HeaderSize)
 	place := func(i int, n, align int64) {
 		off = roundUp(off, align)
 		secs[i] = section{off: off, len: n}
@@ -194,9 +179,9 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	}
 	place(secDocLens, 4*numDocs, 8)
 	place(secDocOffs, 8*(numDocs+1), 8)
-	place(secDocBlob, docBlobLen, 8)
+	place(secDocBlob, blobLen(x.docIDs), 8)
 	place(secTermOffs, 8*(numTerms+1), 8)
-	place(secTermBlob, termBlobLen, 8)
+	place(secTermBlob, blobLen(x.termList), 8)
 	place(secCF, 8*numTerms, 8)
 	place(secTermRecs, v7TermRecBytes*numTerms, 8)
 	place(secBlockHdrs, blockHeaderBytes*int64(x.nBlocks), 8)
@@ -204,17 +189,10 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	place(secShards, 8*int64(s.NumShards()), 8)
 	place(secMaxTables, tableRegion(maxKeys, numTerms), 8)
 	place(secBlockTables, tableRegion(blkKeys, int64(x.nBlocks)), 8)
-	if payload != nil {
-		place(secPayOffs, 8*(numDocs+1), 8)
-		place(secPayBlob, payBlobLen, 8)
-	} else {
-		place(secPayOffs, 0, 8)
-		place(secPayBlob, 0, 8)
-	}
-	if x.fwd != nil {
-		place(secFwdOffs, 8*(numDocs+1), 8)
-		place(secFwdBlob, int64(len(x.fwd.blob)), 8)
-	}
+	place(secPayOffs, 8*(numDocs+1), 8)
+	place(secPayBlob, blobLen(payloads), 8)
+	place(secFwdOffs, 8*(numDocs+1), 8)
+	place(secFwdBlob, int64(len(x.fwd.blob)), 8)
 	fileSize := off
 
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -259,7 +237,7 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 		return written, err
 	}
 	for _, v := range []uint64{
-		v7HeaderVersion, flags, uint64(x.blockCap), uint64(numDocs),
+		v7HeaderVersion, v7Flags, uint64(x.blockCap), uint64(numDocs),
 		uint64(numTerms), uint64(x.nBlocks), uint64(x.total),
 		uint64(s.NumShards()), uint64(len(maxKeys)), uint64(len(blkKeys)),
 		uint64(fileSize),
@@ -268,10 +246,10 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 			return written, err
 		}
 	}
-	if err := wu64(uint64(numSections)); err != nil {
+	if err := wu64(v7NumSections); err != nil {
 		return written, err
 	}
-	for i := range secs[:numSections] {
+	for i := range secs {
 		if err := wu64(uint64(secs[i].off)); err != nil {
 			return written, err
 		}
@@ -281,6 +259,32 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	}
 
 	begin := func(i int) error { return padTo(secs[i].off) }
+	// writeStrings writes ss as an offsets section (len(ss)+1 running
+	// byte offsets) and a blob section (their concatenation).
+	writeStrings := func(offsSec, blobSec int, ss []string) error {
+		if err := begin(offsSec); err != nil {
+			return err
+		}
+		at := uint64(0)
+		for _, s := range ss {
+			if err := wu64(at); err != nil {
+				return err
+			}
+			at += uint64(len(s))
+		}
+		if err := wu64(at); err != nil {
+			return err
+		}
+		if err := begin(blobSec); err != nil {
+			return err
+		}
+		for _, s := range ss {
+			if err := wr([]byte(s)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	// docLens / docOffs / docBlob.
 	if err := begin(secDocLens); err != nil {
@@ -291,49 +295,13 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 			return written, err
 		}
 	}
-	if err := begin(secDocOffs); err != nil {
+	if err := writeStrings(secDocOffs, secDocBlob, x.docIDs); err != nil {
 		return written, err
-	}
-	at := uint64(0)
-	for _, id := range x.docIDs {
-		if err := wu64(at); err != nil {
-			return written, err
-		}
-		at += uint64(len(id))
-	}
-	if err := wu64(at); err != nil {
-		return written, err
-	}
-	if err := begin(secDocBlob); err != nil {
-		return written, err
-	}
-	for _, id := range x.docIDs {
-		if err := wr([]byte(id)); err != nil {
-			return written, err
-		}
 	}
 
 	// termOffs / termBlob.
-	if err := begin(secTermOffs); err != nil {
+	if err := writeStrings(secTermOffs, secTermBlob, x.termList); err != nil {
 		return written, err
-	}
-	at = 0
-	for _, t := range x.termList {
-		if err := wu64(at); err != nil {
-			return written, err
-		}
-		at += uint64(len(t))
-	}
-	if err := wu64(at); err != nil {
-		return written, err
-	}
-	if err := begin(secTermBlob); err != nil {
-		return written, err
-	}
-	for _, t := range x.termList {
-		if err := wr([]byte(t)); err != nil {
-			return written, err
-		}
 	}
 
 	// cf.
@@ -438,44 +406,24 @@ func (s *Segmented) writeMapped(w io.Writer, payload func(doc int32) string, fra
 	}
 
 	// Payload sections.
-	if payload != nil {
-		if err := begin(secPayOffs); err != nil {
+	if err := writeStrings(secPayOffs, secPayBlob, payloads); err != nil {
+		return written, err
+	}
+
+	// Forward-index sections.
+	if err := begin(secFwdOffs); err != nil {
+		return written, err
+	}
+	for _, o := range x.fwd.offs {
+		if err := wu64(o); err != nil {
 			return written, err
-		}
-		at = 0
-		for _, p := range payloads {
-			if err := wu64(at); err != nil {
-				return written, err
-			}
-			at += uint64(len(p))
-		}
-		if err := wu64(at); err != nil {
-			return written, err
-		}
-		if err := begin(secPayBlob); err != nil {
-			return written, err
-		}
-		for _, p := range payloads {
-			if err := wr([]byte(p)); err != nil {
-				return written, err
-			}
 		}
 	}
-	if x.fwd != nil {
-		if err := begin(secFwdOffs); err != nil {
-			return written, err
-		}
-		for _, o := range x.fwd.offs {
-			if err := wu64(o); err != nil {
-				return written, err
-			}
-		}
-		if err := begin(secFwdBlob); err != nil {
-			return written, err
-		}
-		if err := wr(x.fwd.blob); err != nil {
-			return written, err
-		}
+	if err := begin(secFwdBlob); err != nil {
+		return written, err
+	}
+	if err := wr(x.fwd.blob); err != nil {
+		return written, err
 	}
 	if err := padTo(fileSize); err != nil {
 		return written, err
@@ -562,20 +510,22 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if version != v7HeaderVersion {
 		return fail("unknown header version %d", version)
 	}
-	if flags&^uint64(v7FlagPayload|v7FlagForward|v7FlagTermOrder) != 0 {
+	if flags&^uint64(v7Flags) != 0 {
 		return fail("unknown flags %#x", flags)
 	}
-	switch flags & (v7FlagForward | v7FlagTermOrder) {
-	case v7FlagForward:
+	if flags&(v7FlagForward|v7FlagTermOrder) == v7FlagForward {
 		return nil, nil, ErrTextOrderForward
-	case v7FlagTermOrder:
-		return fail("term-order flag without forward sections")
 	}
-	numSections := v7BaseSections
-	if flags&v7FlagForward != 0 {
-		numSections = v7NumSections
+	if flags != v7Flags {
+		missing := "forward-index and payload sections"
+		switch {
+		case flags&v7FlagPayload != 0:
+			missing = "forward-index section"
+		case flags&v7FlagForward != 0:
+			missing = "payload section"
+		}
+		return nil, nil, fmt.Errorf("%w: image lacks its %s", ErrBadFormat, missing)
 	}
-	headerSize := uint64(v7HeaderSize + 16*(numSections-v7BaseSections))
 	if blockCap == 0 || blockCap > MaxBlockSize {
 		return fail("blockCap %d out of range", blockCap)
 	}
@@ -591,18 +541,18 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 	if numMaxTables > 1<<12 || numBlockTables > 1<<12 {
 		return fail("implausible table counts (%d, %d)", numMaxTables, numBlockTables)
 	}
-	if fileSize < headerSize || fileSize > uint64(len(data)) {
+	if fileSize < v7HeaderSize || fileSize > uint64(len(data)) {
 		return fail("recorded fileSize %d vs %d real bytes", fileSize, len(data))
 	}
-	if n := u64at(96); n != uint64(numSections) {
-		return fail("section count %d, want %d", n, numSections)
+	if n := u64at(96); n != v7NumSections {
+		return fail("section count %d, want %d", n, v7NumSections)
 	}
 	type section struct{ off, len uint64 }
-	var secs [v7NumSections]section // absent forward sections stay zero
-	for i := range secs[:numSections] {
+	var secs [v7NumSections]section
+	for i := range secs {
 		secs[i] = section{off: u64at(104 + 16*i), len: u64at(104 + 16*i + 8)}
 		s := secs[i]
-		if s.len > fileSize || s.off < headerSize || s.off > fileSize-s.len {
+		if s.len > fileSize || s.off < v7HeaderSize || s.off > fileSize-s.len {
 			return fail("section %d [%d,+%d) outside file of %d bytes", i, s.off, s.len, fileSize)
 		}
 		if s.off%8 != 0 {
@@ -618,14 +568,6 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 		}
 		return nil
 	}
-	payOffsLen := uint64(0)
-	if flags&v7FlagPayload != 0 {
-		payOffsLen = 8 * (numDocs + 1)
-	}
-	fwdOffsLen := uint64(0)
-	if flags&v7FlagForward != 0 {
-		fwdOffsLen = 8 * (numDocs + 1)
-	}
 	for _, c := range []struct {
 		i    int
 		len  uint64
@@ -638,15 +580,12 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 		{secTermRecs, v7TermRecBytes * numTerms, "termRecs"},
 		{secBlockHdrs, blockHeaderBytes * nBlocks, "blockHdrs"},
 		{secShards, 8 * numShards, "shards"},
-		{secPayOffs, payOffsLen, "payOffs"},
-		{secFwdOffs, fwdOffsLen, "fwdOffs"},
+		{secPayOffs, 8 * (numDocs + 1), "payOffs"},
+		{secFwdOffs, 8 * (numDocs + 1), "fwdOffs"},
 	} {
 		if err := want(c.i, c.len, c.what); err != nil {
 			return nil, nil, err
 		}
-	}
-	if flags&v7FlagPayload == 0 && secs[secPayBlob].len != 0 {
-		return fail("payload blob without payload flag")
 	}
 	bytesOf := func(i int) []byte { return data[secs[i].off : secs[i].off+secs[i].len] }
 
@@ -821,31 +760,27 @@ func parseV7(data []byte, m *Mapping) (*Index, []int64, error) {
 		return nil, nil, err
 	}
 
-	// Payload sections (optional document bodies, served in place).
-	if flags&v7FlagPayload != 0 {
-		offs := viewU64(bytesOf(secPayOffs))
-		blob := bytesOf(secPayBlob)
-		if offs[0] != 0 || offs[numDocs] != uint64(len(blob)) {
-			return fail("payload offsets do not cover the blob")
-		}
-		for i := uint64(0); i < numDocs; i++ {
-			if offs[i+1] < offs[i] {
-				return fail("payload offsets not monotone at %d", i)
-			}
-		}
-		x.payOffs = offs
-		x.payBlob = blob
+	// Payload sections (document bodies, served in place).
+	payOffs := viewU64(bytesOf(secPayOffs))
+	payBlob := bytesOf(secPayBlob)
+	if payOffs[0] != 0 || payOffs[numDocs] != uint64(len(payBlob)) {
+		return fail("payload offsets do not cover the blob")
 	}
+	for i := uint64(0); i < numDocs; i++ {
+		if payOffs[i+1] < payOffs[i] {
+			return fail("payload offsets not monotone at %d", i)
+		}
+	}
+	x.payOffs = payOffs
+	x.payBlob = payBlob
 
-	// Forward-index sections (optional, served in place): the offsets are
-	// validated, the arena is left untouched for Forward.Doc to decode.
-	if flags&v7FlagForward != 0 {
-		fwd, err := newForward(viewU64(bytesOf(secFwdOffs)), bytesOf(secFwdBlob), int(numDocs), int(numTerms))
-		if err != nil {
-			return fail("%v", err)
-		}
-		x.fwd = fwd
+	// Forward-index sections (served in place): the offsets are validated,
+	// the arena is left untouched for Forward.Doc to decode.
+	fwd, err := newForward(viewU64(bytesOf(secFwdOffs)), bytesOf(secFwdBlob), int(numDocs), int(numTerms))
+	if err != nil {
+		return fail("%v", err)
 	}
+	x.fwd = fwd
 
 	sizes := make([]int64, numShards)
 	shardVals := viewI64(bytesOf(secShards))
@@ -952,10 +887,6 @@ func (x *Index) termID(term string) (int32, bool) {
 	}
 	return 0, false
 }
-
-// HasPayloads reports whether the index carries per-document payloads
-// (RIDX7 payload sections — the engine's document bodies).
-func (x *Index) HasPayloads() bool { return x.payOffs != nil }
 
 // Payload returns the stored payload of a document. The string is a
 // zero-copy view into the mapped region: it is valid only while the

@@ -253,7 +253,5 @@ func newForward(offs []uint64, blob []byte, numDocs, numTerms int) (*Forward, er
 	return &Forward{offs: offs, blob: blob, numTerms: int32(numTerms)}, nil
 }
 
-// Forward returns the index's forward index, or nil when it has none (it
-// was built through Builder.Add, or read from an image that predates the
-// forward sections).
+// Forward returns the index's forward index.
 func (x *Index) Forward() *Forward { return x.fwd }

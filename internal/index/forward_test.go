@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -122,24 +123,11 @@ func TestForwardRoundTrip(t *testing.T) {
 		t.Fatalf("Doc appended %v / %v (%d fields)", terms, fields, nf)
 	}
 
-	// An index built without field boundaries has none.
-	b := NewBuilder()
-	for i, text := range forwardTexts {
-		tokens, _ := fieldsOf(text)
-		if err := b.Add(string(rune('a'+i)), tokens); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain := b.Build()
-	if plain.Forward() != nil {
-		t.Fatal("Builder.Add produced a forward index")
-	}
-
 	var img bytes.Buffer
-	if _, err := SegmentIndex(x, 2).WriteMapped(&img, nil); err != nil {
+	if _, err := SegmentIndex(x, 2).WriteMapped(&img, noBodies); err != nil {
 		t.Fatal(err)
 	}
-	heap, err := Read(bytes.NewReader(img.Bytes()))
+	heap, err := readIndex(bytes.NewReader(img.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,55 +148,59 @@ func TestForwardRoundTrip(t *testing.T) {
 	checkForwardFixture(t, mapped.Index(), "v7 mapped")
 }
 
-// TestForwardSectionsAreOptional: an index without a forward index is
-// written exactly as before the sections existed — 14 sections, flag bits
-// 1 and 2 clear — and one with it differs only by the two sections and
-// the two flags.
-func TestForwardSectionsAreOptional(t *testing.T) {
-	b := NewBuilder()
-	b.SetBlockSize(2)
-	for i, text := range forwardTexts {
-		tokens, _ := fieldsOf(text)
-		if err := b.Add(string(rune('a'+i)), tokens); err != nil {
+// TestImageHasOneShape: the writer stamps every image with flags 7
+// (payload, forward index, term order) and 16 sections, refuses to write
+// one without a payload func, and the reader refuses every other flag
+// value — heap or mapped — naming what the image lacks, or, for bit 1
+// without bit 2, as the text-order arena (ErrTextOrderForward).
+func TestImageHasOneShape(t *testing.T) {
+	seg := SegmentIndex(buildForwardFixture(t, 2), 1)
+	var buf bytes.Buffer
+	if _, err := seg.WriteMapped(&buf, func(d int32) string { return forwardTexts[d] }); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	u64 := func(at int) uint64 { return binary.LittleEndian.Uint64(img[at:]) }
+	if flags, n := u64(16), u64(96); flags != 7 || n != 16 {
+		t.Fatalf("image has flags %#x and %d sections, want 0x7 and 16", flags, n)
+	}
+	if n, err := seg.WriteMapped(io.Discard, nil); err == nil || n != 0 {
+		t.Fatalf("WriteMapped with a nil payload func: %d bytes, err %v", n, err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		flags uint64
+		want  string // in the error; "" for ErrTextOrderForward
+	}{
+		{0, "image lacks its forward-index and payload sections"},
+		{1, "image lacks its forward-index section"},
+		{2, ""},
+		{3, ""},
+		{4, "image lacks its forward-index and payload sections"},
+		{5, "image lacks its forward-index section"},
+		{6, "image lacks its payload section"},
+		{7 | 8, "unknown flags 0xf"},
+	} {
+		bad := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(bad[16:], c.flags)
+		path := filepath.Join(dir, fmt.Sprintf("flags%d.ridx7", c.flags))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var old, cur bytes.Buffer
-	if _, err := SegmentIndex(b.Build(), 1).WriteMapped(&old, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&cur, nil); err != nil {
-		t.Fatal(err)
-	}
-	u64 := func(b []byte, at int) uint64 { return binary.LittleEndian.Uint64(b[at:]) }
-	if flags, n := u64(old.Bytes(), 16), u64(old.Bytes(), 96); flags != 0 || n != v7BaseSections {
-		t.Fatalf("forward-less image has flags %#x and %d sections", flags, n)
-	}
-	if flags, n := u64(cur.Bytes(), 16), u64(cur.Bytes(), 96); flags != v7FlagForward|v7FlagTermOrder || n != v7NumSections {
-		t.Fatalf("forward image has flags %#x and %d sections", flags, n)
-	}
-	x, err := Read(bytes.NewReader(old.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Forward() != nil {
-		t.Fatal("forward-less image opened with a forward index")
-	}
-	// Forward flags over a 14-section table (or the reverse), and the
-	// term-order flag alone, are corrupt.
-	for _, c := range []struct {
-		img   []byte
-		flags uint64
-	}{
-		{old.Bytes(), v7FlagForward | v7FlagTermOrder},
-		{cur.Bytes(), 0},
-		{cur.Bytes(), v7FlagTermOrder},
-		{old.Bytes(), v7FlagTermOrder},
-	} {
-		bad := append([]byte(nil), c.img...)
-		binary.LittleEndian.PutUint64(bad[16:], c.flags)
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flags %#x over %d sections accepted", c.flags, u64(bad, 96))
+		_, readErr := ReadSegmented(bytes.NewReader(bad))
+		mapped, mapErr := OpenMapped(path)
+		if mapped != nil {
+			mapped.Close()
+		}
+		for name, err := range map[string]error{"ReadSegmented": readErr, "OpenMapped": mapErr} {
+			switch {
+			case !errors.Is(err, ErrBadFormat):
+				t.Errorf("flags %#x: %s = %v, want ErrBadFormat", c.flags, name, err)
+			case c.want == "" && !errors.Is(err, ErrTextOrderForward):
+				t.Errorf("flags %#x: %s = %v, want ErrTextOrderForward", c.flags, name, err)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Errorf("flags %#x: %s = %v, want %q", c.flags, name, err, c.want)
+			}
 		}
 	}
 }
@@ -219,7 +211,7 @@ func TestForwardSectionsAreOptional(t *testing.T) {
 // with an error that says how to get a current image.
 func TestForwardTextOrderImageRefused(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&buf, nil); err != nil {
+	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&buf, noBodies); err != nil {
 		t.Fatal(err)
 	}
 	old := buf.Bytes()
@@ -228,7 +220,7 @@ func TestForwardTextOrderImageRefused(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, readErr := Read(bytes.NewReader(old))
+	_, readErr := readIndex(bytes.NewReader(old))
 	seg, mapErr := OpenMapped(path)
 	if seg != nil {
 		seg.Close()
@@ -247,7 +239,7 @@ func TestForwardTextOrderImageRefused(t *testing.T) {
 // outside the arena, and leave the other documents alone.
 func TestForwardHostile(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&buf, nil); err != nil {
+	if _, err := SegmentIndex(buildForwardFixture(t, 2), 1).WriteMapped(&buf, noBodies); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

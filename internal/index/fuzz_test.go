@@ -8,7 +8,7 @@ import (
 )
 
 // fuzzSeedImage builds a small valid RIDX7 image (two shards, max-score
-// and block-max tables, optional payloads) for the fuzzer to mutate.
+// and block-max tables, the given payloads) for the fuzzer to mutate.
 func fuzzSeedImage(tb testing.TB, blockSize int, payload func(int32) string) []byte {
 	b := NewBuilder()
 	b.SetBlockSize(blockSize)
@@ -18,7 +18,7 @@ func fuzzSeedImage(tb testing.TB, blockSize int, payload func(int32) string) []b
 		{"d3", "tank army leopard"},
 	}
 	for _, d := range docs {
-		if err := b.Add(d[0], strings.Fields(d[1])); err != nil {
+		if err := addDoc(b, d[0], strings.Fields(d[1])); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -43,16 +43,16 @@ func fuzzSeedImage(tb testing.TB, blockSize int, payload func(int32) string) []b
 // any input may be rejected with an error, but none may panic or hang —
 // truncated or corrupt images (hostile section tables, term records,
 // block headers, score tables, payload and forward offsets) and foreign
-// magics must degrade to ErrBadFormat-wrapped errors. Read parses through
-// the same validator as OpenMapped, so heap fuzzing covers the mapped
+// magics must degrade to ErrBadFormat-wrapped errors. ReadSegmented parses
+// through the same validator as OpenMapped, so heap fuzzing covers the mapped
 // open path's structural checks too. CI runs this for a short fixed
 // budget next to the deterministic corrupt-image cases in the codec
 // tests.
 func FuzzReadIndex(f *testing.F) {
-	valid := fuzzSeedImage(f, 2, nil) // tiny blocks: boundaries everywhere
+	valid := fuzzSeedImage(f, 2, noBodies) // tiny blocks: boundaries everywhere
 	f.Add(valid)
-	f.Add(fuzzSeedImage(f, 1, nil))
-	f.Add(fuzzSeedImage(f, 128, nil)) // default layout
+	f.Add(fuzzSeedImage(f, 1, noBodies))
+	f.Add(fuzzSeedImage(f, 128, noBodies)) // default layout
 	// Truncations at structurally interesting depths: inside the magic,
 	// the header, the section table, the sections and the padding.
 	for _, cut := range []int{1, 4, 7, 9, len(valid) / 3, len(valid) / 2, len(valid) - 9, len(valid) - 1} {
@@ -67,16 +67,16 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("RIDX5\n\x02\x01\x01x\x01\x01\x01\x01a\x01\x01\xff\xff\xff\xff\x0f"))
 	f.Add([]byte("RIDX6\n"))
 	f.Add([]byte("RIDX6\n\x01\x01" + "RIDX5\n"))
-	// With payload sections.
+	// With non-empty payloads.
 	f.Add(fuzzSeedImage(f, 2, func(d int32) string { return strings.Repeat("x", int(d)+1) }))
-	// With forward-index sections (16-entry table, flag bits 1 and 2),
-	// whole and cut inside the forward offsets and arena.
+	// With fields in the forward index, whole and cut inside the section
+	// table, the forward offsets and the arena.
 	var fwd bytes.Buffer
 	if _, err := SegmentIndex(buildForwardFixture(f, 2), 2).WriteMapped(&fwd, func(d int32) string { return forwardTexts[d] }); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fwd.Bytes())
-	for _, cut := range []int{v7HeaderSize + 16, fwd.Len() - 90, fwd.Len() - 30, fwd.Len() - 1} {
+	for _, cut := range []int{v7HeaderSize - 16, fwd.Len() - 90, fwd.Len() - 30, fwd.Len() - 1} {
 		f.Add(fwd.Bytes()[:cut])
 	}
 	for _, cut := range []int{95, v7HeaderSize - 1, v7HeaderSize, v7HeaderSize + 64, v7PageAlign, v7PageAlign + 8, len(valid) - 200} {
@@ -102,8 +102,13 @@ func FuzzReadIndex(f *testing.F) {
 	corrupt(func(b []byte, sec func(int) int) { binary.LittleEndian.PutUint64(b[sec(secDocOffs)+8:], 1<<40) })         // doc ID past its blob
 	corrupt(func(b []byte, _ func(int) int) { binary.LittleEndian.PutUint64(b[24:], MaxBlockSize+1) })                 // blockCap
 	corrupt(func(b []byte, _ func(int) int) { binary.LittleEndian.PutUint64(b[64:], 0) })                              // no shards
+	// Every flag value but 7, and an unknown bit: the shapes the reader
+	// refuses (TestImageHasOneShape).
+	for _, flags := range []uint64{0, 1, 2, 3, 4, 5, 6, 7 | 8} {
+		corrupt(func(b []byte, _ func(int) int) { binary.LittleEndian.PutUint64(b[16:], flags) })
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if x, err := Read(bytes.NewReader(data)); err == nil {
+		if x, err := readIndex(bytes.NewReader(data)); err == nil {
 			// Accepted streams must produce a usable index: exercise the
 			// accessors the rest of the system leans on, including a full
 			// iterator traversal of every (possibly block-compressed) list.

@@ -58,10 +58,8 @@ type Builder struct {
 
 	// Forward-index input, in provisional term numbers until Build knows
 	// the sorted dictionary: every document's token IDs in text order and
-	// its per-field token counts. noForward latches once a document arrives
-	// without field boundaries (Add); such an index gets no forward index.
-	fwd       forwardWriter
-	noForward bool
+	// its per-field token counts.
+	fwd forwardWriter
 }
 
 // NewBuilder returns an empty Builder producing postings in blocks of
@@ -83,36 +81,23 @@ func (b *Builder) SetBlockSize(n int) { b.blockSize = n }
 // twice.
 var ErrDuplicateDoc = errors.New("index: duplicate document ID")
 
-// Add indexes one document given its external ID and analyzed tokens.
-// Documents are assigned consecutive internal numbers in insertion order.
-// An index with a document added this way carries no forward index; use
-// AddFields to get one.
-func (b *Builder) Add(docID string, tokens []string) error {
-	return b.AddFields(docID, tokens, nil)
-}
-
-// AddFields is Add for a document whose whitespace-field boundaries are
-// known: fieldLens[i] is the number of tokens field i of the text
-// contributed (text.Analyzer.FieldTokens), summing to len(tokens). The
-// same token stream feeds the postings and the index's forward index, so
-// a document is analyzed once for both. A nil fieldLens says the
-// boundaries are unknown (a text without fields has an empty, non-nil
-// one): the document is indexed and the index gets no forward index.
+// AddFields indexes one document given its external ID, its analyzed
+// tokens and its whitespace-field boundaries: fieldLens[i] is the number
+// of tokens field i of the text contributed (text.Analyzer.FieldTokens),
+// summing to len(tokens). Documents are assigned consecutive internal
+// numbers in insertion order. The same token stream feeds the postings
+// and the index's forward index, so a document is analyzed once for
+// both.
 func (b *Builder) AddFields(docID string, tokens []string, fieldLens []int32) error {
 	if b.seen[docID] {
 		return fmt.Errorf("%w: %q", ErrDuplicateDoc, docID)
 	}
-	if fieldLens == nil {
-		b.noForward = true
+	sum := 0
+	for _, n := range fieldLens {
+		sum += int(n)
 	}
-	if !b.noForward {
-		sum := 0
-		for _, n := range fieldLens {
-			sum += int(n)
-		}
-		if sum != len(tokens) {
-			return fmt.Errorf("index: document %q: field lengths cover %d of %d tokens", docID, sum, len(tokens))
-		}
+	if sum != len(tokens) {
+		return fmt.Errorf("index: document %q: field lengths cover %d of %d tokens", docID, sum, len(tokens))
 	}
 	b.seen[docID] = true
 	doc := int32(len(b.docIDs))
@@ -138,13 +123,9 @@ func (b *Builder) AddFields(docID string, tokens []string, fieldLens []int32) er
 			b.postings[id] = append(pl, Posting{Doc: doc, TF: 1})
 		}
 		b.cf[id]++
-		if !b.noForward {
-			b.fwd.ids = append(b.fwd.ids, id)
-		}
+		b.fwd.ids = append(b.fwd.ids, id)
 	}
-	if !b.noForward {
-		b.fwd.endDoc(fieldLens)
-	}
+	b.fwd.endDoc(fieldLens)
 	return nil
 }
 
@@ -171,7 +152,7 @@ func (b *Builder) Build() *Index {
 	termList, b.postings, b.cf, perm = sortDictionary(termList, b.postings, b.cf, b.terms)
 	blockCap := normBlockSize(b.blockSize)
 	plists, nBlocks := assemblePostings(b.postings, blockCap)
-	idx := &Index{
+	return &Index{
 		docIDs:   b.docIDs,
 		docLens:  b.docLens,
 		terms:    b.terms,
@@ -181,11 +162,8 @@ func (b *Builder) Build() *Index {
 		nBlocks:  nBlocks,
 		cf:       b.cf,
 		total:    b.total,
+		fwd:      b.fwd.forward(len(termList), perm),
 	}
-	if !b.noForward {
-		idx.fwd = b.fwd.forward(len(termList), perm)
-	}
-	return idx
 }
 
 // sortDictionary renumbers term IDs so termList is lexicographically
@@ -244,7 +222,7 @@ type Index struct {
 	// slab's are validated when it is read), switching iterators to the
 	// defensive block decoder; terms is nil in this layout (termID
 	// binary-searches the sorted termList instead); payOffs/payBlob are
-	// the optional per-document payload sections.
+	// the image's per-document payload sections.
 	mapping    *Mapping
 	closed     atomic.Bool
 	unverified bool
@@ -252,7 +230,7 @@ type Index struct {
 	payBlob    []byte
 
 	// fwd is the forward index (forward.go): heap-built by the Builder, or
-	// a view of an image's forward sections. nil when the index has none.
+	// a view of an image's forward sections.
 	fwd *Forward
 }
 

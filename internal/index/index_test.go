@@ -3,12 +3,32 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// addDoc adds a document whose tokens are one whitespace field.
+func addDoc(b *Builder, id string, tokens []string) error {
+	return b.AddFields(id, tokens, []int32{int32(len(tokens))})
+}
+
+// noBodies is the payload func of an image whose document bodies no test
+// reads.
+func noBodies(int32) string { return "" }
+
+// readIndex reads an RIDX7 image onto the heap, dropping its shard
+// partition.
+func readIndex(r io.Reader) (*Index, error) {
+	seg, err := ReadSegmented(r)
+	if err != nil {
+		return nil, err
+	}
+	return seg.Index(), nil
+}
 
 func buildSmall(t *testing.T) *Index {
 	t.Helper()
@@ -23,7 +43,7 @@ func buildSmall(t *testing.T) *Index {
 		{"d4", "leopard mac os apple"},
 	}
 	for _, d := range docs {
-		if err := b.Add(d.id, strings.Fields(d.toks)); err != nil {
+		if err := addDoc(b, d.id, strings.Fields(d.toks)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,17 +107,17 @@ func TestPostingsSortedWithTF(t *testing.T) {
 
 func TestDuplicateDocRejected(t *testing.T) {
 	b := NewBuilder()
-	if err := b.Add("d1", []string{"a"}); err != nil {
+	if err := addDoc(b, "d1", []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add("d1", []string{"b"}); err == nil {
+	if err := addDoc(b, "d1", []string{"b"}); err == nil {
 		t.Error("duplicate doc ID accepted")
 	}
 }
 
 func TestEmptyDocument(t *testing.T) {
 	b := NewBuilder()
-	if err := b.Add("empty", nil); err != nil {
+	if err := addDoc(b, "empty", nil); err != nil {
 		t.Fatal(err)
 	}
 	x := b.Build()
@@ -173,7 +193,7 @@ func imageOf(tb testing.TB, s *Segmented, payload func(int32) string) []byte {
 
 func TestCodecRoundTrip(t *testing.T) {
 	x := buildSmall(t)
-	got, err := Read(bytes.NewReader(imageOf(t, SegmentIndex(x, 1), nil)))
+	got, err := readIndex(bytes.NewReader(imageOf(t, SegmentIndex(x, 1), noBodies)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +209,8 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsGarbage(t *testing.T) {
 	for _, in := range []string{"", "XXXX1\n", "RIDX7\n", "RIDX7\n\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) succeeded", in)
+		if _, err := readIndex(strings.NewReader(in)); err == nil {
+			t.Errorf("readIndex(%q) succeeded", in)
 		}
 	}
 }
@@ -207,12 +227,12 @@ func TestCodecRoundTripRandomized(t *testing.T) {
 			for j := range toks {
 				toks[j] = vocab[rng.Intn(len(vocab))]
 			}
-			if err := b.Add(fmt.Sprintf("doc-%d", i), toks); err != nil {
+			if err := addDoc(b, fmt.Sprintf("doc-%d", i), toks); err != nil {
 				return false
 			}
 		}
 		x := b.Build()
-		got, err := Read(bytes.NewReader(imageOf(t, SegmentIndex(x, rng.Intn(3)+1), nil)))
+		got, err := readIndex(bytes.NewReader(imageOf(t, SegmentIndex(x, rng.Intn(3)+1), noBodies)))
 		if err != nil {
 			return false
 		}
@@ -242,7 +262,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bl := NewBuilder()
 		for d, toks := range docs {
-			bl.Add(fmt.Sprintf("d%d", d), toks)
+			addDoc(bl, fmt.Sprintf("d%d", d), toks)
 		}
 		bl.Build()
 	}

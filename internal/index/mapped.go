@@ -6,7 +6,7 @@ import (
 )
 
 // Mapped storage: an Index can be backed either by heap slices it owns
-// (Build, and an RIDX7 image read onto a heap slab by Read/ReadSegmented)
+// (Build, and an RIDX7 image read onto a heap slab by ReadSegmented)
 // or by one contiguous read-only byte region served in place — an
 // mmap'ed RIDX7 file (OpenMapped). The Mapping below is the ownership
 // unit of the second kind: a refcount on the region that keeps the bytes

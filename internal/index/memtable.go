@@ -26,9 +26,9 @@ type Memtable struct {
 
 // MemDoc is one buffered document: its external ID, analyzed tokens, and
 // an opaque payload the caller wants carried alongside (the engine stores
-// the raw body for snippet extraction). FieldLens, when non-nil (an empty
-// text has an empty, not a nil, one), is the per-whitespace-field token
-// count Builder.AddFields takes; sealed views then carry a forward index.
+// the raw body for snippet extraction). FieldLens is the
+// per-whitespace-field token count Builder.AddFields takes, summing to
+// len(Tokens).
 type MemDoc struct {
 	ID        string
 	Tokens    []string

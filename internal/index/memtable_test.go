@@ -7,7 +7,8 @@ import (
 )
 
 func memdoc(id, text string) MemDoc {
-	return MemDoc{ID: id, Tokens: strings.Fields(text), Payload: text}
+	tokens := strings.Fields(text)
+	return MemDoc{ID: id, Tokens: tokens, FieldLens: []int32{int32(len(tokens))}, Payload: text}
 }
 
 func TestMemtableLifecycle(t *testing.T) {
@@ -96,7 +97,7 @@ func TestMemtableViewMatchesBatchBuild(t *testing.T) {
 
 	b := NewBuilder()
 	for _, d := range m.LiveDocs() {
-		if err := b.Add(d.ID, d.Tokens); err != nil {
+		if err := b.AddFields(d.ID, d.Tokens, d.FieldLens); err != nil {
 			t.Fatal(err)
 		}
 	}

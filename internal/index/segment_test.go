@@ -82,7 +82,7 @@ func TestBuildSegmented(t *testing.T) {
 	for _, d := range []struct{ id, toks string }{
 		{"a", "x y"}, {"b", "y z"}, {"c", "z x"},
 	} {
-		if err := b.Add(d.id, strings.Fields(d.toks)); err != nil {
+		if err := addDoc(b, d.id, strings.Fields(d.toks)); err != nil {
 			t.Fatal(err)
 		}
 	}

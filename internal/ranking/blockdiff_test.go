@@ -34,7 +34,7 @@ func corpusIndex(t testing.TB, seed int64, numDocs, blockSize int) *index.Index 
 		for j := range w {
 			w[j] = vocab[rng.Intn(len(vocab))]
 		}
-		if err := b.Add(fmt.Sprintf("doc%03d", i), w); err != nil {
+		if err := b.AddFields(fmt.Sprintf("doc%03d", i), w, []int32{int32(len(w))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ func openMappedCopy(t *testing.T, blocked *index.Index) *index.Segmented {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := index.SegmentIndex(blocked, 1).WriteMapped(f, nil); err != nil {
+	if _, err := index.SegmentIndex(blocked, 1).WriteMapped(f, func(int32) string { return "" }); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -177,7 +177,8 @@ func TestRetrievePrunedTiesAndEdgeCases(t *testing.T) {
 		if i%4 == 0 {
 			text = "same words here"
 		}
-		if err := b.Add(fmt.Sprintf("tie%04d", i), strings.Fields(text)); err != nil {
+		toks := strings.Fields(text)
+		if err := b.AddFields(fmt.Sprintf("tie%04d", i), toks, []int32{int32(len(toks))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,8 @@ func buildIndex(t testing.TB, docs map[string]string) *index.Index {
 	}
 	sortStrings(ids)
 	for _, id := range ids {
-		if err := b.Add(id, strings.Fields(docs[id])); err != nil {
+		toks := strings.Fields(docs[id])
+		if err := b.AddFields(id, toks, []int32{int32(len(toks))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,7 +412,7 @@ func BenchmarkRetrieveDPH(b *testing.B) {
 			u := rng.Float64()
 			toks[j] = vocab[int(u*u*float64(len(vocab)))]
 		}
-		builder.Add(fmt.Sprintf("doc%05d", d), toks)
+		builder.AddFields(fmt.Sprintf("doc%05d", d), toks, []int32{int32(len(toks))})
 	}
 	idx := builder.Build()
 	query := []string{"t0000", "t0003", "t0050"}

@@ -605,6 +605,37 @@ func TestDictionaryMismatch(t *testing.T) {
 	if failures == 0 {
 		t.Error("the foreign replica took traffic and failed no attempt")
 	}
+
+	// A foreign replica that answers first must not pin the fleet's
+	// epoch: beside a true replica whose engine has moved past the
+	// foreign world's epoch, the true one is still accepted.
+	lp := lazyPipelineShards(t, 2)
+	if lp.Engine.Epoch() == other.Engine.Epoch() {
+		t.Fatalf("both worlds at epoch %d; the case needs them to differ", lp.Engine.Epoch())
+	}
+	moved := httptest.NewServer(NewWorker(lp.Engine).Handler())
+	defer moved.Close()
+	s3, err := NewSearcher(Config{FailThreshold: 100, Shards: [][]ReplicaSpec{
+		{{URL: bad.URL}, {URL: moved.URL}},
+		{{URL: bad.URL}, {URL: moved.URL}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	s3.ProbeOnce(ctx)
+	sc, err := s3.Score(ctx, lp.Engine.Dictionary(), q, k, true)
+	if err != nil {
+		t.Fatalf("after the foreign replica answered first: %v (want the true replica accepted)", err)
+	}
+	sc.Close()
+	for _, ps := range s3.Stats() {
+		for _, rs := range ps.Replicas {
+			if rs.URL == bad.URL && rs.Failures == 0 {
+				t.Error("the foreign replica did not answer first")
+			}
+		}
+	}
 }
 
 // TestRouterReadyz pins the router's composite readiness: not ready

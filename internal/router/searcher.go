@@ -824,8 +824,10 @@ func (s *Searcher) attempt(ctx context.Context, r *replica, body []byte, nq int)
 		err = fmt.Errorf("reading response: %w", err)
 	} else if err = f.decode(nq); err == nil {
 		r.epoch.Store(f.epoch)
-		if err = s.checkEpoch(f.epoch); err == nil {
-			err = s.checkDict(f.dict)
+		// The dictionary first: a foreign replica must not pin the
+		// fleet's epoch.
+		if err = s.checkDict(f.dict); err == nil {
+			err = s.checkEpoch(f.epoch)
 		}
 	}
 	if err != nil {

@@ -10,8 +10,8 @@
 //
 // The examples/ directory shows the intended use. cmd/repro's
 // subcommands (efficiency, trecdiv, utilityfig; loggen and mine for the
-// log stages; diversify, the interactive front end), cmd/footprint and
-// the root benchmarks regenerate the paper's tables and figures through
+// log stages; diversify, the interactive front end; footprint, the §4.1
+// store's size) and the root benchmarks regenerate the paper's tables and figures through
 // this API; cmd/buildindex persists the index; and the serving stack
 // (cmd/serve backed by internal/server plus ServeHandle, load-tested by
 // cmd/loadgen) runs the same pipeline as a concurrent HTTP service with

@@ -309,7 +309,7 @@ func TestDiversifyParallelConcurrentQueries(t *testing.T) {
 // TestFacadeSurface pins the package's query surface to a literal list:
 // one reference route (DetectSpecializations, BuildProblem, Diversify) and
 // one serving route (DiversifyServe), configured by Config's fields and
-// nothing else. An entry point or knob added beside them fails here, where
+// nothing else, and the §4.1 accounting of the store (StoreFootprint). An entry point or knob added beside them fails here, where
 // it has to be argued for, instead of accreting until the next audit.
 func TestFacadeSurface(t *testing.T) {
 	methods := func(v any) []string {
@@ -331,7 +331,7 @@ func TestFacadeSurface(t *testing.T) {
 		got, want []string
 	}{
 		{"*Pipeline methods", methods(&Pipeline{}),
-			[]string{"BuildProblem", "DetectSpecializations", "Diversify", "NewServeHandle"}},
+			[]string{"BuildProblem", "DetectSpecializations", "Diversify", "NewServeHandle", "StoreFootprint"}},
 		{"*ServeHandle methods", methods(&ServeHandle{}),
 			[]string{"CacheStats", "DiversifyServe", "StoreStats"}},
 		{"Config fields", fields,

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/suggest"
 	"repro/internal/text"
@@ -72,4 +73,44 @@ func (p *Pipeline) buildStore() *artifactStore {
 		first += len(specs)
 	}
 	return s
+}
+
+// Footprint is the paper's §4.1 accounting of the store Build holds: its
+// bound N·|S_q̂|·|R_q̂′|·L beside the snippet bytes the stored R_q′ lists
+// cut.
+type Footprint struct {
+	Queries      []string // the stored ambiguous queries, sorted: N = len(Queries)
+	MaxSpecs     int      // |S_q̂|: specializations of the widest query
+	MaxListLen   int      // |R_q̂′|: the longest stored R_q′ list
+	Results      int      // results over every stored list
+	SnippetBytes int64    // Σ snippet bytes over every stored result
+	MeanSnippet  int      // L: SnippetBytes / Results, in bytes
+	BoundBytes   int64    // N·|S_q̂|·|R_q̂′|·L
+}
+
+// StoreFootprint measures the store DiversifyServe reads, cutting each
+// stored result's snippet for its specialization on demand; it keeps
+// nothing. A pipeline whose store failed to build has a zero footprint.
+func (p *Pipeline) StoreFootprint() Footprint {
+	var f Footprint
+	if p.store == nil {
+		return f
+	}
+	for norm, art := range p.store.arts {
+		f.Queries = append(f.Queries, norm)
+		f.MaxSpecs = max(f.MaxSpecs, len(art.SpecLists))
+		for _, s := range art.SpecLists {
+			f.MaxListLen = max(f.MaxListLen, len(s.Results))
+			f.Results += len(s.Results)
+			for _, r := range s.Results {
+				f.SnippetBytes += int64(len(p.Engine.Snippet(r.ID, s.Query)))
+			}
+		}
+	}
+	sort.Strings(f.Queries)
+	if f.Results > 0 {
+		f.MeanSnippet = int(f.SnippetBytes / int64(f.Results))
+	}
+	f.BoundBytes = int64(len(f.Queries)) * int64(f.MaxSpecs) * int64(f.MaxListLen) * int64(f.MeanSnippet)
+	return f
 }

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro"
@@ -65,6 +66,60 @@ func TestArtifactStoreMatchesLazyBuild(t *testing.T) {
 				t.Fatalf("%s: the stored artifacts of %q differ from a lazy build's", side, norm)
 			}
 		}
+	}
+}
+
+// TestStoreFootprint: the §4.1 accounting reads the store Build holds —
+// its queries, sorted, and the widest query's specializations, the
+// longest list and the result count recounted from the stored artifacts
+// — with snippet bytes equal to the snippets the engine's own search
+// returns for each stored specialization, L their floored mean and the
+// paper's bound N·|S_q̂|·|R_q̂′|·L holding. Measuring keeps nothing: a
+// second call reads the same, and a pipeline without a store reads zero.
+func TestStoreFootprint(t *testing.T) {
+	p, err := repro.Build(servedWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.StoreFootprint()
+	_, stored := repro.StoredArtifacts(p)
+	var queries []string
+	var maxSpecs, maxList, results int
+	var snippetBytes int64
+	for norm, art := range stored {
+		queries = append(queries, norm)
+		maxSpecs = max(maxSpecs, len(art.SpecLists))
+		for _, s := range art.SpecLists {
+			maxList = max(maxList, len(s.Results))
+			results += len(s.Results)
+			for _, r := range p.Engine.Search(s.Query, p.Config.PerSpec) {
+				snippetBytes += int64(len(r.Snippet))
+			}
+		}
+	}
+	sort.Strings(queries)
+	if len(queries) == 0 || !reflect.DeepEqual(f.Queries, queries) {
+		t.Fatalf("footprint queries %v, the store holds %v", f.Queries, queries)
+	}
+	if f.MaxSpecs != maxSpecs || f.MaxListLen != maxList || f.Results != results || f.SnippetBytes != snippetBytes {
+		t.Fatalf("footprint %+v; the store has |S| %d, |R| %d, %d results, %d snippet bytes", f, maxSpecs, maxList, results, snippetBytes)
+	}
+	if f.MeanSnippet != int(f.SnippetBytes/int64(f.Results)) {
+		t.Errorf("L = %d, want %d / %d", f.MeanSnippet, f.SnippetBytes, f.Results)
+	}
+	if want := int64(len(f.Queries)) * int64(f.MaxSpecs) * int64(f.MaxListLen) * int64(f.MeanSnippet); f.BoundBytes != want {
+		t.Errorf("bound %d, want N·|S|·|R|·L = %d", f.BoundBytes, want)
+	}
+	if f.BoundBytes < f.SnippetBytes {
+		t.Errorf("the paper's bound %d is below the measured %d bytes", f.BoundBytes, f.SnippetBytes)
+	}
+	t.Logf("N %d, |S| %d, |R| %d, %d results, %d snippet bytes, L %d, bound %d",
+		len(f.Queries), f.MaxSpecs, f.MaxListLen, f.Results, f.SnippetBytes, f.MeanSnippet, f.BoundBytes)
+	if again := p.StoreFootprint(); !reflect.DeepEqual(again, f) {
+		t.Errorf("a second measure reads %+v, the first %+v", again, f)
+	}
+	if empty := new(repro.Pipeline).StoreFootprint(); !reflect.DeepEqual(empty, repro.Footprint{}) {
+		t.Errorf("a pipeline without a store measures %+v", empty)
 	}
 }
 
